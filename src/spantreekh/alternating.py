@@ -54,7 +54,7 @@ def predicted_reduced_homology(diagram, in_ij=False):
     g = tait_graph(diagram)
     if g.e_minus != 0:
         raise DiagramError("expected the all-positive checkerboard shading")
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     c = diagram.n
     sigma = signature_alternating(diagram)
     v = (c - w) // 2 - sigma
@@ -111,7 +111,7 @@ def thickness_report(diagram, reduced_groups=None, unreduced_groups=None):
     lie on j - 2i = -sigma +- 1 with torsion on -sigma - 1; in general the
     reduced/unreduced row counts are bounded by the negative-edge count."""
     g = tait_graph(diagram)
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     k = g.k_invariant()
     if reduced_groups is None:
         reduced_groups = khovanov_homology(diagram, reduced=True)

@@ -359,7 +359,7 @@ def _block_complex(diagram, tree, reduced):
 
     from .khovanov import EnhancedState, _merge_split_targets
 
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     live = [c for c in range(diagram.n) if c not in dead]
     cache = {}
@@ -408,7 +408,7 @@ def _block_cycle_by_collapse(diagram, tree, stages, reduced, seed):
     mc.begin_expansions(set(states))
     live_set = set(states)
     _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduced)
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     k = _tait(diagram).k_invariant()
     uv = (tree.u, tree.v) if seed == 1 else (tree.u + 2, tree.v + 1)
     target = grading_map(*uv, w, k)
@@ -488,7 +488,7 @@ class TreeComplex:
 
     def homology_in_ij(self, coefficients="Z"):
         """Homology transported to (i, j) by the grading dictionary."""
-        w = self.diagram.writhe if self.diagram.n else 0
+        w = self.diagram.writhe
         k = tait_graph(self.diagram).k_invariant()
         return {
             grading_map(u, v, w, k): val
@@ -522,7 +522,7 @@ def include_unknot_states(diagram, tree, stages=None, reduced=True):
     if stages is None:
         _, stages = twisted_unknot(diagram, tree)
     states, _, _ = _block_complex(diagram, tree, reduced)
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     w_u = sum(st.sign for st in stages)
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     sigma_u = sigma_of_partial(dead.values())
@@ -592,7 +592,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     res = resolution_tree(diagram, graph, trees)
     stages_of = {leaf.tree.index: leaf.stages for leaf in res.leaves()}
     complex = differential(diagram, reduced)
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     k = graph.k_invariant()
 
     tree_of_smoothing = state_tree_assignment(diagram, res)

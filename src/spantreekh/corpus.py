@@ -155,10 +155,10 @@ def compute_expected(entry, include_homology=True):
     trees = enumerate_trees(g)
     v = jones(d, bracket=bracket_spantree(d, g, trees))
     data = {
-        "writhe": d.writhe if d.n else 0,
+        "writhe": d.writhe,
         "k": g.k_invariant(),
         "tree_count": len(trees),
-        "jones": str(jones_in_t(v)),
+        "jones": jones_in_t(v),
         "bracket": str(bracket_spantree(d, g, trees)),
     }
     if include_homology and d.n <= BRUTE_FORCE_CAP:

@@ -73,7 +73,7 @@ class LinkDiagram:
         seen = {0}
         stack = [0]
         adj = {}
-        for a, ends in self._raw_incidences().items():
+        for a, ends in self.incidences.items():
             (c1, _), (c2, _) = ends
             adj.setdefault(c1, set()).add(c2)
             adj.setdefault(c2, set()).add(c1)
@@ -85,13 +85,6 @@ class LinkDiagram:
                     stack.append(d)
         if len(seen) != self.n:
             raise DiagramError("diagram is disconnected")
-
-    def _raw_incidences(self):
-        inc = {}
-        for ci, x in enumerate(self.crossings):
-            for s, a in enumerate(x):
-                inc.setdefault(a, []).append((ci, s))
-        return inc
 
     def _validate_planar(self):
         if self.n == 0:
@@ -362,7 +355,7 @@ class LinkDiagram:
             "pd": [list(x) for x in self.crossings],
             "basepoint": self.basepoint,
             "n_crossings": self.n,
-            "writhe": self.writhe if self.n else 0,
+            "writhe": self.writhe,
         }
 
     def __repr__(self):
@@ -412,12 +405,6 @@ class PartialDiagram:
     def class_arcs(self, crossing, slot):
         return self.classes[self.crossing_slots[crossing][slot]]
 
-    def is_connected(self):
-        return (
-            not self.free_circles
-            and self.diagram.component_count(self.markers) == 1
-        )
-
     def kink_slot_pair(self, crossing):
         """The adjacent slot pair closed by a single class, or None."""
         slots = self.crossing_slots[crossing]
@@ -455,15 +442,6 @@ def parse_pd(text, label=""):
         if consumed == 0:
             raise DiagramError("PD body contains no crossings")
     return LinkDiagram(crossings, basepoint=int(base) if base else None, label=label)
-
-
-def faces(diagram):
-    """Faces of the diagram as lists of (arc, forward) darts."""
-    return [list(f) for f in diagram.faces]
-
-
-def writhe(diagram):
-    return diagram.writhe if diagram.n else 0
 
 
 class TaitGraph:

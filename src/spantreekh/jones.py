@@ -51,7 +51,7 @@ def jones(diagram, bracket=None):
     orientation or writhe bug.
     """
     bracket = bracket if bracket is not None else bracket_statesum(diagram)
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     # (-A)^{-3w} <D> with q = A^-1: A^e -> q^{3w - e}
     coeffs = {}
     sign = -1 if (3 * w) % 2 else 1
@@ -91,12 +91,17 @@ def _component_root(diagram, arc):
 
 
 def jones_in_t(v):
-    """Render a q-polynomial as a polynomial in t (or t^(1/2)) for display."""
-    if any(e % 4 for e in v.coeffs):
-        return LaurentPolynomial(
-            {e // 2: c for e, c in v.coeffs.items()}, "t^(1/2)"
-        )
-    return LaurentPolynomial({e // 4: c for e, c in v.coeffs.items()}, "t")
+    """Render a q-polynomial as a string in t for display.
+
+    A c-component link has every exponent in (c-1)/2 + Z, so when one power
+    of t is a half-integer all are, and each is written t^(k/2)."""
+    if not any(e % 4 for e in v.coeffs):
+        return str(LaurentPolynomial({e // 4: c for e, c in v.coeffs.items()}, "t"))
+    terms = (
+        {1: "+", -1: "-"}.get(c, f"{c:+d}*") + f"t^({e // 2}/2)"
+        for e, c in sorted(v.coeffs.items())
+    )
+    return "".join(terms).lstrip("+")
 
 
 def euler_characteristic_reduced(trees):
@@ -125,7 +130,7 @@ def euler_check(diagram, graph=None, trees=None):
     """
     graph = graph or tait_graph(diagram)
     trees = trees if trees is not None else enumerate_trees(graph)
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     k = graph.k_invariant()
     v = jones(diagram, bracket=bracket_spantree(diagram, graph, trees))
 

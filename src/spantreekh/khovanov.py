@@ -151,7 +151,7 @@ def _circle_cache(diagram):
 
 def enumerate_states(diagram, reduced):
     """All enhanced states; reduced mode keeps based-"+" states only."""
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     n = diagram.n
     circles_for = _circle_cache(diagram)
     states = []
@@ -211,7 +211,7 @@ def _merge_split_targets(state, crossing, new_circles):
 
 def differential(diagram, reduced):
     """Build the full bigraded complex for the diagram."""
-    w = diagram.writhe if diagram.n else 0
+    w = diagram.writhe
     states = enumerate_states(diagram, reduced)
     keys = {s.key for s in states}
     circles_for = _circle_cache(diagram)

@@ -286,14 +286,6 @@ def activity_word(graph, tree):
     return ActivityWord(letters, signs)
 
 
-def gradings(word):
-    return word.gradings()
-
-
-def tree_monomial(word):
-    return word.monomial()
-
-
 def sigma_of_partial(markers):
     """#A - #B over the smoothed crossings, ignoring ``*``."""
     return sum(1 if m == "A" else -1 for m in markers if m in "AB")

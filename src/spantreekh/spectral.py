@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import nullspace_over_field, rank_over_field
 from .diagram import DiagramError, tait_graph
 from .khovanov import differential
 from .spantree import build_poset, enumerate_trees, resolution_tree
@@ -112,168 +111,81 @@ def _field_params(field):
     return p, f"F{p}"
 
 
-class _SliceData:
-    """Matrices of one j-slice of the filtered complex."""
+def _pairs(filtration, prime):
+    """Persistence pairs (target, source) of the filtered differential over Q
+    (``prime`` None) or F_p, by left-to-right column reduction.
 
-    def __init__(self, complex, levels, j):
-        states = [
-            key for key, s in complex.states.items() if s.j == j
-        ]
-        self.by_i = {}
-        for key in sorted(states):
-            self.by_i.setdefault(complex.states[key].i, []).append(key)
-        self.levels = levels
-        self.complex = complex
-
-    def basis(self, i, min_level):
-        return [k for k in self.by_i.get(i, []) if self.levels[k] >= min_level]
-
-    def vector(self, key, basis_index):
-        vec = [0] * len(basis_index)
-        vec[basis_index[key]] = 1
-        return vec
-
-
-def _span_dim(vectors, p):
-    if not vectors:
-        return 0
-    return rank_over_field(vectors, p)
-
-
-def _cycle_space(slice_data, i, p_level, r, prime):
-    """Spanning vectors of Z_r^{p,i} = {x in F^p C_i : dx in F^{p+r}},
-    expressed in the basis of F^p C_i."""
-    basis = slice_data.basis(i, p_level)
-    if not basis:
-        return [], basis
-    basis_index = {k: c for c, k in enumerate(basis)}
-    target = [
-        k for k in slice_data.by_i.get(i + 1, [])
-        if slice_data.levels[k] < p_level + r
-    ]
-    if not target:
-        vecs = []
-        for k in basis:
-            v = [0] * len(basis)
-            v[basis_index[k]] = 1
-            vecs.append(v)
-        return vecs, basis
-    t_index = {k: r_ for r_, k in enumerate(target)}
-    rows = []
-    for k in basis:
-        row = [0] * len(target)
-        for dst, coeff in slice_data.complex.differential.get(k, {}).items():
-            if dst in t_index:
-                row[t_index[dst]] = coeff if prime is None else coeff % prime
-        rows.append(row)
-    # kernel of the map F^p C_i -> C_{i+1}/F^{p+r}
-    matrix = [[rows[c][r_] for c in range(len(basis))] for r_ in range(len(target))]
-    kernel = nullspace_over_field(matrix, prime)
-    return [list(v) for v in kernel], basis
-
-
-def _boundary_images(slice_data, i, p_level, r, prime, basis):
-    """d(Z_{r-1}^{p-r+1, i-1}) expressed in the basis of F^p C_{i-1+1}."""
-    src_vectors, src_basis = _cycle_space(slice_data, i - 1, p_level - r + 1, r - 1, prime)
-    if not src_vectors:
-        return []
-    basis_index = {k: c for c, k in enumerate(basis)}
-    out = []
-    for vec in src_vectors:
-        img = [0] * len(basis)
-        for c, coeff in enumerate(vec):
-            if not coeff:
-                continue
-            for dst, d in slice_data.complex.differential.get(src_basis[c], {}).items():
-                if dst in basis_index:
-                    val = coeff * d
-                    img[basis_index[dst]] += val
-        if prime is not None:
-            img = [v % prime for v in img]
-        if any(img):
-            out.append(img)
-    return out
-
-
-def page_dimension(slice_data, i, p_level, r, prime):
-    """dim E_r^{p, i-p} inside one j-slice."""
-    z_r, basis = _cycle_space(slice_data, i, p_level, r, prime)
-    if not z_r:
-        return 0
-    z_below, basis_b = _cycle_space(slice_data, i, p_level + 1, r - 1, prime)
-    basis_index = {k: c for c, k in enumerate(basis)}
-    lifted = []
-    for vec in z_below:
-        v = [0] * len(basis)
-        for c, coeff in enumerate(vec):
-            v[basis_index[basis_b[c]]] = coeff
-        lifted.append(v)
-    boundaries = _boundary_images(slice_data, i, p_level, r, prime, basis)
-    denom = lifted + boundaries
-    dim_z = _span_dim(z_r, prime)
-    dim_den = _span_dim(denom, prime)
-    dim_total = _span_dim(z_r + denom, prime)
-    if dim_total != dim_z:
-        raise DiagramError("denominator leaves the cycle space")
-    return dim_z - dim_den
+    Generators are ordered by level (descending), then i (descending), then
+    key.  The differential never lowers the level and a same-level target
+    sits at i + 1, so every target precedes its source: each prefix of the
+    order is a subcomplex and the matrix is strictly triangular.  A pair
+    whose levels differ by r is one rank of d_r; d preserves j, so pairs
+    never mix j-slices.
+    """
+    levels, states = filtration.levels, filtration.complex.states
+    order = sorted(levels, key=lambda k: (-levels[k], -states[k].i, k))
+    pos = {k: n for n, k in enumerate(order)}
+    inverse = (lambda c: Fraction(1, c)) if prime is None else (lambda c: pow(c, -1, prime))
+    pivots = {}  # lowest row of a reduced column -> that column
+    pairs = []
+    for x in order:
+        col = {}
+        for y, c in filtration.complex.differential.get(x, {}).items():
+            if prime:
+                c %= prime
+            if c:
+                col[pos[y]] = c
+        while col:
+            low = max(col)
+            if low not in pivots:
+                pivots[low] = col
+                pairs.append((order[low], x))
+                break
+            other = pivots[low]
+            f = col[low] * inverse(other[low])
+            for row, c in other.items():
+                v = col.get(row, 0) - f * c
+                if prime:
+                    v %= prime
+                if v:
+                    col[row] = v
+                else:
+                    del col[row]
+    return pairs
 
 
 def differential_ranks(filtration, field="Q", r=1):
-    """Rank of d_r out of each (p, q) slot.
-
-    Uses ker(d_r on E_r^p) = (Z_{r+1}^p + Z_{r-1}^{p+1}) / denominators, so
-    rank d_r = dim Z_r^p - dim span(Z_{r+1}^p, Z_{r-1}^{p+1})."""
+    """Rank of d_r out of each (p, q) slot: the pairs with level gap r."""
     prime, _ = _field_params(field)
-    depth = filtration.depth
-    slices = {}
-    for key, s in filtration.complex.states.items():
-        slices.setdefault(s.j, None)
-    for j in list(slices):
-        slices[j] = _SliceData(filtration.complex, filtration.levels, j)
-    i_values = sorted({s.i for s in filtration.complex.states.values()})
+    levels, states = filtration.levels, filtration.complex.states
     ranks = {}
-    for j, sl in slices.items():
-        for i in i_values:
-            for p in range(1, depth + 1):
-                z_r, basis = _cycle_space(sl, i, p, r, prime)
-                if not z_r:
-                    continue
-                basis_index = {k: c for c, k in enumerate(basis)}
-                z_next, _ = _cycle_space(sl, i, p, r + 1, prime)
-                z_above, basis_a = _cycle_space(sl, i, p + 1, r - 1, prime)
-                lifted = []
-                for vec in z_above:
-                    v = [0] * len(basis)
-                    for c, coeff in enumerate(vec):
-                        v[basis_index[basis_a[c]]] = coeff
-                    lifted.append(v)
-                rank = _span_dim(z_r, prime) - _span_dim(z_next + lifted, prime)
-                if rank:
-                    ranks[(p, i - p)] = ranks.get((p, i - p), 0) + rank
+    for y, x in _pairs(filtration, prime):
+        p = levels[x]
+        if levels[y] - p == r:
+            pq = (p, states[x].i - p)
+            ranks[pq] = ranks.get(pq, 0) + 1
     return ranks
 
 
 def compute_pages(filtration, field="Q", r_max=None):
-    """Pages E_0, E_1, ..., up to stabilization (or r_max)."""
+    """Pages E_0, E_1, ..., up to stabilization (or r_max).
+
+    dim E_r^{p,i-p} counts the generators at level p and degree i that are
+    unpaired or whose pair spans a level gap of at least r."""
     prime, field_name = _field_params(field)
     depth = filtration.depth
     stop = depth + 1 if r_max is None else min(r_max, depth + 1)
-    slices = {}
-    for key, s in filtration.complex.states.items():
-        slices.setdefault(s.j, None)
-    for j in list(slices):
-        slices[j] = _SliceData(filtration.complex, filtration.levels, j)
-
-    i_values = sorted({s.i for s in filtration.complex.states.values()})
+    levels, states = filtration.levels, filtration.complex.states
+    gap = {}
+    for y, x in _pairs(filtration, prime):
+        gap[y] = gap[x] = levels[y] - levels[x]
     pages = []
     for r in range(stop + 1):
         dims = {}
-        for j, sl in slices.items():
-            for i in i_values:
-                for p in range(1, depth + 1):
-                    d = page_dimension(sl, i, p, r, prime)
-                    if d:
-                        dims[(p, i - p)] = dims.get((p, i - p), 0) + d
+        for key, p in levels.items():
+            if key not in gap or gap[key] >= r:
+                pq = (p, states[key].i - p)
+                dims[pq] = dims.get(pq, 0) + 1
         pages.append(SpectralPage(r, dims, field_name))
     return pages
 
@@ -313,7 +225,7 @@ def check_convergence(pages, diagram, field="Q", reduced=True):
 
 def e1_tree_counts(filtration):
     """Expected E_1 dimensions: number of trees per (p, q) bigrading."""
-    w = filtration.diagram.writhe if filtration.diagram.n else 0
+    w = filtration.diagram.writhe
     k = tait_graph(filtration.diagram).k_invariant()
     from .collapse import grading_map
 

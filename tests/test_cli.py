@@ -89,6 +89,13 @@ def test_spectral(capsys):
     assert "collapses at page 3" in out
 
 
+def test_spectral_over_z_is_a_usage_error(capsys):
+    assert run(["spectral", "trefoil4", "--coeff", "z"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a field" in captured.err
+
+
 def test_verify_single_knot(capsys):
     assert run(["verify", "tree-expansion", "--knot", "trefoil4"]) == 0
     out = capsys.readouterr().out
@@ -101,6 +108,7 @@ def test_verify_alternating_category(capsys):
 
 def test_unknown_knot_exits_2(capsys):
     assert run(["info", "no_such_knot"]) == 2
+    assert capsys.readouterr().err == "error: unknown corpus knot 'no_such_knot'\n"
 
 
 def test_bad_pd_exits_1(capsys):

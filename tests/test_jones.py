@@ -50,6 +50,12 @@ def test_jones_values():
         assert str(jones_in_t(jones(corpus.diagram(name)))) == "1"
 
 
+def test_jones_of_two_component_link_has_half_integer_powers():
+    hopf = parse_pd("PD[X(1,3,2,4), X(3,1,4,2)]")
+    assert jones_in_t(jones(hopf)) == "-t^(1/2)-t^(5/2)"
+    assert jones_in_t(jones(hopf.mirror())) == "-t^(-5/2)-t^(-1/2)"
+
+
 def test_jones_mirror_inverts_t():
     for name in ("3_1", "5_2", "trefoil4", "8_19"):
         d = corpus.diagram(name)
