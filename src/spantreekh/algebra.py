@@ -560,3 +560,52 @@ def homology_groups(boundary_in, boundary_out):
     if free_rank < 0:
         raise ValueError("negative free rank: inconsistent boundaries")
     return free_rank, snf_in.torsion()
+
+
+def graded_homology(gradings, rows, coefficients="Z"):
+    """Homology of a graded chain complex, per degree.
+
+    ``gradings`` maps each generator to its degree and ``rows[g]`` is d(g)
+    as {target: coefficient}.  The degree d lands in is read off the targets,
+    so any degree step works.  Over Z ("Z") the values are (free_rank,
+    [torsion factors]); over a field ("Q" or a prime p) they are dimensions.
+    Degrees with zero homology are left out.
+    """
+    gens = {}
+    index = {}
+    for g, deg in gradings.items():
+        index[g] = len(gens.setdefault(deg, []))
+        gens[deg].append(g)
+    target = {}
+    for g, row in rows.items():
+        for dst in row:
+            if target.setdefault(gradings[g], gradings[dst]) != gradings[dst]:
+                raise ValueError(f"differential out of degree {gradings[g]} "
+                                 "lands in two degrees")
+    source = {t: s for s, t in target.items()}
+    if len(source) != len(target):
+        raise ValueError("two degrees map into one degree")
+
+    def boundary(deg):
+        """Matrix of d out of ``deg``, with no rows when d leaves it at 0."""
+        dst = gens.get(target.get(deg), ())
+        entries = {}
+        for c, g in enumerate(gens[deg]):
+            for t, coeff in rows.get(g, {}).items():
+                entries[(index[t], c)] = coeff
+        return IntegerMatrix(len(dst), len(gens[deg]), entries)
+
+    p = None if coefficients in ("Z", "Q") else int(coefficients)
+    result = {}
+    for deg, here in sorted(gens.items()):
+        out = boundary(deg)
+        inc = boundary(source[deg]) if deg in source else IntegerMatrix(len(here), 0)
+        if coefficients == "Z":
+            free, torsion = homology_groups(inc, out)
+            if free or torsion:
+                result[deg] = (free, torsion)
+        else:
+            dim = len(here) - rank_over_field(out, p) - rank_over_field(inc, p)
+            if dim:
+                result[deg] = dim
+    return result

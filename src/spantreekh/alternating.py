@@ -8,7 +8,6 @@ reduced alternating diagram, so the left-handed trefoil gets sigma = +2.
 
 from __future__ import annotations
 
-from .algebra import LaurentPolynomial
 from .diagram import DiagramError, tait_graph
 from .collapse import grading_map, inverse_grading_map
 from .jones import bracket_spantree, jones

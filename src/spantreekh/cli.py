@@ -12,21 +12,20 @@ import json
 import sys
 
 from . import corpus
-from .algebra import LaurentPolynomial
-from .collapse import retract_to_tree_complex, grading_map
+from .collapse import retract_to_tree_complex
 from .diagram import DiagramError, parse_pd, tait_graph
 from .jones import bracket_spantree, bracket_statesum, euler_check, jones, jones_in_t
-from .khovanov import differential, homology_table, khovanov_homology
+from .khovanov import homology_table, khovanov_homology
 from .spantree import build_poset, enumerate_trees, resolution_tree
 from .spectral import (
     build_filtration,
     check_convergence,
-    collapse_page,
     compute_pages,
     e1_tree_counts,
 )
 from .alternating import (
     is_alternating,
+    is_reduced_diagram,
     predicted_reduced_homology,
     signature_alternating,
     thickness_report,
@@ -297,8 +296,6 @@ def _verify_spectral(entry):
 
 
 def _verify_alternating(entry):
-    from .alternating import is_reduced_diagram
-
     d = entry.diagram()
     if not is_alternating(d) or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped (not a reduced alternating diagram)": True}
@@ -321,8 +318,6 @@ def _verify_alternating(entry):
 
 
 def _verify_thickness(entry):
-    from .alternating import is_reduced_diagram
-
     d = entry.diagram()
     if d.n > corpus.BRUTE_FORCE_CAP or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped": True}

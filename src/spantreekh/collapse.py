@@ -12,9 +12,16 @@ Jacobsson substitution; both are validated by the r o f = id check.
 
 from __future__ import annotations
 
-from .algebra import IntegerMatrix, homology_groups, rank_over_field
+from itertools import product
+
 from .diagram import DiagramError, tait_graph
-from .khovanov import differential
+from .khovanov import (
+    EnhancedState,
+    MutableComplex,
+    _merge_split_targets,
+    cancelled_homology,
+    differential,
+)
 from .spantree import (
     build_poset,
     enumerate_trees,
@@ -41,190 +48,6 @@ def inverse_grading_map(i, j, w, k):
     return u, v4 // 4
 
 
-class CollapseRecord:
-    """One elementary collapse: the pair, its incidence, and d(x) at collapse
-    time (needed to transport chains through the retraction)."""
-
-    __slots__ = ("x", "y", "incidence", "dx")
-
-    def __init__(self, x, y, incidence, dx):
-        self.x = x
-        self.y = y
-        self.incidence = incidence
-        self.dx = dx
-
-
-class MutableComplex:
-    """A chain complex under elementary collapses.
-
-    Generators are hashable labels with integer gradings; the differential is
-    kept as sparse rows and a column index.  Collapsing (x, y) with incidence
-    +-1 removes both and updates every other incidence by the standard
-    correction  <dx2', y2> = <dx2, y2> - lam <dx2, y> <dx, y2>.
-    """
-
-    def __init__(self, gradings, rows, tracked_block=None):
-        self.gradings = dict(gradings)
-        self.rows = {g: {} for g in self.gradings}
-        self.cols = {g: {} for g in self.gradings}
-        for src, row in rows.items():
-            for dst, coeff in row.items():
-                if coeff:
-                    self.rows[src][dst] = coeff
-                    self.cols[dst][src] = coeff
-        self.live = set(self.gradings)
-        self.tracked_block = tracked_block  # label -> block id, for insulation checks
-        self.current_block = None
-        self.expansions = None
-        self.log = []
-
-    def begin_expansions(self, generators):
-        """Track, for the given generators, their images under the inclusion
-        of the retract back into the original complex."""
-        self.expansions = {g: {g: 1} for g in generators}
-
-    def pop_expansion(self, g):
-        exp = self.expansions[g]
-        return {k: v for k, v in exp.items() if v}
-
-    def end_expansions(self):
-        self.expansions = None
-
-    def incidence(self, x, y):
-        return self.rows.get(x, {}).get(y, 0)
-
-    def collapse(self, x, y):
-        """Collapse the incident pair (x, y); requires <dx, y> = +-1."""
-        if x not in self.live or y not in self.live:
-            raise DiagramError("collapse of a dead generator")
-        lam = self.rows[x].get(y, 0)
-        if lam not in (1, -1):
-            raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
-        dx = dict(self.rows[x])
-        self.log.append(CollapseRecord(x, y, lam, dx))
-        for x2, a in list(self.cols[y].items()):
-            if x2 == x:
-                continue
-            if (
-                self.expansions is not None
-                and x2 in self.expansions
-                and x in self.expansions
-            ):
-                ex = self.expansions[x]
-                target = self.expansions[x2]
-                for orig, coeff in ex.items():
-                    target[orig] = target.get(orig, 0) - lam * a * coeff
-            row2 = self.rows[x2]
-            for y2, b in dx.items():
-                if y2 == y:
-                    continue
-                if self.tracked_block is not None and self.current_block is not None:
-                    bx, by = self.tracked_block.get(x2), self.tracked_block.get(y2)
-                    if bx == by and bx is not None and bx != self.current_block:
-                        raise DiagramError(
-                            "collapse leaked into another tree's block"
-                        )
-                new = row2.get(y2, 0) - lam * a * b
-                if new:
-                    row2[y2] = new
-                    self.cols[y2][x2] = new
-                else:
-                    row2.pop(y2, None)
-                    self.cols[y2].pop(x2, None)
-        self._remove(x)
-        self._remove(y)
-
-    def _remove(self, g):
-        self.live.discard(g)
-        if self.expansions is not None:
-            self.expansions.pop(g, None)
-        for dst in self.rows.pop(g, {}):
-            self.cols[dst].pop(g, None)
-        for src in self.cols.pop(g, {}):
-            self.rows[src].pop(g, None)
-        self.gradings.pop(g, None)
-
-    def transport(self, chain):
-        """Push a chain through every collapse performed so far, expressing
-        its retraction image in the current live label basis: per collapse
-        (x, y) the coordinates become z[g] - lam z[y] <dx, g> with x and y
-        dropped."""
-        z = dict(chain)
-        for rec in self.log:
-            c = z.pop(rec.y, 0)
-            z.pop(rec.x, None)
-            if c:
-                for g, b in rec.dx.items():
-                    if g in (rec.x, rec.y):
-                        continue
-                    new = z.get(g, 0) - rec.incidence * c * b
-                    if new:
-                        z[g] = new
-                    else:
-                        z.pop(g, None)
-        return z
-
-    def check_d_squared(self):
-        for src, row in self.rows.items():
-            acc = {}
-            for mid, c1 in row.items():
-                for dst, c2 in self.rows.get(mid, {}).items():
-                    acc[dst] = acc.get(dst, 0) + c1 * c2
-            if any(acc.values()):
-                raise DiagramError("d^2 != 0 after collapses")
-
-    def homology_snapshot(self):
-        """Free rank and torsion per grading, for oracle tests."""
-        degrees = sorted({g for g in self.gradings.values()})
-        out = {}
-        for d in degrees:
-            gens = sorted(
-                (k for k, v in self.gradings.items() if v == d), key=repr
-            )
-            nxt = sorted(
-                (k for k, v in self.gradings.items() if v == _next_degree(d)),
-                key=repr,
-            )
-            prv = sorted(
-                (k for k, v in self.gradings.items() if v == _prev_degree(d)),
-                key=repr,
-            )
-            out_m = _matrix_between(self, gens, nxt)
-            in_m = _matrix_between(self, prv, gens)
-            free, torsion = homology_groups(in_m, out_m)
-            if free or torsion:
-                out[d] = (free, tuple(torsion))
-        return out
-
-
-def _next_degree(d):
-    if isinstance(d, tuple):
-        return (d[0] + 1, d[1])
-    return d + 1
-
-
-def _prev_degree(d):
-    if isinstance(d, tuple):
-        return (d[0] - 1, d[1])
-    return d - 1
-
-
-def _matrix_between(mc, sources, targets):
-    idx = {k: r for r, k in enumerate(targets)}
-    entries = {}
-    for c, src in enumerate(sources):
-        for dst, coeff in mc.rows.get(src, {}).items():
-            if dst in idx:
-                entries[(idx[dst], c)] = coeff
-    return IntegerMatrix(len(targets), len(sources), entries)
-
-
-def elementary_collapse(mc, x, y):
-    """Standalone elementary collapse on a MutableComplex."""
-    mc.collapse(x, y)
-    return mc
-
-
 # -- Jacobsson fundamental cycles -------------------------------------------------
 
 
@@ -235,7 +58,7 @@ def _circle_containing(circles, arc):
     raise DiagramError(f"arc {arc} not on any circle")
 
 
-def _kink_geometry(diagram, circles_for, markers_x, markers_y, stage):
+def _kink_geometry(diagram, markers_x, markers_y, stage):
     """Circle bookkeeping for one kink: which circles play loop/near roles.
 
     markers_x has the kink at 'A', markers_y at 'B'.  Returns (loop circle,
@@ -243,20 +66,20 @@ def _kink_geometry(diagram, circles_for, markers_x, markers_y, stage):
     """
     loop_arc = diagram.crossings[stage.crossing][stage.loop_pair[0]]
     thru_arc = diagram.crossings[stage.crossing][(stage.loop_pair[0] + 2) % 4]
-    cx = circles_for(markers_x)
-    cy = circles_for(markers_y)
+    cx = diagram.circles(markers_x)
+    cy = diagram.circles(markers_y)
     if stage.sign > 0:
         # loop lives on the A side
         loop = _circle_containing(cx, loop_arc)
         merged = _circle_containing(cy, loop_arc)
         rest_arcs = merged - loop
         rest = _circle_containing(cx, min(rest_arcs))
-        return loop, merged, rest, cx, cy
+        return loop, merged, rest
     # loop lives on the B side
     loop = _circle_containing(cy, loop_arc)
     thru = _circle_containing(cy, thru_arc)
     merged = _circle_containing(cx, loop_arc)
-    return loop, merged, thru, cx, cy
+    return loop, merged, thru
 
 
 def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
@@ -276,14 +99,7 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
     """
     if reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
-    cache = {}
-
-    def circles_probe(mt):
-        if mt not in cache:
-            cache[mt] = diagram.smooth(dict(enumerate(mt))).circles
-        return cache[mt]
-
-    if reduced and _has_based_negative_loop(diagram, tree, stages, circles_probe):
+    if reduced and _has_based_negative_loop(diagram, tree, stages):
         return _block_cycle_by_collapse(diagram, tree, stages, reduced, seed)
     return _jacobsson_by_rules(diagram, tree, stages, reduced, seed)
 
@@ -292,17 +108,11 @@ def _jacobsson_by_rules(diagram, tree, stages, reduced, seed):
     markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     for st in stages:
         markers[st.crossing] = st.splice_marker
-    cache = {}
-
-    def circles_for(mt):
-        if mt not in cache:
-            cache[mt] = diagram.smooth(dict(enumerate(mt))).circles
-        return cache[mt]
 
     def marker_tuple():
         return tuple(markers[c] for c in range(diagram.n))
 
-    if len(circles_for(marker_tuple())) != 1:
+    if len(diagram.circles(marker_tuple())) != 1:
         raise DiagramError("twisted unknot did not reduce to one circle")
     terms = {(seed,): 1}  # sign tuples aligned with the canonical circle order
 
@@ -312,11 +122,9 @@ def _jacobsson_by_rules(diagram, tree, stages, reduced, seed):
         new_t = marker_tuple()
         mx_t = old_t if st.splice_marker == "A" else new_t
         my_t = new_t if st.loop_marker == "B" else old_t
-        loop, merged, rest, _, _ = _kink_geometry(
-            diagram, circles_for, mx_t, my_t, st
-        )
-        old_circles = circles_for(old_t)
-        new_circles = circles_for(new_t)
+        loop, merged, rest = _kink_geometry(diagram, mx_t, my_t, st)
+        old_circles = diagram.circles(old_t)
+        new_circles = diagram.circles(new_t)
         old_index = {c: i for i, c in enumerate(old_circles)}
         if reduced and st.sign < 0 and diagram.basepoint in loop:
             raise DiagramError(
@@ -355,30 +163,19 @@ def _jacobsson_by_rules(diagram, tree, stages, reduced, seed):
 def _block_complex(diagram, tree, reduced):
     """States extending the tree's dead smoothing, with the block-internal
     differential (marker flips at live crossings only)."""
-    from itertools import product as _product
-
-    from .khovanov import EnhancedState, _merge_split_targets
-
     w = diagram.writhe
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     live = [c for c in range(diagram.n) if c not in dead]
-    cache = {}
-
-    def circles_for(mt):
-        if mt not in cache:
-            cache[mt] = diagram.smooth(dict(enumerate(mt))).circles
-        return cache[mt]
-
     states = {}
-    for assignment in _product("AB", repeat=len(live)):
+    for assignment in product("AB", repeat=len(live)):
         markers = dict(dead)
         markers.update(zip(live, assignment))
         mt = tuple(markers[c] for c in range(diagram.n))
-        circles = circles_for(mt)
+        circles = diagram.circles(mt)
         based = next(
             ci for ci, circ in enumerate(circles) if diagram.basepoint in circ
         )
-        for signs in _product((1, -1), repeat=len(circles)):
+        for signs in product((1, -1), repeat=len(circles)):
             if reduced and signs[based] != 1:
                 continue
             s = EnhancedState(mt, signs, circles, w)
@@ -391,25 +188,23 @@ def _block_complex(diagram, tree, reduced):
                 continue
             sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
             new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
-            for signs, coeff in _merge_split_targets(s, c, circles_for(new_markers)):
+            for signs, coeff in _merge_split_targets(s, c, diagram.circles(new_markers)):
                 tkey = (new_markers, signs)
                 if tkey in states:
                     row[tkey] = row.get(tkey, 0) + sign * coeff
         rows[key] = {k2: v for k2, v in row.items() if v}
-    return states, rows, circles_for
+    return states, rows
 
 
 def _block_cycle_by_collapse(diagram, tree, stages, reduced, seed):
     """Fundamental cycle as the collapse expansion of the block survivor."""
-    from .diagram import tait_graph as _tait
-
-    states, rows, circles_for = _block_complex(diagram, tree, reduced)
+    states, rows = _block_complex(diagram, tree, reduced)
     mc = MutableComplex({k: (s.i, s.j) for k, s in states.items()}, rows)
     mc.begin_expansions(set(states))
     live_set = set(states)
-    _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduced)
+    _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced)
     w = diagram.writhe
-    k = _tait(diagram).k_invariant()
+    k = tait_graph(diagram).k_invariant()
     uv = (tree.u, tree.v) if seed == 1 else (tree.u + 2, tree.v + 1)
     target = grading_map(*uv, w, k)
     survivors = [g for g in mc.live if mc.gradings[g] == target]
@@ -450,41 +245,8 @@ class TreeComplex:
                         f"({du - su},{dv - sv}), expected (-1,-1)"
                     )
 
-    def bigradings(self):
-        return sorted(set(self.generators.values()))
-
-    def generators_at(self, u, v):
-        return sorted(
-            (g for g, uv in self.generators.items() if uv == (u, v)), key=repr
-        )
-
-    def matrix(self, u, v):
-        """Differential out of (u, v) into (u-1, v-1)."""
-        src = self.generators_at(u, v)
-        dst = self.generators_at(u - 1, v - 1)
-        idx = {g: r for r, g in enumerate(dst)}
-        entries = {}
-        for c, g in enumerate(src):
-            for target, coeff in self.differential.get(g, {}).items():
-                if target in idx:
-                    entries[(idx[target], c)] = coeff
-        return IntegerMatrix(len(dst), len(src), entries)
-
     def homology(self, coefficients="Z"):
-        result = {}
-        for (u, v) in self.bigradings():
-            out = self.matrix(u, v)
-            inc = self.matrix(u + 1, v + 1)
-            if coefficients == "Z":
-                free, torsion = homology_groups(inc, out)
-                if free or torsion:
-                    result[(u, v)] = (free, torsion)
-            else:
-                p = None if coefficients == "Q" else int(coefficients)
-                dim = out.ncols - rank_over_field(out, p) - rank_over_field(inc, p)
-                if dim:
-                    result[(u, v)] = dim
-        return result
+        return cancelled_homology(self.generators, self.differential, coefficients)
 
     def homology_in_ij(self, coefficients="Z"):
         """Homology transported to (i, j) by the grading dictionary."""
@@ -521,7 +283,7 @@ def include_unknot_states(diagram, tree, stages=None, reduced=True):
 
     if stages is None:
         _, stages = twisted_unknot(diagram, tree)
-    states, _, _ = _block_complex(diagram, tree, reduced)
+    states, _ = _block_complex(diagram, tree, reduced)
     w = diagram.writhe
     w_u = sum(st.sign for st in stages)
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
@@ -613,13 +375,6 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     for key, t in state_tree.items():
         tree_live.setdefault(t, set()).add(key)
 
-    circles_cache = {}
-
-    def circles_for(markers):
-        if markers not in circles_cache:
-            circles_cache[markers] = diagram.smooth(dict(enumerate(markers))).circles
-        return circles_cache[markers]
-
     order = poset.linear_extension()
     expansion_of = {}
     for pos in order:
@@ -628,8 +383,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
         block_states = set(tree_live[tree.index])
         mc.begin_expansions(block_states)
         _collapse_tree_block(
-            diagram, mc, tree, stages_of[tree.index], tree_live[tree.index],
-            circles_for, reduced,
+            diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced
         )
         for key in tree_live[tree.index] & mc.live:
             expansion_of[key] = mc.pop_expansion(key)
@@ -640,9 +394,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     cycles = []
     for t in trees:
         alive = sorted(tree_live[t.index] & mc.live)
-        pathological = reduced and _has_based_negative_loop(
-            diagram, t, stages_of[t.index], circles_for
-        )
+        pathological = reduced and _has_based_negative_loop(diagram, t, stages_of[t.index])
         for seed in seeds:
             if pathological:
                 target = grading_map(t.u, t.v, w, k)
@@ -730,7 +482,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     return tree_complex, record
 
 
-def _has_based_negative_loop(diagram, tree, stages, circles_for):
+def _has_based_negative_loop(diagram, tree, stages):
     """True when some negative kink's loop circle carries the basepoint; the
     local Jacobsson substitution then leaves the based-"+" subcomplex and the
     fundamental cycle must come from the collapse expansions instead."""
@@ -744,7 +496,7 @@ def _has_based_negative_loop(diagram, tree, stages, circles_for):
         probe[st.crossing] = st.loop_marker
         mt = tuple(probe[c] for c in range(diagram.n))
         loop_arc = diagram.crossings[st.crossing][st.loop_pair[0]]
-        loop = _circle_containing(circles_for(mt), loop_arc)
+        loop = _circle_containing(diagram.circles(mt), loop_arc)
         if diagram.basepoint in loop:
             return True
     return False
@@ -788,7 +540,7 @@ def _verify_cycle_gradings(diagram, tree, stages, state, w, k, seed):
             raise DiagramError("inclusion grading shift mismatch")
 
 
-def _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduced):
+def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
     """Collapse one tree's block of states down to its fundamental class.
 
     The pairing at kink stage t is formed on the states of C(U^{t-1}); those
@@ -799,7 +551,7 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduc
     """
     undone = []
     # abstract signs start as the raw signs
-    abstract = {key: dict(zip(circles_for(key[0]), key[1])) for key in live_set}
+    abstract = {key: dict(zip(diagram.circles(key[0]), key[1])) for key in live_set}
 
     def abstract_markers(raw_markers, at=None, marker=None):
         out = list(raw_markers)
@@ -814,7 +566,7 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduc
         x_marker, y_marker = "A", "B"
         index = {}
         for key in live_set:
-            index[(key[0], _sign_key(abstract[key], circles_for(abstract_markers(key[0]))))] = key
+            index[(key[0], _sign_key(abstract[key], diagram.circles(abstract_markers(key[0]))))] = key
         heads = [
             key for key in sorted(live_set)
             if key[0][c] == (x_marker if st.sign < 0 else y_marker)
@@ -828,9 +580,7 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduc
             abs_there = abstract_markers(partner_raw)
             mx_abs = abs_here if st.sign < 0 else abs_there
             my_abs = abs_there if st.sign < 0 else abs_here
-            loop, merged, rest, _, _ = _kink_geometry(
-                diagram, circles_for, mx_abs, my_abs, st
-            )
+            loop, merged, rest = _kink_geometry(diagram, mx_abs, my_abs, st)
             signs = abstract[head]
             if st.sign < 0:
                 # head is the A-side state; partner B-state gets loop "+"
@@ -853,7 +603,7 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduc
                     partner_signs[loop] = -1
             partner = index.get(
                 (partner_raw,
-                 _sign_key(partner_signs, circles_for(abstract_markers(partner_raw))))
+                 _sign_key(partner_signs, diagram.circles(abstract_markers(partner_raw))))
             )
             if partner is None or partner not in mc.live:
                 raise DiagramError("collapse partner is not live")
@@ -874,9 +624,7 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, circles_for, reduc
             new_abs = abstract_markers(raw)
             mx_abs = new_abs if st.splice_marker == "A" else old_abs
             my_abs = old_abs if st.loop_marker == "B" else new_abs
-            loop, merged, rest, _, _ = _kink_geometry(
-                diagram, circles_for, mx_abs, my_abs, st
-            )
+            loop, merged, rest = _kink_geometry(diagram, mx_abs, my_abs, st)
             signs = abstract[key]
             if st.sign > 0 and signs[loop] != 1:
                 raise DiagramError("positive-kink survivor without a + loop")

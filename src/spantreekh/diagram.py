@@ -13,7 +13,6 @@ B-smoothing joins (1,2) and (3,0).
 
 from __future__ import annotations
 
-import json
 import re
 from functools import cached_property
 
@@ -55,6 +54,7 @@ class LinkDiagram:
             raise DiagramError(f"basepoint {self.basepoint} is not an arc")
         self._validate_connected()
         self._validate_planar()
+        self._circles = {}  # full marker tuple -> circles, filled by circles()
 
     # -- incidence and orientation -------------------------------------------
 
@@ -233,9 +233,6 @@ class LinkDiagram:
 
     # -- smoothing machinery -----------------------------------------------------
 
-    def _slot_points(self):
-        return [(c, s) for c in range(self.n) for s in range(4)]
-
     def _union_find(self, joins):
         parent = {}
 
@@ -302,6 +299,13 @@ class LinkDiagram:
         )
         return PartialDiagram(self, markers, kept, crossing_slots,
                               {r: frozenset(v) for r, v in classes.items()}, free)
+
+    def circles(self, markers):
+        """Circles of the full smoothing given as a tuple of 'A'/'B' markers,
+        one per crossing; cached on the diagram."""
+        if markers not in self._circles:
+            self._circles[markers] = self.smooth(dict(enumerate(markers))).circles
+        return self._circles[markers]
 
     def component_count(self, markers):
         """Number of connected pieces after smoothing ``markers`` (kept
@@ -379,12 +383,6 @@ class Smoothing:
         values = [self.markers.get(c) for c in range(self.diagram.n)]
         return sum(1 if m == "A" else -1 for m in values)
 
-    def circle_of(self, arc):
-        for i, circ in enumerate(self.circles):
-            if arc in circ:
-                return i
-        raise KeyError(arc)
-
     def __len__(self):
         return len(self.circles)
 
@@ -401,9 +399,6 @@ class PartialDiagram:
         self.crossing_slots = crossing_slots  # crossing -> 4 class roots
         self.classes = classes                # root -> frozenset of arcs
         self.free_circles = free_circles
-
-    def class_arcs(self, crossing, slot):
-        return self.classes[self.crossing_slots[crossing][slot]]
 
     def kink_slot_pair(self, crossing):
         """The adjacent slot pair closed by a single class, or None."""

@@ -11,13 +11,17 @@ plays the role of the Frobenius unit:
 
 with the matrix sign (-1)^{#B markers at crossings below the changed one}.
 The reduced complex is the subcomplex of states whose based circle is "+".
+
+Homology first cancels the +-1 incidences of the differential in label order
+by elementary collapses (:class:`MutableComplex`), then takes the Smith
+normal form (or the field rank) of the small residue in each degree.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .algebra import IntegerMatrix, homology_groups, rank_over_field
+from .algebra import LaurentPolynomial, graded_homology
 from .diagram import DiagramError
 
 
@@ -82,81 +86,197 @@ class BigradedComplex:
             if any(acc.values()):
                 raise DiagramError("differential does not square to zero")
 
-    def bigradings(self):
-        return sorted({(s.i, s.j) for s in self.states.values()})
-
-    def generators_at(self, i, j):
-        return sorted(
-            (k for k, s in self.states.items() if (s.i, s.j) == (i, j))
-        )
-
-    def matrix(self, i, j):
-        """Matrix of the differential out of (i, j) into (i+1, j)."""
-        src = self.generators_at(i, j)
-        dst = self.generators_at(i + 1, j)
-        idx = {k: r for r, k in enumerate(dst)}
-        entries = {}
-        for c, key in enumerate(src):
-            for target, coeff in self.differential.get(key, {}).items():
-                if target in idx:
-                    entries[(idx[target], c)] = coeff
-        return IntegerMatrix(len(dst), len(src), entries,
-                             row_labels=dst or None, col_labels=src or None)
-
     def homology(self, coefficients="Z"):
         """Per-(i,j) homology.
 
         Over Z the values are (free_rank, [torsion factors]); over a field
         ("Q" or an integer prime) just dimensions.
         """
-        result = {}
-        for (i, j) in self.bigradings():
-            out = self.matrix(i, j)
-            inc = self.matrix(i - 1, j)
-            if coefficients == "Z":
-                free, torsion = homology_groups(inc, out)
-                if free or torsion:
-                    result[(i, j)] = (free, torsion)
-            else:
-                p = None if coefficients == "Q" else int(coefficients)
-                dim = out.ncols - rank_over_field(out, p) - rank_over_field(inc, p)
-                if dim:
-                    result[(i, j)] = dim
-        return result
+        gradings = {k: (s.i, s.j) for k, s in self.states.items()}
+        return cancelled_homology(gradings, self.differential, coefficients)
 
     def total_dimension(self):
         return len(self.states)
 
     def graded_euler_characteristic(self):
         """sum (-1)^i q^j over generators, as a Laurent polynomial in q."""
-        from .algebra import LaurentPolynomial
-
         chi = {}
         for s in self.states.values():
             chi[s.j] = chi.get(s.j, 0) + (-1) ** (s.i % 2)
         return LaurentPolynomial(chi, "q")
 
 
-def _circle_cache(diagram):
-    cache = {}
+class CollapseRecord:
+    """One elementary collapse: the pair, its incidence, and d(x) at collapse
+    time (needed to transport chains through the retraction)."""
 
-    def circles_for(markers):
-        if markers not in cache:
-            sm = diagram.smooth(dict(enumerate(markers)))
-            cache[markers] = sm.circles
-        return cache[markers]
+    __slots__ = ("x", "y", "incidence", "dx")
 
-    return circles_for
+    def __init__(self, x, y, incidence, dx):
+        self.x = x
+        self.y = y
+        self.incidence = incidence
+        self.dx = dx
+
+
+class MutableComplex:
+    """A chain complex under elementary collapses.
+
+    Generators are hashable labels with gradings (integers or tuples); the
+    differential is kept as sparse rows and a column index.  Collapsing (x, y)
+    with incidence +-1 removes both and updates every other incidence by the
+    standard correction  <dx2', y2> = <dx2, y2> - lam <dx2, y> <dx, y2>.
+    """
+
+    def __init__(self, gradings, rows, tracked_block=None):
+        self.gradings = dict(gradings)
+        self.rows = {g: {} for g in self.gradings}
+        self.cols = {g: {} for g in self.gradings}
+        for src, row in rows.items():
+            for dst, coeff in row.items():
+                if coeff:
+                    self.rows[src][dst] = coeff
+                    self.cols[dst][src] = coeff
+        self.live = set(self.gradings)
+        self.tracked_block = tracked_block  # label -> block id, for insulation checks
+        self.current_block = None
+        self.expansions = None
+        self.log = []
+
+    def begin_expansions(self, generators):
+        """Track, for the given generators, their images under the inclusion
+        of the retract back into the original complex."""
+        self.expansions = {g: {g: 1} for g in generators}
+
+    def pop_expansion(self, g):
+        exp = self.expansions[g]
+        return {k: v for k, v in exp.items() if v}
+
+    def end_expansions(self):
+        self.expansions = None
+
+    def incidence(self, x, y):
+        return self.rows.get(x, {}).get(y, 0)
+
+    def collapse(self, x, y):
+        """Collapse the incident pair (x, y); requires <dx, y> = +-1."""
+        if x not in self.live or y not in self.live:
+            raise DiagramError("collapse of a dead generator")
+        lam = self.rows[x].get(y, 0)
+        if lam not in (1, -1):
+            raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
+        dx = dict(self.rows[x])
+        self.log.append(CollapseRecord(x, y, lam, dx))
+        for x2, a in list(self.cols[y].items()):
+            if x2 == x:
+                continue
+            if (
+                self.expansions is not None
+                and x2 in self.expansions
+                and x in self.expansions
+            ):
+                ex = self.expansions[x]
+                target = self.expansions[x2]
+                for orig, coeff in ex.items():
+                    target[orig] = target.get(orig, 0) - lam * a * coeff
+            row2 = self.rows[x2]
+            for y2, b in dx.items():
+                if y2 == y:
+                    continue
+                if self.tracked_block is not None and self.current_block is not None:
+                    bx, by = self.tracked_block.get(x2), self.tracked_block.get(y2)
+                    if bx == by and bx is not None and bx != self.current_block:
+                        raise DiagramError(
+                            "collapse leaked into another tree's block"
+                        )
+                new = row2.get(y2, 0) - lam * a * b
+                if new:
+                    row2[y2] = new
+                    self.cols[y2][x2] = new
+                else:
+                    row2.pop(y2, None)
+                    self.cols[y2].pop(x2, None)
+        self._remove(x)
+        self._remove(y)
+
+    def _remove(self, g):
+        self.live.discard(g)
+        if self.expansions is not None:
+            self.expansions.pop(g, None)
+        for dst in self.rows.pop(g, {}):
+            self.cols[dst].pop(g, None)
+        for src in self.cols.pop(g, {}):
+            self.rows[src].pop(g, None)
+        self.gradings.pop(g, None)
+
+    def transport(self, chain):
+        """Push a chain through every collapse performed so far, expressing
+        its retraction image in the current live label basis: per collapse
+        (x, y) the coordinates become z[g] - lam z[y] <dx, g> with x and y
+        dropped."""
+        z = dict(chain)
+        for rec in self.log:
+            c = z.pop(rec.y, 0)
+            z.pop(rec.x, None)
+            if c:
+                for g, b in rec.dx.items():
+                    if g in (rec.x, rec.y):
+                        continue
+                    new = z.get(g, 0) - rec.incidence * c * b
+                    if new:
+                        z[g] = new
+                    else:
+                        z.pop(g, None)
+        return z
+
+    def check_d_squared(self):
+        for src, row in self.rows.items():
+            acc = {}
+            for mid, c1 in row.items():
+                for dst, c2 in self.rows.get(mid, {}).items():
+                    acc[dst] = acc.get(dst, 0) + c1 * c2
+            if any(acc.values()):
+                raise DiagramError("d^2 != 0 after collapses")
+
+    def cancel(self):
+        """Collapse +-1 incidences until none remains: each live source in
+        sorted label order with its smallest unit target (the Gaussian
+        elimination of Bar-Natan, "Fast Khovanov homology computations")."""
+        done = False
+        while not done:
+            done = True
+            for x in sorted(self.live):
+                if x not in self.live:
+                    continue
+                y = min((y for y, c in self.rows[x].items() if c in (1, -1)),
+                        default=None)
+                if y is not None:
+                    self.collapse(x, y)
+                    done = False
+
+    def homology_snapshot(self):
+        """Free rank and torsion per grading of the live complex, by dense
+        Smith form with no cancellation: the oracle of the collapse tests."""
+        return {
+            d: (free, tuple(torsion))
+            for d, (free, torsion) in graded_homology(self.gradings, self.rows).items()
+        }
+
+
+def cancelled_homology(gradings, rows, coefficients):
+    """Homology of the complex {generator: degree}, {generator: d(generator)}:
+    cancel the +-1 incidences on a copy, then take the residue's homology."""
+    mc = MutableComplex(gradings, rows)
+    mc.cancel()
+    return graded_homology(mc.gradings, mc.rows, coefficients)
 
 
 def enumerate_states(diagram, reduced):
     """All enhanced states; reduced mode keeps based-"+" states only."""
     w = diagram.writhe
-    n = diagram.n
-    circles_for = _circle_cache(diagram)
     states = []
-    for markers in product("AB", repeat=n):
-        circles = circles_for(markers)
+    for markers in product("AB", repeat=diagram.n):
+        circles = diagram.circles(markers)
         based = next(
             (ci for ci, circ in enumerate(circles) if diagram.basepoint in circ),
             None,
@@ -214,7 +334,6 @@ def differential(diagram, reduced):
     w = diagram.writhe
     states = enumerate_states(diagram, reduced)
     keys = {s.key for s in states}
-    circles_for = _circle_cache(diagram)
     diff = {}
     for s in states:
         row = {}
@@ -223,7 +342,7 @@ def differential(diagram, reduced):
                 continue
             sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
             new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
-            new_circles = circles_for(new_markers)
+            new_circles = diagram.circles(new_markers)
             for signs, coeff in _merge_split_targets(s, c, new_circles):
                 key = (new_markers, signs)
                 if reduced and key not in keys:

@@ -34,9 +34,6 @@ class Filtration:
     def depth(self):
         return max(self.tree_levels.values())
 
-    def blocks_at_level(self, p):
-        return sorted(t for t, lv in self.tree_levels.items() if lv == p)
-
 
 def build_filtration(diagram, reduced=True):
     """Levels from the maximal descending chains of the tree poset."""

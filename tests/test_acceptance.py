@@ -165,6 +165,7 @@ def test_criterion_8a_random_collapse_homology():
     for _ in range(200):
         mc = _random_small_complex(rng)
         before = mc.homology_snapshot()
+        fresh = MutableComplex(mc.gradings, mc.rows)
         while True:
             pairs = [
                 (x, y)
@@ -177,6 +178,8 @@ def test_criterion_8a_random_collapse_homology():
             mc.collapse(*pairs[rng.randrange(len(pairs))])
         mc.check_d_squared()
         assert mc.homology_snapshot() == before
+        fresh.cancel()
+        assert fresh.homology_snapshot() == before
         checked += 1
     _report("8a", checked == 200, "homology invariant under 200 random collapse runs")
 

@@ -9,6 +9,7 @@ from spantreekh.algebra import (
     IntegerMatrix,
     LaurentPolynomial,
     bareiss_determinant,
+    graded_homology,
     homology_groups,
     nullspace_over_field,
     rank_over_field,
@@ -70,6 +71,18 @@ def test_homology_trivial_and_torsion():
     two = IntegerMatrix.from_rows([[2]])
     out = IntegerMatrix.zero(0, 1)
     assert homology_groups(two, out) == (0, [2])
+
+
+def test_graded_homology_reads_the_degree_step_off_the_differential():
+    # a --2--> b with the differential lowering (u, v) by (1, 1), plus a
+    # free generator c: Z/2 at b, Z at c, nothing at a
+    gradings = {"a": (1, 1), "b": (0, 0), "c": (5, 2)}
+    rows = {"a": {"b": 2}}
+    assert graded_homology(gradings, rows) == {(0, 0): (0, [2]), (5, 2): (1, [])}
+    assert graded_homology(gradings, rows, "Q") == {(5, 2): 1}
+    assert graded_homology(gradings, rows, 2) == {(0, 0): 1, (1, 1): 1, (5, 2): 1}
+    with pytest.raises(ValueError, match="two degrees"):
+        graded_homology({"a": 0, "b": 1, "c": 2}, {"a": {"b": 1, "c": 1}})
 
 
 def test_homology_rejects_nonzero_composite():

@@ -11,7 +11,6 @@ from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
     MutableComplex,
     check_order_discipline,
-    elementary_collapse,
     grading_map,
     inverse_grading_map,
     jacobsson_cycle,
@@ -42,7 +41,7 @@ def test_grading_map_round_trip():
 
 def test_elementary_collapse_pair_only():
     mc = MutableComplex({"x": 0, "y": 1}, {"x": {"y": 1}})
-    elementary_collapse(mc, "x", "y")
+    mc.collapse("x", "y")
     assert mc.live == set()
 
 
@@ -110,13 +109,15 @@ def _random_complex(rng, size=30):
 
 
 def test_random_collapses_preserve_homology():
-    """Acceptance 8a: 200 randomized complexes, homology before == after."""
+    """Acceptance 8a: 200 randomized complexes, homology before == after,
+    and cancelling every unit incidence of a fresh copy agrees too."""
     rng = random.Random(2024)
     performed = 0
     for trial in range(200):
         mc = _random_complex(rng)
         mc.check_d_squared()
         before = mc.homology_snapshot()
+        fresh = MutableComplex(mc.gradings, mc.rows)
         # perform random legal collapses
         for _ in range(10):
             pairs = [
@@ -132,6 +133,10 @@ def test_random_collapses_preserve_homology():
             performed += 1
         mc.check_d_squared()
         assert mc.homology_snapshot() == before
+        fresh.cancel()
+        fresh.check_d_squared()
+        assert not any(c in (1, -1) for row in fresh.rows.values() for c in row.values())
+        assert fresh.homology_snapshot() == before
     assert performed > 200
 
 
