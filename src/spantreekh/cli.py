@@ -350,8 +350,8 @@ def cmd_verify(args):
         for cat in categories:
             try:
                 out[cat] = _CATEGORIES[cat](entry)
-            except Exception as exc:  # pragma: no cover - defensive
-                out[cat] = {f"error: {exc}": False}
+            except Exception as exc:  # a crashed check fails; the rest still run
+                out[cat] = {f"error: {type(exc).__name__}: {exc}": False}
 
     failures = 0
     lines = []

@@ -383,7 +383,13 @@ def compare_trees(t1, t2):
 
 class TreePoset:
     """Poset of spanning trees: transitive closure of the single-step
-    relation, with its maximal descending chains."""
+    relation, with its maximal descending chains.
+
+    ``depth[i]`` is the length of the longest descending chain from tree i
+    to the minimum; ``level[i]`` is 1 + the length of the longest cover path
+    from the maximum down to tree i, which is also the largest position of
+    tree i over the maximal chains.
+    """
 
     def __init__(self, trees):
         self.trees = list(trees)
@@ -411,6 +417,18 @@ class TreePoset:
             raise DiagramError("tree poset must have unique maximal and minimal elements")
         self.max_index = maxima[0]
         self.min_index = minima[0]
+        # A longest path in the closure only uses covers, and sorting the
+        # trees by how many trees lie below each one is a topological order
+        # (i > j puts every tree below j below i as well), so one pass each
+        # way gives both longest-path lengths.
+        rows = range(n)
+        order = sorted(rows, key=lambda i: sum(gt[i]))
+        self.depth = [0] * n
+        for i in order:
+            self.depth[i] = 1 + max((self.depth[j] for j in rows if gt[i][j]), default=-1)
+        self.level = [0] * n
+        for j in reversed(order):
+            self.level[j] = 1 + max((self.level[i] for i in rows if gt[i][j]), default=0)
 
     def is_greater(self, i, j):
         return self.greater[i][j]
@@ -440,23 +458,13 @@ class TreePoset:
         descend(self.max_index, [self.max_index])
         return chains
 
-    def depth_from_minimal(self, i):
-        """Length of the longest descending chain from tree i to the minimum."""
-        below = [j for j in range(len(self.trees)) if self.greater[i][j]]
-        if not below:
-            return 0
-        return 1 + max(self.depth_from_minimal(j) for j in below)
-
     def linear_extension(self):
-        """Tree indices, minimal first, compatible with the partial order."""
-        keyed = sorted(
+        """Tree indices, minimal first, compatible with the partial order:
+        by depth, then by sorted edge set."""
+        return sorted(
             range(len(self.trees)),
-            key=lambda i: (
-                self.depth_from_minimal(i),
-                tuple(sorted(self.trees[i].edges)),
-            ),
+            key=lambda i: (self.depth[i], tuple(sorted(self.trees[i].edges))),
         )
-        return keyed
 
 
 def build_poset(trees):

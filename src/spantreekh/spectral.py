@@ -2,10 +2,11 @@
 sequence of the filtered complex, over field coefficients (Q or F_p).
 
 Filtration: F^p = sum over maximal descending chains S_j of psi(T^j_p) where
-psi(T) is the span of the blocks of all trees below T.  A generator's level
-is the largest p with its block inside F^p; chains shorter than p contribute
-nothing.  The page indexing has p + q = i, so d_r has (p, q) bidegree
-(r, 1 - r).
+psi(T) is the span of the blocks of all trees below T.  A tree's level is
+1 + the length of the longest cover path from the maximum down to it, which
+equals the largest position p of the tree over the maximal chains; a
+generator's level is the level of its block's tree.  The page indexing has
+p + q = i, so d_r has (p, q) bidegree (r, 1 - r).
 """
 
 from __future__ import annotations
@@ -15,18 +16,17 @@ from fractions import Fraction
 from .diagram import DiagramError, tait_graph
 from .khovanov import differential
 from .spantree import build_poset, enumerate_trees, resolution_tree
-from .collapse import state_tree_assignment
+from .collapse import grading_map, state_tree_assignment
 
 
 class Filtration:
     """Filtration levels for every enhanced-state generator."""
 
-    def __init__(self, diagram, complex, levels, tree_levels, chains, poset, trees):
+    def __init__(self, diagram, complex, levels, tree_levels, poset, trees):
         self.diagram = diagram
         self.complex = complex
         self.levels = levels            # state key -> p
         self.tree_levels = tree_levels  # tree index -> p
-        self.chains = chains            # maximal chains as tree-index tuples
         self.poset = poset
         self.trees = trees
 
@@ -36,20 +36,20 @@ class Filtration:
 
 
 def build_filtration(diagram, reduced=True):
-    """Levels from the maximal descending chains of the tree poset."""
+    """Filtration levels of every generator from the tree poset.
+
+    A tree's level is ``poset.level``: 1 + the length of the longest cover
+    path from the maximum down to the tree, which equals its largest position
+    over the maximal descending chains.  Raises DiagramError if two trees at
+    one level are comparable or the differential lowers the level.
+    """
     graph = tait_graph(diagram)
     trees = enumerate_trees(graph)
     poset = build_poset(trees)
     res = resolution_tree(diagram, graph, trees)
     complex = differential(diagram, reduced)
-    chains_by_pos = poset.maximal_chains()
     index_of = {t.index: i for i, t in enumerate(trees)}
-
-    tree_levels = {}
-    for chain in chains_by_pos:
-        for p, pos in enumerate(chain, start=1):
-            ti = trees[pos].index
-            tree_levels[ti] = max(tree_levels.get(ti, 0), p)
+    tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
     # trees at one level must be pairwise incomparable
     by_level = {}
     for ti, lv in tree_levels.items():
@@ -71,8 +71,7 @@ def build_filtration(diagram, reduced=True):
         for dst in row:
             if levels[dst] < levels[src]:
                 raise DiagramError("differential lowers the filtration level")
-    chains = tuple(tuple(trees[pos].index for pos in chain) for chain in chains_by_pos)
-    return Filtration(diagram, complex, levels, tree_levels, chains, poset, trees)
+    return Filtration(diagram, complex, levels, tree_levels, poset, trees)
 
 
 class SpectralPage:
@@ -224,8 +223,6 @@ def e1_tree_counts(filtration):
     """Expected E_1 dimensions: number of trees per (p, q) bigrading."""
     w = filtration.diagram.writhe
     k = tait_graph(filtration.diagram).k_invariant()
-    from .collapse import grading_map
-
     counts = {}
     for t in filtration.trees:
         i, _ = grading_map(t.u, t.v, w, k)

@@ -8,19 +8,15 @@ Tolerances are exact everywhere: all arithmetic is over Z, Q or F_p.
 import random
 import time
 
-import pytest
-
 from spantreekh import corpus
 from spantreekh.algebra import nullspace_over_field
-from spantreekh.diagram import parse_pd, tait_graph
-from spantreekh.jones import bracket_spantree, bracket_statesum, euler_check, jones
+from spantreekh.diagram import tait_graph
+from spantreekh.jones import bracket_spantree, bracket_statesum, euler_check
 from spantreekh.khovanov import differential, khovanov_homology
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
     MutableComplex,
     check_order_discipline,
-    grading_map,
-    jacobsson_cycle,
     retract_to_tree_complex,
     state_tree_assignment,
 )

@@ -7,7 +7,6 @@ from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import khovanov_homology
 from spantreekh.alternating import (
     is_alternating,
-    is_reduced_diagram,
     predicted_reduced_homology,
     signature_alternating,
     thickness_report,

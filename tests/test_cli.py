@@ -106,6 +106,18 @@ def test_verify_alternating_category(capsys):
     assert run(["verify", "alternating", "--knot", "4_1"]) == 0
 
 
+def test_verify_reports_the_exception_type_of_a_crashed_check(capsys, monkeypatch):
+    from spantreekh import cli
+
+    def crash(entry):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli._CATEGORIES, "thickness", crash)
+    assert run(["verify", "thickness", "--knot", "trefoil4"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] trefoil4 thickness: error: ZeroDivisionError: boom" in out
+
+
 def test_unknown_knot_exits_2(capsys):
     assert run(["info", "no_such_knot"]) == 2
     assert capsys.readouterr().err == "error: unknown corpus knot 'no_such_knot'\n"

@@ -2,20 +2,16 @@
 
 from fractions import Fraction
 
-import pytest
-
 from spantreekh import corpus
-from spantreekh.diagram import parse_pd, tait_graph
-from spantreekh.jones import jones, jones_in_t
+from spantreekh.diagram import tait_graph
+from spantreekh.jones import jones
 from spantreekh.planegraph import (
-    PlaneGraph,
     cycle_graph,
     loop_flower,
-    medial_diagram,
     theta_graph,
     triangle_bundle,
 )
-from spantreekh.spantree import enumerate_trees, spanning_tree_count
+from spantreekh.spantree import spanning_tree_count
 
 
 def test_corpus_names_complete():

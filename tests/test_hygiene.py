@@ -1,0 +1,61 @@
+"""Source hygiene: no module imports a name it never uses."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "spantreekh").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def _imported(tree):
+    """(name, line) for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    """Names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
+def test_unused_imports_are_detected():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from re import compile, sub\n"
+        "from . import kept\n"
+        "__all__ = ['kept']\n"
+        "def f():\n"
+        "    from math import tau\n"
+        "    return sub, os.sep\n"
+    )
+    assert unused_imports(source) == [("js", 3), ("compile", 4), ("tau", 8)]
+
+
+def test_no_module_imports_an_unused_name():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in MODULES
+        for name, line in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)

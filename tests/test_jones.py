@@ -1,11 +1,9 @@
 """Kauffman brackets, Jones polynomials and the Euler-characteristic
 identities."""
 
-import pytest
-
 from spantreekh import corpus
 from spantreekh.algebra import LaurentPolynomial
-from spantreekh.diagram import DiagramError, parse_pd, tait_graph
+from spantreekh.diagram import parse_pd, tait_graph
 from spantreekh.jones import (
     bracket_spantree,
     bracket_statesum,
@@ -13,7 +11,6 @@ from spantreekh.jones import (
     jones,
     jones_in_t,
 )
-from spantreekh.spantree import enumerate_trees
 
 
 def test_bracket_unknot_is_one():

@@ -1,12 +1,16 @@
 """Spanning trees, activities, the partial order and the resolution tree."""
 
+import random
+
 import pytest
+
+from test_spectral_golden import relabelled
 
 from spantreekh import corpus
 from spantreekh.algebra import LaurentPolynomial
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
+from spantreekh.planegraph import triangle_bundle
 from spantreekh.spantree import (
-    activity_word,
     build_poset,
     compare_trees,
     cut_set,
@@ -209,6 +213,57 @@ def test_single_tree_graph_trivial_poset():
     poset = build_poset(trees)
     assert poset.max_index == poset.min_index == 0
     assert poset.maximal_chains() == [(0,)]
+
+
+def _recursive_depth(poset, i):
+    """Longest descending chain from tree i to the minimum, by plain
+    recursion over the transitive closure (exponential; small cases only)."""
+    below = [j for j in range(len(poset.trees)) if poset.is_greater(i, j)]
+    return 1 + max((_recursive_depth(poset, j) for j in below), default=-1)
+
+
+def _crossings_permuted(diagram, rng):
+    """The same diagram with its crossings listed in another order, which
+    reorders the Tait graph's edges and so changes the tree poset."""
+    crossings = list(diagram.crossings)
+    rng.shuffle(crossings)
+    body = ", ".join("X({},{},{},{})".format(*x) for x in crossings)
+    return parse_pd(f"PD[{body}] base={diagram.basepoint}")
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_linear_extension_matches_recursive_depth_oracle(name):
+    rng = random.Random(f"linext:{name}")
+    d = corpus.diagram(name)
+    for diagram in (d, relabelled(d, rng), _crossings_permuted(d, rng)):
+        trees = enumerate_trees(tait_graph(diagram))
+        poset = build_poset(trees)
+        depth = [_recursive_depth(poset, i) for i in range(len(trees))]
+        assert poset.depth == depth
+        assert poset.linear_extension() == sorted(
+            range(len(trees)), key=lambda i: (depth[i], tuple(sorted(trees[i].edges)))
+        )
+
+
+def test_twelve_crossing_poset_order_and_levels():
+    d, _ = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])
+    trees = enumerate_trees(tait_graph(d))
+    poset = build_poset(trees)
+    n = len(trees)
+    assert n == 48
+    order = poset.linear_extension()
+    assert sorted(order) == list(range(n))
+    pos = {t: k for k, t in enumerate(order)}
+    for a in range(n):
+        for b in range(n):
+            if poset.is_greater(a, b):
+                assert pos[b] < pos[a], (a, b)
+    assert poset.level[poset.max_index] == 1
+    assert poset.depth[poset.min_index] == 0
+    for i in range(n):
+        for j in poset.covers(i):
+            assert poset.level[j] > poset.level[i], (i, j)
+            assert poset.depth[j] < poset.depth[i], (i, j)
 
 
 def test_resolution_tree_leaves_match_trees():

@@ -7,7 +7,6 @@ from spantreekh.diagram import parse_pd
 from spantreekh.spectral import (
     build_filtration,
     check_convergence,
-    collapse_page,
     compute_pages,
     e1_tree_counts,
 )
@@ -31,6 +30,17 @@ def test_single_tree_diagram_single_level():
     f = build_filtration(parse_pd("PD[X(2,2,1,1)]"))
     assert f.depth == 1
     assert set(f.tree_levels.values()) == {1}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_tree_levels_are_largest_positions_on_maximal_chains(name):
+    f = build_filtration(corpus.diagram(name))
+    expected = {}
+    for chain in f.poset.maximal_chains():
+        for p, pos in enumerate(chain, start=1):
+            ti = f.trees[pos].index
+            expected[ti] = max(expected.get(ti, 0), p)
+    assert f.tree_levels == expected
 
 
 def test_levels_hold_incomparable_trees():
