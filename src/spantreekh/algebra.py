@@ -88,22 +88,6 @@ class LaurentPolynomial:
     def exponents(self):
         return sorted(self.coeffs)
 
-    def min_exponent(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
-    def max_exponent(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
-
-    def reindex(self, factor, var=None):
-        """Substitute var -> newvar**factor, i.e. multiply every exponent."""
-        return LaurentPolynomial(
-            {e * factor: c for e, c in self.coeffs.items()}, var or self.var
-        )
-
     def evaluate(self, x):
         """Evaluate at a nonzero rational point, exactly."""
         x = Fraction(x)
@@ -188,15 +172,6 @@ class IntegerMatrix:
 
     def get(self, i, j):
         return self.entries.get((i, j), 0)
-
-    def transpose(self):
-        return IntegerMatrix(
-            self.ncols,
-            self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            self.col_labels,
-            self.row_labels,
-        )
 
     def __mul__(self, other):
         if self.ncols != other.nrows:

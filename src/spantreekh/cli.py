@@ -222,7 +222,7 @@ def cmd_spectral(args):
     filtration = build_filtration(d)
     field = "Q" if args.coeff == "Q" else f"F{args.coeff}"
     pages = compute_pages(filtration, field, r_max=args.pages)
-    conv = check_convergence(pages, d, field)
+    conv = check_convergence(pages, filtration, field)
     payload = {
         "field": conv["field"],
         "pages": [
@@ -245,8 +245,7 @@ def cmd_spectral(args):
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_tree_expansion(entry):
-    d = entry.diagram()
+def _verify_tree_expansion(entry, d):
     g = tait_graph(d)
     trees = enumerate_trees(g)
     checks = {}
@@ -265,8 +264,7 @@ def _verify_tree_expansion(entry):
     return checks
 
 
-def _verify_collapse(entry):
-    d = entry.diagram()
+def _verify_collapse(entry, d):
     if d.n > corpus.BRUTE_FORCE_CAP:
         return {"skipped (crossing cap)": True}
     checks = {}
@@ -279,15 +277,14 @@ def _verify_collapse(entry):
     return checks
 
 
-def _verify_spectral(entry):
-    d = entry.diagram()
+def _verify_spectral(entry, d):
     if d.n > corpus.BRUTE_FORCE_CAP:
         return {"skipped (crossing cap)": True}
     filtration = build_filtration(d)
     checks = {}
     for field in ("Q", "F2"):
         pages = compute_pages(filtration, field)
-        conv = check_convergence(pages, d, field)
+        conv = check_convergence(pages, filtration, field)
         e1 = {pq: v for pq, v in pages[1].dims.items()}
         checks[f"{field}_e1_tree_counts"] = e1 == e1_tree_counts(filtration)
         checks[f"{field}_converges"] = True  # check_convergence raises on failure
@@ -295,8 +292,7 @@ def _verify_spectral(entry):
     return checks
 
 
-def _verify_alternating(entry):
-    d = entry.diagram()
+def _verify_alternating(entry, d):
     if not is_alternating(d) or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped (not a reduced alternating diagram)": True}
     checks = {}
@@ -317,8 +313,7 @@ def _verify_alternating(entry):
     return checks
 
 
-def _verify_thickness(entry):
-    d = entry.diagram()
+def _verify_thickness(entry, d):
     if d.n > corpus.BRUTE_FORCE_CAP or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped": True}
     report = thickness_report(d)
@@ -347,9 +342,10 @@ def cmd_verify(args):
     results = {}
     for entry in targets:
         out = results[entry.name] = {}
+        d = entry.diagram()  # one parse, so every check shares its circles cache
         for cat in categories:
             try:
-                out[cat] = _CATEGORIES[cat](entry)
+                out[cat] = _CATEGORIES[cat](entry, d)
             except Exception as exc:  # a crashed check fails; the rest still run
                 out[cat] = {f"error: {type(exc).__name__}: {exc}": False}
 

@@ -7,26 +7,21 @@ one undone kink at a time: for a positive kink the pairs are (A-state with
 loop "-", B-state), for a negative kink (A-state, B-state with loop "+"),
 transported through all earlier collapses.  A basepoint sitting on a kink's
 loop circle forces the reduced-mode variants of the pairing and of the
-Jacobsson substitution; both are validated by the r o f = id check.
+Jacobsson substitution; both are validated by the r o f = id check.  A
+tree's block on its own is ``khovanov.differential`` with the tree's dead
+markers fixed.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .diagram import DiagramError, tait_graph
-from .khovanov import (
-    EnhancedState,
-    MutableComplex,
-    _merge_split_targets,
-    cancelled_homology,
-    differential,
-)
+from .khovanov import MutableComplex, cancelled_homology, differential
 from .spantree import (
     build_poset,
     enumerate_trees,
     resolution_tree,
     sigma_of_partial,
+    twisted_unknot,
 )
 
 
@@ -160,48 +155,13 @@ def _jacobsson_by_rules(diagram, tree, stages, reduced, seed):
     return {(final_t, signs): coeff for signs, coeff in terms.items()}
 
 
-def _block_complex(diagram, tree, reduced):
-    """States extending the tree's dead smoothing, with the block-internal
-    differential (marker flips at live crossings only)."""
-    w = diagram.writhe
-    dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-    live = [c for c in range(diagram.n) if c not in dead]
-    states = {}
-    for assignment in product("AB", repeat=len(live)):
-        markers = dict(dead)
-        markers.update(zip(live, assignment))
-        mt = tuple(markers[c] for c in range(diagram.n))
-        circles = diagram.circles(mt)
-        based = next(
-            ci for ci, circ in enumerate(circles) if diagram.basepoint in circ
-        )
-        for signs in product((1, -1), repeat=len(circles)):
-            if reduced and signs[based] != 1:
-                continue
-            s = EnhancedState(mt, signs, circles, w)
-            states[s.key] = s
-    rows = {}
-    for key, s in states.items():
-        row = {}
-        for c in live:
-            if s.markers[c] != "A":
-                continue
-            sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
-            new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
-            for signs, coeff in _merge_split_targets(s, c, diagram.circles(new_markers)):
-                tkey = (new_markers, signs)
-                if tkey in states:
-                    row[tkey] = row.get(tkey, 0) + sign * coeff
-        rows[key] = {k2: v for k2, v in row.items() if v}
-    return states, rows
-
-
 def _block_cycle_by_collapse(diagram, tree, stages, reduced, seed):
     """Fundamental cycle as the collapse expansion of the block survivor."""
-    states, rows = _block_complex(diagram, tree, reduced)
-    mc = MutableComplex({k: (s.i, s.j) for k, s in states.items()}, rows)
-    mc.begin_expansions(set(states))
-    live_set = set(states)
+    dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+    block = differential(diagram, reduced, dead)
+    mc = MutableComplex({k: (s.i, s.j) for k, s in block.states.items()}, block.differential)
+    mc.begin_expansions(set(block.states))
+    live_set = set(block.states)
     _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced)
     w = diagram.writhe
     k = tait_graph(diagram).k_invariant()
@@ -279,14 +239,12 @@ def include_unknot_states(diagram, tree, stages=None, reduced=True):
     Returns (state keys, (i_shift, j_shift)) where the shifts are
     i' = i + (w(D)-w(U)-sigma(U))/2 and j' = j + (3(w(D)-w(U))-sigma(U))/2.
     """
-    from .spantree import twisted_unknot
-
     if stages is None:
         _, stages = twisted_unknot(diagram, tree)
-    states, _ = _block_complex(diagram, tree, reduced)
+    dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+    states = differential(diagram, reduced, dead).states
     w = diagram.writhe
     w_u = sum(st.sign for st in stages)
-    dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     sigma_u = sigma_of_partial(dead.values())
     if (w - w_u - sigma_u) % 2 or (3 * (w - w_u) - sigma_u) % 2:
         raise DiagramError("half-integral inclusion shift")

@@ -481,10 +481,6 @@ class TaitGraph:
         """k = E+ - E- + 2(V - 1)."""
         return self.e_plus - self.e_minus + 2 * (len(self.vertices) - 1)
 
-    def endpoints(self, edge_index):
-        u, v, _, _ = self.edges[edge_index]
-        return u, v
-
     def sign(self, edge_index):
         return self.edges[edge_index][2]
 

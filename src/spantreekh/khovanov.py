@@ -12,6 +12,11 @@ plays the role of the Frobenius unit:
 with the matrix sign (-1)^{#B markers at crossings below the changed one}.
 The reduced complex is the subcomplex of states whose based circle is "+".
 
+Given a partial smoothing ``fixed`` (crossing -> marker), the same builder
+walks only the sub-cube of smoothings extending it and flips only the other
+crossings: for a spanning tree's dead markers this is the tree's block, the
+complex of its twisted unknot U(T) shifted into place.
+
 Homology first cancels the +-1 incidences of the differential in label order
 by elementary collapses (:class:`MutableComplex`), then takes the Smith
 normal form (or the field rank) of the small residue in each degree.
@@ -77,14 +82,7 @@ class BigradedComplex:
                         f"differential entry {src}->{dst} has bidegree "
                         f"({ti.i - si.i},{ti.j - si.j}), expected (1,0)"
                     )
-        # d o d = 0
-        for src, row in self.differential.items():
-            acc = {}
-            for mid, c1 in row.items():
-                for dst, c2 in self.differential.get(mid, {}).items():
-                    acc[dst] = acc.get(dst, 0) + c1 * c2
-            if any(acc.values()):
-                raise DiagramError("differential does not square to zero")
+        _check_d_squared(self.differential, "differential does not square to zero")
 
     def homology(self, coefficients="Z"):
         """Per-(i,j) homology.
@@ -230,13 +228,7 @@ class MutableComplex:
         return z
 
     def check_d_squared(self):
-        for src, row in self.rows.items():
-            acc = {}
-            for mid, c1 in row.items():
-                for dst, c2 in self.rows.get(mid, {}).items():
-                    acc[dst] = acc.get(dst, 0) + c1 * c2
-            if any(acc.values()):
-                raise DiagramError("d^2 != 0 after collapses")
+        _check_d_squared(self.rows, "d^2 != 0 after collapses")
 
     def cancel(self):
         """Collapse +-1 incidences until none remains: each live source in
@@ -263,6 +255,17 @@ class MutableComplex:
         }
 
 
+def _check_d_squared(rows, message):
+    """Raise DiagramError(message) unless d o d = 0 on the sparse rows."""
+    for row in rows.values():
+        acc = {}
+        for mid, c1 in row.items():
+            for dst, c2 in rows.get(mid, {}).items():
+                acc[dst] = acc.get(dst, 0) + c1 * c2
+        if any(acc.values()):
+            raise DiagramError(message)
+
+
 def cancelled_homology(gradings, rows, coefficients):
     """Homology of the complex {generator: degree}, {generator: d(generator)}:
     cancel the +-1 incidences on a copy, then take the residue's homology."""
@@ -271,11 +274,14 @@ def cancelled_homology(gradings, rows, coefficients):
     return graded_homology(mc.gradings, mc.rows, coefficients)
 
 
-def enumerate_states(diagram, reduced):
-    """All enhanced states; reduced mode keeps based-"+" states only."""
+def enumerate_states(diagram, reduced, fixed=None):
+    """All enhanced states whose smoothing extends the partial smoothing
+    ``fixed`` (every state when None); reduced mode keeps based-"+" states
+    only."""
     w = diagram.writhe
+    fixed = fixed or {}
     states = []
-    for markers in product("AB", repeat=diagram.n):
+    for markers in product(*(fixed.get(c, "AB") for c in range(diagram.n))):
         circles = diagram.circles(markers)
         based = next(
             (ci for ci, circ in enumerate(circles) if diagram.basepoint in circ),
@@ -290,11 +296,10 @@ def enumerate_states(diagram, reduced):
     return states
 
 
-def _merge_split_targets(state, crossing, new_circles):
+def _merge_split_targets(state, new_circles):
     """States reachable by flipping one A -> B, with per-circle rules."""
     old = state.circles
     old_signs = dict(zip(old, state.signs))
-    shared = [c for c in new_circles if c in old_signs]
     changed_new = [c for c in new_circles if c not in old_signs]
     changed_old = [c for c in old if c not in new_circles]
     results = []
@@ -329,21 +334,23 @@ def _merge_split_targets(state, crossing, new_circles):
     return out_states
 
 
-def differential(diagram, reduced):
-    """Build the full bigraded complex for the diagram."""
-    w = diagram.writhe
-    states = enumerate_states(diagram, reduced)
+def differential(diagram, reduced, fixed=None):
+    """Build the bigraded complex of the diagram, or with ``fixed`` the
+    sub-cube extending that partial smoothing, flipping only the crossings
+    it leaves free."""
+    states = enumerate_states(diagram, reduced, fixed)
+    free = [c for c in range(diagram.n) if c not in (fixed or {})]
     keys = {s.key for s in states}
     diff = {}
     for s in states:
         row = {}
-        for c in range(diagram.n):
+        for c in free:
             if s.markers[c] != "A":
                 continue
             sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
             new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
             new_circles = diagram.circles(new_markers)
-            for signs, coeff in _merge_split_targets(s, c, new_circles):
+            for signs, coeff in _merge_split_targets(s, new_circles):
                 key = (new_markers, signs)
                 if reduced and key not in keys:
                     raise DiagramError(

@@ -1,5 +1,6 @@
-"""Spanning-tree filtration of the reduced Khovanov complex and the spectral
-sequence of the filtered complex, over field coefficients (Q or F_p).
+"""Spanning-tree filtration of the reduced or unreduced Khovanov complex and
+the spectral sequence of the filtered complex, over field coefficients (Q or
+F_p).
 
 Filtration: F^p = sum over maximal descending chains S_j of psi(T^j_p) where
 psi(T) is the span of the blocks of all trees below T.  A tree's level is
@@ -195,12 +196,11 @@ def collapse_page(pages):
     return pages[-1].r
 
 
-def check_convergence(pages, diagram, field="Q", reduced=True):
-    """E_infinity totals against brute-force field homology, per (i, j)."""
+def check_convergence(pages, filtration, field="Q"):
+    """E_infinity totals against the field homology of the filtered complex,
+    per total degree i."""
     prime, _ = _field_params(field)
-    complex = differential(diagram, reduced)
-    coeff = "Q" if prime is None else prime
-    brute = complex.homology(coeff)
+    brute = filtration.complex.homology("Q" if prime is None else prime)
     # E_infinity dims per total degree i (the filtration is j-homogeneous,
     # so compare per-i totals of both sides)
     e_inf = pages[-1].dims_by_total_degree()

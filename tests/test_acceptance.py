@@ -147,7 +147,7 @@ def test_criterion_7_spectral_sequence():
         for field in ("F2", "Q"):
             pages = compute_pages(f, field)
             assert pages[1].dims == e1_tree_counts(f), (entry.name, field)
-            conv = check_convergence(pages, d, field)
+            conv = check_convergence(pages, f, field)
             assert conv["collapse_page"] <= max(d.n, 1), (entry.name, field)
             if entry.name == "trefoil4":
                 assert conv["collapse_page"] == 3

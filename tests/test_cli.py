@@ -109,7 +109,7 @@ def test_verify_alternating_category(capsys):
 def test_verify_reports_the_exception_type_of_a_crashed_check(capsys, monkeypatch):
     from spantreekh import cli
 
-    def crash(entry):
+    def crash(entry, d):
         raise ZeroDivisionError("boom")
 
     monkeypatch.setitem(cli._CATEGORIES, "thickness", crash)

@@ -4,13 +4,14 @@ import pytest
 
 from spantreekh import corpus
 from spantreekh.algebra import LaurentPolynomial, graded_homology
-from spantreekh.diagram import parse_pd
+from spantreekh.diagram import parse_pd, tait_graph
 from spantreekh.jones import jones
 from spantreekh.khovanov import (
     differential,
     enumerate_states,
     khovanov_homology,
 )
+from spantreekh.spantree import enumerate_trees
 
 
 def test_unknot_states_and_homology():
@@ -140,3 +141,28 @@ def test_homology_matches_dense_oracle_up_to_7_crossings(coefficients):
                 cx.differential, coefficients,
             )
             assert cx.homology(coefficients) == dense, (entry.name, reduced)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_tree_block_is_the_full_complex_restricted_to_its_states(reduced):
+    # differential with a tree's dead markers fixed builds that tree's block:
+    # the full complex's states extending the markers, with their rows cut
+    # down to targets inside the block
+    for entry in corpus.entries():
+        d = entry.diagram()
+        if d.n > 7:
+            continue
+        full = differential(d, reduced)
+        for tree in enumerate_trees(tait_graph(d)):
+            dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+            block = differential(d, reduced, dead)
+            keys = {
+                key for key in full.states
+                if all(key[0][c] == m for c, m in dead.items())
+            }
+            assert set(block.states) == keys, (entry.name, tree.index)
+            for key in keys:
+                expected = {
+                    dst: c for dst, c in full.differential[key].items() if dst in keys
+                }
+                assert block.differential[key] == expected, (entry.name, key)

@@ -56,7 +56,7 @@ def test_trefoil4_pages_and_collapse():
         pages = compute_pages(f, field)
         assert pages[1].total_dimension() == 5
         assert pages[1].dims == e1_tree_counts(f)
-        conv = check_convergence(pages, d, field)
+        conv = check_convergence(pages, f, field)
         assert conv["collapse_page"] == 3
         assert pages[-1].total_dimension() == 3
 
@@ -67,7 +67,7 @@ def test_unknots_collapse_immediately():
         f = build_filtration(d)
         pages = compute_pages(f, "F2")
         assert pages[1].total_dimension() >= 1
-        conv = check_convergence(pages, d, "F2")
+        conv = check_convergence(pages, f, "F2")
         assert conv["collapse_page"] <= 1
         assert pages[-1].total_dimension() == 1
 
@@ -78,7 +78,7 @@ def test_alternating_diagrams_collapse_at_e1():
         f = build_filtration(d)
         pages = compute_pages(f, "F2")
         assert pages[1].dims == pages[-1].dims, name
-        conv = check_convergence(pages, d, "F2")
+        conv = check_convergence(pages, f, "F2")
         assert conv["collapse_page"] <= 1
 
 
@@ -88,7 +88,7 @@ def test_convergence_and_page_bound_small_corpus():
         f = build_filtration(d)
         for field in ("Q", "F2"):
             pages = compute_pages(f, field)
-            conv = check_convergence(pages, d, field)
+            conv = check_convergence(pages, f, field)
             assert conv["collapse_page"] <= max(d.n, 1), (name, field)
             assert pages[1].dims == e1_tree_counts(f), (name, field)
 
@@ -117,3 +117,15 @@ def test_tree_complex_field_homology_agrees_with_e_infinity():
             for (i, j), dim in tc.homology_in_ij(coeff).items():
                 dims[i] = dims.get(i, 0) + dim
             assert dims == pages[-1].dims_by_total_degree(), (name, field)
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in corpus.entries() if e.diagram().n <= 7]
+)
+def test_unreduced_filtration_converges(name):
+    # check_convergence reads the filtration's own (here unreduced) complex
+    f = build_filtration(corpus.diagram(name), reduced=False)
+    for field in ("Q", "F2"):
+        pages = compute_pages(f, field)
+        conv = check_convergence(pages, f, field)
+        assert conv["e_infinity"] == pages[-1].dims_by_total_degree()
