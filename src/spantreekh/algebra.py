@@ -49,16 +49,6 @@ class LaurentPolynomial:
             out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out, self.var)
 
-    def __sub__(self, other):
-        self._check_var(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPolynomial(out, self.var)
-
-    def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()}, self.var)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPolynomial(
@@ -81,9 +71,6 @@ class LaurentPolynomial:
 
     def __hash__(self):
         return hash((self.var, tuple(sorted(self.coeffs.items()))))
-
-    def coefficient(self, e):
-        return self.coeffs.get(e, 0)
 
     def exponents(self):
         return sorted(self.coeffs)
@@ -169,9 +156,6 @@ class IntegerMatrix:
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
-
-    def get(self, i, j):
-        return self.entries.get((i, j), 0)
 
     def __mul__(self, other):
         if self.ncols != other.nrows:

@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import corpus
+from .algebra import _is_prime
 from .collapse import retract_to_tree_complex
 from .diagram import DiagramError, parse_pd, tait_graph
 from .jones import bracket_spantree, bracket_statesum, euler_check, jones, jones_in_t
@@ -33,10 +34,17 @@ from .alternating import (
 )
 
 
+class UsageError(Exception):
+    """A bad command-line argument; the CLI exits 2."""
+
+
 def _load_diagram(spec_str):
-    if spec_str.startswith("PD["):
+    if not spec_str.startswith("PD["):
+        return corpus.diagram(spec_str)
+    try:
         return parse_pd(spec_str, label="cli-input")
-    return corpus.diagram(spec_str)
+    except DiagramError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _coeff(value):
@@ -46,13 +54,17 @@ def _coeff(value):
     if value == "q":
         return "Q"
     if value.startswith("f") and value[1:].isdigit():
-        from .algebra import _is_prime
-
         p = int(value[1:])
         if not _is_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not prime")
         return p
     raise argparse.ArgumentTypeError(f"unknown coefficient ring {value!r}")
+
+
+def _page(value):
+    if not value.isdigit():
+        raise argparse.ArgumentTypeError(f"{value!r} is not a page number 0, 1, 2, ...")
+    return int(value)
 
 
 def _emit(args, payload, text_lines):
@@ -221,8 +233,10 @@ def cmd_spectral(args):
     d = _load_diagram(args.knot)
     filtration = build_filtration(d)
     field = "Q" if args.coeff == "Q" else f"F{args.coeff}"
-    pages = compute_pages(filtration, field, r_max=args.pages)
+    pages = compute_pages(filtration, field)
     conv = check_convergence(pages, filtration, field)
+    if args.pages is not None:
+        pages = pages[: args.pages + 1]
     payload = {
         "field": conv["field"],
         "pages": [
@@ -269,7 +283,7 @@ def _verify_collapse(entry, d):
         return {"skipped (crossing cap)": True}
     checks = {}
     for reduced in (True, False):
-        tc, _ = retract_to_tree_complex(d, reduced=reduced)
+        tc = retract_to_tree_complex(d, reduced=reduced)[0]
         mode = "reduced" if reduced else "unreduced"
         checks[f"{mode}_matches_brute_force"] = (
             tc.homology_in_ij() == khovanov_homology(d, reduced=reduced)
@@ -285,8 +299,7 @@ def _verify_spectral(entry, d):
     for field in ("Q", "F2"):
         pages = compute_pages(filtration, field)
         conv = check_convergence(pages, filtration, field)
-        e1 = {pq: v for pq, v in pages[1].dims.items()}
-        checks[f"{field}_e1_tree_counts"] = e1 == e1_tree_counts(filtration)
+        checks[f"{field}_e1_tree_counts"] = pages[1].dims == e1_tree_counts(filtration)
         checks[f"{field}_converges"] = True  # check_convergence raises on failure
         checks[f"{field}_collapse_page_bound"] = conv["collapse_page"] <= max(d.n, 1)
     return checks
@@ -407,7 +420,7 @@ def build_parser():
     p = sub.add_parser("spectral", help="spanning-tree filtration spectral sequence")
     add_knot(p)
     p.add_argument("--coeff", type=_coeff, default="Q", help="q or f<p>")
-    p.add_argument("--pages", type=int, default=None, help="maximum page")
+    p.add_argument("--pages", type=_page, default=None, help="last page to print")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("verify", help="run the verification suites")
@@ -430,7 +443,7 @@ def run(argv=None):
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
+    except (KeyError, UsageError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 

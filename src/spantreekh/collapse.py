@@ -14,6 +14,8 @@ markers fixed.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .diagram import DiagramError, tait_graph
 from .khovanov import MutableComplex, cancelled_homology, differential
 from .spantree import (
@@ -219,16 +221,24 @@ class TreeComplex:
 
 
 class RetractionRecord:
-    """Everything the pipeline produced besides the final complex."""
+    """Everything the pipeline produced besides the final complex, including
+    what it was built from: ``trees``, their ``poset``, ``state_tree`` (state
+    key -> index of the tree whose block holds it) and ``full_complex``."""
 
-    __slots__ = ("complex", "survivor_of", "cycles", "transport_matrix", "log_size")
+    __slots__ = ("complex", "survivor_of", "cycles", "transport_matrix", "log_size",
+                 "trees", "poset", "state_tree", "full_complex")
 
-    def __init__(self, complex, survivor_of, cycles, transport_matrix, log_size):
+    def __init__(self, complex, survivor_of, cycles, transport_matrix, log_size,
+                 trees, poset, state_tree, full_complex):
         self.complex = complex
         self.survivor_of = survivor_of
         self.cycles = cycles
         self.transport_matrix = transport_matrix
         self.log_size = log_size
+        self.trees = trees
+        self.poset = poset
+        self.state_tree = state_tree
+        self.full_complex = full_complex
 
 
 def include_unknot_states(diagram, tree, stages=None, reduced=True):
@@ -315,19 +325,13 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     w = diagram.writhe
     k = graph.k_invariant()
 
-    tree_of_smoothing = state_tree_assignment(diagram, res)
-    smoothing_tree = {}
-    state_tree = {}
-    for key in complex.states:
-        m = key[0]
-        if m not in smoothing_tree:
-            smoothing_tree[m] = tree_of_smoothing(m)
-        state_tree[key] = smoothing_tree[m]
+    tree_of = cache(state_tree_assignment(diagram, res))
+    state_tree = {key: tree_of(key[0]) for key in complex.states}
 
     mc = MutableComplex(
         {key: (s.i, s.j) for key, s in complex.states.items()},
         complex.differential,
-        tracked_block={key: t for key, t in state_tree.items()},
+        tracked_block=state_tree,
     )
     tree_live = {}
     for key, t in state_tree.items():
@@ -338,8 +342,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     for pos in order:
         tree = trees[pos]
         mc.current_block = tree.index
-        block_states = set(tree_live[tree.index])
-        mc.begin_expansions(block_states)
+        mc.begin_expansions(tree_live[tree.index])
         _collapse_tree_block(
             diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced
         )
@@ -363,8 +366,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
             else:
                 chain = jacobsson_cycle(diagram, t, stages_of[t.index], reduced, seed)
             keys = list(chain)
-            missing = [key for key in keys if key not in complex.states]
-            if missing:
+            if any(key not in complex.states for key in keys):
                 raise DiagramError("fundamental cycle leaves the complex")
             i, j = complex.states[keys[0]].i, complex.states[keys[0]].j
             if any((complex.states[key].i, complex.states[key].j) != (i, j) for key in keys):
@@ -427,15 +429,14 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
         t = by_index[ti]
         label = ti if reduced else (ti, seed)
         gens[label] = (t.u, t.v) if seed == 1 else (t.u + 2, t.v + 1)
-    for (ti, seed), key in survivor_of.items():
-        label = ti if reduced else (ti, seed)
         row = {}
         for dst, coeff in mc.rows.get(key, {}).items():
             dlabel = label_of_key[dst]
             row[dlabel if not reduced else dlabel[0]] = coeff
         if row:
             diff[label] = row
-    record = RetractionRecord(mc, survivor_of, cycles, transport_matrix, len(mc.log))
+    record = RetractionRecord(mc, survivor_of, cycles, transport_matrix, len(mc.log),
+                              trees, poset, state_tree, complex)
     tree_complex = TreeComplex(gens, diff, reduced, diagram)
     return tree_complex, record
 

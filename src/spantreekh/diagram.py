@@ -383,9 +383,6 @@ class Smoothing:
         values = [self.markers.get(c) for c in range(self.diagram.n)]
         return sum(1 if m == "A" else -1 for m in values)
 
-    def __len__(self):
-        return len(self.circles)
-
 
 class PartialDiagram:
     """A partial resolution: the unsmoothed crossings with merged arc classes."""
@@ -480,9 +477,6 @@ class TaitGraph:
     def k_invariant(self):
         """k = E+ - E- + 2(V - 1)."""
         return self.e_plus - self.e_minus + 2 * (len(self.vertices) - 1)
-
-    def sign(self, edge_index):
-        return self.edges[edge_index][2]
 
     def to_json(self):
         return {

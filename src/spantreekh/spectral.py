@@ -5,9 +5,14 @@ F_p).
 Filtration: F^p = sum over maximal descending chains S_j of psi(T^j_p) where
 psi(T) is the span of the blocks of all trees below T.  A tree's level is
 1 + the length of the longest cover path from the maximum down to it, which
-equals the largest position p of the tree over the maximal chains; a
-generator's level is the level of its block's tree.  The page indexing has
-p + q = i, so d_r has (p, q) bidegree (r, 1 - r).
+equals the largest position p of the tree over the maximal chains; a state's
+level is the level of its block's tree.  The page indexing has p + q = i, so
+d_r has (p, q) bidegree (r, 1 - r).
+
+Every collapse of ``retract_to_tree_complex`` pairs two states of one block,
+a filtered Gaussian elimination inside one level, so from E_1 on the pages
+are those of the spanning-tree complex with each generator at its tree's
+level; only E_0 counts enhanced states.
 """
 
 from __future__ import annotations
@@ -15,21 +20,29 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagram import DiagramError, tait_graph
-from .khovanov import differential
-from .spantree import build_poset, enumerate_trees, resolution_tree
-from .collapse import grading_map, state_tree_assignment
+from .collapse import grading_map, retract_to_tree_complex
 
 
 class Filtration:
-    """Filtration levels for every enhanced-state generator."""
+    """The retraction's tree complex with a level p and a degree i per
+    generator, the E_0 dimensions counted over the enhanced states, and the
+    full complex that E_infinity is checked against."""
 
-    def __init__(self, diagram, complex, levels, tree_levels, poset, trees):
+    def __init__(self, diagram, complex, tree_complex, tree_levels, poset, trees, e0):
         self.diagram = diagram
         self.complex = complex
-        self.levels = levels            # state key -> p
-        self.tree_levels = tree_levels  # tree index -> p
+        self.tree_complex = tree_complex
+        self.tree_levels = tree_levels      # tree index -> p
         self.poset = poset
         self.trees = trees
+        self.e0 = e0                        # (p, q) -> number of enhanced states
+        w, k = diagram.writhe, tait_graph(diagram).k_invariant()
+        self.generator_levels = {}          # tree-complex label -> p
+        self.generator_degrees = {}         # tree-complex label -> i
+        for label, (u, v) in tree_complex.generators.items():
+            tree = label if tree_complex.reduced else label[0]
+            self.generator_levels[label] = tree_levels[tree]
+            self.generator_degrees[label] = grading_map(u, v, w, k)[0]
 
     @property
     def depth(self):
@@ -37,42 +50,27 @@ class Filtration:
 
 
 def build_filtration(diagram, reduced=True):
-    """Filtration levels of every generator from the tree poset.
+    """The filtration read off one retraction onto the spanning-tree complex.
 
-    A tree's level is ``poset.level``: 1 + the length of the longest cover
-    path from the maximum down to the tree, which equals its largest position
-    over the maximal descending chains.  Raises DiagramError if two trees at
-    one level are comparable or the differential lowers the level.
+    A tree's level is ``poset.level``.  Raises DiagramError if two trees at
+    one level are comparable or the differential lowers a state's level.
     """
-    graph = tait_graph(diagram)
-    trees = enumerate_trees(graph)
-    poset = build_poset(trees)
-    res = resolution_tree(diagram, graph, trees)
-    complex = differential(diagram, reduced)
-    index_of = {t.index: i for i, t in enumerate(trees)}
-    tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
-    # trees at one level must be pairwise incomparable
-    by_level = {}
-    for ti, lv in tree_levels.items():
-        by_level.setdefault(lv, []).append(ti)
-    for lv, tis in by_level.items():
-        for a in tis:
-            for b in tis:
-                if a != b and poset.is_greater(index_of[a], index_of[b]):
-                    raise DiagramError(
-                        f"trees {a} and {b} are comparable but share level {lv}"
-                    )
-
-    tree_of = state_tree_assignment(diagram, res)
-    levels = {}
-    for key in complex.states:
-        levels[key] = tree_levels[tree_of(key[0])]
-    # the differential must respect the filtration
-    for src, row in complex.differential.items():
-        for dst in row:
-            if levels[dst] < levels[src]:
-                raise DiagramError("differential lowers the filtration level")
-    return Filtration(diagram, complex, levels, tree_levels, poset, trees)
+    tree_complex, record = retract_to_tree_complex(diagram, reduced)
+    poset, trees, level = record.poset, record.trees, record.poset.level
+    for a in range(len(trees)):
+        for b in range(len(trees)):
+            if level[a] == level[b] and poset.is_greater(a, b):
+                raise DiagramError(f"trees {trees[a].index} and {trees[b].index} "
+                                   f"are comparable but share level {level[a]}")
+    tree_levels = {t.index: level[pos] for pos, t in enumerate(trees)}
+    complex, tree_of = record.full_complex, record.state_tree
+    e0 = {}
+    for key, s in complex.states.items():
+        p = tree_levels[tree_of[key]]
+        e0[(p, s.i - p)] = e0.get((p, s.i - p), 0) + 1
+        if any(tree_levels[tree_of[dst]] < p for dst in complex.differential.get(key, {})):
+            raise DiagramError("differential lowers the filtration level")
+    return Filtration(diagram, complex, tree_complex, tree_levels, poset, trees, e0)
 
 
 class SpectralPage:
@@ -108,26 +106,27 @@ def _field_params(field):
     return p, f"F{p}"
 
 
-def _pairs(filtration, prime):
-    """Persistence pairs (target, source) of the filtered differential over Q
+def _pairs(levels, degrees, rows, prime):
+    """Persistence pairs (target, source) of a filtered differential over Q
     (``prime`` None) or F_p, by left-to-right column reduction.
 
-    Generators are ordered by level (descending), then i (descending), then
-    key.  The differential never lowers the level and a same-level target
-    sits at i + 1, so every target precedes its source: each prefix of the
-    order is a subcomplex and the matrix is strictly triangular.  A pair
-    whose levels differ by r is one rank of d_r; d preserves j, so pairs
-    never mix j-slices.
+    ``levels`` and ``degrees`` give each generator's level p and degree i,
+    and ``rows`` its differential {target: coefficient}.  Generators are
+    ordered by level (descending), then i (descending), then label.  The
+    differential never lowers the level and a same-level target sits at
+    i + 1, so every target precedes its source: each prefix of the order is
+    a subcomplex and the matrix is strictly triangular.  A pair whose levels
+    differ by r is one rank of d_r; d preserves j, so pairs never mix
+    j-slices.
     """
-    levels, states = filtration.levels, filtration.complex.states
-    order = sorted(levels, key=lambda k: (-levels[k], -states[k].i, k))
-    pos = {k: n for n, k in enumerate(order)}
+    order = sorted(levels, key=lambda g: (-levels[g], -degrees[g], g))
+    pos = {g: n for n, g in enumerate(order)}
     inverse = (lambda c: Fraction(1, c)) if prime is None else (lambda c: pow(c, -1, prime))
     pivots = {}  # lowest row of a reduced column -> that column
     pairs = []
     for x in order:
         col = {}
-        for y, c in filtration.complex.differential.get(x, {}).items():
+        for y, c in rows.get(x, {}).items():
             if prime:
                 c %= prime
             if c:
@@ -151,37 +150,45 @@ def _pairs(filtration, prime):
     return pairs
 
 
+def _tree_pairs(filtration, prime):
+    return _pairs(filtration.generator_levels, filtration.generator_degrees,
+                  filtration.tree_complex.differential, prime)
+
+
 def differential_ranks(filtration, field="Q", r=1):
-    """Rank of d_r out of each (p, q) slot: the pairs with level gap r."""
+    """Rank of d_r out of each (p, q) slot, for r >= 1: the tree-complex
+    pairs with level gap r.  d_0 acts inside the blocks of enhanced states,
+    which the tree complex no longer has."""
+    if r < 1:
+        raise ValueError(f"d_{r} is not read off the tree complex; r must be at least 1")
     prime, _ = _field_params(field)
-    levels, states = filtration.levels, filtration.complex.states
+    levels, degrees = filtration.generator_levels, filtration.generator_degrees
     ranks = {}
-    for y, x in _pairs(filtration, prime):
+    for y, x in _tree_pairs(filtration, prime):
         p = levels[x]
         if levels[y] - p == r:
-            pq = (p, states[x].i - p)
+            pq = (p, degrees[x] - p)
             ranks[pq] = ranks.get(pq, 0) + 1
     return ranks
 
 
-def compute_pages(filtration, field="Q", r_max=None):
-    """Pages E_0, E_1, ..., up to stabilization (or r_max).
+def compute_pages(filtration, field="Q"):
+    """Pages E_0, E_1, ..., E_{depth+1}; the last one is E_infinity.
 
-    dim E_r^{p,i-p} counts the generators at level p and degree i that are
-    unpaired or whose pair spans a level gap of at least r."""
+    E_0 counts the enhanced states per (p, i - p).  For r >= 1,
+    dim E_r^{p,i-p} counts the tree generators at level p and degree i that
+    are unpaired or whose pair spans a level gap of at least r."""
     prime, field_name = _field_params(field)
-    depth = filtration.depth
-    stop = depth + 1 if r_max is None else min(r_max, depth + 1)
-    levels, states = filtration.levels, filtration.complex.states
+    levels, degrees = filtration.generator_levels, filtration.generator_degrees
     gap = {}
-    for y, x in _pairs(filtration, prime):
+    for y, x in _tree_pairs(filtration, prime):
         gap[y] = gap[x] = levels[y] - levels[x]
-    pages = []
-    for r in range(stop + 1):
+    pages = [SpectralPage(0, filtration.e0, field_name)]
+    for r in range(1, filtration.depth + 2):
         dims = {}
-        for key, p in levels.items():
-            if key not in gap or gap[key] >= r:
-                pq = (p, states[key].i - p)
+        for g, p in levels.items():
+            if gap.get(g, r) >= r:
+                pq = (p, degrees[g] - p)
                 dims[pq] = dims.get(pq, 0) + 1
         pages.append(SpectralPage(r, dims, field_name))
     return pages

@@ -89,6 +89,20 @@ def test_spectral(capsys):
     assert "collapses at page 3" in out
 
 
+def test_spectral_prints_pages_up_to_the_given_one(capsys):
+    # convergence is checked on E_infinity, not on the last page printed
+    assert run(["spectral", "trefoil4", "--pages", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "E_1:" in out and "E_2:" not in out
+    assert "collapses at page 3" in out
+
+
+def test_negative_page_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run(["spectral", "trefoil4", "--pages", "-1"])
+    assert exc.value.code == 2
+
+
 def test_spectral_over_z_is_a_usage_error(capsys):
     assert run(["spectral", "trefoil4", "--coeff", "z"]) == 2
     captured = capsys.readouterr()
@@ -123,8 +137,10 @@ def test_unknown_knot_exits_2(capsys):
     assert capsys.readouterr().err == "error: unknown corpus knot 'no_such_knot'\n"
 
 
-def test_bad_pd_exits_1(capsys):
-    assert run(["info", "PD[X(1,2,3,4)]"]) == 1
+def test_bad_pd_exits_2(capsys):
+    assert run(["info", "PD[X(1,2,3,4)]"]) == 2
+    assert run(["info", "PD[X(1,2,3"]) == 2
+    assert capsys.readouterr().err.endswith("error: malformed PD code: 'PD[X(1,2,3'\n")
 
 
 def test_usage_error_exits_2():

@@ -179,7 +179,7 @@ def test_jacobsson_cycles_are_block_cycles_with_correct_gradings():
         stages_of = {leaf.tree.index: leaf.stages for leaf in res.leaves()}
         cx = differential(d, reduced=True)
         tree_of = state_tree_assignment(d, res)
-        w = d.writhe if d.n else 0
+        w = d.writhe
         k = g.k_invariant()
         for t in trees:
             z = jacobsson_cycle(d, t, stages_of[t.index], reduced=True)

@@ -1,15 +1,28 @@
 """Spanning-tree filtration and its spectral sequence."""
 
+import random
+
 import pytest
 
-from spantreekh import corpus
-from spantreekh.diagram import parse_pd
+from test_spantree import _crossings_permuted
+from test_spectral_golden import relabelled
+
+from spantreekh import corpus, spectral
+from spantreekh.collapse import retract_to_tree_complex, state_tree_assignment
+from spantreekh.diagram import parse_pd, tait_graph
+from spantreekh.khovanov import differential
+from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.spectral import (
+    _field_params,
+    _pairs,
     build_filtration,
     check_convergence,
     compute_pages,
+    differential_ranks,
     e1_tree_counts,
 )
+
+SMALL = [e.name for e in corpus.entries() if e.diagram().n <= 7]
 
 
 def test_filtration_levels_trefoil4():
@@ -94,8 +107,6 @@ def test_convergence_and_page_bound_small_corpus():
 
 
 def test_differential_ranks_trefoil4():
-    from spantreekh.spectral import differential_ranks
-
     d = corpus.diagram("trefoil4")
     f = build_filtration(d)
     for field in ("Q", "F2"):
@@ -105,8 +116,6 @@ def test_differential_ranks_trefoil4():
 
 
 def test_tree_complex_field_homology_agrees_with_e_infinity():
-    from spantreekh.collapse import retract_to_tree_complex
-
     for name in ("trefoil4", "5_2"):
         d = corpus.diagram(name)
         f = build_filtration(d)
@@ -119,9 +128,7 @@ def test_tree_complex_field_homology_agrees_with_e_infinity():
             assert dims == pages[-1].dims_by_total_degree(), (name, field)
 
 
-@pytest.mark.parametrize(
-    "name", [e.name for e in corpus.entries() if e.diagram().n <= 7]
-)
+@pytest.mark.parametrize("name", SMALL)
 def test_unreduced_filtration_converges(name):
     # check_convergence reads the filtration's own (here unreduced) complex
     f = build_filtration(corpus.diagram(name), reduced=False)
@@ -129,3 +136,79 @@ def test_unreduced_filtration_converges(name):
         pages = compute_pages(f, field)
         conv = check_convergence(pages, f, field)
         assert conv["e_infinity"] == pages[-1].dims_by_total_degree()
+
+
+def _state_route(d, reduced, field, depth):
+    """Pages E_1..E_{depth+1} and ranks of d_1..d_{depth+1} from the column
+    reduction of the full enhanced-state complex, each state at the level of
+    the tree whose block holds it: the state-level oracle of the tree route."""
+    g = tait_graph(d)
+    trees = enumerate_trees(g)
+    poset = build_poset(trees)
+    tree_of = state_tree_assignment(d, resolution_tree(d, g, trees))
+    tree_level = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
+    cx = differential(d, reduced)
+    levels = {key: tree_level[tree_of(key[0])] for key in cx.states}
+    degrees = {key: s.i for key, s in cx.states.items()}
+    pairs = _pairs(levels, degrees, cx.differential, _field_params(field)[0])
+    gap = {}
+    for y, x in pairs:
+        gap[y] = gap[x] = levels[y] - levels[x]
+    pages, ranks = [], []
+    for r in range(1, depth + 2):
+        dims, rank = {}, {}
+        for key, p in levels.items():
+            if gap.get(key, r) >= r:
+                dims[(p, degrees[key] - p)] = dims.get((p, degrees[key] - p), 0) + 1
+        for y, x in pairs:
+            if gap[x] == r:
+                pq = (levels[x], degrees[x] - levels[x])
+                rank[pq] = rank.get(pq, 0) + 1
+        pages.append(dims)
+        ranks.append(rank)
+    return pages, ranks
+
+
+def _assert_tree_route_matches_state_route(d, reduced, fields):
+    f = build_filtration(d, reduced)
+    for field in fields:
+        pages, ranks = _state_route(d, reduced, field, f.depth)
+        assert [page.dims for page in compute_pages(f, field)[1:]] == pages, field
+        assert [differential_ranks(f, field, r) for r in range(1, f.depth + 2)] == ranks
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+@pytest.mark.parametrize("name", SMALL)
+def test_tree_route_matches_state_level_oracle(name, reduced):
+    _assert_tree_route_matches_state_route(corpus.diagram(name), reduced, ("Q", "F2"))
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_tree_route_matches_state_level_oracle_after_crossing_permutation(name):
+    # the seeded permutation of test_spantree's poset oracle, drawn after the
+    # same relabelling; it changes the poset on 8 of the 15 entries
+    rng = random.Random(f"linext:{name}")
+    d = corpus.diagram(name)
+    relabelled(d, rng)
+    _assert_tree_route_matches_state_route(_crossings_permuted(d, rng), True, ("Q", "F2"))
+
+
+def test_pairs_run_on_the_tree_generators_only(monkeypatch):
+    seen = []
+
+    def recording(levels, degrees, rows, prime):
+        seen.append(len(levels))
+        return _pairs(levels, degrees, rows, prime)
+
+    monkeypatch.setattr(spectral, "_pairs", recording)
+    f = build_filtration(corpus.diagram("7_4"), reduced=False)
+    compute_pages(f, "Q")
+    differential_ranks(f, "F2", 1)
+    assert seen == [len(f.tree_complex.generators)] * 2
+    assert len(f.tree_complex.generators) < len(f.complex.states)
+
+
+def test_d0_is_not_read_off_the_tree_complex():
+    f = build_filtration(corpus.diagram("trefoil4"))
+    with pytest.raises(ValueError):
+        differential_ranks(f, "Q", 0)
