@@ -3,6 +3,9 @@
 Subcommands: info, jones, trees, homology, spantree-complex, spectral,
 verify.  Knots are named corpus entries or PD literals.  Exit codes: 0 on
 success, 1 on verification failure, 2 on usage errors.
+
+``verify`` builds each mode's filtration, and the homology over Z of its full
+complex, once per entry; every check reads those.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache, partial
 
 from . import corpus
 from .algebra import _is_prime
@@ -167,12 +171,8 @@ def cmd_trees(args):
 def cmd_homology(args):
     d = _load_diagram(args.knot)
     if d.n > corpus.BRUTE_FORCE_CAP and not args.force:
-        print(
-            f"{d.n} crossings exceeds the brute-force cap "
-            f"{corpus.BRUTE_FORCE_CAP}; pass --force to override",
-            file=sys.stderr,
-        )
-        return 1
+        raise UsageError(f"{d.n} crossings exceeds the brute-force cap "
+                         f"{corpus.BRUTE_FORCE_CAP}; pass --force to override")
     groups = khovanov_homology(d, reduced=args.reduced, coefficients=args.coeff)
     payload = {
         "reduced": args.reduced,
@@ -259,11 +259,12 @@ def cmd_spectral(args):
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_tree_expansion(entry, d):
+def _verify_tree_expansion(entry, d, filtration, homology):
     g = tait_graph(d)
     trees = enumerate_trees(g)
     checks = {}
-    checks["bracket_equality"] = bracket_statesum(d) == bracket_spantree(d, g, trees)
+    bracket = bracket_spantree(d, g, trees)
+    checks["bracket_equality"] = bracket_statesum(d) == bracket
     report = euler_check(d, g, trees)
     checks["euler_reduced"] = report["reduced_identity"]
     checks["euler_unreduced"] = report["unreduced_identity"]
@@ -271,41 +272,39 @@ def _verify_tree_expansion(entry, d):
         checks["tree_count"] = len(trees) == entry.expected["tree_count"]
         checks["writhe"] = d.writhe == entry.expected["writhe"]
         checks["k"] = g.k_invariant() == entry.expected["k"]
-        v = jones(d, bracket=bracket_spantree(d, g, trees))
-        checks["jones"] = jones_in_t(v) == entry.expected["jones"]
+        checks["jones"] = jones_in_t(jones(d, bracket=bracket)) == entry.expected["jones"]
     resolution_tree(d, g, trees)
     checks["resolution_tree"] = True
     return checks
 
 
-def _verify_collapse(entry, d):
+def _verify_collapse(entry, d, filtration, homology):
     if d.n > corpus.BRUTE_FORCE_CAP:
         return {"skipped (crossing cap)": True}
     checks = {}
     for reduced in (True, False):
-        tc = retract_to_tree_complex(d, reduced=reduced)[0]
         mode = "reduced" if reduced else "unreduced"
         checks[f"{mode}_matches_brute_force"] = (
-            tc.homology_in_ij() == khovanov_homology(d, reduced=reduced)
+            filtration(reduced).tree_complex.homology_in_ij() == homology(reduced)
         )
     return checks
 
 
-def _verify_spectral(entry, d):
+def _verify_spectral(entry, d, filtration, homology):
     if d.n > corpus.BRUTE_FORCE_CAP:
         return {"skipped (crossing cap)": True}
-    filtration = build_filtration(d)
+    f = filtration(True)
     checks = {}
     for field in ("Q", "F2"):
-        pages = compute_pages(filtration, field)
-        conv = check_convergence(pages, filtration, field)
-        checks[f"{field}_e1_tree_counts"] = pages[1].dims == e1_tree_counts(filtration)
+        pages = compute_pages(f, field)
+        conv = check_convergence(pages, f, field)
+        checks[f"{field}_e1_tree_counts"] = pages[1].dims == e1_tree_counts(f)
         checks[f"{field}_converges"] = True  # check_convergence raises on failure
         checks[f"{field}_collapse_page_bound"] = conv["collapse_page"] <= max(d.n, 1)
     return checks
 
 
-def _verify_alternating(entry, d):
+def _verify_alternating(entry, d, filtration, homology):
     if not is_alternating(d) or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped (not a reduced alternating diagram)": True}
     checks = {}
@@ -313,7 +312,7 @@ def _verify_alternating(entry, d):
     checks["tree_count_is_l1"] = tree_count_equals_l1(d)
     predicted = predicted_reduced_homology(d, in_ij=True)
     if d.n <= corpus.BRUTE_FORCE_CAP:
-        brute = khovanov_homology(d, reduced=True)
+        brute = homology(True)
         checks["reduced_homology_matches_prediction"] = predicted == {
             ij: rank for ij, (rank, torsion) in brute.items()
         }
@@ -326,10 +325,10 @@ def _verify_alternating(entry, d):
     return checks
 
 
-def _verify_thickness(entry, d):
+def _verify_thickness(entry, d, filtration, homology):
     if d.n > corpus.BRUTE_FORCE_CAP or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped": True}
-    report = thickness_report(d)
+    report = thickness_report(d, homology(True), homology(False))
     return {"support": report["ok"], **{v: False for v in report["violations"]}}
 
 
@@ -356,9 +355,12 @@ def cmd_verify(args):
     for entry in targets:
         out = results[entry.name] = {}
         d = entry.diagram()  # one parse, so every check shares its circles cache
+        # each mode's filtration and full-complex homology over Z, on first use
+        filtration = cache(partial(build_filtration, d))
+        homology = cache(lambda reduced, f=filtration: f(reduced).complex.homology())
         for cat in categories:
             try:
-                out[cat] = _CATEGORIES[cat](entry, d)
+                out[cat] = _CATEGORIES[cat](entry, d, filtration, homology)
             except Exception as exc:  # a crashed check fails; the rest still run
                 out[cat] = {f"error: {type(exc).__name__}: {exc}": False}
 

@@ -191,12 +191,11 @@ class TreeComplex:
     """Spanning-tree complex: one generator per tree (two when unreduced),
     differential of bidegree (-1, -1) in (u, v)."""
 
-    def __init__(self, generators, differential, reduced, diagram, retraction=None):
+    def __init__(self, generators, differential, reduced, diagram):
         self.generators = dict(generators)      # label -> (u, v)
         self.differential = differential        # label -> {label: coeff}
         self.reduced = reduced
         self.diagram = diagram
-        self.retraction = retraction
         for src, row in differential.items():
             su, sv = self.generators[src]
             for dst, coeff in row.items():

@@ -52,17 +52,12 @@ class Filtration:
 def build_filtration(diagram, reduced=True):
     """The filtration read off one retraction onto the spanning-tree complex.
 
-    A tree's level is ``poset.level``.  Raises DiagramError if two trees at
-    one level are comparable or the differential lowers a state's level.
+    A tree's level is ``poset.level``.  Raises DiagramError if the
+    differential lowers a state's level.
     """
     tree_complex, record = retract_to_tree_complex(diagram, reduced)
-    poset, trees, level = record.poset, record.trees, record.poset.level
-    for a in range(len(trees)):
-        for b in range(len(trees)):
-            if level[a] == level[b] and poset.is_greater(a, b):
-                raise DiagramError(f"trees {trees[a].index} and {trees[b].index} "
-                                   f"are comparable but share level {level[a]}")
-    tree_levels = {t.index: level[pos] for pos, t in enumerate(trees)}
+    poset, trees = record.poset, record.trees
+    tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
     complex, tree_of = record.full_complex, record.state_tree
     e0 = {}
     for key, s in complex.states.items():

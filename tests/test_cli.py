@@ -123,13 +123,73 @@ def test_verify_alternating_category(capsys):
 def test_verify_reports_the_exception_type_of_a_crashed_check(capsys, monkeypatch):
     from spantreekh import cli
 
-    def crash(entry, d):
+    def crash(entry, d, filtration, homology):
         raise ZeroDivisionError("boom")
 
     monkeypatch.setitem(cli._CATEGORIES, "thickness", crash)
     assert run(["verify", "thickness", "--knot", "trefoil4"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] trefoil4 thickness: error: ZeroDivisionError: boom" in out
+
+
+def test_verify_builds_each_mode_once(monkeypatch):
+    # 7_4 is alternating, so every category runs a check on it
+    import importlib
+    import inspect
+
+    from spantreekh import collapse, khovanov
+
+    calls = []
+
+    def counting(name, fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in (khovanov.differential, collapse.retract_to_tree_complex):
+        wrapped = counting(fn.__name__, fn)
+        for layer in ("cli", "collapse", "khovanov", "spectral", "alternating"):
+            module = importlib.import_module(f"spantreekh.{layer}")
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapped)
+    homology = khovanov.BigradedComplex.homology
+
+    def full_homology(self, coefficients="Z"):
+        calls.append(("full_homology", {"reduced": self.reduced, "coefficients": coefficients}))
+        return homology(self, coefficients)
+
+    monkeypatch.setattr(khovanov.BigradedComplex, "homology", full_homology)
+    assert run(["verify", "--knot", "7_4"]) == 0
+
+    def count(name, reduced, **match):
+        return sum(
+            1 for n, arguments in calls
+            if n == name and arguments["reduced"] == reduced
+            and all(arguments[k] == v for k, v in match.items())
+        )
+
+    for reduced in (True, False):
+        assert count("differential", reduced, fixed=None) == 1, reduced
+        assert count("retract_to_tree_complex", reduced) == 1, reduced
+        assert count("full_homology", reduced, coefficients="Z") == 1, reduced
+
+
+def test_homology_over_the_crossing_cap_is_a_usage_error(capsys):
+    from spantreekh.planegraph import triangle_bundle
+
+    pd = triangle_bundle([1, 1, -1], [1, 1, 1], [1, -1, 1, 1])[0].serialize()
+    assert run(["homology", pd]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 10 crossings exceeds the brute-force cap 9; pass --force to override\n"
+    )
 
 
 def test_unknown_knot_exits_2(capsys):

@@ -57,9 +57,14 @@ def test_tree_levels_are_largest_positions_on_maximal_chains(name):
 
 
 def test_levels_hold_incomparable_trees():
-    # asserted inside build_filtration; exercise it over the corpus
-    for name in ("trefoil4", "5_2", "6_3", "8_19"):
-        build_filtration(corpus.diagram(name))
+    # no two comparable trees share a level, on every corpus entry
+    for name in corpus.names():
+        poset = build_poset(enumerate_trees(tait_graph(corpus.diagram(name))))
+        size = len(poset.level)
+        for a in range(size):
+            for b in range(size):
+                if poset.is_greater(a, b):
+                    assert poset.level[a] != poset.level[b], (name, a, b)
 
 
 def test_trefoil4_pages_and_collapse():
@@ -175,12 +180,23 @@ def _assert_tree_route_matches_state_route(d, reduced, fields):
         pages, ranks = _state_route(d, reduced, field, f.depth)
         assert [page.dims for page in compute_pages(f, field)[1:]] == pages, field
         assert [differential_ranks(f, field, r) for r in range(1, f.depth + 2)] == ranks
+    return f
+
+
+def _state_data(cx):
+    return {key: (s.circles, s.i, s.j) for key, s in cx.states.items()}
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
 @pytest.mark.parametrize("name", SMALL)
 def test_tree_route_matches_state_level_oracle(name, reduced):
-    _assert_tree_route_matches_state_route(corpus.diagram(name), reduced, ("Q", "F2"))
+    d = corpus.diagram(name)
+    f = _assert_tree_route_matches_state_route(d, reduced, ("Q", "F2"))
+    # verify shares f.complex between its checks: the retraction and the
+    # pages leave it as built
+    fresh = differential(d, reduced)
+    assert _state_data(f.complex) == _state_data(fresh)
+    assert f.complex.differential == fresh.differential
 
 
 @pytest.mark.parametrize("name", corpus.names())
