@@ -5,7 +5,9 @@ verify.  Knots are named corpus entries or PD literals.  Exit codes: 0 on
 success, 1 on verification failure, 2 on usage errors.
 
 ``verify`` builds each mode's filtration, and the homology over Z of its full
-complex, once per entry; every check reads those.
+complex, once per entry; every check reads those.  The homology reuses the
+filtration's complex when that mode's filtration is built, and otherwise builds
+the complex alone, with no retraction.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import cache
 
 from . import corpus
 from .algebra import _is_prime
 from .collapse import retract_to_tree_complex
 from .diagram import DiagramError, parse_pd, tait_graph
 from .jones import bracket_spantree, bracket_statesum, euler_check, jones, jones_in_t
-from .khovanov import homology_table, khovanov_homology
+from .khovanov import differential, homology_table, khovanov_homology
 from .spantree import build_poset, enumerate_trees, resolution_tree
 from .spectral import (
     build_filtration,
@@ -356,8 +358,18 @@ def cmd_verify(args):
         out = results[entry.name] = {}
         d = entry.diagram()  # one parse, so every check shares its circles cache
         # each mode's filtration and full-complex homology over Z, on first use
-        filtration = cache(partial(build_filtration, d))
-        homology = cache(lambda reduced, f=filtration: f(reduced).complex.homology())
+        filtrations = {}
+
+        def filtration(reduced):
+            if reduced not in filtrations:
+                filtrations[reduced] = build_filtration(d, reduced)
+            return filtrations[reduced]
+
+        @cache
+        def homology(reduced):
+            f = filtrations.get(reduced)
+            return (differential(d, reduced) if f is None else f.complex).homology()
+
         for cat in categories:
             try:
                 out[cat] = _CATEGORIES[cat](entry, d, filtration, homology)

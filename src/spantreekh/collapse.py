@@ -9,7 +9,8 @@ transported through all earlier collapses.  A basepoint sitting on a kink's
 loop circle forces the reduced-mode variants of the pairing and of the
 Jacobsson substitution; both are validated by the r o f = id check.  A
 tree's block on its own is ``khovanov.differential`` with the tree's dead
-markers fixed.
+markers fixed.  A stage reads its kink's circles once per smoothing, and one
+walk of the collapse log carries every fundamental cycle onto the survivors.
 """
 
 from __future__ import annotations
@@ -406,8 +407,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
 
     label_of_key = {key: label for label, key in survivor_of.items()}
     transport_matrix = {}
-    for cyc in cycles:
-        image = mc.transport(cyc.chain)
+    for cyc, image in zip(cycles, mc.transport([cyc.chain for cyc in cycles])):
         row = {}
         for key, coeff in image.items():
             if key not in label_of_key:
@@ -505,64 +505,52 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
     are tracked explicitly as "abstract" states, in which already-processed
     kinks are spliced away.  The dictionary between raw
     labels and abstract states is updated after every stage (a kink loop that
-    carries the basepoint flips the merged circle back to "+").
+    carries the basepoint flips the merged circle back to "+").  Within a
+    stage the kink geometry and the abstract circles depend on the raw
+    smoothing alone, so each is computed once per smoothing.
     """
-    undone = []
+    spliced = {}  # crossing of each undone kink -> its splice marker
     # abstract signs start as the raw signs
     abstract = {key: dict(zip(diagram.circles(key[0]), key[1])) for key in live_set}
 
-    def abstract_markers(raw_markers, at=None, marker=None):
-        out = list(raw_markers)
-        for st_done in undone:
-            out[st_done.crossing] = st_done.splice_marker
-        if at is not None:
-            out[at] = marker
-        return tuple(out)
+    def abstract_markers(raw):
+        return tuple(spliced.get(i, m) for i, m in enumerate(raw))
 
     for st in stages:
         c = st.crossing
-        x_marker, y_marker = "A", "B"
-        index = {}
-        for key in live_set:
-            index[(key[0], _sign_key(abstract[key], diagram.circles(abstract_markers(key[0]))))] = key
-        heads = [
-            key for key in sorted(live_set)
-            if key[0][c] == (x_marker if st.sign < 0 else y_marker)
-        ]
-        for head in heads:
+        head_marker, partner_marker = ("A", "B") if st.sign < 0 else ("B", "A")
+        geometry = {}  # A end of a raw cube edge at c -> (loop, merged, rest)
+        circles_of = {}  # raw markers -> circles of their abstract smoothing
+
+        def kink(raw):
+            a_end = raw[:c] + ("A",) + raw[c + 1:]
+            if a_end not in geometry:
+                b_end = abstract_markers(raw[:c] + ("B",) + raw[c + 1:])
+                geometry[a_end] = _kink_geometry(diagram, abstract_markers(a_end), b_end, st)
+            return geometry[a_end]
+
+        def sign_key(raw, signs):
+            if raw not in circles_of:
+                circles_of[raw] = diagram.circles(abstract_markers(raw))
+            return raw, tuple(signs[circ] for circ in circles_of[raw])
+
+        index = {sign_key(key[0], abstract[key]): key  # the possible partners
+                 for key in live_set if key[0][c] == partner_marker}
+        for head in [key for key in sorted(live_set) if key[0][c] == head_marker]:
             if head not in mc.live:
                 continue
             raw = head[0]
-            partner_raw = raw[:c] + ((y_marker if st.sign < 0 else x_marker),) + raw[c + 1:]
-            abs_here = abstract_markers(raw)
-            abs_there = abstract_markers(partner_raw)
-            mx_abs = abs_here if st.sign < 0 else abs_there
-            my_abs = abs_there if st.sign < 0 else abs_here
-            loop, merged, rest = _kink_geometry(diagram, mx_abs, my_abs, st)
+            partner_raw = raw[:c] + (partner_marker,) + raw[c + 1:]
+            loop, merged, rest = kink(raw)
             signs = abstract[head]
-            if st.sign < 0:
-                # head is the A-side state; partner B-state gets loop "+"
-                partner_signs = {
-                    cc: s for cc, s in signs.items() if cc != merged
-                }
-                partner_signs[rest] = signs[merged]
-                partner_signs[loop] = 1
+            partner_signs = {cc: s for cc, s in signs.items() if cc != merged}
+            if st.sign > 0 and reduced and diagram.basepoint in loop:
+                # B-side head, based loop: the A-side partner's loop is "+"
+                partner_signs[rest], partner_signs[loop] = -1, 1
             else:
-                # head is the B-side state; partner A-state gets loop "-"
-                eps = signs[merged]
-                partner_signs = {
-                    cc: s for cc, s in signs.items() if cc != merged
-                }
-                if reduced and diagram.basepoint in loop:
-                    partner_signs[rest] = -1
-                    partner_signs[loop] = 1
-                else:
-                    partner_signs[rest] = eps
-                    partner_signs[loop] = -1
-            partner = index.get(
-                (partner_raw,
-                 _sign_key(partner_signs, diagram.circles(abstract_markers(partner_raw))))
-            )
+                # an A-side partner gets loop "-", a B-side partner loop "+"
+                partner_signs[rest], partner_signs[loop] = signs[merged], -st.sign
+            partner = index.get(sign_key(partner_raw, partner_signs))
             if partner is None or partner not in mc.live:
                 raise DiagramError("collapse partner is not live")
             if st.sign < 0:
@@ -573,16 +561,11 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
                 live_set.discard(gone)
                 abstract.pop(gone, None)
         # update the abstract dictionary for this stage's survivors
-        undone.append(st)
         for key in live_set:
             raw = key[0]
             if raw[c] != st.loop_marker:
                 raise DiagramError("stage survivor has the wrong marker")
-            old_abs = abstract_markers(raw, at=c, marker=st.loop_marker)
-            new_abs = abstract_markers(raw)
-            mx_abs = new_abs if st.splice_marker == "A" else old_abs
-            my_abs = old_abs if st.loop_marker == "B" else new_abs
-            loop, merged, rest = _kink_geometry(diagram, mx_abs, my_abs, st)
+            loop, merged, rest = kink(raw)
             signs = abstract[key]
             if st.sign > 0 and signs[loop] != 1:
                 raise DiagramError("positive-kink survivor without a + loop")
@@ -595,7 +578,4 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
             new_signs = {cc: s for cc, s in signs.items() if cc not in (loop, rest)}
             new_signs[merged] = merged_sign
             abstract[key] = new_signs
-
-
-def _sign_key(sign_dict, circles):
-    return tuple(sign_dict[c] for c in circles)
+        spliced[c] = st.splice_marker

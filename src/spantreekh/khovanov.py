@@ -17,6 +17,11 @@ walks only the sub-cube of smoothings extending it and flips only the other
 crossings: for a spanning tree's dead markers this is the tree's block, the
 complex of its twisted unknot U(T) shifted into place.
 
+The builder matches circles once per cube edge (:func:`_cube_edge`), n 2^(n-1)
+times for the full cube, not once per enhanced state and edge: each edge gives
+the new-to-old circle map, the merging or splitting circles and the matrix
+sign, and every sign vector on the edge's smoothing reads its targets off them.
+
 Homology first cancels the +-1 incidences of the differential in label order
 by elementary collapses (:class:`MutableComplex`), then takes the Smith
 normal form (or the field rank) of the small residue in each degree.
@@ -24,7 +29,9 @@ normal form (or the field rank) of the small residue in each degree.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import namedtuple
+from itertools import groupby, product
+from operator import attrgetter
 
 from .algebra import LaurentPolynomial, graded_homology
 from .diagram import DiagramError
@@ -39,7 +46,7 @@ class EnhancedState:
         self.markers = markers          # tuple of 'A'/'B'
         self.signs = tuple(signs)       # +1/-1 per circle, canonical order
         self.circles = circles          # tuple of frozensets of arcs
-        self.sigma = sum(1 if m == "A" else -1 for m in markers)
+        self.sigma = 2 * markers.count("A") - len(markers)
         self.tau = sum(self.signs)
         num = writhe - self.sigma
         if num % 2:
@@ -104,17 +111,9 @@ class BigradedComplex:
         return LaurentPolynomial(chi, "q")
 
 
-class CollapseRecord:
-    """One elementary collapse: the pair, its incidence, and d(x) at collapse
-    time (needed to transport chains through the retraction)."""
-
-    __slots__ = ("x", "y", "incidence", "dx")
-
-    def __init__(self, x, y, incidence, dx):
-        self.x = x
-        self.y = y
-        self.incidence = incidence
-        self.dx = dx
+# One elementary collapse: the pair, its incidence, and d(x) at collapse time
+# (needed to transport chains through the retraction).
+CollapseRecord = namedtuple("CollapseRecord", "x y incidence dx")
 
 
 class MutableComplex:
@@ -207,25 +206,36 @@ class MutableComplex:
             self.rows[src].pop(g, None)
         self.gradings.pop(g, None)
 
-    def transport(self, chain):
-        """Push a chain through every collapse performed so far, expressing
-        its retraction image in the current live label basis: per collapse
+    def transport(self, chains):
+        """Push chains through every collapse performed so far, expressing
+        their retraction images in the current live label basis: per collapse
         (x, y) the coordinates become z[g] - lam z[y] <dx, g> with x and y
-        dropped."""
-        z = dict(chain)
-        for rec in self.log:
-            c = z.pop(rec.y, 0)
-            z.pop(rec.x, None)
-            if c:
-                for g, b in rec.dx.items():
-                    if g in (rec.x, rec.y):
+        dropped.  One walk of the log serves all chains; a collapse visits
+        only the chains an index lists as holding x or y (the index may list
+        a chain whose coefficient has cancelled since; that reads 0)."""
+        images = [dict(chain) for chain in chains]
+        holders = {}  # generator -> positions of the chains holding it
+        for pos, z in enumerate(images):
+            for g in z:
+                holders.setdefault(g, set()).add(pos)
+        for x, y, lam, dx in self.log:
+            for pos in holders.pop(x, ()):
+                images[pos].pop(x, None)
+            for pos in holders.pop(y, ()):
+                z = images[pos]
+                c = z.pop(y, 0)
+                if not c:
+                    continue
+                for g, b in dx.items():
+                    if g in (x, y):
                         continue
-                    new = z.get(g, 0) - rec.incidence * c * b
+                    new = z.get(g, 0) - lam * c * b
                     if new:
                         z[g] = new
+                        holders.setdefault(g, set()).add(pos)
                     else:
                         z.pop(g, None)
-        return z
+        return images
 
     def check_d_squared(self):
         _check_d_squared(self.rows, "d^2 != 0 after collapses")
@@ -296,68 +306,63 @@ def enumerate_states(diagram, reduced, fixed=None):
     return states
 
 
-def _merge_split_targets(state, new_circles):
-    """States reachable by flipping one A -> B, with per-circle rules."""
-    old = state.circles
-    old_signs = dict(zip(old, state.signs))
-    changed_new = [c for c in new_circles if c not in old_signs]
-    changed_old = [c for c in old if c not in new_circles]
-    results = []
-    if len(changed_new) == 1 and len(changed_old) == 2:
-        # merge
-        merged = changed_new[0]
-        s1, s2 = (old_signs[c] for c in changed_old)
-        if s1 == 1 and s2 == 1:
-            return []
-        out = 1 if (s1, s2) in ((1, -1), (-1, 1)) else -1
-        results.append(({merged: out}, 1))
-    elif len(changed_new) == 2 and len(changed_old) == 1:
-        # split
-        c1, c2 = changed_new
-        s = old_signs[changed_old[0]]
-        if s == 1:
-            results.append(({c1: 1, c2: 1}, 1))
-        else:
-            results.append(({c1: -1, c2: 1}, 1))
-            results.append(({c1: 1, c2: -1}, 1))
-    else:
+def _cube_edge(diagram, markers, c):
+    """The cube edge flipping crossing c of ``markers`` from A to B.
+
+    Returns (new_markers, sign, perm, gone, born): the matrix sign
+    (-1)^{#B below c}; perm[k] is the old position of new circle k (0 for a
+    changed circle); gone and born list the changed old and new positions,
+    two and one for a merge, one and two for a split.
+    """
+    new_markers = markers[:c] + ("B",) + markers[c + 1:]
+    old, new = diagram.circles(markers), diagram.circles(new_markers)
+    old_pos = {circ: k for k, circ in enumerate(old)}
+    gone = [k for k, circ in enumerate(old) if circ not in new]
+    born = [k for k, circ in enumerate(new) if circ not in old_pos]
+    if sorted((len(gone), len(born))) != [1, 2]:
         raise DiagramError("marker flip changed circle count by more than one")
-    out_states = []
-    for assignment, coeff in results:
-        signs = []
-        for c in new_circles:
-            if c in assignment:
-                signs.append(assignment[c])
-            else:
-                signs.append(old_signs[c])
-        out_states.append((tuple(signs), coeff))
-    return out_states
+    perm = [old_pos.get(circ, 0) for circ in new]
+    return new_markers, (-1) ** markers[:c].count("B"), perm, gone, born
 
 
 def differential(diagram, reduced, fixed=None):
     """Build the bigraded complex of the diagram, or with ``fixed`` the
     sub-cube extending that partial smoothing, flipping only the crossings
-    it leaves free."""
+    it leaves free.  Each sign vector copies its unchanged signs along the
+    circle map of each cube edge out of its smoothing and sets the changed
+    ones by the merge/split rule."""
     states = enumerate_states(diagram, reduced, fixed)
     free = [c for c in range(diagram.n) if c not in (fixed or {})]
     keys = {s.key for s in states}
     diff = {}
-    for s in states:
-        row = {}
-        for c in free:
-            if s.markers[c] != "A":
-                continue
-            sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
-            new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
-            new_circles = diagram.circles(new_markers)
-            for signs, coeff in _merge_split_targets(s, new_circles):
-                key = (new_markers, signs)
-                if reduced and key not in keys:
-                    raise DiagramError(
-                        "reduced subcomplex is not closed under the differential"
-                    )
-                row[key] = row.get(key, 0) + sign * coeff
-        diff[s.key] = {k: v for k, v in row.items() if v}
+    for markers, group in groupby(states, key=attrgetter("markers")):
+        edges = [_cube_edge(diagram, markers, c) for c in free if markers[c] == "A"]
+        for s in group:
+            signs = s.signs
+            row = diff[s.key] = {}
+            for new_markers, sign, perm, gone, born in edges:
+                t = [signs[p] for p in perm]
+                if len(born) == 1:  # merge: (+,+) -> 0, (-,-) -> -, else +
+                    s1, s2 = signs[gone[0]], signs[gone[1]]
+                    if s1 == s2 == 1:
+                        continue
+                    t[born[0]] = s1 if s1 == s2 else 1
+                    targets = (t,)
+                elif signs[gone[0]] == 1:  # split: + -> (+,+)
+                    t[born[0]] = t[born[1]] = 1
+                    targets = (t,)
+                else:  # split: - -> (-,+) + (+,-)
+                    t2 = t[:]
+                    t[born[0]], t[born[1]] = -1, 1
+                    t2[born[0]], t2[born[1]] = 1, -1
+                    targets = (t, t2)
+                for target in targets:
+                    key = (new_markers, tuple(target))
+                    if reduced and key not in keys:
+                        raise DiagramError(
+                            "reduced subcomplex is not closed under the differential"
+                        )
+                    row[key] = sign
     return BigradedComplex(diagram, states, diff, reduced)
 
 

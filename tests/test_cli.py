@@ -132,8 +132,10 @@ def test_verify_reports_the_exception_type_of_a_crashed_check(capsys, monkeypatc
     assert "[FAIL] trefoil4 thickness: error: ZeroDivisionError: boom" in out
 
 
-def test_verify_builds_each_mode_once(monkeypatch):
-    # 7_4 is alternating, so every category runs a check on it
+def _count_builds(monkeypatch):
+    """Record every full or block build, retraction and full-complex
+    homology, wherever a module binds the function; returns a counter
+    count(name, reduced, **argument values)."""
     import importlib
     import inspect
 
@@ -165,7 +167,6 @@ def test_verify_builds_each_mode_once(monkeypatch):
         return homology(self, coefficients)
 
     monkeypatch.setattr(khovanov.BigradedComplex, "homology", full_homology)
-    assert run(["verify", "--knot", "7_4"]) == 0
 
     def count(name, reduced, **match):
         return sum(
@@ -174,10 +175,33 @@ def test_verify_builds_each_mode_once(monkeypatch):
             and all(arguments[k] == v for k, v in match.items())
         )
 
+    return count
+
+
+def test_verify_builds_each_mode_once(monkeypatch):
+    # 7_4 is alternating, so every category runs a check on it
+    count = _count_builds(monkeypatch)
+    assert run(["verify", "--knot", "7_4"]) == 0
     for reduced in (True, False):
         assert count("differential", reduced, fixed=None) == 1, reduced
         assert count("retract_to_tree_complex", reduced) == 1, reduced
         assert count("full_homology", reduced, coefficients="Z") == 1, reduced
+
+
+@pytest.mark.parametrize("category, modes", [
+    ("thickness", (True, False)),
+    ("alternating", (True,)),
+])
+def test_verify_homology_checks_alone_build_no_retraction(monkeypatch, category, modes):
+    # without the collapse check no filtration is built, so the homology
+    # reads a bare build of each mode the check uses
+    count = _count_builds(monkeypatch)
+    assert run(["verify", category, "--knot", "7_4"]) == 0
+    for reduced in (True, False):
+        assert count("retract_to_tree_complex", reduced) == 0, reduced
+        assert count("differential", reduced, fixed=None) == (reduced in modes), reduced
+        assert count("differential", reduced) == (reduced in modes), reduced
+        assert count("full_homology", reduced, coefficients="Z") == (reduced in modes)
 
 
 def test_homology_over_the_crossing_cap_is_a_usage_error(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spantreekh import corpus
+from spantreekh import collapse, corpus
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import differential, khovanov_homology
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
@@ -146,9 +146,106 @@ def test_transport_drops_collapsed_pair():
     )
     mc.collapse("x", "y")
     # a chain with a y component picks up -dx
-    moved = mc.transport({"y": 1})
+    moved = mc.transport([{"y": 1}])[0]
     assert moved == {"z": -2}
-    assert mc.transport({"z": 5}) == {"z": 5}
+    assert mc.transport([{"z": 5}])[0] == {"z": 5}
+
+
+def _transport_one(log, chain):
+    """The per-chain walk of the collapse log that batched transport replaced."""
+    z = dict(chain)
+    for rec in log:
+        c = z.pop(rec.y, 0)
+        z.pop(rec.x, None)
+        if c:
+            for g, b in rec.dx.items():
+                if g in (rec.x, rec.y):
+                    continue
+                new = z.get(g, 0) - rec.incidence * c * b
+                if new:
+                    z[g] = new
+                else:
+                    z.pop(g, None)
+    return z
+
+
+def _assert_transport_matches_per_chain(mc, chains):
+    images = mc.transport(chains)
+    assert len(images) == len(chains)
+    for chain, image in zip(chains, images):
+        # the same coordinates, in the same order
+        assert list(image.items()) == list(_transport_one(mc.log, chain).items())
+
+
+def test_batched_transport_matches_per_chain_on_random_collapses():
+    rng = random.Random(808)
+    compared = 0
+    for _ in range(60):
+        mc = _random_complex(rng)
+        generators = sorted(mc.live)
+        for _ in range(8):
+            pairs = [
+                (x, y) for x in sorted(mc.live)
+                for y, c in sorted(mc.rows.get(x, {}).items()) if c in (1, -1)
+            ]
+            if not pairs:
+                break
+            mc.collapse(*pairs[rng.randrange(len(pairs))])
+        # overlapping chains over dead and live generators, with small
+        # coefficients so that images cancel, plus an empty chain
+        chains = [
+            {g: rng.choice([-2, -1, 1, 2]) for g in rng.sample(generators, rng.randint(1, 6))}
+            for _ in range(6)
+        ] + [{}]
+        _assert_transport_matches_per_chain(mc, chains)
+        compared += bool(mc.log)
+    assert compared > 40
+
+
+@pytest.mark.parametrize("name, reduced", [("6_2", False), ("7_4", True)])
+def test_batched_transport_matches_per_chain_on_fundamental_cycles(name, reduced):
+    _, record = retract_to_tree_complex(corpus.diagram(name), reduced)
+    assert record.complex.log
+    _assert_transport_matches_per_chain(record.complex, [c.chain for c in record.cycles])
+
+
+def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
+    calls = []
+    blocks = []  # per block: its raw smoothings and its stages
+    current = []  # the position of the block being collapsed, while one is
+    kink_geometry = collapse._kink_geometry
+    collapse_block = collapse._collapse_tree_block
+
+    def counting_geometry(diagram, markers_x, markers_y, stage):
+        if current:
+            calls.append((current[-1], id(stage), markers_x, markers_y))
+        return kink_geometry(diagram, markers_x, markers_y, stage)
+
+    def counting_block(diagram, mc, tree, stages, live_set, reduced):
+        blocks.append(({key[0] for key in live_set}, {id(st) for st in stages}))
+        current.append(len(blocks) - 1)
+        try:
+            return collapse_block(diagram, mc, tree, stages, live_set, reduced)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(collapse, "_kink_geometry", counting_geometry)
+    monkeypatch.setattr(collapse, "_collapse_tree_block", counting_block)
+    for name in ("5_2", "6_2", "7_4"):
+        for reduced in (True, False):
+            calls.clear()
+            blocks.clear()
+            retract_to_tree_complex(corpus.diagram(name), reduced)
+            assert calls, (name, reduced)
+            # once per (block, stage, smoothing) at most ...
+            assert len(calls) == len(set(calls)), (name, reduced)
+            per_stage = {}
+            for block, stage, _, _ in calls:
+                assert stage in blocks[block][1]
+                per_stage[block, stage] = per_stage.get((block, stage), 0) + 1
+            # ... so never more often in a stage than the block has smoothings
+            for (block, stage), count in per_stage.items():
+                assert count <= len(blocks[block][0]), (name, reduced)
 
 
 def test_jacobsson_cycle_single_kinks():

@@ -1,12 +1,17 @@
 """Khovanov chain complexes over Z from enhanced states."""
 
-import pytest
+import random
 
-from spantreekh import corpus
+import pytest
+from test_spantree import _crossings_permuted
+from test_spectral_golden import relabelled
+
+from spantreekh import corpus, khovanov
 from spantreekh.algebra import LaurentPolynomial, graded_homology
-from spantreekh.diagram import parse_pd, tait_graph
+from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.jones import jones
 from spantreekh.khovanov import (
+    BigradedComplex,
     differential,
     enumerate_states,
     khovanov_homology,
@@ -166,3 +171,133 @@ def test_tree_block_is_the_full_complex_restricted_to_its_states(reduced):
                     dst: c for dst, c in full.differential[key].items() if dst in keys
                 }
                 assert block.differential[key] == expected, (entry.name, key)
+
+
+# -- the per-state builder, kept as the oracle of the cube-edge builder --------
+
+
+def _merge_split_targets(state, new_circles):
+    """States reachable by flipping one A -> B, with per-circle rules."""
+    old = state.circles
+    old_signs = dict(zip(old, state.signs))
+    changed_new = [c for c in new_circles if c not in old_signs]
+    changed_old = [c for c in old if c not in new_circles]
+    results = []
+    if len(changed_new) == 1 and len(changed_old) == 2:
+        # merge
+        merged = changed_new[0]
+        s1, s2 = (old_signs[c] for c in changed_old)
+        if s1 == 1 and s2 == 1:
+            return []
+        out = 1 if (s1, s2) in ((1, -1), (-1, 1)) else -1
+        results.append(({merged: out}, 1))
+    elif len(changed_new) == 2 and len(changed_old) == 1:
+        # split
+        c1, c2 = changed_new
+        s = old_signs[changed_old[0]]
+        if s == 1:
+            results.append(({c1: 1, c2: 1}, 1))
+        else:
+            results.append(({c1: -1, c2: 1}, 1))
+            results.append(({c1: 1, c2: -1}, 1))
+    else:
+        raise DiagramError("marker flip changed circle count by more than one")
+    out_states = []
+    for assignment, coeff in results:
+        signs = []
+        for c in new_circles:
+            if c in assignment:
+                signs.append(assignment[c])
+            else:
+                signs.append(old_signs[c])
+        out_states.append((tuple(signs), coeff))
+    return out_states
+
+
+def _per_state_differential(diagram, reduced, fixed=None):
+    """The builder that matched circles once per enhanced state and edge."""
+    states = enumerate_states(diagram, reduced, fixed)
+    free = [c for c in range(diagram.n) if c not in (fixed or {})]
+    keys = {s.key for s in states}
+    diff = {}
+    for s in states:
+        row = {}
+        for c in free:
+            if s.markers[c] != "A":
+                continue
+            sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
+            new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
+            new_circles = diagram.circles(new_markers)
+            for signs, coeff in _merge_split_targets(s, new_circles):
+                key = (new_markers, signs)
+                if reduced and key not in keys:
+                    raise DiagramError(
+                        "reduced subcomplex is not closed under the differential"
+                    )
+                row[key] = row.get(key, 0) + sign * coeff
+        diff[s.key] = {k: v for k, v in row.items() if v}
+    return BigradedComplex(diagram, states, diff, reduced)
+
+
+def _assert_same_complex(built, oracle, label):
+    # same state order, keys, bigradings, and rows entry by entry in order
+    assert list(built.states) == list(oracle.states), label
+    assert [(s.i, s.j) for s in built.states.values()] == [
+        (s.i, s.j) for s in oracle.states.values()
+    ], label
+    assert list(built.differential) == list(oracle.differential), label
+    for key, row in oracle.differential.items():
+        assert list(built.differential[key].items()) == list(row.items()), (label, key)
+
+
+def _small_diagrams():
+    """Every corpus entry of at most 7 crossings, then each after the seeded
+    crossing permutation of test_spantree's poset oracle."""
+    for entry in corpus.entries():
+        d = entry.diagram()
+        if d.n > 7:
+            continue
+        rng = random.Random(f"linext:{entry.name}")
+        relabelled(d, rng)
+        yield entry.name, d
+        yield f"{entry.name}-permuted", _crossings_permuted(d, rng)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_cube_edge_builder_matches_per_state_oracle(reduced):
+    for name, d in _small_diagrams():
+        _assert_same_complex(
+            differential(d, reduced), _per_state_differential(d, reduced), name
+        )
+        for tree in enumerate_trees(tait_graph(d)):
+            dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+            _assert_same_complex(
+                differential(d, reduced, dead),
+                _per_state_differential(d, reduced, dead),
+                (name, tree.index),
+            )
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_circles_are_matched_once_per_cube_edge(monkeypatch, reduced):
+    calls = []
+    cube_edge = khovanov._cube_edge
+
+    def counting(diagram, markers, c):
+        calls.append((markers, c))
+        return cube_edge(diagram, markers, c)
+
+    monkeypatch.setattr(khovanov, "_cube_edge", counting)
+    for name in ("trefoil4", "6_2", "7_4"):
+        d = corpus.diagram(name)
+        calls.clear()
+        differential(d, reduced)
+        assert len(calls) == len(set(calls)) == d.n * 2 ** (d.n - 1), name
+        for tree in enumerate_trees(tait_graph(d)):
+            dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+            free = d.n - len(dead)
+            calls.clear()
+            differential(d, reduced, dead)
+            # the free A-crossing edges of the tree's sub-cube, each once
+            assert len(calls) == len(set(calls)) == free * 2 ** (free - 1), (name, tree)
+            assert all(markers[c] == "A" and c not in dead for markers, c in calls)
