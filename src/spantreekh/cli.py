@@ -67,9 +67,9 @@ def _coeff(value):
     raise argparse.ArgumentTypeError(f"unknown coefficient ring {value!r}")
 
 
-def _page(value):
+def _count(value):
     if not value.isdigit():
-        raise argparse.ArgumentTypeError(f"{value!r} is not a page number 0, 1, 2, ...")
+        raise argparse.ArgumentTypeError(f"{value!r} is not one of 0, 1, 2, ...")
     return int(value)
 
 
@@ -428,13 +428,14 @@ def build_parser():
     group.add_argument("--reduced", dest="reduced", action="store_true", default=True)
     group.add_argument("--unreduced", dest="reduced", action="store_false")
     p.add_argument("--trace", action="store_true", help="dump the collapse log")
-    p.add_argument("--trace-limit", type=int, default=50)
+    p.add_argument("--trace-limit", type=_count, default=50,
+                   help="collapses to print with --trace")
     p.set_defaults(func=cmd_spantree_complex)
 
     p = sub.add_parser("spectral", help="spanning-tree filtration spectral sequence")
     add_knot(p)
     p.add_argument("--coeff", type=_coeff, default="Q", help="q or f<p>")
-    p.add_argument("--pages", type=_page, default=None, help="last page to print")
+    p.add_argument("--pages", type=_count, default=None, help="last page to print")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("verify", help="run the verification suites")

@@ -7,18 +7,16 @@ checkerboard coloring and the signed Tait graph.
 
 Slot geometry used throughout: slot 0 is the incoming under-strand, slots are
 counterclockwise, so the under-strand runs 0 -> 2 and the over-strand occupies
-slots 1 and 3.  The A-smoothing joins slot pairs (0,1) and (2,3); the
-B-smoothing joins (1,2) and (3,0).
+slots 1 and 3.  A smoothing joins arcs per crossing: the A-smoothing joins
+the arcs at slots 0-1 and 2-3, the B-smoothing those at slots 1-2 and 3-0.
+One union-find over arc positions does this for full and partial smoothings
+alike; a kept crossing glues its four arcs when counting components.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-
-
-A_PAIRS = ((0, 1), (2, 3))
-B_PAIRS = ((1, 2), (3, 0))
 
 
 class DiagramError(ValueError):
@@ -233,70 +231,69 @@ class LinkDiagram:
 
     # -- smoothing machinery -----------------------------------------------------
 
-    def _union_find(self, joins):
-        parent = {}
+    @cached_property
+    def _slot_arcs(self):
+        """Per crossing, the positions in ``arcs`` of its four slot arcs."""
+        pos = {a: i for i, a in enumerate(self.arcs)}
+        return tuple(tuple(pos[a] for a in x) for x in self.crossings)
 
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for a in self.arcs:
-            ends = self.incidences.get(a)
-            if ends:
-                union(ends[0], ends[1])
-        for c, pairs in joins:
-            for s1, s2 in pairs:
-                union((c, s1), (c, s2))
-        return find
+    def _arc_roots(self, markers, glue_kept):
+        """The smallest arc position of each arc position's class after
+        joining arcs at every crossing: A joins slots 0-1 and 2-3, B joins
+        1-2 and 3-0, and any other marker glues all four slots when
+        ``glue_kept`` and nothing otherwise (where it must be ``*``)."""
+        parent = list(range(len(self.arcs)))
+        for c, (a0, a1, a2, a3) in enumerate(self._slot_arcs):
+            m = markers.get(c, "*")
+            if m == "A":
+                joins = ((a0, a1), (a2, a3))
+            elif m == "B":
+                joins = ((a1, a2), (a3, a0))
+            elif glue_kept:
+                joins = ((a0, a1), (a1, a2), (a2, a3))
+            elif m == "*":
+                continue
+            else:
+                raise DiagramError(f"bad marker {m!r} at crossing {c}")
+            for x, y in joins:
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+        # every parent lies at or below its child, so one ascending pass
+        # settles each position on its class's smallest position
+        for x in range(len(parent)):
+            parent[x] = parent[parent[x]]
+        return parent
 
     def smooth(self, markers):
         """Apply per-crossing markers {A, B, *}.
 
         With no ``*`` left the result is a :class:`Smoothing`; otherwise a
-        :class:`PartialDiagram` with the surviving crossings.
+        :class:`PartialDiagram` with the surviving crossings.  Each arc class
+        is named by its smallest arc.
         """
         markers = dict(markers)
-        unknown = set(markers) - set(range(self.n))
+        unknown = set(markers).difference(range(self.n))
         if unknown:
             raise DiagramError(f"markers for unknown crossings {sorted(unknown)}")
+        roots = self._arc_roots(markers, False)
+        arcs = self.arcs
+        classes = {}  # smallest arc -> arcs of its class, ordered by smallest arc
+        for a, r in zip(arcs, roots):
+            classes.setdefault(arcs[r], []).append(a)
         kept = [c for c in range(self.n) if markers.get(c, "*") == "*"]
-        joins = []
-        for c in range(self.n):
-            m = markers.get(c, "*")
-            if m == "A":
-                joins.append((c, A_PAIRS))
-            elif m == "B":
-                joins.append((c, B_PAIRS))
-            elif m != "*":
-                raise DiagramError(f"bad marker {m!r} at crossing {c}")
-        if self.n == 0:
-            return Smoothing(self, {}, (frozenset(self.arcs),))
-        find = self._union_find(joins)
-        classes = {}
-        for a in self.arcs:
-            root = find(self.incidences[a][0])
-            classes.setdefault(root, set()).add(a)
         if not kept:
-            circles = tuple(
-                frozenset(s) for s in sorted(classes.values(), key=min)
-            )
-            return Smoothing(self, markers, circles)
+            return Smoothing(self, markers, tuple(frozenset(v) for v in classes.values()))
         crossing_slots = {
-            c: tuple(find((c, s)) for s in range(4)) for c in kept
+            c: tuple(arcs[roots[p]] for p in self._slot_arcs[c]) for c in kept
         }
-        touched = {root for slots in crossing_slots.values() for root in slots}
-        free = tuple(
-            frozenset(classes[r]) for r in sorted(
-                (r for r in classes if r not in touched), key=lambda r: min(classes[r])
-            )
-        )
+        touched = {r for slots in crossing_slots.values() for r in slots}
+        free = tuple(frozenset(v) for r, v in classes.items() if r not in touched)
         return PartialDiagram(self, markers, kept, crossing_slots,
                               {r: frozenset(v) for r, v in classes.items()}, free)
 
@@ -310,21 +307,8 @@ class LinkDiagram:
     def component_count(self, markers):
         """Number of connected pieces after smoothing ``markers`` (kept
         crossings glue all four of their slots)."""
-        if self.n == 0:
-            return 1
-        joins = []
-        for c in range(self.n):
-            m = markers.get(c, "*")
-            if m == "A":
-                joins.append((c, A_PAIRS))
-            elif m == "B":
-                joins.append((c, B_PAIRS))
-            else:
-                joins.append((c, ((0, 1), (1, 2), (2, 3))))
-        find = self._union_find(joins)
-        return len({find((c, 0)) for c in range(self.n)} | {
-            find(self.incidences[a][0]) for a in self.arcs
-        })
+        roots = self._arc_roots(markers, True)
+        return sum(1 for x, r in enumerate(roots) if x == r)
 
     def is_nugatory(self, crossing, markers=None):
         """True iff the A- or B-smoothing at the crossing disconnects the
@@ -374,8 +358,8 @@ class Smoothing:
 
     def __init__(self, diagram, markers, circles):
         self.diagram = diagram
-        self.markers = dict(markers)
-        self.circles = tuple(sorted(circles, key=min))
+        self.markers = markers
+        self.circles = circles  # ordered by smallest arc
         if len(self.circles) < 1:
             raise DiagramError("a smoothing must have at least one circle")
 
@@ -391,10 +375,10 @@ class PartialDiagram:
 
     def __init__(self, diagram, markers, kept, crossing_slots, classes, free_circles):
         self.diagram = diagram
-        self.markers = dict(markers)
+        self.markers = markers
         self.kept = tuple(kept)
         self.crossing_slots = crossing_slots  # crossing -> 4 class roots
-        self.classes = classes                # root -> frozenset of arcs
+        self.classes = classes                # root arc -> frozenset of arcs
         self.free_circles = free_circles
 
     def kink_slot_pair(self, crossing):

@@ -8,6 +8,7 @@ all exponents are multiples of 4, for links multiples of 2.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 from .algebra import LaurentPolynomial
@@ -18,16 +19,20 @@ LOOP = LaurentPolynomial({2: -1, -2: -1}, "A")  # -A^2 - A^-2
 
 
 def bracket_statesum(diagram):
-    """Kauffman bracket as the sum over all 2^n smoothings."""
-    total = LaurentPolynomial.zero("A")
+    """Kauffman bracket as the sum over all 2^n smoothings.
+
+    A smoothing with sigma = #A - #B and k circles contributes
+    A^sigma LOOP^(k-1).  The smoothings are tallied by (sigma, k), and each
+    distinct pair is multiplied out once, times its count."""
     n = diagram.n
-    if n == 0:
-        return LaurentPolynomial.one("A")
+    tally = Counter()
     for choice in product("AB", repeat=n):
-        markers = dict(enumerate(choice))
-        sm = diagram.smooth(markers)
-        term = LaurentPolynomial.monomial(1, sm.sigma(), "A")
-        for _ in range(len(sm.circles) - 1):
+        sm = diagram.smooth(dict(enumerate(choice)))
+        tally[2 * choice.count("A") - n, len(sm.circles)] += 1
+    total = LaurentPolynomial.zero("A")
+    for (sigma, k), count in tally.items():
+        term = LaurentPolynomial.monomial(count, sigma, "A")
+        for _ in range(k - 1):
             term = term * LOOP
         total = total + term
     return total

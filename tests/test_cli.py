@@ -103,6 +103,12 @@ def test_negative_page_is_a_usage_error():
     assert exc.value.code == 2
 
 
+def test_negative_trace_limit_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run(["spantree-complex", "3_1", "--trace", "--trace-limit", "-1"])
+    assert exc.value.code == 2
+
+
 def test_spectral_over_z_is_a_usage_error(capsys):
     assert run(["spectral", "trefoil4", "--coeff", "z"]) == 2
     captured = capsys.readouterr()

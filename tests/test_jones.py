@@ -1,16 +1,20 @@
 """Kauffman brackets, Jones polynomials and the Euler-characteristic
 identities."""
 
+from itertools import product
+
 from spantreekh import corpus
 from spantreekh.algebra import LaurentPolynomial
 from spantreekh.diagram import parse_pd, tait_graph
 from spantreekh.jones import (
+    LOOP,
     bracket_spantree,
     bracket_statesum,
     euler_check,
     jones,
     jones_in_t,
 )
+from spantreekh.planegraph import triangle_bundle
 
 
 def test_bracket_unknot_is_one():
@@ -30,6 +34,34 @@ def test_bracket_trefoil4_value():
     expected = LaurentPolynomial({4: -1, 0: 1, -8: 1})
     assert bracket_statesum(d) == expected
     assert bracket_spantree(d) == expected
+
+
+def _per_smoothing_bracket(diagram):
+    """The state sum before the (sigma, #circles) tally: one product
+    A^sigma LOOP^(k-1) per smoothing."""
+    total = LaurentPolynomial.zero("A")
+    if diagram.n == 0:
+        return LaurentPolynomial.one("A")
+    for choice in product("AB", repeat=diagram.n):
+        sm = diagram.smooth(dict(enumerate(choice)))
+        term = LaurentPolynomial.monomial(1, sm.sigma(), "A")
+        for _ in range(len(sm.circles) - 1):
+            term = term * LOOP
+        total = total + term
+    return total
+
+
+def test_tallied_state_sum_matches_per_smoothing_sum():
+    for entry in corpus.entries():
+        d = entry.diagram()
+        assert bracket_statesum(d) == _per_smoothing_bracket(d), entry.name
+
+
+def test_state_sum_fills_no_circles_cache():
+    d = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0]
+    assert d.n == 12
+    bracket_statesum(d)
+    assert d._circles == {}
 
 
 def test_thistlethwaite_equality_on_corpus():
