@@ -221,8 +221,10 @@ def cmd_spantree_complex(args):
         lines.append(f"  ({u},{v}): {body}")
     if args.trace:
         lines.append(f"collapse log: {record.log_size} elementary collapses")
+        states = record.full_complex.states
         for rec in record.complex.log[: args.trace_limit]:
-            lines.append(f"  collapsed x={rec.x} y={rec.y} incidence {rec.incidence}")
+            lines.append(f"  collapsed x={states[rec.x].key} y={states[rec.y].key} "
+                         f"incidence {rec.incidence}")
     _emit(args, payload, lines)
     return 0
 

@@ -11,6 +11,10 @@ Jacobsson substitution; both are validated by the r o f = id check.  A
 tree's block on its own is ``khovanov.differential`` with the tree's dead
 markers fixed.  A stage reads its kink's circles once per smoothing, and one
 walk of the collapse log carries every fundamental cycle onto the survivors.
+
+Enhanced states are handled by their integer labels (``khovanov.StateLabels``),
+whose order is that of their ``(markers, signs)`` keys; Jacobsson chains and
+``include_unknot_states`` speak in keys, which the retraction turns into labels.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 
 from .diagram import DiagramError, tait_graph
-from .khovanov import MutableComplex, cancelled_homology, differential
+from .khovanov import MutableComplex, StateLabels, cancelled_homology, differential, sign_spread
 from .spantree import (
     build_poset,
     enumerate_trees,
@@ -162,7 +166,7 @@ def _block_cycle_by_collapse(diagram, tree, stages, reduced, seed):
     """Fundamental cycle as the collapse expansion of the block survivor."""
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     block = differential(diagram, reduced, dead)
-    mc = MutableComplex({k: (s.i, s.j) for k, s in block.states.items()}, block.differential)
+    mc = MutableComplex({g: (s.i, s.j) for g, s in block.states.items()}, block.differential)
     mc.begin_expansions(set(block.states))
     live_set = set(block.states)
     _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced)
@@ -173,7 +177,7 @@ def _block_cycle_by_collapse(diagram, tree, stages, reduced, seed):
     survivors = [g for g in mc.live if mc.gradings[g] == target]
     if len(survivors) != 1:
         raise DiagramError("block collapse did not leave a unique survivor")
-    return mc.pop_expansion(survivors[0])
+    return {block.states[g].key: c for g, c in mc.pop_expansion(survivors[0]).items()}
 
 
 class FundamentalCycle:
@@ -223,7 +227,9 @@ class TreeComplex:
 class RetractionRecord:
     """Everything the pipeline produced besides the final complex, including
     what it was built from: ``trees``, their ``poset``, ``state_tree`` (state
-    key -> index of the tree whose block holds it) and ``full_complex``."""
+    label -> index of the tree whose block holds it) and ``full_complex``.
+    ``survivor_of`` maps each tree-complex generator to the label of its
+    surviving state, and the collapse log in ``complex`` is in labels."""
 
     __slots__ = ("complex", "survivor_of", "cycles", "transport_matrix", "log_size",
                  "trees", "poset", "state_tree", "full_complex")
@@ -277,7 +283,7 @@ def include_unknot_states(diagram, tree, stages=None, reduced=True):
             raise DiagramError("inclusion grading shift mismatch on a state")
     if unknot_ij != block_ij:
         raise DiagramError("inclusion shift does not cover the block")
-    return set(states), (i_shift, j_shift)
+    return {s.key for s in states.values()}, (i_shift, j_shift)
 
 
 def state_tree_assignment(diagram, res_root):
@@ -326,16 +332,17 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     k = graph.k_invariant()
 
     tree_of = cache(state_tree_assignment(diagram, res))
-    state_tree = {key: tree_of(key[0]) for key in complex.states}
+    states = complex.states
+    state_tree = {g: tree_of(s.markers) for g, s in states.items()}
 
     mc = MutableComplex(
-        {key: (s.i, s.j) for key, s in complex.states.items()},
+        {g: (s.i, s.j) for g, s in states.items()},
         complex.differential,
         tracked_block=state_tree,
     )
     tree_live = {}
-    for key, t in state_tree.items():
-        tree_live.setdefault(t, set()).add(key)
+    for g, t in state_tree.items():
+        tree_live.setdefault(t, set()).add(g)
 
     order = poset.linear_extension()
     expansion_of = {}
@@ -346,8 +353,8 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
         _collapse_tree_block(
             diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced
         )
-        for key in tree_live[tree.index] & mc.live:
-            expansion_of[key] = mc.pop_expansion(key)
+        for g in tree_live[tree.index] & mc.live:
+            expansion_of[g] = mc.pop_expansion(g)
         mc.end_expansions()
     mc.current_block = None
 
@@ -359,20 +366,22 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
         for seed in seeds:
             if pathological:
                 target = grading_map(t.u, t.v, w, k)
-                key = next(
-                    kk for kk in alive if (mc.gradings[kk]) == target
+                g = next(
+                    gg for gg in alive if (mc.gradings[gg]) == target
                 )
-                chain = expansion_of[key]
+                chain = expansion_of[g]
             else:
-                chain = jacobsson_cycle(diagram, t, stages_of[t.index], reduced, seed)
-            keys = list(chain)
-            if any(key not in complex.states for key in keys):
+                chain = _labelled(
+                    complex, jacobsson_cycle(diagram, t, stages_of[t.index], reduced, seed)
+                )
+            labels = list(chain)
+            if any(g not in states for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
-            i, j = complex.states[keys[0]].i, complex.states[keys[0]].j
-            if any((complex.states[key].i, complex.states[key].j) != (i, j) for key in keys):
+            i, j = states[labels[0]].i, states[labels[0]].j
+            if any((states[g].i, states[g].j) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(
-                diagram, t, stages_of[t.index], complex.states[keys[0]], w, k, seed
+                diagram, t, stages_of[t.index], states[labels[0]], w, k, seed
             )
             if check_cycles:
                 _check_block_cycle(complex, chain, state_tree, t.index)
@@ -387,17 +396,17 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
                 raise DiagramError(
                     f"tree {t.index} left {len(alive)} generators, expected 1"
                 )
-            key = alive[0]
-            if mc.gradings[key] != expected:
+            g = alive[0]
+            if mc.gradings[g] != expected:
                 raise DiagramError("survivor grading disagrees with the dictionary")
-            survivor_of[(t.index, 1)] = key
+            survivor_of[(t.index, 1)] = g
         else:
             if len(alive) != 2:
                 raise DiagramError(
                     f"tree {t.index} left {len(alive)} generators, expected 2"
                 )
             shifted = grading_map(t.u + 2, t.v + 1, w, k)
-            by_grading = {mc.gradings[key]: key for key in alive}
+            by_grading = {mc.gradings[g]: g for g in alive}
             if set(by_grading) != {expected, shifted}:
                 raise DiagramError("unreduced survivors at unexpected gradings")
             survivor_of[(t.index, 1)] = by_grading[expected]
@@ -405,14 +414,14 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     if len(mc.live) != len(survivor_of):
         raise DiagramError("leftover non-tree generator after the retraction")
 
-    label_of_key = {key: label for label, key in survivor_of.items()}
+    tree_label_of = {g: label for label, g in survivor_of.items()}
     transport_matrix = {}
     for cyc, image in zip(cycles, mc.transport([cyc.chain for cyc in cycles])):
         row = {}
-        for key, coeff in image.items():
-            if key not in label_of_key:
+        for g, coeff in image.items():
+            if g not in tree_label_of:
                 raise DiagramError("retraction image is not supported on survivors")
-            row[label_of_key[key]] = coeff
+            row[tree_label_of[g]] = coeff
         if row.get(cyc.tree_index, 0) != 1:
             raise DiagramError(
                 f"r(f({cyc.tree_index})) has diagonal coefficient "
@@ -424,13 +433,13 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     gens = {}
     diff = {}
     by_index = {t.index: t for t in trees}
-    for (ti, seed), key in survivor_of.items():
+    for (ti, seed), g in survivor_of.items():
         t = by_index[ti]
         label = ti if reduced else (ti, seed)
         gens[label] = (t.u, t.v) if seed == 1 else (t.u + 2, t.v + 1)
         row = {}
-        for dst, coeff in mc.rows.get(key, {}).items():
-            dlabel = label_of_key[dst]
+        for dst, coeff in mc.rows.get(g, {}).items():
+            dlabel = tree_label_of[dst]
             row[dlabel if not reduced else dlabel[0]] = coeff
         if row:
             diff[label] = row
@@ -438,6 +447,18 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
                               trees, poset, state_tree, complex)
     tree_complex = TreeComplex(gens, diff, reduced, diagram)
     return tree_complex, record
+
+
+def _labelled(complex, chain):
+    """A chain of (markers, signs) keys as a chain of the complex's labels."""
+    fmt = StateLabels(complex.diagram)
+    out = {}
+    for key, coeff in chain.items():
+        g = fmt.label(*key)
+        if g not in complex.states or complex.states[g].key != key:
+            raise DiagramError("fundamental cycle leaves the complex")
+        out[g] = coeff
+    return out
 
 
 def _has_based_negative_loop(diagram, tree, stages):
@@ -464,8 +485,8 @@ def _check_block_cycle(complex, chain, state_tree, block):
     """The fundamental cycle is a cycle of C(U): its boundary inside its own
     tree's block vanishes; leftover components live in strictly lower trees."""
     acc = {}
-    for key, coeff in chain.items():
-        for dst, c in complex.differential.get(key, {}).items():
+    for g, coeff in chain.items():
+        for dst, c in complex.differential.get(g, {}).items():
             acc[dst] = acc.get(dst, 0) + coeff * c
     for dst, coeff in acc.items():
         if coeff and state_tree[dst] == block:
@@ -498,59 +519,84 @@ def _verify_cycle_gradings(diagram, tree, stages, state, w, k, seed):
             raise DiagramError("inclusion grading shift mismatch")
 
 
+def _kink_transfer(diagram, markers_x, markers_y, stage):
+    """A kink's circles and the sign-bit maps across it.
+
+    The head side of the kink (its splice marker) holds the merged circle;
+    the loop side holds the loop and the rest circle, and both share every
+    other circle.  Returns (loop, to_loop_side, to_head_side, loop_bit,
+    rest_bit, merged_bit): the loop circle, the :func:`sign_spread` tables of
+    the shared circles each way, and the bit of each kink circle in its
+    side's sign bits.
+    """
+    loop, merged, rest = _kink_geometry(diagram, markers_x, markers_y, stage)
+    head, loop_side = (markers_y, markers_x) if stage.sign > 0 else (markers_x, markers_y)
+    h, lo = diagram.circles(head), diagram.circles(loop_side)
+    if set(h) - {merged} != set(lo) - {loop, rest}:
+        raise DiagramError("kink changes circles away from its loop")
+
+    def bit(circles, circ):
+        return 1 << (len(circles) - 1 - circles.index(circ))
+
+    return (loop, sign_spread(h, lo), sign_spread(lo, h),
+            bit(lo, loop), bit(lo, rest), bit(h, merged))
+
+
 def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
     """Collapse one tree's block of states down to its fundamental class.
 
     The pairing at kink stage t is formed on the states of C(U^{t-1}); those
     are tracked explicitly as "abstract" states, in which already-processed
-    kinks are spliced away.  The dictionary between raw
-    labels and abstract states is updated after every stage (a kink loop that
-    carries the basepoint flips the merged circle back to "+").  Within a
-    stage the kink geometry and the abstract circles depend on the raw
-    smoothing alone, so each is computed once per smoothing.
+    kinks are spliced away.  The dictionary between raw labels and abstract
+    sign bits (over the circles of the abstract smoothing) is updated after
+    every stage (a kink loop that carries the basepoint flips the merged
+    circle back to "+").  Within a stage the kink geometry and the sign-bit
+    maps across the kink depend on the raw smoothing alone, so each is
+    computed once per smoothing.  Partners are indexed by a label's raw
+    marker bits over its abstract sign bits.
     """
+    fmt = StateLabels(diagram)
+    signs_mask = fmt.signs_mask
     spliced = {}  # crossing of each undone kink -> its splice marker
-    # abstract signs start as the raw signs
-    abstract = {key: dict(zip(diagram.circles(key[0]), key[1])) for key in live_set}
+    abstract = {g: g & signs_mask for g in live_set}  # starts as the raw signs
 
-    def abstract_markers(raw):
-        return tuple(spliced.get(i, m) for i, m in enumerate(raw))
+    def abstract_markers(smoothing):
+        """The abstract smoothing of a label's raw marker bits."""
+        return tuple(spliced.get(i, m) for i, m in enumerate(fmt.markers(smoothing)))
 
     for st in stages:
         c = st.crossing
-        head_marker, partner_marker = ("A", "B") if st.sign < 0 else ("B", "A")
-        geometry = {}  # A end of a raw cube edge at c -> (loop, merged, rest)
-        circles_of = {}  # raw markers -> circles of their abstract smoothing
+        flip = fmt.crossing_bit(c)
+        head_side = flip if st.splice_marker == "B" else 0  # c's bit in a head
+        transfers = {}  # A end of a raw cube edge at c -> _kink_transfer
 
-        def kink(raw):
-            a_end = raw[:c] + ("A",) + raw[c + 1:]
-            if a_end not in geometry:
-                b_end = abstract_markers(raw[:c] + ("B",) + raw[c + 1:])
-                geometry[a_end] = _kink_geometry(diagram, abstract_markers(a_end), b_end, st)
-            return geometry[a_end]
+        def kink(g):
+            a_end = g & ~signs_mask & ~flip
+            if a_end not in transfers:
+                transfers[a_end] = _kink_transfer(
+                    diagram, abstract_markers(a_end), abstract_markers(a_end | flip), st
+                )
+            return transfers[a_end]
 
-        def sign_key(raw, signs):
-            if raw not in circles_of:
-                circles_of[raw] = diagram.circles(abstract_markers(raw))
-            return raw, tuple(signs[circ] for circ in circles_of[raw])
-
-        index = {sign_key(key[0], abstract[key]): key  # the possible partners
-                 for key in live_set if key[0][c] == partner_marker}
-        for head in [key for key in sorted(live_set) if key[0][c] == head_marker]:
+        index = {(g & ~signs_mask) | abstract[g]: g  # the possible partners
+                 for g in live_set if g & flip != head_side}
+        for head in [g for g in sorted(live_set) if g & flip == head_side]:
             if head not in mc.live:
                 continue
-            raw = head[0]
-            partner_raw = raw[:c] + (partner_marker,) + raw[c + 1:]
-            loop, merged, rest = kink(raw)
+            loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = kink(head)
             signs = abstract[head]
-            partner_signs = {cc: s for cc, s in signs.items() if cc != merged}
+            partner_signs = to_loop_side[signs]
             if st.sign > 0 and reduced and diagram.basepoint in loop:
                 # B-side head, based loop: the A-side partner's loop is "+"
-                partner_signs[rest], partner_signs[loop] = -1, 1
+                partner_signs |= loop_bit
             else:
-                # an A-side partner gets loop "-", a B-side partner loop "+"
-                partner_signs[rest], partner_signs[loop] = signs[merged], -st.sign
-            partner = index.get(sign_key(partner_raw, partner_signs))
+                # the rest circle takes the merged sign; an A-side partner
+                # gets loop "-", a B-side partner loop "+"
+                if signs & merged_bit:
+                    partner_signs |= rest_bit
+                if st.sign < 0:
+                    partner_signs |= loop_bit
+            partner = index.get(((head & ~signs_mask) ^ flip) | partner_signs)
             if partner is None or partner not in mc.live:
                 raise DiagramError("collapse partner is not live")
             if st.sign < 0:
@@ -560,22 +606,19 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
             for gone in (head, partner):
                 live_set.discard(gone)
                 abstract.pop(gone, None)
-        # update the abstract dictionary for this stage's survivors
-        for key in live_set:
-            raw = key[0]
-            if raw[c] != st.loop_marker:
+        # move this stage's survivors onto the spliced smoothing's circles
+        for g in live_set:
+            if g & flip == head_side:  # survivors carry the loop marker
                 raise DiagramError("stage survivor has the wrong marker")
-            loop, merged, rest = kink(raw)
-            signs = abstract[key]
-            if st.sign > 0 and signs[loop] != 1:
+            loop, _, to_head_side, loop_bit, rest_bit, merged_bit = kink(g)
+            signs = abstract[g]
+            if st.sign > 0 and not signs & loop_bit:
                 raise DiagramError("positive-kink survivor without a + loop")
-            if st.sign < 0 and signs[loop] == 1:
-                merged_sign = 1  # basepoint-on-loop survivor flips back to +
+            if st.sign < 0 and signs & loop_bit:
+                merged_plus = True  # basepoint-on-loop survivor flips back to +
                 if not (reduced and diagram.basepoint in loop):
                     raise DiagramError("negative-kink survivor with a + loop")
             else:
-                merged_sign = signs[rest]
-            new_signs = {cc: s for cc, s in signs.items() if cc not in (loop, rest)}
-            new_signs[merged] = merged_sign
-            abstract[key] = new_signs
+                merged_plus = signs & rest_bit
+            abstract[g] = to_head_side[signs] | (merged_bit if merged_plus else 0)
         spliced[c] = st.splice_marker

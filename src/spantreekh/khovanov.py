@@ -12,6 +12,10 @@ plays the role of the Frobenius unit:
 with the matrix sign (-1)^{#B markers at crossings below the changed one}.
 The reduced complex is the subcomplex of states whose based circle is "+".
 
+Every enhanced state carries an integer label (:class:`StateLabels`) that
+sorts as its ``(markers, signs)`` key.  Complexes, collapses and chains run on
+labels; the key stays on each state for reading a label back.
+
 Given a partial smoothing ``fixed`` (crossing -> marker), the same builder
 walks only the sub-cube of smoothings extending it and flips only the other
 crossings: for a spanning tree's dead markers this is the tree's block, the
@@ -19,12 +23,14 @@ complex of its twisted unknot U(T) shifted into place.
 
 The builder matches circles once per cube edge (:func:`_cube_edge`), n 2^(n-1)
 times for the full cube, not once per enhanced state and edge: each edge gives
-the new-to-old circle map, the merging or splitting circles and the matrix
-sign, and every sign vector on the edge's smoothing reads its targets off them.
+a table from source sign bits to the target's unchanged sign bits, the bits of
+the merging or splitting circles and the matrix sign, and every sign vector on
+the edge's smoothing reads its target labels off them.
 
 Homology first cancels the +-1 incidences of the differential in label order
-by elementary collapses (:class:`MutableComplex`), then takes the Smith
-normal form (or the field rank) of the small residue in each degree.
+(which is key order) by elementary collapses (:class:`MutableComplex`), then
+takes the Smith normal form (or the field rank) of the small residue in each
+degree.
 """
 
 from __future__ import annotations
@@ -38,14 +44,15 @@ from .diagram import DiagramError
 
 
 class EnhancedState:
-    """A smoothing with a sign per circle, plus its gradings."""
+    """A smoothing with a sign per circle, plus its gradings and label."""
 
-    __slots__ = ("markers", "signs", "circles", "sigma", "tau", "i", "j")
+    __slots__ = ("markers", "signs", "circles", "sigma", "tau", "i", "j", "label")
 
-    def __init__(self, markers, signs, circles, writhe):
+    def __init__(self, markers, signs, circles, writhe, label):
         self.markers = markers          # tuple of 'A'/'B'
         self.signs = tuple(signs)       # +1/-1 per circle, canonical order
         self.circles = circles          # tuple of frozensets of arcs
+        self.label = label              # StateLabels(diagram).label(markers, signs)
         self.sigma = 2 * markers.count("A") - len(markers)
         self.tau = sum(self.signs)
         num = writhe - self.sigma
@@ -63,31 +70,76 @@ class EnhancedState:
         return f"<{''.join(self.markers)}|{signs}>"
 
 
+def _bits(flags):
+    """The integer whose binary digits are ``flags``, the first most significant."""
+    out = 0
+    for flag in flags:
+        out = 2 * out + flag
+    return out
+
+
+class StateLabels:
+    """The integer labels of one diagram's enhanced states.
+
+    A label holds the marker bits (B = 1, crossing 0 most significant) above
+    a field of one bit per arc for the signs (+ = 1, circle 0 most
+    significant).  A smoothing has at most one circle per arc, and all sign
+    vectors of one smoothing have the same length, so labels sort exactly as
+    the ``(markers, signs)`` keys do; a tree block labels its states as the
+    full complex does.
+    """
+
+    __slots__ = ("n", "width", "signs_mask")
+
+    def __init__(self, diagram):
+        self.n = diagram.n
+        self.width = len(diagram.arcs)
+        self.signs_mask = (1 << self.width) - 1
+
+    def smoothing(self, markers):
+        """The label bits of a smoothing: its markers, with the sign field clear."""
+        return _bits(m == "B" for m in markers) << self.width
+
+    def crossing_bit(self, c):
+        """The label bit that is set when crossing c has marker B."""
+        return 1 << (self.width + self.n - 1 - c)
+
+    def label(self, markers, signs):
+        """The label of the enhanced state with key ``(markers, signs)``."""
+        return self.smoothing(markers) | _bits(s > 0 for s in signs)
+
+    def markers(self, label):
+        """The markers of a label's smoothing."""
+        return tuple("AB"[label >> (self.width + self.n - 1 - c) & 1] for c in range(self.n))
+
+
 class BigradedComplex:
     """Chain complex of enhanced states bucketed by bigrading (i, j).
 
-    ``differential[key]`` is a dict target_key -> coefficient.  The reduced
-    flag records whether this is the based-"+" subcomplex.
+    ``states[label]`` is an :class:`EnhancedState` and ``differential[label]``
+    a dict target label -> coefficient.  The reduced flag records whether
+    this is the based-"+" subcomplex.
     """
 
     def __init__(self, diagram, states, differential, reduced):
         self.diagram = diagram
-        self.states = {s.key: s for s in states}
+        self.states = {s.label: s for s in states}
         self.differential = differential
         self.reduced = reduced
         self._check()
 
     def _check(self):
+        grading = {label: (s.i, s.j) for label, s in self.states.items()}
         for src, row in self.differential.items():
-            si = self.states[src]
-            for dst, coeff in row.items():
-                ti = self.states[dst]
-                if coeff == 0:
-                    raise DiagramError("stored zero coefficient")
-                if ti.i - si.i != 1 or ti.j != si.j:
+            i, j = grading[src]
+            if 0 in row.values():
+                raise DiagramError("stored zero coefficient")
+            for dst in row:
+                ti, tj = grading[dst]
+                if ti != i + 1 or tj != j:
                     raise DiagramError(
-                        f"differential entry {src}->{dst} has bidegree "
-                        f"({ti.i - si.i},{ti.j - si.j}), expected (1,0)"
+                        f"differential entry {self.states[src]}->{self.states[dst]} "
+                        f"has bidegree ({ti - i},{tj - j}), expected (1,0)"
                     )
         _check_d_squared(self.differential, "differential does not square to zero")
 
@@ -97,7 +149,7 @@ class BigradedComplex:
         Over Z the values are (free_rank, [torsion factors]); over a field
         ("Q" or an integer prime) just dimensions.
         """
-        gradings = {k: (s.i, s.j) for k, s in self.states.items()}
+        gradings = {label: (s.i, s.j) for label, s in self.states.items()}
         return cancelled_homology(gradings, self.differential, coefficients)
 
     def total_dimension(self):
@@ -119,10 +171,16 @@ CollapseRecord = namedtuple("CollapseRecord", "x y incidence dx")
 class MutableComplex:
     """A chain complex under elementary collapses.
 
-    Generators are hashable labels with gradings (integers or tuples); the
+    Generators are labels with gradings (integers or tuples); the
     differential is kept as sparse rows and a column index.  Collapsing (x, y)
     with incidence +-1 removes both and updates every other incidence by the
     standard correction  <dx2', y2> = <dx2, y2> - lam <dx2, y> <dx, y2>.
+
+    Labels must be hashable and mutually comparable: :meth:`cancel` collapses
+    in label order.  Enhanced states come in as their integer labels
+    (:class:`StateLabels`), whose order is that of their ``(markers, signs)``
+    keys, so every collapse and every log entry is the one the keys would
+    give.
     """
 
     def __init__(self, gradings, rows, tracked_block=None):
@@ -159,40 +217,40 @@ class MutableComplex:
         """Collapse the incident pair (x, y); requires <dx, y> = +-1."""
         if x not in self.live or y not in self.live:
             raise DiagramError("collapse of a dead generator")
-        lam = self.rows[x].get(y, 0)
+        rows, cols = self.rows, self.cols
+        lam = rows[x].get(y, 0)
         if lam not in (1, -1):
             raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
-        dx = dict(self.rows[x])
+        dx = dict(rows[x])
         self.log.append(CollapseRecord(x, y, lam, dx))
-        for x2, a in list(self.cols[y].items()):
+        expansions = self.expansions
+        ex = None if expansions is None else expansions.get(x)
+        block = self.current_block
+        tracked = None if block is None else self.tracked_block
+        if tracked is not None:
+            dx_blocks = {tracked.get(y2) for y2 in dx if y2 != y}
+        others = [(y2, b) for y2, b in dx.items() if y2 != y]
+        for x2, a in cols[y].items():
             if x2 == x:
                 continue
-            if (
-                self.expansions is not None
-                and x2 in self.expansions
-                and x in self.expansions
-            ):
-                ex = self.expansions[x]
-                target = self.expansions[x2]
+            if ex is not None and x2 in expansions:
+                target = expansions[x2]
                 for orig, coeff in ex.items():
                     target[orig] = target.get(orig, 0) - lam * a * coeff
-            row2 = self.rows[x2]
-            for y2, b in dx.items():
-                if y2 == y:
-                    continue
-                if self.tracked_block is not None and self.current_block is not None:
-                    bx, by = self.tracked_block.get(x2), self.tracked_block.get(y2)
-                    if bx == by and bx is not None and bx != self.current_block:
-                        raise DiagramError(
-                            "collapse leaked into another tree's block"
-                        )
-                new = row2.get(y2, 0) - lam * a * b
+            if tracked is not None:
+                bx = tracked.get(x2)
+                if bx is not None and bx != block and bx in dx_blocks:
+                    raise DiagramError("collapse leaked into another tree's block")
+            row2 = rows[x2]
+            f = lam * a
+            for y2, b in others:
+                new = row2.get(y2, 0) - f * b
                 if new:
                     row2[y2] = new
-                    self.cols[y2][x2] = new
+                    cols[y2][x2] = new
                 else:
                     row2.pop(y2, None)
-                    self.cols[y2].pop(x2, None)
+                    cols[y2].pop(x2, None)
         self._remove(x)
         self._remove(y)
 
@@ -270,8 +328,10 @@ def _check_d_squared(rows, message):
     for row in rows.values():
         acc = {}
         for mid, c1 in row.items():
-            for dst, c2 in rows.get(mid, {}).items():
-                acc[dst] = acc.get(dst, 0) + c1 * c2
+            second = rows.get(mid)
+            if second:
+                for dst, c2 in second.items():
+                    acc[dst] = acc.get(dst, 0) + c1 * c2
         if any(acc.values()):
             raise DiagramError(message)
 
@@ -289,6 +349,7 @@ def enumerate_states(diagram, reduced, fixed=None):
     ``fixed`` (every state when None); reduced mode keeps based-"+" states
     only."""
     w = diagram.writhe
+    fmt = StateLabels(diagram)
     fixed = fixed or {}
     states = []
     for markers in product(*(fixed.get(c, "AB") for c in range(diagram.n))):
@@ -299,30 +360,48 @@ def enumerate_states(diagram, reduced, fixed=None):
         )
         if based is None:
             raise DiagramError("basepoint arc not found in any circle")
-        for signs in product((1, -1), repeat=len(circles)):
-            if reduced and signs[based] != 1:
+        k = len(circles)
+        base = fmt.smoothing(markers)
+        based_bit = 1 << (k - 1 - based)
+        # product((1, -1)) runs through the sign bits from all "+" down
+        for bits, signs in zip(range(2**k - 1, -1, -1), product((1, -1), repeat=k)):
+            if reduced and not bits & based_bit:
                 continue
-            states.append(EnhancedState(markers, signs, circles, w))
+            states.append(EnhancedState(markers, signs, circles, w, base | bits))
     return states
 
 
-def _cube_edge(diagram, markers, c):
-    """The cube edge flipping crossing c of ``markers`` from A to B.
+def sign_spread(old, new):
+    """Per sign bits over the circles ``old``, the sign bits over the circles
+    ``new`` that carry over to the circles both share; ``old`` circles
+    missing from ``new`` are dropped and the rest of ``new`` stays "-"."""
+    pos = {circ: k for k, circ in enumerate(new)}
+    top = len(new) - 1
+    spread = [0]
+    for circ in old:  # circle 0 ends up the most significant index bit
+        bit = 1 << (top - pos[circ]) if circ in pos else 0
+        spread = [t | b for t in spread for b in (0, bit)]
+    return spread
 
-    Returns (new_markers, sign, perm, gone, born): the matrix sign
-    (-1)^{#B below c}; perm[k] is the old position of new circle k (0 for a
-    changed circle); gone and born list the changed old and new positions,
-    two and one for a merge, one and two for a split.
+
+def _cube_edge(diagram, markers, c):
+    """The cube edge flipping crossing c of ``markers`` from A to B, in sign
+    bits.
+
+    Returns (sign, spread, merge, gone, born): the matrix sign
+    (-1)^{#B below c}; the :func:`sign_spread` of the unchanged circles;
+    whether two circles merge; gone, the bit positions of the changed source
+    circles, and born, the bit values of the changed target circles: two and
+    one for a merge, one and two for a split.
     """
     new_markers = markers[:c] + ("B",) + markers[c + 1:]
     old, new = diagram.circles(markers), diagram.circles(new_markers)
-    old_pos = {circ: k for k, circ in enumerate(old)}
     gone = [k for k, circ in enumerate(old) if circ not in new]
-    born = [k for k, circ in enumerate(new) if circ not in old_pos]
+    born = [k for k, circ in enumerate(new) if circ not in old]
     if sorted((len(gone), len(born))) != [1, 2]:
         raise DiagramError("marker flip changed circle count by more than one")
-    perm = [old_pos.get(circ, 0) for circ in new]
-    return new_markers, (-1) ** markers[:c].count("B"), perm, gone, born
+    return ((-1) ** markers[:c].count("B"), sign_spread(old, new), len(born) == 1,
+            [len(old) - 1 - k for k in gone], [1 << (len(new) - 1 - k) for k in born])
 
 
 def differential(diagram, reduced, fixed=None):
@@ -333,36 +412,33 @@ def differential(diagram, reduced, fixed=None):
     ones by the merge/split rule."""
     states = enumerate_states(diagram, reduced, fixed)
     free = [c for c in range(diagram.n) if c not in (fixed or {})]
-    keys = {s.key for s in states}
+    labels = {s.label for s in states}
+    fmt = StateLabels(diagram)
     diff = {}
     for markers, group in groupby(states, key=attrgetter("markers")):
-        edges = [_cube_edge(diagram, markers, c) for c in free if markers[c] == "A"]
+        smoothing = fmt.smoothing(markers)
+        edges = [(smoothing | fmt.crossing_bit(c),) + _cube_edge(diagram, markers, c)
+                 for c in free if markers[c] == "A"]
         for s in group:
-            signs = s.signs
-            row = diff[s.key] = {}
-            for new_markers, sign, perm, gone, born in edges:
-                t = [signs[p] for p in perm]
-                if len(born) == 1:  # merge: (+,+) -> 0, (-,-) -> -, else +
-                    s1, s2 = signs[gone[0]], signs[gone[1]]
-                    if s1 == s2 == 1:
+            bits = s.label & fmt.signs_mask
+            row = diff[s.label] = {}
+            for base, sign, spread, merge, gone, born in edges:
+                t = base | spread[bits]
+                if merge:  # (+,+) -> 0, (-,-) -> -, else +
+                    p1, p2 = bits >> gone[0] & 1, bits >> gone[1] & 1
+                    if p1 and p2:
                         continue
-                    t[born[0]] = s1 if s1 == s2 else 1
-                    targets = (t,)
-                elif signs[gone[0]] == 1:  # split: + -> (+,+)
-                    t[born[0]] = t[born[1]] = 1
-                    targets = (t,)
+                    targets = (t | born[0] if p1 or p2 else t,)
+                elif bits >> gone[0] & 1:  # split: + -> (+,+)
+                    targets = (t | born[0] | born[1],)
                 else:  # split: - -> (-,+) + (+,-)
-                    t2 = t[:]
-                    t[born[0]], t[born[1]] = -1, 1
-                    t2[born[0]], t2[born[1]] = 1, -1
-                    targets = (t, t2)
+                    targets = (t | born[1], t | born[0])
                 for target in targets:
-                    key = (new_markers, tuple(target))
-                    if reduced and key not in keys:
+                    if reduced and target not in labels:
                         raise DiagramError(
                             "reduced subcomplex is not closed under the differential"
                         )
-                    row[key] = sign
+                    row[target] = sign
     return BigradedComplex(diagram, states, diff, reduced)
 
 

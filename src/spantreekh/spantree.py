@@ -395,8 +395,9 @@ class TreePoset:
         self.trees = list(trees)
         n = len(self.trees)
         gt = [[False] * n for _ in range(n)]
-        for i, a in enumerate(self.trees):
-            for j, b in enumerate(self.trees):
+        markers = [t.markers() for t in self.trees]  # once per tree, not per pair
+        for i, a in enumerate(markers):
+            for j, b in enumerate(markers):
                 if i != j and compare_trees(a, b) == "greater":
                     gt[i][j] = True
         # transitive closure

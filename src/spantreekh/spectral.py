@@ -60,10 +60,10 @@ def build_filtration(diagram, reduced=True):
     tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
     complex, tree_of = record.full_complex, record.state_tree
     e0 = {}
-    for key, s in complex.states.items():
-        p = tree_levels[tree_of[key]]
+    for g, s in complex.states.items():
+        p = tree_levels[tree_of[g]]
         e0[(p, s.i - p)] = e0.get((p, s.i - p), 0) + 1
-        if any(tree_levels[tree_of[dst]] < p for dst in complex.differential.get(key, {})):
+        if any(tree_levels[tree_of[dst]] < p for dst in complex.differential.get(g, {})):
             raise DiagramError("differential lowers the filtration level")
     return Filtration(diagram, complex, tree_complex, tree_levels, poset, trees, e0)
 

@@ -1,18 +1,27 @@
 """The benchmark's tracer wraps package functions and methods by name; every
-name it lists must exist where it looks for it."""
+name it lists must exist where it looks for it, and its work counters must
+read the results those functions return."""
 
 import importlib
 import importlib.util
 import os
 
+from spantreekh import corpus
+from spantreekh.collapse import retract_to_tree_complex
+from spantreekh.khovanov import differential
+
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
 
-def _traced():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def _traced():
+    return _tracing().TRACED
 
 
 def test_traced_names_exist_where_the_tracer_patches_them():
@@ -25,3 +34,26 @@ def test_traced_names_exist_where_the_tracer_patches_them():
             for name in methods:
                 # the tracer reads the member from the class's own __dict__
                 assert name in cls.__dict__, f"{layer}.{cls_name}.{name}"
+
+
+def test_build_and_retraction_counters_read_real_results():
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    d = corpus.diagram("3_1")
+    states = collapses = 0
+    for reduced in (True, False):
+        cx = differential(d, reduced)
+        # positional, then keyword, as the package calls it both ways
+        tracing._count_build(tracer, True, (d, reduced), {}, cx)
+        tracing._count_build(tracer, True, (d,), {"reduced": reduced}, cx)
+        states += 2 * len(cx.states)
+        tc, record = result = retract_to_tree_complex(d, reduced)
+        tracing._count_retraction(tracer, True, (d, reduced), {}, result)
+        # each elementary collapse removes two of the states
+        assert 2 * record.log_size == len(cx.states) - len(tc.generators)
+        collapses += record.log_size
+    assert tracer.counts["khovanov.builds"] == 4
+    # 3_1 has 30 enhanced states, 15 of them with a "+" based circle
+    assert tracer.counts["khovanov.states"] == states == 2 * (15 + 30)
+    assert tracer.counts["collapse.collapses"] == collapses > 0
+    assert len(tracer.build_keys) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from spantreekh import collapse, corpus
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
-from spantreekh.khovanov import differential, khovanov_homology
+from spantreekh.khovanov import StateLabels, differential, khovanov_homology
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
     MutableComplex,
@@ -60,6 +60,34 @@ def test_elementary_collapse_requires_unit_incidence():
     mc = MutableComplex({"x": 0, "y": 1}, {"x": {"y": 2}})
     with pytest.raises(DiagramError, match="must be"):
         mc.collapse("x", "y")
+
+
+def _leaking_complex(other_block):
+    """x -> y inside block 0, x2 -> y from block 1, and x -> y2 with y2 in
+    ``other_block``: collapsing (x, y) creates the incidence x2 -> y2."""
+    mc = MutableComplex(
+        {"x": 0, "y": 1, "x2": 0, "y2": 1},
+        {"x": {"y": 1, "y2": 1}, "x2": {"y": 1}},
+        tracked_block={"x": 0, "y": 0, "x2": 1, "y2": other_block},
+    )
+    mc.current_block = 0
+    return mc
+
+
+def test_collapse_leaking_into_another_block_raises():
+    with pytest.raises(DiagramError, match="collapse leaked into another tree's block"):
+        _leaking_complex(1).collapse("x", "y")
+
+
+def test_collapse_between_two_other_blocks_is_not_a_leak():
+    mc = _leaking_complex(2)
+    mc.collapse("x", "y")
+    assert mc.rows["x2"] == {"y2": -1}
+    # untracked, the same collapse is allowed whatever the blocks
+    mc = _leaking_complex(1)
+    mc.current_block = None
+    mc.collapse("x", "y")
+    assert mc.rows["x2"] == {"y2": -1}
 
 
 def _random_complex(rng, size=30):
@@ -222,7 +250,8 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
         return kink_geometry(diagram, markers_x, markers_y, stage)
 
     def counting_block(diagram, mc, tree, stages, live_set, reduced):
-        blocks.append(({key[0] for key in live_set}, {id(st) for st in stages}))
+        smoothings = {StateLabels(diagram).markers(g) for g in live_set}
+        blocks.append((smoothings, {id(st) for st in stages}))
         current.append(len(blocks) - 1)
         try:
             return collapse_block(diagram, mc, tree, stages, live_set, reduced)
@@ -279,16 +308,18 @@ def test_jacobsson_cycles_are_block_cycles_with_correct_gradings():
         w = d.writhe
         k = g.k_invariant()
         for t in trees:
-            z = jacobsson_cycle(d, t, stages_of[t.index], reduced=True)
-            gradings = {(cx.states[key].i, cx.states[key].j) for key in z}
+            keys = jacobsson_cycle(d, t, stages_of[t.index], reduced=True)
+            z = {StateLabels(d).label(*key): coeff for key, coeff in keys.items()}
+            assert [cx.states[g].key for g in z] == list(keys)
+            gradings = {(cx.states[g].i, cx.states[g].j) for g in z}
             assert gradings == {grading_map(t.u, t.v, w, k)}
             boundary = {}
-            for key, coeff in z.items():
-                for dst, c in cx.differential.get(key, {}).items():
+            for g, coeff in z.items():
+                for dst, c in cx.differential.get(g, {}).items():
                     boundary[dst] = boundary.get(dst, 0) + coeff * c
             internal = {
-                kk: v for kk, v in boundary.items()
-                if v and tree_of(kk[0]) == t.index
+                gg: v for gg, v in boundary.items()
+                if v and tree_of(cx.states[gg].markers) == t.index
             }
             assert not internal
 
@@ -315,12 +346,12 @@ def test_state_partition_by_resolution_leaves():
         tree_of = state_tree_assignment(d, res)
         cx = differential(d, reduced=False)
         leaves = {leaf.tree.index: leaf for leaf in res.leaves()}
-        for key in cx.states:
-            ti = tree_of(key[0])
+        for s in cx.states.values():
+            ti = tree_of(s.markers)
             leaf = leaves[ti]
             for c in range(d.n):
                 if leaf.markers[c] in "AB":
-                    assert key[0][c] == leaf.markers[c]
+                    assert s.markers[c] == leaf.markers[c]
 
 
 def test_order_discipline_small_corpus():
@@ -336,7 +367,7 @@ def test_order_discipline_small_corpus():
         tree_of = state_tree_assignment(d, res)
         for reduced in (True, False):
             cx = differential(d, reduced=reduced)
-            state_tree = {key: tree_of(key[0]) for key in cx.states}
+            state_tree = {g: tree_of(s.markers) for g, s in cx.states.items()}
             assert check_order_discipline(cx, state_tree, poset, trees)
 
 

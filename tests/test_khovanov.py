@@ -12,6 +12,7 @@ from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.jones import jones
 from spantreekh.khovanov import (
     BigradedComplex,
+    StateLabels,
     differential,
     enumerate_states,
     khovanov_homology,
@@ -63,6 +64,85 @@ def test_bidegree_and_d_squared_enforced_by_construction():
         d = corpus.diagram(name)
         differential(d, reduced=True)
         differential(d, reduced=False)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_labels_sort_as_keys_and_round_trip(reduced):
+    # label order is the order cancellation and the retraction collapse in,
+    # so it must be key order, in the full complex and in every tree block
+    for entry in corpus.entries():
+        d = entry.diagram()
+        if d.n > 7:
+            continue
+        for dd in (d, relabelled(d, random.Random(f"labels:{entry.name}"))):
+            blocks = [None] + [
+                {c: m for c, m in enumerate(t.markers()) if m in "AB"}
+                for t in enumerate_trees(tait_graph(dd))
+            ]
+            for fixed in blocks:
+                states = enumerate_states(dd, reduced, fixed)
+                fmt = StateLabels(dd)
+                assert all(s.label == fmt.label(*s.key) for s in states)
+                assert all(fmt.markers(s.label) == s.markers for s in states)
+                assert sorted(s.label for s in states) == [
+                    s.label for s in sorted(states, key=lambda s: s.key)
+                ], (entry.name, fixed)
+                assert len({s.label for s in states}) == len(states)
+
+
+def _corrupted(edit, reduced=False):
+    """The trefoil's complex rebuilt with ``edit(complex, rows)`` applied to a
+    copy of its differential."""
+    d = corpus.diagram("trefoil4")
+    cx = differential(d, reduced)
+    rows = {g: dict(row) for g, row in cx.differential.items()}
+    edit(cx, rows)
+    return lambda: BigradedComplex(d, list(cx.states.values()), rows, reduced)
+
+
+def _some_entry(cx, rows, two_steps=False):
+    """A differential entry (src, dst); with ``two_steps``, one whose target
+    has a nonzero row of its own."""
+    for src, row in rows.items():
+        for dst in row:
+            if not two_steps or rows.get(dst):
+                return src, dst
+    raise AssertionError("no such entry")
+
+
+def test_stored_zero_coefficient_is_rejected():
+    def edit(cx, rows):
+        src, dst = _some_entry(cx, rows)
+        rows[src][dst] = 0
+
+    with pytest.raises(DiagramError, match="stored zero coefficient"):
+        _corrupted(edit)()
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (1, 2), (2, 0)])
+def test_entry_of_wrong_bidegree_is_rejected(shift):
+    def edit(cx, rows):
+        src, _ = _some_entry(cx, rows)
+        s = cx.states[src]
+        dst = next(g for g, t in cx.states.items()
+                   if (t.i - s.i, t.j - s.j) == shift)
+        rows[src][dst] = 1
+
+    with pytest.raises(DiagramError, match=r"bidegree \(%d,%d\)" % shift):
+        _corrupted(edit)()
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_entry_breaking_d_squared_is_rejected(reduced):
+    def edit(cx, rows):
+        # flipping <d src, mid> turns d(d(src)) into -2 <d src, mid> d(mid)
+        src, mid = _some_entry(cx, rows, two_steps=True)
+        rows[src][mid] = -rows[src][mid]
+
+    with pytest.raises(DiagramError, match="does not square to zero"):
+        _corrupted(edit, reduced)()
+    # the same complex unedited passes every check
+    _corrupted(lambda cx, rows: None, reduced)()
 
 
 def test_reduced_closure_under_differential():
@@ -161,16 +241,18 @@ def test_tree_block_is_the_full_complex_restricted_to_its_states(reduced):
         for tree in enumerate_trees(tait_graph(d)):
             dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
             block = differential(d, reduced, dead)
-            keys = {
-                key for key in full.states
-                if all(key[0][c] == m for c, m in dead.items())
+            labels = {
+                g for g, s in full.states.items()
+                if all(s.markers[c] == m for c, m in dead.items())
             }
-            assert set(block.states) == keys, (entry.name, tree.index)
-            for key in keys:
+            # a block labels its states as the full complex does
+            assert set(block.states) == labels, (entry.name, tree.index)
+            for g in labels:
+                assert block.states[g].key == full.states[g].key
                 expected = {
-                    dst: c for dst, c in full.differential[key].items() if dst in keys
+                    dst: c for dst, c in full.differential[g].items() if dst in labels
                 }
-                assert block.differential[key] == expected, (entry.name, key)
+                assert block.differential[g] == expected, (entry.name, g)
 
 
 # -- the per-state builder, kept as the oracle of the cube-edge builder --------
@@ -215,10 +297,12 @@ def _merge_split_targets(state, new_circles):
 
 
 def _per_state_differential(diagram, reduced, fixed=None):
-    """The builder that matched circles once per enhanced state and edge."""
+    """The builder that matched circles once per enhanced state and edge, on
+    (markers, signs) keys; its rows are relabelled at the end."""
     states = enumerate_states(diagram, reduced, fixed)
     free = [c for c in range(diagram.n) if c not in (fixed or {})]
     keys = {s.key for s in states}
+    fmt = StateLabels(diagram)
     diff = {}
     for s in states:
         row = {}
@@ -235,13 +319,16 @@ def _per_state_differential(diagram, reduced, fixed=None):
                         "reduced subcomplex is not closed under the differential"
                     )
                 row[key] = row.get(key, 0) + sign * coeff
-        diff[s.key] = {k: v for k, v in row.items() if v}
+        diff[s.label] = {fmt.label(*k): v for k, v in row.items() if v}
     return BigradedComplex(diagram, states, diff, reduced)
 
 
 def _assert_same_complex(built, oracle, label):
-    # same state order, keys, bigradings, and rows entry by entry in order
+    # same state order, labels, keys, bigradings, and rows entry by entry in order
     assert list(built.states) == list(oracle.states), label
+    assert [s.key for s in built.states.values()] == [
+        s.key for s in oracle.states.values()
+    ], label
     assert [(s.i, s.j) for s in built.states.values()] == [
         (s.i, s.j) for s in oracle.states.values()
     ], label

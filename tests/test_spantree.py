@@ -182,6 +182,38 @@ def test_compare_trees_single_steps():
         assert compare_trees(t, t) == "incomparable-or-equal-generator"
 
 
+def test_compare_trees_takes_trees_or_marker_tuples():
+    g = tait_graph(trefoil4())
+    trees = enumerate_trees(g)
+    for a in trees:
+        for b in trees:
+            assert compare_trees(a, b) == compare_trees(a.markers(), b.markers())
+            assert compare_trees(a, b) == compare_trees(a.smoothing_string(), b)
+
+
+def test_build_poset_reads_each_trees_markers_once(monkeypatch):
+    from spantreekh import spantree
+
+    calls = []
+    markers = spantree.ActivityWord.markers
+
+    def counting(word):
+        calls.append(word)
+        return markers(word)
+
+    d = triangle_bundle([1, -1, 1], [1, 1, -1], [-1, 1, 1])[0]
+    trees = enumerate_trees(tait_graph(d))
+    expected = [[compare_trees(a, b) == "greater" for b in trees] for a in trees]
+    monkeypatch.setattr(spantree.ActivityWord, "markers", counting)
+    poset = build_poset(trees)
+    assert len(calls) == len(trees)
+    # the single-step relation is unchanged, so its closure contains it
+    for i in range(len(trees)):
+        for j in range(len(trees)):
+            if expected[i][j]:
+                assert poset.greater[i][j]
+
+
 def test_poset_trefoil4_maximal_chains():
     g = tait_graph(trefoil4())
     trees = enumerate_trees(g)

@@ -153,8 +153,8 @@ def _state_route(d, reduced, field, depth):
     tree_of = state_tree_assignment(d, resolution_tree(d, g, trees))
     tree_level = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
     cx = differential(d, reduced)
-    levels = {key: tree_level[tree_of(key[0])] for key in cx.states}
-    degrees = {key: s.i for key, s in cx.states.items()}
+    levels = {g: tree_level[tree_of(s.markers)] for g, s in cx.states.items()}
+    degrees = {g: s.i for g, s in cx.states.items()}
     pairs = _pairs(levels, degrees, cx.differential, _field_params(field)[0])
     gap = {}
     for y, x in pairs:
@@ -162,9 +162,9 @@ def _state_route(d, reduced, field, depth):
     pages, ranks = [], []
     for r in range(1, depth + 2):
         dims, rank = {}, {}
-        for key, p in levels.items():
-            if gap.get(key, r) >= r:
-                dims[(p, degrees[key] - p)] = dims.get((p, degrees[key] - p), 0) + 1
+        for g, p in levels.items():
+            if gap.get(g, r) >= r:
+                dims[(p, degrees[g] - p)] = dims.get((p, degrees[g] - p), 0) + 1
         for y, x in pairs:
             if gap[x] == r:
                 pq = (levels[x], degrees[x] - levels[x])
@@ -184,7 +184,7 @@ def _assert_tree_route_matches_state_route(d, reduced, fields):
 
 
 def _state_data(cx):
-    return {key: (s.circles, s.i, s.j) for key, s in cx.states.items()}
+    return {g: (s.key, s.circles, s.i, s.j) for g, s in cx.states.items()}
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
