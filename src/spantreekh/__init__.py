@@ -2,7 +2,7 @@
 
 The package computes Kauffman brackets and Jones polynomials two independent
 ways (state sum and spanning-tree expansion), reduced and unreduced Khovanov
-homology over the integers, the elementary-collapse retraction of the
+homology over the integers, the Morse-matching retraction of the
 Khovanov complex onto the spanning-tree complex, and the spectral sequence
 of the spanning-tree filtration over field coefficients.
 """

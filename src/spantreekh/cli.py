@@ -222,7 +222,7 @@ def cmd_spantree_complex(args):
     if args.trace:
         lines.append(f"collapse log: {record.log_size} elementary collapses")
         states = record.full_complex.states
-        for rec in record.complex.log[: args.trace_limit]:
+        for rec in record.complex[: args.trace_limit]:
             lines.append(f"  collapsed x={states[rec.x].key} y={states[rec.y].key} "
                          f"incidence {rec.incidence}")
     _emit(args, payload, lines)
@@ -424,14 +424,14 @@ def build_parser():
     p.add_argument("--force", action="store_true", help="ignore the crossing cap")
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("spantree-complex", help="collapse onto the spanning-tree complex")
+    p = sub.add_parser("spantree-complex", help="retract onto the spanning-tree complex")
     add_knot(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--reduced", dest="reduced", action="store_true", default=True)
     group.add_argument("--unreduced", dest="reduced", action="store_false")
-    p.add_argument("--trace", action="store_true", help="dump the collapse log")
+    p.add_argument("--trace", action="store_true", help="dump the matched pairs")
     p.add_argument("--trace-limit", type=_count, default=50,
-                   help="collapses to print with --trace")
+                   help="matched pairs to print with --trace")
     p.set_defaults(func=cmd_spantree_complex)
 
     p = sub.add_parser("spectral", help="spanning-tree filtration spectral sequence")

@@ -1,16 +1,24 @@
-"""Elementary collapses, Jacobsson fundamental cycles, and the retraction of
-the (reduced or unreduced) Khovanov complex onto the spanning-tree complex.
+"""The retraction of the (reduced or unreduced) Khovanov complex onto the
+spanning-tree complex by an algebraic Morse matching, and Jacobsson's
+fundamental cycles.
 
-The pipeline processes trees along a linear extension of the partial order,
-minimal tree first.  Inside each tree's block of enhanced states it collapses
-one undone kink at a time: for a positive kink the pairs are (A-state with
-loop "-", B-state), for a negative kink (A-state, B-state with loop "+"),
-transported through all earlier collapses.  A basepoint sitting on a kink's
-loop circle forces the reduced-mode variants of the pairing and of the
-Jacobsson substitution; both are validated by the r o f = id check.  A
-tree's block on its own is ``khovanov.differential`` with the tree's dead
-markers fixed.  A stage reads its kink's circles once per smoothing, and one
-walk of the collapse log carries every fundamental cycle onto the survivors.
+The pipeline visits trees along a linear extension of the partial order,
+minimal tree first.  Inside each tree's block of enhanced states it pairs
+states one undone kink at a time: for a positive kink the pairs are (A-state
+with loop "-", B-state), for a negative kink (A-state, B-state with loop "+").
+A basepoint sitting on a kink's loop circle forces the reduced-mode variants
+of the pairing and of the Jacobsson substitution; both are validated by the
+r o f = id check.  A tree's block on its own is ``khovanov.differential``
+with the tree's dead markers fixed.  A stage reads its kink's circles once
+per smoothing.
+
+The retraction checks that each pair (x, y) has incidence <dx, y> = +-1 in
+the built complex and that the pairs have no gradient cycle, so they form an algebraic Morse matching
+(Skoldberg, "Morse theory from an algebraic viewpoint") and the tree complex
+is its Morse complex: nothing is collapsed.  Gradient flows over the
+original differential, memoised per pair (:class:`MorseMatching`), carry
+d(survivor) onto the survivors, which gives the tree differential, and the
+fundamental cycles, which gives the transport matrix.
 
 Enhanced states are handled by their integer labels (``khovanov.StateLabels``),
 whose order is that of their ``(markers, signs)`` keys; Jacobsson chains and
@@ -19,10 +27,18 @@ whose order is that of their ``(markers, signs)`` keys; Jacobsson chains and
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
+from heapq import heapify, heappop, heappush
 
 from .diagram import DiagramError, tait_graph
-from .khovanov import MutableComplex, StateLabels, cancelled_homology, differential, sign_spread
+from .khovanov import (
+    StateLabels,
+    _check_d_squared,
+    cancelled_homology,
+    differential,
+    sign_spread,
+)
 from .spantree import (
     build_poset,
     enumerate_trees,
@@ -96,13 +112,13 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
         negative: +  -> (+,-)            -  -> (-,-)
 
     In reduced mode a negative kink whose loop carries the basepoint has no
-    substitution landing in the based-"+" subcomplex; the cycle is then read
-    off from the elementary-collapse expansions of the block instead.
+    substitution landing in the based-"+" subcomplex; the cycle is then the
+    Morse inclusion of the block's survivor under the block's matching.
     """
     if reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
     if reduced and _has_based_negative_loop(diagram, tree, stages):
-        return _block_cycle_by_collapse(diagram, tree, stages, reduced, seed)
+        return _block_cycle_by_inclusion(diagram, tree, stages, reduced, seed)
     return _jacobsson_by_rules(diagram, tree, stages, reduced, seed)
 
 
@@ -162,22 +178,168 @@ def _jacobsson_by_rules(diagram, tree, stages, reduced, seed):
     return {(final_t, signs): coeff for signs, coeff in terms.items()}
 
 
-def _block_cycle_by_collapse(diagram, tree, stages, reduced, seed):
-    """Fundamental cycle as the collapse expansion of the block survivor."""
+def _block_cycle_by_inclusion(diagram, tree, stages, reduced, seed):
+    """Fundamental cycle as the Morse inclusion of the block survivor."""
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     block = differential(diagram, reduced, dead)
-    mc = MutableComplex({g: (s.i, s.j) for g, s in block.states.items()}, block.differential)
-    mc.begin_expansions(set(block.states))
-    live_set = set(block.states)
-    _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced)
+    matching = MorseMatching(block.differential)
+    live = set(block.states)
+    _collapse_tree_block(diagram, matching, tree, stages, live, reduced)
+    matching.check_acyclic()
     w = diagram.writhe
     k = tait_graph(diagram).k_invariant()
     uv = (tree.u, tree.v) if seed == 1 else (tree.u + 2, tree.v + 1)
     target = grading_map(*uv, w, k)
-    survivors = [g for g in mc.live if mc.gradings[g] == target]
+    survivors = [g for g in live if (block.states[g].i, block.states[g].j) == target]
     if len(survivors) != 1:
-        raise DiagramError("block collapse did not leave a unique survivor")
-    return {block.states[g].key: c for g, c in mc.pop_expansion(survivors[0]).items()}
+        raise DiagramError("block matching did not leave a unique survivor")
+    return {block.states[g].key: c for g, c in matching.include(survivors[0]).items()}
+
+
+# One matched pair: x is the upper state, y the lower one, and the incidence
+# <dx, y> = +-1 is read off the built complex.
+MatchedPair = namedtuple("MatchedPair", "x y incidence")
+
+
+class MorseMatching:
+    """Pairs (x, y) of states of one differential with <dx, y> = +-1, each
+    state in at most one pair; an algebraic Morse matching once
+    :meth:`check_acyclic` has passed.
+
+    The differential is read, never changed.  A chain is carried onto the
+    unmatched states by the gradient flow: an upper state drops, and the
+    lower state y of a pair (x, y) is replaced by -lam (dx - lam y), whose
+    lower states flow on in turn.  Lower states are replaced in matching
+    order, and each pair's dx is memoised with the lower states of the
+    earlier pairs already replaced (the pair's flow).  So every coefficient
+    and every dict order is the one that collapsing the pairs one by one, in
+    matching order, gives; on an acyclic matching each pair's incidence at
+    its turn is still lam.
+    """
+
+    __slots__ = ("differential", "pairs", "lower_of", "index_of", "_flows")
+
+    def __init__(self, differential):
+        self.differential = differential
+        self.pairs = []        # MatchedPair, in matching order
+        self.lower_of = {}     # upper state -> its lower state
+        self.index_of = {}     # lower state -> its pair's position in ``pairs``
+        self._flows = {}       # pair position -> (its flow, None), once computed
+
+    def matched(self, g):
+        return g in self.lower_of or g in self.index_of
+
+    def match(self, x, y):
+        """Pair the upper state x with the lower state y."""
+        lower_of, index_of = self.lower_of, self.index_of
+        if x in lower_of or x in index_of or y in lower_of or y in index_of:
+            raise DiagramError("state matched twice")
+        lam = self.differential.get(x, {}).get(y, 0)
+        if lam not in (1, -1):
+            raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
+        lower_of[x] = y
+        index_of[y] = len(self.pairs)
+        self.pairs.append(MatchedPair(x, y, lam))
+
+    def check_acyclic(self):
+        """Kahn's pass over the pairs, with an edge from (x, y) to (x', y')
+        when dx holds y' != y; a gradient cycle raises DiagramError."""
+        index_of = self.index_of
+        indegree = [0] * len(self.pairs)
+        successors = []
+        for x, y, _ in self.pairs:
+            out = [index_of[g] for g in self.differential[x] if g != y and g in index_of]
+            for m in out:
+                indegree[m] += 1
+            successors.append(out)
+        ready = [n for n, deg in enumerate(indegree) if not deg]
+        done = 0
+        while ready:
+            done += 1
+            for m in successors[ready.pop()]:
+                indegree[m] -= 1
+                if not indegree[m]:
+                    ready.append(m)
+        if done != len(self.pairs):
+            raise DiagramError("the matching has a gradient cycle")
+
+    def project(self, chains):
+        """Each chain's image on the unmatched states."""
+        self._fill(chains, None, self._flows, False)
+        return [self._flow(chain, len(self.pairs), None, self._flows, None)
+                for chain in chains]
+
+    def include(self, s, within=None):
+        """The Morse inclusion of the unmatched state s: s plus -lam <d., y>
+        times the inclusion of x for every pair (x, y) that a gradient path
+        from s reaches, following only pairs whose lower state ``within``
+        accepts (every pair when None)."""
+        flows = {}
+        ds = self.differential.get(s, {})
+        self._fill([ds], within, flows, True)
+        inclusion = {s: 1}
+        self._flow(ds, len(self.pairs), within, flows, inclusion)
+        return {g: c for g, c in inclusion.items() if c}
+
+    def _fill(self, chains, keep, flows, expanding):
+        """Memoise in ``flows`` the flow of every pair that gradient paths
+        from the chains reach, earliest pair first, with its inclusion when
+        ``expanding``."""
+        d, index_of, pairs = self.differential, self.index_of, self.pairs
+        reached = set()
+        todo = [g for chain in chains for g in chain]
+        while todo:
+            n = index_of.get(todo.pop())
+            if n is None or n in reached or (keep is not None and not keep(pairs[n].y)):
+                continue
+            reached.add(n)
+            x, y, _ = pairs[n]
+            todo.extend(g for g in d.get(x, ()) if g != y)
+        for n in sorted(reached):
+            if n not in flows:
+                x, y, _ = pairs[n]
+                inclusion = {x: 1} if expanding else None
+                row = self._flow(d.get(x, {}), n, keep, flows, inclusion)
+                row.pop(y, None)
+                flows[n] = (row, inclusion)
+
+    def _flow(self, chain, stop, keep, flows, inclusion):
+        """``chain`` with its upper states dropped and the lower states of
+        the pairs before ``stop`` that ``keep`` accepts flowed away in
+        matching order, reading each pair's flow from ``flows``;
+        ``inclusion``, when given, gathers the inclusions of the pairs'
+        upper states alongside."""
+        index_of, lower_of, pairs = self.index_of, self.lower_of, self.pairs
+
+        def position(g):
+            n = index_of.get(g)
+            if n is not None and n < stop and (keep is None or keep(g)):
+                return n
+            return None
+
+        z = {g: c for g, c in chain.items() if g not in lower_of}
+        heap = [n for n in map(position, z) if n is not None]
+        heapify(heap)
+        while heap:
+            n = heappop(heap)
+            _, y, lam = pairs[n]
+            c = z.pop(y, 0)
+            if not c:
+                continue
+            row, included = flows[n]
+            f = lam * c
+            for g, b in row.items():
+                new = z.get(g, 0) - f * b
+                if new:
+                    if g not in z and (m := position(g)) is not None:
+                        heappush(heap, m)
+                    z[g] = new
+                else:
+                    z.pop(g, None)
+            if inclusion is not None:
+                for g, b in included.items():
+                    inclusion[g] = inclusion.get(g, 0) - f * b
+        return z
 
 
 class FundamentalCycle:
@@ -229,7 +391,9 @@ class RetractionRecord:
     what it was built from: ``trees``, their ``poset``, ``state_tree`` (state
     label -> index of the tree whose block holds it) and ``full_complex``.
     ``survivor_of`` maps each tree-complex generator to the label of its
-    surviving state, and the collapse log in ``complex`` is in labels."""
+    surviving (unmatched) state.  ``complex`` is the Morse matching's pair
+    list, :class:`MatchedPair` records in labels in the order the blocks
+    matched them, and ``log_size`` its length."""
 
     __slots__ = ("complex", "survivor_of", "cycles", "transport_matrix", "log_size",
                  "trees", "poset", "state_tree", "full_complex")
@@ -315,8 +479,8 @@ def check_order_discipline(complex, state_tree, poset, trees):
     return True
 
 
-def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
-    """Collapse the Khovanov complex onto the spanning-tree complex.
+def retract_to_tree_complex(diagram, reduced=True):
+    """Retract the Khovanov complex onto the spanning-tree complex.
 
     Returns (TreeComplex, RetractionRecord).  Generator labels are tree
     indices (reduced) or (tree index, +1/-1) pairs (unreduced, the -1 copy
@@ -334,42 +498,32 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
     tree_of = cache(state_tree_assignment(diagram, res))
     states = complex.states
     state_tree = {g: tree_of(s.markers) for g, s in states.items()}
-
-    mc = MutableComplex(
-        {g: (s.i, s.j) for g, s in states.items()},
-        complex.differential,
-        tracked_block=state_tree,
-    )
+    # insulation: pairs inside one block cannot reach a block above it
+    check_order_discipline(complex, state_tree, poset, trees)
     tree_live = {}
     for g, t in state_tree.items():
         tree_live.setdefault(t, set()).add(g)
 
-    order = poset.linear_extension()
-    expansion_of = {}
-    for pos in order:
+    matching = MorseMatching(complex.differential)
+    for pos in poset.linear_extension():
         tree = trees[pos]
-        mc.current_block = tree.index
-        mc.begin_expansions(tree_live[tree.index])
         _collapse_tree_block(
-            diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced
+            diagram, matching, tree, stages_of[tree.index], tree_live[tree.index], reduced
         )
-        for g in tree_live[tree.index] & mc.live:
-            expansion_of[g] = mc.pop_expansion(g)
-        mc.end_expansions()
-    mc.current_block = None
+    matching.check_acyclic()
+
+    def grading(g):
+        return states[g].i, states[g].j
 
     seeds = (1,) if reduced else (1, -1)
     cycles = []
     for t in trees:
-        alive = sorted(tree_live[t.index] & mc.live)
         pathological = reduced and _has_based_negative_loop(diagram, t, stages_of[t.index])
         for seed in seeds:
             if pathological:
                 target = grading_map(t.u, t.v, w, k)
-                g = next(
-                    gg for gg in alive if (mc.gradings[gg]) == target
-                )
-                chain = expansion_of[g]
+                g = next(gg for gg in sorted(tree_live[t.index]) if grading(gg) == target)
+                chain = matching.include(g, lambda y, t=t.index: state_tree[y] == t)
             else:
                 chain = _labelled(
                     complex, jacobsson_cycle(diagram, t, stages_of[t.index], reduced, seed)
@@ -377,19 +531,18 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
             labels = list(chain)
             if any(g not in states for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
-            i, j = states[labels[0]].i, states[labels[0]].j
-            if any((states[g].i, states[g].j) != (i, j) for g in labels):
+            i, j = grading(labels[0])
+            if any(grading(g) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(
                 diagram, t, stages_of[t.index], states[labels[0]], w, k, seed
             )
-            if check_cycles:
-                _check_block_cycle(complex, chain, state_tree, t.index)
+            _check_block_cycle(complex, chain, state_tree, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
 
     survivor_of = {}
     for t in trees:
-        alive = sorted(tree_live[t.index] & mc.live)
+        alive = sorted(tree_live[t.index])
         expected = grading_map(t.u, t.v, w, k)
         if reduced:
             if len(alive) != 1:
@@ -397,7 +550,7 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
                     f"tree {t.index} left {len(alive)} generators, expected 1"
                 )
             g = alive[0]
-            if mc.gradings[g] != expected:
+            if grading(g) != expected:
                 raise DiagramError("survivor grading disagrees with the dictionary")
             survivor_of[(t.index, 1)] = g
         else:
@@ -406,22 +559,24 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
                     f"tree {t.index} left {len(alive)} generators, expected 2"
                 )
             shifted = grading_map(t.u + 2, t.v + 1, w, k)
-            by_grading = {mc.gradings[g]: g for g in alive}
+            by_grading = {grading(g): g for g in alive}
             if set(by_grading) != {expected, shifted}:
                 raise DiagramError("unreduced survivors at unexpected gradings")
             survivor_of[(t.index, 1)] = by_grading[expected]
             survivor_of[(t.index, -1)] = by_grading[shifted]
-    if len(mc.live) != len(survivor_of):
+    if len(states) - 2 * len(matching.pairs) != len(survivor_of):
         raise DiagramError("leftover non-tree generator after the retraction")
 
     tree_label_of = {g: label for label, g in survivor_of.items()}
+    chains = [cyc.chain for cyc in cycles]
+    chains += [complex.differential.get(g, {}) for g in tree_label_of]
+    images = matching.project(chains)
+    if any(g not in tree_label_of for image in images for g in image):
+        raise DiagramError("retraction image is not supported on survivors")
+
     transport_matrix = {}
-    for cyc, image in zip(cycles, mc.transport([cyc.chain for cyc in cycles])):
-        row = {}
-        for g, coeff in image.items():
-            if g not in tree_label_of:
-                raise DiagramError("retraction image is not supported on survivors")
-            row[tree_label_of[g]] = coeff
+    for cyc, image in zip(cycles, images):
+        row = {tree_label_of[g]: coeff for g, coeff in image.items()}
         if row.get(cyc.tree_index, 0) != 1:
             raise DiagramError(
                 f"r(f({cyc.tree_index})) has diagonal coefficient "
@@ -429,7 +584,8 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
             )
         transport_matrix[cyc.tree_index] = row
 
-    mc.check_d_squared()
+    rows = dict(zip(tree_label_of, images[len(cycles):]))
+    _check_d_squared(rows, "d^2 != 0 on the spanning-tree complex")
     gens = {}
     diff = {}
     by_index = {t.index: t for t in trees}
@@ -438,13 +594,13 @@ def retract_to_tree_complex(diagram, reduced=True, check_cycles=True):
         label = ti if reduced else (ti, seed)
         gens[label] = (t.u, t.v) if seed == 1 else (t.u + 2, t.v + 1)
         row = {}
-        for dst, coeff in mc.rows.get(g, {}).items():
+        for dst, coeff in rows[g].items():
             dlabel = tree_label_of[dst]
             row[dlabel if not reduced else dlabel[0]] = coeff
         if row:
             diff[label] = row
-    record = RetractionRecord(mc, survivor_of, cycles, transport_matrix, len(mc.log),
-                              trees, poset, state_tree, complex)
+    record = RetractionRecord(matching.pairs, survivor_of, cycles, transport_matrix,
+                              len(matching.pairs), trees, poset, state_tree, complex)
     tree_complex = TreeComplex(gens, diff, reduced, diagram)
     return tree_complex, record
 
@@ -464,7 +620,7 @@ def _labelled(complex, chain):
 def _has_based_negative_loop(diagram, tree, stages):
     """True when some negative kink's loop circle carries the basepoint; the
     local Jacobsson substitution then leaves the based-"+" subcomplex and the
-    fundamental cycle must come from the collapse expansions instead."""
+    fundamental cycle must come from the block's Morse inclusion instead."""
     markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     for st in stages:
         markers[st.crossing] = st.splice_marker
@@ -542,8 +698,11 @@ def _kink_transfer(diagram, markers_x, markers_y, stage):
             bit(lo, loop), bit(lo, rest), bit(h, merged))
 
 
-def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
-    """Collapse one tree's block of states down to its fundamental class.
+def _collapse_tree_block(diagram, matching, tree, stages, live_set, reduced):
+    """Match one tree's block of states down to its fundamental class.
+
+    Each pair goes to ``matching.match(x, y)`` and leaves ``live_set``, which
+    ends up holding the block's survivors.
 
     The pairing at kink stage t is formed on the states of C(U^{t-1}); those
     are tracked explicitly as "abstract" states, in which already-processed
@@ -581,7 +740,7 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
         index = {(g & ~signs_mask) | abstract[g]: g  # the possible partners
                  for g in live_set if g & flip != head_side}
         for head in [g for g in sorted(live_set) if g & flip == head_side]:
-            if head not in mc.live:
+            if matching.matched(head):
                 continue
             loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = kink(head)
             signs = abstract[head]
@@ -597,12 +756,12 @@ def _collapse_tree_block(diagram, mc, tree, stages, live_set, reduced):
                 if st.sign < 0:
                     partner_signs |= loop_bit
             partner = index.get(((head & ~signs_mask) ^ flip) | partner_signs)
-            if partner is None or partner not in mc.live:
+            if partner is None or matching.matched(partner):
                 raise DiagramError("collapse partner is not live")
             if st.sign < 0:
-                mc.collapse(head, partner)
+                matching.match(head, partner)
             else:
-                mc.collapse(partner, head)
+                matching.match(partner, head)
             for gone in (head, partner):
                 live_set.discard(gone)
                 abstract.pop(gone, None)

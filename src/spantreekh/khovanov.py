@@ -35,7 +35,6 @@ degree.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import groupby, product
 from operator import attrgetter
 
@@ -163,13 +162,9 @@ class BigradedComplex:
         return LaurentPolynomial(chi, "q")
 
 
-# One elementary collapse: the pair, its incidence, and d(x) at collapse time
-# (needed to transport chains through the retraction).
-CollapseRecord = namedtuple("CollapseRecord", "x y incidence dx")
-
-
 class MutableComplex:
-    """A chain complex under elementary collapses.
+    """A chain complex under elementary collapses, for cancelling the unit
+    incidences of a differential before its homology is taken.
 
     Generators are labels with gradings (integers or tuples); the
     differential is kept as sparse rows and a column index.  Collapsing (x, y)
@@ -179,11 +174,10 @@ class MutableComplex:
     Labels must be hashable and mutually comparable: :meth:`cancel` collapses
     in label order.  Enhanced states come in as their integer labels
     (:class:`StateLabels`), whose order is that of their ``(markers, signs)``
-    keys, so every collapse and every log entry is the one the keys would
-    give.
+    keys, so every collapse is the one the keys would give.
     """
 
-    def __init__(self, gradings, rows, tracked_block=None):
+    def __init__(self, gradings, rows):
         self.gradings = dict(gradings)
         self.rows = {g: {} for g in self.gradings}
         self.cols = {g: {} for g in self.gradings}
@@ -193,25 +187,6 @@ class MutableComplex:
                     self.rows[src][dst] = coeff
                     self.cols[dst][src] = coeff
         self.live = set(self.gradings)
-        self.tracked_block = tracked_block  # label -> block id, for insulation checks
-        self.current_block = None
-        self.expansions = None
-        self.log = []
-
-    def begin_expansions(self, generators):
-        """Track, for the given generators, their images under the inclusion
-        of the retract back into the original complex."""
-        self.expansions = {g: {g: 1} for g in generators}
-
-    def pop_expansion(self, g):
-        exp = self.expansions[g]
-        return {k: v for k, v in exp.items() if v}
-
-    def end_expansions(self):
-        self.expansions = None
-
-    def incidence(self, x, y):
-        return self.rows.get(x, {}).get(y, 0)
 
     def collapse(self, x, y):
         """Collapse the incident pair (x, y); requires <dx, y> = +-1."""
@@ -221,26 +196,10 @@ class MutableComplex:
         lam = rows[x].get(y, 0)
         if lam not in (1, -1):
             raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
-        dx = dict(rows[x])
-        self.log.append(CollapseRecord(x, y, lam, dx))
-        expansions = self.expansions
-        ex = None if expansions is None else expansions.get(x)
-        block = self.current_block
-        tracked = None if block is None else self.tracked_block
-        if tracked is not None:
-            dx_blocks = {tracked.get(y2) for y2 in dx if y2 != y}
-        others = [(y2, b) for y2, b in dx.items() if y2 != y]
+        others = [(y2, b) for y2, b in rows[x].items() if y2 != y]
         for x2, a in cols[y].items():
             if x2 == x:
                 continue
-            if ex is not None and x2 in expansions:
-                target = expansions[x2]
-                for orig, coeff in ex.items():
-                    target[orig] = target.get(orig, 0) - lam * a * coeff
-            if tracked is not None:
-                bx = tracked.get(x2)
-                if bx is not None and bx != block and bx in dx_blocks:
-                    raise DiagramError("collapse leaked into another tree's block")
             row2 = rows[x2]
             f = lam * a
             for y2, b in others:
@@ -256,44 +215,11 @@ class MutableComplex:
 
     def _remove(self, g):
         self.live.discard(g)
-        if self.expansions is not None:
-            self.expansions.pop(g, None)
         for dst in self.rows.pop(g, {}):
             self.cols[dst].pop(g, None)
         for src in self.cols.pop(g, {}):
             self.rows[src].pop(g, None)
         self.gradings.pop(g, None)
-
-    def transport(self, chains):
-        """Push chains through every collapse performed so far, expressing
-        their retraction images in the current live label basis: per collapse
-        (x, y) the coordinates become z[g] - lam z[y] <dx, g> with x and y
-        dropped.  One walk of the log serves all chains; a collapse visits
-        only the chains an index lists as holding x or y (the index may list
-        a chain whose coefficient has cancelled since; that reads 0)."""
-        images = [dict(chain) for chain in chains]
-        holders = {}  # generator -> positions of the chains holding it
-        for pos, z in enumerate(images):
-            for g in z:
-                holders.setdefault(g, set()).add(pos)
-        for x, y, lam, dx in self.log:
-            for pos in holders.pop(x, ()):
-                images[pos].pop(x, None)
-            for pos in holders.pop(y, ()):
-                z = images[pos]
-                c = z.pop(y, 0)
-                if not c:
-                    continue
-                for g, b in dx.items():
-                    if g in (x, y):
-                        continue
-                    new = z.get(g, 0) - lam * c * b
-                    if new:
-                        z[g] = new
-                        holders.setdefault(g, set()).add(pos)
-                    else:
-                        z.pop(g, None)
-        return images
 
     def check_d_squared(self):
         _check_d_squared(self.rows, "d^2 != 0 after collapses")

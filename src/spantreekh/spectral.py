@@ -9,10 +9,11 @@ equals the largest position p of the tree over the maximal chains; a state's
 level is the level of its block's tree.  The page indexing has p + q = i, so
 d_r has (p, q) bidegree (r, 1 - r).
 
-Every collapse of ``retract_to_tree_complex`` pairs two states of one block,
-a filtered Gaussian elimination inside one level, so from E_1 on the pages
-are those of the spanning-tree complex with each generator at its tree's
-level; only E_0 counts enhanced states.
+Every pair of the Morse matching of ``retract_to_tree_complex`` joins two
+states of one block, so the matching is filtered: its Morse complex, the
+spanning-tree complex, is a filtered Gaussian elimination inside each level,
+and from E_1 on the pages are those of the spanning-tree complex with each
+generator at its tree's level; only E_0 counts enhanced states.
 """
 
 from __future__ import annotations

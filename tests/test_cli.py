@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -237,3 +240,77 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["homology", "trefoil4", "--coeff", "f9"])
     assert exc.value.code == 2
+
+
+# ``spantree-complex --trace`` output pinned byte for byte, as recorded from
+# the sequential-collapse retraction: the matched pairs print in its
+# collapse-log format.
+TRACE_3_1_UNREDUCED_LIMIT_2 = """\
+spanning-tree complex (unreduced):
+  generator (0, -1) at (u,v)=(3,2)
+  generator (0, 1) at (u,v)=(1,1)
+  generator (1, -1) at (u,v)=(1,2)
+  generator (1, 1) at (u,v)=(-1,1)
+  generator (2, -1) at (u,v)=(0,2)
+  generator (2, 1) at (u,v)=(-2,1)
+  d((2, -1)) += -2 * (1, 1)
+homology by (u,v):
+  (-2,1): Z^1
+  (-1,1): Z/2
+  (1,1): Z^1
+  (1,2): Z^1
+  (3,2): Z^1
+collapse log: 12 elementary collapses
+  collapsed x=(('A', 'B', 'B'), (-1,)) y=(('B', 'B', 'B'), (-1, 1)) incidence 1
+  collapsed x=(('A', 'B', 'B'), (1,)) y=(('B', 'B', 'B'), (1, 1)) incidence 1
+"""
+
+TRACE_4_1 = """\
+spanning-tree complex (reduced):
+  generator 0 at (u,v)=(2,2)
+  generator 1 at (u,v)=(1,2)
+  generator 2 at (u,v)=(0,2)
+  generator 3 at (u,v)=(-1,2)
+  generator 4 at (u,v)=(-2,2)
+homology by (u,v):
+  (-2,2): Z^1
+  (-1,2): Z^1
+  (0,2): Z^1
+  (1,2): Z^1
+  (2,2): Z^1
+collapse log: 14 elementary collapses
+  collapsed x=(('A', 'A', 'B', 'B'), (1,)) y=(('B', 'A', 'B', 'B'), (1, 1)) incidence 1
+  collapsed x=(('A', 'B', 'B', 'B'), (1, -1)) y=(('B', 'B', 'B', 'B'), (1, -1, 1)) incidence 1
+  collapsed x=(('A', 'B', 'B', 'B'), (1, 1)) y=(('B', 'B', 'B', 'B'), (1, 1, 1)) incidence 1
+  collapsed x=(('B', 'A', 'B', 'B'), (1, -1)) y=(('B', 'B', 'B', 'B'), (1, 1, -1)) incidence -1
+  collapsed x=(('A', 'B', 'A', 'B'), (1,)) y=(('B', 'B', 'A', 'B'), (1, 1)) incidence 1
+  collapsed x=(('A', 'B', 'A', 'A'), (1, -1)) y=(('B', 'B', 'A', 'A'), (1, 1, -1)) incidence 1
+  collapsed x=(('A', 'B', 'A', 'A'), (1, 1)) y=(('B', 'B', 'A', 'A'), (1, 1, 1)) incidence 1
+  collapsed x=(('A', 'B', 'B', 'A'), (1,)) y=(('B', 'B', 'B', 'A'), (1, 1)) incidence 1
+  collapsed x=(('B', 'B', 'A', 'A'), (1, -1, -1)) y=(('B', 'B', 'B', 'A'), (1, -1)) incidence 1
+  collapsed x=(('A', 'A', 'A', 'B'), (1, -1)) y=(('B', 'A', 'A', 'B'), (1,)) incidence 1
+  collapsed x=(('A', 'A', 'A', 'A'), (1, -1, -1)) y=(('B', 'A', 'A', 'A'), (1, -1)) incidence 1
+  collapsed x=(('A', 'A', 'A', 'A'), (1, -1, 1)) y=(('B', 'A', 'A', 'A'), (1, 1)) incidence 1
+  collapsed x=(('A', 'A', 'B', 'A'), (1, -1)) y=(('B', 'A', 'B', 'A'), (1,)) incidence 1
+  collapsed x=(('A', 'A', 'A', 'A'), (1, 1, -1)) y=(('A', 'A', 'B', 'A'), (1, 1)) incidence 1
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["spantree-complex", "3_1", "--unreduced", "--trace", "--trace-limit", "2"],
+     TRACE_3_1_UNREDUCED_LIMIT_2),
+    (["spantree-complex", "4_1", "--trace"], TRACE_4_1),
+], ids=["3_1-unreduced-limit-2", "4_1"])
+def test_spantree_complex_trace_is_pinned(capsys, argv, expected):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_python_m_spantreekh_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "spantreekh", "jones", "3_1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "V_D                 = -t^-4+t^-3+t^-1" in done.stdout.splitlines()

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from collapse_oracle import SequentialComplex, retract_by_collapses
 from spantreekh import collapse, corpus
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
-from spantreekh.khovanov import StateLabels, differential, khovanov_homology
+from spantreekh.khovanov import MutableComplex, StateLabels, differential, khovanov_homology
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
-    MutableComplex,
     check_order_discipline,
     grading_map,
     inverse_grading_map,
@@ -65,7 +65,7 @@ def test_elementary_collapse_requires_unit_incidence():
 def _leaking_complex(other_block):
     """x -> y inside block 0, x2 -> y from block 1, and x -> y2 with y2 in
     ``other_block``: collapsing (x, y) creates the incidence x2 -> y2."""
-    mc = MutableComplex(
+    mc = SequentialComplex(
         {"x": 0, "y": 1, "x2": 0, "y2": 1},
         {"x": {"y": 1, "y2": 1}, "x2": {"y": 1}},
         tracked_block={"x": 0, "y": 0, "x2": 1, "y2": other_block},
@@ -90,7 +90,7 @@ def test_collapse_between_two_other_blocks_is_not_a_leak():
     assert mc.rows["x2"] == {"y2": -1}
 
 
-def _random_complex(rng, size=30):
+def _random_complex(rng, size=30, complex_class=MutableComplex):
     """Random two-or-three step chain complex with d o d = 0, built by
     composing random elementary matrices so the differential squares to
     zero by construction: generators in degrees 0/1/2 with d = 0 between
@@ -133,7 +133,7 @@ def _random_complex(rng, size=30):
             rows[("c1", a)] = row
     for b in range(n2):
         gradings[("c2", b)] = 2
-    return MutableComplex(gradings, rows)
+    return complex_class(gradings, rows)
 
 
 def test_random_collapses_preserve_homology():
@@ -169,7 +169,7 @@ def test_random_collapses_preserve_homology():
 
 
 def test_transport_drops_collapsed_pair():
-    mc = MutableComplex(
+    mc = SequentialComplex(
         {"x": 0, "y": 1, "z": 1}, {"x": {"y": 1, "z": 2}}
     )
     mc.collapse("x", "y")
@@ -209,7 +209,7 @@ def test_batched_transport_matches_per_chain_on_random_collapses():
     rng = random.Random(808)
     compared = 0
     for _ in range(60):
-        mc = _random_complex(rng)
+        mc = _random_complex(rng, complex_class=SequentialComplex)
         generators = sorted(mc.live)
         for _ in range(8):
             pairs = [
@@ -232,7 +232,7 @@ def test_batched_transport_matches_per_chain_on_random_collapses():
 
 @pytest.mark.parametrize("name, reduced", [("6_2", False), ("7_4", True)])
 def test_batched_transport_matches_per_chain_on_fundamental_cycles(name, reduced):
-    _, record = retract_to_tree_complex(corpus.diagram(name), reduced)
+    _, record = retract_by_collapses(corpus.diagram(name), reduced)
     assert record.complex.log
     _assert_transport_matches_per_chain(record.complex, [c.chain for c in record.cycles])
 
@@ -249,12 +249,12 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
             calls.append((current[-1], id(stage), markers_x, markers_y))
         return kink_geometry(diagram, markers_x, markers_y, stage)
 
-    def counting_block(diagram, mc, tree, stages, live_set, reduced):
+    def counting_block(diagram, matching, tree, stages, live_set, reduced):
         smoothings = {StateLabels(diagram).markers(g) for g in live_set}
         blocks.append((smoothings, {id(st) for st in stages}))
         current.append(len(blocks) - 1)
         try:
-            return collapse_block(diagram, mc, tree, stages, live_set, reduced)
+            return collapse_block(diagram, matching, tree, stages, live_set, reduced)
         finally:
             current.pop()
 
@@ -433,7 +433,7 @@ def test_unreduced_survivors_at_shifted_gradings():
 
 
 def test_insulation_is_instrumented():
-    # the pipeline raises if a collapse leaks into another tree's block;
-    # running it on the corpus exercises the instrumentation
+    # the pipeline raises if an incidence breaks the order discipline that
+    # insulates the blocks; running it on the corpus exercises the check
     d = corpus.diagram("6_2")
     retract_to_tree_complex(d, reduced=True)

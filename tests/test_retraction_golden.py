@@ -37,7 +37,7 @@ def _pairs(d):
 def _record(diagram, reduced):
     tc, rec = retract_to_tree_complex(diagram, reduced)
     states = rec.full_complex.states
-    log = repr([(states[r.x].key, states[r.y].key, r.incidence) for r in rec.complex.log])
+    log = repr([(states[r.x].key, states[r.y].key, r.incidence) for r in rec.complex])
     return {
         "generators": _pairs(tc.generators),
         "differential": _pairs({k: _pairs(row) for k, row in tc.differential.items()}),
