@@ -9,18 +9,43 @@ Slot geometry used throughout: slot 0 is the incoming under-strand, slots are
 counterclockwise, so the under-strand runs 0 -> 2 and the over-strand occupies
 slots 1 and 3.  A smoothing joins arcs per crossing: the A-smoothing joins
 the arcs at slots 0-1 and 2-3, the B-smoothing those at slots 1-2 and 3-0.
-One union-find over arc positions does this for full and partial smoothings
-alike; a kept crossing glues its four arcs when counting components.
+There is one join rule, a union-find over arc positions that keeps the
+smaller root, used two ways: ``_arc_roots`` smooths one marker set, full or
+partial (a kept crossing glues its four arcs when counting components), and
+``smoothing_tally`` walks the whole cube of full smoothings depth first,
+sharing the joins of every common prefix of markers, to count circles for
+the Kauffman state sum without building any smoothing.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import cached_property
 
 
 class DiagramError(ValueError):
     """Raised for malformed or non-planar PD input."""
+
+
+def _join(parent, pairs):
+    """Join the classes of the arc positions in each pair of ``pairs`` in the
+    union-find ``parent``: finds halve their paths and the smaller root is
+    kept, so every parent lies at or below its child.  Returns how many
+    joins met two different classes."""
+    merged = 0
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+            merged += 1
+        elif y < x:
+            parent[x] = y
+            merged += 1
+    return merged
 
 
 class LinkDiagram:
@@ -237,38 +262,61 @@ class LinkDiagram:
         pos = {a: i for i, a in enumerate(self.arcs)}
         return tuple(tuple(pos[a] for a in x) for x in self.crossings)
 
+    @cached_property
+    def _joins(self):
+        """Per crossing, the arc-position pairs each marker joins: A joins
+        slots 0-1 and 2-3, B joins 1-2 and 3-0, and ``*`` (a kept crossing,
+        glued only when counting components) all four slots."""
+        return tuple(
+            {"A": ((a0, a1), (a2, a3)), "B": ((a1, a2), (a3, a0)),
+             "*": ((a0, a1), (a1, a2), (a2, a3))}
+            for a0, a1, a2, a3 in self._slot_arcs
+        )
+
     def _arc_roots(self, markers, glue_kept):
         """The smallest arc position of each arc position's class after
-        joining arcs at every crossing: A joins slots 0-1 and 2-3, B joins
-        1-2 and 3-0, and any other marker glues all four slots when
-        ``glue_kept`` and nothing otherwise (where it must be ``*``)."""
-        parent = list(range(len(self.arcs)))
-        for c, (a0, a1, a2, a3) in enumerate(self._slot_arcs):
+        joining arcs at every crossing by its marker, a missing marker
+        counting as ``*``; kept crossings glue all four slots when
+        ``glue_kept`` and join nothing otherwise."""
+        pairs = []
+        for c, joins in enumerate(self._joins):
             m = markers.get(c, "*")
-            if m == "A":
-                joins = ((a0, a1), (a2, a3))
-            elif m == "B":
-                joins = ((a1, a2), (a3, a0))
-            elif glue_kept:
-                joins = ((a0, a1), (a1, a2), (a2, a3))
-            elif m == "*":
+            if m == "*" and not glue_kept:
                 continue
-            else:
+            if m not in joins:
                 raise DiagramError(f"bad marker {m!r} at crossing {c}")
-            for x, y in joins:
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
+            pairs += joins[m]
+        parent = list(range(len(self.arcs)))
+        _join(parent, pairs)
         # every parent lies at or below its child, so one ascending pass
         # settles each position on its class's smallest position
         for x in range(len(parent)):
             parent[x] = parent[parent[x]]
         return parent
+
+    def smoothing_tally(self):
+        """Counter of (sigma, #circles) over all 2^n full smoothings, where
+        sigma = #A - #B.
+
+        One depth-first walk of the cube of smoothings, crossings in index
+        order: each node copies its parent's union-find and applies one
+        crossing's A or B joins, so the joins of a shared prefix of markers
+        are made once.  The circle count starts at the number of arcs and
+        drops by one for every join of two classes."""
+        tally = Counter()
+        joins = [(j["A"], j["B"]) for j in self._joins]
+        n = self.n
+
+        def walk(c, parent, sigma, circles):
+            if c == n:
+                tally[sigma, circles] += 1
+                return
+            for step, pairs in zip((1, -1), joins[c]):
+                child = parent.copy()
+                walk(c + 1, child, sigma + step, circles - _join(child, pairs))
+
+        walk(0, list(range(len(self.arcs))), 0, len(self.arcs))
+        return tally
 
     def smooth(self, markers):
         """Apply per-crossing markers {A, B, *}.
@@ -397,6 +445,7 @@ def kink_sign(slot_pair):
 
 
 _PD_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_PD_SEPARATORS = re.compile(r"^[\s,]+|[\s,]+$")
 
 
 def parse_pd(text, label=""):
@@ -406,17 +455,18 @@ def parse_pd(text, label=""):
     if not m:
         raise DiagramError(f"malformed PD code: {text[:60]!r}")
     body, base = m.group(1).strip(), m.group(2)
-    crossings = []
-    if body:
-        consumed = 0
-        for xm in _PD_RE.finditer(body):
-            crossings.append(tuple(int(g) for g in xm.groups()))
-            consumed += 1
-        stripped = _PD_RE.sub("", body).replace(",", "").strip()
-        if stripped:
-            raise DiagramError(f"unrecognized tokens in PD body: {stripped!r}")
-        if consumed == 0:
-            raise DiagramError("PD body contains no crossings")
+    crossings, gaps, end = [], [], 0
+    for xm in _PD_RE.finditer(body):
+        crossings.append(tuple(int(g) for g in xm.groups()))
+        gaps.append(body[end:xm.start()])
+        end = xm.end()
+    gaps.append(body[end:])
+    # commas and whitespace separate crossings; anything else is quoted as written
+    unmatched = [t for t in (_PD_SEPARATORS.sub("", g) for g in gaps) if t]
+    if unmatched:
+        raise DiagramError("unrecognized tokens in PD body: " + ", ".join(map(repr, unmatched)))
+    if body and not crossings:
+        raise DiagramError("PD body contains no crossings")
     return LinkDiagram(crossings, basepoint=int(base) if base else None, label=label)
 
 

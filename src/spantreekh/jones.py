@@ -1,15 +1,15 @@
 """Kauffman brackets by state sum and by spanning-tree expansion, the Jones
 polynomial, and the graded Euler-characteristic identities.
 
-Bracket normalization is <unknot> = 1, forced by the tree expansion's empty
-product.  Jones polynomials are stored in the variable q = t^{1/4}; for knots
+The two bracket routes are independent: the state sum counts the 2^n
+smoothings by (sigma, #circles) in one walk of the cube of smoothings
+(``LinkDiagram.smoothing_tally``), the tree expansion sums one monomial per
+spanning tree of the Tait graph.  Bracket normalization is <unknot> = 1,
+forced by the tree expansion's empty product.  Jones polynomials are stored in the variable q = t^{1/4}; for knots
 all exponents are multiples of 4, for links multiples of 2.
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from itertools import product
 
 from .algebra import LaurentPolynomial
 from .diagram import DiagramError, tait_graph
@@ -22,13 +22,11 @@ def bracket_statesum(diagram):
     """Kauffman bracket as the sum over all 2^n smoothings.
 
     A smoothing with sigma = #A - #B and k circles contributes
-    A^sigma LOOP^(k-1).  The smoothings are tallied by (sigma, k), and each
-    distinct pair is multiplied out once, times its count."""
-    n = diagram.n
-    tally = Counter()
-    for choice in product("AB", repeat=n):
-        sm = diagram.smooth(dict(enumerate(choice)))
-        tally[2 * choice.count("A") - n, len(sm.circles)] += 1
+    A^sigma LOOP^(k-1).  ``LinkDiagram.smoothing_tally`` counts the
+    smoothings by (sigma, k) in one walk of the cube without building any
+    of them, and each distinct pair is multiplied out once, times its
+    count."""
+    tally = diagram.smoothing_tally()
     total = LaurentPolynomial.zero("A")
     for (sigma, k), count in tally.items():
         term = LaurentPolynomial.monomial(count, sigma, "A")

@@ -10,10 +10,11 @@ Run from the repository root against the package to be recorded, e.g.
 Per diagram and mode it stores, in the order the retraction produced them:
 the tree complex's generators and differential, the transport matrix r o f,
 the collapse count, each survivor as its (markers, signs) key, and a SHA-256
-of the collapse log written as (x key, y key, incidence) triples.  The
-stored file was made from the commit that still labelled enhanced states by
-their (markers, signs) tuples, so the test comparing against it pins the
-collapse sequence of the integer labels that replaced them.
+of the collapse sequence (the matched pairs, in order) written as (x key,
+y key, incidence) triples.  The stored file was made from the commit that
+still labelled enhanced states by their (markers, signs) tuples, so the test
+comparing against it pins the collapse sequence of the integer labels that
+replaced them.
 """
 
 from __future__ import annotations
@@ -43,14 +44,18 @@ def _pairs(d):
 
 
 def record(diagram, reduced):
+    """The stored outcome of one retraction; enhanced states, which the
+    retraction labels by integers, are written as their (markers, signs)
+    keys.  ``tests/test_retraction_golden.py`` compares against this."""
     tc, rec = retract_to_tree_complex(diagram, reduced)
-    log = repr([(r.x, r.y, r.incidence) for r in rec.complex.log])
+    states = rec.full_complex.states
+    log = repr([(states[r.x].key, states[r.y].key, r.incidence) for r in rec.complex])
     return {
         "generators": _pairs(tc.generators),
         "differential": _pairs({k: _pairs(row) for k, row in tc.differential.items()}),
         "transport_matrix": _pairs({k: _pairs(row) for k, row in rec.transport_matrix.items()}),
         "log_size": rec.log_size,
-        "survivor_of": _pairs(rec.survivor_of),
+        "survivor_of": _pairs({t: states[g].key for t, g in rec.survivor_of.items()}),
         "log_sha256": hashlib.sha256(log.encode()).hexdigest(),
     }
 

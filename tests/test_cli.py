@@ -236,6 +236,13 @@ def test_bad_pd_exits_2(capsys):
     assert capsys.readouterr().err.endswith("error: malformed PD code: 'PD[X(1,2,3'\n")
 
 
+def test_pd_leftover_is_quoted_as_written(capsys):
+    assert run(["jones", "PD[X(1,2,3)]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized tokens in PD body: 'X(1,2,3)'\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["homology", "trefoil4", "--coeff", "f9"])

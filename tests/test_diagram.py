@@ -1,6 +1,7 @@
 """PD parsing, faces, checkerboard coloring, Tait graphs and smoothings."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from test_spectral_golden import relabelled
 
 from spantreekh import corpus
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
+from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import resolution_tree
 
 TREFOIL4 = "PD[X(1,6,2,7), X(5,2,6,3), X(8,3,1,4), X(4,7,5,8)] base=1"
@@ -42,6 +44,18 @@ def test_parse_rejects_malformed():
         parse_pd("X(1,2,3,4)")
     with pytest.raises(DiagramError):
         parse_pd("PD[X(1,2,3,4), garbage]")
+
+
+def test_parse_quotes_unrecognized_tokens_as_written():
+    with pytest.raises(DiagramError) as exc:
+        parse_pd("PD[X(1,2,3)]")
+    assert str(exc.value) == "unrecognized tokens in PD body: 'X(1,2,3)'"
+    with pytest.raises(DiagramError) as exc:
+        parse_pd("PD[ foo, X(1,1,2,2), bar baz ,]")
+    assert str(exc.value) == "unrecognized tokens in PD body: 'foo', 'bar baz'"
+    with pytest.raises(DiagramError, match="no crossings"):
+        parse_pd("PD[ , ,]")
+    assert parse_pd("PD[X(1,3,2,4) ,, X(3,1,4,2)]").n == 2
 
 
 def test_parse_rejects_bad_arc_counts():
@@ -178,6 +192,45 @@ def test_component_count_of_full_smoothings_counts_circles():
         for choice in product("AB", repeat=d.n):
             markers = dict(enumerate(choice))
             assert d.component_count(markers) == len(d.smooth(markers).circles), entry.name
+
+
+# The 12-crossing plane-graph diagrams whose state sums dominate the
+# combinatorial front half of the pipeline.
+TWELVE_CROSSINGS = {
+    "tri-12-pos": lambda: triangle_bundle([1] * 4, [1] * 4, [1] * 4)[0],
+    "tri-12-mixed": lambda: triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0],
+    "theta-12-mixed": lambda: theta_graph([[1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])[0],
+}
+
+
+def _smoothed_tally(diagram):
+    """(sigma, #circles) over ``smooth`` of every full smoothing."""
+    tally = Counter()
+    for choice in product("AB", repeat=diagram.n):
+        sm = diagram.smooth(dict(enumerate(choice)))
+        tally[sm.sigma(), len(sm.circles)] += 1
+    return tally
+
+
+@pytest.mark.parametrize("name", corpus.names() + list(TWELVE_CROSSINGS))
+def test_smoothing_tally_counts_the_circles_of_every_smoothing(name):
+    d = TWELVE_CROSSINGS[name]() if name in TWELVE_CROSSINGS else corpus.diagram(name)
+    rng = random.Random(f"tally:{name}")
+    for variant in (d, relabelled(d, rng), d.mirror()):
+        tally = variant.smoothing_tally()
+        assert tally == _smoothed_tally(variant)
+        assert sum(tally.values()) == 2 ** d.n
+    assert d._circles == {}
+
+
+def test_smoothing_tally_of_unknot_and_kinks():
+    assert parse_pd("PD[]").smoothing_tally() == {(0, 1): 1}
+    # a kink's loop closes off one circle under the smoothing that joins its
+    # loop slots: A for the loop at slots 0-1 or 2-3, B at 1-2 or 3-0
+    for pd in ("PD[X(2,2,1,1)]", "PD[X(1,1,2,2)]"):
+        assert parse_pd(pd).smoothing_tally() == {(1, 2): 1, (-1, 1): 1}
+    for pd in ("PD[X(1,2,2,1)]", "PD[X(2,1,1,2)]"):
+        assert parse_pd(pd).smoothing_tally() == {(1, 1): 1, (-1, 2): 1}
 
 
 # The (crossing, slot) union-find that smoothings used before they joined arc

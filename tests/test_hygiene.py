@@ -4,8 +4,10 @@ import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "spantreekh").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
+MODULES = (
+    sorted((ROOT / "src" / "spantreekh").glob("*.py"))
+    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "tests" / "golden").glob("*.py"))
 )
 
 
@@ -59,3 +61,8 @@ def test_no_module_imports_an_unused_name():
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_scan_covers_the_golden_scripts():
+    assert ROOT / "tests" / "golden" / "make_retractions.py" in MODULES
+    assert ROOT / "tests" / "golden" / "make_spectral_pages.py" in MODULES

@@ -5,7 +5,7 @@ from itertools import product
 
 from spantreekh import corpus
 from spantreekh.algebra import LaurentPolynomial
-from spantreekh.diagram import parse_pd, tait_graph
+from spantreekh.diagram import LinkDiagram, parse_pd, tait_graph
 from spantreekh.jones import (
     LOOP,
     bracket_spantree,
@@ -14,7 +14,7 @@ from spantreekh.jones import (
     jones,
     jones_in_t,
 )
-from spantreekh.planegraph import triangle_bundle
+from spantreekh.planegraph import theta_graph, triangle_bundle
 
 
 def test_bracket_unknot_is_one():
@@ -27,6 +27,9 @@ def test_bracket_unknot_is_one():
 def test_bracket_single_kinks():
     assert bracket_statesum(parse_pd("PD[X(2,2,1,1)]")) == LaurentPolynomial({3: -1})
     assert bracket_statesum(parse_pd("PD[X(1,2,2,1)]")) == LaurentPolynomial({-3: -1})
+    # the other two loop positions: slots 0-1 (positive) and 1-2 (negative)
+    assert bracket_statesum(parse_pd("PD[X(1,1,2,2)]")) == LaurentPolynomial({3: -1})
+    assert bracket_statesum(parse_pd("PD[X(2,1,1,2)]")) == LaurentPolynomial({-3: -1})
 
 
 def test_bracket_trefoil4_value():
@@ -62,6 +65,21 @@ def test_state_sum_fills_no_circles_cache():
     assert d.n == 12
     bracket_statesum(d)
     assert d._circles == {}
+
+
+def test_state_sum_builds_no_smoothing(monkeypatch):
+    diagrams = [entry.diagram() for entry in corpus.entries()]
+    expected = [_per_smoothing_bracket(d) for d in diagrams]
+    twelve = theta_graph([[1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])[0]
+    diagrams.append(twelve)
+    expected.append(bracket_spantree(twelve))
+
+    def smooth(self, markers):
+        raise AssertionError("bracket_statesum built a smoothing")
+
+    monkeypatch.setattr(LinkDiagram, "smooth", smooth)
+    for d, bracket in zip(diagrams, expected):
+        assert bracket_statesum(d) == bracket, d.label
 
 
 def test_thistlethwaite_equality_on_corpus():
