@@ -465,18 +465,26 @@ def state_tree_assignment(diagram, res_root):
 def check_order_discipline(complex, state_tree, poset, trees):
     """Lemma on incidences: a nonzero incidence from U_a to U_b forces
     T_a > T_b; incomparable or reversed pairs have none."""
-    index_of = {t.index: i for i, t in enumerate(trees)}
-    for src, row in complex.differential.items():
-        a = state_tree[src]
-        for dst in row:
-            b = state_tree[dst]
-            if a == b:
-                continue
-            if not poset.is_greater(index_of[a], index_of[b]):
-                raise DiagramError(
-                    f"incidence from tree {a} to tree {b} violates the partial order"
-                )
+    _check_descending(complex.differential, state_tree, poset, trees, "incidence", True)
     return True
+
+
+def _check_descending(differential, tree_of, poset, trees, what, within_block):
+    """Every entry of ``differential`` runs from a tree T_a down to a tree
+    T_b < T_a, or stays inside one tree's block when ``within_block``.
+    ``tree_of`` maps a label to its tree's index; each source row reads its
+    tree's poset row ``poset.below`` once."""
+    index_of = {t.index: i for i, t in enumerate(trees)}
+    for src, row in differential.items():
+        a = tree_of[src]
+        pos = index_of[a]
+        allowed = poset.below[pos] | (1 << pos if within_block else 0)
+        for dst in row:
+            b = tree_of[dst]
+            if not allowed >> index_of[b] & 1:
+                raise DiagramError(
+                    f"{what} from tree {a} to tree {b} violates the partial order"
+                )
 
 
 def retract_to_tree_complex(diagram, reduced=True):
@@ -602,6 +610,10 @@ def retract_to_tree_complex(diagram, reduced=True):
     record = RetractionRecord(matching.pairs, survivor_of, cycles, transport_matrix,
                               len(matching.pairs), trees, poset, state_tree, complex)
     tree_complex = TreeComplex(gens, diff, reduced, diagram)
+    # the order-discipline lemma, on the tree complex
+    _check_descending(tree_complex.differential,
+                      {label: label if reduced else label[0] for label in gens},
+                      poset, trees, "tree differential entry", False)
     return tree_complex, record
 
 

@@ -4,6 +4,16 @@ the partial skein resolution tree.
 
 Edge order is always the crossing listing order.  Activity letters are kept
 as plain characters L/D/l/d; an edge's sign (bar) comes from the graph.
+Activities come from one fundamental cycle per non-tree edge: the
+fundamental cut of a tree edge e is e plus the non-tree edges whose cycle
+passes through e (cut/cycle duality), so no cut is ever built.
+
+The tree poset works on integer bit rows.  A tree's partial smoothing is two
+masks A and B (bit c set when crossing c carries that marker), and the
+single-step relation is one test on them (:func:`_step`); row i of the
+poset, ``below[i]``, has bit j set when tree j lies below tree i, and the
+closure, the extremes, the depths, the levels and the covers are all read
+off ORs of rows.
 """
 
 from __future__ import annotations
@@ -79,11 +89,13 @@ class ActivityWord:
         return (p - r - x + z, p + q)
 
     def monomial(self):
-        poly = LaurentPolynomial.one("A")
+        """The product of the per-letter bracket monomials."""
+        coeff, exponent = 1, 0
         for l, s in zip(self.letters, self.signs):
             c, e = _MONOMIALS[(l, s > 0)]
-            poly = poly * LaurentPolynomial.monomial(c, e, "A")
-        return poly
+            coeff *= c
+            exponent += e
+        return LaurentPolynomial.monomial(coeff, exponent, "A")
 
     def markers(self):
         """Per-crossing partial smoothing: live edges stay ``*``."""
@@ -272,18 +284,26 @@ def cycle_set(graph, tree, edge):
 
 
 def activity_word(graph, tree):
-    """Tutte activity letters for the tree with the graph's edge order."""
-    letters = []
-    signs = []
-    for i, (_, _, sign, _) in enumerate(graph.edges):
-        if i in tree:
-            live = min(cut_set(graph, tree, i)) == i
-            letters.append("L" if live else "D")
-        else:
-            live = min(cycle_set(graph, tree, i)) == i
-            letters.append("l" if live else "d")
-        signs.append(sign)
-    return ActivityWord(letters, signs)
+    """Tutte activity letters for the tree with the graph's edge order.
+
+    A non-tree edge f is live when it is the smallest edge of its
+    fundamental cycle.  A tree edge e is live when it is the smallest edge
+    of its fundamental cut, which is e plus the non-tree edges whose cycle
+    passes through e; so e is dead exactly when some non-tree f < e has e
+    on its cycle.  One :func:`cycle_set` per non-tree edge gives every
+    letter.
+    """
+    ne = len(graph.edges)
+    letters = ["L" if i in tree else None for i in range(ne)]
+    for f in range(ne):
+        if f in tree:
+            continue
+        cycle = cycle_set(graph, tree, f)
+        letters[f] = "l" if min(cycle) == f else "d"
+        for e in cycle:
+            if e > f:
+                letters[e] = "D"
+    return ActivityWord(letters, [sign for _, _, sign, _ in graph.edges])
 
 
 def sigma_of_partial(markers):
@@ -361,102 +381,149 @@ def unknot_writhe(stages):
     return sum(st.sign for st in stages)
 
 
+def _masks(markers):
+    """(A, B) bit masks of a partial smoothing: bit c is set in A (in B)
+    when crossing c carries the marker A (B); a live ``*`` sets neither."""
+    a = b = 0
+    for c, m in enumerate(markers):
+        if m == "A":
+            a |= 1 << c
+        elif m == "B":
+            b |= 1 << c
+    return a, b
+
+
+def _step(x, y):
+    """The single-step relation on mask pairs: 1 when x lies one step above
+    y, -1 when y lies one step above x, 0 otherwise.
+
+    x is above y when some crossing is A in x and B in y, and no crossing
+    is B in x and A in y.  Both directions cannot hold at once, so one test
+    settles a pair.
+    """
+    up, down = x[0] & y[1], y[0] & x[1]
+    if up and not down:
+        return 1
+    if down and not up:
+        return -1
+    return 0
+
+
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+_RELATION = {1: "greater", -1: "less", 0: "incomparable-or-equal-generator"}
+
+
 def compare_trees(t1, t2):
     """Single-step relation on partial smoothings: 'greater', 'less' or
-    'incomparable-or-equal-generator'."""
+    'incomparable-or-equal-generator'.
+
+    Takes trees, marker tuples or smoothing strings; the relation is
+    :func:`_step` on their A/B masks."""
     x = t1.markers() if isinstance(t1, SpanningTree) else tuple(t1)
     y = t2.markers() if isinstance(t2, SpanningTree) else tuple(t2)
     if len(x) != len(y):
         raise ValueError("trees come from different diagrams")
-
-    def step_greater(a, b):
-        ok = all(ai in ("A", "*") for ai, bi in zip(a, b) if bi == "A")
-        strict = any(ai == "A" and bi == "B" for ai, bi in zip(a, b))
-        return ok and strict
-
-    if step_greater(x, y):
-        return "greater"
-    if step_greater(y, x):
-        return "less"
-    return "incomparable-or-equal-generator"
+    return _RELATION[_step(_masks(x), _masks(y))]
 
 
 class TreePoset:
     """Poset of spanning trees: transitive closure of the single-step
     relation, with its maximal descending chains.
 
+    ``below[i]`` is an int whose bit j is set when tree i > tree j.  One
+    :func:`_step` per unordered pair sets the single steps, Warshall's
+    closure ORs row k into every row holding bit k, and everything else is
+    read off the closed rows: a cycle is bit i of ``below[i]``, the maximum
+    is the one tree in no row and the minimum the one empty row, and
+    ``covers(i)`` is ``below[i]`` less the rows of the trees below i.
+
     ``depth[i]`` is the length of the longest descending chain from tree i
     to the minimum; ``level[i]`` is 1 + the length of the longest cover path
     from the maximum down to tree i, which is also the largest position of
-    tree i over the maximal chains.
+    tree i over the maximal chains.  Every tree below i has a larger level
+    than i, so a differential that only runs down the order never lowers a
+    level.
     """
 
     def __init__(self, trees):
         self.trees = list(trees)
         n = len(self.trees)
-        gt = [[False] * n for _ in range(n)]
-        markers = [t.markers() for t in self.trees]  # once per tree, not per pair
-        for i, a in enumerate(markers):
-            for j, b in enumerate(markers):
-                if i != j and compare_trees(a, b) == "greater":
-                    gt[i][j] = True
+        masks = [_masks(t.markers()) for t in self.trees]  # once per tree
+        below = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                step = _step(masks[i], masks[j])
+                if step > 0:
+                    below[i] |= 1 << j
+                elif step < 0:
+                    below[j] |= 1 << i
         # transitive closure
         for k in range(n):
+            bit, row_k = 1 << k, below[k]
             for i in range(n):
-                if gt[i][k]:
-                    row_i, row_k = gt[i], gt[k]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(n):
-            if gt[i][i]:
-                raise DiagramError("partial order on trees has a cycle")
-        self.greater = gt
-        maxima = [i for i in range(n) if not any(gt[j][i] for j in range(n))]
-        minima = [i for i in range(n) if not any(gt[i][j] for j in range(n))]
+                if below[i] & bit:
+                    below[i] |= row_k
+        if any(below[i] >> i & 1 for i in range(n)):
+            raise DiagramError("partial order on trees has a cycle")
+        self.below = below
+        above_some = 0
+        for row in below:
+            above_some |= row
+        maxima = [i for i in range(n) if not above_some >> i & 1]
+        minima = [i for i in range(n) if not below[i]]
         if len(maxima) != 1 or len(minima) != 1:
             raise DiagramError("tree poset must have unique maximal and minimal elements")
         self.max_index = maxima[0]
         self.min_index = minima[0]
+        self._covers = []
+        for row in below:
+            lower = 0
+            for j in _bits(row):
+                lower |= below[j]
+            self._covers.append(list(_bits(row & ~lower)))
         # A longest path in the closure only uses covers, and sorting the
         # trees by how many trees lie below each one is a topological order
         # (i > j puts every tree below j below i as well), so one pass each
-        # way gives both longest-path lengths.
-        rows = range(n)
-        order = sorted(rows, key=lambda i: sum(gt[i]))
+        # way over the covers gives both longest-path lengths.
+        order = sorted(range(n), key=lambda i: below[i].bit_count())
         self.depth = [0] * n
         for i in order:
-            self.depth[i] = 1 + max((self.depth[j] for j in rows if gt[i][j]), default=-1)
-        self.level = [0] * n
-        for j in reversed(order):
-            self.level[j] = 1 + max((self.level[i] for i in rows if gt[i][j]), default=0)
+            self.depth[i] = 1 + max((self.depth[j] for j in self._covers[i]), default=-1)
+        self.level = [1] * n
+        for i in reversed(order):
+            for j in self._covers[i]:
+                self.level[j] = max(self.level[j], self.level[i] + 1)
+        for i, row in enumerate(below):
+            if any(self.level[j] <= self.level[i] for j in _bits(row)):
+                raise DiagramError(f"a tree below tree {i} does not sit at a larger level")
 
     def is_greater(self, i, j):
-        return self.greater[i][j]
+        return bool(self.below[i] >> j & 1)
 
     def covers(self, i):
-        """Indices j covered by i (i > j with nothing between)."""
-        n = len(self.trees)
-        below = [j for j in range(n) if self.greater[i][j]]
-        return [
-            j
-            for j in below
-            if not any(self.greater[k][j] for k in below if k != j)
-        ]
+        """Indices j covered by i (i > j with nothing between), increasing."""
+        return list(self._covers[i])
 
     def maximal_chains(self):
         """All maximal descending chains, as tuples of tree indices."""
         chains = []
+        covers = self._covers
 
         def descend(i, acc):
-            cov = self.covers(i)
-            if not cov:
-                chains.append(tuple(acc))
+            if not covers[i]:
+                chains.append(acc)
                 return
-            for j in sorted(cov):
-                descend(j, acc + [j])
+            for j in covers[i]:
+                descend(j, acc + (j,))
 
-        descend(self.max_index, [self.max_index])
+        descend(self.max_index, (self.max_index,))
         return chains
 
     def linear_extension(self):

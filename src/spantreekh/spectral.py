@@ -53,8 +53,10 @@ class Filtration:
 def build_filtration(diagram, reduced=True):
     """The filtration read off one retraction onto the spanning-tree complex.
 
-    A tree's level is ``poset.level``.  Raises DiagramError if the
-    differential lowers a state's level.
+    A tree's level is ``poset.level``.  The differential never lowers a
+    state's level: the retraction's order-discipline check puts every entry
+    inside one block or from a tree T_a down to a tree T_b < T_a, and
+    ``TreePoset`` checks that every tree below T_a sits at a larger level.
     """
     tree_complex, record = retract_to_tree_complex(diagram, reduced)
     poset, trees = record.poset, record.trees
@@ -64,8 +66,6 @@ def build_filtration(diagram, reduced=True):
     for g, s in complex.states.items():
         p = tree_levels[tree_of[g]]
         e0[(p, s.i - p)] = e0.get((p, s.i - p), 0) + 1
-        if any(tree_levels[tree_of[dst]] < p for dst in complex.differential.get(g, {})):
-            raise DiagramError("differential lowers the filtration level")
     return Filtration(diagram, complex, tree_complex, tree_levels, poset, trees, e0)
 
 

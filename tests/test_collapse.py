@@ -437,3 +437,23 @@ def test_insulation_is_instrumented():
     # insulates the blocks; running it on the corpus exercises the check
     d = corpus.diagram("6_2")
     retract_to_tree_complex(d, reduced=True)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_tree_differential_between_incomparable_trees_raises(monkeypatch, reduced):
+    d = corpus.diagram("trefoil4")
+    trees = enumerate_trees(tait_graph(d))
+    index = {t.smoothing_string(): t.index for t in trees}
+    a, b = index["*A*B"], index["*BBA"]
+    poset = build_poset(trees)
+    assert not poset.is_greater(a, b) and not poset.is_greater(b, a)
+    src, dst = (a, b) if reduced else ((a, 1), (b, 1))
+
+    class Injected(collapse.TreeComplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.differential.setdefault(src, {})[dst] = 1
+
+    monkeypatch.setattr(collapse, "TreeComplex", Injected)
+    with pytest.raises(DiagramError, match=f"tree differential entry from tree {a} to tree {b}"):
+        retract_to_tree_complex(d, reduced)

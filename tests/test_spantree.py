@@ -9,8 +9,9 @@ from test_spectral_golden import relabelled
 from spantreekh import corpus
 from spantreekh.algebra import LaurentPolynomial
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
-from spantreekh.planegraph import triangle_bundle
+from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import (
+    _MONOMIALS,
     build_poset,
     compare_trees,
     cut_set,
@@ -211,7 +212,7 @@ def test_build_poset_reads_each_trees_markers_once(monkeypatch):
     for i in range(len(trees)):
         for j in range(len(trees)):
             if expected[i][j]:
-                assert poset.greater[i][j]
+                assert poset.is_greater(i, j)
 
 
 def test_poset_trefoil4_maximal_chains():
@@ -319,3 +320,178 @@ def test_resolution_leaf_monomial_identity():
         sigma = sigma_of_partial([leaf.markers[c] for c in range(d.n)])
         w_u = unknot_writhe(leaf.stages)
         assert leaf.tree.word.monomial() == leaf_monomial(sigma, w_u)
+
+
+# -- oracles for the bit-row poset and the cycle-only activity words -------------
+
+
+def _oracle_step_greater(a, b):
+    """The single-step relation on marker tuples, position by position."""
+    ok = all(ai in ("A", "*") for ai, bi in zip(a, b) if bi == "A")
+    strict = any(ai == "A" and bi == "B" for ai, bi in zip(a, b))
+    return ok and strict
+
+
+class _OraclePoset:
+    """The tree poset as an n x n list of lists: one single-step test per
+    ordered pair, Warshall's closure entry by entry, covers by scanning."""
+
+    def __init__(self, trees):
+        self.trees = trees
+        markers = [t.markers() for t in trees]
+        n = len(trees)
+        gt = [[i != j and _oracle_step_greater(markers[i], markers[j]) for j in range(n)]
+              for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                if gt[i][k]:
+                    for j in range(n):
+                        if gt[k][j]:
+                            gt[i][j] = True
+        assert not any(gt[i][i] for i in range(n))
+        self.greater = gt
+        (self.max_index,) = [i for i in range(n) if not any(gt[j][i] for j in range(n))]
+        (self.min_index,) = [i for i in range(n) if not any(gt[i])]
+        self.covers = []
+        for i in range(n):
+            below = [j for j in range(n) if gt[i][j]]
+            self.covers.append(
+                [j for j in below if not any(gt[k][j] for k in below if k != j)]
+            )
+        self.depth = [None] * n
+        self.level = [None] * n
+        for i in range(n):
+            self._depth(i)
+            self._level(i)
+
+    def _depth(self, i):
+        if self.depth[i] is None:
+            below = [j for j in range(len(self.trees)) if self.greater[i][j]]
+            self.depth[i] = 1 + max((self._depth(j) for j in below), default=-1)
+        return self.depth[i]
+
+    def _level(self, j):
+        if self.level[j] is None:
+            above = [i for i in range(len(self.trees)) if self.greater[i][j]]
+            self.level[j] = 1 + max((self._level(i) for i in above), default=0)
+        return self.level[j]
+
+    def maximal_chains(self):
+        chains = []
+
+        def descend(i, acc):
+            if not self.covers[i]:
+                chains.append(tuple(acc))
+            for j in self.covers[i]:
+                descend(j, acc + [j])
+
+        descend(self.max_index, [self.max_index])
+        return chains
+
+    def linear_extension(self):
+        return sorted(range(len(self.trees)),
+                      key=lambda i: (self.depth[i], tuple(sorted(self.trees[i].edges))))
+
+
+def _oracle_letters(graph, tree):
+    """Activity letters from one fundamental cut per tree edge and one
+    fundamental cycle per non-tree edge."""
+    return tuple(
+        ("L" if min(cut_set(graph, tree, i)) == i else "D") if i in tree
+        else ("l" if min(cycle_set(graph, tree, i)) == i else "d")
+        for i in range(len(graph.edges))
+    )
+
+
+def _oracle_diagrams():
+    """Every corpus entry with a relabelled and a crossing-permuted copy,
+    the three 12-crossing front diagrams and a 14-crossing bundle."""
+    out = []
+    for name in corpus.names():
+        rng = random.Random(f"poset-oracle:{name}")
+        d = corpus.diagram(name)
+        out += [(name, d), (name + "/relabelled", relabelled(d, rng)),
+                (name + "/permuted", _crossings_permuted(d, rng))]
+    out += [
+        ("tri-12-pos", triangle_bundle([1] * 4, [1] * 4, [1] * 4)[0]),
+        ("tri-12-mixed", triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0]),
+        ("theta-12-mixed", theta_graph([[1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])[0]),
+        ("tri-14-mixed", triangle_bundle([1, -1, 1, 1, 1], [1, 1, -1, 1, 1], [-1, 1, 1, 1])[0]),
+    ]
+    return out
+
+
+ORACLE_DIAGRAMS = _oracle_diagrams()
+
+
+@pytest.mark.parametrize("label,diagram", ORACLE_DIAGRAMS, ids=[n for n, _ in ORACLE_DIAGRAMS])
+def test_bit_row_poset_matches_list_of_lists_oracle(label, diagram):
+    trees = enumerate_trees(tait_graph(diagram))
+    poset = build_poset(trees)
+    oracle = _OraclePoset(trees)
+    n = len(trees)
+    assert [[poset.is_greater(i, j) for j in range(n)] for i in range(n)] == oracle.greater
+    assert (poset.max_index, poset.min_index) == (oracle.max_index, oracle.min_index)
+    assert poset.depth == oracle.depth
+    assert poset.level == oracle.level
+    assert [poset.covers(i) for i in range(n)] == oracle.covers
+    assert poset.maximal_chains() == oracle.maximal_chains()
+    assert poset.linear_extension() == oracle.linear_extension()
+    if label == "tri-14-mixed":
+        assert (n, len(oracle.maximal_chains())) == (65, 980)
+
+
+@pytest.mark.parametrize("label,diagram", ORACLE_DIAGRAMS, ids=[n for n, _ in ORACLE_DIAGRAMS])
+def test_activity_words_match_cut_and_cycle_oracle(label, diagram):
+    g = tait_graph(diagram)
+    for t in enumerate_trees(g):
+        assert t.word.letters == _oracle_letters(g, t.edges)
+        product = LaurentPolynomial.one("A")
+        for letter, sign in zip(t.word.letters, t.word.signs):
+            product = product * LaurentPolynomial.monomial(*_MONOMIALS[(letter, sign > 0)], "A")
+        assert t.word.monomial() == product
+
+
+def test_maximal_chains_walk_stored_covers(monkeypatch):
+    from spantreekh import spantree
+
+    calls = []
+    covers = spantree.TreePoset.covers
+
+    def counting(self, i):
+        calls.append(i)
+        return covers(self, i)
+
+    d = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0]
+    poset = build_poset(enumerate_trees(tait_graph(d)))
+    monkeypatch.setattr(spantree.TreePoset, "covers", counting)
+    assert len(poset.maximal_chains()) == 345
+    assert calls == []
+
+
+class _Marked:
+    """A stand-in tree carrying only a partial smoothing."""
+
+    def __init__(self, smoothing):
+        self.edges = frozenset()
+        self._markers = tuple(smoothing)
+
+    def markers(self):
+        return self._markers
+
+
+def test_poset_rejects_a_cycle_of_single_steps():
+    # each smoothing lies one step above the next, around the cycle
+    trio = ["AB*", "B*A", "*AB"]
+    for a, b in zip(trio, trio[1:] + trio[:1]):
+        assert compare_trees(a, b) == "greater"
+    with pytest.raises(DiagramError, match="has a cycle"):
+        build_poset([_Marked(s) for s in trio])
+
+
+def test_poset_rejects_two_maxima_or_two_minima():
+    with pytest.raises(DiagramError, match="unique maximal and minimal"):
+        build_poset([_Marked("AB"), _Marked("BA")])
+    # one maximum, two minima
+    with pytest.raises(DiagramError, match="unique maximal and minimal"):
+        build_poset([_Marked("AA"), _Marked("BA"), _Marked("AB")])
