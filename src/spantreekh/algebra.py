@@ -521,15 +521,28 @@ def homology_groups(boundary_in, boundary_out):
     return free_rank, snf_in.torsion()
 
 
+def parse_coefficients(value):
+    """The coefficient ring named by ``value``: "Z", "Q" or a prime p.  Takes
+    "Z", "Q", a prime p and "F<p>", in either case."""
+    name = str(value).upper()
+    if name in ("Z", "Q"):
+        return name
+    digits = name[1:] if name.startswith("F") else name
+    if digits.isdecimal() and _is_prime(int(digits)):
+        return int(digits)
+    raise ValueError(f"unknown coefficient ring {value!r}: use Z, Q, a prime p or F<p>")
+
+
 def graded_homology(gradings, rows, coefficients="Z"):
     """Homology of a graded chain complex, per degree.
 
     ``gradings`` maps each generator to its degree and ``rows[g]`` is d(g)
     as {target: coefficient}.  The degree d lands in is read off the targets,
     so any degree step works.  Over Z ("Z") the values are (free_rank,
-    [torsion factors]); over a field ("Q" or a prime p) they are dimensions.
-    Degrees with zero homology are left out.
+    [torsion factors]); over a field ("Q", a prime p or "F<p>") they are
+    dimensions.  Degrees with zero homology are left out.
     """
+    ring = parse_coefficients(coefficients)
     gens = {}
     index = {}
     for g, deg in gradings.items():
@@ -554,12 +567,12 @@ def graded_homology(gradings, rows, coefficients="Z"):
                 entries[(index[t], c)] = coeff
         return IntegerMatrix(len(dst), len(gens[deg]), entries)
 
-    p = None if coefficients in ("Z", "Q") else int(coefficients)
+    p = None if ring == "Q" else ring
     result = {}
     for deg, here in sorted(gens.items()):
         out = boundary(deg)
         inc = boundary(source[deg]) if deg in source else IntegerMatrix(len(here), 0)
-        if coefficients == "Z":
+        if ring == "Z":
             free, torsion = homology_groups(inc, out)
             if free or torsion:
                 result[deg] = (free, torsion)

@@ -18,7 +18,7 @@ import sys
 from functools import cache
 
 from . import corpus
-from .algebra import _is_prime
+from .algebra import parse_coefficients
 from .collapse import retract_to_tree_complex
 from .diagram import DiagramError, parse_pd, tait_graph
 from .jones import bracket_spantree, bracket_statesum, euler_check, jones, jones_in_t
@@ -54,17 +54,10 @@ def _load_diagram(spec_str):
 
 
 def _coeff(value):
-    value = value.lower()
-    if value == "z":
-        return "Z"
-    if value == "q":
-        return "Q"
-    if value.startswith("f") and value[1:].isdigit():
-        p = int(value[1:])
-        if not _is_prime(p):
-            raise argparse.ArgumentTypeError(f"{p} is not prime")
-        return p
-    raise argparse.ArgumentTypeError(f"unknown coefficient ring {value!r}")
+    try:
+        return parse_coefficients(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _count(value):
@@ -236,9 +229,8 @@ def cmd_spectral(args):
         return 2
     d = _load_diagram(args.knot)
     filtration = build_filtration(d)
-    field = "Q" if args.coeff == "Q" else f"F{args.coeff}"
-    pages = compute_pages(filtration, field)
-    conv = check_convergence(pages, filtration, field)
+    pages = compute_pages(filtration, args.coeff)
+    conv = check_convergence(pages, filtration, args.coeff)
     if args.pages is not None:
         pages = pages[: args.pages + 1]
     payload = {
@@ -417,7 +409,7 @@ def build_parser():
 
     p = sub.add_parser("homology", help="Khovanov homology by brute force")
     add_knot(p)
-    p.add_argument("--coeff", type=_coeff, default="Z", help="z, q or f<p>")
+    p.add_argument("--coeff", type=_coeff, default="Z", help="z, q, p or f<p> (p prime)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--reduced", dest="reduced", action="store_true", default=True)
     group.add_argument("--unreduced", dest="reduced", action="store_false")
@@ -436,7 +428,7 @@ def build_parser():
 
     p = sub.add_parser("spectral", help="spanning-tree filtration spectral sequence")
     add_knot(p)
-    p.add_argument("--coeff", type=_coeff, default="Q", help="q or f<p>")
+    p.add_argument("--coeff", type=_coeff, default="Q", help="q, p or f<p> (p prime)")
     p.add_argument("--pages", type=_count, default=None, help="last page to print")
     p.set_defaults(func=cmd_spectral)
 

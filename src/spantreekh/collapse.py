@@ -21,8 +21,12 @@ d(survivor) onto the survivors, which gives the tree differential, and the
 fundamental cycles, which gives the transport matrix.
 
 Enhanced states are handled by their integer labels (``khovanov.StateLabels``),
-whose order is that of their ``(markers, signs)`` keys; Jacobsson chains and
-``include_unknot_states`` speak in keys, which the retraction turns into labels.
+whose order is that of their ``(markers, signs)`` keys.  Fundamental cycles
+are label chains: the Jacobsson substitution reads each kink off the block
+pass's table (:func:`_kink_transfer`) and looks up no state, and a tree with
+a based negative loop takes its survivor's Morse inclusion through its
+block's own pairs.  Only ``jacobsson_cycle`` and ``include_unknot_states``
+speak in keys.
 """
 
 from __future__ import annotations
@@ -76,28 +80,10 @@ def _circle_containing(circles, arc):
     raise DiagramError(f"arc {arc} not on any circle")
 
 
-def _kink_geometry(diagram, markers_x, markers_y, stage):
-    """Circle bookkeeping for one kink: which circles play loop/near roles.
-
-    markers_x has the kink at 'A', markers_y at 'B'.  Returns (loop circle,
-    near-with-loop side, split-side pieces) depending on kink sign.
-    """
-    loop_arc = diagram.crossings[stage.crossing][stage.loop_pair[0]]
-    thru_arc = diagram.crossings[stage.crossing][(stage.loop_pair[0] + 2) % 4]
-    cx = diagram.circles(markers_x)
-    cy = diagram.circles(markers_y)
-    if stage.sign > 0:
-        # loop lives on the A side
-        loop = _circle_containing(cx, loop_arc)
-        merged = _circle_containing(cy, loop_arc)
-        rest_arcs = merged - loop
-        rest = _circle_containing(cx, min(rest_arcs))
-        return loop, merged, rest
-    # loop lives on the B side
-    loop = _circle_containing(cy, loop_arc)
-    thru = _circle_containing(cy, thru_arc)
-    merged = _circle_containing(cx, loop_arc)
-    return loop, merged, thru
+def _uv(tree, seed):
+    """(u, v) of the tree's generator seeded by ``seed``: the -1 copy of an
+    unreduced tree sits at (u+2, v+1)."""
+    return (tree.u, tree.v) if seed == 1 else (tree.u + 2, tree.v + 1)
 
 
 def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
@@ -113,16 +99,35 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
 
     In reduced mode a negative kink whose loop carries the basepoint has no
     substitution landing in the based-"+" subcomplex; the cycle is then the
-    Morse inclusion of the block's survivor under the block's matching.
+    Morse inclusion of the survivor of the tree's block, matched on its own.
+    The cycle is computed in state labels and read back into keys here.
     """
     if reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
-    if reduced and _has_based_negative_loop(diagram, tree, stages):
-        return _block_cycle_by_inclusion(diagram, tree, stages, reduced, seed)
-    return _jacobsson_by_rules(diagram, tree, stages, reduced, seed)
+    chain = _substitute_kinks(diagram, tree, stages, reduced, seed)
+    if chain is None:
+        dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+        block = differential(diagram, reduced, dead)
+        matching = MorseMatching(block.differential)
+        live = set(block.states)
+        _collapse_tree_block(diagram, matching, tree, stages, live, reduced)
+        matching.check_acyclic()
+        target = grading_map(tree.u, tree.v, diagram.writhe, tait_graph(diagram).k_invariant())
+        chain = _include_survivor(matching, live, block.states, target, 0)
+    fmt = StateLabels(diagram)
+    keys = {}
+    for g, coeff in chain.items():
+        markers = fmt.markers(g)
+        k = len(diagram.circles(markers))
+        keys[markers, tuple(1 if g >> (k - 1 - b) & 1 else -1 for b in range(k))] = coeff
+    return keys
 
 
-def _jacobsson_by_rules(diagram, tree, stages, reduced, seed):
+def _substitute_kinks(diagram, tree, stages, reduced, seed):
+    """The Jacobsson substitution of :func:`jacobsson_cycle` on sign bits,
+    as a chain of state labels; None in reduced mode when a negative kink's
+    loop carries the basepoint.  Each kink reads its circles and sign-bit
+    maps off :func:`_kink_transfer`, as the block pass does."""
     markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     for st in stages:
         markers[st.crossing] = st.splice_marker
@@ -132,68 +137,43 @@ def _jacobsson_by_rules(diagram, tree, stages, reduced, seed):
 
     if len(diagram.circles(marker_tuple())) != 1:
         raise DiagramError("twisted unknot did not reduce to one circle")
-    terms = {(seed,): 1}  # sign tuples aligned with the canonical circle order
+    terms = {1 if seed == 1 else 0: 1}  # sign bits of the round unknot
 
     for st in reversed(stages):
-        old_t = marker_tuple()
+        head = marker_tuple()
         markers[st.crossing] = st.loop_marker
-        new_t = marker_tuple()
-        mx_t = old_t if st.splice_marker == "A" else new_t
-        my_t = new_t if st.loop_marker == "B" else old_t
-        loop, merged, rest = _kink_geometry(diagram, mx_t, my_t, st)
-        old_circles = diagram.circles(old_t)
-        new_circles = diagram.circles(new_t)
-        old_index = {c: i for i, c in enumerate(old_circles)}
+        loop_side = marker_tuple()
+        a_side, b_side = (loop_side, head) if st.sign > 0 else (head, loop_side)
+        loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = _kink_transfer(
+            diagram, a_side, b_side, st
+        )
         if reduced and st.sign < 0 and diagram.basepoint in loop:
-            raise DiagramError(
-                "negative kink with a based loop: no local substitution exists"
-            )
+            return None
         new_terms = {}
         for signs, coeff in terms.items():
-            eps = signs[old_index[merged]]
-
-            def build(rest_sign, loop_sign):
-                return tuple(
-                    loop_sign if cc == loop
-                    else rest_sign if cc == rest
-                    else signs[old_index[cc]]
-                    for cc in new_circles
-                )
-
-            if st.sign > 0:
-                if eps == 1:
-                    emitted = [(build(1, 1), coeff)]
-                else:
-                    emitted = [(build(-1, 1), coeff), (build(1, -1), -coeff)]
+            shared = to_loop_side[signs]
+            if st.sign > 0 and signs & merged_bit:
+                emitted = [(shared | rest_bit | loop_bit, coeff)]
+            elif st.sign > 0:
+                emitted = [(shared | loop_bit, coeff), (shared | rest_bit, -coeff)]
             else:
-                if eps == 1:
-                    emitted = [(build(1, -1), coeff)]
-                else:
-                    emitted = [(build(-1, -1), coeff)]
-            for key, c2 in emitted:
-                new_terms[key] = new_terms.get(key, 0) + c2
-        terms = {k: v for k, v in new_terms.items() if v}
+                emitted = [(shared | rest_bit if signs & merged_bit else shared, coeff)]
+            for bits, c in emitted:
+                new_terms[bits] = new_terms.get(bits, 0) + c
+        terms = {bits: c for bits, c in new_terms.items() if c}
 
-    final_t = marker_tuple()
-    return {(final_t, signs): coeff for signs, coeff in terms.items()}
+    smoothing = StateLabels(diagram).smoothing(marker_tuple())
+    return {smoothing | bits: coeff for bits, coeff in terms.items()}
 
 
-def _block_cycle_by_inclusion(diagram, tree, stages, reduced, seed):
-    """Fundamental cycle as the Morse inclusion of the block survivor."""
-    dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-    block = differential(diagram, reduced, dead)
-    matching = MorseMatching(block.differential)
-    live = set(block.states)
-    _collapse_tree_block(diagram, matching, tree, stages, live, reduced)
-    matching.check_acyclic()
-    w = diagram.writhe
-    k = tait_graph(diagram).k_invariant()
-    uv = (tree.u, tree.v) if seed == 1 else (tree.u + 2, tree.v + 1)
-    target = grading_map(*uv, w, k)
-    survivors = [g for g in live if (block.states[g].i, block.states[g].j) == target]
+def _include_survivor(matching, live, states, target, first):
+    """The Morse inclusion, through the pairs from position ``first`` on, of
+    the one state of the block's survivors ``live`` at bigrading ``target``:
+    a based-negative-loop tree's fundamental cycle."""
+    survivors = [g for g in live if (states[g].i, states[g].j) == target]
     if len(survivors) != 1:
         raise DiagramError("block matching did not leave a unique survivor")
-    return {block.states[g].key: c for g, c in matching.include(survivors[0]).items()}
+    return matching.include(survivors[0], first)
 
 
 # One matched pair: x is the upper state, y the lower one, and the incidence
@@ -265,32 +245,33 @@ class MorseMatching:
 
     def project(self, chains):
         """Each chain's image on the unmatched states."""
-        self._fill(chains, None, self._flows, False)
-        return [self._flow(chain, len(self.pairs), None, self._flows, None)
+        self._fill(chains, 0, self._flows, False)
+        return [self._flow(chain, 0, len(self.pairs), self._flows, None)
                 for chain in chains]
 
-    def include(self, s, within=None):
+    def include(self, s, first=0):
         """The Morse inclusion of the unmatched state s: s plus -lam <d., y>
-        times the inclusion of x for every pair (x, y) that a gradient path
-        from s reaches, following only pairs whose lower state ``within``
-        accepts (every pair when None)."""
+        times the inclusion of x for every pair (x, y) from position
+        ``first`` on that a gradient path from s reaches.  Gradient paths
+        never climb the partial order, so a block's own pairs are those from
+        the block's first position on."""
         flows = {}
         ds = self.differential.get(s, {})
-        self._fill([ds], within, flows, True)
+        self._fill([ds], first, flows, True)
         inclusion = {s: 1}
-        self._flow(ds, len(self.pairs), within, flows, inclusion)
+        self._flow(ds, first, len(self.pairs), flows, inclusion)
         return {g: c for g, c in inclusion.items() if c}
 
-    def _fill(self, chains, keep, flows, expanding):
-        """Memoise in ``flows`` the flow of every pair that gradient paths
-        from the chains reach, earliest pair first, with its inclusion when
-        ``expanding``."""
+    def _fill(self, chains, first, flows, expanding):
+        """Memoise in ``flows`` the flow of every pair from position
+        ``first`` on that gradient paths from the chains reach, earliest
+        pair first, with its inclusion when ``expanding``."""
         d, index_of, pairs = self.differential, self.index_of, self.pairs
         reached = set()
         todo = [g for chain in chains for g in chain]
         while todo:
             n = index_of.get(todo.pop())
-            if n is None or n in reached or (keep is not None and not keep(pairs[n].y)):
+            if n is None or n < first or n in reached:
                 continue
             reached.add(n)
             x, y, _ = pairs[n]
@@ -299,13 +280,13 @@ class MorseMatching:
             if n not in flows:
                 x, y, _ = pairs[n]
                 inclusion = {x: 1} if expanding else None
-                row = self._flow(d.get(x, {}), n, keep, flows, inclusion)
+                row = self._flow(d.get(x, {}), first, n, flows, inclusion)
                 row.pop(y, None)
                 flows[n] = (row, inclusion)
 
-    def _flow(self, chain, stop, keep, flows, inclusion):
+    def _flow(self, chain, first, stop, flows, inclusion):
         """``chain`` with its upper states dropped and the lower states of
-        the pairs before ``stop`` that ``keep`` accepts flowed away in
+        the pairs at positions ``first`` to ``stop - 1`` flowed away in
         matching order, reading each pair's flow from ``flows``;
         ``inclusion``, when given, gathers the inclusions of the pairs'
         upper states alongside."""
@@ -313,9 +294,7 @@ class MorseMatching:
 
         def position(g):
             n = index_of.get(g)
-            if n is not None and n < stop and (keep is None or keep(g)):
-                return n
-            return None
+            return n if n is not None and first <= n < stop else None
 
         z = {g: c for g, c in chain.items() if g not in lower_of}
         heap = [n for n in map(position, z) if n is not None]
@@ -342,16 +321,9 @@ class MorseMatching:
         return z
 
 
-class FundamentalCycle:
-    """A tree's fundamental cycle with its bigrading in the big complex."""
-
-    __slots__ = ("tree_index", "chain", "i", "j")
-
-    def __init__(self, tree_index, chain, i, j):
-        self.tree_index = tree_index
-        self.chain = chain
-        self.i = i
-        self.j = j
+# A tree's fundamental cycle: a chain of state labels and its bigrading in
+# the big complex.
+FundamentalCycle = namedtuple("FundamentalCycle", "tree_index chain i j")
 
 
 class TreeComplex:
@@ -411,25 +383,31 @@ class RetractionRecord:
         self.full_complex = full_complex
 
 
+def _inclusion_shift(diagram, tree, stages):
+    """The shift (i' - i, j' - j) that includes C(U) into the tree's block:
+    i' = i + (w(D)-w(U)-sigma(U))/2 and j' = j + (3(w(D)-w(U))-sigma(U))/2,
+    with sigma(U) that of the tree's dead markers."""
+    dw = diagram.writhe - sum(st.sign for st in stages)
+    sigma_u = sigma_of_partial(tree.markers())
+    if (dw - sigma_u) % 2:
+        raise DiagramError("half-integral inclusion shift")
+    return (dw - sigma_u) // 2, (3 * dw - sigma_u) // 2
+
+
 def include_unknot_states(diagram, tree, stages=None, reduced=True):
     """The embedded subcomplex U~ of the tree: all enhanced states of the
     full complex extending the tree's dead smoothing, with the inclusion
     grading shifts verified against the directly computed (i, j).
 
-    Returns (state keys, (i_shift, j_shift)) where the shifts are
-    i' = i + (w(D)-w(U)-sigma(U))/2 and j' = j + (3(w(D)-w(U))-sigma(U))/2.
+    Returns (state keys, (i_shift, j_shift)), the shifts as in
+    :func:`_inclusion_shift`.
     """
     if stages is None:
         _, stages = twisted_unknot(diagram, tree)
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     states = differential(diagram, reduced, dead).states
-    w = diagram.writhe
     w_u = sum(st.sign for st in stages)
-    sigma_u = sigma_of_partial(dead.values())
-    if (w - w_u - sigma_u) % 2 or (3 * (w - w_u) - sigma_u) % 2:
-        raise DiagramError("half-integral inclusion shift")
-    i_shift = (w - w_u - sigma_u) // 2
-    j_shift = (3 * (w - w_u) - sigma_u) // 2
+    i_shift, j_shift = _inclusion_shift(diagram, tree, stages)
     # the shifted unknot gradings must cover exactly the block's gradings
     live = [c for c in range(diagram.n) if c not in dead]
     block_ij = {(s.i, s.j) for s in states.values()}
@@ -513,8 +491,10 @@ def retract_to_tree_complex(diagram, reduced=True):
         tree_live.setdefault(t, set()).add(g)
 
     matching = MorseMatching(complex.differential)
+    first_pair = {}  # tree index -> position of its block's first pair
     for pos in poset.linear_extension():
         tree = trees[pos]
+        first_pair[tree.index] = len(matching.pairs)
         _collapse_tree_block(
             diagram, matching, tree, stages_of[tree.index], tree_live[tree.index], reduced
         )
@@ -525,53 +505,33 @@ def retract_to_tree_complex(diagram, reduced=True):
 
     seeds = (1,) if reduced else (1, -1)
     cycles = []
+    survivor_of = {}
+    gens = {}  # tree-complex label -> (u, v)
     for t in trees:
-        pathological = reduced and _has_based_negative_loop(diagram, t, stages_of[t.index])
+        stages, alive = stages_of[t.index], tree_live[t.index]
+        if len(alive) != len(seeds):
+            raise DiagramError(
+                f"tree {t.index} left {len(alive)} generators, expected {len(seeds)}"
+            )
+        by_grading = {grading(g): g for g in alive}
         for seed in seeds:
-            if pathological:
-                target = grading_map(t.u, t.v, w, k)
-                g = next(gg for gg in sorted(tree_live[t.index]) if grading(gg) == target)
-                chain = matching.include(g, lambda y, t=t.index: state_tree[y] == t)
-            else:
-                chain = _labelled(
-                    complex, jacobsson_cycle(diagram, t, stages_of[t.index], reduced, seed)
-                )
+            target = grading_map(*_uv(t, seed), w, k)
+            if target not in by_grading:
+                raise DiagramError("survivor grading disagrees with the dictionary")
+            survivor_of[(t.index, seed)] = by_grading[target]
+            gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
+            chain = _substitute_kinks(diagram, t, stages, reduced, seed)
+            if chain is None:
+                chain = _include_survivor(matching, alive, states, target, first_pair[t.index])
             labels = list(chain)
             if any(g not in states for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
             i, j = grading(labels[0])
             if any(grading(g) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
-            _verify_cycle_gradings(
-                diagram, t, stages_of[t.index], states[labels[0]], w, k, seed
-            )
+            _verify_cycle_gradings(diagram, t, stages, states[labels[0]], w, k, seed)
             _check_block_cycle(complex, chain, state_tree, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
-
-    survivor_of = {}
-    for t in trees:
-        alive = sorted(tree_live[t.index])
-        expected = grading_map(t.u, t.v, w, k)
-        if reduced:
-            if len(alive) != 1:
-                raise DiagramError(
-                    f"tree {t.index} left {len(alive)} generators, expected 1"
-                )
-            g = alive[0]
-            if grading(g) != expected:
-                raise DiagramError("survivor grading disagrees with the dictionary")
-            survivor_of[(t.index, 1)] = g
-        else:
-            if len(alive) != 2:
-                raise DiagramError(
-                    f"tree {t.index} left {len(alive)} generators, expected 2"
-                )
-            shifted = grading_map(t.u + 2, t.v + 1, w, k)
-            by_grading = {grading(g): g for g in alive}
-            if set(by_grading) != {expected, shifted}:
-                raise DiagramError("unreduced survivors at unexpected gradings")
-            survivor_of[(t.index, 1)] = by_grading[expected]
-            survivor_of[(t.index, -1)] = by_grading[shifted]
     if len(states) - 2 * len(matching.pairs) != len(survivor_of):
         raise DiagramError("leftover non-tree generator after the retraction")
 
@@ -594,19 +554,14 @@ def retract_to_tree_complex(diagram, reduced=True):
 
     rows = dict(zip(tree_label_of, images[len(cycles):]))
     _check_d_squared(rows, "d^2 != 0 on the spanning-tree complex")
-    gens = {}
     diff = {}
-    by_index = {t.index: t for t in trees}
     for (ti, seed), g in survivor_of.items():
-        t = by_index[ti]
-        label = ti if reduced else (ti, seed)
-        gens[label] = (t.u, t.v) if seed == 1 else (t.u + 2, t.v + 1)
         row = {}
         for dst, coeff in rows[g].items():
             dlabel = tree_label_of[dst]
             row[dlabel if not reduced else dlabel[0]] = coeff
         if row:
-            diff[label] = row
+            diff[ti if reduced else (ti, seed)] = row
     record = RetractionRecord(matching.pairs, survivor_of, cycles, transport_matrix,
                               len(matching.pairs), trees, poset, state_tree, complex)
     tree_complex = TreeComplex(gens, diff, reduced, diagram)
@@ -615,38 +570,6 @@ def retract_to_tree_complex(diagram, reduced=True):
                       {label: label if reduced else label[0] for label in gens},
                       poset, trees, "tree differential entry", False)
     return tree_complex, record
-
-
-def _labelled(complex, chain):
-    """A chain of (markers, signs) keys as a chain of the complex's labels."""
-    fmt = StateLabels(complex.diagram)
-    out = {}
-    for key, coeff in chain.items():
-        g = fmt.label(*key)
-        if g not in complex.states or complex.states[g].key != key:
-            raise DiagramError("fundamental cycle leaves the complex")
-        out[g] = coeff
-    return out
-
-
-def _has_based_negative_loop(diagram, tree, stages):
-    """True when some negative kink's loop circle carries the basepoint; the
-    local Jacobsson substitution then leaves the based-"+" subcomplex and the
-    fundamental cycle must come from the block's Morse inclusion instead."""
-    markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-    for st in stages:
-        markers[st.crossing] = st.splice_marker
-    for st in stages:
-        if st.sign > 0:
-            continue
-        probe = dict(markers)
-        probe[st.crossing] = st.loop_marker
-        mt = tuple(probe[c] for c in range(diagram.n))
-        loop_arc = diagram.crossings[st.crossing][st.loop_pair[0]]
-        loop = _circle_containing(diagram.circles(mt), loop_arc)
-        if diagram.basepoint in loop:
-            return True
-    return False
 
 
 def _check_block_cycle(complex, chain, state_tree, block):
@@ -664,42 +587,45 @@ def _check_block_cycle(complex, chain, state_tree, block):
 def _verify_cycle_gradings(diagram, tree, stages, state, w, k, seed):
     """The inclusion shifts: sigma and tau of Z_U, and the (i,j) landing spot."""
     u, v = tree.u, tree.v
-    w_u = sum(st.sign for st in stages)
-    if w_u != -u:
+    if sum(st.sign for st in stages) != -u:
         raise DiagramError("w(U) != -u(T)")
     if state.sigma != -2 * u + 4 * v - k:
         raise DiagramError("sigma of the fundamental cycle is off")
     if state.tau != seed - u:
         raise DiagramError("tau of the fundamental cycle is off")
     i, j = state.i, state.j
-    expect = grading_map(u, v, w, k) if seed == 1 else grading_map(u + 2, v + 1, w, k)
+    expect = grading_map(*_uv(tree, seed), w, k)
     if (i, j) != expect:
         raise DiagramError(
             f"fundamental cycle lands at ({i},{j}), dictionary says {expect}"
         )
     if seed == 1:
         # direct check of the inclusion shift formulas from (0,-1) on C(U)
-        dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-        sigma_u = sigma_of_partial(dead.values())
-        i_shift = (w - w_u - sigma_u) // 2
-        j_shift = (3 * (w - w_u) - sigma_u) // 2
-        if (i, j) != (0 + i_shift, -1 + j_shift):
+        i_shift, j_shift = _inclusion_shift(diagram, tree, stages)
+        if (i, j) != (i_shift, j_shift - 1):
             raise DiagramError("inclusion grading shift mismatch")
 
 
 def _kink_transfer(diagram, markers_x, markers_y, stage):
     """A kink's circles and the sign-bit maps across it.
 
-    The head side of the kink (its splice marker) holds the merged circle;
-    the loop side holds the loop and the rest circle, and both share every
-    other circle.  Returns (loop, to_loop_side, to_head_side, loop_bit,
-    rest_bit, merged_bit): the loop circle, the :func:`sign_spread` tables of
-    the shared circles each way, and the bit of each kink circle in its
-    side's sign bits.
+    ``markers_x`` has the kink's crossing at A and ``markers_y`` at B.  The
+    head side of the kink (its splice marker) holds the merged circle; the
+    loop side (its loop marker: A for a positive kink, B for a negative one)
+    holds the loop circle, through the kink's loop arc, and the rest circle,
+    the other part of the merged circle; both sides share every other
+    circle.  Returns (loop, to_loop_side, to_head_side, loop_bit, rest_bit,
+    merged_bit): the loop circle, the :func:`sign_spread` tables of the
+    shared circles each way, and the bit of each kink circle in its side's
+    sign bits.  The block pass and the Jacobsson substitution both read a
+    kink off these.
     """
-    loop, merged, rest = _kink_geometry(diagram, markers_x, markers_y, stage)
     head, loop_side = (markers_y, markers_x) if stage.sign > 0 else (markers_x, markers_y)
     h, lo = diagram.circles(head), diagram.circles(loop_side)
+    loop_arc = diagram.crossings[stage.crossing][stage.loop_pair[0]]
+    loop = _circle_containing(lo, loop_arc)
+    merged = _circle_containing(h, loop_arc)
+    rest = _circle_containing(lo, min(merged - loop))
     if set(h) - {merged} != set(lo) - {loop, rest}:
         raise DiagramError("kink changes circles away from its loop")
 

@@ -256,31 +256,48 @@ def cut_set(graph, tree, edge):
     }
 
 
-def cycle_set(graph, tree, edge):
-    """Edges of the unique cycle in tree + {edge}."""
-    if edge in tree:
-        raise ValueError(f"edge {edge} is in the tree")
+def _cycle_finder(graph, tree, root=0):
+    """The fundamental cycle of each non-tree edge, as a function of the
+    edge.  The tree's parent pointers and depths are built once, by one walk
+    from ``root``; an edge's cycle is the edge plus the parent walks up from
+    its two ends to where they meet."""
     edges = _edge_list(graph)
-    u, v = edges[edge]
-    if u == v:
-        return {edge}
-    # path from u to v inside the tree
     adj = {}
     for e in tree:
         a, b = edges[e]
         adj.setdefault(a, []).append((b, e))
         adj.setdefault(b, []).append((a, e))
-    stack = [(u, None, [])]
-    seen = {u}
+    up = {}  # vertex -> (parent vertex, tree edge to it)
+    depth = {root: 0}
+    stack = [root]
     while stack:
-        node, _, path = stack.pop()
-        if node == v:
-            return set(path) | {edge}
-        for nxt, e in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, e, path + [e]))
-    raise ValueError("tree does not span the edge's endpoints")
+        x = stack.pop()
+        for y, e in adj.get(x, ()):
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                up[y] = (x, e)
+                stack.append(y)
+
+    def cycle(edge):
+        a, b = edges[edge]
+        if a not in depth or b not in depth:
+            raise ValueError("tree does not span the edge's endpoints")
+        found = {edge}
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, e = up[a]
+            found.add(e)
+        return found
+
+    return cycle
+
+
+def cycle_set(graph, tree, edge):
+    """Edges of the unique cycle in tree + {edge}."""
+    if edge in tree:
+        raise ValueError(f"edge {edge} is in the tree")
+    return _cycle_finder(graph, tree, _edge_list(graph)[edge][0])(edge)
 
 
 def activity_word(graph, tree):
@@ -290,15 +307,16 @@ def activity_word(graph, tree):
     fundamental cycle.  A tree edge e is live when it is the smallest edge
     of its fundamental cut, which is e plus the non-tree edges whose cycle
     passes through e; so e is dead exactly when some non-tree f < e has e
-    on its cycle.  One :func:`cycle_set` per non-tree edge gives every
-    letter.
+    on its cycle.  The fundamental cycles, read off one set of parent
+    pointers per tree, give every letter.
     """
     ne = len(graph.edges)
     letters = ["L" if i in tree else None for i in range(ne)]
+    cycle_of = _cycle_finder(graph, tree)
     for f in range(ne):
         if f in tree:
             continue
-        cycle = cycle_set(graph, tree, f)
+        cycle = cycle_of(f)
         letters[f] = "l" if min(cycle) == f else "d"
         for e in cycle:
             if e > f:

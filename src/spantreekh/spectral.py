@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra import parse_coefficients
 from .diagram import DiagramError, tait_graph
 from .collapse import grading_map, retract_to_tree_complex
 
@@ -93,13 +94,12 @@ class SpectralPage:
 
 
 def _field_params(field):
-    name = str(field).upper()
-    if name in ("Q", "0"):
-        return None, "Q"
-    if name.startswith("F"):
-        name = name[1:]
-    p = int(name)
-    return p, f"F{p}"
+    """(prime, name) of a field given as :func:`parse_coefficients` takes it:
+    (None, "Q") or (p, "F<p>")."""
+    ring = parse_coefficients(field)
+    if ring == "Z":
+        raise ValueError("the spectral sequence needs a field: Q or F<p>, not Z")
+    return (None, "Q") if ring == "Q" else (ring, f"F{ring}")
 
 
 def _pairs(levels, degrees, rows, prime):

@@ -6,30 +6,201 @@ retraction became an algebraic Morse matching.  It runs the same block pass
 of a mutable copy of the complex: each collapse rewrites the rows that held
 its lower state, logs d(x) at collapse time, refuses an incidence that is no
 longer +-1 and refuses a correction that leaks into another tree's block.
-Fundamental cycles of trees with a based negative loop are read off the
-expansions tracked during their block's collapses, and the transport matrix
-walks the collapse log.  Nothing in the package imports this module.
+Fundamental cycles come from the Jacobsson substitution on ``(markers,
+signs)`` keys (:func:`jacobsson_by_keys`, with its own kink geometry), or,
+for trees with a based negative loop, from the expansions tracked during
+their block's collapses; the transport matrix walks the collapse log.
+:func:`include_within` is the Morse inclusion through the pairs a predicate
+accepts.  Nothing in the package imports this module.
 """
 
 from collections import namedtuple
 from functools import cache
+from heapq import heapify, heappop, heappush
 
 from spantreekh.collapse import (
     FundamentalCycle,
     RetractionRecord,
     TreeComplex,
     _check_block_cycle,
+    _circle_containing,
     _collapse_tree_block,
-    _has_based_negative_loop,
-    _labelled,
     _verify_cycle_gradings,
     grading_map,
-    jacobsson_cycle,
     state_tree_assignment,
 )
 from spantreekh.diagram import DiagramError, tait_graph
-from spantreekh.khovanov import MutableComplex, differential
+from spantreekh.khovanov import MutableComplex, StateLabels, differential
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
+
+
+def _kink_geometry(diagram, markers_x, markers_y, stage):
+    """Circle bookkeeping for one kink: which circles play loop/near roles.
+
+    markers_x has the kink at 'A', markers_y at 'B'.  Returns (loop circle,
+    near-with-loop side, split-side pieces) depending on kink sign.
+    """
+    loop_arc = diagram.crossings[stage.crossing][stage.loop_pair[0]]
+    thru_arc = diagram.crossings[stage.crossing][(stage.loop_pair[0] + 2) % 4]
+    cx = diagram.circles(markers_x)
+    cy = diagram.circles(markers_y)
+    if stage.sign > 0:
+        # loop lives on the A side
+        loop = _circle_containing(cx, loop_arc)
+        merged = _circle_containing(cy, loop_arc)
+        rest_arcs = merged - loop
+        rest = _circle_containing(cx, min(rest_arcs))
+        return loop, merged, rest
+    # loop lives on the B side
+    loop = _circle_containing(cy, loop_arc)
+    thru = _circle_containing(cy, thru_arc)
+    merged = _circle_containing(cx, loop_arc)
+    return loop, merged, thru
+
+
+def jacobsson_by_keys(diagram, tree, stages, reduced, seed):
+    """The Jacobsson substitution of ``collapse.jacobsson_cycle`` on
+    ``(markers, signs)`` keys and frozenset circles.  Raises DiagramError in
+    reduced mode on a negative kink whose loop carries the basepoint."""
+    markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+    for st in stages:
+        markers[st.crossing] = st.splice_marker
+
+    def marker_tuple():
+        return tuple(markers[c] for c in range(diagram.n))
+
+    if len(diagram.circles(marker_tuple())) != 1:
+        raise DiagramError("twisted unknot did not reduce to one circle")
+    terms = {(seed,): 1}  # sign tuples aligned with the canonical circle order
+
+    for st in reversed(stages):
+        old_t = marker_tuple()
+        markers[st.crossing] = st.loop_marker
+        new_t = marker_tuple()
+        mx_t = old_t if st.splice_marker == "A" else new_t
+        my_t = new_t if st.loop_marker == "B" else old_t
+        loop, merged, rest = _kink_geometry(diagram, mx_t, my_t, st)
+        old_circles = diagram.circles(old_t)
+        new_circles = diagram.circles(new_t)
+        old_index = {c: i for i, c in enumerate(old_circles)}
+        if reduced and st.sign < 0 and diagram.basepoint in loop:
+            raise DiagramError(
+                "negative kink with a based loop: no local substitution exists"
+            )
+        new_terms = {}
+        for signs, coeff in terms.items():
+            eps = signs[old_index[merged]]
+
+            def build(rest_sign, loop_sign):
+                return tuple(
+                    loop_sign if cc == loop
+                    else rest_sign if cc == rest
+                    else signs[old_index[cc]]
+                    for cc in new_circles
+                )
+
+            if st.sign > 0:
+                if eps == 1:
+                    emitted = [(build(1, 1), coeff)]
+                else:
+                    emitted = [(build(-1, 1), coeff), (build(1, -1), -coeff)]
+            else:
+                if eps == 1:
+                    emitted = [(build(1, -1), coeff)]
+                else:
+                    emitted = [(build(-1, -1), coeff)]
+            for key, c2 in emitted:
+                new_terms[key] = new_terms.get(key, 0) + c2
+        terms = {k: v for k, v in new_terms.items() if v}
+
+    final_t = marker_tuple()
+    return {(final_t, signs): coeff for signs, coeff in terms.items()}
+
+
+def has_based_negative_loop(diagram, tree, stages):
+    """True when some negative kink's loop circle, with every other kink
+    spliced, carries the basepoint."""
+    markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+    for st in stages:
+        markers[st.crossing] = st.splice_marker
+    for st in stages:
+        if st.sign > 0:
+            continue
+        probe = dict(markers)
+        probe[st.crossing] = st.loop_marker
+        mt = tuple(probe[c] for c in range(diagram.n))
+        loop_arc = diagram.crossings[st.crossing][st.loop_pair[0]]
+        loop = _circle_containing(diagram.circles(mt), loop_arc)
+        if diagram.basepoint in loop:
+            return True
+    return False
+
+
+def labelled(complex, chain):
+    """A chain of (markers, signs) keys as a chain of the complex's labels."""
+    fmt = StateLabels(complex.diagram)
+    out = {}
+    for key, coeff in chain.items():
+        g = fmt.label(*key)
+        if g not in complex.states or complex.states[g].key != key:
+            raise DiagramError("fundamental cycle leaves the complex")
+        out[g] = coeff
+    return out
+
+
+def include_within(matching, s, within):
+    """The Morse inclusion of the unmatched state s through only the pairs
+    of ``matching`` whose lower state ``within`` accepts: s plus -lam <d., y>
+    times the inclusion of x for every such pair (x, y) that a gradient path
+    from s reaches, each pair's flow memoised in matching order."""
+    d, pairs = matching.differential, matching.pairs
+    index_of, lower_of = matching.index_of, matching.lower_of
+    flows = {}  # pair position -> (its flow, its inclusion)
+
+    def position(g, stop):
+        n = index_of.get(g)
+        return n if n is not None and n < stop and within(g) else None
+
+    def flow(chain, stop, inclusion):
+        z = {g: c for g, c in chain.items() if g not in lower_of}
+        heap = [n for g in z if (n := position(g, stop)) is not None]
+        heapify(heap)
+        while heap:
+            n = heappop(heap)
+            _, y, lam = pairs[n]
+            c = z.pop(y, 0)
+            if not c:
+                continue
+            row, included = flows[n]
+            for g, b in row.items():
+                new = z.get(g, 0) - lam * c * b
+                if new:
+                    if g not in z and (m := position(g, stop)) is not None:
+                        heappush(heap, m)
+                    z[g] = new
+                else:
+                    z.pop(g, None)
+            for g, b in included.items():
+                inclusion[g] = inclusion.get(g, 0) - lam * c * b
+        return z
+
+    reached, todo = set(), list(d.get(s, {}))
+    while todo:
+        n = index_of.get(todo.pop())
+        if n is None or n in reached or not within(pairs[n].y):
+            continue
+        reached.add(n)
+        x, y, _ = pairs[n]
+        todo.extend(g for g in d.get(x, ()) if g != y)
+    for n in sorted(reached):
+        x, y, _ = pairs[n]
+        included = {x: 1}
+        row = flow(d.get(x, {}), n, included)
+        row.pop(y, None)
+        flows[n] = (row, included)
+    inclusion = {s: 1}
+    flow(d.get(s, {}), len(pairs), inclusion)
+    return {g: c for g, c in inclusion.items() if c}
 
 # One elementary collapse: the pair, its incidence, and d(x) at collapse time
 # (needed to transport chains through the retraction).
@@ -195,15 +366,15 @@ def retract_by_collapses(diagram, reduced=True):
     cycles = []
     for t in trees:
         alive = sorted(tree_live[t.index] & mc.live)
-        pathological = reduced and _has_based_negative_loop(diagram, t, stages_of[t.index])
+        pathological = reduced and has_based_negative_loop(diagram, t, stages_of[t.index])
         for seed in seeds:
             if pathological:
                 target = grading_map(t.u, t.v, w, k)
                 g = next(gg for gg in alive if mc.gradings[gg] == target)
                 chain = expansion_of[g]
             else:
-                chain = _labelled(
-                    complex, jacobsson_cycle(diagram, t, stages_of[t.index], reduced, seed)
+                chain = labelled(
+                    complex, jacobsson_by_keys(diagram, t, stages_of[t.index], reduced, seed)
                 )
             labels = list(chain)
             if any(g not in states for g in labels):

@@ -12,6 +12,7 @@ from spantreekh.algebra import (
     graded_homology,
     homology_groups,
     nullspace_over_field,
+    parse_coefficients,
     rank_over_field,
     smith_normal_form,
 )
@@ -188,3 +189,30 @@ def test_laurent_text_form():
 def test_integer_matrix_labels_unique():
     with pytest.raises(ValueError):
         IntegerMatrix(2, 1, {}, row_labels=["a", "a"])
+
+
+def test_coefficient_rings_have_one_spelling():
+    from spantreekh import corpus
+    from spantreekh.collapse import retract_to_tree_complex
+    from spantreekh.khovanov import khovanov_homology
+    from spantreekh.spectral import build_filtration, compute_pages
+
+    assert [parse_coefficients(v) for v in ("Z", "q", 3, "3", "F3", "f3")] == [
+        "Z", "Q", 3, 3, 3, 3,
+    ]
+    d = corpus.diagram("trefoil4")
+    over_f2 = khovanov_homology(d, coefficients=2)
+    assert khovanov_homology(d, coefficients="F2") == over_f2
+    tree_complex, _ = retract_to_tree_complex(d)
+    assert tree_complex.homology_in_ij("F2") == tree_complex.homology_in_ij(2) == over_f2
+    filtration = build_filtration(d)
+    assert [p.dims for p in compute_pages(filtration, "F2")] == [
+        p.dims for p in compute_pages(filtration, 2)
+    ]
+    for bad in ("F4", 4, "F", "Z2", "R", 0):
+        with pytest.raises(ValueError, match=f"unknown coefficient ring {bad!r}"):
+            khovanov_homology(d, coefficients=bad)
+        with pytest.raises(ValueError, match=f"unknown coefficient ring {bad!r}"):
+            tree_complex.homology_in_ij(bad)
+    with pytest.raises(ValueError, match="needs a field"):
+        compute_pages(filtration, "Z")

@@ -4,10 +4,17 @@ import random
 
 import pytest
 
-from collapse_oracle import SequentialComplex, retract_by_collapses
+from collapse_oracle import (
+    SequentialComplex,
+    has_based_negative_loop,
+    jacobsson_by_keys,
+    retract_by_collapses,
+)
+from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import MutableComplex, StateLabels, differential, khovanov_homology
+from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
     check_order_discipline,
@@ -241,13 +248,13 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
     calls = []
     blocks = []  # per block: its raw smoothings and its stages
     current = []  # the position of the block being collapsed, while one is
-    kink_geometry = collapse._kink_geometry
+    kink_transfer = collapse._kink_transfer
     collapse_block = collapse._collapse_tree_block
 
-    def counting_geometry(diagram, markers_x, markers_y, stage):
+    def counting_transfer(diagram, markers_x, markers_y, stage):
         if current:
             calls.append((current[-1], id(stage), markers_x, markers_y))
-        return kink_geometry(diagram, markers_x, markers_y, stage)
+        return kink_transfer(diagram, markers_x, markers_y, stage)
 
     def counting_block(diagram, matching, tree, stages, live_set, reduced):
         smoothings = {StateLabels(diagram).markers(g) for g in live_set}
@@ -258,7 +265,7 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
         finally:
             current.pop()
 
-    monkeypatch.setattr(collapse, "_kink_geometry", counting_geometry)
+    monkeypatch.setattr(collapse, "_kink_transfer", counting_transfer)
     monkeypatch.setattr(collapse, "_collapse_tree_block", counting_block)
     for name in ("5_2", "6_2", "7_4"):
         for reduced in (True, False):
@@ -322,6 +329,51 @@ def test_jacobsson_cycles_are_block_cycles_with_correct_gradings():
                 if v and tree_of(cx.states[gg].markers) == t.index
             }
             assert not internal
+
+
+def cycle_diagrams():
+    """(name, diagram) for every corpus entry, its mirror and a crossing
+    permutation of it, plus the 9- and 10-crossing plane-graph diagrams of
+    the tree-complex benchmark."""
+    out = []
+    for name in corpus.names():
+        d = corpus.diagram(name)
+        out += [(name, d), (name + "/mirror", d.mirror()),
+                (name + "/permuted", _crossings_permuted(d, random.Random(f"cycles:{name}")))]
+    out += [
+        ("tri-9-pos", triangle_bundle([1] * 3, [1] * 3, [1] * 3)[0]),
+        ("theta-10-mixed", theta_graph([[1, 1, -1], [1, -1, 1], [1, 1, 1, -1]])[0]),
+        ("tri-10-mixed", triangle_bundle([1, 1, -1], [1, 1, 1], [1, -1, 1, 1])[0]),
+    ]
+    return out
+
+
+def test_label_substitution_matches_the_key_oracle():
+    """The Jacobsson substitution on sign bits gives the key route's chain,
+    dict order included, and gives up exactly on the trees whose negative
+    kink has a based loop."""
+    checked = based = 0
+    for name, d in cycle_diagrams():
+        fmt = StateLabels(d)
+        for leaf in resolution_tree(d).leaves():
+            t, stages = leaf.tree, leaf.stages
+            for reduced, seed in ((True, 1), (False, 1), (False, -1)):
+                where = (name, t.index, reduced, seed)
+                labels = collapse._substitute_kinks(d, t, stages, reduced, seed)
+                if reduced and has_based_negative_loop(d, t, stages):
+                    assert labels is None, where
+                    based += 1
+                    continue
+                assert labels is not None, where
+                keys = jacobsson_by_keys(d, t, stages, reduced, seed)
+                assert list(labels.items()) == [
+                    (fmt.label(*key), c) for key, c in keys.items()
+                ], where
+                assert list(jacobsson_cycle(d, t, stages, reduced, seed).items()) == list(
+                    keys.items()
+                ), where
+                checked += 1
+    assert based > 150 and checked > 900
 
 
 def test_include_unknot_states_partition_and_shifts():

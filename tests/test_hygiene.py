@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no top-level
+function or class of the package goes unreferenced."""
 
 import ast
 import pathlib
@@ -9,6 +10,9 @@ MODULES = (
     + sorted((ROOT / "tests").glob("*.py"))
     + sorted((ROOT / "tests" / "golden").glob("*.py"))
 )
+SRC = sorted((ROOT / "src" / "spantreekh").glob("*.py"))
+# modules whose references keep a package definition alive
+REFERENCING = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported(tree):
@@ -66,3 +70,53 @@ def test_no_module_imports_an_unused_name():
 def test_scan_covers_the_golden_scripts():
     assert ROOT / "tests" / "golden" / "make_retractions.py" in MODULES
     assert ROOT / "tests" / "golden" / "make_spectral_pages.py" in MODULES
+
+
+def unreferenced_definitions(sources, defining):
+    """(module, name) for every top-level function or class of the modules
+    ``defining`` whose name no ``Name`` or ``Attribute`` node in ``sources``
+    (module -> source text) carries, outside the definition itself."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    uses = {}  # name -> {(module, id of the top-level statement holding a use)}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    uses.setdefault(node.id, set()).add((module, id(stmt)))
+                elif isinstance(node, ast.Attribute):
+                    uses.setdefault(node.attr, set()).add((module, id(stmt)))
+    return [
+        (module, stmt.name)
+        for module in defining
+        for stmt in trees[module].body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not uses.get(stmt.name, set()) - {(module, id(stmt))}
+    ]
+
+
+def test_unreferenced_definitions_are_detected():
+    sources = {
+        "pkg": (
+            "def called(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Used: pass\n"
+            "def as_attribute(): pass\n"
+            "def imported_only(): pass\n"
+        ),
+        "user": (
+            "import pkg\n"
+            "from pkg import imported_only\n"
+            "pkg.as_attribute()\n"
+            "def f(): return called(), Used\n"
+        ),
+    }
+    assert unreferenced_definitions(sources, ["pkg"]) == [
+        ("pkg", "recursive"), ("pkg", "imported_only")
+    ]
+
+
+def test_every_src_definition_is_referenced():
+    sources = {path: path.read_text(encoding="utf-8") for path in REFERENCING}
+    found = [f"{path.relative_to(ROOT)}: {name}"
+             for path, name in unreferenced_definitions(sources, SRC)]
+    assert not found, "top-level definitions nothing references:\n" + "\n".join(found)

@@ -10,12 +10,19 @@ import random
 
 import pytest
 
-from collapse_oracle import SequentialComplex, retract_by_collapses
-from test_collapse import _random_complex
+from collapse_oracle import (
+    SequentialComplex,
+    has_based_negative_loop,
+    include_within,
+    labelled,
+    retract_by_collapses,
+)
+from test_collapse import _random_complex, cycle_diagrams
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus
 from spantreekh.collapse import (
     MorseMatching,
+    jacobsson_cycle,
     retract_to_tree_complex,
     state_tree_assignment,
 )
@@ -168,3 +175,30 @@ def test_matching_equals_the_sequential_oracle_after_a_crossing_permutation(name
     assert _outcome(tc, record, record.complex) == _outcome(
         oracle_tc, oracle_record, oracle_record.complex.log
     )
+
+
+def test_based_loop_cycles_are_the_block_filtered_inclusion():
+    """A based-negative-loop tree's cycle is its survivor's inclusion through
+    the pairs from its block's first position on: the same chain, dict order
+    included, as through the pairs whose lower state lies in the block, and
+    as ``jacobsson_cycle`` gets from the block matched on its own."""
+    checked = 0
+    for name, d in cycle_diagrams():
+        based = [leaf for leaf in resolution_tree(d).leaves()
+                 if has_based_negative_loop(d, leaf.tree, leaf.stages)]
+        if not based:
+            continue
+        _, record = retract_to_tree_complex(d, True)
+        matching = MorseMatching(record.full_complex.differential)
+        for pair in record.complex:
+            matching.match(pair.x, pair.y)
+        cycles = {cyc.tree_index[0]: cyc.chain for cyc in record.cycles}
+        for leaf in based:
+            t = leaf.tree.index
+            expected = include_within(matching, record.survivor_of[(t, 1)],
+                                      lambda y: record.state_tree[y] == t)
+            assert list(cycles[t].items()) == list(expected.items()), (name, t)
+            alone = labelled(record.full_complex, jacobsson_cycle(d, leaf.tree, leaf.stages))
+            assert list(alone.items()) == list(expected.items()), (name, t)
+            checked += 1
+    assert checked > 150
