@@ -40,6 +40,7 @@ from .khovanov import (
     StateLabels,
     _check_d_squared,
     cancelled_homology,
+    circle_moves,
     differential,
     sign_spread,
 )
@@ -104,13 +105,14 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
     """
     if reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
-    chain = _substitute_kinks(diagram, tree, stages, reduced, seed)
+    spreads = {}
+    chain = _substitute_kinks(diagram, tree, stages, reduced, seed, spreads)
     if chain is None:
         dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
         block = differential(diagram, reduced, dead)
         matching = MorseMatching(block.differential)
         live = set(block.states)
-        _collapse_tree_block(diagram, matching, tree, stages, live, reduced)
+        _collapse_tree_block(diagram, matching, tree, stages, live, reduced, spreads)
         matching.check_acyclic()
         target = grading_map(tree.u, tree.v, diagram.writhe, tait_graph(diagram).k_invariant())
         chain = _include_survivor(matching, live, block.states, target, 0)
@@ -123,11 +125,12 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
     return keys
 
 
-def _substitute_kinks(diagram, tree, stages, reduced, seed):
+def _substitute_kinks(diagram, tree, stages, reduced, seed, spreads):
     """The Jacobsson substitution of :func:`jacobsson_cycle` on sign bits,
     as a chain of state labels; None in reduced mode when a negative kink's
     loop carries the basepoint.  Each kink reads its circles and sign-bit
-    maps off :func:`_kink_transfer`, as the block pass does."""
+    maps off :func:`_kink_transfer` (with the ``spreads`` it shares with the
+    block pass), as the block pass does."""
     markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     for st in stages:
         markers[st.crossing] = st.splice_marker
@@ -145,7 +148,7 @@ def _substitute_kinks(diagram, tree, stages, reduced, seed):
         loop_side = marker_tuple()
         a_side, b_side = (loop_side, head) if st.sign > 0 else (head, loop_side)
         loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = _kink_transfer(
-            diagram, a_side, b_side, st
+            diagram, a_side, b_side, st, spreads
         )
         if reduced and st.sign < 0 and diagram.basepoint in loop:
             return None
@@ -491,13 +494,13 @@ def retract_to_tree_complex(diagram, reduced=True):
         tree_live.setdefault(t, set()).add(g)
 
     matching = MorseMatching(complex.differential)
+    spreads = {}  # the kinks' sign_spread tables, by shape, for this retraction
     first_pair = {}  # tree index -> position of its block's first pair
     for pos in poset.linear_extension():
         tree = trees[pos]
         first_pair[tree.index] = len(matching.pairs)
-        _collapse_tree_block(
-            diagram, matching, tree, stages_of[tree.index], tree_live[tree.index], reduced
-        )
+        _collapse_tree_block(diagram, matching, tree, stages_of[tree.index],
+                             tree_live[tree.index], reduced, spreads)
     matching.check_acyclic()
 
     def grading(g):
@@ -520,7 +523,7 @@ def retract_to_tree_complex(diagram, reduced=True):
                 raise DiagramError("survivor grading disagrees with the dictionary")
             survivor_of[(t.index, seed)] = by_grading[target]
             gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
-            chain = _substitute_kinks(diagram, t, stages, reduced, seed)
+            chain = _substitute_kinks(diagram, t, stages, reduced, seed, spreads)
             if chain is None:
                 chain = _include_survivor(matching, alive, states, target, first_pair[t.index])
             labels = list(chain)
@@ -606,7 +609,7 @@ def _verify_cycle_gradings(diagram, tree, stages, state, w, k, seed):
             raise DiagramError("inclusion grading shift mismatch")
 
 
-def _kink_transfer(diagram, markers_x, markers_y, stage):
+def _kink_transfer(diagram, markers_x, markers_y, stage, spreads):
     """A kink's circles and the sign-bit maps across it.
 
     ``markers_x`` has the kink's crossing at A and ``markers_y`` at B.  The
@@ -618,7 +621,8 @@ def _kink_transfer(diagram, markers_x, markers_y, stage):
     merged_bit): the loop circle, the :func:`sign_spread` tables of the
     shared circles each way, and the bit of each kink circle in its side's
     sign bits.  The block pass and the Jacobsson substitution both read a
-    kink off these.
+    kink off these.  A table depends only on its shape, the circle count and
+    :func:`circle_moves`, and is kept under it in ``spreads``.
     """
     head, loop_side = (markers_y, markers_x) if stage.sign > 0 else (markers_x, markers_y)
     h, lo = diagram.circles(head), diagram.circles(loop_side)
@@ -632,11 +636,17 @@ def _kink_transfer(diagram, markers_x, markers_y, stage):
     def bit(circles, circ):
         return 1 << (len(circles) - 1 - circles.index(circ))
 
-    return (loop, sign_spread(h, lo), sign_spread(lo, h),
+    def spread(old, new):
+        shape = len(new), circle_moves(old, new)
+        if shape not in spreads:
+            spreads[shape] = sign_spread(*shape)
+        return spreads[shape]
+
+    return (loop, spread(h, lo), spread(lo, h),
             bit(lo, loop), bit(lo, rest), bit(h, merged))
 
 
-def _collapse_tree_block(diagram, matching, tree, stages, live_set, reduced):
+def _collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spreads):
     """Match one tree's block of states down to its fundamental class.
 
     Each pair goes to ``matching.match(x, y)`` and leaves ``live_set``, which
@@ -649,7 +659,8 @@ def _collapse_tree_block(diagram, matching, tree, stages, live_set, reduced):
     every stage (a kink loop that carries the basepoint flips the merged
     circle back to "+").  Within a stage the kink geometry and the sign-bit
     maps across the kink depend on the raw smoothing alone, so each is
-    computed once per smoothing.  Partners are indexed by a label's raw
+    computed once per smoothing; the sign-bit maps come from ``spreads``
+    (see :func:`_kink_transfer`).  Partners are indexed by a label's raw
     marker bits over its abstract sign bits.
     """
     fmt = StateLabels(diagram)
@@ -671,7 +682,8 @@ def _collapse_tree_block(diagram, matching, tree, stages, live_set, reduced):
             a_end = g & ~signs_mask & ~flip
             if a_end not in transfers:
                 transfers[a_end] = _kink_transfer(
-                    diagram, abstract_markers(a_end), abstract_markers(a_end | flip), st
+                    diagram, abstract_markers(a_end), abstract_markers(a_end | flip), st,
+                    spreads,
                 )
             return transfers[a_end]
 

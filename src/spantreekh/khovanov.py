@@ -22,10 +22,14 @@ crossings: for a spanning tree's dead markers this is the tree's block, the
 complex of its twisted unknot U(T) shifted into place.
 
 The builder matches circles once per cube edge (:func:`_cube_edge`), n 2^(n-1)
-times for the full cube, not once per enhanced state and edge: each edge gives
-a table from source sign bits to the target's unchanged sign bits, the bits of
-the merging or splitting circles and the matrix sign, and every sign vector on
-the edge's smoothing reads its target labels off them.
+times for the full cube, not once per enhanced state and edge.  An edge's
+map on sign bits depends only on its *shape*: how many circles the target
+has and where each source circle goes (the target circles no source circle
+goes to are born).  A 10-crossing cube has about a hundred shapes among its
+5,120 edges, so the builder keeps one table per shape for the build
+(:func:`_edge_table`): for each source sign vector, the target sign bits
+the merge/split rule gives.  Each state's row reads its targets off the
+tables of its smoothing's edges.
 
 Homology first cancels the +-1 incidences of the differential in label order
 (which is key order) by elementary collapses (:class:`MutableComplex`), then
@@ -35,7 +39,7 @@ degree.
 
 from __future__ import annotations
 
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from operator import attrgetter
 
 from .algebra import LaurentPolynomial, graded_homology
@@ -47,18 +51,15 @@ class EnhancedState:
 
     __slots__ = ("markers", "signs", "circles", "sigma", "tau", "i", "j", "label")
 
-    def __init__(self, markers, signs, circles, writhe, label):
+    def __init__(self, markers, signs, circles, label, sigma, tau, i, j):
         self.markers = markers          # tuple of 'A'/'B'
-        self.signs = tuple(signs)       # +1/-1 per circle, canonical order
+        self.signs = signs              # tuple of +1/-1 per circle, canonical order
         self.circles = circles          # tuple of frozensets of arcs
         self.label = label              # StateLabels(diagram).label(markers, signs)
-        self.sigma = 2 * markers.count("A") - len(markers)
-        self.tau = sum(self.signs)
-        num = writhe - self.sigma
-        if num % 2:
-            raise DiagramError("half-integer homological grading")
-        self.i = num // 2
-        self.j = self.i + writhe - self.tau
+        self.sigma = sigma              # #A - #B
+        self.tau = tau                  # #+ - #-
+        self.i = i                      # (writhe - sigma) / 2
+        self.j = j                      # i + writhe - tau
 
     @property
     def key(self):
@@ -128,6 +129,12 @@ class BigradedComplex:
         self._check()
 
     def _check(self):
+        # two steps, so the bidegree check's grading dict is freed before
+        # the d^2 check allocates its own tables
+        self._check_bidegrees()
+        _check_d_squared(self.differential, "differential does not square to zero")
+
+    def _check_bidegrees(self):
         grading = {label: (s.i, s.j) for label, s in self.states.items()}
         for src, row in self.differential.items():
             i, j = grading[src]
@@ -140,7 +147,6 @@ class BigradedComplex:
                         f"differential entry {self.states[src]}->{self.states[dst]} "
                         f"has bidegree ({ti - i},{tj - j}), expected (1,0)"
                     )
-        _check_d_squared(self.differential, "differential does not square to zero")
 
     def homology(self, coefficients="Z"):
         """Per-(i,j) homology.
@@ -240,25 +246,52 @@ class MutableComplex:
                     self.collapse(x, y)
                     done = False
 
-    def homology_snapshot(self):
-        """Free rank and torsion per grading of the live complex, by dense
-        Smith form with no cancellation: the oracle of the collapse tests."""
-        return {
-            d: (free, tuple(torsion))
-            for d, (free, torsion) in graded_homology(self.gradings, self.rows).items()
-        }
-
 
 def _check_d_squared(rows, message):
-    """Raise DiagramError(message) unless d o d = 0 on the sparse rows."""
+    """Raise DiagramError(message) unless d o d = 0 on the sparse rows.
+
+    When every coefficient is +-1, each 2-path adds +-1 at its end, so
+    d(d(x)) = 0 exactly when the ends reached with +1 and those reached with
+    -1 are the same multiset: the fast path compares them sorted."""
+    if not set(chain.from_iterable(row.values() for row in rows.values())) <= {1, -1}:
+        for row in rows.values():
+            acc = {}
+            for mid, c1 in row.items():
+                second = rows.get(mid)
+                if second:
+                    for dst, c2 in second.items():
+                        acc[dst] = acc.get(dst, 0) + c1 * c2
+            if any(acc.values()):
+                raise DiagramError(message)
+        return
+    # each row's targets as (+1 targets, -1 targets); a row of one sign
+    # stands for its own targets, which keeps this small
+    split = {}
+    for src, row in rows.items():
+        if -1 not in row.values():
+            split[src] = row, ()
+        elif 1 not in row.values():
+            split[src] = (), row
+        else:
+            plus, minus = [], []
+            for dst, c in row.items():
+                (plus if c == 1 else minus).append(dst)
+            split[src] = tuple(plus), tuple(minus)
     for row in rows.values():
-        acc = {}
+        up, down = [], []
         for mid, c1 in row.items():
-            second = rows.get(mid)
+            second = split.get(mid)
             if second:
-                for dst, c2 in second.items():
-                    acc[dst] = acc.get(dst, 0) + c1 * c2
-        if any(acc.values()):
+                plus, minus = second
+                if c1 == 1:
+                    up += plus
+                    down += minus
+                else:
+                    up += minus
+                    down += plus
+        up.sort()
+        down.sort()
+        if up != down:
             raise DiagramError(message)
 
 
@@ -273,10 +306,12 @@ def cancelled_homology(gradings, rows, coefficients):
 def enumerate_states(diagram, reduced, fixed=None):
     """All enhanced states whose smoothing extends the partial smoothing
     ``fixed`` (every state when None); reduced mode keeps based-"+" states
-    only."""
+    only.  The gradings sigma and i are taken once per smoothing, and the
+    sign vectors of k circles (with their tau) once per k."""
     w = diagram.writhe
     fmt = StateLabels(diagram)
     fixed = fixed or {}
+    sign_vectors = {}  # k -> (bits, signs, tau) from all "+" down
     states = []
     for markers in product(*(fixed.get(c, "AB") for c in range(diagram.n))):
         circles = diagram.circles(markers)
@@ -287,84 +322,101 @@ def enumerate_states(diagram, reduced, fixed=None):
         if based is None:
             raise DiagramError("basepoint arc not found in any circle")
         k = len(circles)
+        if k not in sign_vectors:
+            # product((1, -1)) runs through the sign bits from all "+" down
+            sign_vectors[k] = [(bits, signs, sum(signs)) for bits, signs in
+                               zip(range(2**k - 1, -1, -1), product((1, -1), repeat=k))]
+        sigma = 2 * markers.count("A") - len(markers)
+        if (w - sigma) % 2:
+            raise DiagramError("half-integer homological grading")
+        i = (w - sigma) // 2
         base = fmt.smoothing(markers)
         based_bit = 1 << (k - 1 - based)
-        # product((1, -1)) runs through the sign bits from all "+" down
-        for bits, signs in zip(range(2**k - 1, -1, -1), product((1, -1), repeat=k)):
-            if reduced and not bits & based_bit:
-                continue
-            states.append(EnhancedState(markers, signs, circles, w, base | bits))
+        states += [EnhancedState(markers, signs, circles, base | bits, sigma, tau, i, i + w - tau)
+                   for bits, signs, tau in sign_vectors[k]
+                   if not reduced or bits & based_bit]
     return states
 
 
-def sign_spread(old, new):
-    """Per sign bits over the circles ``old``, the sign bits over the circles
-    ``new`` that carry over to the circles both share; ``old`` circles
-    missing from ``new`` are dropped and the rest of ``new`` stays "-"."""
-    pos = {circ: k for k, circ in enumerate(new)}
-    top = len(new) - 1
+def sign_spread(count, moves):
+    """Per sign bits over the circles of a smoothing, the sign bits over
+    ``count`` circles of another that carry over along ``moves``, the new
+    position of each old circle (-1 when it is gone); gone circles are
+    dropped and the rest of the new circles stay "-"."""
     spread = [0]
-    for circ in old:  # circle 0 ends up the most significant index bit
-        bit = 1 << (top - pos[circ]) if circ in pos else 0
+    for pos in moves:  # circle 0 ends up the most significant index bit
+        bit = 1 << (count - 1 - pos) if pos >= 0 else 0
         spread = [t | b for t in spread for b in (0, bit)]
     return spread
 
 
-def _cube_edge(diagram, markers, c):
-    """The cube edge flipping crossing c of ``markers`` from A to B, in sign
-    bits.
+def circle_moves(old, new):
+    """The position in ``new`` of each circle of ``old``, -1 when it is gone."""
+    pos = {circ: k for k, circ in enumerate(new)}
+    return tuple([pos.get(circ, -1) for circ in old])
 
-    Returns (sign, spread, merge, gone, born): the matrix sign
-    (-1)^{#B below c}; the :func:`sign_spread` of the unchanged circles;
-    whether two circles merge; gone, the bit positions of the changed source
-    circles, and born, the bit values of the changed target circles: two and
-    one for a merge, one and two for a split.
+
+def _cube_edge(diagram, markers, c):
+    """The cube edge flipping crossing c of ``markers`` from A to B.
+
+    Returns (sign, shape): the matrix sign (-1)^{#B below c}, and the shape
+    (count, moves) on which the edge's map of sign bits depends: the
+    target's circle count and the :func:`circle_moves` of the source circles.
     """
     new_markers = markers[:c] + ("B",) + markers[c + 1:]
-    old, new = diagram.circles(markers), diagram.circles(new_markers)
-    gone = [k for k, circ in enumerate(old) if circ not in new]
-    born = [k for k, circ in enumerate(new) if circ not in old]
+    new = diagram.circles(new_markers)
+    return (-1) ** markers[:c].count("B"), (len(new), circle_moves(diagram.circles(markers), new))
+
+
+def _edge_table(count, moves):
+    """Per source sign bits of a cube edge of this shape, the tuple of target
+    sign bits: the unchanged circles keep their signs and the two merging or
+    the one splitting circle follow the merge/split rule."""
+    gone = [len(moves) - 1 - k for k, pos in enumerate(moves) if pos < 0]
+    born = [1 << (count - 1 - pos) for pos in range(count) if pos not in moves]
     if sorted((len(gone), len(born))) != [1, 2]:
         raise DiagramError("marker flip changed circle count by more than one")
-    return ((-1) ** markers[:c].count("B"), sign_spread(old, new), len(born) == 1,
-            [len(old) - 1 - k for k in gone], [1 << (len(new) - 1 - k) for k in born])
+    table = []
+    for bits, t in enumerate(sign_spread(count, moves)):
+        if len(born) == 1:  # merge: (+,+) -> 0, (-,-) -> -, else +
+            p1, p2 = bits >> gone[0] & 1, bits >> gone[1] & 1
+            table.append(() if p1 and p2 else (t | born[0],) if p1 or p2 else (t,))
+        elif bits >> gone[0] & 1:  # split: + -> (+,+)
+            table.append((t | born[0] | born[1],))
+        else:  # split: - -> (-,+) + (+,-)
+            table.append((t | born[1], t | born[0]))
+    return table
 
 
 def differential(diagram, reduced, fixed=None):
     """Build the bigraded complex of the diagram, or with ``fixed`` the
     sub-cube extending that partial smoothing, flipping only the crossings
-    it leaves free.  Each sign vector copies its unchanged signs along the
-    circle map of each cube edge out of its smoothing and sets the changed
-    ones by the merge/split rule."""
+    it leaves free.  Each state's row runs over the cube edges out of its
+    smoothing, in crossing order, and reads the targets of its sign bits
+    off the edge's shape table, which this build makes once per shape."""
     states = enumerate_states(diagram, reduced, fixed)
     free = [c for c in range(diagram.n) if c not in (fixed or {})]
-    labels = {s.label for s in states}
+    labels = {s.label for s in states} if reduced else None
     fmt = StateLabels(diagram)
+    signs_mask = fmt.signs_mask
+    tables = {}  # edge shape -> _edge_table
     diff = {}
     for markers, group in groupby(states, key=attrgetter("markers")):
         smoothing = fmt.smoothing(markers)
-        edges = [(smoothing | fmt.crossing_bit(c),) + _cube_edge(diagram, markers, c)
-                 for c in free if markers[c] == "A"]
+        edges = []
+        for c in free:
+            if markers[c] == "A":
+                sign, shape = _cube_edge(diagram, markers, c)
+                if shape not in tables:
+                    tables[shape] = _edge_table(*shape)
+                edges.append((smoothing | fmt.crossing_bit(c), sign, tables[shape]))
         for s in group:
-            bits = s.label & fmt.signs_mask
-            row = diff[s.label] = {}
-            for base, sign, spread, merge, gone, born in edges:
-                t = base | spread[bits]
-                if merge:  # (+,+) -> 0, (-,-) -> -, else +
-                    p1, p2 = bits >> gone[0] & 1, bits >> gone[1] & 1
-                    if p1 and p2:
-                        continue
-                    targets = (t | born[0] if p1 or p2 else t,)
-                elif bits >> gone[0] & 1:  # split: + -> (+,+)
-                    targets = (t | born[0] | born[1],)
-                else:  # split: - -> (-,+) + (+,-)
-                    targets = (t | born[1], t | born[0])
-                for target in targets:
-                    if reduced and target not in labels:
-                        raise DiagramError(
-                            "reduced subcomplex is not closed under the differential"
-                        )
-                    row[target] = sign
+            bits = s.label & signs_mask
+            row = diff[s.label] = {
+                base | t: sign for base, sign, table in edges for t in table[bits]
+            }
+            if reduced and not labels.issuperset(row):
+                raise DiagramError("reduced subcomplex is not closed under the differential")
     return BigradedComplex(diagram, states, diff, reduced)
 
 

@@ -355,7 +355,7 @@ def retract_by_collapses(diagram, reduced=True):
         mc.current_block = tree.index
         mc.begin_expansions(tree_live[tree.index])
         _collapse_tree_block(
-            diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced
+            diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced, {}
         )
         for g in tree_live[tree.index] & mc.live:
             expansion_of[g] = mc.pop_expansion(g)

@@ -10,6 +10,7 @@ from collapse_oracle import (
     jacobsson_by_keys,
     retract_by_collapses,
 )
+from khovanov_oracle import homology_snapshot
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
@@ -57,10 +58,10 @@ def test_elementary_collapse_keeps_third_generator():
     mc = MutableComplex(
         {"x": 0, "y": 1, "z": 1}, {"x": {"y": 1, "z": 2}}
     )
-    before = mc.homology_snapshot()
+    before = homology_snapshot(mc)
     mc.collapse("x", "y")
     assert mc.live == {"z"}
-    assert mc.homology_snapshot() == before
+    assert homology_snapshot(mc) == before
 
 
 def test_elementary_collapse_requires_unit_incidence():
@@ -151,7 +152,7 @@ def test_random_collapses_preserve_homology():
     for trial in range(200):
         mc = _random_complex(rng)
         mc.check_d_squared()
-        before = mc.homology_snapshot()
+        before = homology_snapshot(mc)
         fresh = MutableComplex(mc.gradings, mc.rows)
         # perform random legal collapses
         for _ in range(10):
@@ -167,11 +168,11 @@ def test_random_collapses_preserve_homology():
             mc.collapse(x, y)
             performed += 1
         mc.check_d_squared()
-        assert mc.homology_snapshot() == before
+        assert homology_snapshot(mc) == before
         fresh.cancel()
         fresh.check_d_squared()
         assert not any(c in (1, -1) for row in fresh.rows.values() for c in row.values())
-        assert fresh.homology_snapshot() == before
+        assert homology_snapshot(fresh) == before
     assert performed > 200
 
 
@@ -251,17 +252,17 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
     kink_transfer = collapse._kink_transfer
     collapse_block = collapse._collapse_tree_block
 
-    def counting_transfer(diagram, markers_x, markers_y, stage):
+    def counting_transfer(diagram, markers_x, markers_y, stage, spreads):
         if current:
             calls.append((current[-1], id(stage), markers_x, markers_y))
-        return kink_transfer(diagram, markers_x, markers_y, stage)
+        return kink_transfer(diagram, markers_x, markers_y, stage, spreads)
 
-    def counting_block(diagram, matching, tree, stages, live_set, reduced):
+    def counting_block(diagram, matching, tree, stages, live_set, reduced, spreads):
         smoothings = {StateLabels(diagram).markers(g) for g in live_set}
         blocks.append((smoothings, {id(st) for st in stages}))
         current.append(len(blocks) - 1)
         try:
-            return collapse_block(diagram, matching, tree, stages, live_set, reduced)
+            return collapse_block(diagram, matching, tree, stages, live_set, reduced, spreads)
         finally:
             current.pop()
 
@@ -282,6 +283,27 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
             # ... so never more often in a stage than the block has smoothings
             for (block, stage), count in per_stage.items():
                 assert count <= len(blocks[block][0]), (name, reduced)
+
+
+def test_kink_spreads_are_made_once_per_shape_in_a_retraction(monkeypatch):
+    shapes = []
+    spread = collapse.sign_spread
+
+    def counting(count, moves):
+        shapes.append((count, moves))
+        return spread(count, moves)
+
+    monkeypatch.setattr(collapse, "sign_spread", counting)
+    for name in ("5_2", "7_4"):
+        for reduced in (True, False):
+            per_run = []
+            for _ in range(2):
+                shapes.clear()
+                retract_to_tree_complex(corpus.diagram(name), reduced)
+                assert shapes and len(shapes) == len(set(shapes)), (name, reduced)
+                per_run.append(list(shapes))
+            # the cache lives for one retraction: the next starts afresh
+            assert per_run[0] == per_run[1], (name, reduced)
 
 
 def test_jacobsson_cycle_single_kinks():
@@ -359,7 +381,7 @@ def test_label_substitution_matches_the_key_oracle():
             t, stages = leaf.tree, leaf.stages
             for reduced, seed in ((True, 1), (False, 1), (False, -1)):
                 where = (name, t.index, reduced, seed)
-                labels = collapse._substitute_kinks(d, t, stages, reduced, seed)
+                labels = collapse._substitute_kinks(d, t, stages, reduced, seed, {})
                 if reduced and has_based_negative_loop(d, t, stages):
                     assert labels is None, where
                     based += 1

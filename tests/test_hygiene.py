@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no top-level
-function or class of the package goes unreferenced."""
+"""Source hygiene: no module imports a name it never uses, no top-level
+function or class of the package goes unreferenced, and no package module
+keeps a module-level cache."""
 
 import ast
 import pathlib
@@ -120,3 +121,123 @@ def test_every_src_definition_is_referenced():
     found = [f"{path.relative_to(ROOT)}: {name}"
              for path, name in unreferenced_definitions(sources, SRC)]
     assert not found, "top-level definitions nothing references:\n" + "\n".join(found)
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+MUTATORS = {
+    "append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem",
+    "remove", "discard", "clear", "sort", "reverse", "difference_update",
+    "intersection_update", "symmetric_difference_update",
+}
+
+
+def _is_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in CONTAINER_CALLS)
+
+
+def _written_name(node):
+    """The name a statement or expression node writes into in place, if any:
+    ``x[k] = v``, ``del x[k]``, ``x[k] += v``, ``x |= v`` or ``x.append(v)``
+    and the other mutating methods."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return node.value.id if isinstance(node.value, ast.Name) else None
+    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name)):
+        return node.func.value.id
+    return None
+
+
+def _local_names(function):
+    """Names a function binds itself: its arguments and assignment targets,
+    less those it declares global."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    declared = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return names - declared
+
+
+def module_level_caches(source):
+    """(name, line) for every top-level function decorated with ``cache`` or
+    ``lru_cache``, and every module-level dict, list or set that a function of
+    the module writes into, so that it outlives the call that filled it."""
+    tree = ast.parse(source)
+    found = []
+    containers = {}  # module-level name -> line of its container assignment
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in stmt.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in CACHE_DECORATORS:
+                    found.append((stmt.name, stmt.lineno))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and _is_container(stmt.value):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    containers[target.id] = stmt.lineno
+    written = set()
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = _local_names(function) if not isinstance(function, ast.Lambda) else set()
+            for node in ast.walk(function):
+                name = _written_name(node)
+                if name in containers and name not in local:
+                    written.add(name)
+    found += sorted((name, containers[name]) for name in written)
+    return found
+
+
+def test_module_level_caches_are_detected():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "TABLE = {1: 2}\n"
+        "SEEN = set()\n"
+        "LOG = []\n"
+        "COUNTS = dict()\n"
+        "KEPT = {}\n"
+        "SHADOWED = {}\n"
+        "@cache\n"
+        "def a(x): return x\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def b(x): return TABLE[x]\n"
+        "def c(x):\n"
+        "    SEEN.add(x)\n"
+        "    KEPT.get(x)\n"
+        "    SHADOWED = {}\n"
+        "    SHADOWED[x] = 1\n"
+        "    return lambda: LOG.append(x)\n"
+        "class D:\n"
+        "    def e(self, x):\n"
+        "        COUNTS[x] = COUNTS.get(x, 0) + 1\n"
+        "    def f(self):\n"
+        "        local = cache(len)\n"
+        "        return local\n"
+        "def g():\n"
+        "    global TABLE\n"
+        "    TABLE |= {3: 4}\n"
+    )
+    assert module_level_caches(source) == [
+        ("a", 10), ("b", 12), ("COUNTS", 6), ("LOG", 5), ("SEEN", 4), ("TABLE", 3)
+    ]
+
+
+def test_no_src_module_keeps_a_module_level_cache():
+    # caches live with the call or the object that owns them, so that a
+    # large complex is not kept alive across jobs
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in SRC
+             for name, line in module_level_caches(path.read_text(encoding="utf-8"))]
+    assert not found, "module-level caches:\n" + "\n".join(found)

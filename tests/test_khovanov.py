@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from khovanov_oracle import per_state_differential
 from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
 
@@ -12,6 +13,7 @@ from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.jones import jones
 from spantreekh.khovanov import (
     BigradedComplex,
+    EnhancedState,
     StateLabels,
     differential,
     enumerate_states,
@@ -255,113 +257,49 @@ def test_tree_block_is_the_full_complex_restricted_to_its_states(reduced):
                 assert block.differential[g] == expected, (entry.name, g)
 
 
-# -- the per-state builder, kept as the oracle of the cube-edge builder --------
+# -- the shape-table builder against the per-state oracle ----------------------
 
 
-def _merge_split_targets(state, new_circles):
-    """States reachable by flipping one A -> B, with per-circle rules."""
-    old = state.circles
-    old_signs = dict(zip(old, state.signs))
-    changed_new = [c for c in new_circles if c not in old_signs]
-    changed_old = [c for c in old if c not in new_circles]
-    results = []
-    if len(changed_new) == 1 and len(changed_old) == 2:
-        # merge
-        merged = changed_new[0]
-        s1, s2 = (old_signs[c] for c in changed_old)
-        if s1 == 1 and s2 == 1:
-            return []
-        out = 1 if (s1, s2) in ((1, -1), (-1, 1)) else -1
-        results.append(({merged: out}, 1))
-    elif len(changed_new) == 2 and len(changed_old) == 1:
-        # split
-        c1, c2 = changed_new
-        s = old_signs[changed_old[0]]
-        if s == 1:
-            results.append(({c1: 1, c2: 1}, 1))
-        else:
-            results.append(({c1: -1, c2: 1}, 1))
-            results.append(({c1: 1, c2: -1}, 1))
-    else:
-        raise DiagramError("marker flip changed circle count by more than one")
-    out_states = []
-    for assignment, coeff in results:
-        signs = []
-        for c in new_circles:
-            if c in assignment:
-                signs.append(assignment[c])
-            else:
-                signs.append(old_signs[c])
-        out_states.append((tuple(signs), coeff))
-    return out_states
-
-
-def _per_state_differential(diagram, reduced, fixed=None):
-    """The builder that matched circles once per enhanced state and edge, on
-    (markers, signs) keys; its rows are relabelled at the end."""
-    states = enumerate_states(diagram, reduced, fixed)
-    free = [c for c in range(diagram.n) if c not in (fixed or {})]
-    keys = {s.key for s in states}
-    fmt = StateLabels(diagram)
-    diff = {}
-    for s in states:
-        row = {}
-        for c in free:
-            if s.markers[c] != "A":
-                continue
-            sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
-            new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
-            new_circles = diagram.circles(new_markers)
-            for signs, coeff in _merge_split_targets(s, new_circles):
-                key = (new_markers, signs)
-                if reduced and key not in keys:
-                    raise DiagramError(
-                        "reduced subcomplex is not closed under the differential"
-                    )
-                row[key] = row.get(key, 0) + sign * coeff
-        diff[s.label] = {fmt.label(*k): v for k, v in row.items() if v}
-    return BigradedComplex(diagram, states, diff, reduced)
+def _slots(complex):
+    return [tuple(getattr(s, a) for a in EnhancedState.__slots__)
+            for s in complex.states.values()]
 
 
 def _assert_same_complex(built, oracle, label):
-    # same state order, labels, keys, bigradings, and rows entry by entry in order
+    # same states in the same order, slot by slot, and rows entry by entry in order
     assert list(built.states) == list(oracle.states), label
-    assert [s.key for s in built.states.values()] == [
-        s.key for s in oracle.states.values()
-    ], label
-    assert [(s.i, s.j) for s in built.states.values()] == [
-        (s.i, s.j) for s in oracle.states.values()
-    ], label
+    assert _slots(built) == _slots(oracle), label
     assert list(built.differential) == list(oracle.differential), label
     for key, row in oracle.differential.items():
         assert list(built.differential[key].items()) == list(row.items()), (label, key)
 
 
-def _small_diagrams():
-    """Every corpus entry of at most 7 crossings, then each after the seeded
-    crossing permutation of test_spantree's poset oracle."""
+def _variants():
+    """Every corpus entry, its mirror, the seeded crossing permutation of
+    test_spantree's poset oracle and an arc relabelling."""
     for entry in corpus.entries():
         d = entry.diagram()
-        if d.n > 7:
-            continue
         rng = random.Random(f"linext:{entry.name}")
-        relabelled(d, rng)
         yield entry.name, d
+        yield f"{entry.name}-mirror", d.mirror()
+        yield f"{entry.name}-relabelled", relabelled(d, rng)
         yield f"{entry.name}-permuted", _crossings_permuted(d, rng)
+
+
+def _blocks(d):
+    """None (the full cube), then every tree's dead markers."""
+    return [None] + [{c: m for c, m in enumerate(t.markers()) if m in "AB"}
+                     for t in enumerate_trees(tait_graph(d))]
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
 def test_cube_edge_builder_matches_per_state_oracle(reduced):
-    for name, d in _small_diagrams():
-        _assert_same_complex(
-            differential(d, reduced), _per_state_differential(d, reduced), name
-        )
-        for tree in enumerate_trees(tait_graph(d)):
-            dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
+    for name, d in _variants():
+        for fixed in _blocks(d):
             _assert_same_complex(
-                differential(d, reduced, dead),
-                _per_state_differential(d, reduced, dead),
-                (name, tree.index),
+                differential(d, reduced, fixed),
+                per_state_differential(d, reduced, fixed),
+                (name, fixed),
             )
 
 
@@ -388,3 +326,85 @@ def test_circles_are_matched_once_per_cube_edge(monkeypatch, reduced):
             # the free A-crossing edges of the tree's sub-cube, each once
             assert len(calls) == len(set(calls)) == free * 2 ** (free - 1), (name, tree)
             assert all(markers[c] == "A" and c not in dead for markers, c in calls)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_edge_tables_are_built_once_per_shape(monkeypatch, reduced):
+    shapes, tables = [], []
+    cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
+
+    def counting_edge(diagram, markers, c):
+        sign, shape = cube_edge(diagram, markers, c)
+        shapes.append(shape)
+        return sign, shape
+
+    def counting_table(*shape):
+        tables.append(shape)
+        return edge_table(*shape)
+
+    monkeypatch.setattr(khovanov, "_cube_edge", counting_edge)
+    monkeypatch.setattr(khovanov, "_edge_table", counting_table)
+    for entry in corpus.entries():
+        name, d = entry.name, entry.diagram()
+        for fixed in _blocks(d):
+            shapes.clear()
+            tables.clear()
+            differential(d, reduced, fixed)
+            # each build makes one table per distinct shape it meets
+            assert len(tables) == len(set(tables)) and set(tables) == set(shapes), name
+            if fixed is None and d.n >= 3:
+                assert len(tables) < len(shapes), name
+
+
+@pytest.mark.parametrize("edit", ["flip a target bit", "drop a target"])
+def test_a_corrupted_shape_table_is_caught_by_the_checks(monkeypatch, edit):
+    # the checks read the built rows, not the tables: a wrong table entry
+    # must show up as a wrong bidegree or as d^2 != 0
+    edge_table = khovanov._edge_table
+    corrupted = []
+
+    def corrupting(count, moves):
+        table = edge_table(count, moves)
+        if not corrupted and count > len(moves):  # the first split shape met
+            bits = next(b for b, targets in enumerate(table) if len(targets) == 2)
+            first, second = table[bits]
+            table[bits] = (first ^ 1, second) if edit == "flip a target bit" else (first,)
+            corrupted.append((count, moves))
+        return table
+
+    monkeypatch.setattr(khovanov, "_edge_table", corrupting)
+    message = "bidegree" if edit == "flip a target bit" else "does not square to zero"
+    with pytest.raises(DiagramError, match=message):
+        differential(corpus.diagram("trefoil4"), reduced=False)
+    assert corrupted
+
+
+def test_d_squared_fast_path_agrees_with_the_integer_sums():
+    # unit coefficients take the sorted-ends path, any other the integer sums;
+    # both raise the caller's message exactly when some d(d(x)) is nonzero
+    cases = [
+        ({"a": {"b": 1, "c": 1}, "b": {"d": 1}, "c": {"d": -1}}, True),
+        ({"a": {"b": 1, "c": 1}, "b": {"d": 1}, "c": {"d": 1}}, False),
+        ({"a": {"b": 1, "c": -1}, "b": {"d": 1, "e": -1}, "c": {"e": -1, "d": 1}}, True),
+        ({"a": {"b": 1, "c": -1}, "b": {"d": 1, "e": -1}, "c": {"e": 1, "d": 1}}, False),
+        ({"a": {"b": 2}, "b": {"c": 1}}, False),
+        ({"a": {"b": 2, "c": -2}, "b": {"d": 1}, "c": {"d": 1}}, True),
+        ({"a": {"b": 2, "c": 1}, "b": {"d": 1}, "c": {"d": -1}}, False),
+        ({"a": {"b": 1}, "b": {}}, True),
+    ]
+    for rows, zero in cases:
+        if zero:
+            khovanov._check_d_squared(rows, "boom")
+        else:
+            with pytest.raises(DiagramError, match="^boom$"):
+                khovanov._check_d_squared(rows, "boom")
+
+
+def test_d_squared_with_a_coefficient_of_two_still_raises():
+    # a tree-complex-like row set: d(a) = 2b, d(b) = c gives d^2(a) = 2c
+    rows = {0: {1: 2}, 1: {2: 1}, 2: {}}
+    with pytest.raises(DiagramError, match="d\\^2 != 0 on the spanning-tree complex"):
+        khovanov._check_d_squared(rows, "d^2 != 0 on the spanning-tree complex")
+    rows[0][3] = -2
+    rows[3] = {2: 1}
+    khovanov._check_d_squared(rows, "d^2 != 0 on the spanning-tree complex")
