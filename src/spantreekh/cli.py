@@ -22,11 +22,12 @@ from .algebra import parse_coefficients
 from .collapse import retract_to_tree_complex
 from .diagram import DiagramError, parse_pd, tait_graph
 from .jones import bracket_spantree, bracket_statesum, euler_check, jones, jones_in_t
-from .khovanov import differential, homology_table, khovanov_homology
+from .khovanov import StateLabels, differential, homology_table, khovanov_homology
 from .spantree import build_poset, enumerate_trees, resolution_tree
 from .spectral import (
     build_filtration,
     check_convergence,
+    collapse_page,
     compute_pages,
     e1_tree_counts,
 )
@@ -214,9 +215,9 @@ def cmd_spantree_complex(args):
         lines.append(f"  ({u},{v}): {body}")
     if args.trace:
         lines.append(f"collapse log: {record.log_size} elementary collapses")
-        states = record.full_complex.states
+        key = StateLabels(d).key
         for rec in record.complex[: args.trace_limit]:
-            lines.append(f"  collapsed x={states[rec.x].key} y={states[rec.y].key} "
+            lines.append(f"  collapsed x={key(rec.x)} y={key(rec.y)} "
                          f"incidence {rec.incidence}")
     _emit(args, payload, lines)
     return 0
@@ -224,9 +225,7 @@ def cmd_spantree_complex(args):
 
 def cmd_spectral(args):
     if args.coeff == "Z":
-        print("error: the spectral sequence needs a field: use --coeff q or f<p>",
-              file=sys.stderr)
-        return 2
+        raise UsageError("the spectral sequence needs a field: use --coeff q or f<p>")
     d = _load_diagram(args.knot)
     filtration = build_filtration(d)
     pages = compute_pages(filtration, args.coeff)
@@ -307,6 +306,7 @@ def _verify_alternating(entry, d, filtration, homology):
     sigma = signature_alternating(d)
     checks["tree_count_is_l1"] = tree_count_equals_l1(d)
     predicted = predicted_reduced_homology(d, in_ij=True)
+    f = filtration(True)  # first, so the homology reuses its complex
     if d.n <= corpus.BRUTE_FORCE_CAP:
         brute = homology(True)
         checks["reduced_homology_matches_prediction"] = predicted == {
@@ -318,6 +318,12 @@ def _verify_alternating(entry, d, filtration, homology):
     g = tait_graph(d)
     v_row = (d.n - d.writhe) // 2 - sigma
     checks["v_row_identity"] = v_row == len(g.vertices) - 1
+    # the paper's theorem: the reduced tree differential vanishes, at any size
+    checks["tree_differential_is_zero"] = not f.tree_complex.differential
+    checks["Q_collapses_at_E1"] = collapse_page(compute_pages(f, "Q")) == 1
+    checks["tree_homology_matches_prediction"] = predicted == {
+        ij: rank for ij, (rank, _) in f.tree_complex.homology_in_ij().items()
+    }
     return checks
 
 

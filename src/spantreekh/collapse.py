@@ -25,14 +25,14 @@ whose order is that of their ``(markers, signs)`` keys.  Fundamental cycles
 are label chains: the Jacobsson substitution reads each kink off the block
 pass's table (:func:`_kink_transfer`) and looks up no state, and a tree with
 a based negative loop takes its survivor's Morse inclusion through its
-block's own pairs.  Only ``jacobsson_cycle`` and ``include_unknot_states``
-speak in keys.
+block's own pairs.  ``jacobsson_cycle`` and ``include_unknot_states`` return
+keys, read back from labels by ``StateLabels.key``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from itertools import groupby
 from heapq import heapify, heappop, heappush
 
 from .diagram import DiagramError, tait_graph
@@ -42,6 +42,7 @@ from .khovanov import (
     cancelled_homology,
     circle_moves,
     differential,
+    enumerate_states,
     sign_spread,
 )
 from .spantree import (
@@ -116,13 +117,8 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
         matching.check_acyclic()
         target = grading_map(tree.u, tree.v, diagram.writhe, tait_graph(diagram).k_invariant())
         chain = _include_survivor(matching, live, block.states, target, 0)
-    fmt = StateLabels(diagram)
-    keys = {}
-    for g, coeff in chain.items():
-        markers = fmt.markers(g)
-        k = len(diagram.circles(markers))
-        keys[markers, tuple(1 if g >> (k - 1 - b) & 1 else -1 for b in range(k))] = coeff
-    return keys
+    key = StateLabels(diagram).key
+    return {key(g): coeff for g, coeff in chain.items()}
 
 
 def _substitute_kinks(diagram, tree, stages, reduced, seed, spreads):
@@ -173,7 +169,7 @@ def _include_survivor(matching, live, states, target, first):
     """The Morse inclusion, through the pairs from position ``first`` on, of
     the one state of the block's survivors ``live`` at bigrading ``target``:
     a based-negative-loop tree's fundamental cycle."""
-    survivors = [g for g in live if (states[g].i, states[g].j) == target]
+    survivors = [g for g in live if states[g] == target]
     if len(survivors) != 1:
         raise DiagramError("block matching did not leave a unique survivor")
     return matching.include(survivors[0], first)
@@ -408,36 +404,41 @@ def include_unknot_states(diagram, tree, stages=None, reduced=True):
     if stages is None:
         _, stages = twisted_unknot(diagram, tree)
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-    states = differential(diagram, reduced, dead).states
+    states = enumerate_states(diagram, reduced, dead)
     w_u = sum(st.sign for st in stages)
     i_shift, j_shift = _inclusion_shift(diagram, tree, stages)
     # the shifted unknot gradings must cover exactly the block's gradings
     live = [c for c in range(diagram.n) if c not in dead]
-    block_ij = {(s.i, s.j) for s in states.values()}
+    key = StateLabels(diagram).key
+    keys = set()
     unknot_ij = set()
-    for s in states.values():
+    for g, ij in states.items():
         # grading of the same state inside C(U): recompute with w(U) and the
         # live-crossing sigma only
-        sigma_l = sum(1 if s.markers[c] == "A" else -1 for c in live)
+        markers, signs = key(g)
+        keys.add((markers, signs))
+        sigma_l = sum(1 if markers[c] == "A" else -1 for c in live)
         if (w_u - sigma_l) % 2:
             raise DiagramError("half-integral unknot grading")
         i_u = (w_u - sigma_l) // 2
-        j_u = i_u + w_u - s.tau
+        j_u = i_u + w_u - sum(signs)
         unknot_ij.add((i_u + i_shift, j_u + j_shift))
-        if (i_u + i_shift, j_u + j_shift) != (s.i, s.j):
+        if (i_u + i_shift, j_u + j_shift) != ij:
             raise DiagramError("inclusion grading shift mismatch on a state")
-    if unknot_ij != block_ij:
+    if unknot_ij != set(states.values()):
         raise DiagramError("inclusion shift does not cover the block")
-    return {s.key for s in states.values()}, (i_shift, j_shift)
+    return keys, (i_shift, j_shift)
 
 
 def state_tree_assignment(diagram, res_root):
-    """Map each full smoothing to the resolution-tree leaf extending it."""
+    """Map each state label to the index of the tree whose resolution-tree
+    leaf extends its smoothing, walking the tree on the marker bits."""
+    crossing_bit = StateLabels(diagram).crossing_bit
 
-    def tree_of(markers):
+    def tree_of(label):
         node = res_root
         while not node.is_leaf:
-            node = node.a_child if markers[node.crossing] == "A" else node.b_child
+            node = node.b_child if label & crossing_bit(node.crossing) else node.a_child
         return node.tree.index
 
     return tree_of
@@ -484,14 +485,18 @@ def retract_to_tree_complex(diagram, reduced=True):
     w = diagram.writhe
     k = graph.k_invariant()
 
-    tree_of = cache(state_tree_assignment(diagram, res))
+    tree_of = state_tree_assignment(diagram, res)
     states = complex.states
-    state_tree = {g: tree_of(s.markers) for g, s in states.items()}
+    state_tree = {}
+    tree_live = {}
+    # a smoothing's states are listed together: one walk per smoothing
+    for smoothing, group in groupby(states, key=StateLabels(diagram).smoothing_of):
+        group = list(group)
+        t = tree_of(smoothing)
+        state_tree.update(dict.fromkeys(group, t))
+        tree_live.setdefault(t, set()).update(group)
     # insulation: pairs inside one block cannot reach a block above it
     check_order_discipline(complex, state_tree, poset, trees)
-    tree_live = {}
-    for g, t in state_tree.items():
-        tree_live.setdefault(t, set()).add(g)
 
     matching = MorseMatching(complex.differential)
     spreads = {}  # the kinks' sign_spread tables, by shape, for this retraction
@@ -503,9 +508,6 @@ def retract_to_tree_complex(diagram, reduced=True):
                              tree_live[tree.index], reduced, spreads)
     matching.check_acyclic()
 
-    def grading(g):
-        return states[g].i, states[g].j
-
     seeds = (1,) if reduced else (1, -1)
     cycles = []
     survivor_of = {}
@@ -516,7 +518,7 @@ def retract_to_tree_complex(diagram, reduced=True):
             raise DiagramError(
                 f"tree {t.index} left {len(alive)} generators, expected {len(seeds)}"
             )
-        by_grading = {grading(g): g for g in alive}
+        by_grading = {states[g]: g for g in alive}
         for seed in seeds:
             target = grading_map(*_uv(t, seed), w, k)
             if target not in by_grading:
@@ -529,10 +531,10 @@ def retract_to_tree_complex(diagram, reduced=True):
             labels = list(chain)
             if any(g not in states for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
-            i, j = grading(labels[0])
-            if any(grading(g) != (i, j) for g in labels):
+            i, j = states[labels[0]]
+            if any(states[g] != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
-            _verify_cycle_gradings(diagram, t, stages, states[labels[0]], w, k, seed)
+            _verify_cycle_gradings(diagram, t, stages, labels[0], (i, j), w, k, seed)
             _check_block_cycle(complex, chain, state_tree, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
     if len(states) - 2 * len(matching.pairs) != len(survivor_of):
@@ -587,16 +589,18 @@ def _check_block_cycle(complex, chain, state_tree, block):
             raise DiagramError("fundamental cycle has boundary inside its own block")
 
 
-def _verify_cycle_gradings(diagram, tree, stages, state, w, k, seed):
-    """The inclusion shifts: sigma and tau of Z_U, and the (i,j) landing spot."""
+def _verify_cycle_gradings(diagram, tree, stages, label, ij, w, k, seed):
+    """The inclusion shifts: sigma and tau of Z_U, read off a state ``label``
+    of the cycle, and the (i,j) landing spot ``ij``."""
     u, v = tree.u, tree.v
     if sum(st.sign for st in stages) != -u:
         raise DiagramError("w(U) != -u(T)")
-    if state.sigma != -2 * u + 4 * v - k:
+    markers, signs = StateLabels(diagram).key(label)
+    if markers.count("A") - markers.count("B") != -2 * u + 4 * v - k:
         raise DiagramError("sigma of the fundamental cycle is off")
-    if state.tau != seed - u:
+    if sum(signs) != seed - u:
         raise DiagramError("tau of the fundamental cycle is off")
-    i, j = state.i, state.j
+    i, j = ij
     expect = grading_map(*_uv(tree, seed), w, k)
     if (i, j) != expect:
         raise DiagramError(

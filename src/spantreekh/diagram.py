@@ -28,11 +28,11 @@ class DiagramError(ValueError):
     """Raised for malformed or non-planar PD input."""
 
 
-def _join(parent, pairs):
-    """Join the classes of the arc positions in each pair of ``pairs`` in the
-    union-find ``parent``: finds halve their paths and the smaller root is
-    kept, so every parent lies at or below its child.  Returns how many
-    joins met two different classes."""
+def join(parent, pairs):
+    """Join the classes of the two elements of each pair of ``pairs`` in the
+    union-find ``parent`` (each element's parent, in a list): finds halve
+    their paths and the smaller root is kept, so every parent lies at or
+    below its child.  Returns how many joins met two different classes."""
     merged = 0
     for x, y in pairs:
         while parent[x] != x:
@@ -287,7 +287,7 @@ class LinkDiagram:
                 raise DiagramError(f"bad marker {m!r} at crossing {c}")
             pairs += joins[m]
         parent = list(range(len(self.arcs)))
-        _join(parent, pairs)
+        join(parent, pairs)
         # every parent lies at or below its child, so one ascending pass
         # settles each position on its class's smallest position
         for x in range(len(parent)):
@@ -313,7 +313,7 @@ class LinkDiagram:
                 return
             for step, pairs in zip((1, -1), joins[c]):
                 child = parent.copy()
-                walk(c + 1, child, sigma + step, circles - _join(child, pairs))
+                walk(c + 1, child, sigma + step, circles - join(child, pairs))
 
         walk(0, list(range(len(self.arcs))), 0, len(self.arcs))
         return tally

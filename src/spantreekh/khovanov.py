@@ -12,9 +12,11 @@ plays the role of the Frobenius unit:
 with the matrix sign (-1)^{#B markers at crossings below the changed one}.
 The reduced complex is the subcomplex of states whose based circle is "+".
 
-Every enhanced state carries an integer label (:class:`StateLabels`) that
-sorts as its ``(markers, signs)`` key.  Complexes, collapses and chains run on
-labels; the key stays on each state for reading a label back.
+An enhanced state is its integer label (:class:`StateLabels`), which sorts
+as its ``(markers, signs)`` key; complexes, collapses and chains run on
+labels, and a complex stores only each label's bigrading (i, j), read off
+its smoothing's i and circle count.  :meth:`StateLabels.key` reads a label
+back into its key.
 
 Given a partial smoothing ``fixed`` (crossing -> marker), the same builder
 walks only the sub-cube of smoothings extending it and flips only the other
@@ -40,34 +42,9 @@ degree.
 from __future__ import annotations
 
 from itertools import chain, groupby, product
-from operator import attrgetter
 
 from .algebra import LaurentPolynomial, graded_homology
 from .diagram import DiagramError
-
-
-class EnhancedState:
-    """A smoothing with a sign per circle, plus its gradings and label."""
-
-    __slots__ = ("markers", "signs", "circles", "sigma", "tau", "i", "j", "label")
-
-    def __init__(self, markers, signs, circles, label, sigma, tau, i, j):
-        self.markers = markers          # tuple of 'A'/'B'
-        self.signs = signs              # tuple of +1/-1 per circle, canonical order
-        self.circles = circles          # tuple of frozensets of arcs
-        self.label = label              # StateLabels(diagram).label(markers, signs)
-        self.sigma = sigma              # #A - #B
-        self.tau = tau                  # #+ - #-
-        self.i = i                      # (writhe - sigma) / 2
-        self.j = j                      # i + writhe - tau
-
-    @property
-    def key(self):
-        return (self.markers, self.signs)
-
-    def __repr__(self):
-        signs = "".join("+" if s > 0 else "-" for s in self.signs)
-        return f"<{''.join(self.markers)}|{signs}>"
 
 
 def _bits(flags):
@@ -89,12 +66,14 @@ class StateLabels:
     full complex does.
     """
 
-    __slots__ = ("n", "width", "signs_mask")
+    __slots__ = ("n", "width", "signs_mask", "smoothing_of", "circles")
 
     def __init__(self, diagram):
         self.n = diagram.n
         self.width = len(diagram.arcs)
         self.signs_mask = (1 << self.width) - 1
+        self.smoothing_of = (~self.signs_mask).__and__  # a label's bits, sign field clear
+        self.circles = diagram.circles
 
     def smoothing(self, markers):
         """The label bits of a smoothing: its markers, with the sign field clear."""
@@ -112,39 +91,46 @@ class StateLabels:
         """The markers of a label's smoothing."""
         return tuple("AB"[label >> (self.width + self.n - 1 - c) & 1] for c in range(self.n))
 
+    def key(self, label):
+        """The ``(markers, signs)`` key of a label, the inverse of :meth:`label`."""
+        markers = self.markers(label)
+        k = len(self.circles(markers))
+        return markers, tuple(1 if label >> b & 1 else -1 for b in range(k - 1, -1, -1))
+
 
 class BigradedComplex:
-    """Chain complex of enhanced states bucketed by bigrading (i, j).
+    """Chain complex of enhanced states, each its :class:`StateLabels` label.
 
-    ``states[label]`` is an :class:`EnhancedState` and ``differential[label]``
+    ``states[label]`` is the state's bigrading (i, j), one tuple per
+    bigrading shared by the states that have it, and ``differential[label]``
     a dict target label -> coefficient.  The reduced flag records whether
     this is the based-"+" subcomplex.
     """
 
     def __init__(self, diagram, states, differential, reduced):
         self.diagram = diagram
-        self.states = {s.label: s for s in states}
+        self.states = states
         self.differential = differential
         self.reduced = reduced
         self._check()
 
     def _check(self):
-        # two steps, so the bidegree check's grading dict is freed before
-        # the d^2 check allocates its own tables
         self._check_bidegrees()
         _check_d_squared(self.differential, "differential does not square to zero")
 
     def _check_bidegrees(self):
-        grading = {label: (s.i, s.j) for label, s in self.states.items()}
+        states = self.states
         for src, row in self.differential.items():
-            i, j = grading[src]
+            i, j = states[src]
+            target = i + 1, j
             if 0 in row.values():
                 raise DiagramError("stored zero coefficient")
             for dst in row:
-                ti, tj = grading[dst]
-                if ti != i + 1 or tj != j:
+                if states[dst] != target:
+                    ti, tj = states[dst]
+                    key = StateLabels(self.diagram).key
                     raise DiagramError(
-                        f"differential entry {self.states[src]}->{self.states[dst]} "
+                        f"differential entry {key(src)}->{key(dst)} "
                         f"has bidegree ({ti - i},{tj - j}), expected (1,0)"
                     )
 
@@ -154,8 +140,7 @@ class BigradedComplex:
         Over Z the values are (free_rank, [torsion factors]); over a field
         ("Q" or an integer prime) just dimensions.
         """
-        gradings = {label: (s.i, s.j) for label, s in self.states.items()}
-        return cancelled_homology(gradings, self.differential, coefficients)
+        return cancelled_homology(self.states, self.differential, coefficients)
 
     def total_dimension(self):
         return len(self.states)
@@ -163,8 +148,8 @@ class BigradedComplex:
     def graded_euler_characteristic(self):
         """sum (-1)^i q^j over generators, as a Laurent polynomial in q."""
         chi = {}
-        for s in self.states.values():
-            chi[s.j] = chi.get(s.j, 0) + (-1) ** (s.i % 2)
+        for i, j in self.states.values():
+            chi[j] = chi.get(j, 0) + (-1) ** (i % 2)
         return LaurentPolynomial(chi, "q")
 
 
@@ -304,15 +289,18 @@ def cancelled_homology(gradings, rows, coefficients):
 
 
 def enumerate_states(diagram, reduced, fixed=None):
-    """All enhanced states whose smoothing extends the partial smoothing
-    ``fixed`` (every state when None); reduced mode keeps based-"+" states
-    only.  The gradings sigma and i are taken once per smoothing, and the
-    sign vectors of k circles (with their tau) once per k."""
+    """The bigrading (i, j) of every enhanced state whose smoothing extends
+    the partial smoothing ``fixed`` (every state when None), by label;
+    reduced mode keeps based-"+" states only.  A smoothing's states run from
+    all "+" down.  A state's i is its smoothing's, and j = i + w - tau with
+    tau = 2 popcount(sign bits) - k over its k circles, so the states of a
+    smoothing are listed once per (i, k), each bigrading one shared tuple."""
     w = diagram.writhe
     fmt = StateLabels(diagram)
     fixed = fixed or {}
-    sign_vectors = {}  # k -> (bits, signs, tau) from all "+" down
-    states = []
+    shared = {}  # (i, j) -> its one tuple in this build
+    signs_of = {}  # (i, k) -> [(sign bits, (i, j))] from all "+" down
+    states = {}
     for markers in product(*(fixed.get(c, "AB") for c in range(diagram.n))):
         circles = diagram.circles(markers)
         based = next(
@@ -322,19 +310,19 @@ def enumerate_states(diagram, reduced, fixed=None):
         if based is None:
             raise DiagramError("basepoint arc not found in any circle")
         k = len(circles)
-        if k not in sign_vectors:
-            # product((1, -1)) runs through the sign bits from all "+" down
-            sign_vectors[k] = [(bits, signs, sum(signs)) for bits, signs in
-                               zip(range(2**k - 1, -1, -1), product((1, -1), repeat=k))]
         sigma = 2 * markers.count("A") - len(markers)
         if (w - sigma) % 2:
             raise DiagramError("half-integer homological grading")
         i = (w - sigma) // 2
+        if (i, k) not in signs_of:
+            listed = signs_of[i, k] = []
+            for bits in range(2**k - 1, -1, -1):
+                ij = i, i + w + k - 2 * bits.bit_count()
+                listed.append((bits, shared.setdefault(ij, ij)))
         base = fmt.smoothing(markers)
         based_bit = 1 << (k - 1 - based)
-        states += [EnhancedState(markers, signs, circles, base | bits, sigma, tau, i, i + w - tau)
-                   for bits, signs, tau in sign_vectors[k]
-                   if not reduced or bits & based_bit]
+        states.update((base | bits, ij) for bits, ij in signs_of[i, k]
+                      if not reduced or bits & based_bit)
     return states
 
 
@@ -396,13 +384,12 @@ def differential(diagram, reduced, fixed=None):
     off the edge's shape table, which this build makes once per shape."""
     states = enumerate_states(diagram, reduced, fixed)
     free = [c for c in range(diagram.n) if c not in (fixed or {})]
-    labels = {s.label for s in states} if reduced else None
     fmt = StateLabels(diagram)
     signs_mask = fmt.signs_mask
     tables = {}  # edge shape -> _edge_table
     diff = {}
-    for markers, group in groupby(states, key=attrgetter("markers")):
-        smoothing = fmt.smoothing(markers)
+    for smoothing, group in groupby(states, key=fmt.smoothing_of):
+        markers = fmt.markers(smoothing)
         edges = []
         for c in free:
             if markers[c] == "A":
@@ -410,12 +397,11 @@ def differential(diagram, reduced, fixed=None):
                 if shape not in tables:
                     tables[shape] = _edge_table(*shape)
                 edges.append((smoothing | fmt.crossing_bit(c), sign, tables[shape]))
-        for s in group:
-            bits = s.label & signs_mask
-            row = diff[s.label] = {
-                base | t: sign for base, sign, table in edges for t in table[bits]
+        for g in group:
+            row = diff[g] = {
+                base | t: sign for base, sign, table in edges for t in table[g & signs_mask]
             }
-            if reduced and not labels.issuperset(row):
+            if reduced and not states.keys() >= row.keys():
                 raise DiagramError("reduced subcomplex is not closed under the differential")
     return BigradedComplex(diagram, states, diff, reduced)
 

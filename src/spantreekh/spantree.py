@@ -19,7 +19,7 @@ off ORs of rows.
 from __future__ import annotations
 
 from .algebra import LaurentPolynomial, bareiss_determinant
-from .diagram import DiagramError, kink_sign, tait_graph
+from .diagram import DiagramError, join, kink_sign, tait_graph
 
 BAR = "̄"
 ELL = "ℓ"
@@ -161,32 +161,6 @@ def spanning_tree_count(graph):
     return abs(bareiss_determinant(reduced))
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-    def copy(self):
-        d = _DSU(0)
-        d.parent = list(self.parent)
-        return d
-
-    def components(self):
-        return len({self.find(x) for x in range(len(self.parent))})
-
-
 def _edge_list(graph):
     vi = _vertex_index(graph)
     return [(vi[u], vi[v]) for u, v, _, _ in graph.edges]
@@ -195,7 +169,9 @@ def _edge_list(graph):
 def enumerate_trees(graph):
     """All spanning trees, each once, ordered lexicographically by their
     sorted edge-index sets.  Backtracking contraction/deletion; excluding an
-    edge is only allowed when the remaining edges still connect the graph."""
+    edge is only allowed when the remaining edges still connect the graph.
+    Each step copies the :func:`~spantreekh.diagram.join` union-find of the
+    chosen edges, and the component count drops by one per merge."""
     nv = len(graph.vertices)
     edges = _edge_list(graph)
     ne = len(edges)
@@ -203,29 +179,24 @@ def enumerate_trees(graph):
         raise DiagramError("empty graph")
     found = []
 
-    def still_connectable(dsu, start):
-        probe = dsu.copy()
-        for i in range(start, ne):
-            probe.union(*edges[i])
-        return probe.components() == 1
+    def still_connectable(parent, components, start):
+        return components - join(parent.copy(), edges[start:]) == 1
 
-    def recurse(i, dsu, chosen):
-        if dsu.components() == 1:
+    def recurse(i, parent, components, chosen):
+        if components == 1:
             found.append(frozenset(chosen))
             return
         if i == ne:
             return
-        u, v = edges[i]
-        if dsu.find(u) != dsu.find(v):
-            inc = dsu.copy()
-            inc.union(u, v)
+        inc = parent.copy()
+        if join(inc, edges[i:i + 1]):
             chosen.append(i)
-            recurse(i + 1, inc, chosen)
+            recurse(i + 1, inc, components - 1, chosen)
             chosen.pop()
-        if still_connectable(dsu, i + 1):
-            recurse(i + 1, dsu, chosen)
+        if still_connectable(parent, components, i + 1):
+            recurse(i + 1, parent, components, chosen)
 
-    recurse(0, _DSU(nv), [])
+    recurse(0, list(range(nv)), nv, [])
     found.sort(key=lambda t: tuple(sorted(t)))
     trees = []
     for k, t in enumerate(found):
@@ -239,12 +210,11 @@ def cut_set(graph, tree, edge):
     if edge not in tree:
         raise ValueError(f"edge {edge} is not in the tree")
     edges = _edge_list(graph)
-    nv = len(graph.vertices)
-    dsu = _DSU(nv)
-    for e in tree:
-        if e != edge:
-            dsu.union(*edges[e])
-    side = {x: dsu.find(x) for x in range(nv)}
+    side = list(range(len(graph.vertices)))
+    join(side, [edges[e] for e in tree if e != edge])
+    # every parent lies at or below its child: one ascending pass finds the roots
+    for x in range(len(side)):
+        side[x] = side[side[x]]
     a, b = edges[edge]
     ra, rb = side[a], side[b]
     if ra == rb:

@@ -64,9 +64,9 @@ def build_filtration(diagram, reduced=True):
     tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
     complex, tree_of = record.full_complex, record.state_tree
     e0 = {}
-    for g, s in complex.states.items():
+    for g, (i, _) in complex.states.items():
         p = tree_levels[tree_of[g]]
-        e0[(p, s.i - p)] = e0.get((p, s.i - p), 0) + 1
+        e0[(p, i - p)] = e0.get((p, i - p), 0) + 1
     return Filtration(diagram, complex, tree_complex, tree_levels, poset, trees, e0)
 
 

@@ -15,7 +15,6 @@ accepts.  Nothing in the package imports this module.
 """
 
 from collections import namedtuple
-from functools import cache
 from heapq import heapify, heappop, heappush
 
 from spantreekh.collapse import (
@@ -142,7 +141,7 @@ def labelled(complex, chain):
     out = {}
     for key, coeff in chain.items():
         g = fmt.label(*key)
-        if g not in complex.states or complex.states[g].key != key:
+        if g not in complex.states or fmt.key(g) != key:
             raise DiagramError("fundamental cycle leaves the complex")
         out[g] = coeff
     return out
@@ -336,15 +335,11 @@ def retract_by_collapses(diagram, reduced=True):
     w = diagram.writhe
     k = graph.k_invariant()
 
-    tree_of = cache(state_tree_assignment(diagram, res))
+    tree_of = state_tree_assignment(diagram, res)
     states = complex.states
-    state_tree = {g: tree_of(s.markers) for g, s in states.items()}
+    state_tree = {g: tree_of(g) for g in states}
 
-    mc = SequentialComplex(
-        {g: (s.i, s.j) for g, s in states.items()},
-        complex.differential,
-        tracked_block=state_tree,
-    )
+    mc = SequentialComplex(states, complex.differential, tracked_block=state_tree)
     tree_live = {}
     for g, t in state_tree.items():
         tree_live.setdefault(t, set()).add(g)
@@ -379,11 +374,11 @@ def retract_by_collapses(diagram, reduced=True):
             labels = list(chain)
             if any(g not in states for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
-            i, j = states[labels[0]].i, states[labels[0]].j
-            if any((states[g].i, states[g].j) != (i, j) for g in labels):
+            i, j = states[labels[0]]
+            if any(states[g] != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(
-                diagram, t, stages_of[t.index], states[labels[0]], w, k, seed
+                diagram, t, stages_of[t.index], labels[0], (i, j), w, k, seed
             )
             _check_block_cycle(complex, chain, state_tree, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))

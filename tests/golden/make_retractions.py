@@ -26,6 +26,7 @@ import sys
 
 from spantreekh import corpus
 from spantreekh.collapse import retract_to_tree_complex
+from spantreekh.khovanov import StateLabels
 from spantreekh.planegraph import triangle_bundle
 
 OUT = pathlib.Path(__file__).with_name("retractions.json")
@@ -48,14 +49,14 @@ def record(diagram, reduced):
     retraction labels by integers, are written as their (markers, signs)
     keys.  ``tests/test_retraction_golden.py`` compares against this."""
     tc, rec = retract_to_tree_complex(diagram, reduced)
-    states = rec.full_complex.states
-    log = repr([(states[r.x].key, states[r.y].key, r.incidence) for r in rec.complex])
+    key = StateLabels(diagram).key
+    log = repr([(key(r.x), key(r.y), r.incidence) for r in rec.complex])
     return {
         "generators": _pairs(tc.generators),
         "differential": _pairs({k: _pairs(row) for k, row in tc.differential.items()}),
         "transport_matrix": _pairs({k: _pairs(row) for k, row in rec.transport_matrix.items()}),
         "log_size": rec.log_size,
-        "survivor_of": _pairs({t: states[g].key for t, g in rec.survivor_of.items()}),
+        "survivor_of": _pairs({t: key(g) for t, g in rec.survivor_of.items()}),
         "log_sha256": hashlib.sha256(log.encode()).hexdigest(),
     }
 

@@ -1,19 +1,31 @@
 """Named test oracles for ``spantreekh.khovanov``.
 
 ``per_state_differential`` is the builder as it was before cube edges and
-shape tables: it enumerates the states one by one with their gradings taken
-from the markers and signs of each (:func:`per_state_states`), and matches
-the circles of every enhanced state and every A -> B flip on ``(markers,
-signs)`` keys.  ``homology_snapshot`` is the dense Smith form of a
+shape tables: it enumerates the states one by one as :class:`OracleState`
+records, with their gradings taken from the markers and signs of each
+(:func:`per_state_states`), and matches the circles of every enhanced state
+and every A -> B flip on ``(markers, signs)`` keys.  ``homology_snapshot`` is the dense Smith form of a
 ``MutableComplex`` with no cancellation.  Nothing in the package imports
 this module.
 """
 
+from collections import namedtuple
 from itertools import product
 
 from spantreekh.algebra import graded_homology
 from spantreekh.diagram import DiagramError
-from spantreekh.khovanov import BigradedComplex, EnhancedState, StateLabels
+from spantreekh.khovanov import BigradedComplex, StateLabels
+
+
+class OracleState(namedtuple("OracleState", "markers signs circles label sigma tau i j")):
+    """An enhanced state with its circles, label and gradings, each taken on
+    its own from its markers and signs."""
+
+    __slots__ = ()
+
+    @property
+    def key(self):
+        return self.markers, self.signs
 
 
 def homology_snapshot(complex):
@@ -43,8 +55,8 @@ def per_state_states(diagram, reduced, fixed=None):
             if (w - sigma) % 2:
                 raise DiagramError("half-integer homological grading")
             i = (w - sigma) // 2
-            states.append(EnhancedState(markers, signs, circles, fmt.label(markers, signs),
-                                        sigma, tau, i, i + w - tau))
+            states.append(OracleState(markers, signs, circles, fmt.label(markers, signs),
+                                      sigma, tau, i, i + w - tau))
     return states
 
 
@@ -89,7 +101,8 @@ def _merge_split_targets(state, new_circles):
 def per_state_differential(diagram, reduced, fixed=None):
     """The builder that matched circles once per enhanced state and edge, on
     (markers, signs) keys; its rows are relabelled at the end, by the labels
-    of :func:`per_state_states`."""
+    of :func:`per_state_states`, whose bigradings the complex stores.
+    Returns the complex and those records."""
     states = per_state_states(diagram, reduced, fixed)
     free = [c for c in range(diagram.n) if c not in (fixed or {})]
     labels = {s.key: s.label for s in states}
@@ -110,4 +123,5 @@ def per_state_differential(diagram, reduced, fixed=None):
                     )
                 row[key] = row.get(key, 0) + sign * coeff
         diff[s.label] = {labels[k]: v for k, v in row.items() if v}
-    return BigradedComplex(diagram, states, diff, reduced)
+    gradings = {s.label: (s.i, s.j) for s in states}
+    return BigradedComplex(diagram, gradings, diff, reduced), states

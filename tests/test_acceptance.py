@@ -225,7 +225,7 @@ def test_criterion_8b_order_discipline():
         tree_of = state_tree_assignment(d, res)
         for reduced in (True, False):
             cx = differential(d, reduced=reduced)
-            state_tree = {g: tree_of(s.markers) for g, s in cx.states.items()}
+            state_tree = {g: tree_of(g) for g in cx.states}
             assert check_order_discipline(cx, state_tree, poset, trees)
     _report("8b", True, "incidence/partial-order discipline exhaustive (<= 7 crossings)")
 

@@ -14,7 +14,13 @@ from khovanov_oracle import homology_snapshot
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
-from spantreekh.khovanov import MutableComplex, StateLabels, differential, khovanov_homology
+from spantreekh.khovanov import (
+    MutableComplex,
+    StateLabels,
+    cancelled_homology,
+    differential,
+    khovanov_homology,
+)
 from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
@@ -338,9 +344,10 @@ def test_jacobsson_cycles_are_block_cycles_with_correct_gradings():
         k = g.k_invariant()
         for t in trees:
             keys = jacobsson_cycle(d, t, stages_of[t.index], reduced=True)
-            z = {StateLabels(d).label(*key): coeff for key, coeff in keys.items()}
-            assert [cx.states[g].key for g in z] == list(keys)
-            gradings = {(cx.states[g].i, cx.states[g].j) for g in z}
+            fmt = StateLabels(d)
+            z = {fmt.label(*key): coeff for key, coeff in keys.items()}
+            assert [fmt.key(g) for g in z] == list(keys)
+            gradings = {cx.states[g] for g in z}
             assert gradings == {grading_map(t.u, t.v, w, k)}
             boundary = {}
             for g, coeff in z.items():
@@ -348,7 +355,7 @@ def test_jacobsson_cycles_are_block_cycles_with_correct_gradings():
                     boundary[dst] = boundary.get(dst, 0) + coeff * c
             internal = {
                 gg: v for gg, v in boundary.items()
-                if v and tree_of(cx.states[gg].markers) == t.index
+                if v and tree_of(gg) == t.index
             }
             assert not internal
 
@@ -410,7 +417,7 @@ def test_include_unknot_states_partition_and_shifts():
             states, shifts = include_unknot_states(d, t)
             assert not (states & seen)
             seen |= states
-        assert seen == {s.key for s in enumerate_states(d, True)}
+        assert seen == {StateLabels(d).key(g) for g in enumerate_states(d, True)}
 
 
 def test_state_partition_by_resolution_leaves():
@@ -420,12 +427,12 @@ def test_state_partition_by_resolution_leaves():
         tree_of = state_tree_assignment(d, res)
         cx = differential(d, reduced=False)
         leaves = {leaf.tree.index: leaf for leaf in res.leaves()}
-        for s in cx.states.values():
-            ti = tree_of(s.markers)
-            leaf = leaves[ti]
+        for g in cx.states:
+            markers = StateLabels(d).markers(g)
+            leaf = leaves[tree_of(g)]
             for c in range(d.n):
                 if leaf.markers[c] in "AB":
-                    assert s.markers[c] == leaf.markers[c]
+                    assert markers[c] == leaf.markers[c]
 
 
 def test_order_discipline_small_corpus():
@@ -441,7 +448,7 @@ def test_order_discipline_small_corpus():
         tree_of = state_tree_assignment(d, res)
         for reduced in (True, False):
             cx = differential(d, reduced=reduced)
-            state_tree = {g: tree_of(s.markers) for g, s in cx.states.items()}
+            state_tree = {g: tree_of(g) for g in cx.states}
             assert check_order_discipline(cx, state_tree, poset, trees)
 
 
@@ -504,6 +511,35 @@ def test_unreduced_survivors_at_shifted_gradings():
     for ti, pair in by_tree.items():
         u, v = pair[1]
         assert pair[-1] == (u + 2, v + 1)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_unreduced_tree_complex_is_a_cone_over_the_reduced_one(name):
+    """The based-"+" seeds span a subcomplex with the reduced tree complex's
+    homology, the based-"-" quotient has it shifted by (2, 1) in (u, v), and
+    over F2 the unreduced homology is reduced + reduced{j+2} (Shumakovitch,
+    "Torsion of the Khovanov homology", Fund. Math. 2014)."""
+    d = corpus.diagram(name)
+    reduced, _ = retract_to_tree_complex(d, reduced=True)
+    unreduced, _ = retract_to_tree_complex(d, reduced=False)
+    gens, rows = unreduced.generators, unreduced.differential
+    assert not [(src, dst) for src, row in rows.items() for dst in row
+                if src[1] == 1 and dst[1] == -1]
+
+    def part(seed):
+        part_gens = {g: uv for g, uv in gens.items() if g[1] == seed}
+        part_rows = {src: {dst: c for dst, c in row.items() if dst[1] == seed}
+                     for src, row in rows.items() if src[1] == seed}
+        return cancelled_homology(part_gens, part_rows, "Z")
+
+    expected = reduced.homology()
+    assert part(1) == expected
+    assert part(-1) == {(u + 2, v + 1): group for (u, v), group in expected.items()}
+    split = {}
+    for (i, j), dim in reduced.homology_in_ij(2).items():
+        split[i, j] = split.get((i, j), 0) + dim
+        split[i, j + 2] = split.get((i, j + 2), 0) + dim
+    assert unreduced.homology_in_ij(2) == split
 
 
 def test_insulation_is_instrumented():

@@ -13,7 +13,6 @@ from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.jones import jones
 from spantreekh.khovanov import (
     BigradedComplex,
-    EnhancedState,
     StateLabels,
     differential,
     enumerate_states,
@@ -25,10 +24,9 @@ from spantreekh.spantree import enumerate_trees
 def test_unknot_states_and_homology():
     d = parse_pd("PD[]")
     reduced = enumerate_states(d, reduced=True)
-    assert len(reduced) == 1
-    assert (reduced[0].i, reduced[0].j) == (0, -1)
+    assert list(reduced.values()) == [(0, -1)]
     unreduced = enumerate_states(d, reduced=False)
-    assert sorted((s.i, s.j) for s in unreduced) == [(0, -1), (0, 1)]
+    assert sorted(unreduced.values()) == [(0, -1), (0, 1)]
     assert khovanov_homology(d, reduced=True) == {(0, -1): (1, [])}
     assert khovanov_homology(d, reduced=False) == {(0, -1): (1, []), (0, 1): (1, [])}
 
@@ -84,12 +82,11 @@ def test_labels_sort_as_keys_and_round_trip(reduced):
             for fixed in blocks:
                 states = enumerate_states(dd, reduced, fixed)
                 fmt = StateLabels(dd)
-                assert all(s.label == fmt.label(*s.key) for s in states)
-                assert all(fmt.markers(s.label) == s.markers for s in states)
-                assert sorted(s.label for s in states) == [
-                    s.label for s in sorted(states, key=lambda s: s.key)
-                ], (entry.name, fixed)
-                assert len({s.label for s in states}) == len(states)
+                keys = {g: fmt.key(g) for g in states}
+                assert all(fmt.label(*key) == g for g, key in keys.items())
+                assert all(fmt.markers(g) == key[0] for g, key in keys.items())
+                assert sorted(states) == sorted(states, key=keys.get), (entry.name, fixed)
+                assert len(set(keys.values())) == len(states)
 
 
 def _corrupted(edit, reduced=False):
@@ -99,7 +96,7 @@ def _corrupted(edit, reduced=False):
     cx = differential(d, reduced)
     rows = {g: dict(row) for g, row in cx.differential.items()}
     edit(cx, rows)
-    return lambda: BigradedComplex(d, list(cx.states.values()), rows, reduced)
+    return lambda: BigradedComplex(d, cx.states, rows, reduced)
 
 
 def _some_entry(cx, rows, two_steps=False):
@@ -125,9 +122,9 @@ def test_stored_zero_coefficient_is_rejected():
 def test_entry_of_wrong_bidegree_is_rejected(shift):
     def edit(cx, rows):
         src, _ = _some_entry(cx, rows)
-        s = cx.states[src]
-        dst = next(g for g, t in cx.states.items()
-                   if (t.i - s.i, t.j - s.j) == shift)
+        i, j = cx.states[src]
+        dst = next(g for g, (ti, tj) in cx.states.items()
+                   if (ti - i, tj - j) == shift)
         rows[src][dst] = 1
 
     with pytest.raises(DiagramError, match=r"bidegree \(%d,%d\)" % shift):
@@ -223,10 +220,7 @@ def test_homology_matches_dense_oracle_up_to_7_crossings(coefficients):
             continue
         for reduced in (True, False):
             cx = differential(d, reduced)
-            dense = graded_homology(
-                {key: (s.i, s.j) for key, s in cx.states.items()},
-                cx.differential, coefficients,
-            )
+            dense = graded_homology(cx.states, cx.differential, coefficients)
             assert cx.homology(coefficients) == dense, (entry.name, reduced)
 
 
@@ -240,17 +234,18 @@ def test_tree_block_is_the_full_complex_restricted_to_its_states(reduced):
         if d.n > 7:
             continue
         full = differential(d, reduced)
+        markers = StateLabels(d).markers
         for tree in enumerate_trees(tait_graph(d)):
             dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
             block = differential(d, reduced, dead)
             labels = {
-                g for g, s in full.states.items()
-                if all(s.markers[c] == m for c, m in dead.items())
+                g for g in full.states
+                if all(markers(g)[c] == m for c, m in dead.items())
             }
-            # a block labels its states as the full complex does
+            # a block labels and grades its states as the full complex does
             assert set(block.states) == labels, (entry.name, tree.index)
             for g in labels:
-                assert block.states[g].key == full.states[g].key
+                assert block.states[g] == full.states[g]
                 expected = {
                     dst: c for dst, c in full.differential[g].items() if dst in labels
                 }
@@ -261,14 +256,25 @@ def test_tree_block_is_the_full_complex_restricted_to_its_states(reduced):
 
 
 def _slots(complex):
-    return [tuple(getattr(s, a) for a in EnhancedState.__slots__)
-            for s in complex.states.values()]
+    """Per state, in order: its label, and the key, circles, sigma, tau, i
+    and j read back from it through ``StateLabels.key`` and the stored
+    bigrading."""
+    key, circles = StateLabels(complex.diagram).key, complex.diagram.circles
+    slots = []
+    for g, (i, j) in complex.states.items():
+        markers, signs = key(g)
+        slots.append((g, (markers, signs), circles(markers),
+                      markers.count("A") - markers.count("B"), sum(signs), i, j))
+    return slots
 
 
-def _assert_same_complex(built, oracle, label):
-    # same states in the same order, slot by slot, and rows entry by entry in order
+def _assert_same_complex(built, oracle, records, label):
+    # same states in the same order, slot by slot against the oracle's own
+    # records, and rows entry by entry in order
     assert list(built.states) == list(oracle.states), label
-    assert _slots(built) == _slots(oracle), label
+    assert _slots(built) == [
+        (s.label, s.key, s.circles, s.sigma, s.tau, s.i, s.j) for s in records
+    ], label
     assert list(built.differential) == list(oracle.differential), label
     for key, row in oracle.differential.items():
         assert list(built.differential[key].items()) == list(row.items()), (label, key)
@@ -298,7 +304,7 @@ def test_cube_edge_builder_matches_per_state_oracle(reduced):
         for fixed in _blocks(d):
             _assert_same_complex(
                 differential(d, reduced, fixed),
-                per_state_differential(d, reduced, fixed),
+                *per_state_differential(d, reduced, fixed),
                 (name, fixed),
             )
 

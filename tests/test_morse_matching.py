@@ -74,10 +74,10 @@ def _corrupting_entry(d, reduced):
     tree_of = state_tree_assignment(d, resolution_tree(d, graph, trees))
     position = {t.index: pos for pos, t in enumerate(trees)}
     states = collapse.differential(d, reduced).states
-    for src, s in states.items():
-        for dst, t in states.items():
-            a, b = tree_of(s.markers), tree_of(t.markers)
-            if ((t.i, t.j) == (s.i + 1, s.j) and a != b
+    for src, (i, j) in states.items():
+        for dst, target in states.items():
+            a, b = tree_of(src), tree_of(dst)
+            if (target == (i + 1, j) and a != b
                     and poset.is_greater(position[b], position[a])):
                 return src, dst
     raise AssertionError("no pair of comparable blocks at bidegree (1, 0)")
