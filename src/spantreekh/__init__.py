@@ -7,7 +7,7 @@ Khovanov complex onto the spanning-tree complex, and the spectral sequence
 of the spanning-tree filtration over field coefficients.
 """
 
-from .algebra import IntegerMatrix, LaurentPolynomial, smith_normal_form
+from .algebra import LaurentPolynomial, smith_normal_form
 from .collapse import (
     grading_map,
     inverse_grading_map,
@@ -21,7 +21,6 @@ from .spantree import build_poset, enumerate_trees, resolution_tree
 from .spectral import build_filtration, check_convergence, compute_pages
 
 __all__ = [
-    "IntegerMatrix",
     "LaurentPolynomial",
     "LinkDiagram",
     "TaitGraph",

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: integer Laurent polynomials, sparse integer
-matrices, Smith normal form, and ranks/nullspaces over Q and F_p.
+"""Exact arithmetic substrate: integer Laurent polynomials, Smith normal form,
+and ranks/nullspaces over Q and F_p.  A matrix is a list of integer rows.
 
 Everything here is exact; no floating point anywhere.  Coefficient growth in
 the Smith reduction is handled by Python's big integers.
@@ -109,89 +109,10 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self})"
 
 
-class IntegerMatrix:
-    """Sparse integer matrix with optional row/column labels."""
-
-    __slots__ = ("nrows", "ncols", "entries", "row_labels", "col_labels")
-
-    def __init__(self, nrows, ncols, entries=None, row_labels=None, col_labels=None):
-        if row_labels is not None and len(set(row_labels)) != nrows:
-            raise ValueError("row labels must be unique and match nrows")
-        if col_labels is not None and len(set(col_labels)) != ncols:
-            raise ValueError("col labels must be unique and match ncols")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        self.row_labels = list(row_labels) if row_labels is not None else None
-        self.col_labels = list(col_labels) if col_labels is not None else None
-        for (i, j), v in (entries or {}).items():
-            if v:
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise ValueError(f"entry ({i},{j}) out of bounds")
-                self.entries[(i, j)] = int(v)
-
-    @classmethod
-    def from_rows(cls, rows, row_labels=None, col_labels=None):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(nrows, ncols, entries, row_labels, col_labels)
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def to_rows(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def __mul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        by_row = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, []).append((k, v))
-        by_col = {}
-        for (k, j), v in other.entries.items():
-            by_col.setdefault(k, []).append((j, v))
-        out = {}
-        for i, row in by_row.items():
-            for k, v in row:
-                for j, w in by_col.get(k, ()):
-                    key = (i, j)
-                    out[key] = out.get(key, 0) + v * w
-        return IntegerMatrix(self.nrows, other.ncols, out, self.row_labels, other.col_labels)
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
-
-
 class SmithForm:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix, with the
+    transforms ``left`` and ``right`` as row lists when a certificate was
+    asked for."""
 
     __slots__ = ("factors", "nrows", "ncols", "left", "right")
 
@@ -226,19 +147,15 @@ def _swap_cols(m, i, j):
 
 
 def smith_normal_form(matrix, certificate=False):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix given as a list of rows.
 
     Pivots are chosen with minimal absolute value to limit entry growth.
     With ``certificate=True`` the unimodular transforms U, V with
-    U*M*V = diag(d_i) are returned on the SmithForm and verified.
+    U*M*V = diag(d_i) are returned on the SmithForm as row lists and verified.
     """
-    if isinstance(matrix, IntegerMatrix):
-        nrows, ncols = matrix.nrows, matrix.ncols
-        m = matrix.to_rows()
-    else:
-        m = [list(map(int, row)) for row in matrix]
-        nrows = len(m)
-        ncols = len(m[0]) if m else 0
+    m = [list(map(int, row)) for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
 
     left = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if certificate else None
     right = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if certificate else None
@@ -315,26 +232,35 @@ def smith_normal_form(matrix, certificate=False):
         t += 1
 
     factors = [m[i][i] for i in range(min(nrows, ncols)) if m[i][i]]
-    form = SmithForm(
-        factors,
-        nrows,
-        ncols,
-        IntegerMatrix.from_rows(left) if certificate else None,
-        IntegerMatrix.from_rows(right) if certificate else None,
-    )
+    form = SmithForm(factors, nrows, ncols, left, right)
     if certificate:
-        _verify_certificate(matrix if isinstance(matrix, IntegerMatrix) else IntegerMatrix.from_rows(
-            [list(map(int, row)) for row in matrix]), form)
+        _verify_certificate(matrix, form)
     return form
 
 
+def _product(a, b):
+    """The product a*b of two row lists, skipping the zero entries of a."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, v in enumerate(row):
+            if v:
+                for j, w in enumerate(b[k]):
+                    acc[j] += v * w
+        out.append(acc)
+    return out
+
+
 def _verify_certificate(matrix, form):
-    prod = form.left * matrix * form.right
-    diag = {(i, i): d for i, d in enumerate(form.factors)}
-    if prod.entries != diag:
-        raise AssertionError("Smith certificate U*M*V != diag(d_i)")
+    prod = _product(_product(form.left, matrix), form.right)
+    rank = len(form.factors)
+    for i, row in enumerate(prod):
+        for j, v in enumerate(row):
+            if v != (form.factors[i] if i == j < rank else 0):
+                raise AssertionError("Smith certificate U*M*V != diag(d_i)")
     for tr in (form.left, form.right):
-        if bareiss_determinant(tr.to_rows()) not in (1, -1):
+        if bareiss_determinant(tr) not in (1, -1):
             raise AssertionError("transform is not unimodular")
 
 
@@ -366,13 +292,9 @@ def bareiss_determinant(rows):
 
 
 def _field_rows(matrix, p):
-    if isinstance(matrix, IntegerMatrix):
-        rows = matrix.to_rows()
-    else:
-        rows = [list(r) for r in matrix]
     if p is None:
-        return [[int(v) for v in row] for row in rows]
-    return [[v % p for v in row] for row in rows]
+        return [[int(v) for v in row] for row in matrix]
+    return [[v % p for v in row] for row in matrix]
 
 
 def _gcd_reduce(row):
@@ -501,24 +423,29 @@ def nullspace_over_field(matrix, p=None):
 def homology_groups(boundary_in, boundary_out):
     """Homology at the middle of  C_in --d_in--> C --d_out--> C_next.
 
-    ``boundary_in`` maps into the chain group (its columns are incoming
-    generators), ``boundary_out`` maps out of it.  Returns (free_rank,
-    torsion) where torsion lists the invariant factors of d_in above 1.
+    Both boundaries are lists of integer rows.  ``boundary_in`` maps into
+    the chain group: one row per generator of C, one column per generator of
+    C_in (rows ``[]`` when nothing maps in).  ``boundary_out`` maps out of it,
+    one column per generator of C.  Returns (free_rank, torsion) where
+    torsion lists the invariant factors of d_in above 1.
     """
-    if boundary_in.nrows != boundary_out.ncols:
+    dim = len(boundary_in)
+    if any(len(row) != dim for row in boundary_out):
         raise ValueError("chain group dimension mismatch")
-    comp = boundary_out * boundary_in
-    if not comp.is_zero():
+    if any(any(row) for row in _product(boundary_out, boundary_in)):
         raise ValueError("boundary_out o boundary_in != 0: not a chain complex")
-    dim = boundary_out.ncols
-    rank_out = rank_over_field(boundary_out) if boundary_out.entries else 0
-    snf_in = smith_normal_form(boundary_in) if boundary_in.entries else SmithForm(
-        [], boundary_in.nrows, boundary_in.ncols
-    )
+    rank_out = rank_over_field(boundary_out)
+    snf_in = smith_normal_form(boundary_in)
     free_rank = dim - rank_out - snf_in.rank
     if free_rank < 0:
         raise ValueError("negative free rank: inconsistent boundaries")
     return free_rank, snf_in.torsion()
+
+
+def ring_name(ring):
+    """The name of a ring as :func:`parse_coefficients` returns it: "Z", "Q"
+    or "F<p>"."""
+    return ring if isinstance(ring, str) else f"F{ring}"
 
 
 def parse_coefficients(value):
@@ -559,19 +486,20 @@ def graded_homology(gradings, rows, coefficients="Z"):
         raise ValueError("two degrees map into one degree")
 
     def boundary(deg):
-        """Matrix of d out of ``deg``, with no rows when d leaves it at 0."""
-        dst = gens.get(target.get(deg), ())
-        entries = {}
-        for c, g in enumerate(gens[deg]):
+        """Rows of d out of ``deg``, one per generator of the degree it lands
+        in; none when d leaves it at 0."""
+        here = gens[deg]
+        matrix = [[0] * len(here) for _ in gens.get(target.get(deg), ())]
+        for c, g in enumerate(here):
             for t, coeff in rows.get(g, {}).items():
-                entries[(index[t], c)] = coeff
-        return IntegerMatrix(len(dst), len(gens[deg]), entries)
+                matrix[index[t]][c] = coeff
+        return matrix
 
     p = None if ring == "Q" else ring
     result = {}
     for deg, here in sorted(gens.items()):
         out = boundary(deg)
-        inc = boundary(source[deg]) if deg in source else IntegerMatrix(len(here), 0)
+        inc = boundary(source[deg]) if deg in source else [[] for _ in here]
         if ring == "Z":
             free, torsion = homology_groups(inc, out)
             if free or torsion:

@@ -18,7 +18,7 @@ import sys
 from functools import cache
 
 from . import corpus
-from .algebra import parse_coefficients
+from .algebra import parse_coefficients, ring_name
 from .collapse import retract_to_tree_complex
 from .diagram import DiagramError, parse_pd, tait_graph
 from .jones import bracket_spantree, bracket_statesum, euler_check, jones, jones_in_t
@@ -172,14 +172,14 @@ def cmd_homology(args):
     groups = khovanov_homology(d, reduced=args.reduced, coefficients=args.coeff)
     payload = {
         "reduced": args.reduced,
-        "coefficients": str(args.coeff),
+        "coefficients": ring_name(args.coeff),
         "groups": {
             f"{i},{j}": (list(v) if isinstance(v, tuple) else v)
             for (i, j), v in sorted(groups.items())
         },
     }
     mode = "reduced" if args.reduced else "unreduced"
-    lines = [f"{mode} Khovanov homology over {args.coeff}:"]
+    lines = [f"{mode} Khovanov homology over {ring_name(args.coeff)}:"]
     lines.extend("  " + s for s in homology_table(groups))
     _emit(args, payload, lines)
     return 0

@@ -324,6 +324,17 @@ class MorseMatching:
 # the big complex.
 FundamentalCycle = namedtuple("FundamentalCycle", "tree_index chain i j")
 
+# Everything the pipeline produced besides the final complex, including what
+# it was built from: ``trees``, their ``poset``, ``state_tree`` (state label ->
+# index of the tree whose block holds it) and ``full_complex``.
+# ``survivor_of`` maps each tree-complex generator to the label of its
+# surviving (unmatched) state.  ``complex`` is the Morse matching's pair list,
+# MatchedPair records in labels in the order the blocks matched them, and
+# ``log_size`` its length.
+RetractionRecord = namedtuple(
+    "RetractionRecord",
+    "complex survivor_of cycles transport_matrix log_size trees poset state_tree full_complex")
+
 
 class TreeComplex:
     """Spanning-tree complex: one generator per tree (two when unreduced),
@@ -355,31 +366,6 @@ class TreeComplex:
             grading_map(u, v, w, k): val
             for (u, v), val in self.homology(coefficients).items()
         }
-
-
-class RetractionRecord:
-    """Everything the pipeline produced besides the final complex, including
-    what it was built from: ``trees``, their ``poset``, ``state_tree`` (state
-    label -> index of the tree whose block holds it) and ``full_complex``.
-    ``survivor_of`` maps each tree-complex generator to the label of its
-    surviving (unmatched) state.  ``complex`` is the Morse matching's pair
-    list, :class:`MatchedPair` records in labels in the order the blocks
-    matched them, and ``log_size`` its length."""
-
-    __slots__ = ("complex", "survivor_of", "cycles", "transport_matrix", "log_size",
-                 "trees", "poset", "state_tree", "full_complex")
-
-    def __init__(self, complex, survivor_of, cycles, transport_matrix, log_size,
-                 trees, poset, state_tree, full_complex):
-        self.complex = complex
-        self.survivor_of = survivor_of
-        self.cycles = cycles
-        self.transport_matrix = transport_matrix
-        self.log_size = log_size
-        self.trees = trees
-        self.poset = poset
-        self.state_tree = state_tree
-        self.full_complex = full_complex
 
 
 def _inclusion_shift(diagram, tree, stages):

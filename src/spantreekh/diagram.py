@@ -342,8 +342,7 @@ class LinkDiagram:
         }
         touched = {r for slots in crossing_slots.values() for r in slots}
         free = tuple(frozenset(v) for r, v in classes.items() if r not in touched)
-        return PartialDiagram(self, markers, kept, crossing_slots,
-                              {r: frozenset(v) for r, v in classes.items()}, free)
+        return PartialDiagram(self, markers, kept, crossing_slots, free)
 
     def circles(self, markers):
         """Circles of the full smoothing given as a tuple of 'A'/'B' markers,
@@ -419,14 +418,13 @@ class Smoothing:
 class PartialDiagram:
     """A partial resolution: the unsmoothed crossings with merged arc classes."""
 
-    __slots__ = ("diagram", "markers", "kept", "crossing_slots", "classes", "free_circles")
+    __slots__ = ("diagram", "markers", "kept", "crossing_slots", "free_circles")
 
-    def __init__(self, diagram, markers, kept, crossing_slots, classes, free_circles):
+    def __init__(self, diagram, markers, kept, crossing_slots, free_circles):
         self.diagram = diagram
         self.markers = markers
         self.kept = tuple(kept)
         self.crossing_slots = crossing_slots  # crossing -> 4 class roots
-        self.classes = classes                # root arc -> frozenset of arcs
         self.free_circles = free_circles
 
     def kink_slot_pair(self, crossing):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import parse_coefficients
+from .algebra import parse_coefficients, ring_name
 from .diagram import DiagramError, tait_graph
 from .collapse import grading_map, retract_to_tree_complex
 
@@ -99,7 +99,7 @@ def _field_params(field):
     ring = parse_coefficients(field)
     if ring == "Z":
         raise ValueError("the spectral sequence needs a field: Q or F<p>, not Z")
-    return (None, "Q") if ring == "Q" else (ring, f"F{ring}")
+    return (None if ring == "Q" else ring), ring_name(ring)
 
 
 def _pairs(levels, degrees, rows, prime):

@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 import os
 
-from spantreekh import corpus
+from spantreekh import algebra, corpus
 from spantreekh.collapse import retract_to_tree_complex
 from spantreekh.khovanov import differential
 
@@ -57,3 +57,28 @@ def test_build_and_retraction_counters_read_real_results():
     assert tracer.counts["khovanov.states"] == states == 2 * (15 + 30)
     assert tracer.counts["collapse.collapses"] == collapses > 0
     assert len(tracer.build_keys) == 2
+
+
+def test_algebra_counter_reads_row_lists(monkeypatch):
+    tracing = _tracing()
+    handed = []
+    real = algebra.homology_groups
+
+    def record(boundary_in, boundary_out):
+        handed.append((boundary_in, boundary_out))
+        return real(boundary_in, boundary_out)
+
+    monkeypatch.setattr(algebra, "homology_groups", record)
+    cx = differential(corpus.diagram("3_1"), True)
+    algebra.graded_homology(cx.states, cx.differential)
+    assert handed
+    tracer = tracing.Tracer()
+    cells = 0
+    for args in handed:
+        tracing._count_algebra(tracer, True, args, {}, None)
+        cells += sum(len(m) * (len(m[0]) if m else 0) for m in args)
+    assert tracer.counts["algebra.calls"] == len(handed)
+    assert tracer.counts["algebra.cells"] == cells > 0
+    for empty in ([], [[], []]):
+        tracing._count_algebra(tracer, True, (empty,), {}, None)
+    assert tracer.counts["algebra.cells"] == cells

@@ -77,6 +77,9 @@ def test_homology_output(capsys):
     out = capsys.readouterr().out
     assert "Z/2" in out
     assert run(["homology", "3_1", "--coeff", "f2"]) == 0
+    assert "over F2:" in capsys.readouterr().out
+    assert run(["--json", "homology", "3_1", "--coeff", "f2"]) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == "F2"
 
 
 def test_spantree_complex(capsys):
