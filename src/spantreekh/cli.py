@@ -202,6 +202,7 @@ def cmd_spantree_complex(args):
             for (i, j), (r, t) in sorted(tc.homology_in_ij().items())
         },
         "collapses": record.log_size,
+        "pairs_visited": len(record.complex),
     }
     lines = [f"spanning-tree complex ({'reduced' if args.reduced else 'unreduced'}):"]
     for label, (u, v) in sorted(tc.generators.items(), key=repr):
@@ -214,7 +215,8 @@ def cmd_spantree_complex(args):
         body = " + ".join(([f"Z^{r}"] if r else []) + [f"Z/{x}" for x in t]) or "0"
         lines.append(f"  ({u},{v}): {body}")
     if args.trace:
-        lines.append(f"collapse log: {record.log_size} elementary collapses")
+        lines.append(f"collapse log: {record.log_size} elementary collapses, "
+                     f"{len(record.complex)} visited by the gradient flows")
         key = StateLabels(d).key
         for rec in record.complex[: args.trace_limit]:
             lines.append(f"  collapsed x={key(rec.x)} y={key(rec.y)} "
@@ -427,7 +429,8 @@ def build_parser():
     group = p.add_mutually_exclusive_group()
     group.add_argument("--reduced", dest="reduced", action="store_true", default=True)
     group.add_argument("--unreduced", dest="reduced", action="store_false")
-    p.add_argument("--trace", action="store_true", help="dump the matched pairs")
+    p.add_argument("--trace", action="store_true",
+                   help="dump the matched pairs the gradient flows visited")
     p.add_argument("--trace-limit", type=_count, default=50,
                    help="matched pairs to print with --trace")
     p.set_defaults(func=cmd_spantree_complex)

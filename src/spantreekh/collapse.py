@@ -2,48 +2,74 @@
 spanning-tree complex by an algebraic Morse matching, and Jacobsson's
 fundamental cycles.
 
-The pipeline visits trees along a linear extension of the partial order,
-minimal tree first.  Inside each tree's block of enhanced states it pairs
-states one undone kink at a time: for a positive kink the pairs are (A-state
-with loop "-", B-state), for a negative kink (A-state, B-state with loop "+").
-A basepoint sitting on a kink's loop circle forces the reduced-mode variants
-of the pairing and of the Jacobsson substitution; both are validated by the
-r o f = id check.  A tree's block on its own is ``khovanov.differential``
-with the tree's dead markers fixed.  A stage reads its kink's circles once
-per smoothing.
+The matching is the block pass's.  It visits trees along a linear extension
+of the partial order, minimal tree first, and inside each tree's block of
+enhanced states it pairs states one undone kink at a time: for a positive
+kink the pairs are (A-state with loop "-", B-state), for a negative kink
+(A-state, B-state with loop "+").  A basepoint sitting on a kink's loop
+circle forces the reduced-mode variants of the pairing and of the Jacobsson
+substitution; both are validated by the r o f = id check.  A tree's block
+is the sub-cube of smoothings extending the tree's dead markers.
 
-The retraction checks that each pair (x, y) has incidence <dx, y> = +-1 in
-the built complex and that the pairs have no gradient cycle, so they form an algebraic Morse matching
-(Skoldberg, "Morse theory from an algebraic viewpoint") and the tree complex
-is its Morse complex: nothing is collapsed.  Gradient flows over the
-original differential, memoised per pair (:class:`MorseMatching`), carry
+The tree complex is the matching's Morse complex (Skoldberg, "Morse theory
+from an algebraic viewpoint"): nothing is collapsed.  Gradient flows over
+the original differential, memoised per pair (:class:`MorseMatching`), carry
 d(survivor) onto the survivors, which gives the tree differential, and the
-fundamental cycles, which gives the transport matrix.
+fundamental cycles, which gives the transport matrix.  The flows read only
+the states they reach, so the whole cube is never built:
+:class:`LazyMatching` answers for one state label at a time
+
+- its row d(label), from the shape tables of its smoothing's cube edges;
+- its pair, by replaying the block pass's stage rule on that one label:
+  a head is matched to the partner the rule gives, a loop-side state only
+  when the inverse rule names a head that is still live, and a state's raw
+  label is found from its abstract signs by inverting the earlier stages'
+  survivor maps;
+- its pair's key (the tree's position in the linear extension, the stage,
+  the head's label), which orders the pairs as the block pass appends them.
+
+A tree's survivors are the stage maps inverted from the round unknot's
+seed sign.
+
+Checks on the route.  Every row it builds has no stored zero, bidegree
+(1, 0), stays in the reduced complex and runs inside its block or down to
+a lower tree's; every row the gradient flows read has d(d(x)) = 0 over the
+rows of all its targets.  Every pair the flows use has
+incidence +-1, its two states name each other in one tree and stage, and
+Kahn's pass finds no gradient cycle among those pairs.  The survivors are
+unmatched and sit at the dictionary's gradings; the fundamental cycles are
+homogeneous cycles of their blocks at the shifted gradings; r o f = id; the
+tree differential has bidegree (-1, -1), squares to zero and runs down the
+partial order; and the tree complex's graded Euler characteristic is the
+Jones polynomial's.
 
 Enhanced states are handled by their integer labels (``khovanov.StateLabels``),
 whose order is that of their ``(markers, signs)`` keys.  Fundamental cycles
-are label chains: the Jacobsson substitution reads each kink off the block
-pass's table (:func:`_kink_transfer`) and looks up no state, and a tree with
-a based negative loop takes its survivor's Morse inclusion through its
-block's own pairs.  ``jacobsson_cycle`` and ``include_unknot_states`` return
-keys, read back from labels by ``StateLabels.key``.
+are label chains: the Jacobsson substitution reads each kink off
+:func:`_kink_transfer`, as the stage rule does, and looks up no state, and
+a tree with a based negative loop takes its survivor's Morse inclusion
+through its block's own pairs.  ``jacobsson_cycle`` and
+``include_unknot_states`` return keys, read back from labels by
+``StateLabels.key``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby
 from heapq import heapify, heappop, heappush
 
+from .algebra import LaurentPolynomial
 from .diagram import DiagramError, tait_graph
+from .jones import bracket_spantree, jones
 from .khovanov import (
     StateLabels,
     _check_d_squared,
+    _edges_out,
     cancelled_homology,
     circle_moves,
-    differential,
     enumerate_states,
     sign_spread,
+    smoothing_grading,
 )
 from .spantree import (
     build_poset,
@@ -101,24 +127,23 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
 
     In reduced mode a negative kink whose loop carries the basepoint has no
     substitution landing in the based-"+" subcomplex; the cycle is then the
-    Morse inclusion of the survivor of the tree's block, matched on its own.
-    The cycle is computed in state labels and read back into keys here.
+    Morse inclusion of the tree's survivor through the pairs from its
+    block's first key on, read off a :class:`LazyMatching`.  The cycle is
+    computed in state labels and read back into keys here.
     """
     if reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
-    spreads = {}
-    chain = _substitute_kinks(diagram, tree, stages, reduced, seed, spreads)
+    chain = _substitute_kinks(diagram, tree, stages, reduced, seed, {})
     if chain is None:
-        dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-        block = differential(diagram, reduced, dead)
-        matching = MorseMatching(block.differential)
-        live = set(block.states)
-        _collapse_tree_block(diagram, matching, tree, stages, live, reduced, spreads)
-        matching.check_acyclic()
-        target = grading_map(tree.u, tree.v, diagram.writhe, tait_graph(diagram).k_invariant())
-        chain = _include_survivor(matching, live, block.states, target, 0)
+        matching = LazyMatching(diagram, reduced)
+        chain = matching.include(matching.survivor(tree, seed), matching.first_key(tree.index))
     key = StateLabels(diagram).key
     return {key(g): coeff for g, coeff in chain.items()}
+
+
+def _seed_bits(seed):
+    """The sign bits of the round unknot enhanced by ``seed``."""
+    return 1 if seed == 1 else 0
 
 
 def _substitute_kinks(diagram, tree, stages, reduced, seed, spreads):
@@ -126,7 +151,7 @@ def _substitute_kinks(diagram, tree, stages, reduced, seed, spreads):
     as a chain of state labels; None in reduced mode when a negative kink's
     loop carries the basepoint.  Each kink reads its circles and sign-bit
     maps off :func:`_kink_transfer` (with the ``spreads`` it shares with the
-    block pass), as the block pass does."""
+    stage rule), as the stage rule does."""
     markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
     for st in stages:
         markers[st.crossing] = st.splice_marker
@@ -136,7 +161,7 @@ def _substitute_kinks(diagram, tree, stages, reduced, seed, spreads):
 
     if len(diagram.circles(marker_tuple())) != 1:
         raise DiagramError("twisted unknot did not reduce to one circle")
-    terms = {1 if seed == 1 else 0: 1}  # sign bits of the round unknot
+    terms = {_seed_bits(seed): 1}
 
     for st in reversed(stages):
         head = marker_tuple()
@@ -165,69 +190,82 @@ def _substitute_kinks(diagram, tree, stages, reduced, seed, spreads):
     return {smoothing | bits: coeff for bits, coeff in terms.items()}
 
 
-def _include_survivor(matching, live, states, target, first):
-    """The Morse inclusion, through the pairs from position ``first`` on, of
-    the one state of the block's survivors ``live`` at bigrading ``target``:
-    a based-negative-loop tree's fundamental cycle."""
-    survivors = [g for g in live if states[g] == target]
-    if len(survivors) != 1:
-        raise DiagramError("block matching did not leave a unique survivor")
-    return matching.include(survivors[0], first)
-
-
 # One matched pair: x is the upper state, y the lower one, and the incidence
-# <dx, y> = +-1 is read off the built complex.
+# <dx, y> = +-1 is read off the differential.
 MatchedPair = namedtuple("MatchedPair", "x y incidence")
+
+_TOP = float("inf")  # above every pair's key
 
 
 class MorseMatching:
     """Pairs (x, y) of states of one differential with <dx, y> = +-1, each
-    state in at most one pair; an algebraic Morse matching once
-    :meth:`check_acyclic` has passed.
+    state in at most one pair, each pair under a sortable key; an algebraic
+    Morse matching once :meth:`check_acyclic` has passed.
 
     The differential is read, never changed.  A chain is carried onto the
     unmatched states by the gradient flow: an upper state drops, and the
     lower state y of a pair (x, y) is replaced by -lam (dx - lam y), whose
-    lower states flow on in turn.  Lower states are replaced in matching
-    order, and each pair's dx is memoised with the lower states of the
-    earlier pairs already replaced (the pair's flow).  So every coefficient
-    and every dict order is the one that collapsing the pairs one by one, in
-    matching order, gives; on an acyclic matching each pair's incidence at
-    its turn is still lam.
-    """
+    lower states flow on in turn.  Lower states are replaced in key order,
+    and each pair's dx is memoised with the lower states of the earlier pairs
+    already replaced (the pair's flow).  So every coefficient and every dict
+    order is the one that collapsing the pairs one by one, in key order,
+    gives; on an acyclic matching each pair's incidence at its turn is still
+    lam.
 
-    __slots__ = ("differential", "pairs", "lower_of", "index_of", "_flows")
+    The flows read the matching through :meth:`row`, :meth:`lower_key`,
+    :meth:`is_upper` and :meth:`pair` only.  Here the pairs are those given
+    to :meth:`match`, keyed by their position (an int); :class:`LazyMatching`
+    answers the same questions on demand.
+    """
 
     def __init__(self, differential):
         self.differential = differential
-        self.pairs = []        # MatchedPair, in matching order
+        self.pairs = {}        # key -> MatchedPair
         self.lower_of = {}     # upper state -> its lower state
-        self.index_of = {}     # lower state -> its pair's position in ``pairs``
-        self._flows = {}       # pair position -> (its flow, None), once computed
+        self.key_of = {}       # lower state -> its pair's key
+        self._flows = {}       # pair key -> (its flow, None), once computed
+
+    def row(self, g):
+        return self.differential.get(g, {})
+
+    def lower_key(self, g):
+        """The key of the pair whose lower state is g, else None."""
+        return self.key_of.get(g)
+
+    def is_upper(self, g):
+        return g in self.lower_of
+
+    def pair(self, key):
+        return self.pairs[key]
 
     def matched(self, g):
-        return g in self.lower_of or g in self.index_of
+        return g in self.lower_of or g in self.key_of
 
     def match(self, x, y):
-        """Pair the upper state x with the lower state y."""
-        lower_of, index_of = self.lower_of, self.index_of
-        if x in lower_of or x in index_of or y in lower_of or y in index_of:
+        """Pair the upper state x with the lower state y, after every pair so far."""
+        lower_of, key_of = self.lower_of, self.key_of
+        if x in lower_of or x in key_of or y in lower_of or y in key_of:
             raise DiagramError("state matched twice")
         lam = self.differential.get(x, {}).get(y, 0)
         if lam not in (1, -1):
             raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
+        key = len(self.pairs)
         lower_of[x] = y
-        index_of[y] = len(self.pairs)
-        self.pairs.append(MatchedPair(x, y, lam))
+        key_of[y] = key
+        self.pairs[key] = MatchedPair(x, y, lam)
 
     def check_acyclic(self):
-        """Kahn's pass over the pairs, with an edge from (x, y) to (x', y')
-        when dx holds y' != y; a gradient cycle raises DiagramError."""
-        index_of = self.index_of
-        indegree = [0] * len(self.pairs)
+        """Kahn's pass over the pairs in ``pairs``, with an edge from (x, y)
+        to (x', y') when dx holds y' != y; a gradient cycle raises
+        DiagramError."""
+        keys = list(self.pairs)
+        index = {key: n for n, key in enumerate(keys)}
+        key_of = self.key_of
+        indegree = [0] * len(keys)
         successors = []
-        for x, y, _ in self.pairs:
-            out = [index_of[g] for g in self.differential[x] if g != y and g in index_of]
+        for key in keys:
+            x, y, _ = self.pairs[key]
+            out = [index[m] for g in self.row(x) if g != y and (m := key_of.get(g)) in index]
             for m in out:
                 indegree[m] += 1
             successors.append(out)
@@ -239,68 +277,67 @@ class MorseMatching:
                 indegree[m] -= 1
                 if not indegree[m]:
                     ready.append(m)
-        if done != len(self.pairs):
+        if done != len(keys):
             raise DiagramError("the matching has a gradient cycle")
 
     def project(self, chains):
         """Each chain's image on the unmatched states."""
         self._fill(chains, 0, self._flows, False)
-        return [self._flow(chain, 0, len(self.pairs), self._flows, None)
-                for chain in chains]
+        return [self._flow(chain, 0, _TOP, self._flows, None) for chain in chains]
 
     def include(self, s, first=0):
         """The Morse inclusion of the unmatched state s: s plus -lam <d., y>
-        times the inclusion of x for every pair (x, y) from position
-        ``first`` on that a gradient path from s reaches.  Gradient paths
-        never climb the partial order, so a block's own pairs are those from
-        the block's first position on."""
+        times the inclusion of x for every pair (x, y) from key ``first`` on
+        that a gradient path from s reaches.  Gradient paths never climb the
+        partial order, so a block's own pairs are those from the block's
+        first key on."""
         flows = {}
-        ds = self.differential.get(s, {})
+        ds = self.row(s)
         self._fill([ds], first, flows, True)
         inclusion = {s: 1}
-        self._flow(ds, first, len(self.pairs), flows, inclusion)
+        self._flow(ds, first, _TOP, flows, inclusion)
         return {g: c for g, c in inclusion.items() if c}
 
     def _fill(self, chains, first, flows, expanding):
-        """Memoise in ``flows`` the flow of every pair from position
-        ``first`` on that gradient paths from the chains reach, earliest
-        pair first, with its inclusion when ``expanding``."""
-        d, index_of, pairs = self.differential, self.index_of, self.pairs
+        """Memoise in ``flows`` the flow of every pair from key ``first`` on
+        that gradient paths from the chains reach, earliest pair first, with
+        its inclusion when ``expanding``."""
+        row, lower_key, pair = self.row, self.lower_key, self.pair
         reached = set()
         todo = [g for chain in chains for g in chain]
         while todo:
-            n = index_of.get(todo.pop())
+            n = lower_key(todo.pop())
             if n is None or n < first or n in reached:
                 continue
             reached.add(n)
-            x, y, _ = pairs[n]
-            todo.extend(g for g in d.get(x, ()) if g != y)
+            x, y, _ = pair(n)
+            todo.extend(g for g in row(x) if g != y)
         for n in sorted(reached):
             if n not in flows:
-                x, y, _ = pairs[n]
+                x, y, _ = pair(n)
                 inclusion = {x: 1} if expanding else None
-                row = self._flow(d.get(x, {}), first, n, flows, inclusion)
-                row.pop(y, None)
-                flows[n] = (row, inclusion)
+                flow = self._flow(row(x), first, n, flows, inclusion)
+                flow.pop(y, None)
+                flows[n] = (flow, inclusion)
 
     def _flow(self, chain, first, stop, flows, inclusion):
         """``chain`` with its upper states dropped and the lower states of
-        the pairs at positions ``first`` to ``stop - 1`` flowed away in
-        matching order, reading each pair's flow from ``flows``;
+        the pairs with keys from ``first`` up to ``stop`` (excluded) flowed
+        away in key order, reading each pair's flow from ``flows``;
         ``inclusion``, when given, gathers the inclusions of the pairs'
         upper states alongside."""
-        index_of, lower_of, pairs = self.index_of, self.lower_of, self.pairs
+        lower_key, is_upper, pair = self.lower_key, self.is_upper, self.pair
 
         def position(g):
-            n = index_of.get(g)
+            n = lower_key(g)
             return n if n is not None and first <= n < stop else None
 
-        z = {g: c for g, c in chain.items() if g not in lower_of}
+        z = {g: c for g, c in chain.items() if not is_upper(g)}
         heap = [n for n in map(position, z) if n is not None]
         heapify(heap)
         while heap:
             n = heappop(heap)
-            _, y, lam = pairs[n]
+            _, y, lam = pair(n)
             c = z.pop(y, 0)
             if not c:
                 continue
@@ -320,20 +357,352 @@ class MorseMatching:
         return z
 
 
+def _partner_signs(kink, h):
+    """The stage rule: the abstract signs of the loop-side partner of a head
+    whose abstract signs are h."""
+    sign, to_loop_side, _, loop_bit, rest_bit, merged_bit, based = kink
+    if sign > 0 and based:
+        # B-side head, based loop: the A-side partner's loop is "+"
+        return to_loop_side[h] | loop_bit
+    # the rest circle takes the merged sign; an A-side partner gets loop
+    # "-", a B-side partner loop "+"
+    return (to_loop_side[h] | (rest_bit if h & merged_bit else 0)
+            | (loop_bit if sign < 0 else 0))
+
+
+def _head_signs(kink, p):
+    """The inverse rule: the abstract signs of the head whose partner has
+    loop-side abstract signs p.  The merged circle takes the rest circle's
+    sign; on a based positive loop it carries the basepoint, so "+"."""
+    sign, _, to_head_side, _, rest_bit, merged_bit, based = kink
+    merged_plus = (sign > 0 and based) or p & rest_bit
+    return to_head_side[p] | (merged_bit if merged_plus else 0)
+
+
+def _survive(kink, a):
+    """A stage survivor's abstract signs a, moved onto the circles of the
+    smoothing with the kink spliced."""
+    sign, _, to_head_side, loop_bit, rest_bit, merged_bit, based = kink
+    if sign > 0 and not a & loop_bit:
+        raise DiagramError("positive-kink survivor without a + loop")
+    if sign < 0 and a & loop_bit:
+        if not based:
+            raise DiagramError("negative-kink survivor with a + loop")
+        merged_plus = True  # basepoint-on-loop survivor flips back to +
+    else:
+        merged_plus = a & rest_bit
+    return to_head_side[a] | (merged_bit if merged_plus else 0)
+
+
+def _unsurvive(kink, a):
+    """The inverse of :func:`_survive`: the kink's sign forces the loop bit
+    and the rest circle takes the merged sign, except that a based negative
+    loop is "+" with its rest circle "-"."""
+    sign, to_loop_side, _, loop_bit, rest_bit, merged_bit, based = kink
+    if sign < 0 and based:
+        return to_loop_side[a] | loop_bit
+    return (to_loop_side[a] | (loop_bit if sign > 0 else 0)
+            | (rest_bit if a & merged_bit else 0))
+
+
+class LazyMatching(MorseMatching):
+    """The block pass's matching on the whole Khovanov complex of a diagram,
+    answered one state label at a time.  One object serves one retraction
+    and holds all its memos.
+
+    A label's pair comes from replaying its tree's kink stages on it.  At
+    each stage the label's abstract signs (over the circles of its
+    smoothing with the earlier kinks spliced) decide: a head-side label is
+    matched to the partner the stage rule gives; a loop-side label whose
+    inverse rule names a head that is live at that stage is that head's
+    partner; any other label survives the stage, and its abstract signs move
+    on.  Liveness at a stage replays only the stages before it.  A head's or
+    partner's raw label is its abstract signs taken back through the earlier
+    stages' survivor maps.  ``pairs`` holds the pairs the flows used.  A
+    pair's key packs the position of its tree in the linear extension, its
+    stage and its head's label into one int, most significant first: the
+    order in which the block pass appends the pairs.
+    """
+
+    def __init__(self, diagram, reduced):
+        super().__init__(None)
+        self.diagram, self.reduced = diagram, reduced
+        fmt = self.fmt = StateLabels(diagram)
+        self.mask = fmt.signs_mask
+        graph = tait_graph(diagram)
+        self.graph, self.k = graph, graph.k_invariant()
+        self.trees = enumerate_trees(graph)
+        self.poset = build_poset(self.trees)
+        res = self.resolution = resolution_tree(diagram, graph, self.trees)
+        self._walk = state_tree_assignment(diagram, res)
+        self._pos = {t.index: pos for pos, t in enumerate(self.trees)}
+        # a row from tree t may reach t's block and the blocks of trees below t
+        self._allowed = {t: self.poset.below[pos] | 1 << pos for t, pos in self._pos.items()}
+        self._position = {self.trees[pos].index: n
+                          for n, pos in enumerate(self.poset.linear_extension())}
+        self.stages = {}
+        # tree index -> per stage (stage, flip, head_side, keep, splice, kinks),
+        # kinks memoising the stage's kink records by abstract A end
+        self._plan = {}
+        self._live = {}  # tree index -> per stage: label -> abstract signs, or None
+        for leaf in res.leaves():
+            plan, spliced, splice = [], 0, 0
+            for st in leaf.stages:
+                flip = fmt.crossing_bit(st.crossing)
+                head_side = flip if st.splice_marker == "B" else 0
+                plan.append((st, flip, head_side, ~(spliced | flip), splice, {}))
+                spliced |= flip
+                splice |= head_side
+            self.stages[leaf.tree.index] = leaf.stages
+            self._plan[leaf.tree.index] = plan
+            self._live[leaf.tree.index] = [{} for _ in range(len(plan) + 1)]
+        # a pair's key packs (tree position, stage, head label), most
+        # significant first, into one int
+        self._head_bits = fmt.width + diagram.n
+        self._stages_radix = diagram.n + 1
+        self.spreads = {}       # the kinks' sign_spread tables, by shape
+        self._tables = {}       # cube-edge shape -> _edge_table
+        self._edges = {}        # smoothing -> its cube edges out, checked
+        self._gradings = {}     # smoothing -> (i, circle count, based circle's bit)
+        self._tree = {}         # smoothing -> index of the tree whose block holds it
+        self._rows = {}         # label -> d(label), checked
+        self._squared = set()   # labels whose d(d(label)) = 0 was checked
+        self._unmatched = set()
+        self._ends = {}         # pair key -> (x, y)
+
+    # -- states ------------------------------------------------------------------
+
+    def tree_of(self, g):
+        """Index of the tree whose block holds the label g."""
+        smoothing = g & ~self.mask
+        t = self._tree.get(smoothing)
+        if t is None:
+            t = self._tree[smoothing] = self._walk(smoothing)
+        return t
+
+    def _grading(self, smoothing):
+        data = self._gradings.get(smoothing)
+        if data is None:
+            i, k, based = smoothing_grading(self.diagram, self.fmt.markers(smoothing))
+            data = self._gradings[smoothing] = i, k, 1 << (k - 1 - based)
+        return data
+
+    def in_complex(self, g):
+        """Whether g labels a state of the (reduced or unreduced) complex."""
+        _, k, based = self._grading(g & ~self.mask)
+        bits = g & self.mask
+        return not bits >> k and (not self.reduced or bool(bits & based))
+
+    def grading(self, g):
+        """(i, j) of the state g."""
+        i, k, _ = self._grading(g & ~self.mask)
+        return i, i + self.diagram.writhe + k - 2 * (g & self.mask).bit_count()
+
+    # -- rows --------------------------------------------------------------------
+
+    def _edges_from(self, smoothing):
+        """The cube edges out of a smoothing (:func:`_edges_out`), each with
+        its target's i, circle count and based circle's bit; every edge is
+        checked to run inside the smoothing's block or down to a lower
+        tree's."""
+        edges = self._edges.get(smoothing)
+        if edges is None:
+            a = self.tree_of(smoothing)
+            allowed = self._allowed[a]
+            edges = []
+            for base, sign, table in _edges_out(self.diagram, self.fmt, smoothing,
+                                                range(self.diagram.n), self._tables):
+                b = self.tree_of(base)
+                if not allowed >> self._pos[b] & 1:
+                    raise DiagramError(
+                        f"incidence from tree {a} to tree {b} violates the partial order")
+                edges.append((base, sign, table, *self._grading(base)))
+            self._edges[smoothing] = edges
+        return edges
+
+    def _build(self, g):
+        """d(g) off the shape tables of its smoothing's cube edges, checked
+        for stored zeros, bidegree (1, 0) and closure of the reduced
+        complex."""
+        row = self._rows.get(g)
+        if row is None:
+            smoothing, bits = g & ~self.mask, g & self.mask
+            i, k, _ = self._grading(smoothing)
+            # a target over tk circles keeps j when tk - 2 popcount is this
+            level = k - 1 - 2 * bits.bit_count()
+            row = {}
+            for base, sign, table, ti, tk, based in self._edges_from(smoothing):
+                for t in table[bits]:
+                    if t >> tk or (self.reduced and not t & based):
+                        raise DiagramError("reduced subcomplex is not closed under the differential")
+                    if ti != i + 1 or tk - 2 * t.bit_count() != level:
+                        (i, j), (ti, tj) = self.grading(g), self.grading(base | t)
+                        raise DiagramError(
+                            f"differential entry {self.fmt.key(g)}->{self.fmt.key(base | t)} "
+                            f"has bidegree ({ti - i},{tj - j}), expected (1,0)")
+                    row[base | t] = sign
+            if 0 in row.values():
+                raise DiagramError("stored zero coefficient")
+            self._rows[g] = row
+        return row
+
+    def row(self, g):
+        """d(g), with d(d(g)) = 0 checked over the rows of all its targets."""
+        row = self._build(g)
+        if g not in self._squared:
+            acc = {}
+            for mid, c1 in row.items():
+                for dst, c2 in self._build(mid).items():
+                    acc[dst] = acc.get(dst, 0) + c1 * c2
+            if any(acc.values()):
+                raise DiagramError("differential does not square to zero")
+            self._squared.add(g)
+        return row
+
+    # -- the matching --------------------------------------------------------------
+
+    def first_key(self, t):
+        """A key at or below every key of tree t's block and above every key
+        of the blocks before it."""
+        return self._position[t] * self._stages_radix << self._head_bits
+
+    def lower_key(self, g):
+        if g not in self.key_of and g not in self.lower_of and g not in self._unmatched:
+            self._locate(g)
+        return self.key_of.get(g)
+
+    def is_upper(self, g):
+        if g not in self.key_of and g not in self.lower_of and g not in self._unmatched:
+            self._locate(g)
+        return g in self.lower_of
+
+    def pair(self, key):
+        pair = self.pairs.get(key)
+        if pair is None:
+            x, y = self._ends[key]
+            lam = self.row(x).get(y, 0)
+            if lam not in (1, -1):
+                raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
+            pair = self.pairs[key] = MatchedPair(x, y, lam)
+        return pair
+
+    def _kink(self, t, s, smoothing):
+        """The kink record of tree t's stage s on the cube edge at the
+        stage's crossing through ``smoothing``: the sign, the
+        :func:`_kink_transfer` tables and bits over the abstract smoothings,
+        and whether the reduced complex has the basepoint on the loop."""
+        st, flip, _, keep, splice, kinks = self._plan[t][s]
+        a_end = smoothing & keep | splice
+        kink = kinks.get(a_end)
+        if kink is None:
+            markers = self.fmt.markers
+            loop, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit = _kink_transfer(
+                self.diagram, markers(a_end), markers(a_end | flip), st, self.spreads)
+            kink = kinks[a_end] = (
+                st.sign, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit,
+                self.reduced and self.diagram.basepoint in loop)
+        return kink
+
+    def _raw(self, t, s, smoothing, a):
+        """The label of tree t's block on ``smoothing`` whose abstract signs
+        at stage s are a, if the stages before s leave it live."""
+        for earlier in range(s - 1, -1, -1):
+            a = _unsurvive(self._kink(t, earlier, smoothing), a)
+        return smoothing | a
+
+    def _replay(self, t, g, stop):
+        """The stages before ``stop`` of tree t, on its block's label g:
+        (s, a, head) at the first stage s that matches g, with a its
+        abstract signs there and head its pair's head (g itself when g is
+        the head), or (stop, a, None) when g survives them all."""
+        smoothing, a = g & ~self.mask, g & self.mask
+        for s, (_, flip, head_side, _, _, _) in enumerate(self._plan[t][:stop]):
+            if smoothing & flip == head_side:
+                return s, a, g
+            kink = self._kink(t, s, smoothing)
+            h = _head_signs(kink, a)
+            if _partner_signs(kink, h) == a:
+                head = self._raw(t, s, smoothing ^ flip, h)
+                if self._abstract(t, head, s) == h:
+                    return s, a, head
+            a = _survive(kink, a)
+        return stop, a, None
+
+    def _abstract(self, t, g, s):
+        """g's abstract signs at stage s of tree t when g is a state of the
+        tree's block left live by the earlier stages, else None."""
+        live = self._live[t][s]
+        if g not in live:
+            a = None
+            if self.in_complex(g) and self.tree_of(g) == t:
+                stage, a, _ = self._replay(t, g, s)
+                if stage != s:
+                    a = None
+            live[g] = a
+        return live[g]
+
+    def _locate(self, g):
+        """Memoise g's pair, with its key and its other state, or g as
+        unmatched."""
+        t = self.tree_of(g)
+        plan = self._plan[t]
+        # a survivor's replay is already memoised by survivor()
+        if self._live[t][-1].get(g) is not None:
+            head = None
+        else:
+            s, a, head = self._replay(t, g, len(plan))
+        if head is None:
+            self._unmatched.add(g)
+            return
+        st, flip, _, _, _, _ = plan[s]
+        partner = g
+        if head == g:
+            kink = self._kink(t, s, g & ~self.mask)
+            p = _partner_signs(kink, a)
+            partner = self._raw(t, s, (g & ~self.mask) ^ flip, p)
+            if self._abstract(t, partner, s) != p:
+                raise DiagramError("collapse partner is not live")
+            if _head_signs(kink, p) != a:
+                raise DiagramError("collapse pair is not an involution: "
+                                   "the partner's inverse rule names another head")
+        x, y = (head, partner) if st.sign < 0 else (partner, head)
+        key = (self._position[t] * self._stages_radix + s) << self._head_bits | head
+        self.lower_of[x] = y
+        self.key_of[y] = key
+        self._ends[key] = (x, y)
+
+    def survivor(self, tree, seed):
+        """The label of the tree's generator seeded by ``seed``: the stage
+        maps inverted from the round unknot's seed sign, checked to be left
+        unmatched and to sit at the dictionary's grading."""
+        t = tree.index
+        plan = self._plan[t]
+        markers = list(tree.markers())
+        for st in self.stages[t]:
+            markers[st.crossing] = st.loop_marker
+        seed_bits = _seed_bits(seed)
+        g = self._raw(t, len(plan), self.fmt.smoothing(markers), seed_bits)
+        if self._abstract(t, g, len(plan)) != seed_bits:
+            raise DiagramError(f"tree {t} has no unmatched state for seed {seed:+d}")
+        if self.grading(g) != grading_map(*_uv(tree, seed), self.diagram.writhe, self.k):
+            raise DiagramError("survivor grading disagrees with the dictionary")
+        return g
+
+
 # A tree's fundamental cycle: a chain of state labels and its bigrading in
 # the big complex.
 FundamentalCycle = namedtuple("FundamentalCycle", "tree_index chain i j")
 
 # Everything the pipeline produced besides the final complex, including what
-# it was built from: ``trees``, their ``poset``, ``state_tree`` (state label ->
-# index of the tree whose block holds it) and ``full_complex``.
-# ``survivor_of`` maps each tree-complex generator to the label of its
-# surviving (unmatched) state.  ``complex`` is the Morse matching's pair list,
-# MatchedPair records in labels in the order the blocks matched them, and
-# ``log_size`` its length.
+# it was built from: ``trees``, their ``poset`` and the ``resolution`` tree
+# whose leaves are the blocks.  ``survivor_of`` maps
+# each tree-complex generator to the label of its surviving (unmatched)
+# state.  ``complex`` is the list of pairs the gradient flows used,
+# MatchedPair records in labels in matching order, and ``log_size`` the
+# number of pairs in the whole matching: (states - generators) / 2.
 RetractionRecord = namedtuple(
     "RetractionRecord",
-    "complex survivor_of cycles transport_matrix log_size trees poset state_tree full_complex")
+    "complex survivor_of cycles transport_matrix log_size trees poset resolution")
 
 
 class TreeComplex:
@@ -456,82 +825,46 @@ def _check_descending(differential, tree_of, poset, trees, what, within_block):
 
 
 def retract_to_tree_complex(diagram, reduced=True):
-    """Retract the Khovanov complex onto the spanning-tree complex.
+    """Retract the Khovanov complex onto the spanning-tree complex, reading
+    only the states the gradient flows reach (:class:`LazyMatching`).
 
     Returns (TreeComplex, RetractionRecord).  Generator labels are tree
     indices (reduced) or (tree index, +1/-1) pairs (unreduced, the -1 copy
     sitting at (u+2, v+1)).
     """
-    graph = tait_graph(diagram)
-    trees = enumerate_trees(graph)
-    poset = build_poset(trees)
-    res = resolution_tree(diagram, graph, trees)
-    stages_of = {leaf.tree.index: leaf.stages for leaf in res.leaves()}
-    complex = differential(diagram, reduced)
-    w = diagram.writhe
-    k = graph.k_invariant()
-
-    tree_of = state_tree_assignment(diagram, res)
-    states = complex.states
-    state_tree = {}
-    tree_live = {}
-    # a smoothing's states are listed together: one walk per smoothing
-    for smoothing, group in groupby(states, key=StateLabels(diagram).smoothing_of):
-        group = list(group)
-        t = tree_of(smoothing)
-        state_tree.update(dict.fromkeys(group, t))
-        tree_live.setdefault(t, set()).update(group)
-    # insulation: pairs inside one block cannot reach a block above it
-    check_order_discipline(complex, state_tree, poset, trees)
-
-    matching = MorseMatching(complex.differential)
-    spreads = {}  # the kinks' sign_spread tables, by shape, for this retraction
-    first_pair = {}  # tree index -> position of its block's first pair
-    for pos in poset.linear_extension():
-        tree = trees[pos]
-        first_pair[tree.index] = len(matching.pairs)
-        _collapse_tree_block(diagram, matching, tree, stages_of[tree.index],
-                             tree_live[tree.index], reduced, spreads)
-    matching.check_acyclic()
+    matching = LazyMatching(diagram, reduced)
+    trees, poset = matching.trees, matching.poset
+    w, k = diagram.writhe, matching.k
 
     seeds = (1,) if reduced else (1, -1)
     cycles = []
     survivor_of = {}
     gens = {}  # tree-complex label -> (u, v)
     for t in trees:
-        stages, alive = stages_of[t.index], tree_live[t.index]
-        if len(alive) != len(seeds):
-            raise DiagramError(
-                f"tree {t.index} left {len(alive)} generators, expected {len(seeds)}"
-            )
-        by_grading = {states[g]: g for g in alive}
+        stages = matching.stages[t.index]
         for seed in seeds:
-            target = grading_map(*_uv(t, seed), w, k)
-            if target not in by_grading:
-                raise DiagramError("survivor grading disagrees with the dictionary")
-            survivor_of[(t.index, seed)] = by_grading[target]
+            survivor = survivor_of[(t.index, seed)] = matching.survivor(t, seed)
             gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
-            chain = _substitute_kinks(diagram, t, stages, reduced, seed, spreads)
+            chain = _substitute_kinks(diagram, t, stages, reduced, seed, matching.spreads)
             if chain is None:
-                chain = _include_survivor(matching, alive, states, target, first_pair[t.index])
+                chain = matching.include(survivor, matching.first_key(t.index))
             labels = list(chain)
-            if any(g not in states for g in labels):
+            if not all(map(matching.in_complex, labels)):
                 raise DiagramError("fundamental cycle leaves the complex")
-            i, j = states[labels[0]]
-            if any(states[g] != (i, j) for g in labels):
+            i, j = matching.grading(labels[0])
+            if any(matching.grading(g) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(diagram, t, stages, labels[0], (i, j), w, k, seed)
-            _check_block_cycle(complex, chain, state_tree, t.index)
+            _check_block_cycle(matching._build, chain, matching.tree_of, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
-    if len(states) - 2 * len(matching.pairs) != len(survivor_of):
-        raise DiagramError("leftover non-tree generator after the retraction")
 
     tree_label_of = {g: label for label, g in survivor_of.items()}
     chains = [cyc.chain for cyc in cycles]
-    chains += [complex.differential.get(g, {}) for g in tree_label_of]
+    chains += [matching.row(g) for g in tree_label_of]
     images = matching.project(chains)
     if any(g not in tree_label_of for image in images for g in image):
         raise DiagramError("retraction image is not supported on survivors")
+    matching.check_acyclic()
 
     transport_matrix = {}
     for cyc, image in zip(cycles, images):
@@ -553,25 +886,57 @@ def retract_to_tree_complex(diagram, reduced=True):
             row[dlabel if not reduced else dlabel[0]] = coeff
         if row:
             diff[ti if reduced else (ti, seed)] = row
-    record = RetractionRecord(matching.pairs, survivor_of, cycles, transport_matrix,
-                              len(matching.pairs), trees, poset, state_tree, complex)
     tree_complex = TreeComplex(gens, diff, reduced, diagram)
     # the order-discipline lemma, on the tree complex
     _check_descending(tree_complex.differential,
                       {label: label if reduced else label[0] for label in gens},
                       poset, trees, "tree differential entry", False)
+    _check_euler_characteristic(matching, gens)
+    pairs = [matching.pairs[key] for key in sorted(matching.pairs)]
+    record = RetractionRecord(pairs, survivor_of, cycles, transport_matrix,
+                              _pair_count(diagram, reduced, len(gens)), trees, poset,
+                              matching.resolution)
     return tree_complex, record
 
 
-def _check_block_cycle(complex, chain, state_tree, block):
-    """The fundamental cycle is a cycle of C(U): its boundary inside its own
-    tree's block vanishes; leftover components live in strictly lower trees."""
+def _pair_count(diagram, reduced, generators):
+    """The number of pairs in the whole matching: (states - generators) / 2,
+    the states counted off ``smoothing_tally`` (2^k per smoothing with k
+    circles, 2^(k-1) reduced)."""
+    states = sum(count << (k - 1 if reduced else k)
+                 for (_, k), count in diagram.smoothing_tally().items())
+    if (states - generators) % 2:
+        raise DiagramError("the matching leaves an odd number of states to pair")
+    return (states - generators) // 2
+
+
+def _check_euler_characteristic(matching, generators):
+    """The tree complex's graded Euler characteristic, sum (-1)^i q^j over
+    its generators, is the Jones polynomial's: q^-1 J(q^2) reduced, times
+    (1 + q^2) unreduced, with J from the tree expansion of the bracket."""
+    diagram, w, k = matching.diagram, matching.diagram.writhe, matching.k
+    polynomial = jones(diagram, bracket=bracket_spantree(diagram, matching.graph, matching.trees))
+    expected = LaurentPolynomial({e // 2 - 1: c for e, c in polynomial.coeffs.items()}, "q")
+    if not matching.reduced:
+        expected = expected * LaurentPolynomial({0: 1, 2: 1}, "q")
+    chi = {}
+    for u, v in generators.values():
+        i, j = grading_map(u, v, w, k)
+        chi[j] = chi.get(j, 0) + (-1) ** (i % 2)
+    if LaurentPolynomial(chi, "q") != expected:
+        raise DiagramError("the tree complex's Euler characteristic is not the Jones polynomial's")
+
+
+def _check_block_cycle(row, chain, tree_of, block):
+    """The fundamental cycle is a cycle of C(U): its boundary, read off
+    ``row``, vanishes inside its own tree's block (``tree_of`` maps a label
+    to its tree); leftover components live in strictly lower trees."""
     acc = {}
     for g, coeff in chain.items():
-        for dst, c in complex.differential.get(g, {}).items():
+        for dst, c in row(g).items():
             acc[dst] = acc.get(dst, 0) + coeff * c
     for dst, coeff in acc.items():
-        if coeff and state_tree[dst] == block:
+        if coeff and tree_of(dst) == block:
             raise DiagramError("fundamental cycle has boundary inside its own block")
 
 
@@ -610,7 +975,7 @@ def _kink_transfer(diagram, markers_x, markers_y, stage, spreads):
     circle.  Returns (loop, to_loop_side, to_head_side, loop_bit, rest_bit,
     merged_bit): the loop circle, the :func:`sign_spread` tables of the
     shared circles each way, and the bit of each kink circle in its side's
-    sign bits.  The block pass and the Jacobsson substitution both read a
+    sign bits.  The stage rule and the Jacobsson substitution both read a
     kink off these.  A table depends only on its shape, the circle count and
     :func:`circle_moves`, and is kept under it in ``spreads``.
     """
@@ -634,90 +999,3 @@ def _kink_transfer(diagram, markers_x, markers_y, stage, spreads):
 
     return (loop, spread(h, lo), spread(lo, h),
             bit(lo, loop), bit(lo, rest), bit(h, merged))
-
-
-def _collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spreads):
-    """Match one tree's block of states down to its fundamental class.
-
-    Each pair goes to ``matching.match(x, y)`` and leaves ``live_set``, which
-    ends up holding the block's survivors.
-
-    The pairing at kink stage t is formed on the states of C(U^{t-1}); those
-    are tracked explicitly as "abstract" states, in which already-processed
-    kinks are spliced away.  The dictionary between raw labels and abstract
-    sign bits (over the circles of the abstract smoothing) is updated after
-    every stage (a kink loop that carries the basepoint flips the merged
-    circle back to "+").  Within a stage the kink geometry and the sign-bit
-    maps across the kink depend on the raw smoothing alone, so each is
-    computed once per smoothing; the sign-bit maps come from ``spreads``
-    (see :func:`_kink_transfer`).  Partners are indexed by a label's raw
-    marker bits over its abstract sign bits.
-    """
-    fmt = StateLabels(diagram)
-    signs_mask = fmt.signs_mask
-    spliced = {}  # crossing of each undone kink -> its splice marker
-    abstract = {g: g & signs_mask for g in live_set}  # starts as the raw signs
-
-    def abstract_markers(smoothing):
-        """The abstract smoothing of a label's raw marker bits."""
-        return tuple(spliced.get(i, m) for i, m in enumerate(fmt.markers(smoothing)))
-
-    for st in stages:
-        c = st.crossing
-        flip = fmt.crossing_bit(c)
-        head_side = flip if st.splice_marker == "B" else 0  # c's bit in a head
-        transfers = {}  # A end of a raw cube edge at c -> _kink_transfer
-
-        def kink(g):
-            a_end = g & ~signs_mask & ~flip
-            if a_end not in transfers:
-                transfers[a_end] = _kink_transfer(
-                    diagram, abstract_markers(a_end), abstract_markers(a_end | flip), st,
-                    spreads,
-                )
-            return transfers[a_end]
-
-        index = {(g & ~signs_mask) | abstract[g]: g  # the possible partners
-                 for g in live_set if g & flip != head_side}
-        for head in [g for g in sorted(live_set) if g & flip == head_side]:
-            if matching.matched(head):
-                continue
-            loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = kink(head)
-            signs = abstract[head]
-            partner_signs = to_loop_side[signs]
-            if st.sign > 0 and reduced and diagram.basepoint in loop:
-                # B-side head, based loop: the A-side partner's loop is "+"
-                partner_signs |= loop_bit
-            else:
-                # the rest circle takes the merged sign; an A-side partner
-                # gets loop "-", a B-side partner loop "+"
-                if signs & merged_bit:
-                    partner_signs |= rest_bit
-                if st.sign < 0:
-                    partner_signs |= loop_bit
-            partner = index.get(((head & ~signs_mask) ^ flip) | partner_signs)
-            if partner is None or matching.matched(partner):
-                raise DiagramError("collapse partner is not live")
-            if st.sign < 0:
-                matching.match(head, partner)
-            else:
-                matching.match(partner, head)
-            for gone in (head, partner):
-                live_set.discard(gone)
-                abstract.pop(gone, None)
-        # move this stage's survivors onto the spliced smoothing's circles
-        for g in live_set:
-            if g & flip == head_side:  # survivors carry the loop marker
-                raise DiagramError("stage survivor has the wrong marker")
-            loop, _, to_head_side, loop_bit, rest_bit, merged_bit = kink(g)
-            signs = abstract[g]
-            if st.sign > 0 and not signs & loop_bit:
-                raise DiagramError("positive-kink survivor without a + loop")
-            if st.sign < 0 and signs & loop_bit:
-                merged_plus = True  # basepoint-on-loop survivor flips back to +
-                if not (reduced and diagram.basepoint in loop):
-                    raise DiagramError("negative-kink survivor with a + loop")
-            else:
-                merged_plus = signs & rest_bit
-            abstract[g] = to_head_side[signs] | (merged_bit if merged_plus else 0)
-        spliced[c] = st.splice_marker

@@ -288,6 +288,23 @@ def cancelled_homology(gradings, rows, coefficients):
     return graded_homology(mc.gradings, mc.rows, coefficients)
 
 
+def smoothing_grading(diagram, markers):
+    """(i, k, based) of a full smoothing: its homological grading i = (w -
+    sigma)/2, its circle count k and the index of its based circle.  A
+    state's j is i + w + k - 2 popcount(sign bits)."""
+    circles = diagram.circles(markers)
+    based = next(
+        (ci for ci, circ in enumerate(circles) if diagram.basepoint in circ),
+        None,
+    )
+    if based is None:
+        raise DiagramError("basepoint arc not found in any circle")
+    sigma = 2 * markers.count("A") - len(markers)
+    if (diagram.writhe - sigma) % 2:
+        raise DiagramError("half-integer homological grading")
+    return (diagram.writhe - sigma) // 2, len(circles), based
+
+
 def enumerate_states(diagram, reduced, fixed=None):
     """The bigrading (i, j) of every enhanced state whose smoothing extends
     the partial smoothing ``fixed`` (every state when None), by label;
@@ -302,18 +319,7 @@ def enumerate_states(diagram, reduced, fixed=None):
     signs_of = {}  # (i, k) -> [(sign bits, (i, j))] from all "+" down
     states = {}
     for markers in product(*(fixed.get(c, "AB") for c in range(diagram.n))):
-        circles = diagram.circles(markers)
-        based = next(
-            (ci for ci, circ in enumerate(circles) if diagram.basepoint in circ),
-            None,
-        )
-        if based is None:
-            raise DiagramError("basepoint arc not found in any circle")
-        k = len(circles)
-        sigma = 2 * markers.count("A") - len(markers)
-        if (w - sigma) % 2:
-            raise DiagramError("half-integer homological grading")
-        i = (w - sigma) // 2
+        i, k, based = smoothing_grading(diagram, markers)
         if (i, k) not in signs_of:
             listed = signs_of[i, k] = []
             for bits in range(2**k - 1, -1, -1):
@@ -376,6 +382,23 @@ def _edge_table(count, moves):
     return table
 
 
+def _edges_out(diagram, fmt, smoothing, crossings, tables):
+    """The cube edges out of a smoothing (its label bits) at those of
+    ``crossings`` where it has marker A, in crossing order, as (target
+    smoothing bits, matrix sign, shape table); ``tables`` keeps one
+    :func:`_edge_table` per shape.  A state's row reads its targets off them:
+    ``base | t`` for each ``t`` in ``table[sign bits]``."""
+    markers = fmt.markers(smoothing)
+    edges = []
+    for c in crossings:
+        if markers[c] == "A":
+            sign, shape = _cube_edge(diagram, markers, c)
+            if shape not in tables:
+                tables[shape] = _edge_table(*shape)
+            edges.append((smoothing | fmt.crossing_bit(c), sign, tables[shape]))
+    return edges
+
+
 def differential(diagram, reduced, fixed=None):
     """Build the bigraded complex of the diagram, or with ``fixed`` the
     sub-cube extending that partial smoothing, flipping only the crossings
@@ -389,14 +412,7 @@ def differential(diagram, reduced, fixed=None):
     tables = {}  # edge shape -> _edge_table
     diff = {}
     for smoothing, group in groupby(states, key=fmt.smoothing_of):
-        markers = fmt.markers(smoothing)
-        edges = []
-        for c in free:
-            if markers[c] == "A":
-                sign, shape = _cube_edge(diagram, markers, c)
-                if shape not in tables:
-                    tables[shape] = _edge_table(*shape)
-                edges.append((smoothing | fmt.crossing_bit(c), sign, tables[shape]))
+        edges = _edges_out(diagram, fmt, smoothing, free, tables)
         for g in group:
             row = diff[g] = {
                 base | t: sign for base, sign, table in edges for t in table[g & signs_mask]

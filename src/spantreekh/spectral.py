@@ -19,10 +19,17 @@ generator at its tree's level; only E_0 counts enhanced states.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .algebra import parse_coefficients, ring_name
 from .diagram import DiagramError, tait_graph
-from .collapse import grading_map, retract_to_tree_complex
+from .collapse import (
+    check_order_discipline,
+    grading_map,
+    retract_to_tree_complex,
+    state_tree_assignment,
+)
+from .khovanov import StateLabels, differential
 
 
 class Filtration:
@@ -52,20 +59,28 @@ class Filtration:
 
 
 def build_filtration(diagram, reduced=True):
-    """The filtration read off one retraction onto the spanning-tree complex.
+    """The filtration read off one retraction onto the spanning-tree complex,
+    with the full complex built for E_0 and for the E_infinity check.
 
     A tree's level is ``poset.level``.  The differential never lowers a
-    state's level: the retraction's order-discipline check puts every entry
-    inside one block or from a tree T_a down to a tree T_b < T_a, and
+    state's level: the order-discipline check on the full complex puts every
+    entry inside one block or from a tree T_a down to a tree T_b < T_a, and
     ``TreePoset`` checks that every tree below T_a sits at a larger level.
     """
+    # built first, so that the retraction's circle lookups hit the cache
+    complex = differential(diagram, reduced)
     tree_complex, record = retract_to_tree_complex(diagram, reduced)
     poset, trees = record.poset, record.trees
+    tree_of = state_tree_assignment(diagram, record.resolution)
+    state_tree = {}
+    # a smoothing's states are listed together: one walk per smoothing
+    for smoothing, group in groupby(complex.states, key=StateLabels(diagram).smoothing_of):
+        state_tree.update(dict.fromkeys(group, tree_of(smoothing)))
+    check_order_discipline(complex, state_tree, poset, trees)
     tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
-    complex, tree_of = record.full_complex, record.state_tree
     e0 = {}
     for g, (i, _) in complex.states.items():
-        p = tree_levels[tree_of[g]]
+        p = tree_levels[state_tree[g]]
         e0[(p, i - p)] = e0.get((p, i - p), 0) + 1
     return Filtration(diagram, complex, tree_complex, tree_levels, poset, trees, e0)
 

@@ -2,7 +2,7 @@
 
 ``retract_by_collapses`` is ``retract_to_tree_complex`` as it was before the
 retraction became an algebraic Morse matching.  It runs the same block pass
-(``collapse._collapse_tree_block``), but every pair is an elementary collapse
+(``matching_oracle.collapse_tree_block``), but every pair is an elementary collapse
 of a mutable copy of the complex: each collapse rewrites the rows that held
 its lower state, logs d(x) at collapse time, refuses an incidence that is no
 longer +-1 and refuses a correction that leaks into another tree's block.
@@ -17,13 +17,12 @@ accepts.  Nothing in the package imports this module.
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 
+from matching_oracle import OracleRecord, collapse_tree_block
 from spantreekh.collapse import (
     FundamentalCycle,
-    RetractionRecord,
     TreeComplex,
     _check_block_cycle,
     _circle_containing,
-    _collapse_tree_block,
     _verify_cycle_gradings,
     grading_map,
     state_tree_assignment,
@@ -153,8 +152,8 @@ def include_within(matching, s, within):
     times the inclusion of x for every such pair (x, y) that a gradient path
     from s reaches, each pair's flow memoised in matching order."""
     d, pairs = matching.differential, matching.pairs
-    index_of, lower_of = matching.index_of, matching.lower_of
-    flows = {}  # pair position -> (its flow, its inclusion)
+    index_of, lower_of = matching.key_of, matching.lower_of
+    flows = {}  # pair key -> (its flow, its inclusion)
 
     def position(g, stop):
         n = index_of.get(g)
@@ -322,7 +321,7 @@ class SequentialComplex(MutableComplex):
 def retract_by_collapses(diagram, reduced=True):
     """The sequential retraction onto the spanning-tree complex.
 
-    Returns (TreeComplex, RetractionRecord) as ``retract_to_tree_complex``
+    Returns (TreeComplex, OracleRecord) as ``matching_oracle.retract_by_matching``
     does, except that ``record.complex`` is the :class:`SequentialComplex`
     after all collapses, whose ``log`` holds the pairs.
     """
@@ -349,7 +348,7 @@ def retract_by_collapses(diagram, reduced=True):
         tree = trees[pos]
         mc.current_block = tree.index
         mc.begin_expansions(tree_live[tree.index])
-        _collapse_tree_block(
+        collapse_tree_block(
             diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced, {}
         )
         for g in tree_live[tree.index] & mc.live:
@@ -380,7 +379,8 @@ def retract_by_collapses(diagram, reduced=True):
             _verify_cycle_gradings(
                 diagram, t, stages_of[t.index], labels[0], (i, j), w, k, seed
             )
-            _check_block_cycle(complex, chain, state_tree, t.index)
+            _check_block_cycle(lambda g: complex.differential.get(g, {}), chain,
+                               state_tree.__getitem__, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
 
     survivor_of = {}
@@ -439,6 +439,6 @@ def retract_by_collapses(diagram, reduced=True):
             row[dlabel if not reduced else dlabel[0]] = coeff
         if row:
             diff[label] = row
-    record = RetractionRecord(mc, survivor_of, cycles, transport_matrix, len(mc.log),
-                              trees, poset, state_tree, complex)
+    record = OracleRecord(mc, survivor_of, cycles, transport_matrix, len(mc.log),
+                          trees, poset, res, state_tree, complex)
     return TreeComplex(gens, diff, reduced, diagram), record

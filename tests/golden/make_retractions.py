@@ -5,7 +5,7 @@ in both modes.
 Run from the repository root against the package to be recorded, e.g.
 
     git archive <commit> | tar -x -C <dir>
-    PYTHONPATH=<dir>/src python3 tests/golden/make_retractions.py <commit>
+    PYTHONPATH=<dir>/src:<dir>/tests python3 tests/golden/make_retractions.py <commit>
 
 Per diagram and mode it stores, in the order the retraction produced them:
 the tree complex's generators and differential, the transport matrix r o f,
@@ -15,6 +15,11 @@ y key, incidence) triples.  The stored file was made from the commit that
 still labelled enhanced states by their (markers, signs) tuples, so the test
 comparing against it pins the collapse sequence of the integer labels that
 replaced them.
+
+The retraction reads only the pairs its gradient flows use, so the
+collapse sequence is the whole matching of the full-cube oracle
+(``matching_oracle.retract_by_matching``); everything else, the collapse
+count included, comes from ``retract_to_tree_complex``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import pathlib
 import sys
 
+from matching_oracle import retract_by_matching
 from spantreekh import corpus
 from spantreekh.collapse import retract_to_tree_complex
 from spantreekh.khovanov import StateLabels
@@ -44,13 +50,19 @@ def _pairs(d):
     return json.loads(json.dumps([[k, v] for k, v in d.items()]))
 
 
-def record(diagram, reduced):
+def retractions(diagram, reduced):
+    """The route's tree complex and record, and the full-cube oracle's
+    record, as :func:`record` reads them."""
+    tc, rec = retract_to_tree_complex(diagram, reduced)
+    return diagram, tc, rec, retract_by_matching(diagram, reduced)[1]
+
+
+def record(diagram, tc, rec, oracle):
     """The stored outcome of one retraction; enhanced states, which the
     retraction labels by integers, are written as their (markers, signs)
     keys.  ``tests/test_retraction_golden.py`` compares against this."""
-    tc, rec = retract_to_tree_complex(diagram, reduced)
     key = StateLabels(diagram).key
-    log = repr([(key(r.x), key(r.y), r.incidence) for r in rec.complex])
+    log = repr([(key(r.x), key(r.y), r.incidence) for r in oracle.complex])
     return {
         "generators": _pairs(tc.generators),
         "differential": _pairs({k: _pairs(row) for k, row in tc.differential.items()}),
@@ -71,7 +83,8 @@ def main(commit):
     }
     lines = []
     for name, d in diagrams():
-        entry = {mode: record(d, mode == "reduced") for mode in ("reduced", "unreduced")}
+        entry = {mode: record(*retractions(d, mode == "reduced"))
+                 for mode in ("reduced", "unreduced")}
         lines.append(f" {json.dumps(name)}: {json.dumps(entry, separators=(',', ':'))}")
         print(name, file=sys.stderr, flush=True)
     OUT.write_text('{"provenance": ' + json.dumps(provenance) + ',\n"entries": {\n'

@@ -1,0 +1,247 @@
+"""The full-cube Morse matching: a named test oracle for the lazy route.
+
+``retract_by_matching`` is ``retract_to_tree_complex`` as it was before the
+route became lazy.  It builds the whole complex, checks the order
+discipline on it, runs the block pass (:func:`collapse_tree_block`) on every
+tree's block in linear-extension order into one ``MorseMatching``, checks
+the complete matching for gradient cycles, and takes the tree complex, the
+transport matrix and the cycles through the same flows the lazy route uses.
+Its record also carries the built complex (``full_complex``) and each
+state's tree (``state_tree``).  Nothing in the package imports this module.
+"""
+
+from collections import namedtuple
+from itertools import groupby
+
+from spantreekh.collapse import (
+    FundamentalCycle,
+    MorseMatching,
+    RetractionRecord,
+    TreeComplex,
+    _check_block_cycle,
+    _check_d_squared,
+    _check_descending,
+    _kink_transfer,
+    _substitute_kinks,
+    _uv,
+    _verify_cycle_gradings,
+    check_order_discipline,
+    grading_map,
+    state_tree_assignment,
+)
+from spantreekh.diagram import DiagramError, tait_graph
+from spantreekh.khovanov import StateLabels, differential
+from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
+
+# RetractionRecord with the full-cube build: ``complex`` is the whole pair
+# list and ``log_size`` its length.
+OracleRecord = namedtuple("OracleRecord", RetractionRecord._fields + ("state_tree", "full_complex"))
+
+
+def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spreads):
+    """Match one tree's block of states down to its fundamental class.
+
+    Each pair goes to ``matching.match(x, y)`` and leaves ``live_set``, which
+    ends up holding the block's survivors.
+
+    The pairing at kink stage t is formed on the states of C(U^{t-1}); those
+    are tracked explicitly as "abstract" states, in which already-processed
+    kinks are spliced away.  The dictionary between raw labels and abstract
+    sign bits (over the circles of the abstract smoothing) is updated after
+    every stage (a kink loop that carries the basepoint flips the merged
+    circle back to "+").  Within a stage the kink geometry and the sign-bit
+    maps across the kink depend on the raw smoothing alone, so each is
+    computed once per smoothing; the sign-bit maps come from ``spreads``
+    (see ``collapse._kink_transfer``).  Partners are indexed by a label's
+    raw marker bits over its abstract sign bits.
+    """
+    fmt = StateLabels(diagram)
+    signs_mask = fmt.signs_mask
+    spliced = {}  # crossing of each undone kink -> its splice marker
+    abstract = {g: g & signs_mask for g in live_set}  # starts as the raw signs
+
+    def abstract_markers(smoothing):
+        """The abstract smoothing of a label's raw marker bits."""
+        return tuple(spliced.get(i, m) for i, m in enumerate(fmt.markers(smoothing)))
+
+    for st in stages:
+        c = st.crossing
+        flip = fmt.crossing_bit(c)
+        head_side = flip if st.splice_marker == "B" else 0  # c's bit in a head
+        transfers = {}  # A end of a raw cube edge at c -> _kink_transfer
+
+        def kink(g):
+            a_end = g & ~signs_mask & ~flip
+            if a_end not in transfers:
+                transfers[a_end] = _kink_transfer(
+                    diagram, abstract_markers(a_end), abstract_markers(a_end | flip), st,
+                    spreads,
+                )
+            return transfers[a_end]
+
+        index = {(g & ~signs_mask) | abstract[g]: g  # the possible partners
+                 for g in live_set if g & flip != head_side}
+        for head in [g for g in sorted(live_set) if g & flip == head_side]:
+            if matching.matched(head):
+                continue
+            loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = kink(head)
+            signs = abstract[head]
+            partner_signs = to_loop_side[signs]
+            if st.sign > 0 and reduced and diagram.basepoint in loop:
+                # B-side head, based loop: the A-side partner's loop is "+"
+                partner_signs |= loop_bit
+            else:
+                # the rest circle takes the merged sign; an A-side partner
+                # gets loop "-", a B-side partner loop "+"
+                if signs & merged_bit:
+                    partner_signs |= rest_bit
+                if st.sign < 0:
+                    partner_signs |= loop_bit
+            partner = index.get(((head & ~signs_mask) ^ flip) | partner_signs)
+            if partner is None or matching.matched(partner):
+                raise DiagramError("collapse partner is not live")
+            if st.sign < 0:
+                matching.match(head, partner)
+            else:
+                matching.match(partner, head)
+            for gone in (head, partner):
+                live_set.discard(gone)
+                abstract.pop(gone, None)
+        # move this stage's survivors onto the spliced smoothing's circles
+        for g in live_set:
+            if g & flip == head_side:  # survivors carry the loop marker
+                raise DiagramError("stage survivor has the wrong marker")
+            loop, _, to_head_side, loop_bit, rest_bit, merged_bit = kink(g)
+            signs = abstract[g]
+            if st.sign > 0 and not signs & loop_bit:
+                raise DiagramError("positive-kink survivor without a + loop")
+            if st.sign < 0 and signs & loop_bit:
+                merged_plus = True  # basepoint-on-loop survivor flips back to +
+                if not (reduced and diagram.basepoint in loop):
+                    raise DiagramError("negative-kink survivor with a + loop")
+            else:
+                merged_plus = signs & rest_bit
+            abstract[g] = to_head_side[signs] | (merged_bit if merged_plus else 0)
+        spliced[c] = st.splice_marker
+
+
+def _include_survivor(matching, live, states, target, first):
+    """The Morse inclusion, through the pairs from key ``first`` on, of the
+    one state of the block's survivors ``live`` at bigrading ``target``."""
+    survivors = [g for g in live if states[g] == target]
+    if len(survivors) != 1:
+        raise DiagramError("block matching did not leave a unique survivor")
+    return matching.include(survivors[0], first)
+
+
+def retract_by_matching(diagram, reduced=True):
+    """The retraction onto the spanning-tree complex over the full build.
+
+    Returns (TreeComplex, OracleRecord); ``record.complex`` is the whole
+    matching's pair list, in matching order.
+    """
+    graph = tait_graph(diagram)
+    trees = enumerate_trees(graph)
+    poset = build_poset(trees)
+    res = resolution_tree(diagram, graph, trees)
+    stages_of = {leaf.tree.index: leaf.stages for leaf in res.leaves()}
+    complex = differential(diagram, reduced)
+    w = diagram.writhe
+    k = graph.k_invariant()
+
+    tree_of = state_tree_assignment(diagram, res)
+    states = complex.states
+    state_tree = {}
+    tree_live = {}
+    # a smoothing's states are listed together: one walk per smoothing
+    for smoothing, group in groupby(states, key=StateLabels(diagram).smoothing_of):
+        group = list(group)
+        t = tree_of(smoothing)
+        state_tree.update(dict.fromkeys(group, t))
+        tree_live.setdefault(t, set()).update(group)
+    # insulation: pairs inside one block cannot reach a block above it
+    check_order_discipline(complex, state_tree, poset, trees)
+
+    matching = MorseMatching(complex.differential)
+    spreads = {}  # the kinks' sign_spread tables, by shape, for this retraction
+    first_pair = {}  # tree index -> key of its block's first pair
+    for pos in poset.linear_extension():
+        tree = trees[pos]
+        first_pair[tree.index] = len(matching.pairs)
+        collapse_tree_block(diagram, matching, tree, stages_of[tree.index],
+                            tree_live[tree.index], reduced, spreads)
+    matching.check_acyclic()
+
+    seeds = (1,) if reduced else (1, -1)
+    cycles = []
+    survivor_of = {}
+    gens = {}  # tree-complex label -> (u, v)
+    for t in trees:
+        stages, alive = stages_of[t.index], tree_live[t.index]
+        if len(alive) != len(seeds):
+            raise DiagramError(
+                f"tree {t.index} left {len(alive)} generators, expected {len(seeds)}"
+            )
+        by_grading = {states[g]: g for g in alive}
+        for seed in seeds:
+            target = grading_map(*_uv(t, seed), w, k)
+            if target not in by_grading:
+                raise DiagramError("survivor grading disagrees with the dictionary")
+            survivor_of[(t.index, seed)] = by_grading[target]
+            gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
+            chain = _substitute_kinks(diagram, t, stages, reduced, seed, spreads)
+            if chain is None:
+                chain = _include_survivor(matching, alive, states, target, first_pair[t.index])
+            labels = list(chain)
+            if any(g not in states for g in labels):
+                raise DiagramError("fundamental cycle leaves the complex")
+            i, j = states[labels[0]]
+            if any(states[g] != (i, j) for g in labels):
+                raise DiagramError("fundamental cycle is not homogeneous")
+            _verify_cycle_gradings(diagram, t, stages, labels[0], (i, j), w, k, seed)
+            _check_block_cycle(matching.row, chain, state_tree.__getitem__, t.index)
+            cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
+    if len(states) - 2 * len(matching.pairs) != len(survivor_of):
+        raise DiagramError("leftover non-tree generator after the retraction")
+
+    tree_label_of = {g: label for label, g in survivor_of.items()}
+    chains = [cyc.chain for cyc in cycles]
+    chains += [complex.differential.get(g, {}) for g in tree_label_of]
+    images = matching.project(chains)
+    if any(g not in tree_label_of for image in images for g in image):
+        raise DiagramError("retraction image is not supported on survivors")
+
+    transport_matrix = {}
+    for cyc, image in zip(cycles, images):
+        row = {tree_label_of[g]: coeff for g, coeff in image.items()}
+        if row.get(cyc.tree_index, 0) != 1:
+            raise DiagramError(
+                f"r(f({cyc.tree_index})) has diagonal coefficient "
+                f"{row.get(cyc.tree_index, 0)}, expected 1"
+            )
+        transport_matrix[cyc.tree_index] = row
+
+    rows = dict(zip(tree_label_of, images[len(cycles):]))
+    _check_d_squared(rows, "d^2 != 0 on the spanning-tree complex")
+    diff = {}
+    for (ti, seed), g in survivor_of.items():
+        row = {}
+        for dst, coeff in rows[g].items():
+            dlabel = tree_label_of[dst]
+            row[dlabel if not reduced else dlabel[0]] = coeff
+        if row:
+            diff[ti if reduced else (ti, seed)] = row
+    pairs = list(matching.pairs.values())
+    record = OracleRecord(pairs, survivor_of, cycles, transport_matrix, len(pairs),
+                          trees, poset, res, state_tree, complex)
+    tree_complex = TreeComplex(gens, diff, reduced, diagram)
+    _check_descending(tree_complex.differential,
+                      {label: label if reduced else label[0] for label in gens},
+                      poset, trees, "tree differential entry", False)
+    return tree_complex, record
+
+
+def is_ordered_subsequence(pairs, all_pairs):
+    """Whether ``pairs`` appear in ``all_pairs`` in the same order."""
+    rest = iter(all_pairs)
+    return all(any(p == q for q in rest) for p in pairs)

@@ -6,9 +6,11 @@ import importlib
 import importlib.util
 import os
 
+from matching_oracle import retract_by_matching
 from spantreekh import algebra, corpus
 from spantreekh.collapse import retract_to_tree_complex
 from spantreekh.khovanov import differential
+from spantreekh.planegraph import triangle_bundle
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -57,6 +59,17 @@ def test_build_and_retraction_counters_read_real_results():
     assert tracer.counts["khovanov.states"] == states == 2 * (15 + 30)
     assert tracer.counts["collapse.collapses"] == collapses > 0
     assert len(tracer.build_keys) == 2
+
+
+def test_tally_based_collapse_count_is_the_whole_matchings():
+    # the retraction counts its pairs off the smoothing tally, not off a
+    # built complex: on the 9-crossing bundle that count is the full-cube
+    # oracle's pair count, which ``collapse.collapses`` reported before
+    d = triangle_bundle([1] * 3, [1] * 3, [1] * 3)[0]
+    for reduced in (True, False):
+        _, record = retract_to_tree_complex(d, reduced)
+        _, oracle = retract_by_matching(d, reduced)
+        assert record.log_size == len(oracle.complex) > len(record.complex), reduced
 
 
 def test_algebra_counter_reads_row_lists(monkeypatch):

@@ -255,9 +255,10 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-# ``spantree-complex --trace`` output pinned byte for byte, as recorded from
-# the sequential-collapse retraction: the matched pairs print in its
-# collapse-log format.
+# ``spantree-complex --trace`` output pinned byte for byte.  The collapse
+# count is the whole matching's, as the sequential-collapse retraction
+# recorded it; the pairs listed are only those the gradient flows visited,
+# in matching order, printed in that retraction's collapse-log format.
 TRACE_3_1_UNREDUCED_LIMIT_2 = """\
 spanning-tree complex (unreduced):
   generator (0, -1) at (u,v)=(3,2)
@@ -273,9 +274,9 @@ homology by (u,v):
   (1,1): Z^1
   (1,2): Z^1
   (3,2): Z^1
-collapse log: 12 elementary collapses
-  collapsed x=(('A', 'B', 'B'), (-1,)) y=(('B', 'B', 'B'), (-1, 1)) incidence 1
-  collapsed x=(('A', 'B', 'B'), (1,)) y=(('B', 'B', 'B'), (1, 1)) incidence 1
+collapse log: 12 elementary collapses, 3 visited by the gradient flows
+  collapsed x=(('A', 'A', 'B'), (-1, 1)) y=(('B', 'A', 'B'), (1,)) incidence 1
+  collapsed x=(('A', 'A', 'A'), (1, -1, 1)) y=(('B', 'A', 'A'), (1, 1)) incidence 1
 """
 
 TRACE_4_1 = """\
@@ -291,21 +292,11 @@ homology by (u,v):
   (0,2): Z^1
   (1,2): Z^1
   (2,2): Z^1
-collapse log: 14 elementary collapses
-  collapsed x=(('A', 'A', 'B', 'B'), (1,)) y=(('B', 'A', 'B', 'B'), (1, 1)) incidence 1
+collapse log: 14 elementary collapses, 4 visited by the gradient flows
   collapsed x=(('A', 'B', 'B', 'B'), (1, -1)) y=(('B', 'B', 'B', 'B'), (1, -1, 1)) incidence 1
-  collapsed x=(('A', 'B', 'B', 'B'), (1, 1)) y=(('B', 'B', 'B', 'B'), (1, 1, 1)) incidence 1
   collapsed x=(('B', 'A', 'B', 'B'), (1, -1)) y=(('B', 'B', 'B', 'B'), (1, 1, -1)) incidence -1
   collapsed x=(('A', 'B', 'A', 'B'), (1,)) y=(('B', 'B', 'A', 'B'), (1, 1)) incidence 1
-  collapsed x=(('A', 'B', 'A', 'A'), (1, -1)) y=(('B', 'B', 'A', 'A'), (1, 1, -1)) incidence 1
-  collapsed x=(('A', 'B', 'A', 'A'), (1, 1)) y=(('B', 'B', 'A', 'A'), (1, 1, 1)) incidence 1
   collapsed x=(('A', 'B', 'B', 'A'), (1,)) y=(('B', 'B', 'B', 'A'), (1, 1)) incidence 1
-  collapsed x=(('B', 'B', 'A', 'A'), (1, -1, -1)) y=(('B', 'B', 'B', 'A'), (1, -1)) incidence 1
-  collapsed x=(('A', 'A', 'A', 'B'), (1, -1)) y=(('B', 'A', 'A', 'B'), (1,)) incidence 1
-  collapsed x=(('A', 'A', 'A', 'A'), (1, -1, -1)) y=(('B', 'A', 'A', 'A'), (1, -1)) incidence 1
-  collapsed x=(('A', 'A', 'A', 'A'), (1, -1, 1)) y=(('B', 'A', 'A', 'A'), (1, 1)) incidence 1
-  collapsed x=(('A', 'A', 'B', 'A'), (1, -1)) y=(('B', 'A', 'B', 'A'), (1,)) incidence 1
-  collapsed x=(('A', 'A', 'A', 'A'), (1, 1, -1)) y=(('A', 'A', 'B', 'A'), (1, 1)) incidence 1
 """
 
 
@@ -317,6 +308,17 @@ collapse log: 14 elementary collapses
 def test_spantree_complex_trace_is_pinned(capsys, argv, expected):
     assert run(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, collapses, visited", [
+    (["spantree-complex", "3_1", "--unreduced"], 12, 3),
+    (["spantree-complex", "4_1", "--trace"], 14, 4),
+], ids=["3_1-unreduced", "4_1-trace"])
+def test_spantree_complex_json_counts_collapses_and_visited_pairs(capsys, argv, collapses,
+                                                                 visited):
+    assert run(["--json"] + argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["collapses"], payload["pairs_visited"]) == (collapses, visited)
 
 
 def test_python_m_spantreekh_runs_the_cli():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import matching_oracle
 from collapse_oracle import (
     SequentialComplex,
     has_based_negative_loop,
@@ -252,11 +253,12 @@ def test_batched_transport_matches_per_chain_on_fundamental_cycles(name, reduced
 
 
 def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
+    # the full-cube block pass of the oracle
     calls = []
     blocks = []  # per block: its raw smoothings and its stages
     current = []  # the position of the block being collapsed, while one is
-    kink_transfer = collapse._kink_transfer
-    collapse_block = collapse._collapse_tree_block
+    kink_transfer = matching_oracle._kink_transfer
+    collapse_block = matching_oracle.collapse_tree_block
 
     def counting_transfer(diagram, markers_x, markers_y, stage, spreads):
         if current:
@@ -272,13 +274,13 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
         finally:
             current.pop()
 
-    monkeypatch.setattr(collapse, "_kink_transfer", counting_transfer)
-    monkeypatch.setattr(collapse, "_collapse_tree_block", counting_block)
+    monkeypatch.setattr(matching_oracle, "_kink_transfer", counting_transfer)
+    monkeypatch.setattr(matching_oracle, "collapse_tree_block", counting_block)
     for name in ("5_2", "6_2", "7_4"):
         for reduced in (True, False):
             calls.clear()
             blocks.clear()
-            retract_to_tree_complex(corpus.diagram(name), reduced)
+            matching_oracle.retract_by_matching(corpus.diagram(name), reduced)
             assert calls, (name, reduced)
             # once per (block, stage, smoothing) at most ...
             assert len(calls) == len(set(calls)), (name, reduced)

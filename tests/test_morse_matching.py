@@ -1,15 +1,20 @@
-"""The Morse-matching retraction: its checks, and the sequential oracle.
+"""The Morse-matching retraction: its checks, and its two oracles.
 
-``collapse_oracle.retract_by_collapses`` collapses the same pairs one by one
-on a mutable copy of the complex.  The matching must give the same pairs,
-survivors, tree complex, transport matrix and fundamental cycles, dict order
-included, also after a crossing permutation that changes the tree poset.
+``matching_oracle.retract_by_matching`` matches the whole built complex
+block by block; the lazy route must give its survivors, tree complex,
+transport matrix and fundamental cycles, dict order included, and use an
+ordered subsequence of its pairs.  ``collapse_oracle.retract_by_collapses``
+collapses the same pairs one by one on a mutable copy of the complex and
+must give the full matching's pairs and outcome.  Both hold also after a
+crossing permutation that changes the tree poset.
 """
 
 import random
+from collections import defaultdict
 
 import pytest
 
+from matching_oracle import is_ordered_subsequence, retract_by_matching
 from collapse_oracle import (
     SequentialComplex,
     has_based_negative_loop,
@@ -24,10 +29,10 @@ from spantreekh.collapse import (
     MorseMatching,
     jacobsson_cycle,
     retract_to_tree_complex,
-    state_tree_assignment,
 )
-from spantreekh.diagram import DiagramError, tait_graph
-from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
+from spantreekh.diagram import DiagramError
+from spantreekh.khovanov import StateLabels, smoothing_grading
+from spantreekh.spantree import resolution_tree
 
 
 def test_cyclic_matching_is_rejected():
@@ -66,36 +71,38 @@ def test_state_matched_twice_is_rejected(second):
 
 
 def _corrupting_entry(d, reduced):
-    """A (source, target) of the built complex, the source in a lower tree's
-    block and the target in a higher tree's, at bidegree (1, 0)."""
-    graph = tait_graph(d)
-    trees = enumerate_trees(graph)
-    poset = build_poset(trees)
-    tree_of = state_tree_assignment(d, resolution_tree(d, graph, trees))
-    position = {t.index: pos for pos, t in enumerate(trees)}
-    states = collapse.differential(d, reduced).states
-    for src, (i, j) in states.items():
+    """A (source, target) of states at bidegree (1, 0), the source a
+    survivor of a lower tree's block, whose row the retraction always
+    builds, and the target in a higher tree's block."""
+    _, record = retract_by_matching(d, reduced)
+    states, tree_of = record.full_complex.states, record.state_tree
+    position = {t.index: pos for pos, t in enumerate(record.trees)}
+    for src in record.survivor_of.values():
+        i, j = states[src]
         for dst, target in states.items():
-            a, b = tree_of(src), tree_of(dst)
-            if (target == (i + 1, j) and a != b
-                    and poset.is_greater(position[b], position[a])):
+            a, b = tree_of[src], tree_of[dst]
+            if target == (i + 1, j) and record.poset.is_greater(position[b], position[a]):
                 return src, dst
     raise AssertionError("no pair of comparable blocks at bidegree (1, 0)")
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
 def test_order_discipline_is_checked_inside_the_retraction(monkeypatch, reduced):
+    # the route builds its rows off the cube edges out of each smoothing: an
+    # extra edge from a survivor's smoothing into a higher tree's block puts
+    # one entry into that survivor's row
     d = corpus.diagram("trefoil4")
     src, dst = _corrupting_entry(d, reduced)
-    build = collapse.differential
+    edges_out = collapse._edges_out
 
-    def corrupted(diagram, reduced, fixed=None):
-        cx = build(diagram, reduced, fixed)
-        if fixed is None:
-            cx.differential[src][dst] = 1
-        return cx
+    def corrupted(diagram, fmt, smoothing, crossings, tables):
+        edges = edges_out(diagram, fmt, smoothing, crossings, tables)
+        if smoothing == fmt.smoothing_of(src):
+            table = defaultdict(tuple, {src & fmt.signs_mask: (dst & fmt.signs_mask,)})
+            edges.append((fmt.smoothing_of(dst), 1, table))
+        return edges
 
-    monkeypatch.setattr(collapse, "differential", corrupted)
+    monkeypatch.setattr(collapse, "_edges_out", corrupted)
     with pytest.raises(DiagramError, match="violates the partial order"):
         retract_to_tree_complex(d, reduced)
 
@@ -131,7 +138,7 @@ def test_flows_match_sequential_collapses_on_random_matchings():
         matching = _acyclic_random_matching(rng, rows)
         generators = sorted(mc.live)
         mc.begin_expansions(set(mc.live))
-        for x, y, lam in matching.pairs:
+        for x, y, lam in matching.pairs.values():
             assert mc.rows[x][y] == lam  # an acyclic matching keeps its incidences
             mc.collapse(x, y)
         survivors = sorted(mc.live)
@@ -153,9 +160,8 @@ def test_flows_match_sequential_collapses_on_random_matchings():
     assert compared > 40
 
 
-def _outcome(tree_complex, record, pairs):
+def _outcome(tree_complex, record):
     return {
-        "pairs": [(p.x, p.y, p.incidence) for p in pairs],
         "log_size": record.log_size,
         "survivor_of": list(record.survivor_of.items()),
         "generators": list(tree_complex.generators.items()),
@@ -166,29 +172,58 @@ def _outcome(tree_complex, record, pairs):
     }
 
 
+def _pairs(pairs):
+    return [(p.x, p.y, p.incidence) for p in pairs]
+
+
+def _assert_route_equals_full_cube_oracle(d, reduced):
+    """The lazy route gives the full-cube matching's tree complex, transport
+    matrix, survivors and cycles, dict order included, and the pairs its
+    flows used are an ordered subsequence of the whole matching's."""
+    tc, record = retract_to_tree_complex(d, reduced)
+    oracle_tc, oracle_record = retract_by_matching(d, reduced)
+    assert _outcome(tc, record) == _outcome(oracle_tc, oracle_record)
+    assert is_ordered_subsequence(record.complex, oracle_record.complex)
+    return oracle_tc, oracle_record
+
+
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
 @pytest.mark.parametrize("name", corpus.names())
 def test_matching_equals_the_sequential_oracle_after_a_crossing_permutation(name, reduced):
     d = _crossings_permuted(corpus.diagram(name), random.Random(f"oracle:{name}"))
-    tc, record = retract_to_tree_complex(d, reduced)
+    tc, record = _assert_route_equals_full_cube_oracle(d, reduced)
     oracle_tc, oracle_record = retract_by_collapses(d, reduced)
-    assert _outcome(tc, record, record.complex) == _outcome(
-        oracle_tc, oracle_record, oracle_record.complex.log
-    )
+    assert _outcome(tc, record) == _outcome(oracle_tc, oracle_record)
+    assert _pairs(record.complex) == _pairs(oracle_record.complex.log)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+@pytest.mark.parametrize("name", ["tri-9-pos", "tri-10-mixed"])
+def test_route_equals_the_full_cube_oracle_on_plane_graph_diagrams(name, reduced):
+    d = dict(cycle_diagrams())[name]
+    _, record = _assert_route_equals_full_cube_oracle(d, reduced)
+    assert len(record.complex) == record.log_size > 2000
+
+
+def test_ordered_subsequence_helper():
+    assert is_ordered_subsequence([1, 3], [1, 2, 3])
+    assert is_ordered_subsequence([], [1])
+    assert not is_ordered_subsequence([3, 1], [1, 2, 3])
+    assert not is_ordered_subsequence([1, 1], [1, 2])
 
 
 def test_based_loop_cycles_are_the_block_filtered_inclusion():
     """A based-negative-loop tree's cycle is its survivor's inclusion through
-    the pairs from its block's first position on: the same chain, dict order
+    the pairs from its block's first key on: the same chain, dict order
     included, as through the pairs whose lower state lies in the block, and
-    as ``jacobsson_cycle`` gets from the block matched on its own."""
+    as ``jacobsson_cycle`` gets from its own lazy matching."""
     checked = 0
     for name, d in cycle_diagrams():
         based = [leaf for leaf in resolution_tree(d).leaves()
                  if has_based_negative_loop(d, leaf.tree, leaf.stages)]
         if not based:
             continue
-        _, record = retract_to_tree_complex(d, True)
+        _, record = retract_by_matching(d, True)
         matching = MorseMatching(record.full_complex.differential)
         for pair in record.complex:
             matching.match(pair.x, pair.y)
@@ -202,3 +237,85 @@ def test_based_loop_cycles_are_the_block_filtered_inclusion():
             assert list(alone.items()) == list(expected.items()), (name, t)
             checked += 1
     assert checked > 150
+
+
+# -- the route's local checks, each made to fire by one fault ---------------------
+
+
+def test_partner_rule_without_the_rest_bit_is_caught(monkeypatch):
+    rule = collapse._partner_signs
+
+    def dropping(kink, h):
+        rest_bit = kink[4]
+        return rule(kink, h) & ~rest_bit
+
+    monkeypatch.setattr(collapse, "_partner_signs", dropping)
+    with pytest.raises(DiagramError, match="not live|not an involution"):
+        retract_to_tree_complex(corpus.diagram("7_4"), False)
+
+
+def _flipped_target(d, pairs):
+    """(x, e, corrupted): a visited pair's upper state x, the position e of
+    one of its smoothing's cube edges, and that edge's shape table with one
+    target of x other than its lower state moved within the target
+    smoothing and j: the sign of one unbased circle traded with another's."""
+    fmt = StateLabels(d)
+    for x, y, _ in pairs:
+        bits = x & fmt.signs_mask
+        edges = collapse._edges_out(d, fmt, fmt.smoothing_of(x), range(d.n), {})
+        row = {base | t for base, _, table in edges for t in table[bits]}
+        for e, (base, _, table) in enumerate(edges):
+            _, k, based = smoothing_grading(d, fmt.markers(base))
+            free = [1 << b for b in range(k) if b != k - 1 - based]
+            for t in table[bits]:
+                ones = [b for b in free if t & b]
+                zeros = [b for b in free if not t & b]
+                if base | t != y and ones and zeros and base | (t ^ ones[0] ^ zeros[0]) not in row:
+                    corrupted = list(table)
+                    corrupted[bits] = tuple(t ^ ones[0] ^ zeros[0] if u == t else u
+                                            for u in table[bits])
+                    return x, e, corrupted
+    raise AssertionError("no target to move")
+
+
+def test_flipped_target_in_a_visited_row_fails_the_local_d_squared(monkeypatch):
+    d = corpus.diagram("8_19")
+    _, record = retract_to_tree_complex(d, False)
+    x, e, corrupted = _flipped_target(d, record.complex)
+    edges_out = collapse._edges_out
+
+    def flipping(diagram, fmt, smoothing, crossings, tables):
+        edges = edges_out(diagram, fmt, smoothing, crossings, tables)
+        if smoothing == fmt.smoothing_of(x):
+            base, sign, _ = edges[e]
+            edges[e] = (base, sign, corrupted)
+        return edges
+
+    monkeypatch.setattr(collapse, "_edges_out", flipping)
+    with pytest.raises(DiagramError, match="does not square to zero"):
+        retract_to_tree_complex(d, False)
+
+
+def test_two_visited_pairs_in_a_gradient_cycle_fail_kahns_pass(monkeypatch):
+    d = corpus.diagram("8_19")
+    _, record = retract_to_tree_complex(d, False)
+    graded = {}
+    for pair in record.complex:
+        graded.setdefault(StateLabels(d).key(pair.x)[0].count("A"), []).append(pair)
+    (x1, y1, _), (x2, y2, _) = next(pairs for pairs in graded.values() if len(pairs) > 1)[:2]
+    row = collapse.LazyMatching.row
+
+    def cyclic(self, g):
+        found = row(self, g)
+        extra = {x1: y2, x2: y1}.get(g)
+        return found if extra is None else {**found, extra: 1}
+
+    monkeypatch.setattr(collapse.LazyMatching, "row", cyclic)
+    with pytest.raises(DiagramError, match="gradient cycle"):
+        retract_to_tree_complex(d, False)
+
+
+def test_survivor_at_the_wrong_seed_sign_fails_the_dictionary(monkeypatch):
+    monkeypatch.setattr(collapse, "_seed_bits", lambda seed: 0 if seed == 1 else 1)
+    with pytest.raises(DiagramError, match="dictionary"):
+        retract_to_tree_complex(corpus.diagram("trefoil4"), False)

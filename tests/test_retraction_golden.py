@@ -6,7 +6,9 @@ tuples.  States now carry integer labels whose order is the keys' order, so
 every collapse must be the one the tuples gave: the script's own ``record``
 of the tree complex, the transport matrix, the survivors (read back as keys)
 and the whole collapse sequence (as a digest of its keys) must equal the
-stored one exactly, dict order included.
+stored one exactly, dict order included.  The collapse sequence is the
+full-cube oracle's; the pairs the retraction's flows used must appear in it
+in the same order.
 """
 
 import json
@@ -14,7 +16,8 @@ import pathlib
 
 import pytest
 
-from golden.make_retractions import EXTRA, record
+from golden.make_retractions import EXTRA, record, retractions
+from matching_oracle import is_ordered_subsequence
 from spantreekh import corpus
 from spantreekh.planegraph import triangle_bundle
 
@@ -37,4 +40,7 @@ def test_golden_covers_the_corpus_and_the_9_crossing_bundle():
 @pytest.mark.parametrize("name", corpus.names() + list(EXTRA))
 def test_retraction_matches_golden(name, reduced):
     golden = GOLDEN[name]["reduced" if reduced else "unreduced"]
-    assert record(_diagram(name), reduced) == golden
+    runs = retractions(_diagram(name), reduced)
+    assert record(*runs) == golden
+    _, _, rec, oracle = runs
+    assert is_ordered_subsequence(rec.complex, oracle.complex)

@@ -7,7 +7,7 @@ import pytest
 from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
 
-from spantreekh import collapse, corpus, spectral
+from spantreekh import corpus, spectral
 from spantreekh.collapse import retract_to_tree_complex, state_tree_assignment
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import differential
@@ -229,7 +229,7 @@ def test_d0_is_not_read_off_the_tree_complex():
 def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
     """build_filtration does not look for level drops itself: an entry from
     a lower tree's block into a higher tree's block lowers the level, and
-    the retraction's order-discipline check stops it."""
+    the order-discipline check on the full complex stops it."""
     d = corpus.diagram("trefoil4")
     trees = enumerate_trees(tait_graph(d))
     poset = build_poset(trees)
@@ -237,7 +237,7 @@ def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
     high, low = next((a, b) for a in range(len(trees)) for b in range(len(trees))
                      if poset.is_greater(a, b))
     assert poset.level[low] > poset.level[high]
-    build = collapse.differential
+    build = spectral.differential
 
     def injecting(diagram, reduced, fixed=None):
         cx = build(diagram, reduced, fixed)
@@ -248,6 +248,6 @@ def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
             cx.differential.setdefault(block[trees[low].index], {})[block[trees[high].index]] = 1
         return cx
 
-    monkeypatch.setattr(collapse, "differential", injecting)
+    monkeypatch.setattr(spectral, "differential", injecting)
     with pytest.raises(DiagramError, match="violates the partial order"):
         build_filtration(d)
