@@ -19,7 +19,8 @@ fundamental cycles, which gives the transport matrix.  The flows read only
 the states they reach, so the whole cube is never built:
 :class:`LazyMatching` answers for one state label at a time
 
-- its row d(label), from the shape tables of its smoothing's cube edges;
+- its row d(label), from its one row builder (``khovanov.RowBuilder``),
+  which ``spectral.build_filtration`` then reads the whole cube through;
 - its pair, by replaying the block pass's stage rule on that one label:
   a head is matched to the partner the rule gives, a loop-side state only
   when the inverse rule names a head that is still live, and a state's raw
@@ -31,11 +32,13 @@ the states they reach, so the whole cube is never built:
 A tree's survivors are the stage maps inverted from the round unknot's
 seed sign.
 
-Checks on the route.  Every row it builds has no stored zero, bidegree
-(1, 0), stays in the reduced complex and runs inside its block or down to
-a lower tree's; every row the gradient flows read has d(d(x)) = 0 over the
-rows of all its targets.  Every pair the flows use has
-incidence +-1, its two states name each other in one tree and stage, and
+Checks on the route.  The builder checks every row for stored zeros,
+bidegree (1, 0) and closure of the reduced complex; the matching checks
+every cube edge it reads, the first time it reads the edge's source
+smoothing, to run inside one block or down to a lower tree's; every row
+the gradient flows read has d(d(x)) = 0 over the rows of all its targets.
+Every pair the flows use has incidence +-1, its two states name each
+other in one tree and stage, and
 Kahn's pass finds no gradient cycle among those pairs.  The survivors are
 unmatched and sit at the dictionary's gradings; the fundamental cycles are
 homogeneous cycles of their blocks at the shifted gradings; r o f = id; the
@@ -62,14 +65,13 @@ from .algebra import LaurentPolynomial
 from .diagram import DiagramError, tait_graph
 from .jones import bracket_spantree, jones
 from .khovanov import (
+    RowBuilder,
     StateLabels,
     _check_d_squared,
-    _edges_out,
     cancelled_homology,
     circle_moves,
     enumerate_states,
     sign_spread,
-    smoothing_grading,
 )
 from .spantree import (
     build_poset,
@@ -133,12 +135,21 @@ def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
     """
     if reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
-    chain = _substitute_kinks(diagram, tree, stages, reduced, seed, {})
-    if chain is None:
-        matching = LazyMatching(diagram, reduced)
-        chain = matching.include(matching.survivor(tree, seed), matching.first_key(tree.index))
     key = StateLabels(diagram).key
-    return {key(g): coeff for g, coeff in chain.items()}
+    return {key(g): coeff
+            for g, coeff in _fundamental_chain(diagram, tree, stages, reduced, seed).items()}
+
+
+def _fundamental_chain(diagram, tree, stages, reduced, seed, matching=None):
+    """The tree's fundamental cycle seeded by ``seed``, as labels: the
+    Jacobsson substitution, else the Morse inclusion of its survivor from
+    its block's first key on, off ``matching`` (a new one when None)."""
+    chain = _substitute_kinks(diagram, tree, stages, reduced, seed,
+                              matching.spreads if matching else {})
+    if chain is None:
+        matching = matching or LazyMatching(diagram, reduced)
+        chain = matching.include(matching.survivor(tree, seed), matching.first_key(tree.index))
+    return chain
 
 
 def _seed_bits(seed):
@@ -408,7 +419,8 @@ def _unsurvive(kink, a):
 class LazyMatching(MorseMatching):
     """The block pass's matching on the whole Khovanov complex of a diagram,
     answered one state label at a time.  One object serves one retraction
-    and holds all its memos.
+    and holds all its memos; its rows come from its ``builder``
+    (``khovanov.RowBuilder``), each read through :meth:`ordered_row`.
 
     A label's pair comes from replaying its tree's kink stages on it.  At
     each stage the label's abstract signs (over the circles of its
@@ -427,13 +439,14 @@ class LazyMatching(MorseMatching):
     def __init__(self, diagram, reduced):
         super().__init__(None)
         self.diagram, self.reduced = diagram, reduced
-        fmt = self.fmt = StateLabels(diagram)
+        self.builder = RowBuilder(diagram, reduced)
+        fmt = self.fmt = self.builder.fmt
         self.mask = fmt.signs_mask
         graph = tait_graph(diagram)
         self.graph, self.k = graph, graph.k_invariant()
         self.trees = enumerate_trees(graph)
         self.poset = build_poset(self.trees)
-        res = self.resolution = resolution_tree(diagram, graph, self.trees)
+        res = resolution_tree(diagram, graph, self.trees)
         self._walk = state_tree_assignment(diagram, res)
         self._pos = {t.index: pos for pos, t in enumerate(self.trees)}
         # a row from tree t may reach t's block and the blocks of trees below t
@@ -461,11 +474,8 @@ class LazyMatching(MorseMatching):
         self._head_bits = fmt.width + diagram.n
         self._stages_radix = diagram.n + 1
         self.spreads = {}       # the kinks' sign_spread tables, by shape
-        self._tables = {}       # cube-edge shape -> _edge_table
-        self._edges = {}        # smoothing -> its cube edges out, checked
-        self._gradings = {}     # smoothing -> (i, circle count, based circle's bit)
         self._tree = {}         # smoothing -> index of the tree whose block holds it
-        self._rows = {}         # label -> d(label), checked
+        self._ordered = set()   # smoothings whose cube edges passed the tree-order check
         self._squared = set()   # labels whose d(d(label)) = 0 was checked
         self._unmatched = set()
         self._ends = {}         # pair key -> (x, y)
@@ -480,79 +490,31 @@ class LazyMatching(MorseMatching):
             t = self._tree[smoothing] = self._walk(smoothing)
         return t
 
-    def _grading(self, smoothing):
-        data = self._gradings.get(smoothing)
-        if data is None:
-            i, k, based = smoothing_grading(self.diagram, self.fmt.markers(smoothing))
-            data = self._gradings[smoothing] = i, k, 1 << (k - 1 - based)
-        return data
-
-    def in_complex(self, g):
-        """Whether g labels a state of the (reduced or unreduced) complex."""
-        _, k, based = self._grading(g & ~self.mask)
-        bits = g & self.mask
-        return not bits >> k and (not self.reduced or bool(bits & based))
-
-    def grading(self, g):
-        """(i, j) of the state g."""
-        i, k, _ = self._grading(g & ~self.mask)
-        return i, i + self.diagram.writhe + k - 2 * (g & self.mask).bit_count()
-
     # -- rows --------------------------------------------------------------------
 
-    def _edges_from(self, smoothing):
-        """The cube edges out of a smoothing (:func:`_edges_out`), each with
-        its target's i, circle count and based circle's bit; every edge is
-        checked to run inside the smoothing's block or down to a lower
-        tree's."""
-        edges = self._edges.get(smoothing)
-        if edges is None:
+    def ordered_row(self, g):
+        """d(g) off the builder; the first time a smoothing is read, every
+        cube edge out of it is checked to run inside its block or down to a
+        lower tree's."""
+        smoothing = g & ~self.mask
+        if smoothing not in self._ordered:
             a = self.tree_of(smoothing)
             allowed = self._allowed[a]
-            edges = []
-            for base, sign, table in _edges_out(self.diagram, self.fmt, smoothing,
-                                                range(self.diagram.n), self._tables):
+            for base, *_ in self.builder.edges(smoothing):
                 b = self.tree_of(base)
                 if not allowed >> self._pos[b] & 1:
                     raise DiagramError(
                         f"incidence from tree {a} to tree {b} violates the partial order")
-                edges.append((base, sign, table, *self._grading(base)))
-            self._edges[smoothing] = edges
-        return edges
-
-    def _build(self, g):
-        """d(g) off the shape tables of its smoothing's cube edges, checked
-        for stored zeros, bidegree (1, 0) and closure of the reduced
-        complex."""
-        row = self._rows.get(g)
-        if row is None:
-            smoothing, bits = g & ~self.mask, g & self.mask
-            i, k, _ = self._grading(smoothing)
-            # a target over tk circles keeps j when tk - 2 popcount is this
-            level = k - 1 - 2 * bits.bit_count()
-            row = {}
-            for base, sign, table, ti, tk, based in self._edges_from(smoothing):
-                for t in table[bits]:
-                    if t >> tk or (self.reduced and not t & based):
-                        raise DiagramError("reduced subcomplex is not closed under the differential")
-                    if ti != i + 1 or tk - 2 * t.bit_count() != level:
-                        (i, j), (ti, tj) = self.grading(g), self.grading(base | t)
-                        raise DiagramError(
-                            f"differential entry {self.fmt.key(g)}->{self.fmt.key(base | t)} "
-                            f"has bidegree ({ti - i},{tj - j}), expected (1,0)")
-                    row[base | t] = sign
-            if 0 in row.values():
-                raise DiagramError("stored zero coefficient")
-            self._rows[g] = row
-        return row
+            self._ordered.add(smoothing)
+        return self.builder.row(g)
 
     def row(self, g):
         """d(g), with d(d(g)) = 0 checked over the rows of all its targets."""
-        row = self._build(g)
+        row = self.ordered_row(g)
         if g not in self._squared:
             acc = {}
             for mid, c1 in row.items():
-                for dst, c2 in self._build(mid).items():
+                for dst, c2 in self.ordered_row(mid).items():
                     acc[dst] = acc.get(dst, 0) + c1 * c2
             if any(acc.values()):
                 raise DiagramError("differential does not square to zero")
@@ -634,7 +596,7 @@ class LazyMatching(MorseMatching):
         live = self._live[t][s]
         if g not in live:
             a = None
-            if self.in_complex(g) and self.tree_of(g) == t:
+            if self.builder.in_complex(g) and self.tree_of(g) == t:
                 stage, a, _ = self._replay(t, g, s)
                 if stage != s:
                     a = None
@@ -684,7 +646,7 @@ class LazyMatching(MorseMatching):
         g = self._raw(t, len(plan), self.fmt.smoothing(markers), seed_bits)
         if self._abstract(t, g, len(plan)) != seed_bits:
             raise DiagramError(f"tree {t} has no unmatched state for seed {seed:+d}")
-        if self.grading(g) != grading_map(*_uv(tree, seed), self.diagram.writhe, self.k):
+        if self.builder.grading(g) != grading_map(*_uv(tree, seed), self.diagram.writhe, self.k):
             raise DiagramError("survivor grading disagrees with the dictionary")
         return g
 
@@ -694,15 +656,16 @@ class LazyMatching(MorseMatching):
 FundamentalCycle = namedtuple("FundamentalCycle", "tree_index chain i j")
 
 # Everything the pipeline produced besides the final complex, including what
-# it was built from: ``trees``, their ``poset`` and the ``resolution`` tree
-# whose leaves are the blocks.  ``survivor_of`` maps
+# it was built from: ``trees``, their ``poset`` and the ``matching``, the
+# LazyMatching that holds the rows built and each smoothing's tree.
+# ``survivor_of`` maps
 # each tree-complex generator to the label of its surviving (unmatched)
 # state.  ``complex`` is the list of pairs the gradient flows used,
 # MatchedPair records in labels in matching order, and ``log_size`` the
 # number of pairs in the whole matching: (states - generators) / 2.
 RetractionRecord = namedtuple(
     "RetractionRecord",
-    "complex survivor_of cycles transport_matrix log_size trees poset resolution")
+    "complex survivor_of cycles transport_matrix log_size trees poset matching")
 
 
 class TreeComplex:
@@ -833,7 +796,7 @@ def retract_to_tree_complex(diagram, reduced=True):
     sitting at (u+2, v+1)).
     """
     matching = LazyMatching(diagram, reduced)
-    trees, poset = matching.trees, matching.poset
+    trees, poset, rows = matching.trees, matching.poset, matching.builder
     w, k = diagram.writhe, matching.k
 
     seeds = (1,) if reduced else (1, -1)
@@ -843,19 +806,17 @@ def retract_to_tree_complex(diagram, reduced=True):
     for t in trees:
         stages = matching.stages[t.index]
         for seed in seeds:
-            survivor = survivor_of[(t.index, seed)] = matching.survivor(t, seed)
+            survivor_of[(t.index, seed)] = matching.survivor(t, seed)
             gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
-            chain = _substitute_kinks(diagram, t, stages, reduced, seed, matching.spreads)
-            if chain is None:
-                chain = matching.include(survivor, matching.first_key(t.index))
+            chain = _fundamental_chain(diagram, t, stages, reduced, seed, matching)
             labels = list(chain)
-            if not all(map(matching.in_complex, labels)):
+            if not all(map(rows.in_complex, labels)):
                 raise DiagramError("fundamental cycle leaves the complex")
-            i, j = matching.grading(labels[0])
-            if any(matching.grading(g) != (i, j) for g in labels):
+            i, j = rows.grading(labels[0])
+            if any(rows.grading(g) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(diagram, t, stages, labels[0], (i, j), w, k, seed)
-            _check_block_cycle(matching._build, chain, matching.tree_of, t.index)
+            _check_block_cycle(matching.ordered_row, chain, matching.tree_of, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
 
     tree_label_of = {g: label for label, g in survivor_of.items()}
@@ -895,7 +856,7 @@ def retract_to_tree_complex(diagram, reduced=True):
     pairs = [matching.pairs[key] for key in sorted(matching.pairs)]
     record = RetractionRecord(pairs, survivor_of, cycles, transport_matrix,
                               _pair_count(diagram, reduced, len(gens)), trees, poset,
-                              matching.resolution)
+                              matching)
     return tree_complex, record
 
 

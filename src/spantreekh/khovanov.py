@@ -18,20 +18,23 @@ labels, and a complex stores only each label's bigrading (i, j), read off
 its smoothing's i and circle count.  :meth:`StateLabels.key` reads a label
 back into its key.
 
-Given a partial smoothing ``fixed`` (crossing -> marker), the same builder
-walks only the sub-cube of smoothings extending it and flips only the other
-crossings: for a spanning tree's dead markers this is the tree's block, the
-complex of its twisted unknot U(T) shifted into place.
+Rows are made in one place, :class:`RowBuilder`, one checked row at a
+time: :func:`differential` runs it over every state, the lazy retraction
+over the states its flows reach, and the filtration over the whole cube
+through the retraction's builder.  Given a partial smoothing ``fixed``
+(crossing -> marker), it flips only the other crossings: for a spanning
+tree's dead markers this builds the tree's block, the complex of its
+twisted unknot U(T) shifted into place.
 
 The builder matches circles once per cube edge (:func:`_cube_edge`), n 2^(n-1)
 times for the full cube, not once per enhanced state and edge.  An edge's
 map on sign bits depends only on its *shape*: how many circles the target
 has and where each source circle goes (the target circles no source circle
 goes to are born).  A 10-crossing cube has about a hundred shapes among its
-5,120 edges, so the builder keeps one table per shape for the build
-(:func:`_edge_table`): for each source sign vector, the target sign bits
-the merge/split rule gives.  Each state's row reads its targets off the
-tables of its smoothing's edges.
+5,120 edges, so the builder keeps one table per shape (:func:`_edge_table`):
+for each source sign vector, the target sign bits the merge/split rule
+gives.  Each state's row reads its targets off the tables of its
+smoothing's edges.
 
 Homology first cancels the +-1 incidences of the differential in label order
 (which is key order) by elementary collapses (:class:`MutableComplex`), then
@@ -41,7 +44,7 @@ degree.
 
 from __future__ import annotations
 
-from itertools import chain, groupby, product
+from itertools import chain, product
 
 from .algebra import LaurentPolynomial, graded_homology
 from .diagram import DiagramError
@@ -103,8 +106,9 @@ class BigradedComplex:
 
     ``states[label]`` is the state's bigrading (i, j), one tuple per
     bigrading shared by the states that have it, and ``differential[label]``
-    a dict target label -> coefficient.  The reduced flag records whether
-    this is the based-"+" subcomplex.
+    a dict target label -> coefficient, as :class:`RowBuilder` built and
+    checked it.  The reduced flag records whether this is the based-"+"
+    subcomplex.  The whole complex is checked for d o d = 0.
     """
 
     def __init__(self, diagram, states, differential, reduced):
@@ -112,27 +116,7 @@ class BigradedComplex:
         self.states = states
         self.differential = differential
         self.reduced = reduced
-        self._check()
-
-    def _check(self):
-        self._check_bidegrees()
-        _check_d_squared(self.differential, "differential does not square to zero")
-
-    def _check_bidegrees(self):
-        states = self.states
-        for src, row in self.differential.items():
-            i, j = states[src]
-            target = i + 1, j
-            if 0 in row.values():
-                raise DiagramError("stored zero coefficient")
-            for dst in row:
-                if states[dst] != target:
-                    ti, tj = states[dst]
-                    key = StateLabels(self.diagram).key
-                    raise DiagramError(
-                        f"differential entry {key(src)}->{key(dst)} "
-                        f"has bidegree ({ti - i},{tj - j}), expected (1,0)"
-                    )
+        _check_d_squared(differential, "differential does not square to zero")
 
     def homology(self, coefficients="Z"):
         """Per-(i,j) homology.
@@ -399,27 +383,88 @@ def _edges_out(diagram, fmt, smoothing, crossings, tables):
     return edges
 
 
+class RowBuilder:
+    """The rows of one diagram's complex, reduced or not, or with ``fixed``
+    of the sub-cube extending that partial smoothing, one state label at a
+    time: the one place rows are made.  It memoises each smoothing's (i,
+    circle count, based circle's bit) and cube edges out (:func:`_edges_out`,
+    flipping only the free crossings), one :func:`_edge_table` per shape,
+    and each label's row, checked once, when built, for stored zeros,
+    bidegree (1, 0) and closure of the reduced complex."""
+
+    def __init__(self, diagram, reduced, fixed=None):
+        self.diagram, self.reduced = diagram, reduced
+        fmt = self.fmt = StateLabels(diagram)
+        self.mask = fmt.signs_mask
+        self.free = [c for c in range(diagram.n) if c not in (fixed or {})]
+        self._gradings = {}  # smoothing -> (i, circle count, based circle's bit)
+        self._edges = {}     # smoothing -> its cube edges out, with their targets' gradings
+        self._tables = {}    # cube-edge shape -> _edge_table
+        self._rows = {}      # label -> d(label), checked
+
+    def _grading(self, smoothing):
+        data = self._gradings.get(smoothing)
+        if data is None:
+            i, k, based = smoothing_grading(self.diagram, self.fmt.markers(smoothing))
+            data = self._gradings[smoothing] = i, k, 1 << (k - 1 - based)
+        return data
+
+    def in_complex(self, g):
+        """Whether g labels a state of the (reduced or unreduced) complex."""
+        _, k, based = self._grading(g & ~self.mask)
+        bits = g & self.mask
+        return not bits >> k and (not self.reduced or bool(bits & based))
+
+    def grading(self, g):
+        """(i, j) of the state g."""
+        i, k, _ = self._grading(g & ~self.mask)
+        return i, i + self.diagram.writhe + k - 2 * (g & self.mask).bit_count()
+
+    def edges(self, smoothing):
+        """The cube edges out of a smoothing (:func:`_edges_out`), each with
+        its target's i, circle count and based circle's bit."""
+        edges = self._edges.get(smoothing)
+        if edges is None:
+            edges = self._edges[smoothing] = [
+                (base, sign, table, *self._grading(base))
+                for base, sign, table in _edges_out(self.diagram, self.fmt, smoothing,
+                                                    self.free, self._tables)]
+        return edges
+
+    def row(self, g):
+        """d(g) off the shape tables of its smoothing's cube edges, in
+        crossing order, checked for stored zeros, bidegree (1, 0) and
+        closure of the reduced complex."""
+        row = self._rows.get(g)
+        if row is None:
+            smoothing, bits = g & ~self.mask, g & self.mask
+            i, k, _ = self._grading(smoothing)
+            # a target over tk circles keeps j when tk - 2 popcount is this
+            level, reduced = k - 1 - 2 * bits.bit_count(), self.reduced
+            row = {}
+            for base, sign, table, ti, tk, based in self.edges(smoothing):
+                for t in table[bits]:
+                    if t >> tk or reduced and not t & based:
+                        raise DiagramError("reduced subcomplex is not closed under the differential")
+                    if ti != i + 1 or tk - 2 * t.bit_count() != level:
+                        (i, j), (ti, tj) = self.grading(g), self.grading(base | t)
+                        raise DiagramError(
+                            f"differential entry {self.fmt.key(g)}->{self.fmt.key(base | t)} "
+                            f"has bidegree ({ti - i},{tj - j}), expected (1,0)")
+                    row[base | t] = sign
+            if 0 in row.values():
+                raise DiagramError("stored zero coefficient")
+            self._rows[g] = row
+        return row
+
+
 def differential(diagram, reduced, fixed=None):
     """Build the bigraded complex of the diagram, or with ``fixed`` the
-    sub-cube extending that partial smoothing, flipping only the crossings
-    it leaves free.  Each state's row runs over the cube edges out of its
-    smoothing, in crossing order, and reads the targets of its sign bits
-    off the edge's shape table, which this build makes once per shape."""
+    sub-cube extending that partial smoothing: :class:`RowBuilder`'s row of
+    every state of :func:`enumerate_states`, in its order."""
     states = enumerate_states(diagram, reduced, fixed)
-    free = [c for c in range(diagram.n) if c not in (fixed or {})]
-    fmt = StateLabels(diagram)
-    signs_mask = fmt.signs_mask
-    tables = {}  # edge shape -> _edge_table
-    diff = {}
-    for smoothing, group in groupby(states, key=fmt.smoothing_of):
-        edges = _edges_out(diagram, fmt, smoothing, free, tables)
-        for g in group:
-            row = diff[g] = {
-                base | t: sign for base, sign, table in edges for t in table[g & signs_mask]
-            }
-            if reduced and not states.keys() >= row.keys():
-                raise DiagramError("reduced subcomplex is not closed under the differential")
-    return BigradedComplex(diagram, states, diff, reduced)
+    row = RowBuilder(diagram, reduced, fixed).row
+    return BigradedComplex(diagram, states, {g: row(g) for g in states}, reduced)
 
 
 def khovanov_homology(diagram, reduced=True, coefficients="Z"):

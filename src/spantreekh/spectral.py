@@ -13,39 +13,36 @@ Every pair of the Morse matching of ``retract_to_tree_complex`` joins two
 states of one block, so the matching is filtered: its Morse complex, the
 spanning-tree complex, is a filtered Gaussian elimination inside each level,
 and from E_1 on the pages are those of the spanning-tree complex with each
-generator at its tree's level; only E_0 counts enhanced states.
+generator at its tree's level.  E_0 alone counts enhanced states; it and
+the E_infinity check read them through the retraction's row builder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 
 from .algebra import parse_coefficients, ring_name
-from .diagram import DiagramError, tait_graph
-from .collapse import (
-    check_order_discipline,
-    grading_map,
-    retract_to_tree_complex,
-    state_tree_assignment,
-)
-from .khovanov import StateLabels, differential
+from .diagram import DiagramError
+from .collapse import grading_map, retract_to_tree_complex
+from .khovanov import BigradedComplex, enumerate_states
 
 
 class Filtration:
     """The retraction's tree complex with a level p and a degree i per
     generator, the E_0 dimensions counted over the enhanced states, and the
-    full complex that E_infinity is checked against."""
+    full complex that E_infinity is checked against.  The diagram, trees,
+    poset and k are the retraction's ``matching``'s, which is not kept."""
 
-    def __init__(self, diagram, complex, tree_complex, tree_levels, poset, trees, e0):
-        self.diagram = diagram
+    def __init__(self, complex, tree_complex, matching, tree_levels, e0):
+        self.diagram = matching.diagram
         self.complex = complex
         self.tree_complex = tree_complex
         self.tree_levels = tree_levels      # tree index -> p
-        self.poset = poset
-        self.trees = trees
+        self.poset = matching.poset
+        self.trees = matching.trees
+        self.k = matching.k
         self.e0 = e0                        # (p, q) -> number of enhanced states
-        w, k = diagram.writhe, tait_graph(diagram).k_invariant()
+        w, k = self.diagram.writhe, self.k
         self.generator_levels = {}          # tree-complex label -> p
         self.generator_degrees = {}         # tree-complex label -> i
         for label, (u, v) in tree_complex.generators.items():
@@ -60,29 +57,26 @@ class Filtration:
 
 def build_filtration(diagram, reduced=True):
     """The filtration read off one retraction onto the spanning-tree complex,
-    with the full complex built for E_0 and for the E_infinity check.
+    with the full complex, for E_0 and the E_infinity check, read through
+    the retraction's matching: each cube edge is built once, and each
+    state's tree is the matching's.
 
     A tree's level is ``poset.level``.  The differential never lowers a
-    state's level: the order-discipline check on the full complex puts every
-    entry inside one block or from a tree T_a down to a tree T_b < T_a, and
+    state's level: the matching checks every cube edge, here the whole cube,
+    to run inside one block or from a tree T_a down to a tree T_b < T_a, and
     ``TreePoset`` checks that every tree below T_a sits at a larger level.
     """
-    # built first, so that the retraction's circle lookups hit the cache
-    complex = differential(diagram, reduced)
     tree_complex, record = retract_to_tree_complex(diagram, reduced)
-    poset, trees = record.poset, record.trees
-    tree_of = state_tree_assignment(diagram, record.resolution)
-    state_tree = {}
-    # a smoothing's states are listed together: one walk per smoothing
-    for smoothing, group in groupby(complex.states, key=StateLabels(diagram).smoothing_of):
-        state_tree.update(dict.fromkeys(group, tree_of(smoothing)))
-    check_order_discipline(complex, state_tree, poset, trees)
-    tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(trees)}
-    e0 = {}
-    for g, (i, _) in complex.states.items():
-        p = tree_levels[state_tree[g]]
+    matching, poset = record.matching, record.poset
+    tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(record.trees)}
+    states = enumerate_states(diagram, reduced)
+    rows, e0 = {}, {}
+    for g, (i, _) in states.items():
+        rows[g] = matching.ordered_row(g)
+        p = tree_levels[matching.tree_of(g)]
         e0[(p, i - p)] = e0.get((p, i - p), 0) + 1
-    return Filtration(diagram, complex, tree_complex, tree_levels, poset, trees, e0)
+    complex = BigradedComplex(diagram, states, rows, reduced)
+    return Filtration(complex, tree_complex, matching, tree_levels, e0)
 
 
 class SpectralPage:
@@ -239,8 +233,7 @@ def check_convergence(pages, filtration, field="Q"):
 
 def e1_tree_counts(filtration):
     """Expected E_1 dimensions: number of trees per (p, q) bigrading."""
-    w = filtration.diagram.writhe
-    k = tait_graph(filtration.diagram).k_invariant()
+    w, k = filtration.diagram.writhe, filtration.k
     counts = {}
     for t in filtration.trees:
         i, _ = grading_map(t.u, t.v, w, k)

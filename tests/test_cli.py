@@ -145,13 +145,15 @@ def test_verify_reports_the_exception_type_of_a_crashed_check(capsys, monkeypatc
 
 
 def _count_builds(monkeypatch):
-    """Record every full or block build, retraction and full-complex
-    homology, wherever a module binds the function; returns a counter
-    count(name, reduced, **argument values)."""
+    """Record every full or block build, retraction, filtration and
+    full-complex homology, wherever a module binds the function; returns a
+    counter count(name, reduced, **argument values).  A filtration builds
+    its full complex through its retraction's row builder, not through
+    ``differential``."""
     import importlib
     import inspect
 
-    from spantreekh import collapse, khovanov
+    from spantreekh import collapse, khovanov, spectral
 
     calls = []
 
@@ -166,7 +168,7 @@ def _count_builds(monkeypatch):
 
         return wrapper
 
-    for fn in (khovanov.differential, collapse.retract_to_tree_complex):
+    for fn in (khovanov.differential, collapse.retract_to_tree_complex, spectral.build_filtration):
         wrapped = counting(fn.__name__, fn)
         for layer in ("cli", "collapse", "khovanov", "spectral", "alternating"):
             module = importlib.import_module(f"spantreekh.{layer}")
@@ -195,7 +197,8 @@ def test_verify_builds_each_mode_once(monkeypatch):
     count = _count_builds(monkeypatch)
     assert run(["verify", "--knot", "7_4"]) == 0
     for reduced in (True, False):
-        assert count("differential", reduced, fixed=None) == 1, reduced
+        assert count("build_filtration", reduced) == 1, reduced
+        assert count("differential", reduced) == 0, reduced
         assert count("retract_to_tree_complex", reduced) == 1, reduced
         assert count("full_homology", reduced, coefficients="Z") == 1, reduced
 
@@ -207,15 +210,17 @@ def test_verify_builds_each_mode_once(monkeypatch):
 def test_verify_homology_checks_alone_build_no_retraction(monkeypatch, category, modes):
     # without the collapse check no filtration is built for the thickness
     # check, so the homology reads a bare build of each mode it uses; the
-    # alternating check reads the reduced tree complex, whose retraction's
-    # build the homology then reuses
+    # alternating check reads the reduced filtration, whose complex the
+    # homology then reuses
     count = _count_builds(monkeypatch)
     assert run(["verify", category, "--knot", "7_4"]) == 0
     retracted = modes if category == "alternating" else ()
     for reduced in (True, False):
         assert count("retract_to_tree_complex", reduced) == (reduced in retracted), reduced
-        assert count("differential", reduced, fixed=None) == (reduced in modes), reduced
-        assert count("differential", reduced) == (reduced in modes), reduced
+        assert count("build_filtration", reduced) == (reduced in retracted), reduced
+        bare = reduced in modes and reduced not in retracted
+        assert count("differential", reduced, fixed=None) == bare, reduced
+        assert count("differential", reduced) == bare, reduced
         assert count("full_homology", reduced, coefficients="Z") == (reduced in modes)
 
 

@@ -241,3 +241,32 @@ def test_no_src_module_keeps_a_module_level_cache():
              for path in SRC
              for name, line in module_level_caches(path.read_text(encoding="utf-8"))]
     assert not found, "module-level caches:\n" + "\n".join(found)
+
+
+ROW_BUILDER_INTERNALS = {"_cube_edge", "_edge_table", "_edges_out"}
+
+
+def referenced_names(source):
+    """Every name a module's source carries: names, attributes and the
+    names its imports bind or take."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_khovanov_builds_rows():
+    # one row builder: the cube edges and their shape tables are read
+    # through khovanov.RowBuilder, never from another package module
+    found = [f"{path.relative_to(ROOT)}: {name}"
+             for path in SRC if path.name != "khovanov.py"
+             for name in sorted(referenced_names(path.read_text(encoding="utf-8"))
+                                & ROW_BUILDER_INTERNALS)]
+    assert not found, "row-builder internals outside khovanov.py:\n" + "\n".join(found)
+    assert referenced_names("from .khovanov import _edges_out as e\nk._cube_edge(e)\n") >= {
+        "_edges_out", "_cube_edge"}

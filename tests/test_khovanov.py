@@ -1,6 +1,7 @@
 """Khovanov chain complexes over Z from enhanced states."""
 
 import random
+from collections import defaultdict
 
 import pytest
 from khovanov_oracle import per_state_differential
@@ -59,7 +60,8 @@ def test_twisted_unknot_homology_is_unknots():
 
 
 def test_bidegree_and_d_squared_enforced_by_construction():
-    # BigradedComplex validates d od = 0 and bidegree (1,0) on build
+    # the row builder checks bidegree (1,0) on every row it builds and
+    # BigradedComplex checks d o d = 0 on the whole complex
     for name in ("trefoil4", "4_1", "6_3"):
         d = corpus.diagram(name)
         differential(d, reduced=True)
@@ -109,26 +111,50 @@ def _some_entry(cx, rows, two_steps=False):
     raise AssertionError("no such entry")
 
 
-def test_stored_zero_coefficient_is_rejected():
-    def edit(cx, rows):
-        src, dst = _some_entry(cx, rows)
-        rows[src][dst] = 0
+def extra_edge(monkeypatch, src, dst):
+    """Patch ``khovanov._edges_out`` so that the cube edges out of the state
+    src's smoothing carry one more, of sign 1, taking src's sign bits to
+    the state dst and no other sign bits anywhere."""
+    edges_out = khovanov._edges_out
 
+    def extended(diagram, fmt, smoothing, crossings, tables):
+        edges = edges_out(diagram, fmt, smoothing, crossings, tables)
+        if smoothing == fmt.smoothing_of(src):
+            table = defaultdict(tuple, {src & fmt.signs_mask: (dst & fmt.signs_mask,)})
+            edges.append((fmt.smoothing_of(dst), 1, table))
+        return edges
+
+    monkeypatch.setattr(khovanov, "_edges_out", extended)
+
+
+def test_stored_zero_coefficient_is_rejected(monkeypatch):
+    # one cube edge whose matrix sign reads 0 stores a zero in a row
+    cube_edge = khovanov._cube_edge
+    zeroed = []
+
+    def zeroing(diagram, markers, c):
+        sign, shape = cube_edge(diagram, markers, c)
+        if not zeroed:
+            zeroed.append((markers, c))
+            sign = 0
+        return sign, shape
+
+    monkeypatch.setattr(khovanov, "_cube_edge", zeroing)
     with pytest.raises(DiagramError, match="stored zero coefficient"):
-        _corrupted(edit)()
+        differential(corpus.diagram("trefoil4"), reduced=False)
+    assert zeroed
 
 
 @pytest.mark.parametrize("shift", [(0, 0), (1, 2), (2, 0)])
-def test_entry_of_wrong_bidegree_is_rejected(shift):
-    def edit(cx, rows):
-        src, _ = _some_entry(cx, rows)
-        i, j = cx.states[src]
-        dst = next(g for g, (ti, tj) in cx.states.items()
-                   if (ti - i, tj - j) == shift)
-        rows[src][dst] = 1
-
+def test_entry_of_wrong_bidegree_is_rejected(monkeypatch, shift):
+    # an extra cube edge into a state at that shift from its source
+    d = corpus.diagram("trefoil4")
+    states = enumerate_states(d, reduced=False)
+    extra_edge(monkeypatch, *next(
+        (src, dst) for src, (i, j) in states.items()
+        for dst, (ti, tj) in states.items() if (ti - i, tj - j) == shift))
     with pytest.raises(DiagramError, match=r"bidegree \(%d,%d\)" % shift):
-        _corrupted(edit)()
+        differential(d, reduced=False)
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])

@@ -10,7 +10,6 @@ crossing permutation that changes the tree poset.
 """
 
 import random
-from collections import defaultdict
 
 import pytest
 
@@ -23,8 +22,9 @@ from collapse_oracle import (
     retract_by_collapses,
 )
 from test_collapse import _random_complex, cycle_diagrams
+from test_khovanov import extra_edge
 from test_spantree import _crossings_permuted
-from spantreekh import collapse, corpus
+from spantreekh import collapse, corpus, khovanov
 from spantreekh.collapse import (
     MorseMatching,
     jacobsson_cycle,
@@ -92,17 +92,7 @@ def test_order_discipline_is_checked_inside_the_retraction(monkeypatch, reduced)
     # extra edge from a survivor's smoothing into a higher tree's block puts
     # one entry into that survivor's row
     d = corpus.diagram("trefoil4")
-    src, dst = _corrupting_entry(d, reduced)
-    edges_out = collapse._edges_out
-
-    def corrupted(diagram, fmt, smoothing, crossings, tables):
-        edges = edges_out(diagram, fmt, smoothing, crossings, tables)
-        if smoothing == fmt.smoothing_of(src):
-            table = defaultdict(tuple, {src & fmt.signs_mask: (dst & fmt.signs_mask,)})
-            edges.append((fmt.smoothing_of(dst), 1, table))
-        return edges
-
-    monkeypatch.setattr(collapse, "_edges_out", corrupted)
+    extra_edge(monkeypatch, *_corrupting_entry(d, reduced))
     with pytest.raises(DiagramError, match="violates the partial order"):
         retract_to_tree_complex(d, reduced)
 
@@ -262,7 +252,7 @@ def _flipped_target(d, pairs):
     fmt = StateLabels(d)
     for x, y, _ in pairs:
         bits = x & fmt.signs_mask
-        edges = collapse._edges_out(d, fmt, fmt.smoothing_of(x), range(d.n), {})
+        edges = khovanov._edges_out(d, fmt, fmt.smoothing_of(x), range(d.n), {})
         row = {base | t for base, _, table in edges for t in table[bits]}
         for e, (base, _, table) in enumerate(edges):
             _, k, based = smoothing_grading(d, fmt.markers(base))
@@ -282,7 +272,7 @@ def test_flipped_target_in_a_visited_row_fails_the_local_d_squared(monkeypatch):
     d = corpus.diagram("8_19")
     _, record = retract_to_tree_complex(d, False)
     x, e, corrupted = _flipped_target(d, record.complex)
-    edges_out = collapse._edges_out
+    edges_out = khovanov._edges_out
 
     def flipping(diagram, fmt, smoothing, crossings, tables):
         edges = edges_out(diagram, fmt, smoothing, crossings, tables)
@@ -291,7 +281,7 @@ def test_flipped_target_in_a_visited_row_fails_the_local_d_squared(monkeypatch):
             edges[e] = (base, sign, corrupted)
         return edges
 
-    monkeypatch.setattr(collapse, "_edges_out", flipping)
+    monkeypatch.setattr(khovanov, "_edges_out", flipping)
     with pytest.raises(DiagramError, match="does not square to zero"):
         retract_to_tree_complex(d, False)
 

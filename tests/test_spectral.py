@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from test_khovanov import extra_edge
 from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
 
-from spantreekh import corpus, spectral
+from spantreekh import corpus, khovanov, spectral
 from spantreekh.collapse import retract_to_tree_complex, state_tree_assignment
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
-from spantreekh.khovanov import differential
+from spantreekh.khovanov import StateLabels, differential, enumerate_states
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.spectral import (
     _field_params,
@@ -229,25 +230,57 @@ def test_d0_is_not_read_off_the_tree_complex():
 def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
     """build_filtration does not look for level drops itself: an entry from
     a lower tree's block into a higher tree's block lowers the level, and
-    the order-discipline check on the full complex stops it."""
+    the tree-order check on the cube edges the full build reads stops it.
+    The entry leaves a smoothing the retraction's flows never read, so only
+    the full build meets it."""
     d = corpus.diagram("trefoil4")
-    trees = enumerate_trees(tait_graph(d))
-    poset = build_poset(trees)
-    tree_of = state_tree_assignment(d, resolution_tree(d, tait_graph(d), trees))
-    high, low = next((a, b) for a in range(len(trees)) for b in range(len(trees))
-                     if poset.is_greater(a, b))
-    assert poset.level[low] > poset.level[high]
-    build = spectral.differential
+    read = set()
+    edges_out = khovanov._edges_out
 
-    def injecting(diagram, reduced, fixed=None):
-        cx = build(diagram, reduced, fixed)
-        if fixed is None:
-            block = {}
-            for g in sorted(cx.states):
-                block.setdefault(tree_of(g), g)
-            cx.differential.setdefault(block[trees[low].index], {})[block[trees[high].index]] = 1
-        return cx
+    def recording(diagram, fmt, smoothing, crossings, tables):
+        read.add(smoothing)
+        return edges_out(diagram, fmt, smoothing, crossings, tables)
 
-    monkeypatch.setattr(spectral, "differential", injecting)
+    monkeypatch.setattr(khovanov, "_edges_out", recording)
+    _, record = retract_to_tree_complex(d)
+    monkeypatch.undo()
+    tree_of, poset = record.matching.tree_of, record.poset
+    position = {t.index: pos for pos, t in enumerate(record.trees)}
+    states = enumerate_states(d, True)
+    smoothing_of = StateLabels(d).smoothing_of
+    src, dst = next(
+        (src, dst) for src, (i, j) in states.items() if smoothing_of(src) not in read
+        for dst, target in states.items()
+        if target == (i + 1, j)
+        and poset.is_greater(position[tree_of(dst)], position[tree_of(src)]))
+    assert poset.level[position[tree_of(src)]] > poset.level[position[tree_of(dst)]]
+    extra_edge(monkeypatch, src, dst)
+    retract_to_tree_complex(d)
     with pytest.raises(DiagramError, match="violates the partial order"):
         build_filtration(d)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_filtration_builds_each_cube_edge_and_shape_table_once(monkeypatch, reduced):
+    # the full build reads its rows through the retraction's row builder,
+    # which already holds the cube edges and shape tables the flows made
+    edges, tables = [], []
+    cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
+
+    def counting_edge(diagram, markers, c):
+        edges.append((markers, c))
+        return cube_edge(diagram, markers, c)
+
+    def counting_table(*shape):
+        tables.append(shape)
+        return edge_table(*shape)
+
+    monkeypatch.setattr(khovanov, "_cube_edge", counting_edge)
+    monkeypatch.setattr(khovanov, "_edge_table", counting_table)
+    for name in corpus.names():
+        d = corpus.diagram(name)
+        edges.clear()
+        tables.clear()
+        build_filtration(d, reduced)
+        assert len(edges) == len(set(edges)) == d.n * 2 ** d.n // 2, name
+        assert len(tables) == len(set(tables)), name
