@@ -35,9 +35,6 @@ class LaurentPolynomial:
     def monomial(cls, coeff, exponent, var="A"):
         return cls({exponent: coeff}, var)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def _check_var(self, other):
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")

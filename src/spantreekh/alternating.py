@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from .diagram import DiagramError, tait_graph
 from .collapse import grading_map, inverse_grading_map
-from .jones import bracket_spantree, jones
 from .khovanov import khovanov_homology
-from .spantree import enumerate_trees
 
 
 def is_alternating(diagram):
@@ -44,23 +42,22 @@ def signature_alternating(diagram):
     return num // 2 - len(all_b.circles) + 1
 
 
-def predicted_reduced_homology(diagram, in_ij=False):
-    """Theorem-level prediction for an alternating knot: torsion-free, one
-    row v = (c - w)/2 - sigma, rank |a_n| at u = n + v - (3w + c + 2v)/4
-    where V_D(t) = sum a_n t^n."""
-    if not is_alternating(diagram):
+def predicted_reduced_homology(pipeline, in_ij=False):
+    """Theorem-level prediction for an alternating knot, off its pipeline:
+    torsion-free, one row v = (c - w)/2 - sigma, rank |a_n| at u = n + v -
+    (3w + c + 2v)/4 where V_D(t) = sum a_n t^n."""
+    diagram, g = pipeline.diagram, pipeline.graph
+    if g.e_minus and g.e_plus:
         raise DiagramError("prediction only applies to alternating diagrams")
-    g = tait_graph(diagram)
     if g.e_minus != 0:
         raise DiagramError("expected the all-positive checkerboard shading")
     w = diagram.writhe
     c = diagram.n
     sigma = signature_alternating(diagram)
     v = (c - w) // 2 - sigma
-    vq = jones(diagram, bracket=bracket_spantree(diagram, g))
     # V in t: exponents divisible by 4 in q
     ranks = {}
-    for e, coeff in vq.coeffs.items():
+    for e, coeff in pipeline.jones_polynomial.coeffs.items():
         n = e // 4
         shift = 3 * w + c + 2 * v
         if shift % 4:
@@ -70,17 +67,13 @@ def predicted_reduced_homology(diagram, in_ij=False):
         ranks[(u, v)] = abs(coeff)
     if not in_ij:
         return ranks
-    k = g.k_invariant()
-    return {grading_map(u, vv, w, k): r for (u, vv), r in ranks.items()}
+    return {grading_map(u, vv, w, pipeline.k): r for (u, vv), r in ranks.items()}
 
 
-def tree_count_equals_l1(diagram):
+def tree_count_equals_l1(pipeline):
     """Alternating: the number of spanning trees is the L1 norm of the Jones
-    coefficients."""
-    g = tait_graph(diagram)
-    trees = enumerate_trees(g)
-    vq = jones(diagram, bracket=bracket_spantree(diagram, g, trees))
-    return len(trees) == vq.l1_norm()
+    coefficients, both read off the diagram's ``collapse.Pipeline``."""
+    return len(pipeline.trees) == pipeline.jones_polynomial.l1_norm()
 
 
 def support_lines(groups):

@@ -4,10 +4,10 @@ Subcommands: info, jones, trees, homology, spantree-complex, spectral,
 verify.  Knots are named corpus entries or PD literals.  Exit codes: 0 on
 success, 1 on verification failure, 2 on usage errors.
 
-``verify`` builds each mode's filtration, and the homology over Z of its full
-complex, once per entry; every check reads those.  The homology reuses the
-filtration's complex when that mode's filtration is built, and otherwise builds
-the complex alone, with no retraction.
+``verify`` holds one ``collapse.Pipeline`` per entry, whose stages every
+check reads, and builds each mode's filtration, the homology over Z of its
+full complex and the reduced pages over each field once.  The homology reuses
+the filtration's complex when it is built, else builds the complex alone.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from functools import cache
 
 from . import corpus
 from .algebra import parse_coefficients, ring_name
-from .collapse import retract_to_tree_complex
+from .collapse import Pipeline
 from .diagram import DiagramError, parse_pd, tait_graph
-from .jones import bracket_spantree, bracket_statesum, euler_check, jones, jones_in_t
-from .khovanov import StateLabels, differential, homology_table, khovanov_homology
-from .spantree import build_poset, enumerate_trees, resolution_tree
+from .jones import bracket_statesum, euler_check, jones, jones_in_t
+from .khovanov import differential, homology_table, khovanov_homology
 from .spectral import (
     build_filtration,
     check_convergence,
@@ -100,14 +99,12 @@ def cmd_info(args):
 
 
 def cmd_jones(args):
-    d = _load_diagram(args.knot)
-    g = tait_graph(d)
-    trees = enumerate_trees(g)
+    p = Pipeline(_load_diagram(args.knot))
+    d, b_tree = p.diagram, p.bracket
     b_state = bracket_statesum(d)
-    b_tree = bracket_spantree(d, g, trees)
     agree = b_state == b_tree
     v = jones(d, bracket=b_state)
-    report = euler_check(d, g, trees)
+    report = euler_check(d, p.graph, p.trees)
     payload = {
         "bracket": str(b_state),
         "bracket_spantree": str(b_tree),
@@ -131,10 +128,8 @@ def cmd_jones(args):
 
 
 def cmd_trees(args):
-    d = _load_diagram(args.knot)
-    g = tait_graph(d)
-    trees = enumerate_trees(g)
-    poset = build_poset(trees)
+    p = Pipeline(_load_diagram(args.knot))
+    trees, poset = p.trees, p.poset
     rows = []
     for t in trees:
         rows.append({
@@ -186,8 +181,8 @@ def cmd_homology(args):
 
 
 def cmd_spantree_complex(args):
-    d = _load_diagram(args.knot)
-    tc, record = retract_to_tree_complex(d, reduced=args.reduced)
+    p = Pipeline(_load_diagram(args.knot))
+    tc, record = p.retraction(args.reduced)
     hom = tc.homology()
     payload = {
         "reduced": args.reduced,
@@ -217,7 +212,7 @@ def cmd_spantree_complex(args):
     if args.trace:
         lines.append(f"collapse log: {record.log_size} elementary collapses, "
                      f"{len(record.complex)} visited by the gradient flows")
-        key = StateLabels(d).key
+        key = p.rows.fmt.key
         for rec in record.complex[: args.trace_limit]:
             lines.append(f"  collapsed x={key(rec.x)} y={key(rec.y)} "
                          f"incidence {rec.incidence}")
@@ -228,8 +223,7 @@ def cmd_spantree_complex(args):
 def cmd_spectral(args):
     if args.coeff == "Z":
         raise UsageError("the spectral sequence needs a field: use --coeff q or f<p>")
-    d = _load_diagram(args.knot)
-    filtration = build_filtration(d)
+    filtration = build_filtration(Pipeline(_load_diagram(args.knot)))
     pages = compute_pages(filtration, args.coeff)
     conv = check_convergence(pages, filtration, args.coeff)
     if args.pages is not None:
@@ -256,27 +250,25 @@ def cmd_spectral(args):
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_tree_expansion(entry, d, filtration, homology):
-    g = tait_graph(d)
-    trees = enumerate_trees(g)
+def _verify_tree_expansion(entry, p, filtration, homology, pages):
+    d, g, trees = p.diagram, p.graph, p.trees
     checks = {}
-    bracket = bracket_spantree(d, g, trees)
-    checks["bracket_equality"] = bracket_statesum(d) == bracket
+    checks["bracket_equality"] = bracket_statesum(d) == p.bracket
     report = euler_check(d, g, trees)
     checks["euler_reduced"] = report["reduced_identity"]
     checks["euler_unreduced"] = report["unreduced_identity"]
     if entry.expected:
         checks["tree_count"] = len(trees) == entry.expected["tree_count"]
         checks["writhe"] = d.writhe == entry.expected["writhe"]
-        checks["k"] = g.k_invariant() == entry.expected["k"]
-        checks["jones"] = jones_in_t(jones(d, bracket=bracket)) == entry.expected["jones"]
-    resolution_tree(d, g, trees)
-    checks["resolution_tree"] = True
+        checks["k"] = p.k == entry.expected["k"]
+        checks["jones"] = jones_in_t(p.jones_polynomial) == entry.expected["jones"]
+    # resolution_tree raises on a bad diagram; each tree ends one branch
+    checks["resolution_tree"] = len(p.resolution.leaves()) == len(trees)
     return checks
 
 
-def _verify_collapse(entry, d, filtration, homology):
-    if d.n > corpus.BRUTE_FORCE_CAP:
+def _verify_collapse(entry, p, filtration, homology, pages):
+    if p.diagram.n > corpus.BRUTE_FORCE_CAP:
         return {"skipped (crossing cap)": True}
     checks = {}
     for reduced in (True, False):
@@ -287,27 +279,27 @@ def _verify_collapse(entry, d, filtration, homology):
     return checks
 
 
-def _verify_spectral(entry, d, filtration, homology):
-    if d.n > corpus.BRUTE_FORCE_CAP:
+def _verify_spectral(entry, p, filtration, homology, pages):
+    if p.diagram.n > corpus.BRUTE_FORCE_CAP:
         return {"skipped (crossing cap)": True}
     f = filtration(True)
     checks = {}
     for field in ("Q", "F2"):
-        pages = compute_pages(f, field)
-        conv = check_convergence(pages, f, field)
-        checks[f"{field}_e1_tree_counts"] = pages[1].dims == e1_tree_counts(f)
+        conv = check_convergence(pages(field), f, field)
+        checks[f"{field}_e1_tree_counts"] = pages(field)[1].dims == e1_tree_counts(f)
         checks[f"{field}_converges"] = True  # check_convergence raises on failure
-        checks[f"{field}_collapse_page_bound"] = conv["collapse_page"] <= max(d.n, 1)
+        checks[f"{field}_collapse_page_bound"] = conv["collapse_page"] <= max(p.diagram.n, 1)
     return checks
 
 
-def _verify_alternating(entry, d, filtration, homology):
+def _verify_alternating(entry, p, filtration, homology, pages):
+    d = p.diagram
     if not is_alternating(d) or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped (not a reduced alternating diagram)": True}
     checks = {}
     sigma = signature_alternating(d)
-    checks["tree_count_is_l1"] = tree_count_equals_l1(d)
-    predicted = predicted_reduced_homology(d, in_ij=True)
+    checks["tree_count_is_l1"] = tree_count_equals_l1(p)
+    predicted = predicted_reduced_homology(p, in_ij=True)
     f = filtration(True)  # first, so the homology reuses its complex
     if d.n <= corpus.BRUTE_FORCE_CAP:
         brute = homology(True)
@@ -317,19 +309,19 @@ def _verify_alternating(entry, d, filtration, homology):
         checks["reduced_torsion_free"] = all(
             not torsion for _, torsion in brute.values()
         )
-    g = tait_graph(d)
     v_row = (d.n - d.writhe) // 2 - sigma
-    checks["v_row_identity"] = v_row == len(g.vertices) - 1
+    checks["v_row_identity"] = v_row == len(p.graph.vertices) - 1
     # the paper's theorem: the reduced tree differential vanishes, at any size
     checks["tree_differential_is_zero"] = not f.tree_complex.differential
-    checks["Q_collapses_at_E1"] = collapse_page(compute_pages(f, "Q")) == 1
+    checks["Q_collapses_at_E1"] = collapse_page(pages("Q")) == 1
     checks["tree_homology_matches_prediction"] = predicted == {
         ij: rank for ij, (rank, _) in f.tree_complex.homology_in_ij().items()
     }
     return checks
 
 
-def _verify_thickness(entry, d, filtration, homology):
+def _verify_thickness(entry, p, filtration, homology, pages):
+    d = p.diagram
     if d.n > corpus.BRUTE_FORCE_CAP or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped": True}
     report = thickness_report(d, homology(True), homology(False))
@@ -358,23 +350,28 @@ def cmd_verify(args):
     results = {}
     for entry in targets:
         out = results[entry.name] = {}
-        d = entry.diagram()  # one parse, so every check shares its circles cache
-        # each mode's filtration and full-complex homology over Z, on first use
+        p = Pipeline(entry.diagram())  # one of each stage, shared by every check
+        # each mode's filtration and full-complex homology over Z, and the
+        # reduced filtration's pages over each field, on first use
         filtrations = {}
 
         def filtration(reduced):
             if reduced not in filtrations:
-                filtrations[reduced] = build_filtration(d, reduced)
+                filtrations[reduced] = build_filtration(p, reduced)
             return filtrations[reduced]
 
         @cache
         def homology(reduced):
             f = filtrations.get(reduced)
-            return (differential(d, reduced) if f is None else f.complex).homology()
+            return (differential(p.diagram, reduced) if f is None else f.complex).homology()
+
+        @cache
+        def pages(field):
+            return compute_pages(filtration(True), field)
 
         for cat in categories:
             try:
-                out[cat] = _CATEGORIES[cat](entry, d, filtration, homology)
+                out[cat] = _CATEGORIES[cat](entry, p, filtration, homology, pages)
             except Exception as exc:  # a crashed check fails; the rest still run
                 out[cat] = {f"error: {type(exc).__name__}: {exc}": False}
 

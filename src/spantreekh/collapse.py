@@ -1,64 +1,54 @@
 """The retraction of the (reduced or unreduced) Khovanov complex onto the
 spanning-tree complex by an algebraic Morse matching, and Jacobsson's
-fundamental cycles.
+fundamental cycles, all run off one per-diagram :class:`Pipeline`.
+
+The pipeline builds each stage of one diagram once, when first read: Tait
+graph, trees, poset, resolution tree, tree-bracket Jones polynomial, the
+one row builder (``khovanov.RowBuilder``) that serves both modes, each
+smoothing's tree with the tree-order check on its cube edges, the stage
+plans, and per mode one :class:`LazyMatching` and one retraction.  The CLI,
+the verifiers and ``spectral.build_filtration`` read it;
+:func:`retract_to_tree_complex` is its one-shot entry.
 
 The matching is the block pass's.  It visits trees along a linear extension
 of the partial order, minimal tree first, and inside each tree's block of
-enhanced states it pairs states one undone kink at a time: for a positive
-kink the pairs are (A-state with loop "-", B-state), for a negative kink
-(A-state, B-state with loop "+").  A basepoint sitting on a kink's loop
-circle forces the reduced-mode variants of the pairing and of the Jacobsson
-substitution; both are validated by the r o f = id check.  A tree's block
-is the sub-cube of smoothings extending the tree's dead markers.
+enhanced states (the sub-cube extending the tree's dead markers) it pairs
+states one undone kink at a time: for a positive kink the pairs are
+(A-state with loop "-", B-state), for a negative kink (A-state, B-state
+with loop "+").  A basepoint on a kink's loop circle forces the reduced-mode
+variants of the pairing and of the Jacobsson substitution; both are
+validated by the r o f = id check.
 
 The tree complex is the matching's Morse complex (Skoldberg, "Morse theory
 from an algebraic viewpoint"): nothing is collapsed.  Gradient flows over
 the original differential, memoised per pair (:class:`MorseMatching`), carry
 d(survivor) onto the survivors, which gives the tree differential, and the
 fundamental cycles, which gives the transport matrix.  The flows read only
-the states they reach, so the whole cube is never built:
-:class:`LazyMatching` answers for one state label at a time
+the states they reach: :class:`LazyMatching` gives one state label's pair
+by replaying the stage rule on it, and the pair's key (tree position in the
+linear extension, stage, head label) orders the pairs as the block pass
+appends them.  A tree's survivors are the stage maps inverted from the
+round unknot's seed sign.
 
-- its row d(label), from its one row builder (``khovanov.RowBuilder``),
-  which ``spectral.build_filtration`` then reads the whole cube through;
-- its pair, by replaying the block pass's stage rule on that one label:
-  a head is matched to the partner the rule gives, a loop-side state only
-  when the inverse rule names a head that is still live, and a state's raw
-  label is found from its abstract signs by inverting the earlier stages'
-  survivor maps;
-- its pair's key (the tree's position in the linear extension, the stage,
-  the head's label), which orders the pairs as the block pass appends them.
+Checks on the route: every row for stored zeros, bidegree (1, 0) and
+closure; every cube edge read to run inside one block or down to a lower
+tree's; d(d(x)) = 0 on every row the flows read; incidence +-1 and mutual
+naming for every pair used, and no gradient cycle among them (Kahn's pass);
+survivors at the dictionary's gradings; fundamental cycles homogeneous
+cycles of their blocks at the shifted gradings; r o f = id; a tree
+differential of bidegree (-1, -1) that squares to zero and runs down the
+partial order; and the Jones polynomial as graded Euler characteristic.
 
-A tree's survivors are the stage maps inverted from the round unknot's
-seed sign.
-
-Checks on the route.  The builder checks every row for stored zeros,
-bidegree (1, 0) and closure of the reduced complex; the matching checks
-every cube edge it reads, the first time it reads the edge's source
-smoothing, to run inside one block or down to a lower tree's; every row
-the gradient flows read has d(d(x)) = 0 over the rows of all its targets.
-Every pair the flows use has incidence +-1, its two states name each
-other in one tree and stage, and
-Kahn's pass finds no gradient cycle among those pairs.  The survivors are
-unmatched and sit at the dictionary's gradings; the fundamental cycles are
-homogeneous cycles of their blocks at the shifted gradings; r o f = id; the
-tree differential has bidegree (-1, -1), squares to zero and runs down the
-partial order; and the tree complex's graded Euler characteristic is the
-Jones polynomial's.
-
-Enhanced states are handled by their integer labels (``khovanov.StateLabels``),
-whose order is that of their ``(markers, signs)`` keys.  Fundamental cycles
-are label chains: the Jacobsson substitution reads each kink off
-:func:`_kink_transfer`, as the stage rule does, and looks up no state, and
-a tree with a based negative loop takes its survivor's Morse inclusion
-through its block's own pairs.  ``jacobsson_cycle`` and
-``include_unknot_states`` return keys, read back from labels by
-``StateLabels.key``.
+Enhanced states are integer labels (``khovanov.StateLabels``), ordered as
+their ``(markers, signs)`` keys; the Jacobsson substitution reads each kink
+off :func:`_kink_transfer`, as the stage rule does.  ``jacobsson_cycle``
+and ``include_unknot_states`` return keys.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .algebra import LaurentPolynomial
@@ -116,38 +106,37 @@ def _uv(tree, seed):
     return (tree.u, tree.v) if seed == 1 else (tree.u + 2, tree.v + 1)
 
 
-def jacobsson_cycle(diagram, tree, stages, reduced=True, seed=1):
+def jacobsson_cycle(matching, tree, seed=1):
     """Fundamental cycle of the twisted unknot U(T), included into the full
     complex as a combination of enhanced-state keys.
 
-    ``stages`` is the kink-undoing sequence of U(T); kinks are re-added in
-    reverse order starting from the round unknot enhanced by ``seed``.
-    Substitutions per kink (near circle listed first, new loop second):
+    The kink stages and the mode are those of ``matching``; kinks are
+    re-added in reverse order starting from the round unknot enhanced by
+    ``seed``.  Substitutions per kink (near circle listed first, new loop
+    second):
 
         positive: +  -> (+,+)            -  -> (-,+) - (+,-)
         negative: +  -> (+,-)            -  -> (-,-)
 
     In reduced mode a negative kink whose loop carries the basepoint has no
     substitution landing in the based-"+" subcomplex; the cycle is then the
-    Morse inclusion of the tree's survivor through the pairs from its
-    block's first key on, read off a :class:`LazyMatching`.  The cycle is
-    computed in state labels and read back into keys here.
+    Morse inclusion of the tree's survivor through the matching's pairs
+    from its block's first key on.  The cycle is read back into keys here.
     """
-    if reduced and seed != 1:
+    if matching.reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
-    key = StateLabels(diagram).key
-    return {key(g): coeff
-            for g, coeff in _fundamental_chain(diagram, tree, stages, reduced, seed).items()}
+    key = matching.pipeline.rows.fmt.key
+    return {key(g): coeff for g, coeff in _fundamental_chain(matching, tree, seed).items()}
 
 
-def _fundamental_chain(diagram, tree, stages, reduced, seed, matching=None):
+def _fundamental_chain(matching, tree, seed):
     """The tree's fundamental cycle seeded by ``seed``, as labels: the
     Jacobsson substitution, else the Morse inclusion of its survivor from
-    its block's first key on, off ``matching`` (a new one when None)."""
-    chain = _substitute_kinks(diagram, tree, stages, reduced, seed,
-                              matching.spreads if matching else {})
+    its block's first key on, off ``matching``."""
+    p = matching.pipeline
+    chain = _substitute_kinks(p.diagram, tree, p.stages[tree.index], matching.reduced, seed,
+                              p.spreads)
     if chain is None:
-        matching = matching or LazyMatching(diagram, reduced)
         chain = matching.include(matching.survivor(tree, seed), matching.first_key(tree.index))
     return chain
 
@@ -416,11 +405,104 @@ def _unsurvive(kink, a):
             | (rest_bit if a & merged_bit else 0))
 
 
+class Pipeline:
+    """Every stage of one diagram, each built once, when first read: the
+    Tait graph, k, trees, poset, resolution tree and tree-bracket Jones
+    polynomial, one row builder for both modes, the smoothing -> tree walk
+    and stage plans, and per mode one :class:`LazyMatching` and one
+    retraction.  The caller owns it.  A tree's index is its position in
+    ``trees`` and in the poset's rows."""
+
+    def __init__(self, diagram):
+        self.diagram = diagram
+        self.spreads = {}       # the kinks' sign_spread tables, by shape
+        self._tree = {}         # smoothing -> index of the tree whose block holds it
+        self._ordered = set()   # smoothings whose cube edges passed the tree-order check
+        self._matchings = {}    # reduced -> LazyMatching
+        self._retractions = {}  # reduced -> (TreeComplex, RetractionRecord)
+        # a pair's key packs (tree position, stage, head label), most
+        # significant first, into one int
+        self.head_bits = len(diagram.arcs) + diagram.n
+        self.stages_radix = diagram.n + 1
+
+    graph = cached_property(lambda self: tait_graph(self.diagram))
+    k = cached_property(lambda self: self.graph.k_invariant())
+    trees = cached_property(lambda self: enumerate_trees(self.graph))
+    poset = cached_property(lambda self: build_poset(self.trees))
+    resolution = cached_property(lambda self: resolution_tree(self.diagram, self.graph, self.trees))
+    bracket = cached_property(lambda self: bracket_spantree(self.diagram, self.graph, self.trees))
+    jones_polynomial = cached_property(lambda self: jones(self.diagram, bracket=self.bracket))
+    rows = cached_property(lambda self: RowBuilder(self.diagram))
+    _walk = cached_property(lambda self: state_tree_assignment(self.diagram, self.resolution))
+    # tree index -> the kink stages of its resolution leaf
+    stages = cached_property(
+        lambda self: {leaf.tree.index: leaf.stages for leaf in self.resolution.leaves()})
+    # tree index -> its position in the poset's linear extension
+    position = cached_property(
+        lambda self: {t: n for n, t in enumerate(self.poset.linear_extension())})
+
+    @cached_property
+    def plans(self):
+        """Tree index -> per stage (stage, its crossing bit, that bit on the
+        head side, a mask clearing it and the earlier stages' crossings, the
+        earlier stages' head-side bits)."""
+        crossing_bit = self.rows.fmt.crossing_bit
+        plans = {}
+        for t, stages in self.stages.items():
+            plan, spliced, splice = [], 0, 0
+            for st in stages:
+                flip = crossing_bit(st.crossing)
+                head_side = flip if st.splice_marker == "B" else 0
+                plan.append((st, flip, head_side, ~(spliced | flip), splice))
+                spliced |= flip
+                splice |= head_side
+            plans[t] = plan
+        return plans
+
+    def tree_of(self, g):
+        """Index of the tree whose block holds the label g."""
+        smoothing = self.rows.fmt.smoothing_of(g)
+        t = self._tree.get(smoothing)
+        if t is None:
+            t = self._tree[smoothing] = self._walk(smoothing)
+        return t
+
+    def ordered_row(self, g):
+        """d(g) off the row builder; the first time a smoothing is read,
+        every cube edge out of it is checked to run inside its block or
+        down to a lower tree's."""
+        smoothing = self.rows.fmt.smoothing_of(g)
+        if smoothing not in self._ordered:
+            a = self.tree_of(smoothing)
+            allowed = self.poset.below[a] | 1 << a
+            for base, *_ in self.rows.edges(smoothing):
+                b = self.tree_of(base)
+                if not allowed >> b & 1:
+                    raise DiagramError(
+                        f"incidence from tree {a} to tree {b} violates the partial order")
+            self._ordered.add(smoothing)
+        return self.rows.row(g)
+
+    def matching(self, reduced):
+        """The mode's :class:`LazyMatching`."""
+        if reduced not in self._matchings:
+            self._matchings[reduced] = LazyMatching(self, reduced)
+        return self._matchings[reduced]
+
+    def retraction(self, reduced):
+        """The mode's (TreeComplex, RetractionRecord), as
+        :func:`retract_to_tree_complex` returns them."""
+        if reduced not in self._retractions:
+            self._retractions[reduced] = _retract(self.matching(reduced))
+        return self._retractions[reduced]
+
+
 class LazyMatching(MorseMatching):
-    """The block pass's matching on the whole Khovanov complex of a diagram,
-    answered one state label at a time.  One object serves one retraction
-    and holds all its memos; its rows come from its ``builder``
-    (``khovanov.RowBuilder``), each read through :meth:`ordered_row`.
+    """The block pass's matching on the whole reduced or unreduced Khovanov
+    complex of a diagram, answered one state label at a time.  It reads its
+    rows, trees and stage plans off its :class:`Pipeline` and keeps only
+    what depends on the mode: the pairs and their keys, liveness, the kink
+    records (whose ``based`` flag is the mode's) and the d^2 memo.
 
     A label's pair comes from replaying its tree's kink stages on it.  At
     each stage the label's abstract signs (over the circles of its
@@ -436,85 +518,26 @@ class LazyMatching(MorseMatching):
     order in which the block pass appends the pairs.
     """
 
-    def __init__(self, diagram, reduced):
+    def __init__(self, pipeline, reduced):
         super().__init__(None)
-        self.diagram, self.reduced = diagram, reduced
-        self.builder = RowBuilder(diagram, reduced)
-        fmt = self.fmt = self.builder.fmt
-        self.mask = fmt.signs_mask
-        graph = tait_graph(diagram)
-        self.graph, self.k = graph, graph.k_invariant()
-        self.trees = enumerate_trees(graph)
-        self.poset = build_poset(self.trees)
-        res = resolution_tree(diagram, graph, self.trees)
-        self._walk = state_tree_assignment(diagram, res)
-        self._pos = {t.index: pos for pos, t in enumerate(self.trees)}
-        # a row from tree t may reach t's block and the blocks of trees below t
-        self._allowed = {t: self.poset.below[pos] | 1 << pos for t, pos in self._pos.items()}
-        self._position = {self.trees[pos].index: n
-                          for n, pos in enumerate(self.poset.linear_extension())}
-        self.stages = {}
-        # tree index -> per stage (stage, flip, head_side, keep, splice, kinks),
-        # kinks memoising the stage's kink records by abstract A end
-        self._plan = {}
-        self._live = {}  # tree index -> per stage: label -> abstract signs, or None
-        for leaf in res.leaves():
-            plan, spliced, splice = [], 0, 0
-            for st in leaf.stages:
-                flip = fmt.crossing_bit(st.crossing)
-                head_side = flip if st.splice_marker == "B" else 0
-                plan.append((st, flip, head_side, ~(spliced | flip), splice, {}))
-                spliced |= flip
-                splice |= head_side
-            self.stages[leaf.tree.index] = leaf.stages
-            self._plan[leaf.tree.index] = plan
-            self._live[leaf.tree.index] = [{} for _ in range(len(plan) + 1)]
-        # a pair's key packs (tree position, stage, head label), most
-        # significant first, into one int
-        self._head_bits = fmt.width + diagram.n
-        self._stages_radix = diagram.n + 1
-        self.spreads = {}       # the kinks' sign_spread tables, by shape
-        self._tree = {}         # smoothing -> index of the tree whose block holds it
-        self._ordered = set()   # smoothings whose cube edges passed the tree-order check
+        self.pipeline, self.reduced = pipeline, reduced
+        self.mask = pipeline.rows.mask
+        # tree index -> per stage: the stage's kink records by abstract A end
+        self._kinks = {t: [{} for _ in plan] for t, plan in pipeline.plans.items()}
+        # tree index -> per stage: label -> abstract signs, or None
+        self._live = {t: [{} for _ in range(len(plan) + 1)] for t, plan in pipeline.plans.items()}
         self._squared = set()   # labels whose d(d(label)) = 0 was checked
         self._unmatched = set()
         self._ends = {}         # pair key -> (x, y)
 
-    # -- states ------------------------------------------------------------------
-
-    def tree_of(self, g):
-        """Index of the tree whose block holds the label g."""
-        smoothing = g & ~self.mask
-        t = self._tree.get(smoothing)
-        if t is None:
-            t = self._tree[smoothing] = self._walk(smoothing)
-        return t
-
-    # -- rows --------------------------------------------------------------------
-
-    def ordered_row(self, g):
-        """d(g) off the builder; the first time a smoothing is read, every
-        cube edge out of it is checked to run inside its block or down to a
-        lower tree's."""
-        smoothing = g & ~self.mask
-        if smoothing not in self._ordered:
-            a = self.tree_of(smoothing)
-            allowed = self._allowed[a]
-            for base, *_ in self.builder.edges(smoothing):
-                b = self.tree_of(base)
-                if not allowed >> self._pos[b] & 1:
-                    raise DiagramError(
-                        f"incidence from tree {a} to tree {b} violates the partial order")
-            self._ordered.add(smoothing)
-        return self.builder.row(g)
-
     def row(self, g):
         """d(g), with d(d(g)) = 0 checked over the rows of all its targets."""
-        row = self.ordered_row(g)
+        ordered_row = self.pipeline.ordered_row
+        row = ordered_row(g)
         if g not in self._squared:
             acc = {}
             for mid, c1 in row.items():
-                for dst, c2 in self.ordered_row(mid).items():
+                for dst, c2 in ordered_row(mid).items():
                     acc[dst] = acc.get(dst, 0) + c1 * c2
             if any(acc.values()):
                 raise DiagramError("differential does not square to zero")
@@ -526,7 +549,8 @@ class LazyMatching(MorseMatching):
     def first_key(self, t):
         """A key at or below every key of tree t's block and above every key
         of the blocks before it."""
-        return self._position[t] * self._stages_radix << self._head_bits
+        p = self.pipeline
+        return p.position[t] * p.stages_radix << p.head_bits
 
     def lower_key(self, g):
         if g not in self.key_of and g not in self.lower_of and g not in self._unmatched:
@@ -553,16 +577,18 @@ class LazyMatching(MorseMatching):
         stage's crossing through ``smoothing``: the sign, the
         :func:`_kink_transfer` tables and bits over the abstract smoothings,
         and whether the reduced complex has the basepoint on the loop."""
-        st, flip, _, keep, splice, kinks = self._plan[t][s]
+        p = self.pipeline
+        st, flip, _, keep, splice = p.plans[t][s]
+        kinks = self._kinks[t][s]
         a_end = smoothing & keep | splice
         kink = kinks.get(a_end)
         if kink is None:
-            markers = self.fmt.markers
+            markers = p.rows.fmt.markers
             loop, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit = _kink_transfer(
-                self.diagram, markers(a_end), markers(a_end | flip), st, self.spreads)
+                p.diagram, markers(a_end), markers(a_end | flip), st, p.spreads)
             kink = kinks[a_end] = (
                 st.sign, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit,
-                self.reduced and self.diagram.basepoint in loop)
+                self.reduced and p.diagram.basepoint in loop)
         return kink
 
     def _raw(self, t, s, smoothing, a):
@@ -578,7 +604,7 @@ class LazyMatching(MorseMatching):
         abstract signs there and head its pair's head (g itself when g is
         the head), or (stop, a, None) when g survives them all."""
         smoothing, a = g & ~self.mask, g & self.mask
-        for s, (_, flip, head_side, _, _, _) in enumerate(self._plan[t][:stop]):
+        for s, (_, flip, head_side, _, _) in enumerate(self.pipeline.plans[t][:stop]):
             if smoothing & flip == head_side:
                 return s, a, g
             kink = self._kink(t, s, smoothing)
@@ -596,7 +622,7 @@ class LazyMatching(MorseMatching):
         live = self._live[t][s]
         if g not in live:
             a = None
-            if self.builder.in_complex(g) and self.tree_of(g) == t:
+            if self.pipeline.rows.in_complex(g, self.reduced) and self.pipeline.tree_of(g) == t:
                 stage, a, _ = self._replay(t, g, s)
                 if stage != s:
                     a = None
@@ -606,8 +632,9 @@ class LazyMatching(MorseMatching):
     def _locate(self, g):
         """Memoise g's pair, with its key and its other state, or g as
         unmatched."""
-        t = self.tree_of(g)
-        plan = self._plan[t]
+        pipeline = self.pipeline
+        t = pipeline.tree_of(g)
+        plan = pipeline.plans[t]
         # a survivor's replay is already memoised by survivor()
         if self._live[t][-1].get(g) is not None:
             head = None
@@ -616,7 +643,7 @@ class LazyMatching(MorseMatching):
         if head is None:
             self._unmatched.add(g)
             return
-        st, flip, _, _, _, _ = plan[s]
+        st, flip, _, _, _ = plan[s]
         partner = g
         if head == g:
             kink = self._kink(t, s, g & ~self.mask)
@@ -628,7 +655,7 @@ class LazyMatching(MorseMatching):
                 raise DiagramError("collapse pair is not an involution: "
                                    "the partner's inverse rule names another head")
         x, y = (head, partner) if st.sign < 0 else (partner, head)
-        key = (self._position[t] * self._stages_radix + s) << self._head_bits | head
+        key = (pipeline.position[t] * pipeline.stages_radix + s) << pipeline.head_bits | head
         self.lower_of[x] = y
         self.key_of[y] = key
         self._ends[key] = (x, y)
@@ -637,16 +664,16 @@ class LazyMatching(MorseMatching):
         """The label of the tree's generator seeded by ``seed``: the stage
         maps inverted from the round unknot's seed sign, checked to be left
         unmatched and to sit at the dictionary's grading."""
-        t = tree.index
-        plan = self._plan[t]
+        p, t = self.pipeline, tree.index
+        stages = p.stages[t]
         markers = list(tree.markers())
-        for st in self.stages[t]:
+        for st in stages:
             markers[st.crossing] = st.loop_marker
         seed_bits = _seed_bits(seed)
-        g = self._raw(t, len(plan), self.fmt.smoothing(markers), seed_bits)
-        if self._abstract(t, g, len(plan)) != seed_bits:
+        g = self._raw(t, len(stages), p.rows.fmt.smoothing(markers), seed_bits)
+        if self._abstract(t, g, len(stages)) != seed_bits:
             raise DiagramError(f"tree {t} has no unmatched state for seed {seed:+d}")
-        if self.builder.grading(g) != grading_map(*_uv(tree, seed), self.diagram.writhe, self.k):
+        if p.rows.grading(g) != grading_map(*_uv(tree, seed), p.diagram.writhe, p.k):
             raise DiagramError("survivor grading disagrees with the dictionary")
         return g
 
@@ -655,28 +682,28 @@ class LazyMatching(MorseMatching):
 # the big complex.
 FundamentalCycle = namedtuple("FundamentalCycle", "tree_index chain i j")
 
-# Everything the pipeline produced besides the final complex, including what
-# it was built from: ``trees``, their ``poset`` and the ``matching``, the
-# LazyMatching that holds the rows built and each smoothing's tree.
-# ``survivor_of`` maps
+# Everything the retraction produced besides the final complex: the
+# ``matching``, the LazyMatching it read, whose ``pipeline`` holds the trees,
+# the poset, the rows built and each smoothing's tree.  ``survivor_of`` maps
 # each tree-complex generator to the label of its surviving (unmatched)
 # state.  ``complex`` is the list of pairs the gradient flows used,
 # MatchedPair records in labels in matching order, and ``log_size`` the
 # number of pairs in the whole matching: (states - generators) / 2.
 RetractionRecord = namedtuple(
     "RetractionRecord",
-    "complex survivor_of cycles transport_matrix log_size trees poset matching")
+    "complex survivor_of cycles transport_matrix log_size matching")
 
 
 class TreeComplex:
     """Spanning-tree complex: one generator per tree (two when unreduced),
-    differential of bidegree (-1, -1) in (u, v)."""
+    differential of bidegree (-1, -1) in (u, v); the diagram's writhe w and
+    k place it in (i, j)."""
 
-    def __init__(self, generators, differential, reduced, diagram):
+    def __init__(self, generators, differential, reduced, w, k):
         self.generators = dict(generators)      # label -> (u, v)
         self.differential = differential        # label -> {label: coeff}
         self.reduced = reduced
-        self.diagram = diagram
+        self.w, self.k = w, k
         for src, row in differential.items():
             su, sv = self.generators[src]
             for dst, coeff in row.items():
@@ -692,12 +719,8 @@ class TreeComplex:
 
     def homology_in_ij(self, coefficients="Z"):
         """Homology transported to (i, j) by the grading dictionary."""
-        w = self.diagram.writhe
-        k = tait_graph(self.diagram).k_invariant()
-        return {
-            grading_map(u, v, w, k): val
-            for (u, v), val in self.homology(coefficients).items()
-        }
+        return {grading_map(u, v, self.w, self.k): val
+                for (u, v), val in self.homology(coefficients).items()}
 
 
 def _inclusion_shift(diagram, tree, stages):
@@ -788,35 +811,37 @@ def _check_descending(differential, tree_of, poset, trees, what, within_block):
 
 
 def retract_to_tree_complex(diagram, reduced=True):
-    """Retract the Khovanov complex onto the spanning-tree complex, reading
-    only the states the gradient flows reach (:class:`LazyMatching`).
+    """Retract the Khovanov complex onto the spanning-tree complex: a
+    one-shot :meth:`Pipeline.retraction`.  Returns (TreeComplex,
+    RetractionRecord).  Generator labels are tree indices (reduced) or (tree
+    index, +1/-1) pairs (unreduced, the -1 copy sitting at (u+2, v+1))."""
+    return Pipeline(diagram).retraction(reduced)
 
-    Returns (TreeComplex, RetractionRecord).  Generator labels are tree
-    indices (reduced) or (tree index, +1/-1) pairs (unreduced, the -1 copy
-    sitting at (u+2, v+1)).
-    """
-    matching = LazyMatching(diagram, reduced)
-    trees, poset, rows = matching.trees, matching.poset, matching.builder
-    w, k = diagram.writhe, matching.k
+
+def _retract(matching):
+    """The retraction of :func:`retract_to_tree_complex` off ``matching``."""
+    p, reduced = matching.pipeline, matching.reduced
+    diagram, trees, rows = p.diagram, p.trees, p.rows
+    w, k = diagram.writhe, p.k
 
     seeds = (1,) if reduced else (1, -1)
     cycles = []
     survivor_of = {}
     gens = {}  # tree-complex label -> (u, v)
     for t in trees:
-        stages = matching.stages[t.index]
+        stages = p.stages[t.index]
         for seed in seeds:
             survivor_of[(t.index, seed)] = matching.survivor(t, seed)
             gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
-            chain = _fundamental_chain(diagram, t, stages, reduced, seed, matching)
+            chain = _fundamental_chain(matching, t, seed)
             labels = list(chain)
-            if not all(map(rows.in_complex, labels)):
+            if not all(rows.in_complex(g, reduced) for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
             i, j = rows.grading(labels[0])
             if any(rows.grading(g) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(diagram, t, stages, labels[0], (i, j), w, k, seed)
-            _check_block_cycle(matching.ordered_row, chain, matching.tree_of, t.index)
+            _check_block_cycle(p.ordered_row, chain, p.tree_of, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
 
     tree_label_of = {g: label for label, g in survivor_of.items()}
@@ -847,16 +872,15 @@ def retract_to_tree_complex(diagram, reduced=True):
             row[dlabel if not reduced else dlabel[0]] = coeff
         if row:
             diff[ti if reduced else (ti, seed)] = row
-    tree_complex = TreeComplex(gens, diff, reduced, diagram)
+    tree_complex = TreeComplex(gens, diff, reduced, w, k)
     # the order-discipline lemma, on the tree complex
     _check_descending(tree_complex.differential,
                       {label: label if reduced else label[0] for label in gens},
-                      poset, trees, "tree differential entry", False)
+                      p.poset, trees, "tree differential entry", False)
     _check_euler_characteristic(matching, gens)
     pairs = [matching.pairs[key] for key in sorted(matching.pairs)]
     record = RetractionRecord(pairs, survivor_of, cycles, transport_matrix,
-                              _pair_count(diagram, reduced, len(gens)), trees, poset,
-                              matching)
+                              _pair_count(diagram, reduced, len(gens)), matching)
     return tree_complex, record
 
 
@@ -875,9 +899,9 @@ def _check_euler_characteristic(matching, generators):
     """The tree complex's graded Euler characteristic, sum (-1)^i q^j over
     its generators, is the Jones polynomial's: q^-1 J(q^2) reduced, times
     (1 + q^2) unreduced, with J from the tree expansion of the bracket."""
-    diagram, w, k = matching.diagram, matching.diagram.writhe, matching.k
-    polynomial = jones(diagram, bracket=bracket_spantree(diagram, matching.graph, matching.trees))
-    expected = LaurentPolynomial({e // 2 - 1: c for e, c in polynomial.coeffs.items()}, "q")
+    p = matching.pipeline
+    w, k = p.diagram.writhe, p.k
+    expected = LaurentPolynomial({e // 2 - 1: c for e, c in p.jones_polynomial.coeffs.items()}, "q")
     if not matching.reduced:
         expected = expected * LaurentPolynomial({0: 1, 2: 1}, "q")
     chi = {}

@@ -145,21 +145,18 @@ def diagram(name):
 
 def compute_expected(entry, include_homology=True):
     """Recompute the derived expected data for one entry."""
-    from .diagram import tait_graph
-    from .jones import bracket_spantree, jones, jones_in_t
+    from .collapse import Pipeline
+    from .jones import jones_in_t
     from .khovanov import khovanov_homology
-    from .spantree import enumerate_trees
 
-    d = entry.diagram()
-    g = tait_graph(d)
-    trees = enumerate_trees(g)
-    v = jones(d, bracket=bracket_spantree(d, g, trees))
+    p = Pipeline(entry.diagram())
+    d = p.diagram
     data = {
         "writhe": d.writhe,
-        "k": g.k_invariant(),
-        "tree_count": len(trees),
-        "jones": jones_in_t(v),
-        "bracket": str(bracket_spantree(d, g, trees)),
+        "k": p.k,
+        "tree_count": len(p.trees),
+        "jones": jones_in_t(p.jones_polynomial),
+        "bracket": str(p.bracket),
     }
     if include_homology and d.n <= BRUTE_FORCE_CAP:
         data["homology_reduced"] = _homology_json(khovanov_homology(d, reduced=True))

@@ -19,12 +19,9 @@ its smoothing's i and circle count.  :meth:`StateLabels.key` reads a label
 back into its key.
 
 Rows are made in one place, :class:`RowBuilder`, one checked row at a
-time: :func:`differential` runs it over every state, the lazy retraction
-over the states its flows reach, and the filtration over the whole cube
-through the retraction's builder.  Given a partial smoothing ``fixed``
-(crossing -> marker), it flips only the other crossings: for a spanning
-tree's dead markers this builds the tree's block, the complex of its
-twisted unknot U(T) shifted into place.
+time: :func:`differential` runs it over every state, and a diagram's
+``collapse.Pipeline`` holds one that its retractions and filtrations read
+in both modes, since a based-"+" state has only based-"+" targets.
 
 The builder matches circles once per cube edge (:func:`_cube_edge`), n 2^(n-1)
 times for the full cube, not once per enhanced state and edge.  An edge's
@@ -366,16 +363,16 @@ def _edge_table(count, moves):
     return table
 
 
-def _edges_out(diagram, fmt, smoothing, crossings, tables):
-    """The cube edges out of a smoothing (its label bits) at those of
-    ``crossings`` where it has marker A, in crossing order, as (target
-    smoothing bits, matrix sign, shape table); ``tables`` keeps one
-    :func:`_edge_table` per shape.  A state's row reads its targets off them:
-    ``base | t`` for each ``t`` in ``table[sign bits]``."""
+def _edges_out(diagram, fmt, smoothing, tables):
+    """The cube edges out of a smoothing (its label bits), one per crossing
+    where it has marker A, in crossing order, as (target smoothing bits,
+    matrix sign, shape table); ``tables`` keeps one :func:`_edge_table` per
+    shape.  A state's row reads its targets off them: ``base | t`` for each
+    ``t`` in ``table[sign bits]``."""
     markers = fmt.markers(smoothing)
     edges = []
-    for c in crossings:
-        if markers[c] == "A":
+    for c, marker in enumerate(markers):
+        if marker == "A":
             sign, shape = _cube_edge(diagram, markers, c)
             if shape not in tables:
                 tables[shape] = _edge_table(*shape)
@@ -384,19 +381,18 @@ def _edges_out(diagram, fmt, smoothing, crossings, tables):
 
 
 class RowBuilder:
-    """The rows of one diagram's complex, reduced or not, or with ``fixed``
-    of the sub-cube extending that partial smoothing, one state label at a
-    time: the one place rows are made.  It memoises each smoothing's (i,
-    circle count, based circle's bit) and cube edges out (:func:`_edges_out`,
-    flipping only the free crossings), one :func:`_edge_table` per shape,
-    and each label's row, checked once, when built, for stored zeros,
-    bidegree (1, 0) and closure of the reduced complex."""
+    """The rows of one diagram's complex, one state label at a time: the one
+    place rows are made.  A row is the same in the reduced and the unreduced
+    complex, so one builder serves both.  It memoises each smoothing's (i,
+    circle count, based circle's bit) and cube edges out (:func:`_edges_out`),
+    one :func:`_edge_table` per shape, and each label's row, checked once,
+    when built, for stored zeros, bidegree (1, 0) and closure: a based-"+"
+    source has only based-"+" targets, which closes the reduced complex."""
 
-    def __init__(self, diagram, reduced, fixed=None):
-        self.diagram, self.reduced = diagram, reduced
+    def __init__(self, diagram):
+        self.diagram = diagram
         fmt = self.fmt = StateLabels(diagram)
         self.mask = fmt.signs_mask
-        self.free = [c for c in range(diagram.n) if c not in (fixed or {})]
         self._gradings = {}  # smoothing -> (i, circle count, based circle's bit)
         self._edges = {}     # smoothing -> its cube edges out, with their targets' gradings
         self._tables = {}    # cube-edge shape -> _edge_table
@@ -409,11 +405,11 @@ class RowBuilder:
             data = self._gradings[smoothing] = i, k, 1 << (k - 1 - based)
         return data
 
-    def in_complex(self, g):
-        """Whether g labels a state of the (reduced or unreduced) complex."""
+    def in_complex(self, g, reduced):
+        """Whether g labels a state of the reduced or unreduced complex."""
         _, k, based = self._grading(g & ~self.mask)
         bits = g & self.mask
-        return not bits >> k and (not self.reduced or bool(bits & based))
+        return not bits >> k and (not reduced or bool(bits & based))
 
     def grading(self, g):
         """(i, j) of the state g."""
@@ -428,29 +424,30 @@ class RowBuilder:
             edges = self._edges[smoothing] = [
                 (base, sign, table, *self._grading(base))
                 for base, sign, table in _edges_out(self.diagram, self.fmt, smoothing,
-                                                    self.free, self._tables)]
+                                                    self._tables)]
         return edges
 
     def row(self, g):
         """d(g) off the shape tables of its smoothing's cube edges, in
         crossing order, checked for stored zeros, bidegree (1, 0) and
-        closure of the reduced complex."""
+        closure."""
         row = self._rows.get(g)
         if row is None:
             smoothing, bits = g & ~self.mask, g & self.mask
-            i, k, _ = self._grading(smoothing)
+            i, k, based_plus = self._grading(smoothing)
+            based_plus &= bits
             # a target over tk circles keeps j when tk - 2 popcount is this
-            level, reduced = k - 1 - 2 * bits.bit_count(), self.reduced
+            level = k - 1 - 2 * bits.bit_count()
             row = {}
             for base, sign, table, ti, tk, based in self.edges(smoothing):
                 for t in table[bits]:
-                    if t >> tk or reduced and not t & based:
-                        raise DiagramError("reduced subcomplex is not closed under the differential")
                     if ti != i + 1 or tk - 2 * t.bit_count() != level:
                         (i, j), (ti, tj) = self.grading(g), self.grading(base | t)
                         raise DiagramError(
                             f"differential entry {self.fmt.key(g)}->{self.fmt.key(base | t)} "
                             f"has bidegree ({ti - i},{tj - j}), expected (1,0)")
+                    if t >> tk or based_plus and not t & based:
+                        raise DiagramError("reduced subcomplex is not closed under the differential")
                     row[base | t] = sign
             if 0 in row.values():
                 raise DiagramError("stored zero coefficient")
@@ -458,12 +455,11 @@ class RowBuilder:
         return row
 
 
-def differential(diagram, reduced, fixed=None):
-    """Build the bigraded complex of the diagram, or with ``fixed`` the
-    sub-cube extending that partial smoothing: :class:`RowBuilder`'s row of
-    every state of :func:`enumerate_states`, in its order."""
-    states = enumerate_states(diagram, reduced, fixed)
-    row = RowBuilder(diagram, reduced, fixed).row
+def differential(diagram, reduced):
+    """Build the bigraded complex of the diagram: :class:`RowBuilder`'s row
+    of every state of :func:`enumerate_states`, in its order."""
+    states = enumerate_states(diagram, reduced)
+    row = RowBuilder(diagram).row
     return BigradedComplex(diagram, states, {g: row(g) for g in states}, reduced)
 
 

@@ -14,7 +14,8 @@ states of one block, so the matching is filtered: its Morse complex, the
 spanning-tree complex, is a filtered Gaussian elimination inside each level,
 and from E_1 on the pages are those of the spanning-tree complex with each
 generator at its tree's level.  E_0 alone counts enhanced states; it and
-the E_infinity check read them through the retraction's row builder.
+the E_infinity check read them through the pipeline's row builder, which
+the retractions of both modes share.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .algebra import parse_coefficients, ring_name
 from .diagram import DiagramError
-from .collapse import grading_map, retract_to_tree_complex
+from .collapse import grading_map
 from .khovanov import BigradedComplex, enumerate_states
 
 
@@ -31,18 +32,15 @@ class Filtration:
     """The retraction's tree complex with a level p and a degree i per
     generator, the E_0 dimensions counted over the enhanced states, and the
     full complex that E_infinity is checked against.  The diagram, trees,
-    poset and k are the retraction's ``matching``'s, which is not kept."""
+    poset and k are the ``pipeline``'s."""
 
-    def __init__(self, complex, tree_complex, matching, tree_levels, e0):
-        self.diagram = matching.diagram
+    def __init__(self, pipeline, complex, tree_complex, tree_levels, e0):
+        self.pipeline = pipeline
         self.complex = complex
         self.tree_complex = tree_complex
         self.tree_levels = tree_levels      # tree index -> p
-        self.poset = matching.poset
-        self.trees = matching.trees
-        self.k = matching.k
         self.e0 = e0                        # (p, q) -> number of enhanced states
-        w, k = self.diagram.writhe, self.k
+        w, k = pipeline.diagram.writhe, pipeline.k
         self.generator_levels = {}          # tree-complex label -> p
         self.generator_degrees = {}         # tree-complex label -> i
         for label, (u, v) in tree_complex.generators.items():
@@ -55,28 +53,25 @@ class Filtration:
         return max(self.tree_levels.values())
 
 
-def build_filtration(diagram, reduced=True):
-    """The filtration read off one retraction onto the spanning-tree complex,
-    with the full complex, for E_0 and the E_infinity check, read through
-    the retraction's matching: each cube edge is built once, and each
-    state's tree is the matching's.
+def build_filtration(pipeline, reduced=True):
+    """The filtration read off the pipeline's retraction, with the full
+    complex, for E_0 and the E_infinity check, read through the pipeline's
+    rows and trees, so each cube edge is built once for both modes.
 
     A tree's level is ``poset.level``.  The differential never lowers a
-    state's level: the matching checks every cube edge, here the whole cube,
+    state's level: the pipeline checks every cube edge, here the whole cube,
     to run inside one block or from a tree T_a down to a tree T_b < T_a, and
-    ``TreePoset`` checks that every tree below T_a sits at a larger level.
-    """
-    tree_complex, record = retract_to_tree_complex(diagram, reduced)
-    matching, poset = record.matching, record.poset
-    tree_levels = {t.index: poset.level[pos] for pos, t in enumerate(record.trees)}
-    states = enumerate_states(diagram, reduced)
+    ``TreePoset`` checks that every tree below T_a sits at a larger level."""
+    tree_complex, _ = pipeline.retraction(reduced)
+    tree_levels = dict(enumerate(pipeline.poset.level))
+    states = enumerate_states(pipeline.diagram, reduced)
     rows, e0 = {}, {}
     for g, (i, _) in states.items():
-        rows[g] = matching.ordered_row(g)
-        p = tree_levels[matching.tree_of(g)]
+        rows[g] = pipeline.ordered_row(g)
+        p = tree_levels[pipeline.tree_of(g)]
         e0[(p, i - p)] = e0.get((p, i - p), 0) + 1
-    complex = BigradedComplex(diagram, states, rows, reduced)
-    return Filtration(complex, tree_complex, matching, tree_levels, e0)
+    complex = BigradedComplex(pipeline.diagram, states, rows, reduced)
+    return Filtration(pipeline, complex, tree_complex, tree_levels, e0)
 
 
 class SpectralPage:
@@ -233,9 +228,10 @@ def check_convergence(pages, filtration, field="Q"):
 
 def e1_tree_counts(filtration):
     """Expected E_1 dimensions: number of trees per (p, q) bigrading."""
-    w, k = filtration.diagram.writhe, filtration.k
+    p = filtration.pipeline
+    w, k = p.diagram.writhe, p.k
     counts = {}
-    for t in filtration.trees:
+    for t in p.trees:
         i, _ = grading_map(t.u, t.v, w, k)
         p = filtration.tree_levels[t.index]
         counts[(p, i - p)] = counts.get((p, i - p), 0) + 1

@@ -440,5 +440,5 @@ def retract_by_collapses(diagram, reduced=True):
         if row:
             diff[label] = row
     record = OracleRecord(mc, survivor_of, cycles, transport_matrix, len(mc.log),
-                          trees, poset, res, state_tree, complex)
-    return TreeComplex(gens, diff, reduced, diagram), record
+                          trees, poset, state_tree, complex)
+    return TreeComplex(gens, diff, reduced, w, k), record

@@ -18,6 +18,7 @@ import pathlib
 import sys
 
 from spantreekh import corpus
+from spantreekh.collapse import Pipeline
 from spantreekh.spectral import build_filtration, compute_pages, differential_ranks
 
 FIELDS = ("Q", "F2", "F3")
@@ -29,7 +30,7 @@ def _dims(d):
 
 
 def record(name):
-    f = build_filtration(corpus.diagram(name))
+    f = build_filtration(Pipeline(corpus.diagram(name)))
     return {
         "depth": f.depth,
         "pages": {field: [_dims(page.dims) for page in compute_pages(f, field)]

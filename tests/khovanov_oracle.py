@@ -37,14 +37,13 @@ def homology_snapshot(complex):
     }
 
 
-def per_state_states(diagram, reduced, fixed=None):
-    """The enhanced states extending ``fixed``, in the order the builder lists
-    them, each graded on its own: sigma from its markers, tau from its signs."""
+def per_state_states(diagram, reduced):
+    """The enhanced states, in the order the builder lists them, each graded
+    on its own: sigma from its markers, tau from its signs."""
     w = diagram.writhe
     fmt = StateLabels(diagram)
-    fixed = fixed or {}
     states = []
-    for markers in product(*(fixed.get(c, "AB") for c in range(diagram.n))):
+    for markers in product("AB", repeat=diagram.n):
         circles = diagram.circles(markers)
         based = next(k for k, circ in enumerate(circles) if diagram.basepoint in circ)
         for signs in product((1, -1), repeat=len(circles)):
@@ -98,18 +97,17 @@ def _merge_split_targets(state, new_circles):
     return out_states
 
 
-def per_state_differential(diagram, reduced, fixed=None):
+def per_state_differential(diagram, reduced):
     """The builder that matched circles once per enhanced state and edge, on
     (markers, signs) keys; its rows are relabelled at the end, by the labels
     of :func:`per_state_states`, whose bigradings the complex stores.
     Returns the complex and those records."""
-    states = per_state_states(diagram, reduced, fixed)
-    free = [c for c in range(diagram.n) if c not in (fixed or {})]
+    states = per_state_states(diagram, reduced)
     labels = {s.key: s.label for s in states}
     diff = {}
     for s in states:
         row = {}
-        for c in free:
+        for c in range(diagram.n):
             if s.markers[c] != "A":
                 continue
             sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")

@@ -33,9 +33,10 @@ from spantreekh.diagram import DiagramError, tait_graph
 from spantreekh.khovanov import StateLabels, differential
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 
-# RetractionRecord with the full-cube build: ``complex`` is the whole pair
-# list and ``log_size`` its length.
-OracleRecord = namedtuple("OracleRecord", RetractionRecord._fields + ("state_tree", "full_complex"))
+# RetractionRecord with the full-cube build in place of the lazy matching:
+# ``complex`` is the whole pair list and ``log_size`` its length.
+OracleRecord = namedtuple("OracleRecord", RetractionRecord._fields[:-1]
+                          + ("trees", "poset", "state_tree", "full_complex"))
 
 
 def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spreads):
@@ -233,8 +234,8 @@ def retract_by_matching(diagram, reduced=True):
             diff[ti if reduced else (ti, seed)] = row
     pairs = list(matching.pairs.values())
     record = OracleRecord(pairs, survivor_of, cycles, transport_matrix, len(pairs),
-                          trees, poset, res, state_tree, complex)
-    tree_complex = TreeComplex(gens, diff, reduced, diagram)
+                          trees, poset, state_tree, complex)
+    tree_complex = TreeComplex(gens, diff, reduced, w, k)
     _check_descending(tree_complex.differential,
                       {label: label if reduced else label[0] for label in gens},
                       poset, trees, "tree differential entry", False)

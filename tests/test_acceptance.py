@@ -16,6 +16,7 @@ from spantreekh.jones import bracket_spantree, bracket_statesum, euler_check
 from spantreekh.khovanov import MutableComplex, _check_d_squared, differential, khovanov_homology
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
+    Pipeline,
     check_order_discipline,
     retract_to_tree_complex,
     state_tree_assignment,
@@ -101,7 +102,7 @@ def test_criterion_4_alternating_package():
         d = corpus.diagram(name)
         brute = khovanov_homology(d, reduced=True)
         assert all(not torsion for _, torsion in brute.values()), name
-        predicted = predicted_reduced_homology(d, in_ij=True)
+        predicted = predicted_reduced_homology(Pipeline(d), in_ij=True)
         assert predicted == {ij: rank for ij, (rank, _) in brute.items()}, name
         g = tait_graph(d)
         sigma = signature_alternating(d)
@@ -143,7 +144,7 @@ def test_criterion_7_spectral_sequence():
         d = entry.diagram()
         if d.n > corpus.BRUTE_FORCE_CAP:
             continue
-        f = build_filtration(d)
+        f = build_filtration(Pipeline(d))
         for field in ("F2", "Q"):
             pages = compute_pages(f, field)
             assert pages[1].dims == e1_tree_counts(f), (entry.name, field)

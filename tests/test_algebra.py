@@ -270,7 +270,7 @@ def test_laurent_text_form():
 
 def test_coefficient_rings_have_one_spelling():
     from spantreekh import corpus
-    from spantreekh.collapse import retract_to_tree_complex
+    from spantreekh.collapse import Pipeline, retract_to_tree_complex
     from spantreekh.khovanov import khovanov_homology
     from spantreekh.spectral import build_filtration, compute_pages
 
@@ -282,7 +282,7 @@ def test_coefficient_rings_have_one_spelling():
     assert khovanov_homology(d, coefficients="F2") == over_f2
     tree_complex, _ = retract_to_tree_complex(d)
     assert tree_complex.homology_in_ij("F2") == tree_complex.homology_in_ij(2) == over_f2
-    filtration = build_filtration(d)
+    filtration = build_filtration(Pipeline(d))
     assert [p.dims for p in compute_pages(filtration, "F2")] == [
         p.dims for p in compute_pages(filtration, 2)
     ]

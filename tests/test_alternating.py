@@ -3,6 +3,7 @@
 import pytest
 
 from spantreekh import corpus
+from spantreekh.collapse import Pipeline
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import khovanov_homology
 from spantreekh.alternating import (
@@ -45,14 +46,14 @@ def test_signature_requires_alternating_reduced():
 def test_predicted_homology_matches_brute_force():
     for name in ("3_1", "4_1", "5_1", "5_2"):
         d = corpus.diagram(name)
-        predicted = predicted_reduced_homology(d, in_ij=True)
+        predicted = predicted_reduced_homology(Pipeline(d), in_ij=True)
         brute = khovanov_homology(d, reduced=True)
         assert predicted == {ij: rank for ij, (rank, tors) in brute.items()}, name
         assert all(not tors for _, tors in brute.values()), name
 
 
 def test_predicted_homology_figure_eight_five_ones():
-    ranks = predicted_reduced_homology(corpus.diagram("4_1"))
+    ranks = predicted_reduced_homology(Pipeline(corpus.diagram("4_1")))
     assert sorted(ranks.values()) == [1, 1, 1, 1, 1]
     (vs,) = {v for (_, v) in ranks}
     assert len({u for (u, _) in ranks}) == 5
@@ -63,14 +64,14 @@ def test_single_row_at_predicted_v():
         d = corpus.diagram(name)
         g = tait_graph(d)
         sigma = signature_alternating(d)
-        rows = {v for (_, v) in predicted_reduced_homology(d)}
+        rows = {v for (_, v) in predicted_reduced_homology(Pipeline(d))}
         assert rows == {(d.n - d.writhe) // 2 - sigma}
         assert rows == {len(g.vertices) - 1}
 
 
 def test_tree_count_is_l1_norm():
     for name in corpus.ALTERNATING_KNOTS:
-        assert tree_count_equals_l1(corpus.diagram(name)), name
+        assert tree_count_equals_l1(Pipeline(corpus.diagram(name))), name
 
 
 def test_thickness_alternating():

@@ -135,7 +135,7 @@ def test_verify_alternating_category(capsys):
 def test_verify_reports_the_exception_type_of_a_crashed_check(capsys, monkeypatch):
     from spantreekh import cli
 
-    def crash(entry, d, filtration, homology):
+    def crash(entry, pipeline, filtration, homology, pages):
         raise ZeroDivisionError("boom")
 
     monkeypatch.setitem(cli._CATEGORIES, "thickness", crash)
@@ -144,16 +144,12 @@ def test_verify_reports_the_exception_type_of_a_crashed_check(capsys, monkeypatc
     assert "[FAIL] trefoil4 thickness: error: ZeroDivisionError: boom" in out
 
 
-def _count_builds(monkeypatch):
-    """Record every full or block build, retraction, filtration and
-    full-complex homology, wherever a module binds the function; returns a
-    counter count(name, reduced, **argument values).  A filtration builds
-    its full complex through its retraction's row builder, not through
-    ``differential``."""
+def _recording(monkeypatch, functions, classes=()):
+    """Wrap each function wherever a package module binds it, and each
+    class's constructor, so that every call appends (name, its arguments
+    with defaults applied) to the returned list."""
     import importlib
     import inspect
-
-    from spantreekh import collapse, khovanov, spectral
 
     calls = []
 
@@ -168,12 +164,30 @@ def _count_builds(monkeypatch):
 
         return wrapper
 
-    for fn in (khovanov.differential, collapse.retract_to_tree_complex, spectral.build_filtration):
+    modules = [importlib.import_module(f"spantreekh.{layer}")
+               for layer in ("cli", "collapse", "khovanov", "spectral", "alternating",
+                             "diagram", "spantree", "jones")]
+    for fn in functions:
         wrapped = counting(fn.__name__, fn)
-        for layer in ("cli", "collapse", "khovanov", "spectral", "alternating"):
-            module = importlib.import_module(f"spantreekh.{layer}")
-            if getattr(module, fn.__name__, None) is fn:
+        for module in modules:
+            if vars(module).get(fn.__name__) is fn:
                 monkeypatch.setattr(module, fn.__name__, wrapped)
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    return calls
+
+
+def _count_builds(monkeypatch):
+    """Record every full-complex build, lazy matching, retraction,
+    filtration and full-complex homology; returns a counter count(name,
+    reduced, **argument values).  A filtration builds its full complex
+    through its pipeline's row builder, not through ``differential``, and a
+    retraction (``collapse._retract``) reads its mode off its matching."""
+    from spantreekh import collapse, khovanov, spectral
+
+    calls = _recording(monkeypatch,
+                       [khovanov.differential, collapse._retract, spectral.build_filtration],
+                       [collapse.LazyMatching])
     homology = khovanov.BigradedComplex.homology
 
     def full_homology(self, coefficients="Z"):
@@ -182,10 +196,13 @@ def _count_builds(monkeypatch):
 
     monkeypatch.setattr(khovanov.BigradedComplex, "homology", full_homology)
 
+    def mode(arguments):
+        return arguments["matching"].reduced if "matching" in arguments else arguments["reduced"]
+
     def count(name, reduced, **match):
         return sum(
             1 for n, arguments in calls
-            if n == name and arguments["reduced"] == reduced
+            if n == name and mode(arguments) == reduced
             and all(arguments[k] == v for k, v in match.items())
         )
 
@@ -199,8 +216,35 @@ def test_verify_builds_each_mode_once(monkeypatch):
     for reduced in (True, False):
         assert count("build_filtration", reduced) == 1, reduced
         assert count("differential", reduced) == 0, reduced
-        assert count("retract_to_tree_complex", reduced) == 1, reduced
+        assert count("LazyMatching", reduced) == 1, reduced
+        assert count("_retract", reduced) == 1, reduced
         assert count("full_homology", reduced, coefficients="Z") == 1, reduced
+
+
+def test_verify_builds_each_stage_of_the_pipeline_once(monkeypatch):
+    # one pipeline per entry holds the trees, the poset, the resolution
+    # tree and the row builder; the reduced pages are computed once per field
+    import importlib
+    from collections import Counter
+
+    from spantreekh import collapse, khovanov, spectral
+
+    diagram, jones, spantree = (importlib.import_module(f"spantreekh.{layer}")
+                                for layer in ("diagram", "jones", "spantree"))
+    calls = _recording(monkeypatch,
+                       [spantree.enumerate_trees, spantree.build_poset, spantree.resolution_tree,
+                        diagram.tait_graph, jones.bracket_spantree, spectral.compute_pages],
+                       [khovanov.RowBuilder, collapse.LazyMatching])
+    assert run(["verify", "--knot", "7_4"]) == 0
+    built = Counter(name for name, _ in calls)
+    for name in ("enumerate_trees", "build_poset", "resolution_tree", "RowBuilder"):
+        assert built[name] == 1, name
+    assert sorted(a["reduced"] for n, a in calls if n == "LazyMatching") == [False, True]
+    assert sorted(a["field"] for n, a in calls if n == "compute_pages") == ["F2", "Q"]
+    # euler_check keeps its own tree bracket, and the alternating and
+    # thickness checks read their own Tait graphs
+    assert built["bracket_spantree"] <= 2
+    assert built["tait_graph"] <= 8
 
 
 @pytest.mark.parametrize("category, modes", [
@@ -216,10 +260,10 @@ def test_verify_homology_checks_alone_build_no_retraction(monkeypatch, category,
     assert run(["verify", category, "--knot", "7_4"]) == 0
     retracted = modes if category == "alternating" else ()
     for reduced in (True, False):
-        assert count("retract_to_tree_complex", reduced) == (reduced in retracted), reduced
+        assert count("_retract", reduced) == (reduced in retracted), reduced
+        assert count("LazyMatching", reduced) == (reduced in retracted), reduced
         assert count("build_filtration", reduced) == (reduced in retracted), reduced
         bare = reduced in modes and reduced not in retracted
-        assert count("differential", reduced, fixed=None) == bare, reduced
         assert count("differential", reduced) == bare, reduced
         assert count("full_homology", reduced, coefficients="Z") == (reduced in modes)
 

@@ -25,6 +25,7 @@ from spantreekh.khovanov import (
 from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
+    Pipeline,
     check_order_discipline,
     grading_map,
     inverse_grading_map,
@@ -315,18 +316,12 @@ def test_kink_spreads_are_made_once_per_shape_in_a_retraction(monkeypatch):
 
 
 def test_jacobsson_cycle_single_kinks():
-    dplus = parse_pd("PD[X(2,2,1,1)]")
-    g = tait_graph(dplus)
-    trees = enumerate_trees(g)
-    leaf = resolution_tree(dplus, g, trees).leaves()[0]
-    z = jacobsson_cycle(dplus, leaf.tree, leaf.stages, reduced=True)
+    pipeline = Pipeline(parse_pd("PD[X(2,2,1,1)]"))
+    z = jacobsson_cycle(pipeline.matching(True), pipeline.trees[0])
     assert z == {(("A",), (1, 1)): 1}
 
-    dminus = parse_pd("PD[X(1,2,2,1)]")
-    g = tait_graph(dminus)
-    trees = enumerate_trees(g)
-    leaf = resolution_tree(dminus, g, trees).leaves()[0]
-    z = jacobsson_cycle(dminus, leaf.tree, leaf.stages, reduced=True)
+    pipeline = Pipeline(parse_pd("PD[X(1,2,2,1)]"))
+    z = jacobsson_cycle(pipeline.matching(True), pipeline.trees[0])
     (markers, signs), coeff = next(iter(z.items()))
     assert markers == ("B",)
     assert coeff == 1
@@ -336,16 +331,14 @@ def test_jacobsson_cycle_single_kinks():
 def test_jacobsson_cycles_are_block_cycles_with_correct_gradings():
     for name in ("trefoil4", "4_1", "8_19"):
         d = corpus.diagram(name)
-        g = tait_graph(d)
-        trees = enumerate_trees(g)
-        res = resolution_tree(d, g, trees)
-        stages_of = {leaf.tree.index: leaf.stages for leaf in res.leaves()}
+        pipeline = Pipeline(d)
+        matching = pipeline.matching(True)
         cx = differential(d, reduced=True)
-        tree_of = state_tree_assignment(d, res)
+        tree_of = state_tree_assignment(d, resolution_tree(d))
         w = d.writhe
-        k = g.k_invariant()
-        for t in trees:
-            keys = jacobsson_cycle(d, t, stages_of[t.index], reduced=True)
+        k = tait_graph(d).k_invariant()
+        for t in pipeline.trees:
+            keys = jacobsson_cycle(matching, t)
             fmt = StateLabels(d)
             z = {fmt.label(*key): coeff for key, coeff in keys.items()}
             assert [fmt.key(g) for g in z] == list(keys)
@@ -386,6 +379,7 @@ def test_label_substitution_matches_the_key_oracle():
     checked = based = 0
     for name, d in cycle_diagrams():
         fmt = StateLabels(d)
+        pipeline = Pipeline(d)
         for leaf in resolution_tree(d).leaves():
             t, stages = leaf.tree, leaf.stages
             for reduced, seed in ((True, 1), (False, 1), (False, -1)):
@@ -400,7 +394,7 @@ def test_label_substitution_matches_the_key_oracle():
                 assert list(labels.items()) == [
                     (fmt.label(*key), c) for key, c in keys.items()
                 ], where
-                assert list(jacobsson_cycle(d, t, stages, reduced, seed).items()) == list(
+                assert list(jacobsson_cycle(pipeline.matching(reduced), t, seed).items()) == list(
                     keys.items()
                 ), where
                 checked += 1

@@ -270,3 +270,54 @@ def test_only_khovanov_builds_rows():
     assert not found, "row-builder internals outside khovanov.py:\n" + "\n".join(found)
     assert referenced_names("from .khovanov import _edges_out as e\nk._cube_edge(e)\n") >= {
         "_edges_out", "_cube_edge"}
+
+
+def constructions(source, name):
+    """Where a module calls ``name``: for each call, the dotted names of the
+    definitions enclosing it ("" at module level)."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    found.append(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_constructions_are_located():
+    source = (
+        "class P:\n"
+        "    def m(self):\n"
+        "        return M(self)\n"
+        "def f():\n"
+        "    return [k.M(1) for _ in ()]\n"
+        "x = M()\n"
+        "y = N(M)\n"
+    )
+    assert constructions(source, "M") == ["P.m", "f", ""]
+
+
+def test_only_the_pipeline_builds_matchings_and_rows():
+    # one per-diagram pipeline: no package module but collapse.py makes a
+    # LazyMatching, and only collapse.Pipeline and the one-shot full build
+    # khovanov.differential make a RowBuilder
+    row_builders = {("collapse.py", "Pipeline"), ("khovanov.py", "differential")}
+    found = []
+    for path in SRC:
+        source = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: LazyMatching in {where or 'module'}"
+                  for where in constructions(source, "LazyMatching")
+                  if path.name != "collapse.py"]
+        found += [f"{path.name}: RowBuilder in {where or 'module'}"
+                  for where in constructions(source, "RowBuilder")
+                  if (path.name, where.split(".")[0]) not in row_builders]
+    assert not found, "constructed outside the pipeline:\n" + "\n".join(found)

@@ -27,6 +27,7 @@ from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
 from spantreekh.collapse import (
     MorseMatching,
+    Pipeline,
     jacobsson_cycle,
     retract_to_tree_complex,
 )
@@ -206,7 +207,7 @@ def test_based_loop_cycles_are_the_block_filtered_inclusion():
     """A based-negative-loop tree's cycle is its survivor's inclusion through
     the pairs from its block's first key on: the same chain, dict order
     included, as through the pairs whose lower state lies in the block, and
-    as ``jacobsson_cycle`` gets from its own lazy matching."""
+    as ``jacobsson_cycle`` gets from the pipeline's lazy matching."""
     checked = 0
     for name, d in cycle_diagrams():
         based = [leaf for leaf in resolution_tree(d).leaves()
@@ -214,6 +215,7 @@ def test_based_loop_cycles_are_the_block_filtered_inclusion():
         if not based:
             continue
         _, record = retract_by_matching(d, True)
+        lazy = Pipeline(d).matching(True)
         matching = MorseMatching(record.full_complex.differential)
         for pair in record.complex:
             matching.match(pair.x, pair.y)
@@ -223,7 +225,7 @@ def test_based_loop_cycles_are_the_block_filtered_inclusion():
             expected = include_within(matching, record.survivor_of[(t, 1)],
                                       lambda y: record.state_tree[y] == t)
             assert list(cycles[t].items()) == list(expected.items()), (name, t)
-            alone = labelled(record.full_complex, jacobsson_cycle(d, leaf.tree, leaf.stages))
+            alone = labelled(record.full_complex, jacobsson_cycle(lazy, leaf.tree))
             assert list(alone.items()) == list(expected.items()), (name, t)
             checked += 1
     assert checked > 150
@@ -252,7 +254,7 @@ def _flipped_target(d, pairs):
     fmt = StateLabels(d)
     for x, y, _ in pairs:
         bits = x & fmt.signs_mask
-        edges = khovanov._edges_out(d, fmt, fmt.smoothing_of(x), range(d.n), {})
+        edges = khovanov._edges_out(d, fmt, fmt.smoothing_of(x), {})
         row = {base | t for base, _, table in edges for t in table[bits]}
         for e, (base, _, table) in enumerate(edges):
             _, k, based = smoothing_grading(d, fmt.markers(base))
@@ -274,8 +276,8 @@ def test_flipped_target_in_a_visited_row_fails_the_local_d_squared(monkeypatch):
     x, e, corrupted = _flipped_target(d, record.complex)
     edges_out = khovanov._edges_out
 
-    def flipping(diagram, fmt, smoothing, crossings, tables):
-        edges = edges_out(diagram, fmt, smoothing, crossings, tables)
+    def flipping(diagram, fmt, smoothing, tables):
+        edges = edges_out(diagram, fmt, smoothing, tables)
         if smoothing == fmt.smoothing_of(x):
             base, sign, _ = edges[e]
             edges[e] = (base, sign, corrupted)

@@ -9,7 +9,7 @@ from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
 
 from spantreekh import corpus, khovanov, spectral
-from spantreekh.collapse import retract_to_tree_complex, state_tree_assignment
+from spantreekh.collapse import Pipeline, retract_to_tree_complex, state_tree_assignment
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import StateLabels, differential, enumerate_states
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
@@ -28,12 +28,12 @@ SMALL = [e.name for e in corpus.entries() if e.diagram().n <= 7]
 
 def test_filtration_levels_trefoil4():
     d = corpus.diagram("trefoil4")
-    f = build_filtration(d)
+    f = build_filtration(Pipeline(d))
     # worked example: E0 levels are U5 | U1 | U2 + U3 | U4
     by_level = {}
     for ti, lv in f.tree_levels.items():
         by_level.setdefault(lv, set()).add(
-            f.trees[ti].smoothing_string()
+            f.pipeline.trees[ti].smoothing_string()
         )
     assert by_level == {
         1: {"**AA"}, 2: {"*ABA"}, 3: {"*A*B", "*BBA"}, 4: {"*B*B"},
@@ -41,18 +41,18 @@ def test_filtration_levels_trefoil4():
 
 
 def test_single_tree_diagram_single_level():
-    f = build_filtration(parse_pd("PD[X(2,2,1,1)]"))
+    f = build_filtration(Pipeline(parse_pd("PD[X(2,2,1,1)]")))
     assert f.depth == 1
     assert set(f.tree_levels.values()) == {1}
 
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_tree_levels_are_largest_positions_on_maximal_chains(name):
-    f = build_filtration(corpus.diagram(name))
+    f = build_filtration(Pipeline(corpus.diagram(name)))
     expected = {}
-    for chain in f.poset.maximal_chains():
+    for chain in f.pipeline.poset.maximal_chains():
         for p, pos in enumerate(chain, start=1):
-            ti = f.trees[pos].index
+            ti = f.pipeline.trees[pos].index
             expected[ti] = max(expected.get(ti, 0), p)
     assert f.tree_levels == expected
 
@@ -70,7 +70,7 @@ def test_levels_hold_incomparable_trees():
 
 def test_trefoil4_pages_and_collapse():
     d = corpus.diagram("trefoil4")
-    f = build_filtration(d)
+    f = build_filtration(Pipeline(d))
     for field in ("Q", "F2"):
         pages = compute_pages(f, field)
         assert pages[1].total_dimension() == 5
@@ -83,7 +83,7 @@ def test_trefoil4_pages_and_collapse():
 def test_unknots_collapse_immediately():
     for name in corpus.UNKNOTS:
         d = corpus.diagram(name)
-        f = build_filtration(d)
+        f = build_filtration(Pipeline(d))
         pages = compute_pages(f, "F2")
         assert pages[1].total_dimension() >= 1
         conv = check_convergence(pages, f, "F2")
@@ -94,7 +94,7 @@ def test_unknots_collapse_immediately():
 def test_alternating_diagrams_collapse_at_e1():
     for name in ("3_1", "4_1", "5_2"):
         d = corpus.diagram(name)
-        f = build_filtration(d)
+        f = build_filtration(Pipeline(d))
         pages = compute_pages(f, "F2")
         assert pages[1].dims == pages[-1].dims, name
         conv = check_convergence(pages, f, "F2")
@@ -104,7 +104,7 @@ def test_alternating_diagrams_collapse_at_e1():
 def test_convergence_and_page_bound_small_corpus():
     for name in ("unknot3", "trefoil4", "4_1", "5_1", "6_1"):
         d = corpus.diagram(name)
-        f = build_filtration(d)
+        f = build_filtration(Pipeline(d))
         for field in ("Q", "F2"):
             pages = compute_pages(f, field)
             conv = check_convergence(pages, f, field)
@@ -114,7 +114,7 @@ def test_convergence_and_page_bound_small_corpus():
 
 def test_differential_ranks_trefoil4():
     d = corpus.diagram("trefoil4")
-    f = build_filtration(d)
+    f = build_filtration(Pipeline(d))
     for field in ("Q", "F2"):
         assert differential_ranks(f, field, 1) == {}
         assert differential_ranks(f, field, 2) == {(1, -3): 1}
@@ -124,7 +124,7 @@ def test_differential_ranks_trefoil4():
 def test_tree_complex_field_homology_agrees_with_e_infinity():
     for name in ("trefoil4", "5_2"):
         d = corpus.diagram(name)
-        f = build_filtration(d)
+        f = build_filtration(Pipeline(d))
         for field, coeff in (("Q", "Q"), ("F2", 2)):
             pages = compute_pages(f, field)
             tc, _ = retract_to_tree_complex(d, reduced=True)
@@ -137,7 +137,7 @@ def test_tree_complex_field_homology_agrees_with_e_infinity():
 @pytest.mark.parametrize("name", SMALL)
 def test_unreduced_filtration_converges(name):
     # check_convergence reads the filtration's own (here unreduced) complex
-    f = build_filtration(corpus.diagram(name), reduced=False)
+    f = build_filtration(Pipeline(corpus.diagram(name)), reduced=False)
     for field in ("Q", "F2"):
         pages = compute_pages(f, field)
         conv = check_convergence(pages, f, field)
@@ -176,7 +176,7 @@ def _state_route(d, reduced, field, depth):
 
 
 def _assert_tree_route_matches_state_route(d, reduced, fields):
-    f = build_filtration(d, reduced)
+    f = build_filtration(Pipeline(d), reduced)
     for field in fields:
         pages, ranks = _state_route(d, reduced, field, f.depth)
         assert [page.dims for page in compute_pages(f, field)[1:]] == pages, field
@@ -214,7 +214,7 @@ def test_pairs_run_on_the_tree_generators_only(monkeypatch):
         return _pairs(levels, degrees, rows, prime)
 
     monkeypatch.setattr(spectral, "_pairs", recording)
-    f = build_filtration(corpus.diagram("7_4"), reduced=False)
+    f = build_filtration(Pipeline(corpus.diagram("7_4")), reduced=False)
     compute_pages(f, "Q")
     differential_ranks(f, "F2", 1)
     assert seen == [len(f.tree_complex.generators)] * 2
@@ -222,7 +222,7 @@ def test_pairs_run_on_the_tree_generators_only(monkeypatch):
 
 
 def test_d0_is_not_read_off_the_tree_complex():
-    f = build_filtration(corpus.diagram("trefoil4"))
+    f = build_filtration(Pipeline(corpus.diagram("trefoil4")))
     with pytest.raises(ValueError):
         differential_ranks(f, "Q", 0)
 
@@ -237,27 +237,27 @@ def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
     read = set()
     edges_out = khovanov._edges_out
 
-    def recording(diagram, fmt, smoothing, crossings, tables):
+    def recording(diagram, fmt, smoothing, tables):
         read.add(smoothing)
-        return edges_out(diagram, fmt, smoothing, crossings, tables)
+        return edges_out(diagram, fmt, smoothing, tables)
 
+    pipeline = Pipeline(d)
     monkeypatch.setattr(khovanov, "_edges_out", recording)
-    _, record = retract_to_tree_complex(d)
+    pipeline.retraction(True)
     monkeypatch.undo()
-    tree_of, poset = record.matching.tree_of, record.poset
-    position = {t.index: pos for pos, t in enumerate(record.trees)}
+    # a tree's index is its position in the poset
+    tree_of, poset = pipeline.tree_of, pipeline.poset
     states = enumerate_states(d, True)
     smoothing_of = StateLabels(d).smoothing_of
     src, dst = next(
         (src, dst) for src, (i, j) in states.items() if smoothing_of(src) not in read
         for dst, target in states.items()
-        if target == (i + 1, j)
-        and poset.is_greater(position[tree_of(dst)], position[tree_of(src)]))
-    assert poset.level[position[tree_of(src)]] > poset.level[position[tree_of(dst)]]
+        if target == (i + 1, j) and poset.is_greater(tree_of(dst), tree_of(src)))
+    assert poset.level[tree_of(src)] > poset.level[tree_of(dst)]
     extra_edge(monkeypatch, src, dst)
     retract_to_tree_complex(d)
     with pytest.raises(DiagramError, match="violates the partial order"):
-        build_filtration(d)
+        build_filtration(Pipeline(d))
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
@@ -281,6 +281,33 @@ def test_filtration_builds_each_cube_edge_and_shape_table_once(monkeypatch, redu
         d = corpus.diagram(name)
         edges.clear()
         tables.clear()
-        build_filtration(d, reduced)
+        build_filtration(Pipeline(d), reduced)
+        assert len(edges) == len(set(edges)) == d.n * 2 ** d.n // 2, name
+        assert len(tables) == len(set(tables)), name
+
+
+def test_one_pipeline_builds_each_cube_edge_once_for_both_modes(monkeypatch):
+    # the reduced and unreduced filtrations read one row builder: the
+    # unreduced build meets no cube edge and no shape the reduced one missed
+    edges, tables = [], []
+    cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
+
+    def counting_edge(diagram, markers, c):
+        edges.append((markers, c))
+        return cube_edge(diagram, markers, c)
+
+    def counting_table(*shape):
+        tables.append(shape)
+        return edge_table(*shape)
+
+    monkeypatch.setattr(khovanov, "_cube_edge", counting_edge)
+    monkeypatch.setattr(khovanov, "_edge_table", counting_table)
+    for name in corpus.names():
+        d = corpus.diagram(name)
+        edges.clear()
+        tables.clear()
+        pipeline = Pipeline(d)
+        build_filtration(pipeline, True)
+        build_filtration(pipeline, False)
         assert len(edges) == len(set(edges)) == d.n * 2 ** d.n // 2, name
         assert len(tables) == len(set(tables)), name

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from spantreekh import corpus
+from spantreekh.collapse import Pipeline
 from spantreekh.diagram import parse_pd
 from spantreekh.spectral import build_filtration, compute_pages, differential_ranks
 
@@ -50,7 +51,7 @@ def test_golden_covers_the_corpus():
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_pages_and_ranks_match_golden(name):
-    _assert_matches_golden(build_filtration(corpus.diagram(name)), GOLDEN[name])
+    _assert_matches_golden(build_filtration(Pipeline(corpus.diagram(name))), GOLDEN[name])
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -58,4 +59,4 @@ def test_pages_independent_of_arc_labels(name):
     # relabelling reorders the circles and so the state keys, which changes
     # the tie-break order inside a filtration level
     d = relabelled(corpus.diagram(name), random.Random(f"relabel:{name}"))
-    _assert_matches_golden(build_filtration(d), GOLDEN[name])
+    _assert_matches_golden(build_filtration(Pipeline(d)), GOLDEN[name])
