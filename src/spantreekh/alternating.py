@@ -4,20 +4,22 @@ support/thickness bounds.
 
 Conventions: the signature comes from sigma(D) = (c - w)/2 - |s_B| + 1 on a
 reduced alternating diagram, so the left-handed trefoil gets sigma = +2.
+
+Each verifier takes the diagram's ``collapse.Pipeline`` and reads its Tait
+graph, trees and Jones polynomial there.
 """
 
 from __future__ import annotations
 
-from .diagram import DiagramError, tait_graph
+from .diagram import DiagramError
 from .collapse import grading_map, inverse_grading_map
-from .khovanov import khovanov_homology
 
 
-def is_alternating(diagram):
+def is_alternating(pipeline):
     """A connected diagram is alternating iff all Tait edge signs agree."""
-    if diagram.n == 0:
+    if pipeline.diagram.n == 0:
         return True
-    g = tait_graph(diagram)
+    g = pipeline.graph
     return g.e_minus == 0 or g.e_plus == 0
 
 
@@ -26,10 +28,11 @@ def is_reduced_diagram(diagram):
     return all(not diagram.is_nugatory(c) for c in range(diagram.n))
 
 
-def signature_alternating(diagram):
+def signature_alternating(pipeline):
     """Traczyk: sigma(D) = (c(D) - w(D))/2 - |s_B| + 1 for a reduced,
     connected, alternating diagram."""
-    if not is_alternating(diagram):
+    diagram = pipeline.diagram
+    if not is_alternating(pipeline):
         raise DiagramError("signature formula requires an alternating diagram")
     if not is_reduced_diagram(diagram):
         raise DiagramError("signature formula requires a reduced diagram (no nugatory crossings)")
@@ -53,7 +56,7 @@ def predicted_reduced_homology(pipeline, in_ij=False):
         raise DiagramError("expected the all-positive checkerboard shading")
     w = diagram.writhe
     c = diagram.n
-    sigma = signature_alternating(diagram)
+    sigma = signature_alternating(pipeline)
     v = (c - w) // 2 - sigma
     # V in t: exponents divisible by 4 in q
     ranks = {}
@@ -98,26 +101,22 @@ def v_rows(groups, w, k):
     return rows
 
 
-def thickness_report(diagram, reduced_groups=None, unreduced_groups=None):
-    """Support report: for alternating diagrams the unreduced homology must
-    lie on j - 2i = -sigma +- 1 with torsion on -sigma - 1; in general the
-    reduced/unreduced row counts are bounded by the negative-edge count."""
-    g = tait_graph(diagram)
-    w = diagram.writhe
-    k = g.k_invariant()
-    if reduced_groups is None:
-        reduced_groups = khovanov_homology(diagram, reduced=True)
-    if unreduced_groups is None:
-        unreduced_groups = khovanov_homology(diagram, reduced=False)
+def thickness_report(pipeline, reduced_groups, unreduced_groups):
+    """Support report on the reduced and unreduced homology over Z: for
+    alternating diagrams the unreduced homology must lie on j - 2i = -sigma
+    +- 1 with torsion on -sigma - 1; in general the reduced/unreduced row
+    counts are bounded by the negative-edge count."""
+    diagram, g = pipeline.diagram, pipeline.graph
+    w, k = diagram.writhe, pipeline.k
     report = {
-        "alternating": is_alternating(diagram) and is_reduced_diagram(diagram),
+        "alternating": is_alternating(pipeline) and is_reduced_diagram(diagram),
         "negative_edges": g.e_minus,
         "reduced_rows": sorted(v_rows(reduced_groups, w, k)),
         "unreduced_rows": sorted(v_rows(unreduced_groups, w, k)),
         "violations": [],
     }
     if report["alternating"] and diagram.n:
-        sigma = signature_alternating(diagram)
+        sigma = signature_alternating(pipeline)
         lines, torsion_lines = support_lines(unreduced_groups)
         expected = {-sigma - 1, -sigma + 1}
         report["sigma"] = sigma

@@ -5,9 +5,8 @@ verify.  Knots are named corpus entries or PD literals.  Exit codes: 0 on
 success, 1 on verification failure, 2 on usage errors.
 
 ``verify`` holds one ``collapse.Pipeline`` per entry, whose stages every
-check reads, and builds each mode's filtration, the homology over Z of its
-full complex and the reduced pages over each field once.  The homology reuses
-the filtration's complex when it is built, else builds the complex alone.
+check reads, and builds each mode's filtration, the homology over Z of the
+pipeline's whole complex and the reduced pages over each field once.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from functools import cache
 from . import corpus
 from .algebra import parse_coefficients, ring_name
 from .collapse import Pipeline
-from .diagram import DiagramError, parse_pd, tait_graph
+from .diagram import DiagramError, parse_pd
 from .jones import bracket_statesum, euler_check, jones, jones_in_t
-from .khovanov import differential, homology_table, khovanov_homology
+from .khovanov import homology_table, khovanov_homology
 from .spectral import (
     build_filtration,
     check_convergence,
@@ -75,8 +74,8 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_info(args):
-    d = _load_diagram(args.knot)
-    g = tait_graph(d)
+    p = Pipeline(_load_diagram(args.knot))
+    d, g = p.diagram, p.graph
     payload = {
         "diagram": d.to_json(),
         "faces": [
@@ -84,7 +83,7 @@ def cmd_info(args):
         ],
         "tait": g.to_json(),
         "k": g.k_invariant(),
-        "alternating": is_alternating(d),
+        "alternating": is_alternating(p),
         "serialized": d.serialize(),
     }
     lines = [
@@ -104,7 +103,7 @@ def cmd_jones(args):
     b_state = bracket_statesum(d)
     agree = b_state == b_tree
     v = jones(d, bracket=b_state)
-    report = euler_check(d, p.graph, p.trees)
+    report = euler_check(d, p.graph, p.trees, p.bracket)
     payload = {
         "bracket": str(b_state),
         "bracket_spantree": str(b_tree),
@@ -197,7 +196,7 @@ def cmd_spantree_complex(args):
             for (i, j), (r, t) in sorted(tc.homology_in_ij().items())
         },
         "collapses": record.log_size,
-        "pairs_visited": len(record.complex),
+        "pairs_visited": len(record.pairs_visited),
     }
     lines = [f"spanning-tree complex ({'reduced' if args.reduced else 'unreduced'}):"]
     for label, (u, v) in sorted(tc.generators.items(), key=repr):
@@ -211,9 +210,9 @@ def cmd_spantree_complex(args):
         lines.append(f"  ({u},{v}): {body}")
     if args.trace:
         lines.append(f"collapse log: {record.log_size} elementary collapses, "
-                     f"{len(record.complex)} visited by the gradient flows")
+                     f"{len(record.pairs_visited)} visited by the gradient flows")
         key = p.rows.fmt.key
-        for rec in record.complex[: args.trace_limit]:
+        for rec in record.pairs_visited[: args.trace_limit]:
             lines.append(f"  collapsed x={key(rec.x)} y={key(rec.y)} "
                          f"incidence {rec.incidence}")
     _emit(args, payload, lines)
@@ -254,7 +253,7 @@ def _verify_tree_expansion(entry, p, filtration, homology, pages):
     d, g, trees = p.diagram, p.graph, p.trees
     checks = {}
     checks["bracket_equality"] = bracket_statesum(d) == p.bracket
-    report = euler_check(d, g, trees)
+    report = euler_check(d, g, trees, p.bracket)
     checks["euler_reduced"] = report["reduced_identity"]
     checks["euler_unreduced"] = report["unreduced_identity"]
     if entry.expected:
@@ -294,13 +293,13 @@ def _verify_spectral(entry, p, filtration, homology, pages):
 
 def _verify_alternating(entry, p, filtration, homology, pages):
     d = p.diagram
-    if not is_alternating(d) or d.n == 0 or not is_reduced_diagram(d):
+    if not is_alternating(p) or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped (not a reduced alternating diagram)": True}
     checks = {}
-    sigma = signature_alternating(d)
+    sigma = signature_alternating(p)
     checks["tree_count_is_l1"] = tree_count_equals_l1(p)
     predicted = predicted_reduced_homology(p, in_ij=True)
-    f = filtration(True)  # first, so the homology reuses its complex
+    f = filtration(True)
     if d.n <= corpus.BRUTE_FORCE_CAP:
         brute = homology(True)
         checks["reduced_homology_matches_prediction"] = predicted == {
@@ -324,7 +323,7 @@ def _verify_thickness(entry, p, filtration, homology, pages):
     d = p.diagram
     if d.n > corpus.BRUTE_FORCE_CAP or d.n == 0 or not is_reduced_diagram(d):
         return {"skipped": True}
-    report = thickness_report(d, homology(True), homology(False))
+    report = thickness_report(p, homology(True), homology(False))
     return {"support": report["ok"], **{v: False for v in report["violations"]}}
 
 
@@ -351,19 +350,16 @@ def cmd_verify(args):
     for entry in targets:
         out = results[entry.name] = {}
         p = Pipeline(entry.diagram())  # one of each stage, shared by every check
-        # each mode's filtration and full-complex homology over Z, and the
+        # each mode's filtration and whole-complex homology over Z, and the
         # reduced filtration's pages over each field, on first use
-        filtrations = {}
 
+        @cache
         def filtration(reduced):
-            if reduced not in filtrations:
-                filtrations[reduced] = build_filtration(p, reduced)
-            return filtrations[reduced]
+            return build_filtration(p, reduced)
 
         @cache
         def homology(reduced):
-            f = filtrations.get(reduced)
-            return (differential(p.diagram, reduced) if f is None else f.complex).homology()
+            return p.full_complex(reduced).homology()
 
         @cache
         def pages(field):

@@ -6,8 +6,10 @@ The pipeline builds each stage of one diagram once, when first read: Tait
 graph, trees, poset, resolution tree, tree-bracket Jones polynomial, the
 one row builder (``khovanov.RowBuilder``) that serves both modes, each
 smoothing's tree with the tree-order check on its cube edges, the stage
-plans, and per mode one :class:`LazyMatching` and one retraction.  The CLI,
-the verifiers and ``spectral.build_filtration`` read it;
+plans, the block census (each tree's states counted by sigma off its kink
+stages, with no state enumerated), and per mode one :class:`LazyMatching`,
+one retraction and, when asked for, one whole complex.  The CLI, the
+verifiers and ``spectral.build_filtration`` read it;
 :func:`retract_to_tree_complex` is its one-shot entry.
 
 The matching is the block pass's.  It visits trees along a linear extension
@@ -60,6 +62,7 @@ from .khovanov import (
     _check_d_squared,
     cancelled_homology,
     circle_moves,
+    differential,
     enumerate_states,
     sign_spread,
 )
@@ -408,10 +411,10 @@ def _unsurvive(kink, a):
 class Pipeline:
     """Every stage of one diagram, each built once, when first read: the
     Tait graph, k, trees, poset, resolution tree and tree-bracket Jones
-    polynomial, one row builder for both modes, the smoothing -> tree walk
-    and stage plans, and per mode one :class:`LazyMatching` and one
-    retraction.  The caller owns it.  A tree's index is its position in
-    ``trees`` and in the poset's rows."""
+    polynomial, one row builder for both modes, the smoothing -> tree walk,
+    stage plans and block census, and per mode one :class:`LazyMatching`,
+    one retraction and one whole complex.  The caller owns it.  A tree's
+    index is its position in ``trees`` and in the poset's rows."""
 
     def __init__(self, diagram):
         self.diagram = diagram
@@ -420,6 +423,7 @@ class Pipeline:
         self._ordered = set()   # smoothings whose cube edges passed the tree-order check
         self._matchings = {}    # reduced -> LazyMatching
         self._retractions = {}  # reduced -> (TreeComplex, RetractionRecord)
+        self._complexes = {}    # reduced -> the whole BigradedComplex
         # a pair's key packs (tree position, stage, head label), most
         # significant first, into one int
         self.head_bits = len(diagram.arcs) + diagram.n
@@ -459,6 +463,25 @@ class Pipeline:
             plans[t] = plan
         return plans
 
+    @cached_property
+    def census(self):
+        """Tree index -> {sigma: number of based-"+" states of its block}; the
+        unreduced block has twice as many.  The block is the twisted unknot's
+        cube: from the tree's dead markers, each kink stage's loop marker
+        moves sigma by the kink's sign and adds a circle (two signs), its
+        splice marker moves sigma the other way."""
+        census = {}
+        for t in self.trees:
+            counts = {sigma_of_partial(t.markers()): 1}
+            for st in self.stages[t.index]:
+                moved = {}
+                for sigma, n in counts.items():
+                    moved[sigma + st.sign] = moved.get(sigma + st.sign, 0) + 2 * n
+                    moved[sigma - st.sign] = moved.get(sigma - st.sign, 0) + n
+                counts = moved
+            census[t.index] = counts
+        return census
+
     def tree_of(self, g):
         """Index of the tree whose block holds the label g."""
         smoothing = self.rows.fmt.smoothing_of(g)
@@ -495,6 +518,13 @@ class Pipeline:
         if reduced not in self._retractions:
             self._retractions[reduced] = _retract(self.matching(reduced))
         return self._retractions[reduced]
+
+    def full_complex(self, reduced):
+        """The mode's whole complex, every state's row read through
+        :meth:`ordered_row`, so the tree-order check covers the whole cube."""
+        if reduced not in self._complexes:
+            self._complexes[reduced] = differential(self.diagram, reduced, self.ordered_row)
+        return self._complexes[reduced]
 
 
 class LazyMatching(MorseMatching):
@@ -686,12 +716,12 @@ FundamentalCycle = namedtuple("FundamentalCycle", "tree_index chain i j")
 # ``matching``, the LazyMatching it read, whose ``pipeline`` holds the trees,
 # the poset, the rows built and each smoothing's tree.  ``survivor_of`` maps
 # each tree-complex generator to the label of its surviving (unmatched)
-# state.  ``complex`` is the list of pairs the gradient flows used,
+# state.  ``pairs_visited`` is the list of pairs the gradient flows used,
 # MatchedPair records in labels in matching order, and ``log_size`` the
 # number of pairs in the whole matching: (states - generators) / 2.
 RetractionRecord = namedtuple(
     "RetractionRecord",
-    "complex survivor_of cycles transport_matrix log_size matching")
+    "pairs_visited survivor_of cycles transport_matrix log_size matching")
 
 
 class TreeComplex:
@@ -880,16 +910,14 @@ def _retract(matching):
     _check_euler_characteristic(matching, gens)
     pairs = [matching.pairs[key] for key in sorted(matching.pairs)]
     record = RetractionRecord(pairs, survivor_of, cycles, transport_matrix,
-                              _pair_count(diagram, reduced, len(gens)), matching)
+                              _pair_count(p, reduced, len(gens)), matching)
     return tree_complex, record
 
 
-def _pair_count(diagram, reduced, generators):
+def _pair_count(pipeline, reduced, generators):
     """The number of pairs in the whole matching: (states - generators) / 2,
-    the states counted off ``smoothing_tally`` (2^k per smoothing with k
-    circles, 2^(k-1) reduced)."""
-    states = sum(count << (k - 1 if reduced else k)
-                 for (_, k), count in diagram.smoothing_tally().items())
+    the states counted off the pipeline's block census."""
+    states = sum(sum(counts.values()) for counts in pipeline.census.values()) << (not reduced)
     if (states - generators) % 2:
         raise DiagramError("the matching leaves an odd number of states to pair")
     return (states - generators) // 2

@@ -126,8 +126,9 @@ def euler_characteristic_unreduced(trees):
     return chi
 
 
-def euler_check(diagram, graph=None, trees=None):
-    """Verify both graded Euler-characteristic identities.
+def euler_check(diagram, graph=None, trees=None, bracket=None):
+    """Verify both graded Euler-characteristic identities, with the Jones
+    polynomial read off ``bracket``, else off the tree expansion.
 
     Returns a report dict; raises DiagramError if either identity fails.
     """
@@ -135,7 +136,8 @@ def euler_check(diagram, graph=None, trees=None):
     trees = trees if trees is not None else enumerate_trees(graph)
     w = diagram.writhe
     k = graph.k_invariant()
-    v = jones(diagram, bracket=bracket_spantree(diagram, graph, trees))
+    bracket = bracket if bracket is not None else bracket_spantree(diagram, graph, trees)
+    v = jones(diagram, bracket=bracket)
 
     sign_w = (-1) ** (w % 2)
 

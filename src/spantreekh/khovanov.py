@@ -20,8 +20,8 @@ back into its key.
 
 Rows are made in one place, :class:`RowBuilder`, one checked row at a
 time: :func:`differential` runs it over every state, and a diagram's
-``collapse.Pipeline`` holds one that its retractions and filtrations read
-in both modes, since a based-"+" state has only based-"+" targets.
+``collapse.Pipeline`` holds one that its retractions and whole complexes
+read in both modes, since a based-"+" state has only based-"+" targets.
 
 The builder matches circles once per cube edge (:func:`_cube_edge`), n 2^(n-1)
 times for the full cube, not once per enhanced state and edge.  An edge's
@@ -455,11 +455,13 @@ class RowBuilder:
         return row
 
 
-def differential(diagram, reduced):
-    """Build the bigraded complex of the diagram: :class:`RowBuilder`'s row
-    of every state of :func:`enumerate_states`, in its order."""
+def differential(diagram, reduced, row=None):
+    """Build the bigraded complex of the diagram: the row of every state of
+    :func:`enumerate_states`, in its order, read off ``row`` (a label's
+    checked row, as ``collapse.Pipeline`` passes its own), else off a fresh
+    :class:`RowBuilder`."""
     states = enumerate_states(diagram, reduced)
-    row = RowBuilder(diagram).row
+    row = row or RowBuilder(diagram).row
     return BigradedComplex(diagram, states, {g: row(g) for g in states}, reduced)
 
 

@@ -13,9 +13,11 @@ Every pair of the Morse matching of ``retract_to_tree_complex`` joins two
 states of one block, so the matching is filtered: its Morse complex, the
 spanning-tree complex, is a filtered Gaussian elimination inside each level,
 and from E_1 on the pages are those of the spanning-tree complex with each
-generator at its tree's level.  E_0 alone counts enhanced states; it and
-the E_infinity check read them through the pipeline's row builder, which
-the retractions of both modes share.
+generator at its tree's level.  E_0 alone counts enhanced states, and it
+reads them off the pipeline's block census: a tree's block is a twisted
+unknot's cube, counted per sigma from its kink stages, so no state is
+enumerated.  The E_infinity check compares with the field homology of the
+pipeline's whole complex, the one place the cube is built.
 """
 
 from __future__ import annotations
@@ -25,18 +27,15 @@ from fractions import Fraction
 from .algebra import parse_coefficients, ring_name
 from .diagram import DiagramError
 from .collapse import grading_map
-from .khovanov import BigradedComplex, enumerate_states
 
 
 class Filtration:
     """The retraction's tree complex with a level p and a degree i per
-    generator, the E_0 dimensions counted over the enhanced states, and the
-    full complex that E_infinity is checked against.  The diagram, trees,
-    poset and k are the ``pipeline``'s."""
+    generator, and the E_0 dimensions counted over the enhanced states.  The
+    diagram, trees, poset, k and whole complex are the ``pipeline``'s."""
 
-    def __init__(self, pipeline, complex, tree_complex, tree_levels, e0):
+    def __init__(self, pipeline, tree_complex, tree_levels, e0):
         self.pipeline = pipeline
-        self.complex = complex
         self.tree_complex = tree_complex
         self.tree_levels = tree_levels      # tree index -> p
         self.e0 = e0                        # (p, q) -> number of enhanced states
@@ -54,24 +53,24 @@ class Filtration:
 
 
 def build_filtration(pipeline, reduced=True):
-    """The filtration read off the pipeline's retraction, with the full
-    complex, for E_0 and the E_infinity check, read through the pipeline's
-    rows and trees, so each cube edge is built once for both modes.
+    """The filtration read off the pipeline's retraction, with E_0 off its
+    block census: a tree's states with sigma sit at i = (w - sigma)/2 and at
+    the tree's level.  It builds no complex.
 
     A tree's level is ``poset.level``.  The differential never lowers a
-    state's level: the pipeline checks every cube edge, here the whole cube,
-    to run inside one block or from a tree T_a down to a tree T_b < T_a, and
-    ``TreePoset`` checks that every tree below T_a sits at a larger level."""
+    state's level: the pipeline checks every cube edge it reads (the whole
+    cube when :func:`check_convergence` builds it) to run inside one block
+    or from a tree T_a down to a tree T_b < T_a, and ``TreePoset`` checks
+    that every tree below T_a sits at a larger level."""
     tree_complex, _ = pipeline.retraction(reduced)
     tree_levels = dict(enumerate(pipeline.poset.level))
-    states = enumerate_states(pipeline.diagram, reduced)
-    rows, e0 = {}, {}
-    for g, (i, _) in states.items():
-        rows[g] = pipeline.ordered_row(g)
-        p = tree_levels[pipeline.tree_of(g)]
-        e0[(p, i - p)] = e0.get((p, i - p), 0) + 1
-    complex = BigradedComplex(pipeline.diagram, states, rows, reduced)
-    return Filtration(pipeline, complex, tree_complex, tree_levels, e0)
+    w, e0 = pipeline.diagram.writhe, {}
+    for t, counts in pipeline.census.items():
+        p = tree_levels[t]
+        for sigma, n in counts.items():
+            pq = p, (w - sigma) // 2 - p
+            e0[pq] = e0.get(pq, 0) + (n if reduced else 2 * n)
+    return Filtration(pipeline, tree_complex, tree_levels, e0)
 
 
 class SpectralPage:
@@ -205,9 +204,11 @@ def collapse_page(pages):
 
 def check_convergence(pages, filtration, field="Q"):
     """E_infinity totals against the field homology of the filtered complex,
-    per total degree i."""
+    the pipeline's whole complex of the filtration's mode, per total degree
+    i."""
     prime, _ = _field_params(field)
-    brute = filtration.complex.homology("Q" if prime is None else prime)
+    complex = filtration.pipeline.full_complex(filtration.tree_complex.reduced)
+    brute = complex.homology("Q" if prime is None else prime)
     # E_infinity dims per total degree i (the filtration is j-homogeneous,
     # so compare per-i totals of both sides)
     e_inf = pages[-1].dims_by_total_degree()

@@ -5,8 +5,9 @@ shape tables: it enumerates the states one by one as :class:`OracleState`
 records, with their gradings taken from the markers and signs of each
 (:func:`per_state_states`), and matches the circles of every enhanced state
 and every A -> B flip on ``(markers, signs)`` keys.  ``homology_snapshot`` is the dense Smith form of a
-``MutableComplex`` with no cancellation.  Nothing in the package imports
-this module.
+``MutableComplex`` with no cancellation.  ``enumerated_census`` is the
+full-cube count of each tree's block that the pipeline's census replaced.
+Nothing in the package imports this module.
 """
 
 from collections import namedtuple
@@ -14,7 +15,7 @@ from itertools import product
 
 from spantreekh.algebra import graded_homology
 from spantreekh.diagram import DiagramError
-from spantreekh.khovanov import BigradedComplex, StateLabels
+from spantreekh.khovanov import BigradedComplex, StateLabels, enumerate_states
 
 
 class OracleState(namedtuple("OracleState", "markers signs circles label sigma tau i j")):
@@ -35,6 +36,19 @@ def homology_snapshot(complex):
         d: (free, tuple(torsion))
         for d, (free, torsion) in graded_homology(complex.gradings, complex.rows).items()
     }
+
+
+def enumerated_census(pipeline, reduced):
+    """Tree index -> {sigma: number of states of its block} over every state
+    of the whole cube, each placed by the pipeline's smoothing -> tree walk,
+    with sigma = w - 2i: the full-cube count ``Pipeline.census`` is checked
+    against."""
+    w = pipeline.diagram.writhe
+    census = {}
+    for g, (i, _) in enumerate_states(pipeline.diagram, reduced).items():
+        counts = census.setdefault(pipeline.tree_of(g), {})
+        counts[w - 2 * i] = counts.get(w - 2 * i, 0) + 1
+    return census
 
 
 def per_state_states(diagram, reduced):

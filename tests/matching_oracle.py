@@ -34,8 +34,9 @@ from spantreekh.khovanov import StateLabels, differential
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 
 # RetractionRecord with the full-cube build in place of the lazy matching:
-# ``complex`` is the whole pair list and ``log_size`` its length.
-OracleRecord = namedtuple("OracleRecord", RetractionRecord._fields[:-1]
+# ``complex``, in place of ``pairs_visited``, is the whole pair list and
+# ``log_size`` its length.
+OracleRecord = namedtuple("OracleRecord", ("complex",) + RetractionRecord._fields[1:-1]
                           + ("trees", "poset", "state_tree", "full_complex"))
 
 

@@ -105,7 +105,7 @@ def test_criterion_4_alternating_package():
         predicted = predicted_reduced_homology(Pipeline(d), in_ij=True)
         assert predicted == {ij: rank for ij, (rank, _) in brute.items()}, name
         g = tait_graph(d)
-        sigma = signature_alternating(d)
+        sigma = signature_alternating(Pipeline(d))
         w = d.writhe
         k = g.k_invariant()
         rows = set()
@@ -120,12 +120,14 @@ def test_criterion_5_thickness():
     """Support lines for alternating knots; 8_19 reduced on <= 2 v-rows."""
     for name in corpus.ALTERNATING_KNOTS:
         d = corpus.diagram(name)
-        sigma = signature_alternating(d)
+        sigma = signature_alternating(Pipeline(d))
         unreduced = khovanov_homology(d, reduced=False)
         lines, torsion_lines = support_lines(unreduced)
         assert lines == {-sigma - 1, -sigma + 1}, name
         assert torsion_lines <= {-sigma - 1}, name
-    report = thickness_report(corpus.diagram("8_19"))
+    d = corpus.diagram("8_19")
+    report = thickness_report(Pipeline(d), khovanov_homology(d, reduced=True),
+                              khovanov_homology(d, reduced=False))
     assert len(report["reduced_rows"]) <= 2
     _report(5, True, "two-line support with torsion on j-2i=-sigma-1; 8_19 thin rows")
 

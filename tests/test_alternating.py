@@ -15,32 +15,42 @@ from spantreekh.alternating import (
 )
 
 
+def _pipeline(name):
+    return Pipeline(corpus.diagram(name))
+
+
+def _thickness(d):
+    """The thickness report on both modes' homology over Z."""
+    return thickness_report(Pipeline(d), khovanov_homology(d, reduced=True),
+                            khovanov_homology(d, reduced=False))
+
+
 def test_is_alternating():
     for name in corpus.ALTERNATING_KNOTS:
-        assert is_alternating(corpus.diagram(name))
-    assert not is_alternating(corpus.diagram("trefoil4"))
-    assert not is_alternating(corpus.diagram("8_19"))
+        assert is_alternating(_pipeline(name))
+    assert not is_alternating(_pipeline("trefoil4"))
+    assert not is_alternating(_pipeline("8_19"))
 
 
 def test_signature_values():
     # left trefoil: sigma = +2 in this convention
-    assert signature_alternating(corpus.diagram("3_1")) == 2
+    assert signature_alternating(_pipeline("3_1")) == 2
     # amphichiral knots have signature 0
-    assert signature_alternating(corpus.diagram("4_1")) == 0
-    assert signature_alternating(corpus.diagram("6_3")) == 0
+    assert signature_alternating(_pipeline("4_1")) == 0
+    assert signature_alternating(_pipeline("6_3")) == 0
 
 
 def test_signature_mirror_flips_sign():
     for name in ("3_1", "5_1", "5_2", "6_2"):
         d = corpus.diagram(name)
-        assert signature_alternating(d.mirror()) == -signature_alternating(d)
+        assert signature_alternating(Pipeline(d.mirror())) == -signature_alternating(Pipeline(d))
 
 
 def test_signature_requires_alternating_reduced():
     with pytest.raises(DiagramError):
-        signature_alternating(corpus.diagram("trefoil4"))
+        signature_alternating(_pipeline("trefoil4"))
     with pytest.raises(DiagramError):
-        signature_alternating(parse_pd("PD[X(2,2,1,1)]"))  # nugatory kink
+        signature_alternating(Pipeline(parse_pd("PD[X(2,2,1,1)]")))  # nugatory kink
 
 
 def test_predicted_homology_matches_brute_force():
@@ -63,7 +73,7 @@ def test_single_row_at_predicted_v():
     for name in corpus.ALTERNATING_KNOTS:
         d = corpus.diagram(name)
         g = tait_graph(d)
-        sigma = signature_alternating(d)
+        sigma = signature_alternating(Pipeline(d))
         rows = {v for (_, v) in predicted_reduced_homology(Pipeline(d))}
         assert rows == {(d.n - d.writhe) // 2 - sigma}
         assert rows == {len(g.vertices) - 1}
@@ -77,7 +87,7 @@ def test_tree_count_is_l1_norm():
 def test_thickness_alternating():
     for name in ("3_1", "4_1", "5_2", "6_1"):
         d = corpus.diagram(name)
-        report = thickness_report(d)
+        report = _thickness(d)
         assert report["ok"], (name, report["violations"])
         sigma = report["sigma"]
         assert sorted(report["unreduced_lines"]) == [-sigma - 1, -sigma + 1]
@@ -85,13 +95,12 @@ def test_thickness_alternating():
 
 
 def test_thickness_8_19():
-    d = corpus.diagram("8_19")
-    report = thickness_report(d)
+    report = _thickness(corpus.diagram("8_19"))
     assert len(report["reduced_rows"]) <= 2
     assert report["ok"], report["violations"]
 
 
 def test_trefoil4_rows_bounded_by_negative_edges():
-    report = thickness_report(corpus.diagram("trefoil4"))
+    report = _thickness(corpus.diagram("trefoil4"))
     assert len(report["reduced_rows"]) <= 3  # k + 1 with k = 2
     assert report["ok"]

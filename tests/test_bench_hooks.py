@@ -61,15 +61,16 @@ def test_build_and_retraction_counters_read_real_results():
     assert len(tracer.build_keys) == 2
 
 
-def test_tally_based_collapse_count_is_the_whole_matchings():
-    # the retraction counts its pairs off the smoothing tally, not off a
-    # built complex: on the 9-crossing bundle that count is the full-cube
-    # oracle's pair count, which ``collapse.collapses`` reported before
+def test_census_based_collapse_count_is_the_whole_matchings():
+    # the retraction counts its pairs off the pipeline's block census, not
+    # off a built complex: on the 9-crossing bundle that count is the
+    # full-cube oracle's pair count, which ``collapse.collapses`` reported
+    # before
     d = triangle_bundle([1] * 3, [1] * 3, [1] * 3)[0]
     for reduced in (True, False):
         _, record = retract_to_tree_complex(d, reduced)
         _, oracle = retract_by_matching(d, reduced)
-        assert record.log_size == len(oracle.complex) > len(record.complex), reduced
+        assert record.log_size == len(oracle.complex) > len(record.pairs_visited), reduced
 
 
 def test_algebra_counter_reads_row_lists(monkeypatch):

@@ -180,9 +180,9 @@ def _recording(monkeypatch, functions, classes=()):
 def _count_builds(monkeypatch):
     """Record every full-complex build, lazy matching, retraction,
     filtration and full-complex homology; returns a counter count(name,
-    reduced, **argument values).  A filtration builds its full complex
-    through its pipeline's row builder, not through ``differential``, and a
-    retraction (``collapse._retract``) reads its mode off its matching."""
+    reduced, **argument values).  A pipeline builds its whole complex
+    through ``differential`` over its own rows, and a retraction
+    (``collapse._retract``) reads its mode off its matching."""
     from spantreekh import collapse, khovanov, spectral
 
     calls = _recording(monkeypatch,
@@ -215,7 +215,7 @@ def test_verify_builds_each_mode_once(monkeypatch):
     assert run(["verify", "--knot", "7_4"]) == 0
     for reduced in (True, False):
         assert count("build_filtration", reduced) == 1, reduced
-        assert count("differential", reduced) == 0, reduced
+        assert count("differential", reduced) == 1, reduced
         assert count("LazyMatching", reduced) == 1, reduced
         assert count("_retract", reduced) == 1, reduced
         assert count("full_homology", reduced, coefficients="Z") == 1, reduced
@@ -241,10 +241,10 @@ def test_verify_builds_each_stage_of_the_pipeline_once(monkeypatch):
         assert built[name] == 1, name
     assert sorted(a["reduced"] for n, a in calls if n == "LazyMatching") == [False, True]
     assert sorted(a["field"] for n, a in calls if n == "compute_pages") == ["F2", "Q"]
-    # euler_check keeps its own tree bracket, and the alternating and
-    # thickness checks read their own Tait graphs
-    assert built["bracket_spantree"] <= 2
-    assert built["tait_graph"] <= 8
+    # euler_check, the alternating and the thickness checks read the
+    # pipeline's tree bracket and Tait graph
+    assert built["bracket_spantree"] == 1
+    assert built["tait_graph"] == 1
 
 
 @pytest.mark.parametrize("category, modes", [
@@ -253,9 +253,9 @@ def test_verify_builds_each_stage_of_the_pipeline_once(monkeypatch):
 ])
 def test_verify_homology_checks_alone_build_no_retraction(monkeypatch, category, modes):
     # without the collapse check no filtration is built for the thickness
-    # check, so the homology reads a bare build of each mode it uses; the
-    # alternating check reads the reduced filtration, whose complex the
-    # homology then reuses
+    # check; the alternating check reads the reduced filtration.  Either
+    # way the homology reads the pipeline's whole complex of each mode it
+    # uses, built once
     count = _count_builds(monkeypatch)
     assert run(["verify", category, "--knot", "7_4"]) == 0
     retracted = modes if category == "alternating" else ()
@@ -263,8 +263,7 @@ def test_verify_homology_checks_alone_build_no_retraction(monkeypatch, category,
         assert count("_retract", reduced) == (reduced in retracted), reduced
         assert count("LazyMatching", reduced) == (reduced in retracted), reduced
         assert count("build_filtration", reduced) == (reduced in retracted), reduced
-        bare = reduced in modes and reduced not in retracted
-        assert count("differential", reduced) == bare, reduced
+        assert count("differential", reduced) == (reduced in modes), reduced
         assert count("full_homology", reduced, coefficients="Z") == (reduced in modes)
 
 

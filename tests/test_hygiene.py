@@ -272,9 +272,9 @@ def test_only_khovanov_builds_rows():
         "_edges_out", "_cube_edge"}
 
 
-def constructions(source, name):
+def calls(source, name):
     """Where a module calls ``name``: for each call, the dotted names of the
-    definitions enclosing it ("" at module level)."""
+    definitions enclosing it ("" at module level) and the call node."""
     found = []
 
     def visit(node, path):
@@ -286,11 +286,16 @@ def constructions(source, name):
                 func = child.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if called == name:
-                    found.append(".".join(path))
+                    found.append((".".join(path), child))
             visit(child, path)
 
     visit(ast.parse(source), [])
     return found
+
+
+def constructions(source, name):
+    """The dotted names enclosing each call of ``name`` in a module."""
+    return [where for where, _ in calls(source, name)]
 
 
 def test_constructions_are_located():
@@ -321,3 +326,52 @@ def test_only_the_pipeline_builds_matchings_and_rows():
                   for where in constructions(source, "RowBuilder")
                   if (path.name, where.split(".")[0]) not in row_builders]
     assert not found, "constructed outside the pipeline:\n" + "\n".join(found)
+
+
+def full_cube_enumerations(source):
+    """Where a module calls ``enumerate_states`` with no partial smoothing:
+    fewer than three positional arguments and no ``fixed`` keyword."""
+    return [where for where, call in calls(source, "enumerate_states")
+            if len(call.args) < 3 and not any(k.arg == "fixed" for k in call.keywords)]
+
+
+def imported_modules(source):
+    """Every module an import statement reads from, by its last dotted part,
+    and every name a ``from`` import takes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+            if node.module:
+                found.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def test_full_cube_enumerations_and_imports_are_located():
+    source = (
+        "from . import khovanov\n"
+        "from .collapse import grading_map\n"
+        "def differential(d, r):\n"
+        "    return enumerate_states(d, r)\n"
+        "def block(d, r, dead):\n"
+        "    return k.enumerate_states(d, r, dead), enumerate_states(d, r, fixed=dead)\n"
+        "x = k.enumerate_states(d, reduced=True)\n"
+    )
+    assert full_cube_enumerations(source) == ["differential", ""]
+    assert imported_modules(source) == {"khovanov", "collapse", "grading_map"}
+    assert "khovanov" in imported_modules("import spantreekh.khovanov\n")
+
+
+def test_only_the_full_build_enumerates_the_whole_cube():
+    # E_0 comes from the pipeline's block census, so the one package call
+    # that lists every state of the cube is khovanov.differential's, and
+    # spectral.py imports nothing from khovanov
+    found = [f"{path.name}: enumerate_states in {where or 'module'}"
+             for path in SRC
+             for where in full_cube_enumerations(path.read_text(encoding="utf-8"))
+             if (path.name, where) != ("khovanov.py", "differential")]
+    assert not found, "whole-cube enumerations:\n" + "\n".join(found)
+    spectral = ROOT / "src" / "spantreekh" / "spectral.py"
+    assert "khovanov" not in imported_modules(spectral.read_text(encoding="utf-8"))

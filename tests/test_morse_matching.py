@@ -174,7 +174,7 @@ def _assert_route_equals_full_cube_oracle(d, reduced):
     tc, record = retract_to_tree_complex(d, reduced)
     oracle_tc, oracle_record = retract_by_matching(d, reduced)
     assert _outcome(tc, record) == _outcome(oracle_tc, oracle_record)
-    assert is_ordered_subsequence(record.complex, oracle_record.complex)
+    assert is_ordered_subsequence(record.pairs_visited, oracle_record.complex)
     return oracle_tc, oracle_record
 
 
@@ -273,7 +273,7 @@ def _flipped_target(d, pairs):
 def test_flipped_target_in_a_visited_row_fails_the_local_d_squared(monkeypatch):
     d = corpus.diagram("8_19")
     _, record = retract_to_tree_complex(d, False)
-    x, e, corrupted = _flipped_target(d, record.complex)
+    x, e, corrupted = _flipped_target(d, record.pairs_visited)
     edges_out = khovanov._edges_out
 
     def flipping(diagram, fmt, smoothing, tables):
@@ -292,7 +292,7 @@ def test_two_visited_pairs_in_a_gradient_cycle_fail_kahns_pass(monkeypatch):
     d = corpus.diagram("8_19")
     _, record = retract_to_tree_complex(d, False)
     graded = {}
-    for pair in record.complex:
+    for pair in record.pairs_visited:
         graded.setdefault(StateLabels(d).key(pair.x)[0].count("A"), []).append(pair)
     (x1, y1, _), (x2, y2, _) = next(pairs for pairs in graded.values() if len(pairs) > 1)[:2]
     row = collapse.LazyMatching.row

@@ -43,4 +43,4 @@ def test_retraction_matches_golden(name, reduced):
     runs = retractions(_diagram(name), reduced)
     assert record(*runs) == golden
     _, _, rec, oracle = runs
-    assert is_ordered_subsequence(rec.complex, oracle.complex)
+    assert is_ordered_subsequence(rec.pairs_visited, oracle.complex)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from khovanov_oracle import enumerated_census
 from test_khovanov import extra_edge
 from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
@@ -12,12 +13,14 @@ from spantreekh import corpus, khovanov, spectral
 from spantreekh.collapse import Pipeline, retract_to_tree_complex, state_tree_assignment
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import StateLabels, differential, enumerate_states
+from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.spectral import (
     _field_params,
     _pairs,
     build_filtration,
     check_convergence,
+    collapse_page,
     compute_pages,
     differential_ranks,
     e1_tree_counts,
@@ -189,11 +192,12 @@ def _assert_tree_route_matches_state_route(d, reduced, fields):
 def test_tree_route_matches_state_level_oracle(name, reduced):
     d = corpus.diagram(name)
     f = _assert_tree_route_matches_state_route(d, reduced, ("Q", "F2"))
-    # verify shares f.complex between its checks: the retraction and the
-    # pages leave it as built
+    # verify shares the pipeline's whole complex between its checks: built
+    # after the retraction and the pages, it is the bare build's
     fresh = differential(d, reduced)
-    assert list(f.complex.states.items()) == list(fresh.states.items())
-    assert f.complex.differential == fresh.differential
+    full = f.pipeline.full_complex(reduced)
+    assert list(full.states.items()) == list(fresh.states.items())
+    assert full.differential == fresh.differential
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -218,7 +222,7 @@ def test_pairs_run_on_the_tree_generators_only(monkeypatch):
     compute_pages(f, "Q")
     differential_ranks(f, "F2", 1)
     assert seen == [len(f.tree_complex.generators)] * 2
-    assert len(f.tree_complex.generators) < len(f.complex.states)
+    assert len(f.tree_complex.generators) < len(f.pipeline.full_complex(False).states)
 
 
 def test_d0_is_not_read_off_the_tree_complex():
@@ -230,9 +234,9 @@ def test_d0_is_not_read_off_the_tree_complex():
 def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
     """build_filtration does not look for level drops itself: an entry from
     a lower tree's block into a higher tree's block lowers the level, and
-    the tree-order check on the cube edges the full build reads stops it.
-    The entry leaves a smoothing the retraction's flows never read, so only
-    the full build meets it."""
+    the tree-order check on the cube edges the pipeline's whole complex
+    reads stops it, so check_convergence does.  The entry leaves a smoothing
+    the retraction's flows never read, so only the whole build meets it."""
     d = corpus.diagram("trefoil4")
     read = set()
     edges_out = khovanov._edges_out
@@ -256,13 +260,17 @@ def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
     assert poset.level[tree_of(src)] > poset.level[tree_of(dst)]
     extra_edge(monkeypatch, src, dst)
     retract_to_tree_complex(d)
+    f = build_filtration(Pipeline(d))
+    pages = compute_pages(f)
     with pytest.raises(DiagramError, match="violates the partial order"):
-        build_filtration(Pipeline(d))
+        check_convergence(pages, f)
+    with pytest.raises(DiagramError, match="violates the partial order"):
+        Pipeline(d).full_complex(True)
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
-def test_filtration_builds_each_cube_edge_and_shape_table_once(monkeypatch, reduced):
-    # the full build reads its rows through the retraction's row builder,
+def test_full_complex_builds_each_cube_edge_and_shape_table_once(monkeypatch, reduced):
+    # the whole complex reads its rows through the retraction's row builder,
     # which already holds the cube edges and shape tables the flows made
     edges, tables = [], []
     cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
@@ -281,14 +289,17 @@ def test_filtration_builds_each_cube_edge_and_shape_table_once(monkeypatch, redu
         d = corpus.diagram(name)
         edges.clear()
         tables.clear()
-        build_filtration(Pipeline(d), reduced)
+        pipeline = Pipeline(d)
+        build_filtration(pipeline, reduced)
+        pipeline.full_complex(reduced)
         assert len(edges) == len(set(edges)) == d.n * 2 ** d.n // 2, name
         assert len(tables) == len(set(tables)), name
 
 
 def test_one_pipeline_builds_each_cube_edge_once_for_both_modes(monkeypatch):
-    # the reduced and unreduced filtrations read one row builder: the
-    # unreduced build meets no cube edge and no shape the reduced one missed
+    # the reduced and unreduced filtrations and whole complexes read one row
+    # builder: the unreduced build meets no cube edge and no shape the
+    # reduced one missed
     edges, tables = [], []
     cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
 
@@ -307,7 +318,78 @@ def test_one_pipeline_builds_each_cube_edge_once_for_both_modes(monkeypatch):
         edges.clear()
         tables.clear()
         pipeline = Pipeline(d)
-        build_filtration(pipeline, True)
-        build_filtration(pipeline, False)
+        for reduced in (True, False):
+            build_filtration(pipeline, reduced)
+            pipeline.full_complex(reduced)
         assert len(edges) == len(set(edges)) == d.n * 2 ** d.n // 2, name
         assert len(tables) == len(set(tables)), name
+
+
+def _census_diagrams():
+    """The corpus, its crossing-permuted copies (drawn as in
+    test_tree_route_matches_state_level_oracle_after_crossing_permutation)
+    and the 10-crossing plane-graph diagrams of the tree-complex benchmark."""
+    out = []
+    for name in corpus.names():
+        d = corpus.diagram(name)
+        rng = random.Random(f"linext:{name}")
+        out.append((name, d))
+        relabelled(d, rng)
+        out.append((name + "/permuted", _crossings_permuted(d, rng)))
+    out += [
+        ("tri-10-mixed", triangle_bundle([1, 1, -1], [1, 1, 1], [1, -1, 1, 1])[0]),
+        ("theta-10-mixed", theta_graph([[1, 1, -1], [1, -1, 1], [1, 1, 1, -1]])[0]),
+    ]
+    return out
+
+
+CENSUS_DIAGRAMS = _census_diagrams()
+
+
+@pytest.mark.parametrize("name, d", CENSUS_DIAGRAMS, ids=[n for n, _ in CENSUS_DIAGRAMS])
+def test_block_census_matches_the_enumerated_states(name, d):
+    # per tree and per sigma, in both modes, against the full-cube count;
+    # the census total against the smoothing tally's state count; and E_0
+    # off the census against E_0 off the enumerated states
+    p = Pipeline(d)
+    based_plus = sum(count << (k - 1) for (_, k), count in d.smoothing_tally().items())
+    assert sum(sum(counts.values()) for counts in p.census.values()) == based_plus
+    for reduced in (True, False):
+        enumerated = enumerated_census(p, reduced)
+        scale = 1 if reduced else 2
+        assert {t: {sigma: scale * n for sigma, n in counts.items()}
+                for t, counts in p.census.items()} == enumerated, reduced
+        e0 = {}
+        for t, counts in enumerated.items():
+            level = p.poset.level[t]
+            for sigma, n in counts.items():
+                pq = level, (d.writhe - sigma) // 2 - level
+                e0[pq] = e0.get(pq, 0) + n
+        assert build_filtration(p, reduced).e0 == e0, reduced
+
+
+def test_spectral_sequence_past_the_cap_reads_only_the_retractions_rows(monkeypatch):
+    # on the 12-crossing alternating bundle the filtration and its pages read
+    # no row the reduced retraction did not, and the paper's theorem holds:
+    # the tree differential vanishes and the sequence collapses at E_1
+    d = triangle_bundle([1] * 4, [1] * 4, [1] * 4)[0]
+    assert d.n > corpus.BRUTE_FORCE_CAP
+    read = set()
+    row = khovanov.RowBuilder.row
+
+    def recording(self, g):
+        read.add(g)
+        return row(self, g)
+
+    monkeypatch.setattr(khovanov.RowBuilder, "row", recording)
+    p = Pipeline(d)
+    p.retraction(True)
+    retracted = set(read)
+    f = build_filtration(p, True)
+    pages = {field: compute_pages(f, field) for field in ("Q", "F2")}
+    assert read == retracted
+    assert not f.tree_complex.differential
+    for field, field_pages in pages.items():
+        assert collapse_page(field_pages) == 1, field
+        assert field_pages[1].dims == e1_tree_counts(f), field
+    assert sum(f.e0.values()) == sum(sum(counts.values()) for counts in p.census.values())
