@@ -42,9 +42,12 @@ differential of bidegree (-1, -1) that squares to zero and runs down the
 partial order; and the Jones polynomial as graded Euler characteristic.
 
 Enhanced states are integer labels (``khovanov.StateLabels``), ordered as
-their ``(markers, signs)`` keys; the Jacobsson substitution reads each kink
-off :func:`_kink_transfer`, as the stage rule does.  ``jacobsson_cycle``
-and ``include_unknot_states`` return keys.
+their ``(markers, signs)`` keys.  Each kink's geometry is one memoised
+record (:meth:`LazyMatching._kink`, off :func:`_kink_transfer`) that the
+stage rule and the Jacobsson substitution both read; d(d(x)) = 0 is one
+per-row check (``khovanov._check_square``) and the tree order one check
+(:func:`_check_descending`).  ``jacobsson_cycle`` and
+``include_unknot_states`` return keys.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from .algebra import LaurentPolynomial
 from .diagram import DiagramError, tait_graph
@@ -60,11 +64,10 @@ from .khovanov import (
     RowBuilder,
     StateLabels,
     _check_d_squared,
+    _check_square,
     cancelled_homology,
-    circle_moves,
     differential,
     enumerate_states,
-    sign_spread,
 )
 from .spantree import (
     build_poset,
@@ -136,9 +139,7 @@ def _fundamental_chain(matching, tree, seed):
     """The tree's fundamental cycle seeded by ``seed``, as labels: the
     Jacobsson substitution, else the Morse inclusion of its survivor from
     its block's first key on, off ``matching``."""
-    p = matching.pipeline
-    chain = _substitute_kinks(p.diagram, tree, p.stages[tree.index], matching.reduced, seed,
-                              p.spreads)
+    chain = _substitute_kinks(matching, tree.index, seed)
     if chain is None:
         chain = matching.include(matching.survivor(tree, seed), matching.first_key(tree.index))
     return chain
@@ -149,48 +150,38 @@ def _seed_bits(seed):
     return 1 if seed == 1 else 0
 
 
-def _substitute_kinks(diagram, tree, stages, reduced, seed, spreads):
-    """The Jacobsson substitution of :func:`jacobsson_cycle` on sign bits,
-    as a chain of state labels; None in reduced mode when a negative kink's
-    loop carries the basepoint.  Each kink reads its circles and sign-bit
-    maps off :func:`_kink_transfer` (with the ``spreads`` it shares with the
-    stage rule), as the stage rule does."""
-    markers = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-    for st in stages:
-        markers[st.crossing] = st.splice_marker
-
-    def marker_tuple():
-        return tuple(markers[c] for c in range(diagram.n))
-
-    if len(diagram.circles(marker_tuple())) != 1:
+def _substitute_kinks(matching, t, seed):
+    """The Jacobsson substitution of :func:`jacobsson_cycle` for tree t on
+    sign bits, as a chain of state labels; None in reduced mode when a
+    negative kink's loop carries the basepoint.  Each kink is the stage
+    rule's record (:meth:`LazyMatching._kink`) on the tree's loop
+    smoothing."""
+    p = matching.pipeline
+    plan = p.plans[t]
+    loop_smoothing = spliced = p.loop_smoothing[t]
+    for _, flip, head_side, _, _ in plan:
+        spliced = spliced & ~flip | head_side
+    if len(p.diagram.circles(p.rows.fmt.markers(spliced))) != 1:
         raise DiagramError("twisted unknot did not reduce to one circle")
     terms = {_seed_bits(seed): 1}
-
-    for st in reversed(stages):
-        head = marker_tuple()
-        markers[st.crossing] = st.loop_marker
-        loop_side = marker_tuple()
-        a_side, b_side = (loop_side, head) if st.sign > 0 else (head, loop_side)
-        loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = _kink_transfer(
-            diagram, a_side, b_side, st, spreads
-        )
-        if reduced and st.sign < 0 and diagram.basepoint in loop:
+    for s in reversed(range(len(plan))):
+        sign, to_loop_side, _, loop_bit, rest_bit, merged_bit, based = matching._kink(
+            t, s, loop_smoothing)
+        if based and sign < 0:
             return None
         new_terms = {}
         for signs, coeff in terms.items():
             shared = to_loop_side[signs]
-            if st.sign > 0 and signs & merged_bit:
+            if sign > 0 and signs & merged_bit:
                 emitted = [(shared | rest_bit | loop_bit, coeff)]
-            elif st.sign > 0:
+            elif sign > 0:
                 emitted = [(shared | loop_bit, coeff), (shared | rest_bit, -coeff)]
             else:
                 emitted = [(shared | rest_bit if signs & merged_bit else shared, coeff)]
             for bits, c in emitted:
                 new_terms[bits] = new_terms.get(bits, 0) + c
         terms = {bits: c for bits, c in new_terms.items() if c}
-
-    smoothing = StateLabels(diagram).smoothing(marker_tuple())
-    return {smoothing | bits: coeff for bits, coeff in terms.items()}
+    return {loop_smoothing | bits: coeff for bits, coeff in terms.items()}
 
 
 # One matched pair: x is the upper state, y the lower one, and the incidence
@@ -412,13 +403,13 @@ class Pipeline:
     """Every stage of one diagram, each built once, when first read: the
     Tait graph, k, trees, poset, resolution tree and tree-bracket Jones
     polynomial, one row builder for both modes, the smoothing -> tree walk,
-    stage plans and block census, and per mode one :class:`LazyMatching`,
-    one retraction and one whole complex.  The caller owns it.  A tree's
-    index is its position in ``trees`` and in the poset's rows."""
+    stage plans, loop smoothings and block census, and per mode one
+    :class:`LazyMatching`, one retraction and one whole complex.  The caller
+    owns it.  A tree's index is its position in ``trees`` and in the
+    poset's rows."""
 
     def __init__(self, diagram):
         self.diagram = diagram
-        self.spreads = {}       # the kinks' sign_spread tables, by shape
         self._tree = {}         # smoothing -> index of the tree whose block holds it
         self._ordered = set()   # smoothings whose cube edges passed the tree-order check
         self._matchings = {}    # reduced -> LazyMatching
@@ -464,6 +455,19 @@ class Pipeline:
         return plans
 
     @cached_property
+    def loop_smoothing(self):
+        """Tree index -> the smoothing (label bits) of its block with every
+        kink at its loop marker, where its survivors and cycles sit."""
+        smoothing = self.rows.fmt.smoothing
+        out = {}
+        for t in self.trees:
+            markers = list(t.markers())
+            for st in self.stages[t.index]:
+                markers[st.crossing] = st.loop_marker
+            out[t.index] = smoothing(markers)
+        return out
+
+    @cached_property
     def census(self):
         """Tree index -> {sigma: number of based-"+" states of its block}; the
         unreduced block has twice as many.  The block is the twisted unknot's
@@ -496,13 +500,8 @@ class Pipeline:
         down to a lower tree's."""
         smoothing = self.rows.fmt.smoothing_of(g)
         if smoothing not in self._ordered:
-            a = self.tree_of(smoothing)
-            allowed = self.poset.below[a] | 1 << a
-            for base, *_ in self.rows.edges(smoothing):
-                b = self.tree_of(base)
-                if not allowed >> b & 1:
-                    raise DiagramError(
-                        f"incidence from tree {a} to tree {b} violates the partial order")
+            targets = [base for base, *_ in self.rows.edges(smoothing)]
+            _check_descending({smoothing: targets}, self.tree_of, self.poset, "incidence", True)
             self._ordered.add(smoothing)
         return self.rows.row(g)
 
@@ -565,12 +564,7 @@ class LazyMatching(MorseMatching):
         ordered_row = self.pipeline.ordered_row
         row = ordered_row(g)
         if g not in self._squared:
-            acc = {}
-            for mid, c1 in row.items():
-                for dst, c2 in ordered_row(mid).items():
-                    acc[dst] = acc.get(dst, 0) + c1 * c2
-            if any(acc.values()):
-                raise DiagramError("differential does not square to zero")
+            _check_square(row, ordered_row, "differential does not square to zero")
             self._squared.add(g)
         return row
 
@@ -615,7 +609,7 @@ class LazyMatching(MorseMatching):
         if kink is None:
             markers = p.rows.fmt.markers
             loop, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit = _kink_transfer(
-                p.diagram, markers(a_end), markers(a_end | flip), st, p.spreads)
+                p.diagram, markers(a_end), markers(a_end | flip), st, p.rows.spread)
             kink = kinks[a_end] = (
                 st.sign, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit,
                 self.reduced and p.diagram.basepoint in loop)
@@ -695,13 +689,9 @@ class LazyMatching(MorseMatching):
         maps inverted from the round unknot's seed sign, checked to be left
         unmatched and to sit at the dictionary's grading."""
         p, t = self.pipeline, tree.index
-        stages = p.stages[t]
-        markers = list(tree.markers())
-        for st in stages:
-            markers[st.crossing] = st.loop_marker
-        seed_bits = _seed_bits(seed)
-        g = self._raw(t, len(stages), p.rows.fmt.smoothing(markers), seed_bits)
-        if self._abstract(t, g, len(stages)) != seed_bits:
+        s, seed_bits = len(p.plans[t]), _seed_bits(seed)
+        g = self._raw(t, s, p.loop_smoothing[t], seed_bits)
+        if self._abstract(t, g, s) != seed_bits:
             raise DiagramError(f"tree {t} has no unmatched state for seed {seed:+d}")
         if p.rows.grading(g) != grading_map(*_uv(tree, seed), p.diagram.writhe, p.k):
             raise DiagramError("survivor grading disagrees with the dictionary")
@@ -815,26 +805,25 @@ def state_tree_assignment(diagram, res_root):
     return tree_of
 
 
-def check_order_discipline(complex, state_tree, poset, trees):
+def check_order_discipline(complex, state_tree, poset):
     """Lemma on incidences: a nonzero incidence from U_a to U_b forces
-    T_a > T_b; incomparable or reversed pairs have none."""
-    _check_descending(complex.differential, state_tree, poset, trees, "incidence", True)
+    T_a > T_b; incomparable or reversed pairs have none.  ``state_tree``
+    maps each state label to its tree's index."""
+    _check_descending(complex.differential, state_tree.__getitem__, poset, "incidence", True)
     return True
 
 
-def _check_descending(differential, tree_of, poset, trees, what, within_block):
+def _check_descending(differential, tree_of, poset, what, within_block):
     """Every entry of ``differential`` runs from a tree T_a down to a tree
     T_b < T_a, or stays inside one tree's block when ``within_block``.
-    ``tree_of`` maps a label to its tree's index; each source row reads its
-    tree's poset row ``poset.below`` once."""
-    index_of = {t.index: i for i, t in enumerate(trees)}
+    ``tree_of`` maps a label to its tree's index, which is its row of the
+    poset; each source row reads ``poset.below`` once."""
     for src, row in differential.items():
-        a = tree_of[src]
-        pos = index_of[a]
-        allowed = poset.below[pos] | (1 << pos if within_block else 0)
+        a = tree_of(src)
+        allowed = poset.below[a] | (1 << a if within_block else 0)
         for dst in row:
-            b = tree_of[dst]
-            if not allowed >> index_of[b] & 1:
+            b = tree_of(dst)
+            if not allowed >> b & 1:
                 raise DiagramError(
                     f"{what} from tree {a} to tree {b} violates the partial order"
                 )
@@ -904,9 +893,8 @@ def _retract(matching):
             diff[ti if reduced else (ti, seed)] = row
     tree_complex = TreeComplex(gens, diff, reduced, w, k)
     # the order-discipline lemma, on the tree complex
-    _check_descending(tree_complex.differential,
-                      {label: label if reduced else label[0] for label in gens},
-                      p.poset, trees, "tree differential entry", False)
+    _check_descending(tree_complex.differential, (lambda t: t) if reduced else itemgetter(0),
+                      p.poset, "tree differential entry", False)
     _check_euler_characteristic(matching, gens)
     pairs = [matching.pairs[key] for key in sorted(matching.pairs)]
     record = RetractionRecord(pairs, survivor_of, cycles, transport_matrix,
@@ -977,7 +965,7 @@ def _verify_cycle_gradings(diagram, tree, stages, label, ij, w, k, seed):
             raise DiagramError("inclusion grading shift mismatch")
 
 
-def _kink_transfer(diagram, markers_x, markers_y, stage, spreads):
+def _kink_transfer(diagram, markers_x, markers_y, stage, spread):
     """A kink's circles and the sign-bit maps across it.
 
     ``markers_x`` has the kink's crossing at A and ``markers_y`` at B.  The
@@ -986,11 +974,11 @@ def _kink_transfer(diagram, markers_x, markers_y, stage, spreads):
     holds the loop circle, through the kink's loop arc, and the rest circle,
     the other part of the merged circle; both sides share every other
     circle.  Returns (loop, to_loop_side, to_head_side, loop_bit, rest_bit,
-    merged_bit): the loop circle, the :func:`sign_spread` tables of the
-    shared circles each way, and the bit of each kink circle in its side's
-    sign bits.  The stage rule and the Jacobsson substitution both read a
-    kink off these.  A table depends only on its shape, the circle count and
-    :func:`circle_moves`, and is kept under it in ``spreads``.
+    merged_bit): the loop circle, the ``spread`` tables of the shared
+    circles each way (``khovanov.RowBuilder.spread``, one per shape), and
+    the bit of each kink circle in its side's sign bits.  Only
+    :meth:`LazyMatching._kink` calls it; the stage rule and the Jacobsson
+    substitution both read its record.
     """
     head, loop_side = (markers_y, markers_x) if stage.sign > 0 else (markers_x, markers_y)
     h, lo = diagram.circles(head), diagram.circles(loop_side)
@@ -1003,12 +991,6 @@ def _kink_transfer(diagram, markers_x, markers_y, stage, spreads):
 
     def bit(circles, circ):
         return 1 << (len(circles) - 1 - circles.index(circ))
-
-    def spread(old, new):
-        shape = len(new), circle_moves(old, new)
-        if shape not in spreads:
-            spreads[shape] = sign_spread(*shape)
-        return spreads[shape]
 
     return (loop, spread(h, lo), spread(lo, h),
             bit(lo, loop), bit(lo, rest), bit(h, merged))

@@ -121,8 +121,6 @@ def entries():
     expected = load_expected()
     out = []
     for name, (pd, description) in _PD_CODES.items():
-        if pd is None:
-            continue
         provenance = "paper" if name == "trefoil4" else "derived-by-oracle"
         out.append(CorpusEntry(name, pd, description, expected.get(name), provenance))
     return out
@@ -143,11 +141,11 @@ def diagram(name):
     return get(name).diagram()
 
 
-def compute_expected(entry, include_homology=True):
-    """Recompute the derived expected data for one entry."""
+def compute_expected(entry):
+    """Recompute the derived expected data for one entry; the homology below
+    the brute-force cap is each mode's whole complex off one pipeline."""
     from .collapse import Pipeline
     from .jones import jones_in_t
-    from .khovanov import khovanov_homology
 
     p = Pipeline(entry.diagram())
     d = p.diagram
@@ -158,9 +156,9 @@ def compute_expected(entry, include_homology=True):
         "jones": jones_in_t(p.jones_polynomial),
         "bracket": str(p.bracket),
     }
-    if include_homology and d.n <= BRUTE_FORCE_CAP:
-        data["homology_reduced"] = _homology_json(khovanov_homology(d, reduced=True))
-        data["homology_unreduced"] = _homology_json(khovanov_homology(d, reduced=False))
+    if d.n <= BRUTE_FORCE_CAP:
+        data["homology_reduced"] = _homology_json(p.full_complex(True).homology())
+        data["homology_unreduced"] = _homology_json(p.full_complex(False).homology())
     return data
 
 

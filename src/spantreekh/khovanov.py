@@ -41,7 +41,7 @@ degree.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import product
 
 from .algebra import LaurentPolynomial, graded_homology
 from .diagram import DiagramError
@@ -214,51 +214,21 @@ class MutableComplex:
 
 
 def _check_d_squared(rows, message):
-    """Raise DiagramError(message) unless d o d = 0 on the sparse rows.
-
-    When every coefficient is +-1, each 2-path adds +-1 at its end, so
-    d(d(x)) = 0 exactly when the ends reached with +1 and those reached with
-    -1 are the same multiset: the fast path compares them sorted."""
-    if not set(chain.from_iterable(row.values() for row in rows.values())) <= {1, -1}:
-        for row in rows.values():
-            acc = {}
-            for mid, c1 in row.items():
-                second = rows.get(mid)
-                if second:
-                    for dst, c2 in second.items():
-                        acc[dst] = acc.get(dst, 0) + c1 * c2
-            if any(acc.values()):
-                raise DiagramError(message)
-        return
-    # each row's targets as (+1 targets, -1 targets); a row of one sign
-    # stands for its own targets, which keeps this small
-    split = {}
-    for src, row in rows.items():
-        if -1 not in row.values():
-            split[src] = row, ()
-        elif 1 not in row.values():
-            split[src] = (), row
-        else:
-            plus, minus = [], []
-            for dst, c in row.items():
-                (plus if c == 1 else minus).append(dst)
-            split[src] = tuple(plus), tuple(minus)
+    """Raise DiagramError(message) unless d o d = 0 on the sparse rows, a
+    target without a row counting as a cycle."""
     for row in rows.values():
-        up, down = [], []
-        for mid, c1 in row.items():
-            second = split.get(mid)
-            if second:
-                plus, minus = second
-                if c1 == 1:
-                    up += plus
-                    down += minus
-                else:
-                    up += minus
-                    down += plus
-        up.sort()
-        down.sort()
-        if up != down:
-            raise DiagramError(message)
+        _check_square(row, rows.get, message)
+
+
+def _check_square(row, row_of, message):
+    """Raise DiagramError(message) unless d(d(x)) = 0, for the row d(x) and
+    each target's row read off ``row_of`` (None when it has none)."""
+    acc = {}
+    for mid, c1 in row.items():
+        for dst, c2 in (row_of(mid) or {}).items():
+            acc[dst] = acc.get(dst, 0) + c1 * c2
+    if any(acc.values()):
+        raise DiagramError(message)
 
 
 def cancelled_homology(gradings, rows, coefficients):
@@ -387,7 +357,9 @@ class RowBuilder:
     circle count, based circle's bit) and cube edges out (:func:`_edges_out`),
     one :func:`_edge_table` per shape, and each label's row, checked once,
     when built, for stored zeros, bidegree (1, 0) and closure: a based-"+"
-    source has only based-"+" targets, which closes the reduced complex."""
+    source has only based-"+" targets, which closes the reduced complex.  It
+    also keeps one :func:`sign_spread` per shape for the retraction's kinks
+    (:meth:`spread`)."""
 
     def __init__(self, diagram):
         self.diagram = diagram
@@ -396,6 +368,7 @@ class RowBuilder:
         self._gradings = {}  # smoothing -> (i, circle count, based circle's bit)
         self._edges = {}     # smoothing -> its cube edges out, with their targets' gradings
         self._tables = {}    # cube-edge shape -> _edge_table
+        self._spreads = {}   # (count, moves) shape -> sign_spread
         self._rows = {}      # label -> d(label), checked
 
     def _grading(self, smoothing):
@@ -415,6 +388,16 @@ class RowBuilder:
         """(i, j) of the state g."""
         i, k, _ = self._grading(g & ~self.mask)
         return i, i + self.diagram.writhe + k - 2 * (g & self.mask).bit_count()
+
+    def spread(self, old, new):
+        """The :func:`sign_spread` from the circles ``old`` to the circles
+        ``new``, made once per shape: the count of ``new`` and the
+        :func:`circle_moves`."""
+        shape = len(new), circle_moves(old, new)
+        table = self._spreads.get(shape)
+        if table is None:
+            table = self._spreads[shape] = sign_spread(*shape)
+        return table
 
     def edges(self, smoothing):
         """The cube edges out of a smoothing (:func:`_edges_out`), each with

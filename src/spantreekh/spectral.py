@@ -234,6 +234,6 @@ def e1_tree_counts(filtration):
     counts = {}
     for t in p.trees:
         i, _ = grading_map(t.u, t.v, w, k)
-        p = filtration.tree_levels[t.index]
-        counts[(p, i - p)] = counts.get((p, i - p), 0) + 1
+        level = filtration.tree_levels[t.index]
+        counts[(level, i - level)] = counts.get((level, i - level), 0) + 1
     return counts

@@ -28,7 +28,7 @@ from spantreekh.collapse import (
     state_tree_assignment,
 )
 from spantreekh.diagram import DiagramError, tait_graph
-from spantreekh.khovanov import MutableComplex, StateLabels, differential
+from spantreekh.khovanov import MutableComplex, RowBuilder, StateLabels, differential
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 
 
@@ -344,12 +344,13 @@ def retract_by_collapses(diagram, reduced=True):
         tree_live.setdefault(t, set()).add(g)
 
     expansion_of = {}
+    spread = RowBuilder(diagram).spread
     for pos in poset.linear_extension():
         tree = trees[pos]
         mc.current_block = tree.index
         mc.begin_expansions(tree_live[tree.index])
         collapse_tree_block(
-            diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced, {}
+            diagram, mc, tree, stages_of[tree.index], tree_live[tree.index], reduced, spread
         )
         for g in tree_live[tree.index] & mc.live:
             expansion_of[g] = mc.pop_expansion(g)

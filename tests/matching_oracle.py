@@ -4,10 +4,11 @@
 route became lazy.  It builds the whole complex, checks the order
 discipline on it, runs the block pass (:func:`collapse_tree_block`) on every
 tree's block in linear-extension order into one ``MorseMatching``, checks
-the complete matching for gradient cycles, and takes the tree complex, the
-transport matrix and the cycles through the same flows the lazy route uses.
-Its record also carries the built complex (``full_complex``) and each
-state's tree (``state_tree``).  Nothing in the package imports this module.
+the complete matching for gradient cycles, and takes the tree complex and
+the transport matrix through the same flows the lazy route uses.  Its
+fundamental cycles are the key route's of ``collapse_oracle``.  Its record
+also carries the built complex (``full_complex``) and each state's tree
+(``state_tree``).  Nothing in the package imports this module.
 """
 
 from collections import namedtuple
@@ -22,7 +23,6 @@ from spantreekh.collapse import (
     _check_d_squared,
     _check_descending,
     _kink_transfer,
-    _substitute_kinks,
     _uv,
     _verify_cycle_gradings,
     check_order_discipline,
@@ -30,7 +30,7 @@ from spantreekh.collapse import (
     state_tree_assignment,
 )
 from spantreekh.diagram import DiagramError, tait_graph
-from spantreekh.khovanov import StateLabels, differential
+from spantreekh.khovanov import RowBuilder, StateLabels, differential
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 
 # RetractionRecord with the full-cube build in place of the lazy matching:
@@ -40,7 +40,7 @@ OracleRecord = namedtuple("OracleRecord", ("complex",) + RetractionRecord._field
                           + ("trees", "poset", "state_tree", "full_complex"))
 
 
-def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spreads):
+def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spread):
     """Match one tree's block of states down to its fundamental class.
 
     Each pair goes to ``matching.match(x, y)`` and leaves ``live_set``, which
@@ -53,7 +53,7 @@ def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spre
     every stage (a kink loop that carries the basepoint flips the merged
     circle back to "+").  Within a stage the kink geometry and the sign-bit
     maps across the kink depend on the raw smoothing alone, so each is
-    computed once per smoothing; the sign-bit maps come from ``spreads``
+    computed once per smoothing; the sign-bit maps come from ``spread``
     (see ``collapse._kink_transfer``).  Partners are indexed by a label's
     raw marker bits over its abstract sign bits.
     """
@@ -77,7 +77,7 @@ def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spre
             if a_end not in transfers:
                 transfers[a_end] = _kink_transfer(
                     diagram, abstract_markers(a_end), abstract_markers(a_end | flip), st,
-                    spreads,
+                    spread,
                 )
             return transfers[a_end]
 
@@ -140,8 +140,13 @@ def retract_by_matching(diagram, reduced=True):
     """The retraction onto the spanning-tree complex over the full build.
 
     Returns (TreeComplex, OracleRecord); ``record.complex`` is the whole
-    matching's pair list, in matching order.
+    matching's pair list, in matching order.  The fundamental cycles are
+    the key route's (``collapse_oracle.jacobsson_by_keys``), with its own
+    kink geometry, else the Morse inclusion of the block's survivor.
     """
+    # collapse_oracle imports this module
+    from collapse_oracle import has_based_negative_loop, jacobsson_by_keys, labelled
+
     graph = tait_graph(diagram)
     trees = enumerate_trees(graph)
     poset = build_poset(trees)
@@ -162,16 +167,16 @@ def retract_by_matching(diagram, reduced=True):
         state_tree.update(dict.fromkeys(group, t))
         tree_live.setdefault(t, set()).update(group)
     # insulation: pairs inside one block cannot reach a block above it
-    check_order_discipline(complex, state_tree, poset, trees)
+    check_order_discipline(complex, state_tree, poset)
 
     matching = MorseMatching(complex.differential)
-    spreads = {}  # the kinks' sign_spread tables, by shape, for this retraction
+    spread = RowBuilder(diagram).spread  # the kinks' sign_spread tables, by shape
     first_pair = {}  # tree index -> key of its block's first pair
     for pos in poset.linear_extension():
         tree = trees[pos]
         first_pair[tree.index] = len(matching.pairs)
         collapse_tree_block(diagram, matching, tree, stages_of[tree.index],
-                            tree_live[tree.index], reduced, spreads)
+                            tree_live[tree.index], reduced, spread)
     matching.check_acyclic()
 
     seeds = (1,) if reduced else (1, -1)
@@ -191,9 +196,10 @@ def retract_by_matching(diagram, reduced=True):
                 raise DiagramError("survivor grading disagrees with the dictionary")
             survivor_of[(t.index, seed)] = by_grading[target]
             gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
-            chain = _substitute_kinks(diagram, t, stages, reduced, seed, spreads)
-            if chain is None:
+            if reduced and has_based_negative_loop(diagram, t, stages):
                 chain = _include_survivor(matching, alive, states, target, first_pair[t.index])
+            else:
+                chain = labelled(complex, jacobsson_by_keys(diagram, t, stages, reduced, seed))
             labels = list(chain)
             if any(g not in states for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
@@ -238,8 +244,8 @@ def retract_by_matching(diagram, reduced=True):
                           trees, poset, state_tree, complex)
     tree_complex = TreeComplex(gens, diff, reduced, w, k)
     _check_descending(tree_complex.differential,
-                      {label: label if reduced else label[0] for label in gens},
-                      poset, trees, "tree differential entry", False)
+                      {label: label if reduced else label[0] for label in gens}.__getitem__,
+                      poset, "tree differential entry", False)
     return tree_complex, record
 
 

@@ -229,7 +229,7 @@ def test_criterion_8b_order_discipline():
         for reduced in (True, False):
             cx = differential(d, reduced=reduced)
             state_tree = {g: tree_of(g) for g in cx.states}
-            assert check_order_discipline(cx, state_tree, poset, trees)
+            assert check_order_discipline(cx, state_tree, poset)
     _report("8b", True, "incidence/partial-order discipline exhaustive (<= 7 crossings)")
 
 

@@ -13,7 +13,7 @@ from collapse_oracle import (
 )
 from khovanov_oracle import homology_snapshot
 from test_spantree import _crossings_permuted
-from spantreekh import collapse, corpus
+from spantreekh import collapse, corpus, khovanov
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import (
     MutableComplex,
@@ -261,17 +261,17 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
     kink_transfer = matching_oracle._kink_transfer
     collapse_block = matching_oracle.collapse_tree_block
 
-    def counting_transfer(diagram, markers_x, markers_y, stage, spreads):
+    def counting_transfer(diagram, markers_x, markers_y, stage, spread):
         if current:
             calls.append((current[-1], id(stage), markers_x, markers_y))
-        return kink_transfer(diagram, markers_x, markers_y, stage, spreads)
+        return kink_transfer(diagram, markers_x, markers_y, stage, spread)
 
-    def counting_block(diagram, matching, tree, stages, live_set, reduced, spreads):
+    def counting_block(diagram, matching, tree, stages, live_set, reduced, spread):
         smoothings = {StateLabels(diagram).markers(g) for g in live_set}
         blocks.append((smoothings, {id(st) for st in stages}))
         current.append(len(blocks) - 1)
         try:
-            return collapse_block(diagram, matching, tree, stages, live_set, reduced, spreads)
+            return collapse_block(diagram, matching, tree, stages, live_set, reduced, spread)
         finally:
             current.pop()
 
@@ -294,15 +294,46 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
                 assert count <= len(blocks[block][0]), (name, reduced)
 
 
+def test_kink_transfer_runs_once_per_kink_and_smoothing_in_a_retraction(monkeypatch):
+    # the stage rule and the Jacobsson substitution read one memoised record
+    calls = []
+    kink_transfer = collapse._kink_transfer
+
+    def counting(diagram, markers_x, markers_y, stage, spread):
+        calls.append((id(stage), markers_x, markers_y))
+        return kink_transfer(diagram, markers_x, markers_y, stage, spread)
+
+    monkeypatch.setattr(collapse, "_kink_transfer", counting)
+    total = 0
+    for name in corpus.names():
+        for reduced in (True, False):
+            calls.clear()
+            retract_to_tree_complex(corpus.diagram(name), reduced)
+            assert len(calls) == len(set(calls)), (name, reduced)
+            total += len(calls)
+    assert total > 900
+
+
 def test_kink_spreads_are_made_once_per_shape_in_a_retraction(monkeypatch):
+    # counts the fills of the row builder's spread memo
     shapes = []
-    spread = collapse.sign_spread
+    inside = []  # non-empty while RowBuilder.spread runs
+    spread, sign_spread = khovanov.RowBuilder.spread, khovanov.sign_spread
+
+    def tracked(self, old, new):
+        inside.append(True)
+        try:
+            return spread(self, old, new)
+        finally:
+            inside.pop()
 
     def counting(count, moves):
-        shapes.append((count, moves))
-        return spread(count, moves)
+        if inside:
+            shapes.append((count, moves))
+        return sign_spread(count, moves)
 
-    monkeypatch.setattr(collapse, "sign_spread", counting)
+    monkeypatch.setattr(khovanov.RowBuilder, "spread", tracked)
+    monkeypatch.setattr(khovanov, "sign_spread", counting)
     for name in ("5_2", "7_4"):
         for reduced in (True, False):
             per_run = []
@@ -384,7 +415,7 @@ def test_label_substitution_matches_the_key_oracle():
             t, stages = leaf.tree, leaf.stages
             for reduced, seed in ((True, 1), (False, 1), (False, -1)):
                 where = (name, t.index, reduced, seed)
-                labels = collapse._substitute_kinks(d, t, stages, reduced, seed, {})
+                labels = collapse._substitute_kinks(pipeline.matching(reduced), t.index, seed)
                 if reduced and has_based_negative_loop(d, t, stages):
                     assert labels is None, where
                     based += 1
@@ -445,7 +476,7 @@ def test_order_discipline_small_corpus():
         for reduced in (True, False):
             cx = differential(d, reduced=reduced)
             state_tree = {g: tree_of(g) for g in cx.states}
-            assert check_order_discipline(cx, state_tree, poset, trees)
+            assert check_order_discipline(cx, state_tree, poset)
 
 
 def test_pipeline_unknot():

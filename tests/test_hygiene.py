@@ -375,3 +375,23 @@ def test_only_the_full_build_enumerates_the_whole_cube():
     assert not found, "whole-cube enumerations:\n" + "\n".join(found)
     spectral = ROOT / "src" / "spantreekh" / "spectral.py"
     assert "khovanov" not in imported_modules(spectral.read_text(encoding="utf-8"))
+
+
+def test_one_kink_record_and_one_spread_memo():
+    # the stage rule and the Jacobsson substitution read one kink record, made
+    # by LazyMatching._kink alone, and the kinks' sign_spread tables are kept
+    # per shape by khovanov.RowBuilder.spread, not threaded through collapse.py
+    found = []
+    for path in SRC:
+        source = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: _kink_transfer in {where or 'module'}"
+                  for where in constructions(source, "_kink_transfer")
+                  if (path.name, where) != ("collapse.py", "LazyMatching._kink")]
+        found += [f"{path.name}: sign_spread in {where or 'module'}"
+                  for where in constructions(source, "sign_spread")
+                  if path.name != "khovanov.py"]
+    assert not found, "kink geometry outside its one record:\n" + "\n".join(found)
+    source = (ROOT / "src" / "spantreekh" / "collapse.py").read_text(encoding="utf-8")
+    named = referenced_names(source) | {node.arg for node in ast.walk(ast.parse(source))
+                                        if isinstance(node, (ast.arg, ast.keyword))}
+    assert "spreads" not in named

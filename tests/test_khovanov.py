@@ -401,9 +401,9 @@ def test_a_corrupted_shape_table_is_caught_by_the_checks(monkeypatch, edit):
     assert corrupted
 
 
-def test_d_squared_fast_path_agrees_with_the_integer_sums():
-    # unit coefficients take the sorted-ends path, any other the integer sums;
-    # both raise the caller's message exactly when some d(d(x)) is nonzero
+def test_d_squared_raises_exactly_when_some_square_is_nonzero():
+    # unit and non-unit coefficients alike: the caller's message is raised
+    # exactly when some d(d(x)) is nonzero
     cases = [
         ({"a": {"b": 1, "c": 1}, "b": {"d": 1}, "c": {"d": -1}}, True),
         ({"a": {"b": 1, "c": 1}, "b": {"d": 1}, "c": {"d": 1}}, False),
