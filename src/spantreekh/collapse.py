@@ -913,11 +913,14 @@ def _pair_count(pipeline, reduced, generators):
 
 def _check_euler_characteristic(matching, generators):
     """The tree complex's graded Euler characteristic, sum (-1)^i q^j over
-    its generators, is the Jones polynomial's: q^-1 J(q^2) reduced, times
-    (1 + q^2) unreduced, with J from the tree expansion of the bracket."""
+    its generators, is the Jones polynomial's: (-1)^(c-1) q^-1 J(q^2) for a
+    c-component link reduced, times (1 + q^2) unreduced, with J from the
+    tree expansion of the bracket."""
     p = matching.pipeline
     w, k = p.diagram.writhe, p.k
-    expected = LaurentPolynomial({e // 2 - 1: c for e, c in p.jones_polynomial.coeffs.items()}, "q")
+    sign = (-1) ** (p.diagram.link_components - 1)
+    expected = LaurentPolynomial(
+        {e // 2 - 1: sign * c for e, c in p.jones_polynomial.coeffs.items()}, "q")
     if not matching.reduced:
         expected = expected * LaurentPolynomial({0: 1, 2: 1}, "q")
     chi = {}

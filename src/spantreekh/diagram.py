@@ -9,12 +9,15 @@ Slot geometry used throughout: slot 0 is the incoming under-strand, slots are
 counterclockwise, so the under-strand runs 0 -> 2 and the over-strand occupies
 slots 1 and 3.  A smoothing joins arcs per crossing: the A-smoothing joins
 the arcs at slots 0-1 and 2-3, the B-smoothing those at slots 1-2 and 3-0.
-There is one join rule, a union-find over arc positions that keeps the
-smaller root, used two ways: ``_arc_roots`` smooths one marker set, full or
-partial (a kept crossing glues its four arcs when counting components), and
-``smoothing_tally`` walks the whole cube of full smoothings depth first,
-sharing the joins of every common prefix of markers, to count circles for
-the Kauffman state sum without building any smoothing.
+There is one join rule, ``join``, a union-find that keeps the smaller root,
+and every connectivity question of this module goes through it: whether the
+crossings and the Tait graph are connected, the link components (arcs joined
+along the strands) and the face coloring (faces joined across opposite
+corners).  Over arc positions it is used two ways: ``_arc_roots`` smooths one
+marker set, full or partial (a kept crossing glues its four arcs when
+counting components), and ``smoothing_tally`` walks the whole cube of full
+smoothings depth first, sharing the joins of every common prefix of markers,
+to count circles for the Kauffman state sum without building any smoothing.
 """
 
 from __future__ import annotations
@@ -46,6 +49,18 @@ def join(parent, pairs):
             parent[x] = y
             merged += 1
     return merged
+
+
+def class_roots(size, pairs):
+    """For each element of ``range(size)``, the smallest element of its
+    class once ``pairs`` are joined."""
+    parent = list(range(size))
+    join(parent, pairs)
+    # every parent lies at or below its child, so one ascending pass
+    # settles each element on its class's smallest element
+    for x in range(size):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 class LinkDiagram:
@@ -91,27 +106,13 @@ class LinkDiagram:
         return {a: tuple(v) for a, v in inc.items()}
 
     def _validate_connected(self):
-        if self.n <= 1:
-            return
-        seen = {0}
-        stack = [0]
-        adj = {}
-        for a, ends in self.incidences.items():
-            (c1, _), (c2, _) = ends
-            adj.setdefault(c1, set()).add(c2)
-            adj.setdefault(c2, set()).add(c1)
-        while stack:
-            c = stack.pop()
-            for d in adj.get(c, ()):
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        if len(seen) != self.n:
+        # the crossings are connected iff joining the two ends of every arc
+        # merges n - 1 times
+        ends = ((c1, c2) for (c1, _), (c2, _) in self.incidences.values())
+        if join(list(range(self.n)), ends) < self.n - 1:
             raise DiagramError("diagram is disconnected")
 
     def _validate_planar(self):
-        if self.n == 0:
-            return
         f = len(self.faces)
         if f != self.n + 2:  # F = E - V + 2 with E = 2V
             raise DiagramError(
@@ -233,26 +234,24 @@ class LinkDiagram:
 
     @cached_property
     def face_coloring(self):
-        """Two-coloring of faces: tuple of 0/1 per face, color 0 contains face 0."""
-        if self.n == 0:
-            return (0, 1)
-        color = {0: 0}
-        stack = [0]
-        adj = {}
+        """Two-coloring of faces: tuple of 0/1 per face, color 0 contains face 0.
+
+        The faces at opposite corners of a crossing share a color, so joining
+        them leaves the two color classes; face 0 roots its own class."""
+        pairs = ((self.face_at_corner(c, s), self.face_at_corner(c, s + 2))
+                 for c in range(self.n) for s in (0, 1))
+        color = tuple(int(r != 0) for r in class_roots(len(self.faces), pairs))
         for a in self.arcs:
-            f1 = self.face_of_dart[(a, True)]
-            f2 = self.face_of_dart[(a, False)]
-            adj.setdefault(f1, set()).add(f2)
-            adj.setdefault(f2, set()).add(f1)
-        while stack:
-            f = stack.pop()
-            for g in adj.get(f, ()):
-                if g not in color:
-                    color[g] = 1 - color[f]
-                    stack.append(g)
-                elif color[g] == color[f]:
-                    raise DiagramError("faces are not checkerboard colorable")
-        return tuple(color[i] for i in range(len(self.faces)))
+            if color[self.face_of_dart[(a, True)]] == color[self.face_of_dart[(a, False)]]:
+                raise DiagramError("faces are not checkerboard colorable")
+        return color
+
+    @cached_property
+    def link_components(self):
+        """Number of components of the link: the arcs joined along the two
+        strands through every crossing, slots 0-2 and 1-3."""
+        strands = [p for a0, a1, a2, a3 in self._slot_arcs for p in ((a0, a2), (a1, a3))]
+        return len(self.arcs) - join(list(range(len(self.arcs))), strands)
 
     # -- smoothing machinery -----------------------------------------------------
 
@@ -286,13 +285,7 @@ class LinkDiagram:
             if m not in joins:
                 raise DiagramError(f"bad marker {m!r} at crossing {c}")
             pairs += joins[m]
-        parent = list(range(len(self.arcs)))
-        join(parent, pairs)
-        # every parent lies at or below its child, so one ascending pass
-        # settles each position on its class's smallest position
-        for x in range(len(parent)):
-            parent[x] = parent[parent[x]]
-        return parent
+        return class_roots(len(self.arcs), pairs)
 
     def smoothing_tally(self):
         """Counter of (sigma, #circles) over all 2^n full smoothings, where
@@ -319,12 +312,10 @@ class LinkDiagram:
         return tally
 
     def smooth(self, markers):
-        """Apply per-crossing markers {A, B, *}.
-
-        With no ``*`` left the result is a :class:`Smoothing`; otherwise a
-        :class:`PartialDiagram` with the surviving crossings.  Each arc class
-        is named by its smallest arc.
-        """
+        """Apply per-crossing markers {A, B, *}, a missing marker counting
+        as ``*``, to a :class:`Smoothing`.  Each arc class is named by its
+        smallest arc; its circles are the classes that touch no kept
+        crossing, every class when none is kept."""
         markers = dict(markers)
         unknown = set(markers).difference(range(self.n))
         if unknown:
@@ -334,15 +325,15 @@ class LinkDiagram:
         classes = {}  # smallest arc -> arcs of its class, ordered by smallest arc
         for a, r in zip(arcs, roots):
             classes.setdefault(arcs[r], []).append(a)
-        kept = [c for c in range(self.n) if markers.get(c, "*") == "*"]
-        if not kept:
-            return Smoothing(self, markers, tuple(frozenset(v) for v in classes.values()))
-        crossing_slots = {
-            c: tuple(arcs[roots[p]] for p in self._slot_arcs[c]) for c in kept
+        crossing_slots = {  # kept crossing -> the classes at its four slots
+            c: tuple(arcs[roots[p]] for p in slots)
+            for c, slots in enumerate(self._slot_arcs) if markers.get(c, "*") == "*"
         }
-        touched = {r for slots in crossing_slots.values() for r in slots}
-        free = tuple(frozenset(v) for r, v in classes.items() if r not in touched)
-        return PartialDiagram(self, markers, kept, crossing_slots, free)
+        for slots in crossing_slots.values():
+            for r in slots:  # a class at a kept crossing is no closed circle
+                classes.pop(r, None)
+        return Smoothing(tuple(crossing_slots), crossing_slots,
+                         tuple(map(frozenset, classes.values())))
 
     def circles(self, markers):
         """Circles of the full smoothing given as a tuple of 'A'/'B' markers,
@@ -399,33 +390,19 @@ class LinkDiagram:
 
 
 class Smoothing:
-    """A full resolution: markers plus the resulting circle partition."""
+    """A resolution of a diagram: the crossings ``kept`` unsmoothed, the arc
+    classes at each kept crossing's four slots, and the closed circles,
+    the classes that touch no kept crossing (all of them when none is
+    kept)."""
 
-    __slots__ = ("diagram", "markers", "circles")
+    __slots__ = ("kept", "crossing_slots", "circles")
 
-    def __init__(self, diagram, markers, circles):
-        self.diagram = diagram
-        self.markers = markers
-        self.circles = circles  # ordered by smallest arc
-        if len(self.circles) < 1:
-            raise DiagramError("a smoothing must have at least one circle")
-
-    def sigma(self):
-        values = [self.markers.get(c) for c in range(self.diagram.n)]
-        return sum(1 if m == "A" else -1 for m in values)
-
-
-class PartialDiagram:
-    """A partial resolution: the unsmoothed crossings with merged arc classes."""
-
-    __slots__ = ("diagram", "markers", "kept", "crossing_slots", "free_circles")
-
-    def __init__(self, diagram, markers, kept, crossing_slots, free_circles):
-        self.diagram = diagram
-        self.markers = markers
-        self.kept = tuple(kept)
+    def __init__(self, kept, crossing_slots, circles):
+        self.kept = kept
         self.crossing_slots = crossing_slots  # crossing -> 4 class roots
-        self.free_circles = free_circles
+        self.circles = circles  # ordered by smallest arc
+        if not kept and not circles:
+            raise DiagramError("a smoothing must have at least one circle")
 
     def kink_slot_pair(self, crossing):
         """The adjacent slot pair closed by a single class, or None."""
@@ -482,21 +459,10 @@ class TaitGraph:
         order = sorted(e[3] for e in self.edges)
         if order != list(range(len(self.edges))):
             raise DiagramError("edge order must be a permutation of crossing indices")
-        adj = {v: set() for v in self.vertices}
-        for u, v, _, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        if self.vertices:
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(self.vertices):
-                raise DiagramError("Tait graph is disconnected")
+        index = {v: i for i, v in enumerate(self.vertices)}
+        ends = ((index[u], index[v]) for u, v, _, _ in self.edges)
+        if join(list(range(len(self.vertices))), ends) < len(self.vertices) - 1:
+            raise DiagramError("Tait graph is disconnected")
 
     @property
     def e_plus(self):
@@ -533,13 +499,6 @@ def tait_graph(diagram, shading=None):
     with more positive edges wins, ties broken by the class containing the
     face left of the basepoint arc.
     """
-    if diagram.n == 0:
-        chosen = shading if shading is not None else diagram.face_coloring[
-            diagram.left_face(diagram.basepoint)]
-        verts = tuple(
-            i for i, c in enumerate(diagram.face_coloring) if c == chosen
-        )
-        return TaitGraph(verts, (), chosen, diagram)
     coloring = diagram.face_coloring
 
     def build(color):

@@ -5,8 +5,9 @@ The two bracket routes are independent: the state sum counts the 2^n
 smoothings by (sigma, #circles) in one walk of the cube of smoothings
 (``LinkDiagram.smoothing_tally``), the tree expansion sums one monomial per
 spanning tree of the Tait graph.  Bracket normalization is <unknot> = 1,
-forced by the tree expansion's empty product.  Jones polynomials are stored in the variable q = t^{1/4}; for knots
-all exponents are multiples of 4, for links multiples of 2.
+forced by the tree expansion's empty product.  Jones polynomials are stored
+in the variable q = t^{1/4}; all exponents are multiples of 4 for knots and
+of 2 for links, the components counted by ``LinkDiagram.link_components``.
 """
 
 from __future__ import annotations
@@ -61,36 +62,13 @@ def jones(diagram, bracket=None):
     for e, c in bracket.coeffs.items():
         coeffs[3 * w - e] = sign * c
     v = LaurentPolynomial(coeffs, "q")
-    components = _component_count(diagram)
-    modulus = 4 if components == 1 else 2
+    modulus = 4 if diagram.link_components == 1 else 2
     bad = [e for e in v.coeffs if e % modulus]
     if bad:
         raise DiagramError(
             f"Jones exponents {bad} not divisible by {modulus} in q = t^(1/4)"
         )
     return v
-
-
-def _component_count(diagram):
-    if diagram.n == 0:
-        return 1
-    comps = set()
-    for arc, (tail, head) in diagram.orientations.items():
-        comps.add(_component_root(diagram, arc))
-    return len(comps)
-
-
-def _component_root(diagram, arc):
-    # follow the strand to the smallest arc label on its component
-    seen = {arc}
-    a = arc
-    while True:
-        _, head = diagram.orientations[a]
-        c, s = head
-        a = diagram.crossings[c][(s + 2) % 4]
-        if a in seen:
-            return min(seen)
-        seen.add(a)
 
 
 def jones_in_t(v):

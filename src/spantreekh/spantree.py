@@ -325,7 +325,7 @@ def kink_undo_sequence(diagram, dead_markers):
     stages = []
     while live:
         partial = diagram.smooth(markers)
-        if partial.free_circles:
+        if partial.circles:
             raise DiagramError("partial smoothing is split: not a twisted unknot")
         stage = None
         for c in live:

@@ -267,6 +267,28 @@ def test_verify_homology_checks_alone_build_no_retraction(monkeypatch, category,
         assert count("full_homology", reduced, coefficients="Z") == (reduced in modes)
 
 
+def test_spectral_over_the_crossing_cap_skips_the_whole_cube(monkeypatch, capsys):
+    # above the brute-force cap E_inf is not checked against the homology of
+    # the whole cube, so no full complex is built; below it the check runs
+    from spantreekh.planegraph import triangle_bundle
+
+    count = _count_builds(monkeypatch)
+    pd = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0].serialize()
+    assert run(["--json", "spectral", pd]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["e_infinity_check"] == "skipped (crossing cap)"
+    assert sum(payload["e_infinity_by_i"].values()) == 12
+    assert run(["spectral", pd, "--pages", "1"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "collapses at page 7\nE_inf not checked against homology above 9 crossings\n")
+    for reduced in (True, False):
+        assert count("differential", reduced) == 0, reduced
+        assert count("full_homology", reduced, coefficients="Q") == 0, reduced
+    assert run(["--json", "spectral", "7_4"]) == 0
+    assert "e_infinity_check" not in json.loads(capsys.readouterr().out)
+    assert count("differential", True) == 1
+
+
 def test_homology_over_the_crossing_cap_is_a_usage_error(capsys):
     from spantreekh.planegraph import triangle_bundle
 

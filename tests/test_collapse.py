@@ -12,6 +12,7 @@ from collapse_oracle import (
     retract_by_collapses,
 )
 from khovanov_oracle import homology_snapshot
+from test_diagram import LINK_FAMILY
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
@@ -22,7 +23,7 @@ from spantreekh.khovanov import (
     differential,
     khovanov_homology,
 )
-from spantreekh.planegraph import theta_graph, triangle_bundle
+from spantreekh.planegraph import cycle_graph, theta_graph, triangle_bundle
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
     Pipeline,
@@ -516,6 +517,26 @@ def test_pipeline_matches_brute_force_reduced_and_unreduced():
             assert tc.homology_in_ij() == khovanov_homology(d, reduced=reduced), (
                 name, reduced,
             )
+
+
+def _links():
+    """(name, diagram) for the Hopf link, T(2,4), T(2,6) and the links of
+    the seeded plane-graph family within the brute-force cap."""
+    out = [("hopf", parse_pd("PD[X(4,1,3,2), X(2,3,1,4)]")),
+           ("T(2,4)", cycle_graph([1] * 4)[0]), ("T(2,6)", cycle_graph([1] * 6)[0])]
+    return out + [(name, d) for name, d in LINK_FAMILY
+                  if d.link_components > 1 and d.n <= corpus.BRUTE_FORCE_CAP]
+
+
+LINKS = _links()
+
+
+@pytest.mark.parametrize("name,d", LINKS, ids=[name for name, _ in LINKS])
+def test_links_retract_onto_their_homology(name, d):
+    # a c-component link's Euler characteristic carries the sign (-1)^(c-1)
+    for reduced in (True, False):
+        tc, _ = retract_to_tree_complex(d, reduced=reduced)
+        assert tc.homology_in_ij() == khovanov_homology(d, reduced=reduced), (name, reduced)
 
 
 def test_retraction_of_cycles_is_identity():

@@ -24,11 +24,8 @@ def test_corpus_names_complete():
 
 
 def test_corpus_diagrams_are_knots():
-    from spantreekh.jones import _component_count
-
     for entry in corpus.entries():
-        d = entry.diagram()
-        assert _component_count(d) == 1, entry.name
+        assert entry.diagram().link_components == 1, entry.name
 
 
 def test_corpus_crossing_numbers():

@@ -9,9 +9,9 @@ import pytest
 from test_spectral_golden import relabelled
 
 from spantreekh import corpus
-from spantreekh.diagram import DiagramError, parse_pd, tait_graph
-from spantreekh.planegraph import theta_graph, triangle_bundle
-from spantreekh.spantree import resolution_tree
+from spantreekh.diagram import DiagramError, TaitGraph, parse_pd, tait_graph
+from spantreekh.planegraph import cycle_graph, loop_flower, theta_graph, triangle_bundle
+from spantreekh.spantree import resolution_tree, sigma_of_partial
 
 TREFOIL4 = "PD[X(1,6,2,7), X(5,2,6,3), X(8,3,1,4), X(4,7,5,8)] base=1"
 LEFT_TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
@@ -64,9 +64,21 @@ def test_parse_rejects_bad_arc_counts():
 
 
 def test_parse_rejects_disconnected():
-    # two disjoint kinks
-    with pytest.raises(DiagramError, match="disconnected"):
+    # two disjoint kinks, then three disjoint pieces: a kink, a Hopf link
+    # and another kink
+    with pytest.raises(DiagramError, match="diagram is disconnected"):
         parse_pd("PD[X(1,1,2,2), X(3,3,4,4)]")
+    with pytest.raises(DiagramError, match="diagram is disconnected"):
+        parse_pd("PD[X(1,1,2,2), X(3,5,4,6), X(5,3,6,4), X(7,7,8,8)]")
+
+
+def test_tait_graph_rejects_a_disconnected_edge_set():
+    with pytest.raises(DiagramError, match="Tait graph is disconnected"):
+        TaitGraph((0, 1, 2, 3), ((0, 1, 1, 0), (2, 3, -1, 1)), 0)
+    # a vertex no edge reaches
+    with pytest.raises(DiagramError, match="Tait graph is disconnected"):
+        TaitGraph((0, 1, 2), ((0, 1, 1, 0),), 0)
+    assert len(TaitGraph((0, 1, 2), ((0, 1, 1, 0), (2, 1, -1, 1)), 0).edges) == 2
 
 
 def test_parse_rejects_nonplanar():
@@ -153,9 +165,11 @@ def test_dual_shading_is_planar_dual_with_flipped_signs():
 
 def test_smooth_full_circles():
     d = parse_pd(TREFOIL4)
-    all_b = d.smooth({c: "B" for c in range(4)})
+    markers = {c: "B" for c in range(4)}
+    all_b = d.smooth(markers)
     assert all_b.circles == (frozenset({1, 3, 5, 7}), frozenset({2, 6}), frozenset({4, 8}))
-    assert all_b.sigma() == -4
+    assert sigma_of_partial(markers.values()) == -4
+    assert all_b.kept == () and all_b.crossing_slots == {}
     # circles partition the arcs
     arcs = sorted(a for c in all_b.circles for a in c)
     assert arcs == list(d.arcs)
@@ -208,7 +222,7 @@ def _smoothed_tally(diagram):
     tally = Counter()
     for choice in product("AB", repeat=diagram.n):
         sm = diagram.smooth(dict(enumerate(choice)))
-        tally[sm.sigma(), len(sm.circles)] += 1
+        tally[sigma_of_partial(choice), len(sm.circles)] += 1
     return tally
 
 
@@ -265,7 +279,7 @@ def _slot_union_find(diagram, joins):
 
 
 def _slot_smooth(diagram, markers):
-    """(circles, kept, crossing_slots, free_circles) by the slot union-find."""
+    """(circles, kept, crossing_slots, closed circles) by the slot union-find."""
     if diagram.n == 0:
         return (frozenset(diagram.arcs),), (), {}, ()
     joins = [(c, _A_PAIRS if m == "A" else _B_PAIRS)
@@ -311,7 +325,7 @@ def _assert_partial_matches_oracle(d, markers):
         assert partial.circles == circles
         return
     assert partial.kept == kept
-    assert partial.free_circles == free
+    assert partial.circles == free
     renaming = {}
     for c in kept:
         assert partial.kink_slot_pair(c) == _slot_kink_pair(slots[c])
@@ -360,3 +374,65 @@ def test_arc_union_find_matches_slot_union_find():
             for c in range(d.n):
                 if markers[c] == "*":
                     assert d.is_nugatory(c, markers) == _slot_is_nugatory(d, c, markers)
+
+
+def _link_family():
+    """(name, diagram) for the corpus, cycle graphs with 1-8 edges (the
+    (2, n) torus links), loop flowers and seeded theta graphs and triangle
+    bundles, each with its mirror."""
+    out = [(entry.name, entry.diagram()) for entry in corpus.entries()]
+    out += [(f"cycle-{n}", cycle_graph([(-1) ** n] * n)[0]) for n in range(1, 9)]
+    out += [(f"flower-{n}", loop_flower([(-1) ** i for i in range(n)])[0]) for n in range(1, 5)]
+    rng = random.Random("link-family")
+    for k in range(12):
+        paths = [[rng.choice((1, -1)) for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(2, 4))]
+        out.append((f"theta-{k}", theta_graph(paths)[0]))
+        sides = [[rng.choice((1, -1)) for _ in range(rng.randint(1, 3))] for _ in range(3)]
+        out.append((f"tri-{k}", triangle_bundle(*sides)[0]))
+    return out + [(name + "/mirror", d.mirror()) for name, d in out]
+
+
+LINK_FAMILY = _link_family()
+
+
+def _strand_components(diagram):
+    """Link components by following every arc's strand round to the
+    smallest arc on it: the strand walk ``LinkDiagram.link_components``
+    replaced, kept as its oracle."""
+    if diagram.n == 0:
+        return 1
+    smallest = set()
+    for arc in diagram.orientations:
+        seen = {arc}
+        a = arc
+        while True:
+            _, (c, s) = diagram.orientations[a]
+            a = diagram.crossings[c][(s + 2) % 4]
+            if a in seen:
+                break
+            seen.add(a)
+        smallest.add(min(seen))
+    return len(smallest)
+
+
+def test_link_components_match_the_strand_walk():
+    counts = Counter()
+    for name, d in LINK_FAMILY:
+        assert d.link_components == _strand_components(d), name
+        counts[d.link_components] += 1
+    assert set(counts) == {1, 2, 3}
+    assert parse_pd("PD[X(4,1,3,2), X(2,3,1,4)]").link_components == 2
+
+
+def test_face_coloring_is_a_checkerboard():
+    for name, d in LINK_FAMILY:
+        color = d.face_coloring
+        assert len(color) == len(d.faces) and color[0] == 0, name
+        for c in range(d.n):
+            corners = [color[d.face_at_corner(c, s)] for s in range(4)]
+            # opposite corners agree, neighbouring corners differ
+            assert corners[0] == corners[2] != corners[1] == corners[3], (name, c)
+        for a in d.arcs:
+            assert color[d.face_of_dart[(a, True)]] != color[d.face_of_dart[(a, False)]], (name, a)
+

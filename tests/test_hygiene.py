@@ -395,3 +395,63 @@ def test_one_kink_record_and_one_spread_memo():
     named = referenced_names(source) | {node.arg for node in ast.walk(ast.parse(source))
                                         if isinstance(node, (ast.arg, ast.keyword))}
     assert "spreads" not in named
+
+
+def work_list_pops(source):
+    """The dotted names of the definitions that pop a work list: a
+    ``while stack:`` loop whose body calls ``stack.pop()`` with no
+    argument."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.While) and isinstance(child.test, ast.Name):
+                pops = any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "pop" and not n.args
+                    and isinstance(n.func.value, ast.Name) and n.func.value.id == child.test.id
+                    for n in ast.walk(child)
+                )
+                if pops and ".".join(path) not in found:
+                    found.append(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_work_list_pops_are_located():
+    source = (
+        "class G:\n"
+        "    def walk(self, stack):\n"
+        "        while stack:\n"
+        "            x = stack.pop()\n"
+        "        while stack:\n"
+        "            stack.append(stack.pop())\n"
+        "def chosen(chosen, d):\n"
+        "    chosen.pop()\n"
+        "    while d:\n"
+        "        d.pop(0)\n"
+        "def other(todo, queue):\n"
+        "    while todo:\n"
+        "        queue.pop()\n"
+        "while stack:\n"
+        "    stack.pop()\n"
+    )
+    assert work_list_pops(source) == ["G.walk", ""]
+
+
+def test_only_three_walks_pop_a_work_list():
+    # connectivity in the diagram layer goes through the union-find
+    # diagram.join; the walks left are the tree paths of a spanning tree and
+    # the matching's pair reachability and Kahn's pass
+    found = sorted(f"{path.name}: {where}" for path in SRC
+                   for where in work_list_pops(path.read_text(encoding="utf-8")))
+    assert found == [
+        "collapse.py: MorseMatching._fill",
+        "collapse.py: MorseMatching.check_acyclic",
+        "spantree.py: _cycle_finder",
+    ]

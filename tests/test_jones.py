@@ -15,6 +15,7 @@ from spantreekh.jones import (
     jones_in_t,
 )
 from spantreekh.planegraph import theta_graph, triangle_bundle
+from spantreekh.spantree import sigma_of_partial
 
 
 def test_bracket_unknot_is_one():
@@ -47,7 +48,7 @@ def _per_smoothing_bracket(diagram):
         return LaurentPolynomial.one("A")
     for choice in product("AB", repeat=diagram.n):
         sm = diagram.smooth(dict(enumerate(choice)))
-        term = LaurentPolynomial.monomial(1, sm.sigma(), "A")
+        term = LaurentPolynomial.monomial(1, sigma_of_partial(choice), "A")
         for _ in range(len(sm.circles) - 1):
             term = term * LOOP
         total = total + term
