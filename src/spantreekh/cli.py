@@ -270,7 +270,8 @@ def _verify_tree_expansion(entry, p, filtration, homology, pages):
         checks["writhe"] = d.writhe == entry.expected["writhe"]
         checks["k"] = p.k == entry.expected["k"]
         checks["jones"] = jones_in_t(p.jones_polynomial) == entry.expected["jones"]
-    # resolution_tree raises on a bad diagram; each tree ends one branch
+    # resolution_tree raises unless the trees' marker words form its trie,
+    # one tree per leaf, and each leaf's twisted unknot gives its tree back
     checks["resolution_tree"] = len(p.resolution.leaves()) == len(trees)
     return checks
 

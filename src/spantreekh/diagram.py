@@ -15,9 +15,10 @@ crossings and the Tait graph are connected, the link components (arcs joined
 along the strands) and the face coloring (faces joined across opposite
 corners).  Over arc positions it is used two ways: ``_arc_roots`` smooths one
 marker set, full or partial (a kept crossing glues its four arcs when
-counting components), and ``smoothing_tally`` walks the whole cube of full
-smoothings depth first, sharing the joins of every common prefix of markers,
-to count circles for the Kauffman state sum without building any smoothing.
+counting components), and ``smoothing_tally`` counts the circles of all 2^n
+full smoothings for the Kauffman state sum by a transfer over the crossings,
+joining only the arcs of the frontier, those a later crossing still
+touches, and building no smoothing.
 """
 
 from __future__ import annotations
@@ -276,40 +277,62 @@ class LinkDiagram:
         """The smallest arc position of each arc position's class after
         joining arcs at every crossing by its marker, a missing marker
         counting as ``*``; kept crossings glue all four slots when
-        ``glue_kept`` and join nothing otherwise."""
-        pairs = []
+        ``glue_kept`` and join nothing otherwise.  Every marker must belong
+        to a crossing of the diagram."""
+        pairs, found = [], 0
         for c, joins in enumerate(self._joins):
-            m = markers.get(c, "*")
+            m = markers.get(c)
+            if m is None:
+                m = "*"
+            else:
+                found += 1
             if m == "*" and not glue_kept:
                 continue
             if m not in joins:
                 raise DiagramError(f"bad marker {m!r} at crossing {c}")
             pairs += joins[m]
+        if found != len(markers):
+            unknown = sorted(set(markers).difference(range(self.n)))
+            raise DiagramError(f"markers for unknown crossings {unknown}")
         return class_roots(len(self.arcs), pairs)
 
     def smoothing_tally(self):
         """Counter of (sigma, #circles) over all 2^n full smoothings, where
         sigma = #A - #B.
 
-        One depth-first walk of the cube of smoothings, crossings in index
-        order: each node copies its parent's union-find and applies one
-        crossing's A or B joins, so the joins of a shared prefix of markers
-        are made once.  The circle count starts at the number of arcs and
-        drops by one for every join of two classes."""
-        tally = Counter()
-        joins = [(j["A"], j["B"]) for j in self._joins]
-        n = self.n
-
-        def walk(c, parent, sigma, circles):
-            if c == n:
-                tally[sigma, circles] += 1
-                return
-            for step, pairs in zip((1, -1), joins[c]):
-                child = parent.copy()
-                walk(c + 1, child, sigma + step, circles - join(child, pairs))
-
-        walk(0, list(range(len(self.arcs))), 0, len(self.arcs))
-        return tally
+        A transfer over the crossings in index order.  A state is the
+        partition of the frontier, the arcs that some later crossing still
+        touches, with each class named by its smallest frontier arc; its
+        value counts the smoothings of the crossings so far by (sigma,
+        circle count), the count starting at the number of arcs and dropping
+        by one for every join of two classes.  Each crossing sends every
+        state through its A joins and its B joins, and the states reaching
+        the same frontier partition are summed, so no smoothing is built and
+        the count still runs over all 2^n of them."""
+        slot_arcs = self._slot_arcs
+        last = {p: c for c, slots in enumerate(slot_arcs) for p in slots}
+        frontier = ()
+        states = {(): Counter({(0, len(self.arcs)): 1})}
+        for c, joins in enumerate(self._joins):
+            touched = sorted(set(frontier).union(slot_arcs[c]))
+            ahead = tuple(p for p in touched if last[p] > c)  # the next frontier
+            reached = {}
+            for names, counts in states.items():
+                for step, pairs in ((1, joins["A"]), (-1, joins["B"])):
+                    parent = dict(zip(touched, touched))
+                    parent.update(zip(frontier, names))
+                    merged = join(parent, pairs)
+                    # every parent lies at or below its child, so one
+                    # ascending pass settles each arc on its class's root
+                    for p in touched:
+                        parent[p] = parent[parent[p]]
+                    smallest = {}
+                    key = tuple(smallest.setdefault(parent[p], p) for p in ahead)
+                    out = reached.setdefault(key, Counter())
+                    for (sigma, circles), count in counts.items():
+                        out[sigma + step, circles - merged] += count
+            frontier, states = ahead, reached
+        return states[()]
 
     def smooth(self, markers):
         """Apply per-crossing markers {A, B, *}, a missing marker counting
@@ -317,9 +340,6 @@ class LinkDiagram:
         smallest arc; its circles are the classes that touch no kept
         crossing, every class when none is kept."""
         markers = dict(markers)
-        unknown = set(markers).difference(range(self.n))
-        if unknown:
-            raise DiagramError(f"markers for unknown crossings {sorted(unknown)}")
         roots = self._arc_roots(markers, False)
         arcs = self.arcs
         classes = {}  # smallest arc -> arcs of its class, ordered by smallest arc
@@ -404,13 +424,14 @@ class Smoothing:
         if not kept and not circles:
             raise DiagramError("a smoothing must have at least one circle")
 
-    def kink_slot_pair(self, crossing):
-        """The adjacent slot pair closed by a single class, or None."""
-        slots = self.crossing_slots[crossing]
-        for i in range(4):
-            if slots[i] == slots[(i + 1) % 4]:
-                return (i, (i + 1) % 4)
-        return None
+
+def kink_slot_pair(slots):
+    """The first adjacent slot pair that one class closes off, given the
+    classes at a crossing's four slots, or None when there is none."""
+    for i in range(4):
+        if slots[i] == slots[(i + 1) % 4]:
+            return (i, (i + 1) % 4)
+    return None
 
 
 def kink_sign(slot_pair):

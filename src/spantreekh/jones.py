@@ -2,7 +2,7 @@
 polynomial, and the graded Euler-characteristic identities.
 
 The two bracket routes are independent: the state sum counts the 2^n
-smoothings by (sigma, #circles) in one walk of the cube of smoothings
+smoothings by (sigma, #circles) without reading the trees
 (``LinkDiagram.smoothing_tally``), the tree expansion sums one monomial per
 spanning tree of the Tait graph.  Bracket normalization is <unknot> = 1,
 forced by the tree expansion's empty product.  Jones polynomials are stored
@@ -24,9 +24,8 @@ def bracket_statesum(diagram):
 
     A smoothing with sigma = #A - #B and k circles contributes
     A^sigma LOOP^(k-1).  ``LinkDiagram.smoothing_tally`` counts the
-    smoothings by (sigma, k) in one walk of the cube without building any
-    of them, and each distinct pair is multiplied out once, times its
-    count."""
+    smoothings by (sigma, k) without building any of them, and each
+    distinct pair is multiplied out once, times its count."""
     tally = diagram.smoothing_tally()
     total = LaurentPolynomial.zero("A")
     for (sigma, k), count in tally.items():

@@ -19,7 +19,7 @@ off ORs of rows.
 from __future__ import annotations
 
 from .algebra import LaurentPolynomial, bareiss_determinant
-from .diagram import DiagramError, join, kink_sign, tait_graph
+from .diagram import DiagramError, join, kink_sign, kink_slot_pair, tait_graph
 
 BAR = "̄"
 ELL = "ℓ"
@@ -319,27 +319,36 @@ class KinkStage:
 def kink_undo_sequence(diagram, dead_markers):
     """Undo removable kinks (smallest crossing index first) until the round
     unknot remains.  Raises DiagramError if the partial smoothing is not a
-    twisted unknot."""
-    markers = {c: m for c, m in dead_markers.items() if m in "AB"}
-    live = [c for c in range(diagram.n) if c not in markers]
+    twisted unknot.
+
+    The partial smoothing is built once.  Undoing a kink joins the classes
+    at its four slots in a :func:`~spantreekh.diagram.join` union-find over
+    the smoothing's classes; a class that no live crossing touches any more
+    is a closed circle."""
+    partial = diagram.smooth({c: m for c, m in dead_markers.items() if m in "AB"})
+    slots = partial.crossing_slots  # live crossing -> the classes at its four slots
+    parent = {r: r for roots in slots.values() for r in roots}
+    order = sorted(parent)
+    closed = len(partial.circles)
+    live = list(slots)
     stages = []
     while live:
-        partial = diagram.smooth(markers)
-        if partial.circles:
+        if closed:
             raise DiagramError("partial smoothing is split: not a twisted unknot")
-        stage = None
         for c in live:
-            pair = partial.kink_slot_pair(c)
+            pair = kink_slot_pair([parent[r] for r in slots[c]])
             if pair is not None:
-                stage = KinkStage(c, pair)
                 break
-        if stage is None:
+        else:
             raise DiagramError("no removable kink: not a twisted unknot")
-        markers[stage.crossing] = stage.splice_marker
-        live.remove(stage.crossing)
-        stages.append(stage)
-    final = diagram.smooth(markers)
-    if len(final.circles) != 1:
+        stages.append(KinkStage(c, pair))
+        live.remove(c)
+        join(parent, zip(slots[c], slots[c][1:]))
+        for r in order:  # every parent lies at or below its child
+            parent[r] = parent[parent[r]]
+        spliced = parent[slots[c][0]]
+        closed += all(parent[r] != spliced for d in live for r in slots[d])
+    if closed != 1:
         raise DiagramError("kink removal did not end at the round unknot")
     return stages
 
@@ -553,50 +562,44 @@ class ResolutionNode:
 
 def resolution_tree(diagram, graph=None, trees=None):
     """Binary resolution tree branching A-first, processing crossings in
-    reverse edge order and leaving nugatory crossings unsmoothed."""
+    reverse edge order and leaving nugatory crossings unsmoothed.
+
+    It is read off the trees' marker words as a trie: a node holds the trees
+    whose words agree with its markers and branches at the next crossing,
+    in reverse order, at which they are dead, the A side taking the trees
+    marked A there.  The trees of a node must agree on whether a crossing
+    is live, each side of a branch must hold a tree and each leaf exactly
+    one.  At a leaf the tree's twisted unknot is undone, the edges read off
+    its markers and kink writhes must be the tree's, and its monomial must
+    be A^sigma (-A)^{3w(U)}."""
     graph = graph or tait_graph(diagram)
     trees = trees if trees is not None else enumerate_trees(graph)
-    by_edges = {t.edges: t for t in trees}
     sign_of = {c: s for _, _, s, c in graph.edges}
-    order = list(range(diagram.n - 1, -1, -1))
 
-    def descend(markers, pos):
-        for idx in range(pos, len(order)):
-            c = order[idx]
-            if c in markers:
-                continue
-            if not diagram.is_nugatory(c, markers):
-                node = ResolutionNode(dict(markers), crossing=c)
-                ma = dict(markers)
-                ma[c] = "A"
-                node.a_child = descend(ma, idx + 1)
-                mb = dict(markers)
-                mb[c] = "B"
-                node.b_child = descend(mb, idx + 1)
-                return node
-        live = [c for c in range(diagram.n) if c not in markers]
-        for c in live:
-            if not diagram.is_nugatory(c, markers):
-                raise DiagramError("leaf with a non-nugatory crossing left over")
+    def descend(markers, group, c):
+        while c:
+            c -= 1
+            dead = {word[c] != "*" for _, word in group}
+            if dead == {True}:
+                sides = [[(t, word) for t, word in group if word[c] == m] for m in "AB"]
+                if not all(sides):
+                    raise DiagramError(f"one side of the branch at crossing {c} has no tree")
+                return ResolutionNode(dict(markers), c, descend({**markers, c: "A"}, sides[0], c),
+                                      descend({**markers, c: "B"}, sides[1], c))
+            if len(dead) > 1:
+                raise DiagramError(f"the trees disagree on whether crossing {c} is live")
+        if len(group) != 1:
+            raise DiagramError(f"{len(group)} spanning trees reach one resolution leaf")
+        (tree, word), = group
         stages = kink_undo_sequence(diagram, markers)
         kinks = {st.crossing: st.sign for st in stages}
-        edges = set()
-        for c in range(diagram.n):
-            if c in markers:
-                if (sign_of[c] > 0) == (markers[c] == "A"):
-                    edges.add(c)
-            else:
-                if (sign_of[c] > 0) == (kinks[c] < 0):
-                    edges.add(c)
-        tree = by_edges.get(frozenset(edges))
-        if tree is None:
-            raise DiagramError("resolution leaf does not match a spanning tree")
-        leaf_markers = {c: markers.get(c, "*") for c in range(diagram.n)}
-        if tuple(leaf_markers[c] for c in range(diagram.n)) != tree.markers():
-            raise DiagramError("leaf smoothing disagrees with the tree's activity word")
-        return ResolutionNode(leaf_markers, tree=tree, stages=stages)
+        edges = {c for c, m in enumerate(word)
+                 if (sign_of[c] > 0) == (m == "A" if c in markers else kinks[c] < 0)}
+        if edges != tree.edges:
+            raise DiagramError("resolution leaf does not match its spanning tree")
+        return ResolutionNode(dict(enumerate(word)), tree=tree, stages=stages)
 
-    root = descend({}, 0)
+    root = descend({}, [(t, t.markers()) for t in trees], diagram.n)
     leaves = root.leaves()
     if len(leaves) != len(trees):
         raise DiagramError(

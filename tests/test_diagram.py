@@ -1,17 +1,21 @@
 """PD parsing, faces, checkerboard coloring, Tait graphs and smoothings."""
 
 import random
+import re
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from diagram_oracle import walked_smoothing_tally
+from spantree_oracle import skein_resolution_tree
+from test_spantree import FRONT_FAMILY
 from test_spectral_golden import relabelled
 
 from spantreekh import corpus
-from spantreekh.diagram import DiagramError, TaitGraph, parse_pd, tait_graph
+from spantreekh.diagram import DiagramError, TaitGraph, kink_slot_pair, parse_pd, tait_graph
 from spantreekh.planegraph import cycle_graph, loop_flower, theta_graph, triangle_bundle
-from spantreekh.spantree import resolution_tree, sigma_of_partial
+from spantreekh.spantree import sigma_of_partial
 
 TREFOIL4 = "PD[X(1,6,2,7), X(5,2,6,3), X(8,3,1,4), X(4,7,5,8)] base=1"
 LEFT_TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
@@ -179,7 +183,16 @@ def test_smooth_partial_and_kinks():
     d = parse_pd(TREFOIL4)
     partial = d.smooth({1: "A", 2: "B", 3: "A"})  # the *ABA leaf
     assert partial.kept == (0,)
-    assert partial.kink_slot_pair(0) is not None
+    assert kink_slot_pair(partial.crossing_slots[0]) is not None
+
+
+def test_smooth_rejects_markers_for_unknown_crossings():
+    d = parse_pd(TREFOIL4)
+    for markers, unknown in (({0: "A", 4: "B"}, [4]), ({-1: "A", 1: "B", 9: "A"}, [-1, 9])):
+        with pytest.raises(DiagramError, match=re.escape(f"markers for unknown crossings {unknown}")):
+            d.smooth(markers)
+    with pytest.raises(DiagramError, match="bad marker 'C' at crossing 2"):
+        d.smooth({2: "C"})
 
 
 def test_is_nugatory():
@@ -235,6 +248,12 @@ def test_smoothing_tally_counts_the_circles_of_every_smoothing(name):
         assert tally == _smoothed_tally(variant)
         assert sum(tally.values()) == 2 ** d.n
     assert d._circles == {}
+
+
+def test_smoothing_tally_matches_the_cube_walk():
+    # the frontier transfer against the depth-first walk of the cube it replaced
+    for name, d in FRONT_FAMILY:
+        assert d.smoothing_tally() == walked_smoothing_tally(d), name
 
 
 def test_smoothing_tally_of_unknot_and_kinks():
@@ -328,15 +347,15 @@ def _assert_partial_matches_oracle(d, markers):
     assert partial.circles == free
     renaming = {}
     for c in kept:
-        assert partial.kink_slot_pair(c) == _slot_kink_pair(slots[c])
+        assert kink_slot_pair(partial.crossing_slots[c]) == _slot_kink_pair(slots[c])
         for old, new in zip(slots[c], partial.crossing_slots[c]):
             assert renaming.setdefault(old, new) == new
     assert len(set(renaming.values())) == len(renaming)
 
 
 def _reached_markers(d):
-    """Every marker set that resolution_tree (and the kink_undo_sequence of
-    each of its leaves) smooths or counts components of."""
+    """Every marker set that the skein recursion (and the re-smoothing kink
+    walk of each of its leaves) smooths or counts components of."""
     seen = []
     smooth, count = d.smooth, d.component_count
 
@@ -348,7 +367,7 @@ def _reached_markers(d):
 
     d.smooth, d.component_count = record(smooth), record(count)
     try:
-        resolution_tree(d)
+        skein_resolution_tree(d)
     finally:
         del d.smooth, d.component_count
     return seen

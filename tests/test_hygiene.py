@@ -4,6 +4,11 @@ keeps a module-level cache."""
 
 import ast
 import pathlib
+from collections import Counter
+
+from spantreekh import diagram
+from spantreekh.planegraph import triangle_bundle
+from spantreekh.spantree import enumerate_trees, resolution_tree
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = (
@@ -455,3 +460,40 @@ def test_only_three_walks_pop_a_work_list():
         "collapse.py: MorseMatching.check_acyclic",
         "spantree.py: _cycle_finder",
     ]
+
+
+def test_only_alternating_asks_whether_a_crossing_is_nugatory():
+    # the resolution tree reads the trees, so the one package call of
+    # LinkDiagram.is_nugatory is alternating.is_reduced_diagram's
+    assert constructions("def f(d):\n    return [d.is_nugatory(c) for c in d]\n",
+                         "is_nugatory") == ["f"]
+    found = [(path.name, where) for path in SRC
+             for where in constructions(path.read_text(encoding="utf-8"), "is_nugatory")]
+    assert found == [("alternating.py", "is_reduced_diagram")]
+
+
+def test_front_half_work_counts_on_tri_12_mixed(monkeypatch):
+    # the resolution tree smooths once per tree and never counts components,
+    # and the state-sum tally joins far fewer times than the cube has states
+    d = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0]
+    counts = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("smooth", "component_count"):
+        monkeypatch.setattr(diagram.LinkDiagram, name,
+                            counted(name, getattr(diagram.LinkDiagram, name)))
+    monkeypatch.setattr(diagram, "join", counted("join", diagram.join))
+    g = diagram.tait_graph(d)
+    trees = enumerate_trees(g)
+    counts.clear()
+    resolution_tree(d, g, trees)
+    assert counts["component_count"] == 0
+    assert counts["smooth"] == len(trees) == 48
+    counts.clear()
+    d.smoothing_tally()
+    assert 0 < counts["join"] < 2 ** d.n

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from spantree_oracle import resmoothed_kink_undo_sequence, skein_resolution_tree
 from test_spectral_golden import relabelled
 
 from spantreekh import corpus
@@ -12,6 +13,8 @@ from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import (
     _MONOMIALS,
+    ActivityWord,
+    SpanningTree,
     build_poset,
     compare_trees,
     cut_set,
@@ -262,6 +265,93 @@ def _crossings_permuted(diagram, rng):
     rng.shuffle(crossings)
     body = ", ".join("X({},{},{},{})".format(*x) for x in crossings)
     return parse_pd(f"PD[{body}] base={diagram.basepoint}")
+
+
+def _front_family():
+    """(name, diagram) for the corpus and seeded triangle bundles and theta
+    graphs of up to 12 crossings, their mirrors, and a crossing-permuted copy
+    of each of those."""
+    out = [(entry.name, entry.diagram()) for entry in corpus.entries()]
+    rng = random.Random("front-family")
+    for k in range(12):
+        sides = [[rng.choice((1, -1)) for _ in range(rng.randint(1, 4))] for _ in range(3)]
+        out.append((f"tri-{k}", triangle_bundle(*sides)[0]))
+        paths = [[rng.choice((1, -1)) for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(2, 4))]
+        out.append((f"theta-{k}", theta_graph(paths)[0]))
+    out += [(name + "/mirror", d.mirror()) for name, d in out]
+    return out + [(name + "/permuted", _crossings_permuted(d, rng)) for name, d in out]
+
+
+FRONT_FAMILY = _front_family()
+
+
+def _node_record(node):
+    """A resolution tree, node by node in A-first order: each branch's
+    crossing and markers, each leaf's markers, tree and kink stages."""
+    if node.is_leaf:
+        return [(node.markers, node.tree.index,
+                 [(st.crossing, st.loop_pair) for st in node.stages])]
+    return [(node.crossing, node.markers)] + _node_record(node.a_child) + _node_record(node.b_child)
+
+
+def test_resolution_tree_matches_the_skein_recursion():
+    # the trie of the trees' marker words against the is_nugatory recursion
+    for name, d in FRONT_FAMILY:
+        g = tait_graph(d)
+        trees = enumerate_trees(g)
+        assert _node_record(resolution_tree(d, g, trees)) == _node_record(
+            skein_resolution_tree(d, g, trees)), name
+
+
+def _kink_outcome(walk, diagram, markers):
+    try:
+        return [(st.crossing, st.loop_pair, st.sign) for st in walk(diagram, markers)]
+    except DiagramError as exc:
+        return str(exc)
+
+
+def test_kink_undo_sequence_matches_the_resmoothing_walk():
+    # every tree's twisted unknot, then random partial smoothings, which also
+    # reach the walk's three rejections
+    rng = random.Random("kink-walk")
+    rejections = set()
+    for name, d in FRONT_FAMILY:
+        for t in enumerate_trees(tait_graph(d)):
+            dead = dict(enumerate(t.markers()))
+            outcome = _kink_outcome(kink_undo_sequence, d, dead)
+            assert not isinstance(outcome, str), name
+            assert outcome == _kink_outcome(resmoothed_kink_undo_sequence, d, dead), name
+        for _ in range(10):
+            markers = {c: rng.choice("AB*") for c in range(d.n)}
+            outcome = _kink_outcome(kink_undo_sequence, d, markers)
+            assert outcome == _kink_outcome(resmoothed_kink_undo_sequence, d, markers), name
+            if isinstance(outcome, str):
+                rejections.add(outcome)
+    assert rejections == {
+        "partial smoothing is split: not a twisted unknot",
+        "no removable kink: not a twisted unknot",
+        "kink removal did not end at the round unknot",
+    }
+
+
+def test_resolution_tree_rejects_trees_that_do_not_form_a_trie():
+    d = trefoil4()
+    g = tait_graph(d)
+    trees = enumerate_trees(g)
+    last = d.n - 1
+    # real trees always agree, so the second word is the first made live at
+    # the last crossing
+    word = trees[0].word
+    live = ActivityWord(word.letters[:last] + ("L",), word.signs)
+    with pytest.raises(DiagramError, match=f"disagree on whether crossing {last} is live"):
+        resolution_tree(d, g, [trees[0], SpanningTree(trees[0].edges, live)])
+    # the last crossing is dead in every tree, so one tree alone leaves a side empty
+    with pytest.raises(DiagramError, match=f"branch at crossing {last} has no tree"):
+        resolution_tree(d, g, trees[:1])
+    twin = SpanningTree(trees[0].edges, trees[0].word, index=len(trees))
+    with pytest.raises(DiagramError, match="2 spanning trees reach one resolution leaf"):
+        resolution_tree(d, g, trees + [twin])
 
 
 @pytest.mark.parametrize("name", corpus.names())
