@@ -101,9 +101,9 @@ def inverse_grading_map(i, j, w, k):
 
 def _circle_containing(circles, arc):
     for c in circles:
-        if arc in c:
+        if c & arc:
             return c
-    raise DiagramError(f"arc {arc} not on any circle")
+    raise DiagramError(f"arc bit {arc} not on any circle")
 
 
 def _uv(tree, seed):
@@ -161,7 +161,7 @@ def _substitute_kinks(matching, t, seed):
     loop_smoothing = spliced = p.loop_smoothing[t]
     for _, flip, head_side, _, _ in plan:
         spliced = spliced & ~flip | head_side
-    if len(p.diagram.circles(p.rows.fmt.markers(spliced))) != 1:
+    if len(p.rows.fmt.circles(spliced)) != 1:
         raise DiagramError("twisted unknot did not reduce to one circle")
     terms = {_seed_bits(seed): 1}
     for s in reversed(range(len(plan))):
@@ -522,7 +522,8 @@ class Pipeline:
         """The mode's whole complex, every state's row read through
         :meth:`ordered_row`, so the tree-order check covers the whole cube."""
         if reduced not in self._complexes:
-            self._complexes[reduced] = differential(self.diagram, reduced, self.ordered_row)
+            self._complexes[reduced] = differential(
+                self.diagram, reduced, self.ordered_row, self.rows.fmt)
         return self._complexes[reduced]
 
 
@@ -607,12 +608,9 @@ class LazyMatching(MorseMatching):
         a_end = smoothing & keep | splice
         kink = kinks.get(a_end)
         if kink is None:
-            markers = p.rows.fmt.markers
-            loop, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit = _kink_transfer(
-                p.diagram, markers(a_end), markers(a_end | flip), st, p.rows.spread)
-            kink = kinks[a_end] = (
-                st.sign, to_loop_side, to_head_side, loop_bit, rest_bit, merged_bit,
-                self.reduced and p.diagram.basepoint in loop)
+            fmt = p.rows.fmt
+            loop, *transfer = _kink_transfer(fmt, a_end, a_end | flip, st, p.rows.spread)
+            kink = kinks[a_end] = (st.sign, *transfer, self.reduced and loop & fmt.based_arc != 0)
         return kink
 
     def _raw(self, t, s, smoothing, a):
@@ -765,18 +763,18 @@ def include_unknot_states(diagram, tree, stages=None, reduced=True):
     if stages is None:
         _, stages = twisted_unknot(diagram, tree)
     dead = {c: m for c, m in enumerate(tree.markers()) if m in "AB"}
-    states = enumerate_states(diagram, reduced, dead)
+    fmt = StateLabels(diagram)
+    states = enumerate_states(diagram, reduced, dead, fmt)
     w_u = sum(st.sign for st in stages)
     i_shift, j_shift = _inclusion_shift(diagram, tree, stages)
     # the shifted unknot gradings must cover exactly the block's gradings
     live = [c for c in range(diagram.n) if c not in dead]
-    key = StateLabels(diagram).key
     keys = set()
     unknot_ij = set()
     for g, ij in states.items():
         # grading of the same state inside C(U): recompute with w(U) and the
         # live-crossing sigma only
-        markers, signs = key(g)
+        markers, signs = fmt.key(g)
         keys.add((markers, signs))
         sigma_l = sum(1 if markers[c] == "A" else -1 for c in live)
         if (w_u - sigma_l) % 2:
@@ -859,7 +857,7 @@ def _retract(matching):
             i, j = rows.grading(labels[0])
             if any(rows.grading(g) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
-            _verify_cycle_gradings(diagram, t, stages, labels[0], (i, j), w, k, seed)
+            _verify_cycle_gradings(diagram, t, stages, rows.fmt.key(labels[0]), (i, j), w, k, seed)
             _check_block_cycle(p.ordered_row, chain, p.tree_of, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
 
@@ -944,13 +942,13 @@ def _check_block_cycle(row, chain, tree_of, block):
             raise DiagramError("fundamental cycle has boundary inside its own block")
 
 
-def _verify_cycle_gradings(diagram, tree, stages, label, ij, w, k, seed):
-    """The inclusion shifts: sigma and tau of Z_U, read off a state ``label``
-    of the cycle, and the (i,j) landing spot ``ij``."""
+def _verify_cycle_gradings(diagram, tree, stages, key, ij, w, k, seed):
+    """The inclusion shifts: sigma and tau of Z_U, read off the ``key`` of a
+    state of the cycle, and the (i,j) landing spot ``ij``."""
     u, v = tree.u, tree.v
     if sum(st.sign for st in stages) != -u:
         raise DiagramError("w(U) != -u(T)")
-    markers, signs = StateLabels(diagram).key(label)
+    markers, signs = key
     if markers.count("A") - markers.count("B") != -2 * u + 4 * v - k:
         raise DiagramError("sigma of the fundamental cycle is off")
     if sum(signs) != seed - u:
@@ -968,27 +966,29 @@ def _verify_cycle_gradings(diagram, tree, stages, label, ij, w, k, seed):
             raise DiagramError("inclusion grading shift mismatch")
 
 
-def _kink_transfer(diagram, markers_x, markers_y, stage, spread):
-    """A kink's circles and the sign-bit maps across it.
+def _kink_transfer(fmt, smoothing_x, smoothing_y, stage, spread):
+    """A kink's circles, off the circle records of ``fmt``, and the sign-bit maps
+    across it.
 
-    ``markers_x`` has the kink's crossing at A and ``markers_y`` at B.  The
-    head side of the kink (its splice marker) holds the merged circle; the
-    loop side (its loop marker: A for a positive kink, B for a negative one)
-    holds the loop circle, through the kink's loop arc, and the rest circle,
-    the other part of the merged circle; both sides share every other
-    circle.  Returns (loop, to_loop_side, to_head_side, loop_bit, rest_bit,
-    merged_bit): the loop circle, the ``spread`` tables of the shared
-    circles each way (``khovanov.RowBuilder.spread``, one per shape), and
-    the bit of each kink circle in its side's sign bits.  Only
-    :meth:`LazyMatching._kink` calls it; the stage rule and the Jacobsson
-    substitution both read its record.
+    The smoothing (label bits) ``smoothing_x`` has the kink's crossing at A
+    and ``smoothing_y`` at B.  The head side (the splice marker) holds the
+    merged circle; the loop side (the loop marker: A for a positive kink, B
+    for a negative one) holds the loop circle, through the kink's loop arc,
+    and the rest circle, the other part of the merged circle; both sides
+    share every other circle, checked by mask.  Returns (loop, to_loop_side,
+    to_head_side, loop_bit, rest_bit, merged_bit): the loop circle's mask,
+    the ``spread`` tables of the shared circles each way
+    (``khovanov.RowBuilder.spread``, one per shape), and the bit of each
+    kink circle in its side's sign bits.  Only :meth:`LazyMatching._kink`
+    calls it; the stage rule and the Jacobsson substitution both read its
+    record.
     """
-    head, loop_side = (markers_y, markers_x) if stage.sign > 0 else (markers_x, markers_y)
-    h, lo = diagram.circles(head), diagram.circles(loop_side)
-    loop_arc = diagram.crossings[stage.crossing][stage.loop_pair[0]]
+    head, loop_side = (smoothing_y, smoothing_x) if stage.sign > 0 else (smoothing_x, smoothing_y)
+    h, lo = fmt.circles(head), fmt.circles(loop_side)
+    loop_arc = 1 << fmt.slot_arcs[stage.crossing][stage.loop_pair[0]]
     loop = _circle_containing(lo, loop_arc)
     merged = _circle_containing(h, loop_arc)
-    rest = _circle_containing(lo, min(merged - loop))
+    rest = _circle_containing(lo, (off := merged & ~loop) & -off)  # merged's first arc off loop
     if set(h) - {merged} != set(lo) - {loop, rest}:
         raise DiagramError("kink changes circles away from its loop")
 

@@ -93,7 +93,6 @@ class LinkDiagram:
             raise DiagramError(f"basepoint {self.basepoint} is not an arc")
         self._validate_connected()
         self._validate_planar()
-        self._circles = {}  # full marker tuple -> circles, filled by circles()
 
     # -- incidence and orientation -------------------------------------------
 
@@ -354,13 +353,6 @@ class LinkDiagram:
                 classes.pop(r, None)
         return Smoothing(tuple(crossing_slots), crossing_slots,
                          tuple(map(frozenset, classes.values())))
-
-    def circles(self, markers):
-        """Circles of the full smoothing given as a tuple of 'A'/'B' markers,
-        one per crossing; cached on the diagram."""
-        if markers not in self._circles:
-            self._circles[markers] = self.smooth(dict(enumerate(markers))).circles
-        return self._circles[markers]
 
     def component_count(self, markers):
         """Number of connected pieces after smoothing ``markers`` (kept

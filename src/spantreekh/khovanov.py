@@ -23,20 +23,19 @@ time: :func:`differential` runs it over every state, and a diagram's
 ``collapse.Pipeline`` holds one that its retractions and whole complexes
 read in both modes, since a based-"+" state has only based-"+" targets.
 
-The builder matches circles once per cube edge (:func:`_cube_edge`), n 2^(n-1)
-times for the full cube, not once per enhanced state and edge.  An edge's
-map on sign bits depends only on its *shape*: how many circles the target
-has and where each source circle goes (the target circles no source circle
-goes to are born).  A 10-crossing cube has about a hundred shapes among its
-5,120 edges, so the builder keeps one table per shape (:func:`_edge_table`):
-for each source sign vector, the target sign bits the merge/split rule
-gives.  Each state's row reads its targets off the tables of its
-smoothing's edges.
+A smoothing's circles are one record of arc-position bitmasks keyed by its
+label bits (:meth:`StateLabels.circles`).  The builder matches circles once
+per cube edge (:func:`_cube_edge`), by mask, not once per enhanced state and
+edge.  An edge's map on sign bits depends only on its *shape*: how many
+circles the target has and where each source circle goes (the target
+circles no source circle goes to are born).  The builder keeps one table per
+shape (:func:`_edge_table`): per source sign vector, filled on first read,
+the target sign bits the merge/split rule gives.  Each state's row reads its
+targets off the tables of its smoothing's edges.
 
 Homology first cancels the +-1 incidences of the differential in label order
-(which is key order) by elementary collapses (:class:`MutableComplex`), then
-takes the Smith normal form (or the field rank) of the small residue in each
-degree.
+(key order) by elementary collapses (:class:`MutableComplex`), once for all
+rings, then takes the Smith form or field rank of the residue per degree.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import LaurentPolynomial, graded_homology
-from .diagram import DiagramError
+from .diagram import DiagramError, class_roots
 
 
 def _bits(flags):
@@ -63,17 +62,23 @@ class StateLabels:
     significant).  A smoothing has at most one circle per arc, and all sign
     vectors of one smoothing have the same length, so labels sort exactly as
     the ``(markers, signs)`` keys do; a tree block labels its states as the
-    full complex does.
-    """
+    full complex does.  :meth:`circles` and :meth:`grading` are memoised by
+    smoothing: a label's bits with the sign field clear."""
 
-    __slots__ = ("n", "width", "signs_mask", "smoothing_of", "circles")
+    __slots__ = ("n", "width", "signs_mask", "smoothing_of", "writhe", "joins",
+                 "slot_arcs", "based_arc", "_circles", "_gradings")
 
     def __init__(self, diagram):
         self.n = diagram.n
         self.width = len(diagram.arcs)
         self.signs_mask = (1 << self.width) - 1
         self.smoothing_of = (~self.signs_mask).__and__  # a label's bits, sign field clear
-        self.circles = diagram.circles
+        self.writhe = diagram.writhe
+        # per crossing, last first, the arc-position pairs its A (bit 0) and B (bit 1) join
+        self.joins = tuple((j["A"], j["B"]) for j in reversed(diagram._joins))
+        self.slot_arcs = diagram._slot_arcs  # per crossing, its four arc positions
+        self.based_arc = 1 << diagram.arcs.index(diagram.basepoint)
+        self._circles, self._gradings = {}, {}  # smoothing -> circles(), grading()
 
     def smoothing(self, markers):
         """The label bits of a smoothing: its markers, with the sign field clear."""
@@ -93,9 +98,36 @@ class StateLabels:
 
     def key(self, label):
         """The ``(markers, signs)`` key of a label, the inverse of :meth:`label`."""
-        markers = self.markers(label)
-        k = len(self.circles(markers))
-        return markers, tuple(1 if label >> b & 1 else -1 for b in range(k - 1, -1, -1))
+        k = len(self.circles(self.smoothing_of(label)))
+        return self.markers(label), tuple(1 if label >> b & 1 else -1 for b in range(k - 1, -1, -1))
+
+    def circles(self, smoothing):
+        """A smoothing's circles as arc-position bitmasks in smallest-arc
+        order, by one union-find pass over the joins its marker bits pick."""
+        record = self._circles.get(smoothing)
+        if record is None:
+            pairs, bits = [], smoothing >> self.width
+            for joins in self.joins:
+                pairs += joins[bits & 1]
+                bits >>= 1
+            masks = [0] * self.width
+            for p, root in enumerate(class_roots(self.width, pairs)):
+                masks[root] |= 1 << p
+            record = self._circles[smoothing] = tuple(m for m in masks if m)
+        return record
+
+    def grading(self, smoothing):
+        """(i, k, based) of a smoothing: i = (w - sigma)/2, its circle count k
+        and its based circle's sign bit; j = i + w + k - 2 popcount(signs)."""
+        data = self._gradings.get(smoothing)
+        if data is None:
+            record = self.circles(smoothing)
+            k, based = len(record), next(b for b, m in enumerate(record) if m & self.based_arc)
+            sigma = self.n - 2 * (smoothing >> self.width).bit_count()
+            if (self.writhe - sigma) % 2:
+                raise DiagramError("half-integer homological grading")
+            data = self._gradings[smoothing] = (self.writhe - sigma) // 2, k, 1 << (k - 1 - based)
+        return data
 
 
 class BigradedComplex:
@@ -113,15 +145,21 @@ class BigradedComplex:
         self.states = states
         self.differential = differential
         self.reduced = reduced
+        self._residue = None  # (gradings, rows) once the +-1 incidences are cancelled
         _check_d_squared(differential, "differential does not square to zero")
 
     def homology(self, coefficients="Z"):
         """Per-(i,j) homology.
 
         Over Z the values are (free_rank, [torsion factors]); over a field
-        ("Q" or an integer prime) just dimensions.
+        ("Q" or an integer prime) just dimensions.  The +-1 incidences are
+        cancelled once, on the first call: every ring reads the residue.
         """
-        return cancelled_homology(self.states, self.differential, coefficients)
+        if self._residue is None:
+            mc = MutableComplex(self.states, self.differential)
+            mc.cancel()
+            self._residue = mc.gradings, mc.rows
+        return graded_homology(*self._residue, coefficients)
 
     def total_dimension(self):
         return len(self.states)
@@ -239,111 +277,109 @@ def cancelled_homology(gradings, rows, coefficients):
     return graded_homology(mc.gradings, mc.rows, coefficients)
 
 
-def smoothing_grading(diagram, markers):
-    """(i, k, based) of a full smoothing: its homological grading i = (w -
-    sigma)/2, its circle count k and the index of its based circle.  A
-    state's j is i + w + k - 2 popcount(sign bits)."""
-    circles = diagram.circles(markers)
-    based = next(
-        (ci for ci, circ in enumerate(circles) if diagram.basepoint in circ),
-        None,
-    )
-    if based is None:
-        raise DiagramError("basepoint arc not found in any circle")
-    sigma = 2 * markers.count("A") - len(markers)
-    if (diagram.writhe - sigma) % 2:
-        raise DiagramError("half-integer homological grading")
-    return (diagram.writhe - sigma) // 2, len(circles), based
-
-
-def enumerate_states(diagram, reduced, fixed=None):
+def enumerate_states(diagram, reduced, fixed=None, labels=None):
     """The bigrading (i, j) of every enhanced state whose smoothing extends
-    the partial smoothing ``fixed`` (every state when None), by label;
-    reduced mode keeps based-"+" states only.  A smoothing's states run from
-    all "+" down.  A state's i is its smoothing's, and j = i + w - tau with
-    tau = 2 popcount(sign bits) - k over its k circles, so the states of a
-    smoothing are listed once per (i, k), each bigrading one shared tuple."""
+    the partial smoothing ``fixed`` (every state when None), by label, with
+    circles read off the caller's :class:`StateLabels` ``labels``; reduced
+    mode keeps based-"+" states only.  A smoothing's states run from all "+"
+    down.  A state's i is its smoothing's, and j = i + w - tau with tau = 2
+    popcount(sign bits) - k over its k circles, so the states of a smoothing
+    are listed once per (i, k), each bigrading one shared tuple."""
     w = diagram.writhe
-    fmt = StateLabels(diagram)
+    fmt = labels or StateLabels(diagram)
     fixed = fixed or {}
     shared = {}  # (i, j) -> its one tuple in this build
     signs_of = {}  # (i, k) -> [(sign bits, (i, j))] from all "+" down
     states = {}
     for markers in product(*(fixed.get(c, "AB") for c in range(diagram.n))):
-        i, k, based = smoothing_grading(diagram, markers)
+        base = fmt.smoothing(markers)
+        i, k, based_bit = fmt.grading(base)
         if (i, k) not in signs_of:
             listed = signs_of[i, k] = []
             for bits in range(2**k - 1, -1, -1):
                 ij = i, i + w + k - 2 * bits.bit_count()
                 listed.append((bits, shared.setdefault(ij, ij)))
-        base = fmt.smoothing(markers)
-        based_bit = 1 << (k - 1 - based)
         states.update((base | bits, ij) for bits, ij in signs_of[i, k]
                       if not reduced or bits & based_bit)
     return states
 
 
-def sign_spread(count, moves):
-    """Per sign bits over the circles of a smoothing, the sign bits over
-    ``count`` circles of another that carry over along ``moves``, the new
-    position of each old circle (-1 when it is gone); gone circles are
-    dropped and the rest of the new circles stay "-"."""
-    spread = [0]
-    for pos in moves:  # circle 0 ends up the most significant index bit
-        bit = 1 << (count - 1 - pos) if pos >= 0 else 0
-        spread = [t | b for t in spread for b in (0, bit)]
-    return spread
+class _Spread(dict):
+    """Per sign bits over the circles of one smoothing (circle 0 the most
+    significant bit), filled on first read, the sign bits over ``count``
+    circles of another that carry over along ``moves``, the new position of
+    each old circle (-1 when it is gone); the other new circles stay "-"."""
+
+    def __init__(self, count, moves):
+        super().__init__()
+        self.carried = [(1 << (len(moves) - 1 - old), 1 << (count - 1 - new))
+                        for old, new in enumerate(moves) if new >= 0]
+
+    def __missing__(self, bits):
+        t = 0
+        for old, new in self.carried:
+            if bits & old:
+                t |= new
+        out = self[bits] = self.rule(bits, t)
+        return out
+
+    def rule(self, bits, t):
+        return t
 
 
-def circle_moves(old, new):
-    """The position in ``new`` of each circle of ``old``, -1 when it is gone."""
-    pos = {circ: k for k, circ in enumerate(new)}
-    return tuple([pos.get(circ, -1) for circ in old])
+class _EdgeTable(_Spread):
+    """Per source sign bits of a cube edge of one shape, filled on first read,
+    the tuple of target sign bits: the unchanged circles keep their signs and
+    the merging or splitting circles follow the merge/split rule."""
+
+    def __init__(self, count, moves):
+        super().__init__(count, moves)
+        self.gone = [1 << (len(moves) - 1 - k) for k, pos in enumerate(moves) if pos < 0]
+        self.born = [1 << (count - 1 - pos) for pos in range(count) if pos not in moves]
+        if sorted((len(self.gone), len(self.born))) != [1, 2]:
+            raise DiagramError("marker flip changed circle count by more than one")
+
+    def rule(self, bits, t):
+        gone, born = self.gone, self.born
+        if len(born) == 1:  # merge: (+,+) -> 0, (-,-) -> -, else +
+            return (() if bits & gone[0] and bits & gone[1]
+                    else (t | born[0],) if bits & (gone[0] | gone[1]) else (t,))
+        if bits & gone[0]:  # split: + -> (+,+)
+            return (t | born[0] | born[1],)
+        return (t | born[1], t | born[0])  # split: - -> (-,+) + (+,-)
 
 
-def _cube_edge(diagram, markers, c):
-    """The cube edge flipping crossing c of ``markers`` from A to B.
+sign_spread, _edge_table = _Spread, _EdgeTable  # each made once per shape (count, moves)
+
+
+def _moves(old, new):
+    """The index in the record ``new`` of each circle of ``old``, -1 when gone."""
+    index = {circle: k for k, circle in enumerate(new)}
+    return tuple([index.get(circle, -1) for circle in old])
+
+
+def _cube_edge(fmt, smoothing, c):
+    """The cube edge flipping crossing c of ``smoothing`` (label bits) from A
+    to B.
 
     Returns (sign, shape): the matrix sign (-1)^{#B below c}, and the shape
-    (count, moves) on which the edge's map of sign bits depends: the
-    target's circle count and the :func:`circle_moves` of the source circles.
-    """
-    new_markers = markers[:c] + ("B",) + markers[c + 1:]
-    new = diagram.circles(new_markers)
-    return (-1) ** markers[:c].count("B"), (len(new), circle_moves(diagram.circles(markers), new))
+    (count, moves) the edge's map of sign bits depends on: the target's
+    circle count and the :func:`_moves` of the source circles."""
+    new = fmt.circles(smoothing | fmt.crossing_bit(c))
+    below = (smoothing >> (fmt.width + fmt.n - c)).bit_count()  # B markers before c
+    return (-1) ** below, (len(new), _moves(fmt.circles(smoothing), new))
 
 
-def _edge_table(count, moves):
-    """Per source sign bits of a cube edge of this shape, the tuple of target
-    sign bits: the unchanged circles keep their signs and the two merging or
-    the one splitting circle follow the merge/split rule."""
-    gone = [len(moves) - 1 - k for k, pos in enumerate(moves) if pos < 0]
-    born = [1 << (count - 1 - pos) for pos in range(count) if pos not in moves]
-    if sorted((len(gone), len(born))) != [1, 2]:
-        raise DiagramError("marker flip changed circle count by more than one")
-    table = []
-    for bits, t in enumerate(sign_spread(count, moves)):
-        if len(born) == 1:  # merge: (+,+) -> 0, (-,-) -> -, else +
-            p1, p2 = bits >> gone[0] & 1, bits >> gone[1] & 1
-            table.append(() if p1 and p2 else (t | born[0],) if p1 or p2 else (t,))
-        elif bits >> gone[0] & 1:  # split: + -> (+,+)
-            table.append((t | born[0] | born[1],))
-        else:  # split: - -> (-,+) + (+,-)
-            table.append((t | born[1], t | born[0]))
-    return table
-
-
-def _edges_out(diagram, fmt, smoothing, tables):
+def _edges_out(fmt, smoothing, tables):
     """The cube edges out of a smoothing (its label bits), one per crossing
     where it has marker A, in crossing order, as (target smoothing bits,
     matrix sign, shape table); ``tables`` keeps one :func:`_edge_table` per
     shape.  A state's row reads its targets off them: ``base | t`` for each
     ``t`` in ``table[sign bits]``."""
-    markers = fmt.markers(smoothing)
     edges = []
-    for c, marker in enumerate(markers):
-        if marker == "A":
-            sign, shape = _cube_edge(diagram, markers, c)
+    for c in range(fmt.n):
+        if not smoothing & fmt.crossing_bit(c):
+            sign, shape = _cube_edge(fmt, smoothing, c)
             if shape not in tables:
                 tables[shape] = _edge_table(*shape)
             edges.append((smoothing | fmt.crossing_bit(c), sign, tables[shape]))
@@ -353,30 +389,22 @@ def _edges_out(diagram, fmt, smoothing, tables):
 class RowBuilder:
     """The rows of one diagram's complex, one state label at a time: the one
     place rows are made.  A row is the same in the reduced and the unreduced
-    complex, so one builder serves both.  It memoises each smoothing's (i,
-    circle count, based circle's bit) and cube edges out (:func:`_edges_out`),
-    one :func:`_edge_table` per shape, and each label's row, checked once,
-    when built, for stored zeros, bidegree (1, 0) and closure: a based-"+"
-    source has only based-"+" targets, which closes the reduced complex.  It
-    also keeps one :func:`sign_spread` per shape for the retraction's kinks
-    (:meth:`spread`)."""
+    complex, so one builder serves both.  Its :class:`StateLabels` hold each
+    smoothing's circles and grading; it memoises each smoothing's cube edges
+    out (:func:`_edges_out`), one :func:`_edge_table` per shape, and each
+    label's row, checked once, when built, for stored zeros, bidegree (1, 0)
+    and closure: a based-"+" source has only based-"+" targets, which closes
+    the reduced complex.  It also keeps one :func:`sign_spread` per shape
+    for the retraction's kinks (:meth:`spread`)."""
 
     def __init__(self, diagram):
-        self.diagram = diagram
         fmt = self.fmt = StateLabels(diagram)
         self.mask = fmt.signs_mask
-        self._gradings = {}  # smoothing -> (i, circle count, based circle's bit)
+        self._grading = fmt.grading
         self._edges = {}     # smoothing -> its cube edges out, with their targets' gradings
         self._tables = {}    # cube-edge shape -> _edge_table
         self._spreads = {}   # (count, moves) shape -> sign_spread
         self._rows = {}      # label -> d(label), checked
-
-    def _grading(self, smoothing):
-        data = self._gradings.get(smoothing)
-        if data is None:
-            i, k, based = smoothing_grading(self.diagram, self.fmt.markers(smoothing))
-            data = self._gradings[smoothing] = i, k, 1 << (k - 1 - based)
-        return data
 
     def in_complex(self, g, reduced):
         """Whether g labels a state of the reduced or unreduced complex."""
@@ -387,17 +415,16 @@ class RowBuilder:
     def grading(self, g):
         """(i, j) of the state g."""
         i, k, _ = self._grading(g & ~self.mask)
-        return i, i + self.diagram.writhe + k - 2 * (g & self.mask).bit_count()
+        return i, i + self.fmt.writhe + k - 2 * (g & self.mask).bit_count()
 
     def spread(self, old, new):
-        """The :func:`sign_spread` from the circles ``old`` to the circles
-        ``new``, made once per shape: the count of ``new`` and the
-        :func:`circle_moves`."""
-        shape = len(new), circle_moves(old, new)
-        table = self._spreads.get(shape)
-        if table is None:
-            table = self._spreads[shape] = sign_spread(*shape)
-        return table
+        """The :func:`sign_spread` from the circle record ``old`` to the
+        record ``new``, made once per shape: the count of ``new`` and the
+        :func:`_moves`."""
+        shape = len(new), _moves(old, new)
+        if shape not in self._spreads:
+            self._spreads[shape] = sign_spread(*shape)
+        return self._spreads[shape]
 
     def edges(self, smoothing):
         """The cube edges out of a smoothing (:func:`_edges_out`), each with
@@ -406,8 +433,7 @@ class RowBuilder:
         if edges is None:
             edges = self._edges[smoothing] = [
                 (base, sign, table, *self._grading(base))
-                for base, sign, table in _edges_out(self.diagram, self.fmt, smoothing,
-                                                    self._tables)]
+                for base, sign, table in _edges_out(self.fmt, smoothing, self._tables)]
         return edges
 
     def row(self, g):
@@ -438,13 +464,15 @@ class RowBuilder:
         return row
 
 
-def differential(diagram, reduced, row=None):
+def differential(diagram, reduced, row=None, labels=None):
     """Build the bigraded complex of the diagram: the row of every state of
     :func:`enumerate_states`, in its order, read off ``row`` (a label's
-    checked row, as ``collapse.Pipeline`` passes its own), else off a fresh
-    :class:`RowBuilder`."""
-    states = enumerate_states(diagram, reduced)
-    row = row or RowBuilder(diagram).row
+    checked row) and ``labels`` (as ``collapse.Pipeline`` passes its own),
+    else off a fresh :class:`RowBuilder`."""
+    if row is None:
+        builder = RowBuilder(diagram)
+        row, labels = builder.row, builder.fmt
+    states = enumerate_states(diagram, reduced, labels=labels)
     return BigradedComplex(diagram, states, {g: row(g) for g in states}, reduced)
 
 

@@ -17,12 +17,12 @@ accepts.  Nothing in the package imports this module.
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 
+from khovanov_oracle import circle_containing, circles
 from matching_oracle import OracleRecord, collapse_tree_block
 from spantreekh.collapse import (
     FundamentalCycle,
     TreeComplex,
     _check_block_cycle,
-    _circle_containing,
     _verify_cycle_gradings,
     grading_map,
     state_tree_assignment,
@@ -40,19 +40,19 @@ def _kink_geometry(diagram, markers_x, markers_y, stage):
     """
     loop_arc = diagram.crossings[stage.crossing][stage.loop_pair[0]]
     thru_arc = diagram.crossings[stage.crossing][(stage.loop_pair[0] + 2) % 4]
-    cx = diagram.circles(markers_x)
-    cy = diagram.circles(markers_y)
+    cx = circles(diagram, markers_x)
+    cy = circles(diagram, markers_y)
     if stage.sign > 0:
         # loop lives on the A side
-        loop = _circle_containing(cx, loop_arc)
-        merged = _circle_containing(cy, loop_arc)
+        loop = circle_containing(cx, loop_arc)
+        merged = circle_containing(cy, loop_arc)
         rest_arcs = merged - loop
-        rest = _circle_containing(cx, min(rest_arcs))
+        rest = circle_containing(cx, min(rest_arcs))
         return loop, merged, rest
     # loop lives on the B side
-    loop = _circle_containing(cy, loop_arc)
-    thru = _circle_containing(cy, thru_arc)
-    merged = _circle_containing(cx, loop_arc)
+    loop = circle_containing(cy, loop_arc)
+    thru = circle_containing(cy, thru_arc)
+    merged = circle_containing(cx, loop_arc)
     return loop, merged, thru
 
 
@@ -67,7 +67,7 @@ def jacobsson_by_keys(diagram, tree, stages, reduced, seed):
     def marker_tuple():
         return tuple(markers[c] for c in range(diagram.n))
 
-    if len(diagram.circles(marker_tuple())) != 1:
+    if len(circles(diagram, marker_tuple())) != 1:
         raise DiagramError("twisted unknot did not reduce to one circle")
     terms = {(seed,): 1}  # sign tuples aligned with the canonical circle order
 
@@ -78,8 +78,8 @@ def jacobsson_by_keys(diagram, tree, stages, reduced, seed):
         mx_t = old_t if st.splice_marker == "A" else new_t
         my_t = new_t if st.loop_marker == "B" else old_t
         loop, merged, rest = _kink_geometry(diagram, mx_t, my_t, st)
-        old_circles = diagram.circles(old_t)
-        new_circles = diagram.circles(new_t)
+        old_circles = circles(diagram, old_t)
+        new_circles = circles(diagram, new_t)
         old_index = {c: i for i, c in enumerate(old_circles)}
         if reduced and st.sign < 0 and diagram.basepoint in loop:
             raise DiagramError(
@@ -128,7 +128,7 @@ def has_based_negative_loop(diagram, tree, stages):
         probe[st.crossing] = st.loop_marker
         mt = tuple(probe[c] for c in range(diagram.n))
         loop_arc = diagram.crossings[st.crossing][st.loop_pair[0]]
-        loop = _circle_containing(diagram.circles(mt), loop_arc)
+        loop = circle_containing(circles(diagram, mt), loop_arc)
         if diagram.basepoint in loop:
             return True
     return False
@@ -337,6 +337,7 @@ def retract_by_collapses(diagram, reduced=True):
     tree_of = state_tree_assignment(diagram, res)
     states = complex.states
     state_tree = {g: tree_of(g) for g in states}
+    key = StateLabels(diagram).key
 
     mc = SequentialComplex(states, complex.differential, tracked_block=state_tree)
     tree_live = {}
@@ -378,7 +379,7 @@ def retract_by_collapses(diagram, reduced=True):
             if any(states[g] != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(
-                diagram, t, stages_of[t.index], labels[0], (i, j), w, k, seed
+                diagram, t, stages_of[t.index], key(labels[0]), (i, j), w, k, seed
             )
             _check_block_cycle(lambda g: complex.differential.get(g, {}), chain,
                                state_tree.__getitem__, t.index)

@@ -7,7 +7,14 @@ records, with their gradings taken from the markers and signs of each
 and every A -> B flip on ``(markers, signs)`` keys.  ``homology_snapshot`` is the dense Smith form of a
 ``MutableComplex`` with no cancellation.  ``enumerated_census`` is the
 full-cube count of each tree's block that the pipeline's census replaced.
-Nothing in the package imports this module.
+
+The frozenset circles are the circle geometry as it was before the circle
+records (``StateLabels.circles``): :func:`circles` is ``LinkDiagram.circles``
+without its cache, each full smoothing smoothed through
+``LinkDiagram.smooth`` into frozensets of arc labels, and
+:func:`smoothing_grading`, :func:`circle_moves` and
+:func:`circle_containing` read them as the builder and the kink records
+did.  Nothing in the package imports this module.
 """
 
 from collections import namedtuple
@@ -16,6 +23,39 @@ from itertools import product
 from spantreekh.algebra import graded_homology
 from spantreekh.diagram import DiagramError
 from spantreekh.khovanov import BigradedComplex, StateLabels, enumerate_states
+
+
+def circles(diagram, markers):
+    """Circles of the full smoothing given as a tuple of 'A'/'B' markers,
+    one per crossing, as frozensets of arcs in smallest-arc order."""
+    return diagram.smooth(dict(enumerate(markers))).circles
+
+
+def circle_containing(circles, arc):
+    """The frozenset circle that holds the arc label ``arc``."""
+    for c in circles:
+        if arc in c:
+            return c
+    raise DiagramError(f"arc {arc} not on any circle")
+
+
+def smoothing_grading(diagram, markers):
+    """(i, k, based) of a full smoothing: its homological grading i = (w -
+    sigma)/2, its circle count k and the index of its based circle."""
+    found = circles(diagram, markers)
+    based = next((ci for ci, circ in enumerate(found) if diagram.basepoint in circ), None)
+    if based is None:
+        raise DiagramError("basepoint arc not found in any circle")
+    sigma = 2 * markers.count("A") - len(markers)
+    if (diagram.writhe - sigma) % 2:
+        raise DiagramError("half-integer homological grading")
+    return (diagram.writhe - sigma) // 2, len(found), based
+
+
+def circle_moves(old, new):
+    """The position in ``new`` of each circle of ``old``, -1 when it is gone."""
+    pos = {circ: k for k, circ in enumerate(new)}
+    return tuple([pos.get(circ, -1) for circ in old])
 
 
 class OracleState(namedtuple("OracleState", "markers signs circles label sigma tau i j")):
@@ -58,9 +98,9 @@ def per_state_states(diagram, reduced):
     fmt = StateLabels(diagram)
     states = []
     for markers in product("AB", repeat=diagram.n):
-        circles = diagram.circles(markers)
-        based = next(k for k, circ in enumerate(circles) if diagram.basepoint in circ)
-        for signs in product((1, -1), repeat=len(circles)):
+        found = circles(diagram, markers)
+        based = next(k for k, circ in enumerate(found) if diagram.basepoint in circ)
+        for signs in product((1, -1), repeat=len(found)):
             if reduced and signs[based] != 1:
                 continue
             sigma = markers.count("A") - markers.count("B")
@@ -68,7 +108,7 @@ def per_state_states(diagram, reduced):
             if (w - sigma) % 2:
                 raise DiagramError("half-integer homological grading")
             i = (w - sigma) // 2
-            states.append(OracleState(markers, signs, circles, fmt.label(markers, signs),
+            states.append(OracleState(markers, signs, found, fmt.label(markers, signs),
                                       sigma, tau, i, i + w - tau))
     return states
 
@@ -118,6 +158,7 @@ def per_state_differential(diagram, reduced):
     Returns the complex and those records."""
     states = per_state_states(diagram, reduced)
     labels = {s.key: s.label for s in states}
+    smoothed = {s.markers: s.circles for s in states}
     diff = {}
     for s in states:
         row = {}
@@ -126,7 +167,7 @@ def per_state_differential(diagram, reduced):
                 continue
             sign = (-1) ** sum(1 for b in range(c) if s.markers[b] == "B")
             new_markers = s.markers[:c] + ("B",) + s.markers[c + 1:]
-            new_circles = diagram.circles(new_markers)
+            new_circles = smoothed.get(new_markers) or circles(diagram, new_markers)
             for signs, coeff in _merge_split_targets(s, new_circles):
                 key = (new_markers, signs)
                 if reduced and key not in labels:

@@ -62,9 +62,9 @@ def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spre
     spliced = {}  # crossing of each undone kink -> its splice marker
     abstract = {g: g & signs_mask for g in live_set}  # starts as the raw signs
 
-    def abstract_markers(smoothing):
+    def abstract_smoothing(smoothing):
         """The abstract smoothing of a label's raw marker bits."""
-        return tuple(spliced.get(i, m) for i, m in enumerate(fmt.markers(smoothing)))
+        return fmt.smoothing(spliced.get(i, m) for i, m in enumerate(fmt.markers(smoothing)))
 
     for st in stages:
         c = st.crossing
@@ -76,7 +76,7 @@ def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spre
             a_end = g & ~signs_mask & ~flip
             if a_end not in transfers:
                 transfers[a_end] = _kink_transfer(
-                    diagram, abstract_markers(a_end), abstract_markers(a_end | flip), st,
+                    fmt, abstract_smoothing(a_end), abstract_smoothing(a_end | flip), st,
                     spread,
                 )
             return transfers[a_end]
@@ -89,7 +89,7 @@ def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spre
             loop, to_loop_side, _, loop_bit, rest_bit, merged_bit = kink(head)
             signs = abstract[head]
             partner_signs = to_loop_side[signs]
-            if st.sign > 0 and reduced and diagram.basepoint in loop:
+            if st.sign > 0 and reduced and loop & fmt.based_arc:
                 # B-side head, based loop: the A-side partner's loop is "+"
                 partner_signs |= loop_bit
             else:
@@ -119,7 +119,7 @@ def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spre
                 raise DiagramError("positive-kink survivor without a + loop")
             if st.sign < 0 and signs & loop_bit:
                 merged_plus = True  # basepoint-on-loop survivor flips back to +
-                if not (reduced and diagram.basepoint in loop):
+                if not (reduced and loop & fmt.based_arc):
                     raise DiagramError("negative-kink survivor with a + loop")
             else:
                 merged_plus = signs & rest_bit
@@ -161,7 +161,8 @@ def retract_by_matching(diagram, reduced=True):
     state_tree = {}
     tree_live = {}
     # a smoothing's states are listed together: one walk per smoothing
-    for smoothing, group in groupby(states, key=StateLabels(diagram).smoothing_of):
+    fmt = StateLabels(diagram)
+    for smoothing, group in groupby(states, key=fmt.smoothing_of):
         group = list(group)
         t = tree_of(smoothing)
         state_tree.update(dict.fromkeys(group, t))
@@ -206,7 +207,7 @@ def retract_by_matching(diagram, reduced=True):
             i, j = states[labels[0]]
             if any(states[g] != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
-            _verify_cycle_gradings(diagram, t, stages, labels[0], (i, j), w, k, seed)
+            _verify_cycle_gradings(diagram, t, stages, fmt.key(labels[0]), (i, j), w, k, seed)
             _check_block_cycle(matching.row, chain, state_tree.__getitem__, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
     if len(states) - 2 * len(matching.pairs) != len(survivor_of):

@@ -262,10 +262,10 @@ def test_kink_geometry_runs_once_per_stage_and_smoothing(monkeypatch):
     kink_transfer = matching_oracle._kink_transfer
     collapse_block = matching_oracle.collapse_tree_block
 
-    def counting_transfer(diagram, markers_x, markers_y, stage, spread):
+    def counting_transfer(fmt, smoothing_x, smoothing_y, stage, spread):
         if current:
-            calls.append((current[-1], id(stage), markers_x, markers_y))
-        return kink_transfer(diagram, markers_x, markers_y, stage, spread)
+            calls.append((current[-1], id(stage), smoothing_x, smoothing_y))
+        return kink_transfer(fmt, smoothing_x, smoothing_y, stage, spread)
 
     def counting_block(diagram, matching, tree, stages, live_set, reduced, spread):
         smoothings = {StateLabels(diagram).markers(g) for g in live_set}
@@ -300,9 +300,9 @@ def test_kink_transfer_runs_once_per_kink_and_smoothing_in_a_retraction(monkeypa
     calls = []
     kink_transfer = collapse._kink_transfer
 
-    def counting(diagram, markers_x, markers_y, stage, spread):
-        calls.append((id(stage), markers_x, markers_y))
-        return kink_transfer(diagram, markers_x, markers_y, stage, spread)
+    def counting(fmt, smoothing_x, smoothing_y, stage, spread):
+        calls.append((id(stage), smoothing_x, smoothing_y))
+        return kink_transfer(fmt, smoothing_x, smoothing_y, stage, spread)
 
     monkeypatch.setattr(collapse, "_kink_transfer", counting)
     total = 0

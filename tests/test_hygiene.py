@@ -402,6 +402,106 @@ def test_one_kink_record_and_one_spread_memo():
     assert "spreads" not in named
 
 
+# what reads a smoothing's circle geometry
+CIRCLE_READERS = {"circles", "grading", "_cube_edge", "_edges_out", "_kink_transfer", "spread",
+                  "smoothing_grading", "circle_moves"}
+
+
+def _called(node):
+    """The name a call node calls, else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def marker_tuples_read_for_circles(source):
+    """The names of the functions that hand a circle reader a marker tuple:
+    a tuple literal, a ``markers(...)`` call or a name bound from one."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {target.id for node in ast.walk(function) if isinstance(node, ast.Assign)
+                 and any(_called(n) == "markers" for n in ast.walk(node.value))
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(function):
+            if _called(node) not in CIRCLE_READERS:
+                continue
+            args = node.args + [k.value for k in node.keywords]
+            if any(isinstance(n, ast.Tuple) or _called(n) == "markers"
+                   or isinstance(n, ast.Name) and n.id in bound
+                   for arg in args for n in ast.walk(arg)):
+                found.append(function.name)
+                break
+    return found
+
+
+def diagram_circle_calls(source):
+    """Where a module calls ``circles`` on a diagram: a receiver named
+    ``diagram`` or ``d``, or an attribute ``.diagram``."""
+    def is_diagram(node):
+        return (isinstance(node, ast.Name) and node.id in ("diagram", "d")
+                or isinstance(node, ast.Attribute) and node.attr == "diagram")
+
+    return [where for where, call in calls(source, "circles")
+            if isinstance(call.func, ast.Attribute) and is_diagram(call.func.value)]
+
+
+def test_circle_reads_of_marker_tuples_are_located():
+    source = (
+        "def a(fmt, s):\n"
+        "    m = fmt.markers(s)\n"
+        "    return fmt.circles(m)\n"
+        "def b(d, fmt, s):\n"
+        "    return _kink_transfer(d, fmt.markers(s), fmt.markers(s | 1), None, None)\n"
+        "def c(fmt, s):\n"
+        "    return fmt.markers(s), len(fmt.circles(s & ~1))\n"
+        "def e(d, s):\n"
+        "    return smoothing_grading(d, ('A', 'B'))\n"
+        "class F:\n"
+        "    def g(self, p, diagram, fmt, s):\n"
+        "        return p.diagram.circles(s), diagram.circles(s), fmt.circles(s)\n"
+    )
+    assert marker_tuples_read_for_circles(source) == ["a", "b", "e"]
+    assert diagram_circle_calls(source) == ["F.g", "F.g"]
+
+
+def test_circles_are_read_off_label_bits():
+    # a smoothing's circle record is keyed by its label bits: the Khovanov
+    # layers build no marker tuple to get circles, and the diagram keeps no
+    # circles of its own
+    found = []
+    for name in ("khovanov.py", "collapse.py"):
+        source = (ROOT / "src" / "spantreekh" / name).read_text(encoding="utf-8")
+        found += [f"{name}: {where}" for where in marker_tuples_read_for_circles(source)]
+    for path in SRC:
+        found += [f"{path.name}: LinkDiagram.circles in {where or 'module'}"
+                  for where in diagram_circle_calls(path.read_text(encoding="utf-8"))]
+    assert not found, "circles read off markers:\n" + "\n".join(found)
+    assert not hasattr(diagram.LinkDiagram, "circles")
+
+
+def test_state_labels_are_made_where_they_are_owned():
+    # one memo of circle records per pipeline: StateLabels are made by the
+    # row builder, and otherwise only by one-shot paths that own theirs
+    # (enumerate_states when no caller's labels are passed, a tree's unknot
+    # states, the smoothing -> tree walk, which reads crossing bits only);
+    # every package call of enumerate_states passes its caller's labels
+    owners = {("khovanov.py", "RowBuilder.__init__"), ("khovanov.py", "enumerate_states"),
+              ("collapse.py", "include_unknot_states"), ("collapse.py", "state_tree_assignment")}
+    found = []
+    for path in SRC:
+        source = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: StateLabels in {where or 'module'}"
+                  for where in constructions(source, "StateLabels")
+                  if (path.name, where) not in owners]
+        found += [f"{path.name}: enumerate_states in {where or 'module'} without labels"
+                  for where, call in calls(source, "enumerate_states")
+                  if len(call.args) < 4 and not any(k.arg == "labels" for k in call.keywords)]
+    assert not found, "StateLabels made outside their owners:\n" + "\n".join(found)
+
+
 def work_list_pops(source):
     """The dotted names of the definitions that pop a work list: a
     ``while stack:`` loop whose body calls ``stack.pop()`` with no

@@ -65,7 +65,8 @@ def test_state_sum_fills_no_circles_cache():
     d = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0]
     assert d.n == 12
     bracket_statesum(d)
-    assert d._circles == {}
+    # the diagram keeps no circles cache: the records live on StateLabels
+    assert "_circles" not in vars(d)
 
 
 def test_state_sum_builds_no_smoothing(monkeypatch):

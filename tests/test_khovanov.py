@@ -4,7 +4,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from khovanov_oracle import per_state_differential
+from khovanov_oracle import circles, per_state_differential
 from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
 
@@ -15,6 +15,7 @@ from spantreekh.jones import jones
 from spantreekh.khovanov import (
     BigradedComplex,
     StateLabels,
+    cancelled_homology,
     differential,
     enumerate_states,
     khovanov_homology,
@@ -48,6 +49,25 @@ def test_positive_kink_reduced_complex():
     cx = differential(d, reduced=True)
     assert cx.total_dimension() == 3
     assert khovanov_homology(d, reduced=True) == {(0, -1): (1, [])}
+
+
+def test_homology_cancels_once_for_every_ring(monkeypatch):
+    # cancelling the +-1 entries does not depend on the ring, so a complex
+    # cancels once and each ring reads the same residue
+    cancels = []
+    cancel = khovanov.MutableComplex.cancel
+
+    def counting(self):
+        cancels.append(self)
+        return cancel(self)
+
+    monkeypatch.setattr(khovanov.MutableComplex, "cancel", counting)
+    cx = differential(corpus.diagram("7_4"), reduced=False)
+    found = [(ring, cx.homology(ring)) for ring in ("Z", "Q", 2, "Z")]
+    assert len(cancels) == 1
+    for ring, groups in found:
+        assert groups == cancelled_homology(cx.states, cx.differential, ring), ring
+    assert len(cancels) == 1 + len(found)
 
 
 def test_twisted_unknot_homology_is_unknots():
@@ -113,8 +133,8 @@ def extra_edge(monkeypatch, src, dst):
     the state dst and no other sign bits anywhere."""
     edges_out = khovanov._edges_out
 
-    def extended(diagram, fmt, smoothing, tables):
-        edges = edges_out(diagram, fmt, smoothing, tables)
+    def extended(fmt, smoothing, tables):
+        edges = edges_out(fmt, smoothing, tables)
         if smoothing == fmt.smoothing_of(src):
             table = defaultdict(tuple, {src & fmt.signs_mask: (dst & fmt.signs_mask,)})
             edges.append((fmt.smoothing_of(dst), 1, table))
@@ -128,10 +148,10 @@ def test_stored_zero_coefficient_is_rejected(monkeypatch):
     cube_edge = khovanov._cube_edge
     zeroed = []
 
-    def zeroing(diagram, markers, c):
-        sign, shape = cube_edge(diagram, markers, c)
+    def zeroing(fmt, smoothing, c):
+        sign, shape = cube_edge(fmt, smoothing, c)
         if not zeroed:
-            zeroed.append((markers, c))
+            zeroed.append((smoothing, c))
             sign = 0
         return sign, shape
 
@@ -288,11 +308,12 @@ def _slots(complex):
     """Per state, in order: its label, and the key, circles, sigma, tau, i
     and j read back from it through ``StateLabels.key`` and the stored
     bigrading."""
-    key, circles = StateLabels(complex.diagram).key, complex.diagram.circles
+    d = complex.diagram
+    key = StateLabels(d).key
     slots = []
     for g, (i, j) in complex.states.items():
         markers, signs = key(g)
-        slots.append((g, (markers, signs), circles(markers),
+        slots.append((g, (markers, signs), circles(d, markers),
                       markers.count("A") - markers.count("B"), sum(signs), i, j))
     return slots
 
@@ -338,9 +359,9 @@ def test_circles_are_matched_once_per_cube_edge(monkeypatch, reduced):
     calls = []
     cube_edge = khovanov._cube_edge
 
-    def counting(diagram, markers, c):
-        calls.append((markers, c))
-        return cube_edge(diagram, markers, c)
+    def counting(fmt, smoothing, c):
+        calls.append((fmt.markers(smoothing), c))
+        return cube_edge(fmt, smoothing, c)
 
     monkeypatch.setattr(khovanov, "_cube_edge", counting)
     for name in ("trefoil4", "6_2", "7_4"):
@@ -356,8 +377,8 @@ def test_edge_tables_are_built_once_per_shape(monkeypatch, reduced):
     shapes, tables = [], []
     cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
 
-    def counting_edge(diagram, markers, c):
-        sign, shape = cube_edge(diagram, markers, c)
+    def counting_edge(fmt, smoothing, c):
+        sign, shape = cube_edge(fmt, smoothing, c)
         shapes.append(shape)
         return sign, shape
 
@@ -388,7 +409,8 @@ def test_a_corrupted_shape_table_is_caught_by_the_checks(monkeypatch, edit):
     def corrupting(count, moves):
         table = edge_table(count, moves)
         if not corrupted and count > len(moves):  # the first split shape met
-            bits = next(b for b, targets in enumerate(table) if len(targets) == 2)
+            # its first entry with two targets, filled ahead of its read
+            bits = next(b for b in range(2 ** len(moves)) if len(table[b]) == 2)
             first, second = table[bits]
             table[bits] = (first ^ 1, second) if edit == "flip a target bit" else (first,)
             corrupted.append((count, moves))

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from khovanov_oracle import smoothing_grading
 from matching_oracle import is_ordered_subsequence, retract_by_matching
 from collapse_oracle import (
     SequentialComplex,
@@ -32,7 +33,7 @@ from spantreekh.collapse import (
     retract_to_tree_complex,
 )
 from spantreekh.diagram import DiagramError
-from spantreekh.khovanov import StateLabels, smoothing_grading
+from spantreekh.khovanov import StateLabels
 from spantreekh.spantree import resolution_tree
 
 
@@ -254,7 +255,7 @@ def _flipped_target(d, pairs):
     fmt = StateLabels(d)
     for x, y, _ in pairs:
         bits = x & fmt.signs_mask
-        edges = khovanov._edges_out(d, fmt, fmt.smoothing_of(x), {})
+        edges = khovanov._edges_out(fmt, fmt.smoothing_of(x), {})
         row = {base | t for base, _, table in edges for t in table[bits]}
         for e, (base, _, table) in enumerate(edges):
             _, k, based = smoothing_grading(d, fmt.markers(base))
@@ -263,10 +264,11 @@ def _flipped_target(d, pairs):
                 ones = [b for b in free if t & b]
                 zeros = [b for b in free if not t & b]
                 if base | t != y and ones and zeros and base | (t ^ ones[0] ^ zeros[0]) not in row:
-                    corrupted = list(table)
-                    corrupted[bits] = tuple(t ^ ones[0] ^ zeros[0] if u == t else u
-                                            for u in table[bits])
-                    return x, e, corrupted
+                    # a table of its own (the {} memo above), its other
+                    # entries filled on read as the builder's are
+                    table[bits] = tuple(t ^ ones[0] ^ zeros[0] if u == t else u
+                                        for u in table[bits])
+                    return x, e, table
     raise AssertionError("no target to move")
 
 
@@ -276,8 +278,8 @@ def test_flipped_target_in_a_visited_row_fails_the_local_d_squared(monkeypatch):
     x, e, corrupted = _flipped_target(d, record.pairs_visited)
     edges_out = khovanov._edges_out
 
-    def flipping(diagram, fmt, smoothing, tables):
-        edges = edges_out(diagram, fmt, smoothing, tables)
+    def flipping(fmt, smoothing, tables):
+        edges = edges_out(fmt, smoothing, tables)
         if smoothing == fmt.smoothing_of(x):
             base, sign, _ = edges[e]
             edges[e] = (base, sign, corrupted)

@@ -241,9 +241,9 @@ def test_entry_lowering_the_level_is_caught_by_the_order_check(monkeypatch):
     read = set()
     edges_out = khovanov._edges_out
 
-    def recording(diagram, fmt, smoothing, tables):
+    def recording(fmt, smoothing, tables):
         read.add(smoothing)
-        return edges_out(diagram, fmt, smoothing, tables)
+        return edges_out(fmt, smoothing, tables)
 
     pipeline = Pipeline(d)
     monkeypatch.setattr(khovanov, "_edges_out", recording)
@@ -275,9 +275,9 @@ def test_full_complex_builds_each_cube_edge_and_shape_table_once(monkeypatch, re
     edges, tables = [], []
     cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
 
-    def counting_edge(diagram, markers, c):
-        edges.append((markers, c))
-        return cube_edge(diagram, markers, c)
+    def counting_edge(fmt, smoothing, c):
+        edges.append((smoothing, c))
+        return cube_edge(fmt, smoothing, c)
 
     def counting_table(*shape):
         tables.append(shape)
@@ -303,9 +303,9 @@ def test_one_pipeline_builds_each_cube_edge_once_for_both_modes(monkeypatch):
     edges, tables = [], []
     cube_edge, edge_table = khovanov._cube_edge, khovanov._edge_table
 
-    def counting_edge(diagram, markers, c):
-        edges.append((markers, c))
-        return cube_edge(diagram, markers, c)
+    def counting_edge(fmt, smoothing, c):
+        edges.append((smoothing, c))
+        return cube_edge(fmt, smoothing, c)
 
     def counting_table(*shape):
         tables.append(shape)
