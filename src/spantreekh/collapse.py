@@ -18,8 +18,7 @@ enhanced states (the sub-cube extending the tree's dead markers) it pairs
 states one undone kink at a time: for a positive kink the pairs are
 (A-state with loop "-", B-state), for a negative kink (A-state, B-state
 with loop "+").  A basepoint on a kink's loop circle forces the reduced-mode
-variants of the pairing and of the Jacobsson substitution; both are
-validated by the r o f = id check.
+variant of the pairing, validated by the r o f = id check.
 
 The tree complex is the matching's Morse complex (Skoldberg, "Morse theory
 from an algebraic viewpoint"): nothing is collapsed.  Gradient flows over
@@ -30,7 +29,7 @@ the states they reach: :class:`LazyMatching` gives one state label's pair
 by replaying the stage rule on it, and the pair's key (tree position in the
 linear extension, stage, head label) orders the pairs as the block pass
 appends them.  A tree's survivors are the stage maps inverted from the
-round unknot's seed sign.
+round unknot's seed sign; its fundamental cycles are their inclusions.
 
 Checks on the route: every row for stored zeros, bidegree (1, 0) and
 closure; every cube edge read to run inside one block or down to a lower
@@ -43,9 +42,9 @@ partial order; and the Jones polynomial as graded Euler characteristic.
 
 Enhanced states are integer labels (``khovanov.StateLabels``), ordered as
 their ``(markers, signs)`` keys.  Each kink's geometry is one memoised
-record (:meth:`LazyMatching._kink`, off :func:`_kink_transfer`) that the
-stage rule and the Jacobsson substitution both read; d(d(x)) = 0 is one
-per-row check (``khovanov._check_square``) and the tree order one check
+record for both modes (:meth:`Pipeline.kink`, off :func:`_kink_transfer`);
+d(d(x)) = 0 is one per-row check, run once per label for both modes
+(:meth:`Pipeline.checked_row`), and the tree order one check
 (:func:`_check_descending`).  ``jacobsson_cycle`` and
 ``include_unknot_states`` return keys.
 """
@@ -113,75 +112,28 @@ def _uv(tree, seed):
 
 
 def jacobsson_cycle(matching, tree, seed=1):
-    """Fundamental cycle of the twisted unknot U(T), included into the full
-    complex as a combination of enhanced-state keys.
+    """Fundamental cycle of the twisted unknot U(T) in the full complex, as
+    enhanced-state keys: the Morse inclusion of the tree's survivor seeded
+    by ``seed`` (+1 or -1, only +1 when reduced) through ``matching``'s
+    pairs from its block's first key on.
 
-    The kink stages and the mode are those of ``matching``; kinks are
-    re-added in reverse order starting from the round unknot enhanced by
-    ``seed``.  Substitutions per kink (near circle listed first, new loop
-    second):
-
-        positive: +  -> (+,+)            -  -> (-,+) - (+,-)
-        negative: +  -> (+,-)            -  -> (-,-)
-
-    In reduced mode a negative kink whose loop carries the basepoint has no
-    substitution landing in the based-"+" subcomplex; the cycle is then the
-    Morse inclusion of the tree's survivor through the matching's pairs
-    from its block's first key on.  The cycle is read back into keys here.
+    Wherever Jacobsson's substitution applies (not on a based negative loop
+    in reduced mode), this is its chain, dict order included.  It re-adds
+    the kinks in reverse order from the seeded round unknot: a positive kink
+    takes + to (+,+) and - to (-,+) - (+,-), a negative one + to (+,-) and
+    - to (-,-), near circle first, new loop second.  The equality is
+    observed, not proved; the guard is the test suite's comparison with
+    ``tests/collapse_oracle.py::jacobsson_by_keys``.
     """
     if matching.reduced and seed != 1:
         raise DiagramError("reduced cycles are seeded by the + unknot")
-    key = matching.pipeline.rows.fmt.key
-    return {key(g): coeff for g, coeff in _fundamental_chain(matching, tree, seed).items()}
-
-
-def _fundamental_chain(matching, tree, seed):
-    """The tree's fundamental cycle seeded by ``seed``, as labels: the
-    Jacobsson substitution, else the Morse inclusion of its survivor from
-    its block's first key on, off ``matching``."""
-    chain = _substitute_kinks(matching, tree.index, seed)
-    if chain is None:
-        chain = matching.include(matching.survivor(tree, seed), matching.first_key(tree.index))
-    return chain
+    chain = matching.include(matching.survivor(tree, seed), matching.first_key(tree.index))
+    return dict(zip(map(matching.pipeline.rows.fmt.key, chain), chain.values()))
 
 
 def _seed_bits(seed):
     """The sign bits of the round unknot enhanced by ``seed``."""
     return 1 if seed == 1 else 0
-
-
-def _substitute_kinks(matching, t, seed):
-    """The Jacobsson substitution of :func:`jacobsson_cycle` for tree t on
-    sign bits, as a chain of state labels; None in reduced mode when a
-    negative kink's loop carries the basepoint.  Each kink is the stage
-    rule's record (:meth:`LazyMatching._kink`) on the tree's loop
-    smoothing."""
-    p = matching.pipeline
-    plan = p.plans[t]
-    loop_smoothing = spliced = p.loop_smoothing[t]
-    for _, flip, head_side, _, _ in plan:
-        spliced = spliced & ~flip | head_side
-    if len(p.rows.fmt.circles(spliced)) != 1:
-        raise DiagramError("twisted unknot did not reduce to one circle")
-    terms = {_seed_bits(seed): 1}
-    for s in reversed(range(len(plan))):
-        sign, to_loop_side, _, loop_bit, rest_bit, merged_bit, based = matching._kink(
-            t, s, loop_smoothing)
-        if based and sign < 0:
-            return None
-        new_terms = {}
-        for signs, coeff in terms.items():
-            shared = to_loop_side[signs]
-            if sign > 0 and signs & merged_bit:
-                emitted = [(shared | rest_bit | loop_bit, coeff)]
-            elif sign > 0:
-                emitted = [(shared | loop_bit, coeff), (shared | rest_bit, -coeff)]
-            else:
-                emitted = [(shared | rest_bit if signs & merged_bit else shared, coeff)]
-            for bits, c in emitted:
-                new_terms[bits] = new_terms.get(bits, 0) + c
-        terms = {bits: c for bits, c in new_terms.items() if c}
-    return {loop_smoothing | bits: coeff for bits, coeff in terms.items()}
 
 
 # One matched pair: x is the upper state, y the lower one, and the incidence
@@ -240,13 +192,18 @@ class MorseMatching:
         lower_of, key_of = self.lower_of, self.key_of
         if x in lower_of or x in key_of or y in lower_of or y in key_of:
             raise DiagramError("state matched twice")
-        lam = self.differential.get(x, {}).get(y, 0)
-        if lam not in (1, -1):
-            raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
         key = len(self.pairs)
+        self.pairs[key] = self._unit_pair(x, y)
         lower_of[x] = y
         key_of[y] = key
-        self.pairs[key] = MatchedPair(x, y, lam)
+
+    def _unit_pair(self, x, y):
+        """The pair (x, y), its incidence <dx, y> read off :meth:`row` and
+        checked to be +-1."""
+        lam = self.row(x).get(y, 0)
+        if lam not in (1, -1):
+            raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
+        return MatchedPair(x, y, lam)
 
     def check_acyclic(self):
         """Kahn's pass over the pairs in ``pairs``, with an edge from (x, y)
@@ -403,15 +360,16 @@ class Pipeline:
     """Every stage of one diagram, each built once, when first read: the
     Tait graph, k, trees, poset, resolution tree and tree-bracket Jones
     polynomial, one row builder for both modes, the smoothing -> tree walk,
-    stage plans, loop smoothings and block census, and per mode one
-    :class:`LazyMatching`, one retraction and one whole complex.  The caller
-    owns it.  A tree's index is its position in ``trees`` and in the
-    poset's rows."""
+    stage plans, loop smoothings, block census, kink records and d^2 checks,
+    and per mode one :class:`LazyMatching`, one retraction and one whole
+    complex.  The caller owns it.  A tree's index is its position in
+    ``trees`` and in the poset's rows."""
 
     def __init__(self, diagram):
         self.diagram = diagram
         self._tree = {}         # smoothing -> index of the tree whose block holds it
         self._ordered = set()   # smoothings whose cube edges passed the tree-order check
+        self._squared = set()   # labels whose d(d(label)) = 0 was checked
         self._matchings = {}    # reduced -> LazyMatching
         self._retractions = {}  # reduced -> (TreeComplex, RetractionRecord)
         self._complexes = {}    # reduced -> the whole BigradedComplex
@@ -435,6 +393,9 @@ class Pipeline:
     # tree index -> its position in the poset's linear extension
     position = cached_property(
         lambda self: {t: n for n, t in enumerate(self.poset.linear_extension())})
+    # tree index -> per stage: abstract A end -> (unreduced, reduced) kink records
+    _kinks = cached_property(
+        lambda self: {t: [{} for _ in plan] for t, plan in self.plans.items()})
 
     @cached_property
     def plans(self):
@@ -505,6 +466,32 @@ class Pipeline:
             self._ordered.add(smoothing)
         return self.rows.row(g)
 
+    def checked_row(self, g):
+        """:meth:`ordered_row`, with d(d(g)) = 0 checked over the rows of all
+        its targets the first time either mode reads g."""
+        row = self.ordered_row(g)
+        if g not in self._squared:
+            _check_square(row, self.ordered_row, "differential does not square to zero")
+            self._squared.add(g)
+        return row
+
+    def kink(self, t, s, smoothing, reduced):
+        """The kink record of tree t's stage s on the cube edge at the
+        stage's crossing through ``smoothing``: the sign, the
+        :func:`_kink_transfer` tables and bits over the abstract smoothings,
+        and whether the ``reduced`` complex has the basepoint on the loop, the
+        one part that depends on the mode."""
+        st, flip, _, keep, splice = self.plans[t][s]
+        kinks = self._kinks[t][s]
+        a_end = smoothing & keep | splice
+        records = kinks.get(a_end)
+        if records is None:
+            fmt = self.rows.fmt
+            loop, *transfer = _kink_transfer(fmt, a_end, a_end | flip, st, self.rows.spread)
+            records = kinks[a_end] = ((st.sign, *transfer, False),
+                                      (st.sign, *transfer, loop & fmt.based_arc != 0))
+        return records[reduced]
+
     def matching(self, reduced):
         """The mode's :class:`LazyMatching`."""
         if reduced not in self._matchings:
@@ -530,9 +517,9 @@ class Pipeline:
 class LazyMatching(MorseMatching):
     """The block pass's matching on the whole reduced or unreduced Khovanov
     complex of a diagram, answered one state label at a time.  It reads its
-    rows, trees and stage plans off its :class:`Pipeline` and keeps only
-    what depends on the mode: the pairs and their keys, liveness, the kink
-    records (whose ``based`` flag is the mode's) and the d^2 memo.
+    rows (d(d(x)) = 0 checked), trees, stage plans and kink records off its
+    :class:`Pipeline` and keeps only what depends on the mode: the pairs and
+    their keys, and liveness.
 
     A label's pair comes from replaying its tree's kink stages on it.  At
     each stage the label's abstract signs (over the circles of its
@@ -552,22 +539,14 @@ class LazyMatching(MorseMatching):
         super().__init__(None)
         self.pipeline, self.reduced = pipeline, reduced
         self.mask = pipeline.rows.mask
-        # tree index -> per stage: the stage's kink records by abstract A end
-        self._kinks = {t: [{} for _ in plan] for t, plan in pipeline.plans.items()}
         # tree index -> per stage: label -> abstract signs, or None
         self._live = {t: [{} for _ in range(len(plan) + 1)] for t, plan in pipeline.plans.items()}
-        self._squared = set()   # labels whose d(d(label)) = 0 was checked
         self._unmatched = set()
         self._ends = {}         # pair key -> (x, y)
 
     def row(self, g):
-        """d(g), with d(d(g)) = 0 checked over the rows of all its targets."""
-        ordered_row = self.pipeline.ordered_row
-        row = ordered_row(g)
-        if g not in self._squared:
-            _check_square(row, ordered_row, "differential does not square to zero")
-            self._squared.add(g)
-        return row
+        """d(g), off :meth:`Pipeline.checked_row`."""
+        return self.pipeline.checked_row(g)
 
     # -- the matching --------------------------------------------------------------
 
@@ -590,34 +569,14 @@ class LazyMatching(MorseMatching):
     def pair(self, key):
         pair = self.pairs.get(key)
         if pair is None:
-            x, y = self._ends[key]
-            lam = self.row(x).get(y, 0)
-            if lam not in (1, -1):
-                raise DiagramError(f"incidence <dx,y> = {lam}, must be +-1")
-            pair = self.pairs[key] = MatchedPair(x, y, lam)
+            pair = self.pairs[key] = self._unit_pair(*self._ends[key])
         return pair
-
-    def _kink(self, t, s, smoothing):
-        """The kink record of tree t's stage s on the cube edge at the
-        stage's crossing through ``smoothing``: the sign, the
-        :func:`_kink_transfer` tables and bits over the abstract smoothings,
-        and whether the reduced complex has the basepoint on the loop."""
-        p = self.pipeline
-        st, flip, _, keep, splice = p.plans[t][s]
-        kinks = self._kinks[t][s]
-        a_end = smoothing & keep | splice
-        kink = kinks.get(a_end)
-        if kink is None:
-            fmt = p.rows.fmt
-            loop, *transfer = _kink_transfer(fmt, a_end, a_end | flip, st, p.rows.spread)
-            kink = kinks[a_end] = (st.sign, *transfer, self.reduced and loop & fmt.based_arc != 0)
-        return kink
 
     def _raw(self, t, s, smoothing, a):
         """The label of tree t's block on ``smoothing`` whose abstract signs
         at stage s are a, if the stages before s leave it live."""
         for earlier in range(s - 1, -1, -1):
-            a = _unsurvive(self._kink(t, earlier, smoothing), a)
+            a = _unsurvive(self.pipeline.kink(t, earlier, smoothing, self.reduced), a)
         return smoothing | a
 
     def _replay(self, t, g, stop):
@@ -629,7 +588,7 @@ class LazyMatching(MorseMatching):
         for s, (_, flip, head_side, _, _) in enumerate(self.pipeline.plans[t][:stop]):
             if smoothing & flip == head_side:
                 return s, a, g
-            kink = self._kink(t, s, smoothing)
+            kink = self.pipeline.kink(t, s, smoothing, self.reduced)
             h = _head_signs(kink, a)
             if _partner_signs(kink, h) == a:
                 head = self._raw(t, s, smoothing ^ flip, h)
@@ -668,7 +627,7 @@ class LazyMatching(MorseMatching):
         st, flip, _, _, _ = plan[s]
         partner = g
         if head == g:
-            kink = self._kink(t, s, g & ~self.mask)
+            kink = pipeline.kink(t, s, g & ~self.mask, self.reduced)
             p = _partner_signs(kink, a)
             partner = self._raw(t, s, (g & ~self.mask) ^ flip, p)
             if self._abstract(t, partner, s) != p:
@@ -686,6 +645,8 @@ class LazyMatching(MorseMatching):
         """The label of the tree's generator seeded by ``seed``: the stage
         maps inverted from the round unknot's seed sign, checked to be left
         unmatched and to sit at the dictionary's grading."""
+        if seed not in (1, -1):
+            raise DiagramError(f"seed {seed!r} is neither +1 nor -1")
         p, t = self.pipeline, tree.index
         s, seed_bits = len(p.plans[t]), _seed_bits(seed)
         g = self._raw(t, s, p.loop_smoothing[t], seed_bits)
@@ -848,9 +809,9 @@ def _retract(matching):
     for t in trees:
         stages = p.stages[t.index]
         for seed in seeds:
-            survivor_of[(t.index, seed)] = matching.survivor(t, seed)
+            g = survivor_of[(t.index, seed)] = matching.survivor(t, seed)
             gens[t.index if reduced else (t.index, seed)] = _uv(t, seed)
-            chain = _fundamental_chain(matching, t, seed)
+            chain = matching.include(g, matching.first_key(t.index))
             labels = list(chain)
             if not all(rows.in_complex(g, reduced) for g in labels):
                 raise DiagramError("fundamental cycle leaves the complex")
@@ -979,9 +940,8 @@ def _kink_transfer(fmt, smoothing_x, smoothing_y, stage, spread):
     to_head_side, loop_bit, rest_bit, merged_bit): the loop circle's mask,
     the ``spread`` tables of the shared circles each way
     (``khovanov.RowBuilder.spread``, one per shape), and the bit of each
-    kink circle in its side's sign bits.  Only :meth:`LazyMatching._kink`
-    calls it; the stage rule and the Jacobsson substitution both read its
-    record.
+    kink circle in its side's sign bits.  Only :meth:`Pipeline.kink` calls
+    it, once per record for both modes; the stage rule reads the record.
     """
     head, loop_side = (smoothing_y, smoothing_x) if stage.sign > 0 else (smoothing_x, smoothing_y)
     h, lo = fmt.circles(head), fmt.circles(loop_side)

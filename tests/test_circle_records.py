@@ -48,7 +48,7 @@ def test_records_grading_and_cube_edges_match_the_frozenset_oracle():
 
 def test_kink_records_match_the_frozenset_oracle():
     # each kink of each tree's block, on its loop smoothing with the earlier
-    # kinks spliced, as LazyMatching._kink reads it
+    # kinks spliced, as Pipeline.kink reads it
     checked = 0
     for name, d in FRONT_FAMILY:
         p = Pipeline(d)

@@ -405,32 +405,89 @@ def cycle_diagrams():
 
 
 def test_label_substitution_matches_the_key_oracle():
-    """The Jacobsson substitution on sign bits gives the key route's chain,
-    dict order included, and gives up exactly on the trees whose negative
-    kink has a based loop."""
+    """Wherever Jacobsson's substitution applies, a tree's fundamental cycle
+    (its survivor's Morse inclusion) is the substitution's chain, dict order
+    included: ``jacobsson_cycle`` and the retraction's cycles both equal the
+    key oracle's.  The oracle gives up exactly on the trees whose negative
+    kink has a based loop, which
+    ``test_based_loop_cycles_are_the_block_filtered_inclusion`` covers."""
     checked = based = 0
     for name, d in cycle_diagrams():
         fmt = StateLabels(d)
         pipeline = Pipeline(d)
+        cycles = {reduced: {cyc.tree_index: cyc.chain for cyc in pipeline.retraction(reduced)[1].cycles}
+                  for reduced in (True, False)}
         for leaf in resolution_tree(d).leaves():
             t, stages = leaf.tree, leaf.stages
             for reduced, seed in ((True, 1), (False, 1), (False, -1)):
                 where = (name, t.index, reduced, seed)
-                labels = collapse._substitute_kinks(pipeline.matching(reduced), t.index, seed)
                 if reduced and has_based_negative_loop(d, t, stages):
-                    assert labels is None, where
+                    with pytest.raises(DiagramError, match="based loop"):
+                        jacobsson_by_keys(d, t, stages, reduced, seed)
                     based += 1
                     continue
-                assert labels is not None, where
-                keys = jacobsson_by_keys(d, t, stages, reduced, seed)
-                assert list(labels.items()) == [
-                    (fmt.label(*key), c) for key, c in keys.items()
+                keys = list(jacobsson_by_keys(d, t, stages, reduced, seed).items())
+                assert list(jacobsson_cycle(pipeline.matching(reduced), t, seed).items()) == keys, where
+                assert list(cycles[reduced][t.index, seed].items()) == [
+                    (fmt.label(*key), c) for key, c in keys
                 ], where
-                assert list(jacobsson_cycle(pipeline.matching(reduced), t, seed).items()) == list(
-                    keys.items()
-                ), where
                 checked += 1
     assert based > 150 and checked > 900
+
+
+def test_cycles_and_survivors_take_only_the_seeds_plus_and_minus_one():
+    pipeline = Pipeline(corpus.diagram("trefoil4"))
+    t = pipeline.trees[0]
+    reduced, unreduced = pipeline.matching(True), pipeline.matching(False)
+    for seed in (0, 2, 7, -2, 0.5, "+"):
+        with pytest.raises(DiagramError, match="neither"):
+            jacobsson_cycle(unreduced, t, seed)
+        for matching in (reduced, unreduced):
+            with pytest.raises(DiagramError, match="neither"):
+                matching.survivor(t, seed)
+    for seed in (0, 7, -1):
+        with pytest.raises(DiagramError, match="seeded by the"):
+            jacobsson_cycle(reduced, t, seed)
+    plus, minus = (jacobsson_cycle(unreduced, t, seed) for seed in (1, -1))
+    assert plus and minus and plus.keys().isdisjoint(minus)
+
+
+def test_one_pipeline_makes_each_kink_record_and_d_squared_check_once_for_both_modes(monkeypatch):
+    # the kink records and the d(d(x)) = 0 checks do not depend on the mode,
+    # so a pipeline that retracts in both modes makes each once
+    transfers, squares = [], []
+    kink_transfer, check_square = collapse._kink_transfer, collapse._check_square
+
+    def counting_transfer(fmt, smoothing_x, smoothing_y, stage, spread):
+        transfers.append((id(stage), smoothing_x))  # (tree, stage, A end)
+        return kink_transfer(fmt, smoothing_x, smoothing_y, stage, spread)
+
+    def counting_square(row, row_of, message):
+        squares.append(row)  # the builder's memoised row: one object per label
+        return check_square(row, row_of, message)
+
+    monkeypatch.setattr(collapse, "_kink_transfer", counting_transfer)
+    monkeypatch.setattr(collapse, "_check_square", counting_square)
+    shared = 0
+    for name in ("trefoil4", "6_2", "7_4", "8_19"):
+        per_mode = []
+        for reduced in (True, False):
+            transfers.clear()
+            squares.clear()
+            Pipeline(corpus.diagram(name)).retraction(reduced)
+            per_mode.append((len(transfers), len(squares)))
+        transfers.clear()
+        squares.clear()
+        pipeline = Pipeline(corpus.diagram(name))
+        for reduced in (True, False):
+            pipeline.retraction(reduced)
+        assert len(transfers) == len(set(transfers)), name
+        assert len(squares) == len({id(row) for row in squares}), name
+        (kinks_r, squares_r), (kinks_u, squares_u) = per_mode
+        assert max(kinks_r, kinks_u) <= len(transfers) <= kinks_r + kinks_u, name
+        assert max(squares_r, squares_u) <= len(squares) <= squares_r + squares_u, name
+        shared += kinks_r + kinks_u - len(transfers) + squares_r + squares_u - len(squares)
+    assert shared > 400
 
 
 def test_include_unknot_states_partition_and_shifts():

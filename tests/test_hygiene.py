@@ -383,15 +383,15 @@ def test_only_the_full_build_enumerates_the_whole_cube():
 
 
 def test_one_kink_record_and_one_spread_memo():
-    # the stage rule and the Jacobsson substitution read one kink record, made
-    # by LazyMatching._kink alone, and the kinks' sign_spread tables are kept
-    # per shape by khovanov.RowBuilder.spread, not threaded through collapse.py
+    # the stage rule of both modes reads one kink record, made by
+    # Pipeline.kink alone, and the kinks' sign_spread tables are kept per
+    # shape by khovanov.RowBuilder.spread, not threaded through collapse.py
     found = []
     for path in SRC:
         source = path.read_text(encoding="utf-8")
         found += [f"{path.name}: _kink_transfer in {where or 'module'}"
                   for where in constructions(source, "_kink_transfer")
-                  if (path.name, where) != ("collapse.py", "LazyMatching._kink")]
+                  if (path.name, where) != ("collapse.py", "Pipeline.kink")]
         found += [f"{path.name}: sign_spread in {where or 'module'}"
                   for where in constructions(source, "sign_spread")
                   if path.name != "khovanov.py"]
