@@ -1,6 +1,11 @@
 """Exact arithmetic substrate: integer Laurent polynomials, Smith normal form,
 and ranks/nullspaces over Q and F_p.  A matrix is a list of integer rows.
 
+Ranks and kernels share one exact row reduction, fraction-free over Q and
+modular over F_p; the kernel asks it for the reduced (Jordan) form.
+:func:`graded_homology` builds each degree's boundary matrix once and, over
+a field, ranks it once; over Z it reads the Smith form of the map in.
+
 Everything here is exact; no floating point anywhere.  Coefficient growth in
 the Smith reduction is handled by Python's big integers.
 """
@@ -288,12 +293,6 @@ def bareiss_determinant(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _field_rows(matrix, p):
-    if p is None:
-        return [[int(v) for v in row] for row in matrix]
-    return [[v % p for v in row] for row in matrix]
-
-
 def _gcd_reduce(row):
     g = 0
     for v in row:
@@ -316,44 +315,49 @@ def _is_prime(p):
     return True
 
 
+def _row_reduce(matrix, p, jordan):
+    """Exact row reduction over Q (p=None) or F_p: (rows, pivots), where row r
+    for r < len(pivots) has its pivot in column pivots[r] with zeros below it,
+    and above it too when ``jordan``, and the rows after those are zero.
+
+    Over Q it is fraction-free: a row loses f times the pivot row after
+    being scaled by the pivot, then is divided by the gcd of its entries.
+    Over F_p each pivot row is scaled to pivot 1 by the modular inverse.
+    """
+    if p is not None and not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p is None:
+        rows = [[int(v) for v in row] for row in matrix]
+    else:
+        rows = [[v % p for v in row] for row in matrix]
+    nrows = len(rows)
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        pivot = top[col]
+        if p is not None:
+            inv = pow(pivot, p - 2, p)
+            top = rows[rank] = [v * inv % p for v in top]
+        for i in range(0 if jordan else rank + 1, nrows):
+            f = rows[i][col]
+            if f and i != rank:
+                if p is None:
+                    rows[i] = _gcd_reduce([pivot * a - f * b for a, b in zip(rows[i], top)])
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        pivots.append(col)
+    return rows, pivots
+
+
 def rank_over_field(matrix, p=None):
     """Matrix rank by exact elimination: fraction-free over Q (p=None),
     modular over F_p."""
-    if p is not None and not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    rows = _field_rows(matrix, p)
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    nrows = len(rows)
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        if p is None:
-            for i in range(rank + 1, nrows):
-                f = rows[i][col]
-                if f:
-                    rows[i] = _gcd_reduce(
-                        [pivot * a - f * b for a, b in zip(rows[i], rows[rank])]
-                    )
-        else:
-            inv = pow(pivot, p - 2, p)
-            rows[rank] = [v * inv % p for v in rows[rank]]
-            for i in range(rank + 1, nrows):
-                f = rows[i][col]
-                if f:
-                    rows[i] = [
-                        (a - f * b) % p for a, b in zip(rows[i], rows[rank])
-                    ]
-        rank += 1
-        col += 1
-    return rank
+    return len(_row_reduce(matrix, p, False)[1])
 
 
 def nullspace_over_field(matrix, p=None):
@@ -362,54 +366,22 @@ def nullspace_over_field(matrix, p=None):
     Over Q the vectors are integral (denominators cleared); any spanning
     set is as good as a basis for the rank computations built on top.
     """
-    if p is not None and not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    rows = _field_rows(matrix, p)
-    nrows = len(rows)
+    rows, pivots = _row_reduce(matrix, p, True)
     ncols = len(rows[0]) if rows else 0
-    if ncols == 0:
-        return []
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        if p is None:
-            for i in range(nrows):
-                if i != rank and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = _gcd_reduce(
-                        [pivot * a - f * b for a, b in zip(rows[i], rows[rank])]
-                    )
-        else:
-            inv = pow(pivot, p - 2, p)
-            rows[rank] = [v * inv % p for v in rows[rank]]
-            for i in range(nrows):
-                if i != rank and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [
-                        (a - f * b) % p for a, b in zip(rows[i], rows[rank])
-                    ]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    scale = 1  # over Q, the lcm of the pivots
+    for r, pc in enumerate(pivots):
+        scale = scale * rows[r][pc] // gcd(scale, rows[r][pc])
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
         if p is None:
-            scale = 1
-            for r, pc in enumerate(pivots):
-                piv = rows[r][pc]
-                scale = scale * piv // gcd(scale, piv)
-            vec = [0] * ncols
             vec[fc] = scale
             for r, pc in enumerate(pivots):
                 vec[pc] = -rows[r][fc] * (scale // rows[r][pc])
             basis.append(_gcd_reduce(vec))
         else:
-            vec = [0] * ncols
             vec[fc] = 1
             for r, pc in enumerate(pivots):
                 vec[pc] = (-rows[r][fc]) % p
@@ -482,27 +454,24 @@ def graded_homology(gradings, rows, coefficients="Z"):
     if len(source) != len(target):
         raise ValueError("two degrees map into one degree")
 
-    def boundary(deg):
-        """Rows of d out of ``deg``, one per generator of the degree it lands
-        in; none when d leaves it at 0."""
-        here = gens[deg]
+    p = None if ring == "Q" else ring
+    out = {}  # degree -> d out of it: its rows over Z, its rank over a field
+    for deg, here in gens.items():
+        # one row per generator of the degree d lands in; none when d is 0
         matrix = [[0] * len(here) for _ in gens.get(target.get(deg), ())]
         for c, g in enumerate(here):
             for t, coeff in rows.get(g, {}).items():
                 matrix[index[t]][c] = coeff
-        return matrix
-
-    p = None if ring == "Q" else ring
+        out[deg] = matrix if ring == "Z" else rank_over_field(matrix, p)
     result = {}
     for deg, here in sorted(gens.items()):
-        out = boundary(deg)
-        inc = boundary(source[deg]) if deg in source else [[] for _ in here]
         if ring == "Z":
-            free, torsion = homology_groups(inc, out)
+            inc = out[source[deg]] if deg in source else [[] for _ in here]
+            free, torsion = homology_groups(inc, out[deg])
             if free or torsion:
                 result[deg] = (free, torsion)
         else:
-            dim = len(here) - rank_over_field(out, p) - rank_over_field(inc, p)
+            dim = len(here) - out[deg] - (out[source[deg]] if deg in source else 0)
             if dim:
                 result[deg] = dim
     return result

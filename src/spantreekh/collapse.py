@@ -56,7 +56,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
-from .algebra import LaurentPolynomial
+from .algebra import LaurentPolynomial, graded_homology
 from .diagram import DiagramError, tait_graph
 from .jones import bracket_spantree, jones
 from .khovanov import (
@@ -64,7 +64,7 @@ from .khovanov import (
     StateLabels,
     _check_d_squared,
     _check_square,
-    cancelled_homology,
+    cancelled_residue,
     differential,
     enumerate_states,
 )
@@ -144,9 +144,10 @@ _TOP = float("inf")  # above every pair's key
 
 
 class MorseMatching:
-    """Pairs (x, y) of states of one differential with <dx, y> = +-1, each
-    state in at most one pair, each pair under a sortable key; an algebraic
-    Morse matching once :meth:`check_acyclic` has passed.
+    """The gradient flows of an algebraic Morse matching: pairs (x, y) of
+    states of one differential with <dx, y> = +-1, each state in at most one
+    pair, each pair under a sortable key, with no gradient cycle once
+    :meth:`check_acyclic` has passed.
 
     The differential is read, never changed.  A chain is carried onto the
     unmatched states by the gradient flow: an upper state drops, and the
@@ -158,44 +159,15 @@ class MorseMatching:
     gives; on an acyclic matching each pair's incidence at its turn is still
     lam.
 
-    The flows read the matching through :meth:`row`, :meth:`lower_key`,
-    :meth:`is_upper` and :meth:`pair` only.  Here the pairs are those given
-    to :meth:`match`, keyed by their position (an int); :class:`LazyMatching`
-    answers the same questions on demand.
+    The flows read the matching through ``row(g)`` (d(g)), ``lower_key(g)``
+    (the key of the pair whose lower state is g, else None),
+    ``is_upper(g)`` and ``pair(key)`` (its :class:`MatchedPair`) only, which
+    a subclass answers: :class:`LazyMatching` on demand, the full-cube test
+    oracle (``tests/matching_oracle.py``) off the pairs given to it one by
+    one.  A subclass keeps ``pairs`` (key -> MatchedPair, the pairs used so
+    far), ``key_of`` (lower state -> key) and ``_flows`` (pair key -> (its
+    flow, None), once computed).
     """
-
-    def __init__(self, differential):
-        self.differential = differential
-        self.pairs = {}        # key -> MatchedPair
-        self.lower_of = {}     # upper state -> its lower state
-        self.key_of = {}       # lower state -> its pair's key
-        self._flows = {}       # pair key -> (its flow, None), once computed
-
-    def row(self, g):
-        return self.differential.get(g, {})
-
-    def lower_key(self, g):
-        """The key of the pair whose lower state is g, else None."""
-        return self.key_of.get(g)
-
-    def is_upper(self, g):
-        return g in self.lower_of
-
-    def pair(self, key):
-        return self.pairs[key]
-
-    def matched(self, g):
-        return g in self.lower_of or g in self.key_of
-
-    def match(self, x, y):
-        """Pair the upper state x with the lower state y, after every pair so far."""
-        lower_of, key_of = self.lower_of, self.key_of
-        if x in lower_of or x in key_of or y in lower_of or y in key_of:
-            raise DiagramError("state matched twice")
-        key = len(self.pairs)
-        self.pairs[key] = self._unit_pair(x, y)
-        lower_of[x] = y
-        key_of[y] = key
 
     def _unit_pair(self, x, y):
         """The pair (x, y), its incidence <dx, y> read off :meth:`row` and
@@ -536,8 +508,11 @@ class LazyMatching(MorseMatching):
     """
 
     def __init__(self, pipeline, reduced):
-        super().__init__(None)
         self.pipeline, self.reduced = pipeline, reduced
+        self.pairs = {}         # key -> MatchedPair, for the pairs the flows used
+        self.lower_of = {}      # upper state -> its lower state
+        self.key_of = {}        # lower state -> its pair's key
+        self._flows = {}        # pair key -> (its flow, None), once computed
         self.mask = pipeline.rows.mask
         # tree index -> per stage: label -> abstract signs, or None
         self._live = {t: [{} for _ in range(len(plan) + 1)] for t, plan in pipeline.plans.items()}
@@ -683,6 +658,7 @@ class TreeComplex:
         self.differential = differential        # label -> {label: coeff}
         self.reduced = reduced
         self.w, self.k = w, k
+        self._residue = None  # (gradings, rows) once the +-1 incidences are cancelled
         for src, row in differential.items():
             su, sv = self.generators[src]
             for dst, coeff in row.items():
@@ -694,7 +670,11 @@ class TreeComplex:
                     )
 
     def homology(self, coefficients="Z"):
-        return cancelled_homology(self.generators, self.differential, coefficients)
+        """Per-(u, v) homology, as :meth:`khovanov.BigradedComplex.homology`
+        gives it: the +-1 incidences are cancelled once, on the first call."""
+        if self._residue is None:
+            self._residue = cancelled_residue(self.generators, self.differential)
+        return graded_homology(*self._residue, coefficients)
 
     def homology_in_ij(self, coefficients="Z"):
         """Homology transported to (i, j) by the grading dictionary."""

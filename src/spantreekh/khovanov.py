@@ -156,9 +156,7 @@ class BigradedComplex:
         cancelled once, on the first call: every ring reads the residue.
         """
         if self._residue is None:
-            mc = MutableComplex(self.states, self.differential)
-            mc.cancel()
-            self._residue = mc.gradings, mc.rows
+            self._residue = cancelled_residue(self.states, self.differential)
         return graded_homology(*self._residue, coefficients)
 
     def total_dimension(self):
@@ -269,12 +267,14 @@ def _check_square(row, row_of, message):
         raise DiagramError(message)
 
 
-def cancelled_homology(gradings, rows, coefficients):
-    """Homology of the complex {generator: degree}, {generator: d(generator)}:
-    cancel the +-1 incidences on a copy, then take the residue's homology."""
+def cancelled_residue(gradings, rows):
+    """The (gradings, rows) left of the complex {generator: degree},
+    {generator: d(generator)} once its +-1 incidences are cancelled, on a
+    copy.  Both are copied afresh: a dict keeps the room of the entries the
+    collapses popped, and the residue is kept while its complex lives."""
     mc = MutableComplex(gradings, rows)
     mc.cancel()
-    return graded_homology(mc.gradings, mc.rows, coefficients)
+    return dict(mc.gradings), dict(mc.rows)
 
 
 def enumerate_states(diagram, reduced, fixed=None, labels=None):

@@ -7,6 +7,8 @@ records, with their gradings taken from the markers and signs of each
 and every A -> B flip on ``(markers, signs)`` keys.  ``homology_snapshot`` is the dense Smith form of a
 ``MutableComplex`` with no cancellation.  ``enumerated_census`` is the
 full-cube count of each tree's block that the pipeline's census replaced.
+``cancelled_homology`` cancels a complex afresh on every call, with no
+residue kept.
 
 The frozenset circles are the circle geometry as it was before the circle
 records (``StateLabels.circles``): :func:`circles` is ``LinkDiagram.circles``
@@ -22,7 +24,18 @@ from itertools import product
 
 from spantreekh.algebra import graded_homology
 from spantreekh.diagram import DiagramError
-from spantreekh.khovanov import BigradedComplex, StateLabels, enumerate_states
+from spantreekh.khovanov import (
+    BigradedComplex,
+    StateLabels,
+    cancelled_residue,
+    enumerate_states,
+)
+
+
+def cancelled_homology(gradings, rows, coefficients):
+    """Homology of the complex {generator: degree}, {generator: d(generator)}:
+    cancel the +-1 incidences on a copy, then take the residue's homology."""
+    return graded_homology(*cancelled_residue(gradings, rows), coefficients)
 
 
 def circles(diagram, markers):

@@ -3,7 +3,8 @@
 ``retract_by_matching`` is ``retract_to_tree_complex`` as it was before the
 route became lazy.  It builds the whole complex, checks the order
 discipline on it, runs the block pass (:func:`collapse_tree_block`) on every
-tree's block in linear-extension order into one ``MorseMatching``, checks
+tree's block in linear-extension order into one :class:`MorseMatching`
+(the eager subclass of the package's flows kept here), checks
 the complete matching for gradient cycles, and takes the tree complex and
 the transport matrix through the same flows the lazy route uses.  Its
 fundamental cycles are the key route's of ``collapse_oracle``.  Its record
@@ -14,9 +15,9 @@ also carries the built complex (``full_complex``) and each state's tree
 from collections import namedtuple
 from itertools import groupby
 
+from spantreekh import collapse
 from spantreekh.collapse import (
     FundamentalCycle,
-    MorseMatching,
     RetractionRecord,
     TreeComplex,
     _check_block_cycle,
@@ -38,6 +39,45 @@ from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 # ``log_size`` its length.
 OracleRecord = namedtuple("OracleRecord", ("complex",) + RetractionRecord._fields[1:-1]
                           + ("trees", "poset", "state_tree", "full_complex"))
+
+
+class MorseMatching(collapse.MorseMatching):
+    """The eager matching on a built differential: the pairs given to
+    :meth:`match`, each keyed by its position (an int), under the package's
+    gradient flows and gradient-cycle check."""
+
+    def __init__(self, differential):
+        self.differential = differential
+        self.pairs = {}        # key -> MatchedPair
+        self.lower_of = {}     # upper state -> its lower state
+        self.key_of = {}       # lower state -> its pair's key
+        self._flows = {}       # pair key -> (its flow, None), once computed
+
+    def row(self, g):
+        return self.differential.get(g, {})
+
+    def lower_key(self, g):
+        """The key of the pair whose lower state is g, else None."""
+        return self.key_of.get(g)
+
+    def is_upper(self, g):
+        return g in self.lower_of
+
+    def pair(self, key):
+        return self.pairs[key]
+
+    def matched(self, g):
+        return g in self.lower_of or g in self.key_of
+
+    def match(self, x, y):
+        """Pair the upper state x with the lower state y, after every pair so far."""
+        lower_of, key_of = self.lower_of, self.key_of
+        if x in lower_of or x in key_of or y in lower_of or y in key_of:
+            raise DiagramError("state matched twice")
+        key = len(self.pairs)
+        self.pairs[key] = self._unit_pair(x, y)
+        lower_of[x] = y
+        key_of[y] = key
 
 
 def collapse_tree_block(diagram, matching, tree, stages, live_set, reduced, spread):

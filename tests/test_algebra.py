@@ -225,6 +225,59 @@ def test_nullspace_over_q_and_f2():
     assert basis2 == [[1, 1]]
 
 
+def _rank_by_smith(matrix, p):
+    """The rank over Q (p None) or F_p off the Smith form over Z: the number
+    of invariant factors, or of those p does not divide."""
+    return sum(1 for d in smith_normal_form(matrix).factors if p is None or d % p)
+
+
+def test_rank_and_kernel_on_random_matrices():
+    # rank + kernel size = columns; every kernel vector is annihilated
+    # (exactly over Q, mod p over F_p) and the kernel vectors are
+    # independent; the ranks match the Smith form's over Z
+    rng = random.Random(28)
+    for _ in range(800):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(ncols)]
+             for _ in range(nrows)]
+        width = ncols if nrows else 0
+        for p in (None, 2, 3, 5, 7):
+            rank, kernel = rank_over_field(m, p), nullspace_over_field(m, p)
+            assert rank + len(kernel) == width, (m, p)
+            for vec in kernel:
+                assert len(vec) == width and all(isinstance(v, int) for v in vec)
+                image = [sum(a * v for a, v in zip(row, vec)) for row in m]
+                assert all((x if p is None else x % p) == 0 for x in image), (m, p, vec)
+            assert _rank_by_smith(kernel, p) == len(kernel), (m, p)
+            assert rank == _rank_by_smith(m, p), (m, p)
+
+
+def test_graded_homology_builds_and_ranks_each_boundary_once(monkeypatch):
+    # each degree's boundary matrix is built once, as the map out of it, and
+    # handed on as the map into the degree it lands in; over a field it is
+    # ranked once
+    from spantreekh import algebra, corpus
+    from spantreekh.khovanov import differential
+
+    cx = differential(corpus.diagram("4_1"), True)
+    degrees = set(cx.states.values())
+    ranked, handed = [], []
+    rank, groups = algebra.rank_over_field, algebra.homology_groups
+    monkeypatch.setattr(algebra, "rank_over_field",
+                        lambda m, p=None: ranked.append(m) or rank(m, p))
+    monkeypatch.setattr(algebra, "homology_groups",
+                        lambda i, o: handed.extend((i, o)) or groups(i, o))
+    for ring in ("Z", "Q", 2):
+        ranked.clear()
+        handed.clear()
+        assert algebra.graded_homology(cx.states, cx.differential, ring)
+        assert len(ranked) == len(degrees), ring
+        # a boundary has a column per generator of its degree; the stand-in
+        # for "nothing maps in" has rows but no column
+        built = {id(m) for m in ranked + handed if not (m and not m[0])}
+        assert len(built) == len(degrees), ring
+
+
 def test_bareiss_determinant():
     assert bareiss_determinant([[1, 2], [3, 4]]) == -2
     assert bareiss_determinant([]) == 1

@@ -11,7 +11,7 @@ from collapse_oracle import (
     jacobsson_by_keys,
     retract_by_collapses,
 )
-from khovanov_oracle import homology_snapshot
+from khovanov_oracle import cancelled_homology, homology_snapshot
 from test_diagram import LINK_FAMILY
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
@@ -19,7 +19,6 @@ from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import (
     MutableComplex,
     StateLabels,
-    cancelled_homology,
     differential,
     khovanov_homology,
 )
@@ -594,6 +593,30 @@ def test_links_retract_onto_their_homology(name, d):
     for reduced in (True, False):
         tc, _ = retract_to_tree_complex(d, reduced=reduced)
         assert tc.homology_in_ij() == khovanov_homology(d, reduced=reduced), (name, reduced)
+
+
+def test_a_tree_complex_cancels_once_for_every_ring(monkeypatch):
+    # a tree complex cancels its +-1 incidences on its first homology call,
+    # as a BigradedComplex does; every ring, in (u, v) or in (i, j), reads
+    # that residue
+    cancels = []
+    cancel = khovanov.MutableComplex.cancel
+
+    def counting(self):
+        cancels.append(self)
+        return cancel(self)
+
+    monkeypatch.setattr(khovanov.MutableComplex, "cancel", counting)
+    rings = ("Z", "Q", 2, "F3", "Z")
+    for reduced in (True, False):
+        tc, _ = retract_to_tree_complex(corpus.diagram("7_4"), reduced=reduced)
+        cancels.clear()
+        found = [tc.homology(ring) for ring in rings]
+        assert tc.homology_in_ij(2)
+        assert len(cancels) == 1, reduced
+        for ring, groups in zip(rings, found):
+            assert groups == cancelled_homology(tc.generators, tc.differential, ring), ring
+        assert len(cancels) == 1 + len(rings)
 
 
 def test_retraction_of_cycles_is_identity():

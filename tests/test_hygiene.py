@@ -562,6 +562,42 @@ def test_only_three_walks_pop_a_work_list():
     ]
 
 
+def exact_row_updates(source):
+    """The dotted names of the definitions that make an exact row update, one
+    entry per update: a ``_gcd_reduce`` call on a list comprehension (the
+    fraction-free update over Q) or a three-argument ``pow`` (a modular
+    inverse over F_p)."""
+    return ([where for where, call in calls(source, "_gcd_reduce")
+             if call.args and isinstance(call.args[0], ast.ListComp)]
+            + [where for where, call in calls(source, "pow") if len(call.args) == 3])
+
+
+def test_exact_row_updates_are_located():
+    source = (
+        "def reduce(rows, p):\n"
+        "    rows[1] = _gcd_reduce([a - b for a, b in zip(*rows)])\n"
+        "    return pow(rows[0][0], p - 2, p)\n"
+        "def kernel(vec):\n"
+        "    return _gcd_reduce(vec), pow(2, 3)\n"
+        "class C:\n"
+        "    def m(self, c, p):\n"
+        "        return (lambda: pow(c, -1, p))()\n"
+    )
+    assert exact_row_updates(source) == ["reduce", "reduce", "C.m"]
+
+
+def test_one_exact_row_reduction():
+    # rank and kernel share algebra._row_reduce, the one package definition
+    # that makes fraction-free or modular row updates; the one other modular
+    # inverse is spectral._pairs's, the filtered column reduction whose
+    # persistence pairs, not only its ranks, give the pages
+    found = sorted({(path.name, where) for path in SRC
+                    for where in exact_row_updates(path.read_text(encoding="utf-8"))})
+    assert found == [("algebra.py", "_row_reduce"), ("spectral.py", "_pairs")]
+    algebra = (ROOT / "src" / "spantreekh" / "algebra.py").read_text(encoding="utf-8")
+    assert constructions(algebra, "_row_reduce") == ["rank_over_field", "nullspace_over_field"]
+
+
 def test_only_alternating_asks_whether_a_crossing_is_nugatory():
     # the resolution tree reads the trees, so the one package call of
     # LinkDiagram.is_nugatory is alternating.is_reduced_diagram's

@@ -4,7 +4,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from khovanov_oracle import circles, per_state_differential
+from khovanov_oracle import cancelled_homology, circles, per_state_differential
 from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
 
@@ -15,7 +15,6 @@ from spantreekh.jones import jones
 from spantreekh.khovanov import (
     BigradedComplex,
     StateLabels,
-    cancelled_homology,
     differential,
     enumerate_states,
     khovanov_homology,

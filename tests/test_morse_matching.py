@@ -14,7 +14,7 @@ import random
 import pytest
 
 from khovanov_oracle import smoothing_grading
-from matching_oracle import is_ordered_subsequence, retract_by_matching
+from matching_oracle import MorseMatching, is_ordered_subsequence, retract_by_matching
 from collapse_oracle import (
     SequentialComplex,
     has_based_negative_loop,
@@ -27,7 +27,6 @@ from test_khovanov import extra_edge
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
 from spantreekh.collapse import (
-    MorseMatching,
     Pipeline,
     jacobsson_cycle,
     retract_to_tree_complex,
