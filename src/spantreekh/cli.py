@@ -344,6 +344,7 @@ _CATEGORIES = {
     "alternating": _verify_alternating,
     "thickness": _verify_thickness,
 }
+_parser = None  # built by the first run, kept for the process
 
 
 def cmd_verify(args):
@@ -457,8 +458,9 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except DiagramError as exc:

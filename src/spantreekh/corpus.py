@@ -72,6 +72,7 @@ _PD_CODES = {
 ALTERNATING_KNOTS = ("3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3", "7_4")
 UNKNOTS = ("unknot0", "unknot1p", "unknot1n", "unknot2", "unknot3")
 BRUTE_FORCE_CAP = 9
+_expected = None  # corpus_data.json as first parsed, shared read-only by every entry
 
 
 class CorpusEntry:
@@ -109,11 +110,12 @@ def _data_path():
 
 
 def load_expected():
-    path = _data_path()
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        return {}
+    """The parsed corpus_data.json ({} when missing), read once per process."""
+    global _expected
+    if _expected is None:
+        path = _data_path()
+        _expected = json.loads(path.read_text()) if path.is_file() else {}
+    return _expected
 
 
 def entries():
@@ -171,6 +173,7 @@ def _homology_json(groups):
 
 def regenerate(path=None):
     """Recompute all derived expectations and rewrite corpus_data.json."""
+    global _expected
     data = {}
     for entry in entries():
         data[entry.name] = compute_expected(entry)
@@ -178,4 +181,5 @@ def regenerate(path=None):
     with open(target, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    _expected = None  # the next load_expected parses the package file afresh
     return data

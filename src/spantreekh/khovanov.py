@@ -24,8 +24,9 @@ time: :func:`differential` runs it over every state, and a diagram's
 read in both modes, since a based-"+" state has only based-"+" targets.
 
 A smoothing's circles are one record of arc-position bitmasks keyed by its
-label bits (:meth:`StateLabels.circles`).  The builder matches circles once
-per cube edge (:func:`_cube_edge`), by mask, not once per enhanced state and
+label bits (:meth:`StateLabels.circles`), made off the record of a smoothing
+one flip away by one merge or split.  The builder matches circles once per
+cube edge (:func:`_cube_edge`), by mask, not once per enhanced state and
 edge.  An edge's map on sign bits depends only on its *shape*: how many
 circles the target has and where each source circle goes (the target
 circles no source circle goes to are born).  The builder keeps one table per
@@ -43,7 +44,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import LaurentPolynomial, graded_homology
-from .diagram import DiagramError, class_roots
+from .diagram import DiagramError
 
 
 def _bits(flags):
@@ -65,8 +66,8 @@ class StateLabels:
     full complex does.  :meth:`circles` and :meth:`grading` are memoised by
     smoothing: a label's bits with the sign field clear."""
 
-    __slots__ = ("n", "width", "signs_mask", "smoothing_of", "writhe", "joins",
-                 "slot_arcs", "based_arc", "_circles", "_gradings")
+    __slots__ = ("n", "width", "signs_mask", "smoothing_of", "writhe", "slot_arcs",
+                 "based_arc", "_flips", "_ends", "_steps", "_circles", "_gradings")
 
     def __init__(self, diagram):
         self.n = diagram.n
@@ -74,10 +75,17 @@ class StateLabels:
         self.signs_mask = (1 << self.width) - 1
         self.smoothing_of = (~self.signs_mask).__and__  # a label's bits, sign field clear
         self.writhe = diagram.writhe
-        # per crossing, last first, the arc-position pairs its A (bit 0) and B (bit 1) join
-        self.joins = tuple((j["A"], j["B"]) for j in reversed(diagram._joins))
-        self.slot_arcs = diagram._slot_arcs  # per crossing, its four arc positions
+        self.slot_arcs = slot_arcs = diagram._slot_arcs  # per crossing, its four arc positions
         self.based_arc = 1 << diagram.arcs.index(diagram.basepoint)
+        self._flips = tuple((c, self.crossing_bit(c)) for c in range(self.n))
+        self._ends = tuple(1 << a0 | 1 << a2 for a0, _, a2, _ in slot_arcs)  # slot 0 and 2 arcs
+        # per dart 4c + s (an arc's end at slot s of crossing c), the arc's bit, the bit of
+        # the crossing at its far end and the darts on from there under A (s ^ 1) and B (s ^ 3)
+        far = {}
+        for (c, s), (e, t) in diagram.incidences.values():
+            far[4 * c + s], far[4 * e + t] = 4 * e + t, 4 * c + s
+        self._steps = [(1 << slot_arcs[d >> 2][d & 3], self.crossing_bit(far[d] >> 2),
+                        far[d] ^ 1, far[d] ^ 3) for d in range(4 * self.n)]
         self._circles, self._gradings = {}, {}  # smoothing -> circles(), grading()
 
     def smoothing(self, markers):
@@ -103,18 +111,53 @@ class StateLabels:
 
     def circles(self, smoothing):
         """A smoothing's circles as arc-position bitmasks in smallest-arc
-        order, by one union-find pass over the joins its marker bits pick."""
+        order, made once: off the record of a smoothing one flip away, by
+        one merge or split (:meth:`_flip`), else seeded by walks."""
         record = self._circles.get(smoothing)
         if record is None:
-            pairs, bits = [], smoothing >> self.width
-            for joins in self.joins:
-                pairs += joins[bits & 1]
-                bits >>= 1
-            masks = [0] * self.width
-            for p, root in enumerate(class_roots(self.width, pairs)):
-                masks[root] |= 1 << p
-            record = self._circles[smoothing] = tuple(m for m in masks if m)
+            for c, bit in self._flips:
+                near = self._circles.get(smoothing ^ bit)
+                if near is not None:
+                    record = self._flip(smoothing, c, near)
+                    break
+            else:
+                record = self._seed(smoothing)
+            self._circles[smoothing] = record
         return record
+
+    def _circle_through(self, smoothing, dart):
+        """The arc bitmask of the smoothing's circle through ``dart``: from
+        each arc's far end on to its crossing's partner slot."""
+        steps, mask, d = self._steps, 0, dart
+        while True:
+            arc, bit, a, b = steps[d]
+            mask |= arc
+            d = b if smoothing & bit else a
+            if d == dart:
+                return mask
+
+    def _seed(self, smoothing):
+        """A smoothing's circles, by one walk from each dart whose arc is on none so far."""
+        masks = []
+        for d, (arc, *_) in enumerate(self._steps):
+            if not any(m & arc for m in masks):
+                masks.append(self._circle_through(smoothing, d))
+        return tuple(sorted(masks, key=lambda m: m & -m)) or (self.signs_mask,)  # no crossing
+
+    def _flip(self, smoothing, c, near):
+        """A smoothing's circles off the record ``near`` of it with crossing c flipped.  No
+        marker joins c's slots 0 and 2: their circles in ``near`` merge if they differ, else
+        the circle splits into the walk from slot 0's arc and the rest of it."""
+        ends = self._ends[c]
+        hit = [k for k, m in enumerate(near) if m & ends]  # one circle or two through them
+        i, j = hit[0], hit[-1]
+        if i != j:
+            return (*near[:i], near[i] | near[j], *near[i + 1:j], *near[j + 1:])
+        part = self._circle_through(smoothing, 4 * c)
+        if part == near[i]:
+            raise DiagramError("marker flip left the circle count unchanged")
+        return tuple(sorted((*near[:i], part, near[i] ^ part, *near[i + 1:]),
+                            key=lambda m: m & -m))  # smallest arc first
 
     def grading(self, smoothing):
         """(i, k, based) of a smoothing: i = (w - sigma)/2, its circle count k

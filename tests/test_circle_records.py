@@ -2,13 +2,17 @@
 ``khovanov_oracle``, and the work the lazy route does with them."""
 
 import random
+from collections import Counter
+
+import pytest
 
 from collapse_oracle import _kink_geometry
 from khovanov_oracle import circle_moves, circles, smoothing_grading
 from test_spantree import FRONT_FAMILY
 
-from spantreekh import khovanov
+from spantreekh import corpus
 from spantreekh.collapse import Pipeline, _kink_transfer
+from spantreekh.diagram import DiagramError
 from spantreekh.khovanov import StateLabels, _cube_edge
 from spantreekh.planegraph import triangle_bundle
 
@@ -91,23 +95,95 @@ def _spread(count, moves, bits):
     return out
 
 
+def _recording(monkeypatch):
+    """The records StateLabels makes, as (route, smoothing) in the order made:
+    a "merge" or "split" off a neighbour's record, or a "seed"."""
+    made = []
+    flip, seed = StateLabels._flip, StateLabels._seed
+
+    def flipped(self, smoothing, c, near):
+        record = flip(self, smoothing, c, near)
+        made.append(("merge" if len(record) < len(near) else "split", smoothing))
+        return record
+
+    def seeded(self, smoothing):
+        made.append(("seed", smoothing))
+        return seed(self, smoothing)
+
+    monkeypatch.setattr(StateLabels, "_flip", flipped)
+    monkeypatch.setattr(StateLabels, "_seed", seeded)
+    return made
+
+
+def _subcube(d, rng):
+    """Every smoothing up to 8 crossings, else the 64 of a seeded 6-crossing
+    subcube, as marker bits."""
+    if d.n <= 8:
+        return list(range(2 ** d.n))
+    base = rng.getrandbits(d.n)
+    free = [1 << c for c in rng.sample(range(d.n), 6)]
+    return sorted({base & ~sum(free) | sum(b for k, b in enumerate(free) if m >> k & 1)
+                   for m in range(64)})
+
+
+def test_records_built_off_any_neighbour_match_the_frozenset_oracle(monkeypatch):
+    # three visiting orders per diagram, so most records are derived off a
+    # different recorded neighbour each time; the kinked unknots have loop
+    # arcs, whose two ends sit at one crossing
+    made = _recording(monkeypatch)
+    rng = random.Random("derived-records")
+    looped = set()
+    for name, d in FRONT_FAMILY:
+        if any(c1 == c2 for (c1, _), (c2, _) in d.incidences.values()):
+            looped.add(name)
+        cube = _subcube(d, rng)
+        oracle = {bits: list(circles(d, StateLabels(d).markers(bits << len(d.arcs))))
+                  for bits in cube}
+        for _ in range(3):
+            rng.shuffle(cube)
+            fmt = StateLabels(d)
+            for bits in cube:
+                record = fmt.circles(bits << fmt.width)
+                assert [_arcs(d, m) for m in record] == oracle[bits], (name, bits)
+    routes = Counter(route for route, _ in made)
+    assert routes["merge"] > 0 and routes["split"] > 0 and routes["seed"] > 0, routes
+    assert routes["seed"] < routes["merge"] + routes["split"], routes
+    assert {"unknot1p", "unknot3"} <= looped
+
+
+def test_a_neighbour_record_whose_split_finds_one_circle_is_caught():
+    # a flip changes the circle count by one, so a split whose walk comes
+    # back with the whole circle is refused; the planted "neighbour" record
+    # is the smoothing's own, put one flip away
+    d = corpus.diagram("3_1")
+    fmt = StateLabels(d)
+    for bits in range(2 ** d.n):
+        smoothing = bits << fmt.width
+        record = fmt.circles(smoothing)
+        for c in range(d.n):
+            a0, _, a2, _ = fmt.slot_arcs[c]
+            if any(m >> a0 & 1 and m >> a2 & 1 for m in record):
+                corrupt = StateLabels(d)
+                corrupt._circles[smoothing ^ fmt.crossing_bit(c)] = record
+                with pytest.raises(DiagramError, match="circle count"):
+                    corrupt.circles(smoothing)
+                return
+    raise AssertionError("no smoothing with slots 0 and 2 of a crossing on one circle")
+
+
 def test_tri_18_pos_retraction_fills_few_table_entries_and_one_record_per_smoothing(monkeypatch):
     # the lazy route reads 1,596 smoothings of 2^18 (rows, cube edges and
     # kinks); the dense shape tables of the fundamental cycles' smoothings
     # once held 5.3 million entries, and their spreads 0.8 million
     d = triangle_bundle([1] * 6, [1] * 6, [1] * 6)[0]
-    built = []
-    class_roots = khovanov.class_roots
-
-    def counting(size, pairs):
-        built.append(size)
-        return class_roots(size, pairs)
-
-    monkeypatch.setattr(khovanov, "class_roots", counting)
+    made = _recording(monkeypatch)
     p = Pipeline(d)
     p.retraction(True)
     rows = p.rows
     filled = sum(map(len, rows._tables.values())) + sum(map(len, rows._spreads.values()))
     assert 0 < filled <= 1000
-    assert len(built) == len(rows.fmt._circles) < 2 ** 11
+    # each record is made once, nearly all off a neighbour's record
+    assert sorted(s for _, s in made) == sorted(rows.fmt._circles)
+    assert len(made) < 2 ** 11
+    assert 0 < Counter(route for route, _ in made)["seed"] <= 16
     assert {g & ~rows.mask for g in rows._rows} <= set(rows.fmt._circles)

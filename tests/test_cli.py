@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from spantreekh.cli import run
+from spantreekh import cli
+from spantreekh.cli import build_parser, run
 
 
 def test_info(capsys):
@@ -399,3 +400,36 @@ def test_python_m_spantreekh_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "V_D                 = -t^-4+t^-3+t^-1" in done.stdout.splitlines()
+
+
+def _exit_and_stdout(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_every_run_in_a_process(monkeypatch, capsys):
+    # the parser is built by the first run only, and a flag or category set
+    # in one run is not carried into the next
+    argvs = [["--json", "homology", "3_1", "--unreduced"], ["--json", "homology", "3_1"],
+             ["--json", "verify", "--knot", "3_1"],
+             ["--json", "verify", "thickness", "--knot", "3_1"],
+             ["spectral", "3_1", "--pages", "-1"], ["homology", "3_1"]]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_exit_and_stdout(argv, capsys))
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert [_exit_and_stdout(argv, capsys) for argv in argvs] == fresh
+    assert len(built) == 1
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 2, 0]
+    assert fresh[0][1] != fresh[1][1] and fresh[2][1] != fresh[3][1]

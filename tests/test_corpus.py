@@ -1,8 +1,10 @@
 """Corpus integrity: diagrams, generator round-trips and frozen data."""
 
+import json
 from fractions import Fraction
 
 from spantreekh import corpus
+from spantreekh.cli import run
 from spantreekh.diagram import tait_graph
 from spantreekh.jones import jones
 from spantreekh.planegraph import (
@@ -119,3 +121,40 @@ def test_expected_data_is_frozen_and_consistent():
 def test_trefoil4_provenance_is_paper():
     assert corpus.get("trefoil4").provenance == "paper"
     assert corpus.get("4_1").provenance == "derived-by-oracle"
+
+
+def test_corpus_data_is_parsed_once_and_refreshed_by_regenerate(monkeypatch, tmp_path, capsys):
+    reads = []
+    data_path = corpus._data_path
+
+    class Counted:
+        """The package file, counting its reads."""
+
+        def is_file(self):
+            return data_path().is_file()
+
+        def read_text(self):
+            reads.append(1)
+            return data_path().read_text()
+
+    monkeypatch.setattr(corpus, "_expected", None)
+    monkeypatch.setattr(corpus, "_data_path", Counted)
+    for _ in range(3):
+        for name in corpus.names():
+            assert corpus.get(name).expected is corpus.load_expected().get(name)
+    assert len(reads) == 1
+    # the tree-expansion checks, which read the expected data, leave it as parsed
+    assert run(["--json", "verify", "--all", "tree-expansion"]) == 0
+    capsys.readouterr()
+    assert len(reads) == 1
+    assert corpus.load_expected() == json.loads(data_path().read_text())
+    # regenerate rewrites the file, and get returns what it wrote
+    target = tmp_path / "corpus_data.json"
+    target.write_text("{}")
+    monkeypatch.setattr(corpus, "_expected", None)
+    monkeypatch.setattr(corpus, "_data_path", lambda: target)
+    assert corpus.get("3_1").expected is None
+    monkeypatch.setattr(corpus, "compute_expected", lambda entry: {"writhe": len(entry.name)})
+    corpus.regenerate()
+    assert corpus.get("3_1").expected == {"writhe": 3}
+    assert corpus.load_expected() == json.loads(target.read_text())

@@ -502,6 +502,73 @@ def test_state_labels_are_made_where_they_are_owned():
     assert not found, "StateLabels made outside their owners:\n" + "\n".join(found)
 
 
+# the steps that make a circle record off a neighbour's or from scratch
+RECORD_STEPS = {"_flip", "_seed", "_circle_through"}
+
+
+def circle_record_makers(source):
+    """The dotted names of the definitions that make a circle record: write
+    into a ``_circles`` memo (a subscript store or a mutating method) or call
+    one of :data:`RECORD_STEPS`."""
+    found = []
+
+    def makes(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            return isinstance(node.value, ast.Attribute) and node.value.attr == "_circles"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            return func.attr in RECORD_STEPS or (
+                func.attr in MUTATORS and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "_circles")
+        return False
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if makes(child) and ".".join(path) not in found:
+                found.append(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_circle_record_makers_are_located():
+    source = (
+        "class S:\n"
+        "    def circles(self, s):\n"
+        "        self._circles[s] = self._flip(s, 0, ())\n"
+        "    def _flip(self, s, c, near):\n"
+        "        return self._circle_through(s, 4 * c)\n"
+        "def f(fmt, s):\n"
+        "    fmt._circles[s] = ()\n"
+        "def g(fmt, s):\n"
+        "    return fmt._circles.get(s), fmt.circles(s), fmt._seed(s)\n"
+        "def h(fmt):\n"
+        "    fmt._circles.update({})\n"
+        "x = {}[0] if len(fmt._circles) else None\n"
+    )
+    assert circle_record_makers(source) == ["S.circles", "S._flip", "f", "g", "h"]
+
+
+def test_circle_records_are_made_in_state_labels_alone():
+    # one connectivity routine for circles: StateLabels derives each record
+    # off a neighbour's or seeds it by walks, and neither Khovanov layer
+    # calls or imports the diagram layer's union-find class_roots
+    found = [f"{path.name}: {where or 'module'}" for path in SRC
+             for where in circle_record_makers(path.read_text(encoding="utf-8"))
+             if (path.name, where.split(".")[0]) != ("khovanov.py", "StateLabels")]
+    for name in ("khovanov.py", "collapse.py"):
+        source = (ROOT / "src" / "spantreekh" / name).read_text(encoding="utf-8")
+        found += [f"{name}: class_roots in {where or 'module'}"
+                  for where in constructions(source, "class_roots")]
+        if "class_roots" in imported_modules(source):
+            found.append(f"{name}: imports class_roots")
+    assert not found, "circle records made outside StateLabels:\n" + "\n".join(found)
+
+
 def work_list_pops(source):
     """The dotted names of the definitions that pop a work list: a
     ``while stack:`` loop whose body calls ``stack.pop()`` with no
