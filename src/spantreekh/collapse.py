@@ -32,7 +32,7 @@ appends them.  A tree's survivors are the stage maps inverted from the
 round unknot's seed sign; its fundamental cycles are their inclusions.
 
 Checks on the route: every row for stored zeros, bidegree (1, 0) and
-closure; every cube edge read to run inside one block or down to a lower
+closure; every cube edge made to run inside one block or down to a lower
 tree's; d(d(x)) = 0 on every row the flows read; incidence +-1 and mutual
 naming for every pair used, and no gradient cycle among them (Kahn's pass);
 survivors at the dictionary's gradings; fundamental cycles homogeneous
@@ -42,10 +42,11 @@ partial order; and the Jones polynomial as graded Euler characteristic.
 
 Enhanced states are integer labels (``khovanov.StateLabels``), ordered as
 their ``(markers, signs)`` keys.  Each kink's geometry is one memoised
-record for both modes (:meth:`Pipeline.kink`, off :func:`_kink_transfer`);
-d(d(x)) = 0 is one per-row check, run once per label for both modes
-(:meth:`Pipeline.checked_row`), and the tree order one check
-(:func:`_check_descending`).  ``jacobsson_cycle`` and
+record for both modes (:meth:`Pipeline.kink`, off :func:`_kink_transfer`).
+The row checks live in the row builder: d(d(x)) = 0 once per label for both
+modes (``RowBuilder.checked_row``), and the tree order
+(:func:`_check_descending`) once per smoothing, as its cube edges are made
+(:meth:`Pipeline._check_order`).  ``jacobsson_cycle`` and
 ``include_unknot_states`` return keys.
 """
 
@@ -63,7 +64,6 @@ from .khovanov import (
     RowBuilder,
     StateLabels,
     _check_d_squared,
-    _check_square,
     cancelled_residue,
     differential,
     enumerate_states,
@@ -331,17 +331,16 @@ def _unsurvive(kink, a):
 class Pipeline:
     """Every stage of one diagram, each built once, when first read: the
     Tait graph, k, trees, poset, resolution tree and tree-bracket Jones
-    polynomial, one row builder for both modes, the smoothing -> tree walk,
-    stage plans, loop smoothings, block census, kink records and d^2 checks,
-    and per mode one :class:`LazyMatching`, one retraction and one whole
-    complex.  The caller owns it.  A tree's index is its position in
-    ``trees`` and in the poset's rows."""
+    polynomial, one row builder for both modes (checking the tree order on
+    each cube edge it makes), the smoothing -> tree walk, stage plans, loop
+    smoothings, block census and kink records, and per mode one
+    :class:`LazyMatching`, one retraction and one whole complex.  The
+    caller owns it.  A tree's index is its position in ``trees`` and in the
+    poset's rows."""
 
     def __init__(self, diagram):
         self.diagram = diagram
         self._tree = {}         # smoothing -> index of the tree whose block holds it
-        self._ordered = set()   # smoothings whose cube edges passed the tree-order check
-        self._squared = set()   # labels whose d(d(label)) = 0 was checked
         self._matchings = {}    # reduced -> LazyMatching
         self._retractions = {}  # reduced -> (TreeComplex, RetractionRecord)
         self._complexes = {}    # reduced -> the whole BigradedComplex
@@ -357,7 +356,7 @@ class Pipeline:
     resolution = cached_property(lambda self: resolution_tree(self.diagram, self.graph, self.trees))
     bracket = cached_property(lambda self: bracket_spantree(self.diagram, self.graph, self.trees))
     jones_polynomial = cached_property(lambda self: jones(self.diagram, bracket=self.bracket))
-    rows = cached_property(lambda self: RowBuilder(self.diagram))
+    rows = cached_property(lambda self: RowBuilder(self.diagram, self._check_order))
     _walk = cached_property(lambda self: state_tree_assignment(self.diagram, self.resolution))
     # tree index -> the kink stages of its resolution leaf
     stages = cached_property(
@@ -427,25 +426,11 @@ class Pipeline:
             t = self._tree[smoothing] = self._walk(smoothing)
         return t
 
-    def ordered_row(self, g):
-        """d(g) off the row builder; the first time a smoothing is read,
-        every cube edge out of it is checked to run inside its block or
-        down to a lower tree's."""
-        smoothing = self.rows.fmt.smoothing_of(g)
-        if smoothing not in self._ordered:
-            targets = [base for base, *_ in self.rows.edges(smoothing)]
-            _check_descending({smoothing: targets}, self.tree_of, self.poset, "incidence", True)
-            self._ordered.add(smoothing)
-        return self.rows.row(g)
-
-    def checked_row(self, g):
-        """:meth:`ordered_row`, with d(d(g)) = 0 checked over the rows of all
-        its targets the first time either mode reads g."""
-        row = self.ordered_row(g)
-        if g not in self._squared:
-            _check_square(row, self.ordered_row, "differential does not square to zero")
-            self._squared.add(g)
-        return row
+    def _check_order(self, smoothing, targets):
+        """Every cube edge out of ``smoothing``, to the target smoothings
+        ``targets``, runs inside its block or down to a lower tree's: the
+        row builder's ``check_edges``, run as it makes them."""
+        _check_descending({smoothing: targets}, self.tree_of, self.poset, "incidence", True)
 
     def kink(self, t, s, smoothing, reduced):
         """The kink record of tree t's stage s on the cube edge at the
@@ -478,20 +463,19 @@ class Pipeline:
         return self._retractions[reduced]
 
     def full_complex(self, reduced):
-        """The mode's whole complex, every state's row read through
-        :meth:`ordered_row`, so the tree-order check covers the whole cube."""
+        """The mode's whole complex, every state's row read off the row
+        builder, so the tree-order check covers the whole cube."""
         if reduced not in self._complexes:
-            self._complexes[reduced] = differential(
-                self.diagram, reduced, self.ordered_row, self.rows.fmt)
+            self._complexes[reduced] = differential(self.diagram, reduced, self.rows)
         return self._complexes[reduced]
 
 
 class LazyMatching(MorseMatching):
     """The block pass's matching on the whole reduced or unreduced Khovanov
     complex of a diagram, answered one state label at a time.  It reads its
-    rows (d(d(x)) = 0 checked), trees, stage plans and kink records off its
-    :class:`Pipeline` and keeps only what depends on the mode: the pairs and
-    their keys, and liveness.
+    rows (d(d(x)) = 0 checked by the row builder), trees, stage plans and
+    kink records off its :class:`Pipeline` and keeps only what depends on
+    the mode: the pairs and their keys, and liveness.
 
     A label's pair comes from replaying its tree's kink stages on it.  At
     each stage the label's abstract signs (over the circles of its
@@ -520,8 +504,8 @@ class LazyMatching(MorseMatching):
         self._ends = {}         # pair key -> (x, y)
 
     def row(self, g):
-        """d(g), off :meth:`Pipeline.checked_row`."""
-        return self.pipeline.checked_row(g)
+        """d(g), off the pipeline's ``RowBuilder.checked_row``."""
+        return self.pipeline.rows.checked_row(g)
 
     # -- the matching --------------------------------------------------------------
 
@@ -799,7 +783,7 @@ def _retract(matching):
             if any(rows.grading(g) != (i, j) for g in labels):
                 raise DiagramError("fundamental cycle is not homogeneous")
             _verify_cycle_gradings(diagram, t, stages, rows.fmt.key(labels[0]), (i, j), w, k, seed)
-            _check_block_cycle(p.ordered_row, chain, p.tree_of, t.index)
+            _check_block_cycle(rows.row, chain, p.tree_of, t.index)
             cycles.append(FundamentalCycle((t.index, seed), chain, i, j))
 
     tree_label_of = {g: label for label, g in survivor_of.items()}

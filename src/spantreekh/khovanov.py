@@ -18,10 +18,11 @@ labels, and a complex stores only each label's bigrading (i, j), read off
 its smoothing's i and circle count.  :meth:`StateLabels.key` reads a label
 back into its key.
 
-Rows are made in one place, :class:`RowBuilder`, one checked row at a
+Rows are made and checked in one place, :class:`RowBuilder`, one row at a
 time: :func:`differential` runs it over every state, and a diagram's
-``collapse.Pipeline`` holds one that its retractions and whole complexes
-read in both modes, since a based-"+" state has only based-"+" targets.
+``collapse.Pipeline`` holds one, checking the tree order on each cube edge
+it makes, that its retractions and whole complexes read in both modes, since
+a based-"+" state has only based-"+" targets, with d o d = 0 once per label.
 
 A smoothing's circles are one record of arc-position bitmasks keyed by its
 label bits (:meth:`StateLabels.circles`), made off the record of a smoothing
@@ -431,23 +432,26 @@ def _edges_out(fmt, smoothing, tables):
 
 class RowBuilder:
     """The rows of one diagram's complex, one state label at a time: the one
-    place rows are made.  A row is the same in the reduced and the unreduced
-    complex, so one builder serves both.  Its :class:`StateLabels` hold each
-    smoothing's circles and grading; it memoises each smoothing's cube edges
-    out (:func:`_edges_out`), one :func:`_edge_table` per shape, and each
+    place rows are made and checked.  A row is the same in the reduced and
+    the unreduced complex, so one builder serves both.  Its
+    :class:`StateLabels` hold each smoothing's circles and grading; it
+    memoises each smoothing's cube edges out (:func:`_edges_out`), passed
+    once to ``check_edges``, one :func:`_edge_table` per shape, and each
     label's row, checked once, when built, for stored zeros, bidegree (1, 0)
     and closure: a based-"+" source has only based-"+" targets, which closes
-    the reduced complex.  It also keeps one :func:`sign_spread` per shape
-    for the retraction's kinks (:meth:`spread`)."""
+    the reduced complex; :meth:`checked_row` adds d o d = 0.  It also keeps
+    one :func:`sign_spread` per shape for the retraction's kinks."""
 
-    def __init__(self, diagram):
+    def __init__(self, diagram, check_edges=None):
         fmt = self.fmt = StateLabels(diagram)
         self.mask = fmt.signs_mask
         self._grading = fmt.grading
+        self._check_edges = check_edges
         self._edges = {}     # smoothing -> its cube edges out, with their targets' gradings
         self._tables = {}    # cube-edge shape -> _edge_table
         self._spreads = {}   # (count, moves) shape -> sign_spread
         self._rows = {}      # label -> d(label), checked
+        self._squared = set()  # labels whose d(d(label)) = 0 was checked
 
     def in_complex(self, g, reduced):
         """Whether g labels a state of the reduced or unreduced complex."""
@@ -470,13 +474,15 @@ class RowBuilder:
         return self._spreads[shape]
 
     def edges(self, smoothing):
-        """The cube edges out of a smoothing (:func:`_edges_out`), each with
-        its target's i, circle count and based circle's bit."""
+        """The cube edges out of a smoothing (:func:`_edges_out`), each with its
+        target's i, circle count and based bit, checked before they are memoised."""
         edges = self._edges.get(smoothing)
         if edges is None:
-            edges = self._edges[smoothing] = [
-                (base, sign, table, *self._grading(base))
-                for base, sign, table in _edges_out(self.fmt, smoothing, self._tables)]
+            edges = [(base, sign, table, *self._grading(base))
+                     for base, sign, table in _edges_out(self.fmt, smoothing, self._tables)]
+            if self._check_edges is not None:
+                self._check_edges(smoothing, [base for base, *_ in edges])
+            self._edges[smoothing] = edges
         return edges
 
     def row(self, g):
@@ -506,16 +512,24 @@ class RowBuilder:
             self._rows[g] = row
         return row
 
+    def checked_row(self, g):
+        """:meth:`row`, with d(d(g)) = 0 checked over its targets' rows the
+        first time g is read this way, in either mode."""
+        row = self.row(g)
+        if g not in self._squared:
+            _check_square(row, self.row, "differential does not square to zero")
+            self._squared.add(g)
+        return row
 
-def differential(diagram, reduced, row=None, labels=None):
+
+def differential(diagram, reduced, rows=None):
     """Build the bigraded complex of the diagram: the row of every state of
-    :func:`enumerate_states`, in its order, read off ``row`` (a label's
-    checked row) and ``labels`` (as ``collapse.Pipeline`` passes its own),
-    else off a fresh :class:`RowBuilder`."""
-    if row is None:
-        builder = RowBuilder(diagram)
-        row, labels = builder.row, builder.fmt
-    states = enumerate_states(diagram, reduced, labels=labels)
+    :func:`enumerate_states`, in its order, off the :class:`RowBuilder`
+    ``rows`` (as ``collapse.Pipeline`` passes its own), else a fresh one."""
+    if rows is None:
+        rows = RowBuilder(diagram)
+    row = rows.row
+    states = enumerate_states(diagram, reduced, labels=rows.fmt)
     return BigradedComplex(diagram, states, {g: row(g) for g in states}, reduced)
 
 

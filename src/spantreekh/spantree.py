@@ -497,8 +497,9 @@ class TreePoset:
         for i in reversed(order):
             for j in self._covers[i]:
                 self.level[j] = max(self.level[j], self.level[i] + 1)
-        for i, row in enumerate(below):
-            if any(self.level[j] <= self.level[i] for j in _bits(row)):
+        # the covers suffice: every tree below i lies down a path of covers
+        for i, covered in enumerate(self._covers):
+            if any(self.level[j] <= self.level[i] for j in covered):
                 raise DiagramError(f"a tree below tree {i} does not sit at a larger level")
 
     def is_greater(self, i, j):

@@ -22,7 +22,13 @@ from spantreekh.khovanov import (
     differential,
     khovanov_homology,
 )
-from spantreekh.planegraph import cycle_graph, theta_graph, triangle_bundle
+from spantreekh.planegraph import (
+    PlaneGraph,
+    cycle_graph,
+    medial_diagram,
+    theta_graph,
+    triangle_bundle,
+)
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
     Pipeline,
@@ -455,18 +461,19 @@ def test_one_pipeline_makes_each_kink_record_and_d_squared_check_once_for_both_m
     # the kink records and the d(d(x)) = 0 checks do not depend on the mode,
     # so a pipeline that retracts in both modes makes each once
     transfers, squares = [], []
-    kink_transfer, check_square = collapse._kink_transfer, collapse._check_square
+    kink_transfer, check_square = collapse._kink_transfer, khovanov._check_square
 
     def counting_transfer(fmt, smoothing_x, smoothing_y, stage, spread):
         transfers.append((id(stage), smoothing_x))  # (tree, stage, A end)
         return kink_transfer(fmt, smoothing_x, smoothing_y, stage, spread)
 
     def counting_square(row, row_of, message):
-        squares.append(row)  # the builder's memoised row: one object per label
+        if message == "differential does not square to zero":  # not the tree complex's
+            squares.append(row)  # the builder's memoised row: one object per label
         return check_square(row, row_of, message)
 
     monkeypatch.setattr(collapse, "_kink_transfer", counting_transfer)
-    monkeypatch.setattr(collapse, "_check_square", counting_square)
+    monkeypatch.setattr(khovanov, "_check_square", counting_square)
     shared = 0
     for name in ("trefoil4", "6_2", "7_4", "8_19"):
         per_mode = []
@@ -536,6 +543,31 @@ def test_order_discipline_small_corpus():
             assert check_order_discipline(cx, state_tree, poset)
 
 
+def test_each_smoothing_passes_the_order_check_once_per_pipeline(monkeypatch):
+    # the row builder hands each smoothing's cube edges to the tree-order
+    # check once, as it makes them: both retractions and both whole
+    # complexes of one pipeline check each smoothing once, and nothing else
+    checked = []
+    check_order = Pipeline._check_order
+
+    def counting(self, smoothing, targets):
+        checked.append(smoothing)
+        return check_order(self, smoothing, targets)
+
+    monkeypatch.setattr(Pipeline, "_check_order", counting)
+    diagrams = [(name, corpus.diagram(name)) for name in corpus.names()]
+    diagrams = [(name, d) for name, d in diagrams if d.n <= 7]
+    diagrams.append(("tri-9-pos", triangle_bundle([1] * 3, [1] * 3, [1] * 3)[0]))
+    for name, d in diagrams:
+        checked.clear()
+        pipeline = Pipeline(d)
+        for reduced in (True, False):
+            pipeline.retraction(reduced)
+            pipeline.full_complex(reduced)
+        assert sorted(checked) == sorted(pipeline.rows._edges), name
+        assert len(checked) == len(set(checked)) == 2 ** d.n, name
+
+
 def test_pipeline_unknot():
     tc, record = retract_to_tree_complex(parse_pd("PD[]"), reduced=True)
     assert len(tc.generators) == 1
@@ -593,6 +625,27 @@ def test_links_retract_onto_their_homology(name, d):
     for reduced in (True, False):
         tc, _ = retract_to_tree_complex(d, reduced=reduced)
         assert tc.homology_in_ij() == khovanov_homology(d, reduced=reduced), (name, reduced)
+
+
+def _mixed_wheel(n):
+    """The medial diagram of the wheel with n spokes (K4 when n = 3): spokes
+    h - r_i, then rim edges r_i - r_(i+1), every edge positive except rim
+    edge 0 and spoke n // 2."""
+    spokes = [("h", f"r{i}", -1 if i == n // 2 else 1) for i in range(n)]
+    rim = [(f"r{i}", f"r{(i + 1) % n}", -1 if i == 0 else 1) for i in range(n)]
+    rotations = {"h": [(i, 0) for i in range(n)]}
+    rotations.update({f"r{i}": [(n + (i - 1) % n, 1), (n + i, 0), (i, 1)] for i in range(n)})
+    return medial_diagram(PlaneGraph(spokes + rim, rotations))
+
+
+@pytest.mark.parametrize("n, trees", [(3, 16), (4, 45), (5, 121)], ids=["K4", "wheel4", "wheel5"])
+def test_k4_and_mixed_wheels_retract_onto_their_homology(n, trees):
+    d = _mixed_wheel(n)
+    p = Pipeline(d)
+    assert (d.n, len(p.trees)) == (2 * n, trees)
+    for reduced in (True, False):
+        tc, _ = p.retraction(reduced)
+        assert tc.homology_in_ij() == p.full_complex(reduced).homology(), (n, reduced)
 
 
 def test_a_tree_complex_cancels_once_for_every_ring(monkeypatch):

@@ -333,6 +333,53 @@ def test_only_the_pipeline_builds_matchings_and_rows():
     assert not found, "constructed outside the pipeline:\n" + "\n".join(found)
 
 
+def class_members(source):
+    """The dotted names ``Class.name`` of every method a top-level class
+    defines and every name its body assigns."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.append(f"{node.name}.{item.name}")
+                elif isinstance(item, ast.Assign):
+                    found += [f"{node.name}.{t.id}" for t in item.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_class_members_are_located():
+    source = (
+        "class P:\n"
+        "    def checked_row(self): pass\n"
+        "    row = cached_property(lambda self: 1)\n"
+        "    class Inner:\n"
+        "        def deep(self): pass\n"
+        "def ordered_row(): pass\n"
+    )
+    assert class_members(source) == ["P.checked_row", "P.row"]
+
+
+def test_row_checks_live_in_the_row_builder():
+    # one owner for row checks: the d o d = 0 loop runs per row only in the
+    # builder's checked_row (and over whole row dicts in _check_d_squared),
+    # the cube edges are made only in RowBuilder.edges, which checks their
+    # tree order, and the pipeline keeps no row reader of its own
+    found = {}
+    for path in SRC:
+        source = path.read_text(encoding="utf-8")
+        for name in ("_check_square", "_edges_out"):
+            found.setdefault(name, []).extend(
+                f"{path.name}: {where or 'module'}" for where in constructions(source, name))
+    assert sorted(found["_check_square"]) == [
+        "khovanov.py: RowBuilder.checked_row", "khovanov.py: _check_d_squared"]
+    assert found["_edges_out"] == ["khovanov.py: RowBuilder.edges"]
+    collapse = (ROOT / "src" / "spantreekh" / "collapse.py").read_text(encoding="utf-8")
+    assert not imported_modules(collapse) & {"_check_square", "_edges_out"}
+    readers = [m for m in class_members(collapse)
+               if m.split(".")[1] in ("ordered_row", "checked_row")]
+    assert not readers, readers
+
+
 def full_cube_enumerations(source):
     """Where a module calls ``enumerate_states`` with no partial smoothing:
     fewer than three positional arguments and no ``fixed`` keyword."""

@@ -32,7 +32,7 @@ from spantreekh.collapse import (
     retract_to_tree_complex,
 )
 from spantreekh.diagram import DiagramError
-from spantreekh.khovanov import StateLabels
+from spantreekh.khovanov import StateLabels, enumerate_states
 from spantreekh.spantree import resolution_tree
 
 
@@ -96,6 +96,24 @@ def test_order_discipline_is_checked_inside_the_retraction(monkeypatch, reduced)
     extra_edge(monkeypatch, *_corrupting_entry(d, reduced))
     with pytest.raises(DiagramError, match="violates the partial order"):
         retract_to_tree_complex(d, reduced)
+
+
+def test_no_row_read_skips_the_order_check(monkeypatch):
+    # the pipeline's row builder checks the tree order as it makes a
+    # smoothing's cube edges, so a row read straight off it meets the check
+    # too; a failed check memoises no edges
+    d = corpus.diagram("trefoil4")
+    p = Pipeline(d)
+    states = enumerate_states(d, reduced=True)
+    src, dst = next(
+        (src, dst) for src, (i, j) in states.items() for dst, ij in states.items()
+        if ij == (i + 1, j) and p.poset.is_greater(p.tree_of(dst), p.tree_of(src)))
+    extra_edge(monkeypatch, src, dst)
+    rows = Pipeline(d).rows
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="violates the partial order"):
+            rows.row(src)
+    assert not rows._edges
 
 
 def _acyclic_random_matching(rng, rows):
