@@ -112,18 +112,14 @@ class LaurentPolynomial:
 
 
 class SmithForm:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix, with the
-    transforms ``left`` and ``right`` as row lists when a certificate was
-    asked for."""
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
-    __slots__ = ("factors", "nrows", "ncols", "left", "right")
+    __slots__ = ("factors", "nrows", "ncols")
 
-    def __init__(self, factors, nrows, ncols, left=None, right=None):
+    def __init__(self, factors, nrows, ncols):
         self.factors = list(factors)
         self.nrows = nrows
         self.ncols = ncols
-        self.left = left
-        self.right = right
         for a, b in zip(self.factors, self.factors[1:]):
             if b % a != 0:
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
@@ -139,43 +135,23 @@ class SmithForm:
         return [d for d in self.factors if d > 1]
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def smith_normal_form(matrix, certificate=False):
+def smith_normal_form(matrix):
     """Smith normal form of an integer matrix given as a list of rows.
 
     Pivots are chosen with minimal absolute value to limit entry growth.
-    With ``certificate=True`` the unimodular transforms U, V with
-    U*M*V = diag(d_i) are returned on the SmithForm as row lists and verified.
     """
     m = [list(map(int, row)) for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
 
-    left = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if certificate else None
-    right = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if certificate else None
-
     def row_op(dst, src, q):
         # row[dst] -= q * row[src]
         for j in range(ncols):
             m[dst][j] -= q * m[src][j]
-        if certificate:
-            for j in range(nrows):
-                left[dst][j] -= q * left[src][j]
 
     def col_op(dst, src, q):
         for i in range(nrows):
             m[i][dst] -= q * m[i][src]
-        if certificate:
-            for i in range(ncols):
-                right[i][dst] -= q * right[i][src]
 
     t = 0
     size = min(nrows, ncols)
@@ -191,13 +167,10 @@ def smith_normal_form(matrix, certificate=False):
             break
         pi, pj = pivot
         if pi != t:
-            _swap_rows(m, t, pi)
-            if certificate:
-                _swap_rows(left, t, pi)
+            m[t], m[pi] = m[pi], m[t]
         if pj != t:
-            _swap_cols(m, t, pj)
-            if certificate:
-                _swap_cols(right, t, pj)
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
         clean = True
         for i in range(t + 1, nrows):
             if m[i][t]:
@@ -228,16 +201,10 @@ def smith_normal_form(matrix, certificate=False):
         if m[t][t] < 0:
             for j in range(ncols):
                 m[t][j] = -m[t][j]
-            if certificate:
-                for j in range(nrows):
-                    left[t][j] = -left[t][j]
         t += 1
 
     factors = [m[i][i] for i in range(min(nrows, ncols)) if m[i][i]]
-    form = SmithForm(factors, nrows, ncols, left, right)
-    if certificate:
-        _verify_certificate(matrix, form)
-    return form
+    return SmithForm(factors, nrows, ncols)
 
 
 def _product(a, b):
@@ -252,18 +219,6 @@ def _product(a, b):
                     acc[j] += v * w
         out.append(acc)
     return out
-
-
-def _verify_certificate(matrix, form):
-    prod = _product(_product(form.left, matrix), form.right)
-    rank = len(form.factors)
-    for i, row in enumerate(prod):
-        for j, v in enumerate(row):
-            if v != (form.factors[i] if i == j < rank else 0):
-                raise AssertionError("Smith certificate U*M*V != diag(d_i)")
-    for tr in (form.left, form.right):
-        if bareiss_determinant(tr) not in (1, -1):
-            raise AssertionError("transform is not unimodular")
 
 
 def bareiss_determinant(rows):

@@ -33,21 +33,22 @@ round unknot's seed sign; its fundamental cycles are their inclusions.
 
 Checks on the route: every row for stored zeros, bidegree (1, 0) and
 closure; every cube edge made to run inside one block or down to a lower
-tree's; d(d(x)) = 0 on every row the flows read; incidence +-1 and mutual
-naming for every pair used, and no gradient cycle among them (Kahn's pass);
-survivors at the dictionary's gradings; fundamental cycles homogeneous
-cycles of their blocks at the shifted gradings; r o f = id; a tree
-differential of bidegree (-1, -1) that squares to zero and runs down the
-partial order; and the Jones polynomial as graded Euler characteristic.
+tree's; d(d(x)) = 0 on every row the flows or a whole complex read, once
+per label for both; incidence +-1 and mutual naming for every pair used,
+and no gradient cycle among them (Kahn's pass); survivors at the
+dictionary's gradings; fundamental cycles homogeneous cycles of their
+blocks at the shifted gradings; r o f = id; a tree differential of bidegree
+(-1, -1) that squares to zero and runs down the partial order; and the
+Jones polynomial as graded Euler characteristic.
 
 Enhanced states are integer labels (``khovanov.StateLabels``), ordered as
 their ``(markers, signs)`` keys.  Each kink's geometry is one memoised
 record for both modes (:meth:`Pipeline.kink`, off :func:`_kink_transfer`).
 The row checks live in the row builder: d(d(x)) = 0 once per label for both
-modes (``RowBuilder.checked_row``), and the tree order
-(:func:`_check_descending`) once per smoothing, as its cube edges are made
-(:meth:`Pipeline._check_order`).  ``jacobsson_cycle`` and
-``include_unknot_states`` return keys.
+modes, retractions and whole complexes alike (``RowBuilder.checked_row``),
+and the tree order (:func:`_check_descending`) once per smoothing, as its
+cube edges are made (:meth:`Pipeline._check_order`).  ``jacobsson_cycle``
+and ``include_unknot_states`` return keys.
 """
 
 from __future__ import annotations
@@ -464,7 +465,9 @@ class Pipeline:
 
     def full_complex(self, reduced):
         """The mode's whole complex, every state's row read off the row
-        builder, so the tree-order check covers the whole cube."""
+        builder's ``checked_row``, so the tree-order check covers the whole
+        cube and each label's d(d(x)) = 0 check, made once, serves the
+        retractions too."""
         if reduced not in self._complexes:
             self._complexes[reduced] = differential(self.diagram, reduced, self.rows)
         return self._complexes[reduced]

@@ -19,10 +19,12 @@ its smoothing's i and circle count.  :meth:`StateLabels.key` reads a label
 back into its key.
 
 Rows are made and checked in one place, :class:`RowBuilder`, one row at a
-time: :func:`differential` runs it over every state, and a diagram's
-``collapse.Pipeline`` holds one, checking the tree order on each cube edge
-it makes, that its retractions and whole complexes read in both modes, since
-a based-"+" state has only based-"+" targets, with d o d = 0 once per label.
+time.  A row is the same in both modes, since a based-"+" state has only
+based-"+" targets, so a diagram's ``collapse.Pipeline`` holds one builder
+for its retractions and whole complexes alike.  Its builder checks the tree
+order on the cube edges of each smoothing as it makes them, and every
+builder checks d o d = 0 once per label (:meth:`RowBuilder.checked_row`),
+which is how :func:`differential` reads every state's row.
 
 A smoothing's circles are one record of arc-position bitmasks keyed by its
 label bits (:meth:`StateLabels.circles`), made off the record of a smoothing
@@ -180,8 +182,8 @@ class BigradedComplex:
     ``states[label]`` is the state's bigrading (i, j), one tuple per
     bigrading shared by the states that have it, and ``differential[label]``
     a dict target label -> coefficient, as :class:`RowBuilder` built and
-    checked it.  The reduced flag records whether this is the based-"+"
-    subcomplex.  The whole complex is checked for d o d = 0.
+    checked it, d o d = 0 included.  The reduced flag records whether this
+    is the based-"+" subcomplex.
     """
 
     def __init__(self, diagram, states, differential, reduced):
@@ -190,7 +192,6 @@ class BigradedComplex:
         self.differential = differential
         self.reduced = reduced
         self._residue = None  # (gradings, rows) once the +-1 incidences are cancelled
-        _check_d_squared(differential, "differential does not square to zero")
 
     def homology(self, coefficients="Z"):
         """Per-(i,j) homology.
@@ -439,8 +440,10 @@ class RowBuilder:
     once to ``check_edges``, one :func:`_edge_table` per shape, and each
     label's row, checked once, when built, for stored zeros, bidegree (1, 0)
     and closure: a based-"+" source has only based-"+" targets, which closes
-    the reduced complex; :meth:`checked_row` adds d o d = 0.  It also keeps
-    one :func:`sign_spread` per shape for the retraction's kinks."""
+    the reduced complex; :meth:`checked_row` adds d o d = 0, the one d o d
+    check on the Khovanov complex, which the retractions' flows and the
+    whole complexes of both modes read.  It also keeps one
+    :func:`sign_spread` per shape for the retraction's kinks."""
 
     def __init__(self, diagram, check_edges=None):
         fmt = self.fmt = StateLabels(diagram)
@@ -514,7 +517,8 @@ class RowBuilder:
 
     def checked_row(self, g):
         """:meth:`row`, with d(d(g)) = 0 checked over its targets' rows the
-        first time g is read this way, in either mode."""
+        first time g is read this way, by a retraction or a whole complex
+        of either mode."""
         row = self.row(g)
         if g not in self._squared:
             _check_square(row, self.row, "differential does not square to zero")
@@ -524,11 +528,13 @@ class RowBuilder:
 
 def differential(diagram, reduced, rows=None):
     """Build the bigraded complex of the diagram: the row of every state of
-    :func:`enumerate_states`, in its order, off the :class:`RowBuilder`
-    ``rows`` (as ``collapse.Pipeline`` passes its own), else a fresh one."""
+    :func:`enumerate_states`, in its order, off :meth:`RowBuilder.checked_row`
+    of ``rows`` (as ``collapse.Pipeline`` passes its own), else of a fresh
+    builder.  Every target of a row is a state of the complex, so the
+    builder's d o d = 0 check over its targets' rows is the whole complex's."""
     if rows is None:
         rows = RowBuilder(diagram)
-    row = rows.row
+    row = rows.checked_row
     states = enumerate_states(diagram, reduced, labels=rows.fmt)
     return BigradedComplex(diagram, states, {g: row(g) for g in states}, reduced)
 

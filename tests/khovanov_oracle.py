@@ -27,6 +27,7 @@ from spantreekh.diagram import DiagramError
 from spantreekh.khovanov import (
     BigradedComplex,
     StateLabels,
+    _check_d_squared,
     cancelled_residue,
     enumerate_states,
 )
@@ -167,8 +168,9 @@ def _merge_split_targets(state, new_circles):
 def per_state_differential(diagram, reduced):
     """The builder that matched circles once per enhanced state and edge, on
     (markers, signs) keys; its rows are relabelled at the end, by the labels
-    of :func:`per_state_states`, whose bigradings the complex stores.
-    Returns the complex and those records."""
+    of :func:`per_state_states`, whose bigradings the complex stores, and
+    checked for d o d = 0 here, since they bypass the row builder.  Returns
+    the complex and those records."""
     states = per_state_states(diagram, reduced)
     labels = {s.key: s.label for s in states}
     smoothed = {s.markers: s.circles for s in states}
@@ -189,5 +191,6 @@ def per_state_differential(diagram, reduced):
                     )
                 row[key] = row.get(key, 0) + sign * coeff
         diff[s.label] = {labels[k]: v for k, v in row.items() if v}
+    _check_d_squared(diff, "differential does not square to zero")
     gradings = {s.label: (s.i, s.j) for s in states}
     return BigradedComplex(diagram, gradings, diff, reduced), states

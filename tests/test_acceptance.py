@@ -234,7 +234,8 @@ def test_criterion_8b_order_discipline():
 
 
 def test_criterion_8c_d_squared_and_bidegrees():
-    # BigradedComplex and TreeComplex both enforce these on construction
+    # the row builder enforces these on every whole complex, once per state,
+    # and the retraction on every tree complex
     for entry in corpus.entries():
         d = entry.diagram()
         if d.n > corpus.BRUTE_FORCE_CAP:

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -39,12 +40,30 @@ def test_snf_worked_example():
     assert form.factors == [2, 4]
 
 
-def test_snf_certificate_verified():
-    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    form = smith_normal_form(m, certificate=True)
-    assert form.left is not None and form.right is not None
-    product = _mul(_mul(form.left, m), form.right)
-    assert product == [[form.factors[i] if i == j else 0 for j in range(3)] for i in range(3)]
+def _minors(m, k):
+    """Every k x k minor of the matrix m, by Bareiss elimination."""
+    return [bareiss_determinant([[m[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(len(m)), k)
+            for cols in combinations(range(len(m[0])), k)]
+
+
+def test_snf_factors_are_the_determinantal_divisors():
+    # d_1 ... d_k is the gcd of the k x k minors for k up to the rank, and
+    # every minor one size larger is zero: read off the minors, not the
+    # reduction
+    rng = random.Random(31)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-6, 6) * rng.choice((0, 1, 1, 2)) for _ in range(ncols)]
+             for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.4:  # rank below min(nrows, ncols) more often
+            q = rng.randint(-3, 3)
+            m[-1] = [q * v for v in m[0]]
+        factors = smith_normal_form(m).factors
+        for k in range(1, len(factors) + 1):
+            assert prod(factors[:k]) == gcd(*_minors(m, k)), (m, k)
+        if len(factors) < min(nrows, ncols):
+            assert not any(_minors(m, len(factors) + 1)), m
 
 
 def test_snf_divisibility_chain_and_unimodular_invariance():

@@ -459,7 +459,8 @@ def test_cycles_and_survivors_take_only_the_seeds_plus_and_minus_one():
 
 def test_one_pipeline_makes_each_kink_record_and_d_squared_check_once_for_both_modes(monkeypatch):
     # the kink records and the d(d(x)) = 0 checks do not depend on the mode,
-    # so a pipeline that retracts in both modes makes each once
+    # so a pipeline that retracts in both modes makes each once; its whole
+    # complexes then check each label the retractions left, and no other
     transfers, squares = [], []
     kink_transfer, check_square = collapse._kink_transfer, khovanov._check_square
 
@@ -475,7 +476,8 @@ def test_one_pipeline_makes_each_kink_record_and_d_squared_check_once_for_both_m
     monkeypatch.setattr(collapse, "_kink_transfer", counting_transfer)
     monkeypatch.setattr(khovanov, "_check_square", counting_square)
     shared = 0
-    for name in ("trefoil4", "6_2", "7_4", "8_19"):
+    unreduced_states = {"trefoil4": 66, "6_2": 426, "7_4": 1182, "8_19": 3378}
+    for name, states in unreduced_states.items():
         per_mode = []
         for reduced in (True, False):
             transfers.clear()
@@ -493,6 +495,10 @@ def test_one_pipeline_makes_each_kink_record_and_d_squared_check_once_for_both_m
         assert max(kinks_r, kinks_u) <= len(transfers) <= kinks_r + kinks_u, name
         assert max(squares_r, squares_u) <= len(squares) <= squares_r + squares_u, name
         shared += kinks_r + kinks_u - len(transfers) + squares_r + squares_u - len(squares)
+        for reduced in (True, False):
+            pipeline.full_complex(reduced)
+        assert len(squares) == len({id(row) for row in squares}), name
+        assert len(squares) == len(pipeline.full_complex(False).states) == states, name
     assert shared > 400
 
 

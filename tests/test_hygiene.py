@@ -361,18 +361,26 @@ def test_class_members_are_located():
 
 def test_row_checks_live_in_the_row_builder():
     # one owner for row checks: the d o d = 0 loop runs per row only in the
-    # builder's checked_row (and over whole row dicts in _check_d_squared),
+    # builder's checked_row, which the whole complex's build reads, and over
+    # whole row dicts only for the tree complex and the collapsed residue;
     # the cube edges are made only in RowBuilder.edges, which checks their
     # tree order, and the pipeline keeps no row reader of its own
     found = {}
     for path in SRC:
         source = path.read_text(encoding="utf-8")
-        for name in ("_check_square", "_edges_out"):
+        for name in ("_check_square", "_check_d_squared", "_edges_out"):
             found.setdefault(name, []).extend(
                 f"{path.name}: {where or 'module'}" for where in constructions(source, name))
     assert sorted(found["_check_square"]) == [
         "khovanov.py: RowBuilder.checked_row", "khovanov.py: _check_d_squared"]
+    assert sorted(found["_check_d_squared"]) == [
+        "collapse.py: _retract", "khovanov.py: MutableComplex.check_d_squared"]
     assert found["_edges_out"] == ["khovanov.py: RowBuilder.edges"]
+    khovanov = (ROOT / "src" / "spantreekh" / "khovanov.py").read_text(encoding="utf-8")
+    build = next(node for node in ast.parse(khovanov).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "differential")
+    read = {node.attr for node in ast.walk(build) if isinstance(node, ast.Attribute)}
+    assert "checked_row" in read and "row" not in read, read
     collapse = (ROOT / "src" / "spantreekh" / "collapse.py").read_text(encoding="utf-8")
     assert not imported_modules(collapse) & {"_check_square", "_edges_out"}
     readers = [m for m in class_members(collapse)

@@ -13,7 +13,6 @@ from spantreekh.algebra import LaurentPolynomial, graded_homology
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.jones import jones
 from spantreekh.khovanov import (
-    BigradedComplex,
     StateLabels,
     differential,
     enumerate_states,
@@ -80,7 +79,7 @@ def test_twisted_unknot_homology_is_unknots():
 
 def test_bidegree_and_d_squared_enforced_by_construction():
     # the row builder checks bidegree (1,0) on every row it builds and
-    # BigradedComplex checks d o d = 0 on the whole complex
+    # d o d = 0 once per label, over every state of the whole complex
     for name in ("trefoil4", "4_1", "6_3"):
         d = corpus.diagram(name)
         differential(d, reduced=True)
@@ -104,26 +103,6 @@ def test_labels_sort_as_keys_and_round_trip(reduced):
                 assert all(fmt.markers(g) == key[0] for g, key in keys.items())
                 assert sorted(states) == sorted(states, key=keys.get), (entry.name, fixed)
                 assert len(set(keys.values())) == len(states)
-
-
-def _corrupted(edit, reduced=False):
-    """The trefoil's complex rebuilt with ``edit(complex, rows)`` applied to a
-    copy of its differential."""
-    d = corpus.diagram("trefoil4")
-    cx = differential(d, reduced)
-    rows = {g: dict(row) for g, row in cx.differential.items()}
-    edit(cx, rows)
-    return lambda: BigradedComplex(d, cx.states, rows, reduced)
-
-
-def _some_entry(cx, rows, two_steps=False):
-    """A differential entry (src, dst); with ``two_steps``, one whose target
-    has a nonzero row of its own."""
-    for src, row in rows.items():
-        for dst in row:
-            if not two_steps or rows.get(dst):
-                return src, dst
-    raise AssertionError("no such entry")
 
 
 def extra_edge(monkeypatch, src, dst):
@@ -187,16 +166,27 @@ def test_based_plus_source_with_a_based_minus_target_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
-def test_entry_breaking_d_squared_is_rejected(reduced):
-    def edit(cx, rows):
-        # flipping <d src, mid> turns d(d(src)) into -2 <d src, mid> d(mid)
-        src, mid = _some_entry(cx, rows, two_steps=True)
-        rows[src][mid] = -rows[src][mid]
+def test_entry_breaking_d_squared_is_rejected(monkeypatch, reduced):
+    # the row builder flips <d src, mid> as it builds src's row, which turns
+    # d(d(src)) into -2 <d src, mid> d(mid); the builder's d o d = 0 check
+    # is the only one the whole complex gets
+    d = corpus.diagram("trefoil4")
+    rows = differential(d, reduced).differential  # unedited, it passes every check
+    src, mid = next((src, mid) for src, row in rows.items() for mid in row if rows[mid])
+    row_of = khovanov.RowBuilder.row
+    flipped = []
 
+    def flipping(self, g):
+        row = row_of(self, g)
+        if g == src and not flipped:
+            row[mid] = -row[mid]  # in the builder's memoised row
+            flipped.append(g)
+        return row
+
+    monkeypatch.setattr(khovanov.RowBuilder, "row", flipping)
     with pytest.raises(DiagramError, match="does not square to zero"):
-        _corrupted(edit, reduced)()
-    # the same complex unedited passes every check
-    _corrupted(lambda cx, rows: None, reduced)()
+        differential(d, reduced)
+    assert flipped == [src]
 
 
 def test_reduced_closure_under_differential():
