@@ -43,9 +43,17 @@ class UsageError(Exception):
     """A bad command-line argument; the CLI exits 2."""
 
 
+def _corpus_entry(name):
+    """The corpus entry called ``name``; an unknown name is a usage error."""
+    try:
+        return corpus.get(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from exc
+
+
 def _load_diagram(spec_str):
     if not spec_str.startswith("PD["):
-        return corpus.diagram(spec_str)
+        return _corpus_entry(spec_str).diagram()
     try:
         return parse_pd(spec_str, label="cli-input")
     except DiagramError as exc:
@@ -353,7 +361,7 @@ def cmd_verify(args):
         print("regenerated corpus_data.json")
         return 0
     if args.knot:
-        targets = [corpus.get(args.knot)]
+        targets = [_corpus_entry(args.knot)]
     else:
         targets = corpus.entries()
     categories = [args.category] if args.category else list(_CATEGORIES)
@@ -466,7 +474,7 @@ def run(argv=None):
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 

@@ -15,10 +15,13 @@ verifiers and ``spectral.build_filtration`` read it;
 The matching is the block pass's.  It visits trees along a linear extension
 of the partial order, minimal tree first, and inside each tree's block of
 enhanced states (the sub-cube extending the tree's dead markers) it pairs
-states one undone kink at a time: for a positive kink the pairs are
-(A-state with loop "-", B-state), for a negative kink (A-state, B-state
-with loop "+").  A basepoint on a kink's loop circle forces the reduced-mode
-variant of the pairing, validated by the r o f = id check.
+states one undone kink at a time.  At each kink the loop side is the head
+side twice over, once per loop sign (:func:`_lift`, inverted by
+:func:`_drop`).  A head pairs with its lift with the kink's paired loop
+sign: for a positive kink the pairs are (A-state with loop "-", B-state),
+for a negative kink (A-state, B-state with loop "+"); the lifts with the
+other sign survive.  A basepoint on a kink's loop keeps the loop "+",
+validated by the r o f = id check.
 
 The tree complex is the matching's Morse complex (Skoldberg, "Morse theory
 from an algebraic viewpoint"): nothing is collapsed.  Gradient flows over
@@ -28,14 +31,15 @@ fundamental cycles, which gives the transport matrix.  The flows read only
 the states they reach: :class:`LazyMatching` gives one state label's pair
 by replaying the stage rule on it, and the pair's key (tree position in the
 linear extension, stage, head label) orders the pairs as the block pass
-appends them.  A tree's survivors are the stage maps inverted from the
-round unknot's seed sign; its fundamental cycles are their inclusions.
+appends them.  A tree's survivors are the round unknot's seed sign lifted
+back through its stages; its fundamental cycles are their inclusions.
 
 Checks on the route: every row for stored zeros, bidegree (1, 0) and
 closure; every cube edge made to run inside one block or down to a lower
 tree's; d(d(x)) = 0 on every row the flows or a whole complex read, once
 per label for both; incidence +-1 and mutual naming for every pair used,
-and no gradient cycle among them (Kahn's pass); survivors at the
+and no gradient cycle among them (Kahn's pass); the unpaired loop sign (or
+"+" on a based loop) on every stage survivor; survivors at the
 dictionary's gradings; fundamental cycles homogeneous cycles of their
 blocks at the shifted gradings; r o f = id; a tree differential of bidegree
 (-1, -1) that squares to zero and runs down the partial order; and the
@@ -281,52 +285,24 @@ class MorseMatching:
         return z
 
 
-def _partner_signs(kink, h):
-    """The stage rule: the abstract signs of the loop-side partner of a head
-    whose abstract signs are h."""
-    sign, to_loop_side, _, loop_bit, rest_bit, merged_bit, based = kink
-    if sign > 0 and based:
-        # B-side head, based loop: the A-side partner's loop is "+"
-        return to_loop_side[h] | loop_bit
-    # the rest circle takes the merged sign; an A-side partner gets loop
-    # "-", a B-side partner loop "+"
-    return (to_loop_side[h] | (rest_bit if h & merged_bit else 0)
-            | (loop_bit if sign < 0 else 0))
+def _lift(kink, m, loop_plus):
+    """The stage rule: the loop-side abstract signs over the head-side
+    abstract signs m, with the loop "+" when ``loop_plus``.  The rest circle
+    takes the merged circle's sign, except that a loop carrying the
+    basepoint stays "+", and asked for "-" makes its rest circle "-"."""
+    _, to_loop_side, _, loop_bit, rest_bit, merged_bit, based = kink
+    if based and not loop_plus:
+        return to_loop_side[m] | loop_bit
+    return to_loop_side[m] | (loop_bit if loop_plus else 0) | (rest_bit if m & merged_bit else 0)
 
 
-def _head_signs(kink, p):
-    """The inverse rule: the abstract signs of the head whose partner has
-    loop-side abstract signs p.  The merged circle takes the rest circle's
-    sign; on a based positive loop it carries the basepoint, so "+"."""
-    sign, _, to_head_side, _, rest_bit, merged_bit, based = kink
-    merged_plus = (sign > 0 and based) or p & rest_bit
-    return to_head_side[p] | (merged_bit if merged_plus else 0)
-
-
-def _survive(kink, a):
-    """A stage survivor's abstract signs a, moved onto the circles of the
-    smoothing with the kink spliced."""
-    sign, _, to_head_side, loop_bit, rest_bit, merged_bit, based = kink
-    if sign > 0 and not a & loop_bit:
-        raise DiagramError("positive-kink survivor without a + loop")
-    if sign < 0 and a & loop_bit:
-        if not based:
-            raise DiagramError("negative-kink survivor with a + loop")
-        merged_plus = True  # basepoint-on-loop survivor flips back to +
-    else:
-        merged_plus = a & rest_bit
+def _drop(kink, a, loop_plus):
+    """The inverse of :func:`_lift`: the merged circle takes the rest
+    circle's sign, or "+" (it carries the basepoint) under a based loop
+    asked for "-"."""
+    _, _, to_head_side, _, rest_bit, merged_bit, based = kink
+    merged_plus = a & rest_bit or (based and not loop_plus)
     return to_head_side[a] | (merged_bit if merged_plus else 0)
-
-
-def _unsurvive(kink, a):
-    """The inverse of :func:`_survive`: the kink's sign forces the loop bit
-    and the rest circle takes the merged sign, except that a based negative
-    loop is "+" with its rest circle "-"."""
-    sign, to_loop_side, _, loop_bit, rest_bit, merged_bit, based = kink
-    if sign < 0 and based:
-        return to_loop_side[a] | loop_bit
-    return (to_loop_side[a] | (loop_bit if sign > 0 else 0)
-            | (rest_bit if a & merged_bit else 0))
 
 
 class Pipeline:
@@ -483,12 +459,14 @@ class LazyMatching(MorseMatching):
     A label's pair comes from replaying its tree's kink stages on it.  At
     each stage the label's abstract signs (over the circles of its
     smoothing with the earlier kinks spliced) decide: a head-side label is
-    matched to the partner the stage rule gives; a loop-side label whose
-    inverse rule names a head that is live at that stage is that head's
-    partner; any other label survives the stage, and its abstract signs move
-    on.  Liveness at a stage replays only the stages before it.  A head's or
-    partner's raw label is its abstract signs taken back through the earlier
-    stages' survivor maps.  ``pairs`` holds the pairs the flows used.  A
+    matched to its :func:`_lift` with the kink's paired loop sign; a
+    loop-side label that is that lift of a head live at that stage (the
+    head :func:`_drop` names) is the head's partner; any other label
+    survives the stage, checked to carry the unpaired loop sign ("+" on a
+    based loop), and drops onto the next stage's circles.  Liveness at a
+    stage replays only the stages before it.  A head's or partner's raw
+    label is its abstract signs lifted back through the earlier stages with
+    their unpaired loop signs.  ``pairs`` holds the pairs the flows used.  A
     pair's key packs the position of its tree in the linear extension, its
     stage and its head's label into one int, most significant first: the
     order in which the block pass appends the pairs.
@@ -538,7 +516,8 @@ class LazyMatching(MorseMatching):
         """The label of tree t's block on ``smoothing`` whose abstract signs
         at stage s are a, if the stages before s leave it live."""
         for earlier in range(s - 1, -1, -1):
-            a = _unsurvive(self.pipeline.kink(t, earlier, smoothing, self.reduced), a)
+            unpaired = self.pipeline.plans[t][earlier][0].sign > 0  # "+" under a positive kink
+            a = _lift(self.pipeline.kink(t, earlier, smoothing, self.reduced), a, unpaired)
         return smoothing | a
 
     def _replay(self, t, g, stop):
@@ -547,16 +526,22 @@ class LazyMatching(MorseMatching):
         abstract signs there and head its pair's head (g itself when g is
         the head), or (stop, a, None) when g survives them all."""
         smoothing, a = g & ~self.mask, g & self.mask
-        for s, (_, flip, head_side, _, _) in enumerate(self.pipeline.plans[t][:stop]):
+        for s, (st, flip, head_side, _, _) in enumerate(self.pipeline.plans[t][:stop]):
             if smoothing & flip == head_side:
                 return s, a, g
             kink = self.pipeline.kink(t, s, smoothing, self.reduced)
-            h = _head_signs(kink, a)
-            if _partner_signs(kink, h) == a:
+            paired = st.sign < 0  # the loop sign that pairs: "+" under a negative kink
+            h = _drop(kink, a, paired)
+            if _lift(kink, h, paired) == a:
                 head = self._raw(t, s, smoothing ^ flip, h)
                 if self._abstract(t, head, s) == h:
                     return s, a, head
-            a = _survive(kink, a)
+            # a survivor carries the unpaired loop sign, or "+" on a based loop
+            _, _, _, loop_bit, _, _, based = kink
+            if (a & loop_bit != 0) != (based or not paired):
+                raise DiagramError('stage survivor with its kink\'s paired loop sign, '
+                                   'or "-" on a based loop')
+            a = _drop(kink, a, not paired)
         return stop, a, None
 
     def _abstract(self, t, g, s):
@@ -590,13 +575,14 @@ class LazyMatching(MorseMatching):
         partner = g
         if head == g:
             kink = pipeline.kink(t, s, g & ~self.mask, self.reduced)
-            p = _partner_signs(kink, a)
+            paired = st.sign < 0
+            p = _lift(kink, a, paired)
             partner = self._raw(t, s, (g & ~self.mask) ^ flip, p)
             if self._abstract(t, partner, s) != p:
                 raise DiagramError("collapse partner is not live")
-            if _head_signs(kink, p) != a:
+            if _drop(kink, p, paired) != a:
                 raise DiagramError("collapse pair is not an involution: "
-                                   "the partner's inverse rule names another head")
+                                   "the partner drops onto another head")
         x, y = (head, partner) if st.sign < 0 else (partner, head)
         key = (pipeline.position[t] * pipeline.stages_radix + s) << pipeline.head_bits | head
         self.lower_of[x] = y
@@ -604,8 +590,8 @@ class LazyMatching(MorseMatching):
         self._ends[key] = (x, y)
 
     def survivor(self, tree, seed):
-        """The label of the tree's generator seeded by ``seed``: the stage
-        maps inverted from the round unknot's seed sign, checked to be left
+        """The label of the tree's generator seeded by ``seed``: the round
+        unknot's seed sign lifted back through the stages, checked to be left
         unmatched and to sit at the dictionary's grading."""
         if seed not in (1, -1):
             raise DiagramError(f"seed {seed!r} is neither +1 nor -1")
@@ -908,7 +894,8 @@ def _kink_transfer(fmt, smoothing_x, smoothing_y, stage, spread):
     the ``spread`` tables of the shared circles each way
     (``khovanov.RowBuilder.spread``, one per shape), and the bit of each
     kink circle in its side's sign bits.  Only :meth:`Pipeline.kink` calls
-    it, once per record for both modes; the stage rule reads the record.
+    it, once per record for both modes; the stage rule (:func:`_lift` and
+    :func:`_drop`) reads the record.
     """
     head, loop_side = (smoothing_y, smoothing_x) if stage.sign > 0 else (smoothing_x, smoothing_y)
     h, lo = fmt.circles(head), fmt.circles(loop_side)

@@ -307,6 +307,23 @@ def test_unknown_knot_exits_2(capsys):
     assert capsys.readouterr().err == "error: unknown corpus knot 'no_such_knot'\n"
 
 
+def test_unknown_knot_to_verify_exits_2(capsys):
+    assert run(["verify", "--knot", "no_such_knot"]) == 2
+    assert capsys.readouterr().err == "error: unknown corpus knot 'no_such_knot'\n"
+
+
+def test_an_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    # only a corpus-name lookup turns a KeyError into exit 2: one raised
+    # inside a command is a fault, and ends with its traceback
+    def failing(self, reduced):
+        raise KeyError(7)
+
+    monkeypatch.setattr(cli.Pipeline, "retraction", failing)
+    with pytest.raises(KeyError):
+        run(["spantree-complex", "3_1"])
+    assert capsys.readouterr().err == ""
+
+
 def test_bad_pd_exits_2(capsys):
     assert run(["info", "PD[X(1,2,3,4)]"]) == 2
     assert run(["info", "PD[X(1,2,3"]) == 2

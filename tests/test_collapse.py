@@ -12,7 +12,7 @@ from collapse_oracle import (
     retract_by_collapses,
 )
 from khovanov_oracle import cancelled_homology, homology_snapshot
-from test_diagram import LINK_FAMILY
+from test_diagram import LINK_FAMILY, TWELVE_CROSSINGS
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
@@ -350,6 +350,60 @@ def test_kink_spreads_are_made_once_per_shape_in_a_retraction(monkeypatch):
                 per_run.append(list(shapes))
             # the cache lives for one retraction: the next starts afresh
             assert per_run[0] == per_run[1], (name, reduced)
+
+
+def kink_rule_diagrams():
+    """(name, diagram) for every corpus entry and the 9- to 12-crossing
+    plane-graph diagrams whose retractions the tree-complex benchmark runs
+    or sizes."""
+    return [(name, corpus.diagram(name)) for name in corpus.names()] + [
+        ("tri-9-pos", triangle_bundle([1] * 3, [1] * 3, [1] * 3)[0]),
+        ("theta-10-mixed", theta_graph([[1, 1, -1], [1, -1, 1], [1, 1, 1, -1]])[0]),
+        ("tri-10-mixed", triangle_bundle([1, 1, -1], [1, 1, 1], [1, -1, 1, 1])[0]),
+        ("tri-12-mixed", TWELVE_CROSSINGS["tri-12-mixed"]()),
+        ("theta-12-mixed", TWELVE_CROSSINGS["theta-12-mixed"]()),
+    ]
+
+
+def test_the_two_lifts_split_the_loop_side(monkeypatch):
+    # at every kink record both modes' retractions make, the head side's
+    # lifts with loop "+" and with loop "-" are distinct, _drop inverts
+    # each, and together they hit every loop-side sign vector exactly once;
+    # on a based record the basepoint keeps the merged circle and the loop "+"
+    records = {}  # the rule's inputs -> (record, head and loop circle counts)
+    kink = Pipeline.kink
+
+    def collecting(self, t, s, smoothing, reduced):
+        record = kink(self, t, s, smoothing, reduced)
+        st, flip, _, keep, splice = self.plans[t][s]
+        a_end = smoothing & keep | splice
+        sides = (a_end | flip, a_end) if st.sign > 0 else (a_end, a_end | flip)
+        counts = tuple(len(self.rows.fmt.circles(side)) for side in sides)
+        sign, to_loop_side, to_head_side, *bits = record
+        records.setdefault((sign, id(to_loop_side), id(to_head_side), *bits, counts),
+                           (record, counts))
+        return record
+
+    monkeypatch.setattr(Pipeline, "kink", collecting)
+    for _, d in kink_rule_diagrams():
+        for reduced in (True, False):
+            Pipeline(d).retraction(reduced)
+    based = 0
+    for record, (heads, loops) in records.values():
+        _, _, _, loop_bit, _, merged_bit, on_loop = record
+        assert loops == heads + 1
+        lifted = []
+        for m in range(1 << heads):
+            if on_loop and not m & merged_bit:
+                continue
+            plus, minus = collapse._lift(record, m, True), collapse._lift(record, m, False)
+            assert plus != minus, record
+            assert collapse._drop(record, plus, True) == collapse._drop(record, minus, False) == m
+            lifted += [plus, minus]
+        assert sorted(lifted) == [a for a in range(1 << loops)
+                                  if not on_loop or a & loop_bit], record
+        based += on_loop
+    assert len(records) > 700 and based > 100, (len(records), based)
 
 
 def test_jacobsson_cycle_single_kinks():

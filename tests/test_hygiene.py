@@ -457,6 +457,57 @@ def test_one_kink_record_and_one_spread_memo():
     assert "spreads" not in named
 
 
+def name_uses(source, names):
+    """Where a module reads or binds one of ``names``: for each use, the
+    dotted names of the definitions enclosing it and whether it is the
+    subscripted value (a subscripted name counts once more as a name)."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Subscript) and getattr(child.value, "id", None) in names:
+                found.append((".".join(path), True))
+            elif isinstance(child, ast.Name) and child.id in names:
+                found.append((".".join(path), False))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_name_uses_are_located():
+    source = (
+        "def f(kink):\n"
+        "    sign, to_loop_side = kink\n"
+        "    return kink[0]\n"
+        "class M:\n"
+        "    def g(self, kink):\n"
+        "        return to_head_side\n"
+        "x = kink\n"
+    )
+    assert name_uses(source, {"kink"}) == [("f", False), ("f", True), ("f", False), ("", False)]
+    assert name_uses(source, {"to_loop_side", "to_head_side"}) == [("f", False), ("M.g", False)]
+
+
+def test_one_kink_rule_each_way():
+    # the stage rule is _lift and its inverse _drop: no other collapse.py
+    # definition unpacks a kink record's sign tables, the matching reaches
+    # them through these two alone, and it reads the record's sign, loop
+    # bit and based flag by name, never as kink[n]
+    source = (ROOT / "src" / "spantreekh" / "collapse.py").read_text(encoding="utf-8")
+    tables = {where for where, _ in name_uses(source, {"to_loop_side", "to_head_side"})}
+    assert tables == {"_lift", "_drop"}, tables
+    indexed = [where for where, subscripted in name_uses(source, {"kink"}) if subscripted]
+    assert not indexed, indexed
+    assert sorted(constructions(source, "_lift")) == [
+        "LazyMatching._locate", "LazyMatching._raw", "LazyMatching._replay"]
+    assert sorted(constructions(source, "_drop")) == [
+        "LazyMatching._locate", "LazyMatching._replay", "LazyMatching._replay"]
+
+
 # what reads a smoothing's circle geometry
 CIRCLE_READERS = {"circles", "grading", "_cube_edge", "_edges_out", "_kink_transfer", "spread",
                   "smoothing_grading", "circle_moves"}

@@ -22,7 +22,7 @@ from collapse_oracle import (
     labelled,
     retract_by_collapses,
 )
-from test_collapse import _random_complex, cycle_diagrams
+from test_collapse import _random_complex, cycle_diagrams, kink_rule_diagrams
 from test_khovanov import extra_edge
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
@@ -253,15 +253,56 @@ def test_based_loop_cycles_are_the_block_filtered_inclusion():
 
 
 def test_partner_rule_without_the_rest_bit_is_caught(monkeypatch):
-    rule = collapse._partner_signs
+    # the partner rule is the lift with the kink's paired loop sign
+    lift = collapse._lift
 
-    def dropping(kink, h):
-        rest_bit = kink[4]
-        return rule(kink, h) & ~rest_bit
+    def dropping(kink, m, loop_plus):
+        sign, _, _, _, rest_bit, _, _ = kink
+        a = lift(kink, m, loop_plus)
+        return a & ~rest_bit if loop_plus == (sign < 0) else a
 
-    monkeypatch.setattr(collapse, "_partner_signs", dropping)
+    monkeypatch.setattr(collapse, "_lift", dropping)
     with pytest.raises(DiagramError, match="not live|not an involution"):
         retract_to_tree_complex(corpus.diagram("7_4"), False)
+
+
+def test_a_paired_drop_off_by_the_merged_bit_fails_the_survivor_check(monkeypatch):
+    # the head a loop-side state names is then never the one whose lift it
+    # is, so a partner replays as a survivor carrying the paired loop sign
+    drop = collapse._drop
+
+    def flipping(kink, a, loop_plus):
+        sign, _, _, _, _, merged_bit, _ = kink
+        m = drop(kink, a, loop_plus)
+        return m ^ merged_bit if loop_plus == (sign < 0) else m
+
+    monkeypatch.setattr(collapse, "_drop", flipping)
+    for name in ("4_1", "6_2", "7_4"):
+        for reduced in (True, False):
+            with pytest.raises(DiagramError, match="stage survivor with its kink's paired loop sign"):
+                retract_to_tree_complex(corpus.diagram(name), reduced)
+
+
+def test_no_based_negative_kink_sends_a_minus_loop_to_the_survivor_check(monkeypatch):
+    # the survivor check passes a based negative kink's survivor only with
+    # loop "+", since the reduced complex holds no based loop at "-": every
+    # loop-side state at such a stage meets the paired _drop before the
+    # check, and each has loop "+"
+    seen = []  # (the state's loop is "+", the loop sign asked for)
+    drop = collapse._drop
+
+    def watching(kink, a, loop_plus):
+        sign, _, _, loop_bit, _, _, based = kink
+        if based and sign < 0:
+            seen.append((a & loop_bit != 0, loop_plus))
+        return drop(kink, a, loop_plus)
+
+    monkeypatch.setattr(collapse, "_drop", watching)
+    for _, d in kink_rule_diagrams():
+        retract_to_tree_complex(d, True)
+    assert all(plus for plus, _ in seen)
+    # survivors moved on past a based negative kink: loop "-" asked
+    assert sum(not asked for _, asked in seen) > 100, len(seen)
 
 
 def _flipped_target(d, pairs):
