@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: integer Laurent polynomials, Smith normal form,
 and ranks/nullspaces over Q and F_p.  A matrix is a list of integer rows.
 
-Ranks and kernels share one exact row reduction, fraction-free over Q and
-modular over F_p; the kernel asks it for the reduced (Jordan) form.
+Ranks, kernels and the spectral sequence's persistence pairs share one
+sparse column reduction, fraction-free over Q and modular over F_p; the
+kernel reduces the columns over an identity block.
 :func:`graded_homology` builds each degree's boundary matrix once and, over
 a field, ranks it once; over Z it reads the Smith form of the map in.
 
@@ -248,17 +249,6 @@ def bareiss_determinant(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _gcd_reduce(row):
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
-
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -270,78 +260,74 @@ def _is_prime(p):
     return True
 
 
-def _row_reduce(matrix, p, jordan):
-    """Exact row reduction over Q (p=None) or F_p: (rows, pivots), where row r
-    for r < len(pivots) has its pivot in column pivots[r] with zeros below it,
-    and above it too when ``jordan``, and the rows after those are zero.
+def _reduce_columns(columns, p=None):
+    """Left-to-right column reduction over Q (p=None) or F_p: (pivots,
+    reduced).  Each column, a dict {row: coefficient}, loses multiples of
+    earlier columns until its lowest (largest) row is the lowest row of no
+    earlier column; ``pivots`` maps that row to the column's index, in column
+    order, and ``reduced`` holds the reduced columns, zero ones empty.
 
-    Over Q it is fraction-free: a row loses f times the pivot row after
-    being scaled by the pivot, then is divided by the gcd of its entries.
-    Over F_p each pivot row is scaled to pivot 1 by the modular inverse.
+    Over Q it is fraction-free: the column is scaled by the earlier column's
+    pivot before the subtraction, then divided by the gcd of its entries.
+    Over F_p the earlier column's pivot is inverted mod p.
     """
     if p is not None and not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p is None:
-        rows = [[int(v) for v in row] for row in matrix]
-    else:
-        rows = [[v % p for v in row] for row in matrix]
-    nrows = len(rows)
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        pivot = top[col]
-        if p is not None:
-            inv = pow(pivot, p - 2, p)
-            top = rows[rank] = [v * inv % p for v in top]
-        for i in range(0 if jordan else rank + 1, nrows):
-            f = rows[i][col]
-            if f and i != rank:
-                if p is None:
-                    rows[i] = _gcd_reduce([pivot * a - f * b for a, b in zip(rows[i], top)])
-                else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
-        pivots.append(col)
-    return rows, pivots
+    pivots, reduced = {}, []
+    for n, col in enumerate(columns):
+        col = {r: c if p is None else c % p for r, c in col.items()}
+        col = {r: c for r, c in col.items() if c}
+        while col and (low := max(col)) in pivots:
+            other = reduced[pivots[low]]
+            if p is None:
+                a, b = other[low], col[low]
+                col = {r: a * col.get(r, 0) - b * other.get(r, 0) for r in col.keys() | other.keys()}
+                g = gcd(*col.values())
+                col = {r: c // g for r, c in col.items() if c}
+            else:
+                f = col[low] * pow(other[low], -1, p)
+                for r, c in other.items():
+                    if v := (col.get(r, 0) - f * c) % p:
+                        col[r] = v
+                    else:
+                        del col[r]
+        if col:
+            pivots[low] = n
+        reduced.append(col)
+    return pivots, reduced
+
+
+def _columns(matrix):
+    """The sparse columns {row: entry} of a list of integer rows."""
+    columns = [{} for _ in (matrix[0] if matrix else ())]
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v:
+                columns[j][i] = int(v)
+    return columns
 
 
 def rank_over_field(matrix, p=None):
     """Matrix rank by exact elimination: fraction-free over Q (p=None),
     modular over F_p."""
-    return len(_row_reduce(matrix, p, False)[1])
+    return len(_reduce_columns(_columns(matrix), p)[0])
 
 
 def nullspace_over_field(matrix, p=None):
     """Spanning set of the right kernel over Q (p=None) or F_p.
 
-    Over Q the vectors are integral (denominators cleared); any spanning
-    set is as good as a basis for the rank computations built on top.
+    Column j is reduced with an identity entry in row -1-j, above every
+    matrix row, so a column whose lowest row ends negative has lost its
+    matrix part and keeps a kernel vector in its identity rows.  Over Q the
+    vectors are integral; any spanning set is as good as a basis for the
+    rank computations built on top.
     """
-    rows, pivots = _row_reduce(matrix, p, True)
-    ncols = len(rows[0]) if rows else 0
-    scale = 1  # over Q, the lcm of the pivots
-    for r, pc in enumerate(pivots):
-        scale = scale * rows[r][pc] // gcd(scale, rows[r][pc])
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        if p is None:
-            vec[fc] = scale
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc] * (scale // rows[r][pc])
-            basis.append(_gcd_reduce(vec))
-        else:
-            vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = (-rows[r][fc]) % p
-            basis.append(vec)
-    return basis
+    columns = _columns(matrix)
+    for j, column in enumerate(columns):
+        column[-1 - j] = 1
+    pivots, reduced = _reduce_columns(columns, p)
+    return [[reduced[n].get(-1 - j, 0) for j in range(len(columns))]
+            for low, n in pivots.items() if low < 0]
 
 
 def homology_groups(boundary_in, boundary_out):

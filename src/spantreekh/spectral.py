@@ -16,15 +16,16 @@ and from E_1 on the pages are those of the spanning-tree complex with each
 generator at its tree's level.  E_0 alone counts enhanced states, and it
 reads them off the pipeline's block census: a tree's block is a twisted
 unknot's cube, counted per sigma from its kink stages, so no state is
-enumerated.  The E_infinity check compares with the field homology of the
-pipeline's whole complex, the one place the cube is built.
+enumerated.  The other pages are read off the tree complex's persistence
+pairs, from ``algebra._reduce_columns``, the one exact column reduction,
+which ranks and kernels share too.  The E_infinity check compares with the
+field homology of the pipeline's whole complex, the one place the cube is
+built, per total degree i and per (i, j).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import parse_coefficients, ring_name
+from .algebra import _reduce_columns, parse_coefficients, ring_name
 from .diagram import DiagramError
 from .collapse import grading_map
 
@@ -107,7 +108,8 @@ def _field_params(field):
 
 def _pairs(levels, degrees, rows, prime):
     """Persistence pairs (target, source) of a filtered differential over Q
-    (``prime`` None) or F_p, by left-to-right column reduction.
+    (``prime`` None) or F_p: each pivot of ``algebra._reduce_columns``, a
+    reduced column's lowest row, is the target of that column's generator.
 
     ``levels`` and ``degrees`` give each generator's level p and degree i,
     and ``rows`` its differential {target: coefficient}.  Generators are
@@ -120,33 +122,8 @@ def _pairs(levels, degrees, rows, prime):
     """
     order = sorted(levels, key=lambda g: (-levels[g], -degrees[g], g))
     pos = {g: n for n, g in enumerate(order)}
-    inverse = (lambda c: Fraction(1, c)) if prime is None else (lambda c: pow(c, -1, prime))
-    pivots = {}  # lowest row of a reduced column -> that column
-    pairs = []
-    for x in order:
-        col = {}
-        for y, c in rows.get(x, {}).items():
-            if prime:
-                c %= prime
-            if c:
-                col[pos[y]] = c
-        while col:
-            low = max(col)
-            if low not in pivots:
-                pivots[low] = col
-                pairs.append((order[low], x))
-                break
-            other = pivots[low]
-            f = col[low] * inverse(other[low])
-            for row, c in other.items():
-                v = col.get(row, 0) - f * c
-                if prime:
-                    v %= prime
-                if v:
-                    col[row] = v
-                else:
-                    del col[row]
-    return pairs
+    columns = [{pos[y]: c for y, c in rows.get(x, {}).items()} for x in order]
+    return [(order[low], order[n]) for low, n in _reduce_columns(columns, prime)[0].items()]
 
 
 def _tree_pairs(filtration, prime):
@@ -199,18 +176,16 @@ def collapse_page(pages):
     for page in pages:
         if page.dims == final:
             return page.r
-    return pages[-1].r
 
 
 def check_convergence(pages, filtration, field="Q"):
-    """E_infinity totals against the field homology of the filtered complex,
-    the pipeline's whole complex of the filtration's mode, per total degree
-    i."""
+    """E_infinity against the field homology of the filtered complex, the
+    pipeline's whole complex of the filtration's mode: per total degree i
+    off the last page, and per (i, j) off the tree generators the pairs
+    leave unpaired, each at its own (i, j) (d preserves j)."""
     prime, _ = _field_params(field)
     complex = filtration.pipeline.full_complex(filtration.tree_complex.reduced)
     brute = complex.homology("Q" if prime is None else prime)
-    # E_infinity dims per total degree i (the filtration is j-homogeneous,
-    # so compare per-i totals of both sides)
     e_inf = pages[-1].dims_by_total_degree()
     brute_by_i = {}
     for (i, j), dim in brute.items():
@@ -219,6 +194,15 @@ def check_convergence(pages, filtration, field="Q"):
         raise DiagramError(
             f"E_inf totals {e_inf} disagree with homology {brute_by_i}"
         )
+    paired = {g for pair in _tree_pairs(filtration, prime) for g in pair}
+    w, k = filtration.pipeline.diagram.writhe, filtration.pipeline.k
+    e_inf_ij = {}
+    for g, (u, v) in filtration.tree_complex.generators.items():
+        if g not in paired:
+            ij = grading_map(u, v, w, k)
+            e_inf_ij[ij] = e_inf_ij.get(ij, 0) + 1
+    if e_inf_ij != {ij: d for ij, d in brute.items() if d}:
+        raise DiagramError(f"E_inf {e_inf_ij} disagrees with homology {brute} per (i, j)")
     return {
         "field": pages[-1].field,
         "e_infinity": e_inf,

@@ -9,6 +9,7 @@ import pytest
 
 from spantreekh.algebra import (
     LaurentPolynomial,
+    _reduce_columns,
     bareiss_determinant,
     graded_homology,
     homology_groups,
@@ -269,6 +270,27 @@ def test_rank_and_kernel_on_random_matrices():
                 assert all((x if p is None else x % p) == 0 for x in image), (m, p, vec)
             assert _rank_by_smith(kernel, p) == len(kernel), (m, p)
             assert rank == _rank_by_smith(m, p), (m, p)
+
+
+def test_column_pivots_follow_the_pairing_lemma():
+    # the pairing lemma (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
+    # vineyards"), an oracle independent of any reduction: row i is the
+    # lowest row of reduced column j exactly when
+    # rk D[i:, :j+1] - rk D[i+1:, :j+1] - rk D[i:, :j] + rk D[i+1:, :j] = 1
+    rng = random.Random(33)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(ncols)]
+             for _ in range(nrows)]
+        columns = [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(ncols)]
+        for p in (None, 2, 3, 5):
+            rk = {(i, j): _rank_by_smith([row[:j] for row in m[i:]], p)
+                  for i in range(nrows + 1) for j in range(ncols + 1)}
+            lemma = {(i, j) for i in range(nrows) for j in range(ncols)
+                     if rk[i, j + 1] - rk[i + 1, j + 1] - rk[i, j] + rk[i + 1, j] == 1}
+            pivots, reduced = _reduce_columns(columns, p)
+            assert set(pivots.items()) == lemma, (m, p)
+            assert all(reduced[n] and max(reduced[n]) == low for low, n in pivots.items())
 
 
 def test_graded_homology_builds_and_ranks_each_boundary_once(monkeypatch):

@@ -737,11 +737,14 @@ def test_only_three_walks_pop_a_work_list():
 
 def exact_row_updates(source):
     """The dotted names of the definitions that make an exact row update, one
-    entry per update: a ``_gcd_reduce`` call on a list comprehension (the
-    fraction-free update over Q) or a three-argument ``pow`` (a modular
-    inverse over F_p)."""
+    entry per update: a ``_gcd_reduce`` call on a list comprehension or a
+    ``gcd`` call on a starred argument (the fraction-free update over Q,
+    which divides a row or column by the gcd of its entries) or a
+    three-argument ``pow`` (a modular inverse over F_p)."""
     return ([where for where, call in calls(source, "_gcd_reduce")
              if call.args and isinstance(call.args[0], ast.ListComp)]
+            + [where for where, call in calls(source, "gcd")
+               if any(isinstance(arg, ast.Starred) for arg in call.args)]
             + [where for where, call in calls(source, "pow") if len(call.args) == 3])
 
 
@@ -755,20 +758,25 @@ def test_exact_row_updates_are_located():
         "class C:\n"
         "    def m(self, c, p):\n"
         "        return (lambda: pow(c, -1, p))()\n"
+        "def content(col, a, b):\n"
+        "    return {r: c // math.gcd(*col.values()) for r, c in col.items()}, gcd(a, b)\n"
     )
-    assert exact_row_updates(source) == ["reduce", "reduce", "C.m"]
+    assert exact_row_updates(source) == ["reduce", "content", "reduce", "C.m"]
 
 
 def test_one_exact_row_reduction():
-    # rank and kernel share algebra._row_reduce, the one package definition
-    # that makes fraction-free or modular row updates; the one other modular
-    # inverse is spectral._pairs's, the filtered column reduction whose
-    # persistence pairs, not only its ranks, give the pages
+    # ranks, kernels and the spectral sequence's persistence pairs share
+    # algebra._reduce_columns, the one package definition that makes
+    # fraction-free or modular updates, and nothing else in the package
+    # calls it
     found = sorted({(path.name, where) for path in SRC
                     for where in exact_row_updates(path.read_text(encoding="utf-8"))})
-    assert found == [("algebra.py", "_row_reduce"), ("spectral.py", "_pairs")]
-    algebra = (ROOT / "src" / "spantreekh" / "algebra.py").read_text(encoding="utf-8")
-    assert constructions(algebra, "_row_reduce") == ["rank_over_field", "nullspace_over_field"]
+    assert found == [("algebra.py", "_reduce_columns")]
+    callers = sorted((path.name, where) for path in SRC
+                     for where in constructions(path.read_text(encoding="utf-8"),
+                                                "_reduce_columns"))
+    assert callers == [("algebra.py", "nullspace_over_field"),
+                       ("algebra.py", "rank_over_field"), ("spectral.py", "_pairs")]
 
 
 def test_only_alternating_asks_whether_a_crossing_is_nugatory():

@@ -115,6 +115,27 @@ def test_convergence_and_page_bound_small_corpus():
             assert pages[1].dims == e1_tree_counts(f), (name, field)
 
 
+def test_e_infinity_is_checked_per_i_and_j(monkeypatch):
+    # one class of the whole complex's homology moved from (i, j) to
+    # (i, j + 2) leaves every per-i total as it was; the per-(i, j) check
+    # off the unpaired tree generators still catches it
+    f = build_filtration(Pipeline(corpus.diagram("trefoil4")))
+    pages = compute_pages(f, "Q")
+    check_convergence(pages, f, "Q")
+    homology = khovanov.BigradedComplex.homology
+
+    def moved(self, coefficients="Z"):
+        dims = dict(homology(self, coefficients))
+        i, j = min(dims)
+        dims[i, j] -= 1
+        dims[i, j + 2] = dims.get((i, j + 2), 0) + 1
+        return dims
+
+    monkeypatch.setattr(khovanov.BigradedComplex, "homology", moved)
+    with pytest.raises(DiagramError, match=r"per \(i, j\)"):
+        check_convergence(pages, f, "Q")
+
+
 def test_differential_ranks_trefoil4():
     d = corpus.diagram("trefoil4")
     f = build_filtration(Pipeline(d))
