@@ -31,8 +31,14 @@ fundamental cycles, which gives the transport matrix.  The flows read only
 the states they reach: :class:`LazyMatching` gives one state label's pair
 by replaying the stage rule on it, and the pair's key (tree position in the
 linear extension, stage, head label) orders the pairs as the block pass
-appends them.  A tree's survivors are the round unknot's seed sign lifted
-back through its stages; its fundamental cycles are their inclusions.
+appends them.  The projection flows only what can reach a survivor
+(:meth:`LazyMatching.kept`): a flow keeps its bigrading and never climbs
+the partial order, so an entry of tree T's block is dropped unless a tree
+at or below T has a generator at the entry's (i, j).  On an alternating
+diagram every reduced generator sits on one delta-diagonal and no
+survivor's row flows at all.  A tree's survivors are the round unknot's
+seed sign lifted back through its stages; its fundamental cycles are their
+inclusions, which are not pruned.
 
 Checks on the route: every row for stored zeros, bidegree (1, 0) and
 closure; every cube edge made to run inside one block or down to a lower
@@ -41,9 +47,13 @@ per label for both; incidence +-1 and mutual naming for every pair used,
 and no gradient cycle among them (Kahn's pass); the unpaired loop sign (or
 "+" on a based loop) on every stage survivor; survivors at the
 dictionary's gradings; fundamental cycles homogeneous cycles of their
-blocks at the shifted gradings; r o f = id; a tree differential of bidegree
-(-1, -1) that squares to zero and runs down the partial order; and the
-Jones polynomial as graded Euler characteristic.
+blocks at the shifted gradings; r o f = id; an image supported on the
+survivors; a tree differential of bidegree (-1, -1) that squares to zero
+and runs down the partial order; and the Jones polynomial as graded Euler
+characteristic.  The pruned projection reads fewer rows and pairs, so
+fewer rows get the d(d(x)) = 0 check, fewer pairs get the +-1 check and
+enter Kahn's pass, and the support check sees only the kept states; every
+cube edge the row builder makes still gets the order check.
 
 Enhanced states are integer labels (``khovanov.StateLabels``), ordered as
 their ``(markers, signs)`` keys.  Each kink's geometry is one memoised
@@ -166,12 +176,13 @@ class MorseMatching:
 
     The flows read the matching through ``row(g)`` (d(g)), ``lower_key(g)``
     (the key of the pair whose lower state is g, else None),
-    ``is_upper(g)`` and ``pair(key)`` (its :class:`MatchedPair`) only, which
-    a subclass answers: :class:`LazyMatching` on demand, the full-cube test
-    oracle (``tests/matching_oracle.py``) off the pairs given to it one by
-    one.  A subclass keeps ``pairs`` (key -> MatchedPair, the pairs used so
-    far), ``key_of`` (lower state -> key) and ``_flows`` (pair key -> (its
-    flow, None), once computed).
+    ``is_upper(g)``, ``pair(key)`` (its :class:`MatchedPair`) and
+    ``kept(chain)`` (the entries of a chain whose flows can reach an
+    unmatched state) only, which a subclass answers: :class:`LazyMatching`
+    on demand, the full-cube test oracle (``tests/matching_oracle.py``) off
+    the pairs given to it one by one.  A subclass keeps ``pairs`` (key ->
+    MatchedPair, the pairs used so far), ``key_of`` (lower state -> key) and
+    ``_flows`` (pair key -> (its flow, None), once computed).
     """
 
     def _unit_pair(self, x, y):
@@ -209,8 +220,13 @@ class MorseMatching:
             raise DiagramError("the matching has a gradient cycle")
 
     def project(self, chains):
-        """Each chain's image on the unmatched states."""
-        self._fill(chains, 0, self._flows, False)
+        """Each chain's image on the unmatched states.  Only the entries
+        ``kept`` keeps, of the chains and of every row the flows read, are
+        flowed: the others reach no unmatched state.  The rule is per entry,
+        so the pairs' flows memoised in ``_flows`` hold for every chain."""
+        kept, row = self.kept, self.row
+        chains = [kept(chain) for chain in chains]
+        self._fill(chains, 0, self._flows, lambda g: kept(row(g)), False)
         return [self._flow(chain, 0, _TOP, self._flows, None) for chain in chains]
 
     def include(self, s, first=0):
@@ -221,30 +237,31 @@ class MorseMatching:
         first key on."""
         flows = {}
         ds = self.row(s)
-        self._fill([ds], first, flows, True)
+        self._fill([ds], first, flows, self.row, True)
         inclusion = {s: 1}
         self._flow(ds, first, _TOP, flows, inclusion)
         return {g: c for g, c in inclusion.items() if c}
 
-    def _fill(self, chains, first, flows, expanding):
+    def _fill(self, chains, first, flows, row, expanding):
         """Memoise in ``flows`` the flow of every pair from key ``first`` on
-        that gradient paths from the chains reach, earliest pair first, with
-        its inclusion when ``expanding``."""
-        row, lower_key, pair = self.row, self.lower_key, self.pair
-        reached = set()
+        that gradient paths from the chains reach, each upper state x's d(x)
+        read as ``row(x)``, earliest pair first, with its inclusion when
+        ``expanding``."""
+        lower_key, pair = self.lower_key, self.pair
+        reached = {}  # pair key -> row(x) of its upper state x
         todo = [g for chain in chains for g in chain]
         while todo:
             n = lower_key(todo.pop())
             if n is None or n < first or n in reached:
                 continue
-            reached.add(n)
             x, y, _ = pair(n)
-            todo.extend(g for g in row(x) if g != y)
+            reached[n] = dx = row(x)
+            todo.extend(g for g in dx if g != y)
         for n in sorted(reached):
             if n not in flows:
                 x, y, _ = pair(n)
                 inclusion = {x: 1} if expanding else None
-                flow = self._flow(row(x), first, n, flows, inclusion)
+                flow = self._flow(reached[n], first, n, flows, inclusion)
                 flow.pop(y, None)
                 flows[n] = (flow, inclusion)
 
@@ -487,6 +504,32 @@ class LazyMatching(MorseMatching):
     def row(self, g):
         """d(g), off the pipeline's ``RowBuilder.checked_row``."""
         return self.pipeline.rows.checked_row(g)
+
+    @cached_property
+    def _generator_trees(self):
+        """(i, j) -> bitmask of the trees with a tree-complex generator there,
+        off the dictionary's gradings, before any flow runs."""
+        p = self.pipeline
+        w, k = p.diagram.writhe, p.k
+        masks = {}
+        for t in p.trees:
+            for seed in (1,) if self.reduced else (1, -1):
+                ij = grading_map(*_uv(t, seed), w, k)
+                masks[ij] = masks.get(ij, 0) | 1 << t.index
+        return masks
+
+    def kept(self, chain):
+        """The entries of ``chain`` whose flows can reach a survivor.  A flow
+        keeps its entries' (i, j): d keeps j and a pair's states sit at
+        (i, j) and (i+1, j).  A pair's flow runs inside its tree's block or
+        down to lower trees' (the order lemma).  So an entry g of tree T's
+        block is kept only when some tree T' <= T has a generator at g's
+        (i, j)."""
+        p = self.pipeline
+        below, tree_of, grading = p.poset.below, p.tree_of, p.rows.grading
+        masks = self._generator_trees
+        return {g: c for g, c in chain.items()
+                if (below[t := tree_of(g)] | 1 << t) & masks.get(grading(g), 0)}
 
     # -- the matching --------------------------------------------------------------
 

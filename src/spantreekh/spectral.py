@@ -33,7 +33,9 @@ from .collapse import grading_map
 class Filtration:
     """The retraction's tree complex with a level p and a degree i per
     generator, and the E_0 dimensions counted over the enhanced states.  The
-    diagram, trees, poset, k and whole complex are the ``pipeline``'s."""
+    diagram, trees, poset, k and whole complex are the ``pipeline``'s; the
+    pages, the d_r ranks and the E_infinity check read one pairing per field
+    (:meth:`pairs`)."""
 
     def __init__(self, pipeline, tree_complex, tree_levels, e0):
         self.pipeline = pipeline
@@ -43,6 +45,7 @@ class Filtration:
         w, k = pipeline.diagram.writhe, pipeline.k
         self.generator_levels = {}          # tree-complex label -> p
         self.generator_degrees = {}         # tree-complex label -> i
+        self._pairs = {}                    # prime (None for Q) -> pairs()
         for label, (u, v) in tree_complex.generators.items():
             tree = label if tree_complex.reduced else label[0]
             self.generator_levels[label] = tree_levels[tree]
@@ -51,6 +54,14 @@ class Filtration:
     @property
     def depth(self):
         return max(self.tree_levels.values())
+
+    def pairs(self, prime):
+        """The tree complex's persistence pairs (target, source) over Q
+        (``prime`` None) or F_p, off :func:`_pairs`, made once per field."""
+        if prime not in self._pairs:
+            self._pairs[prime] = _pairs(self.generator_levels, self.generator_degrees,
+                                        self.tree_complex.differential, prime)
+        return self._pairs[prime]
 
 
 def build_filtration(pipeline, reduced=True):
@@ -126,11 +137,6 @@ def _pairs(levels, degrees, rows, prime):
     return [(order[low], order[n]) for low, n in _reduce_columns(columns, prime)[0].items()]
 
 
-def _tree_pairs(filtration, prime):
-    return _pairs(filtration.generator_levels, filtration.generator_degrees,
-                  filtration.tree_complex.differential, prime)
-
-
 def differential_ranks(filtration, field="Q", r=1):
     """Rank of d_r out of each (p, q) slot, for r >= 1: the tree-complex
     pairs with level gap r.  d_0 acts inside the blocks of enhanced states,
@@ -140,7 +146,7 @@ def differential_ranks(filtration, field="Q", r=1):
     prime, _ = _field_params(field)
     levels, degrees = filtration.generator_levels, filtration.generator_degrees
     ranks = {}
-    for y, x in _tree_pairs(filtration, prime):
+    for y, x in filtration.pairs(prime):
         p = levels[x]
         if levels[y] - p == r:
             pq = (p, degrees[x] - p)
@@ -157,7 +163,7 @@ def compute_pages(filtration, field="Q"):
     prime, field_name = _field_params(field)
     levels, degrees = filtration.generator_levels, filtration.generator_degrees
     gap = {}
-    for y, x in _tree_pairs(filtration, prime):
+    for y, x in filtration.pairs(prime):
         gap[y] = gap[x] = levels[y] - levels[x]
     pages = [SpectralPage(0, filtration.e0, field_name)]
     for r in range(1, filtration.depth + 2):
@@ -182,7 +188,8 @@ def check_convergence(pages, filtration, field="Q"):
     """E_infinity against the field homology of the filtered complex, the
     pipeline's whole complex of the filtration's mode: per total degree i
     off the last page, and per (i, j) off the tree generators the pairs
-    leave unpaired, each at its own (i, j) (d preserves j)."""
+    leave unpaired, each at its own (i, j) (d preserves j).  The pairs are
+    the ones the pages were read off (:meth:`Filtration.pairs`)."""
     prime, _ = _field_params(field)
     complex = filtration.pipeline.full_complex(filtration.tree_complex.reduced)
     brute = complex.homology("Q" if prime is None else prime)
@@ -194,7 +201,7 @@ def check_convergence(pages, filtration, field="Q"):
         raise DiagramError(
             f"E_inf totals {e_inf} disagree with homology {brute_by_i}"
         )
-    paired = {g for pair in _tree_pairs(filtration, prime) for g in pair}
+    paired = {g for pair in filtration.pairs(prime) for g in pair}
     w, k = filtration.pipeline.diagram.writhe, filtration.pipeline.k
     e_inf_ij = {}
     for g, (u, v) in filtration.tree_complex.generators.items():

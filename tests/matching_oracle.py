@@ -9,7 +9,12 @@ the complete matching for gradient cycles, and takes the tree complex and
 the transport matrix through the same flows the lazy route uses.  Its
 fundamental cycles are the key route's of ``collapse_oracle``.  Its record
 also carries the built complex (``full_complex``) and each state's tree
-(``state_tree``).  Nothing in the package imports this module.
+(``state_tree``).
+
+``unpruned_project`` is ``MorseMatching.project`` before it pruned its
+flows: every entry of the chains and of every row the flows read is flowed.
+``unpruned_retraction`` runs the package's retraction with it.  Nothing in
+the package imports this module.
 """
 
 from collections import namedtuple
@@ -65,6 +70,10 @@ class MorseMatching(collapse.MorseMatching):
 
     def pair(self, key):
         return self.pairs[key]
+
+    def kept(self, chain):
+        """Every entry: the full cube's flows are not pruned."""
+        return chain
 
     def matched(self, g):
         return g in self.lower_of or g in self.key_of
@@ -288,6 +297,29 @@ def retract_by_matching(diagram, reduced=True):
                       {label: label if reduced else label[0] for label in gens}.__getitem__,
                       poset, "tree differential entry", False)
     return tree_complex, record
+
+
+def unpruned_project(matching, chains):
+    """Each chain's image on ``matching``'s unmatched states, every entry of
+    the chains and of the rows the flows read flowed, the pairs' flows
+    memoised in a dict of this call's own."""
+    flows = {}
+    matching._fill(chains, 0, flows, matching.row, False)
+    return [matching._flow(chain, 0, collapse._TOP, flows, None) for chain in chains]
+
+
+class UnprunedMatching(collapse.LazyMatching):
+    """The pipeline's lazy matching, projecting by :func:`unpruned_project`."""
+
+    def project(self, chains):
+        return unpruned_project(self, chains)
+
+
+def unpruned_retraction(pipeline, reduced):
+    """``pipeline.retraction(reduced)`` through an :class:`UnprunedMatching`
+    of its own: the pipeline's rows, plans and kink records are shared, its
+    matchings and retractions are not touched."""
+    return collapse._retract(UnprunedMatching(pipeline, reduced))
 
 
 def is_ordered_subsequence(pairs, all_pairs):

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from spantreekh import cli
+from matching_oracle import unpruned_retraction
+from spantreekh import cli, corpus
 from spantreekh.cli import build_parser, run
+from spantreekh.collapse import Pipeline
 
 
 def test_info(capsys):
@@ -346,7 +348,9 @@ def test_usage_error_exits_2():
 # ``spantree-complex --trace`` output pinned byte for byte.  The collapse
 # count is the whole matching's, as the sequential-collapse retraction
 # recorded it; the pairs listed are only those the gradient flows visited,
-# in matching order, printed in that retraction's collapse-log format.
+# in matching order, printed in that retraction's collapse-log format.  The
+# flows prune what can reach no survivor: on 4_1 the survivors' rows flow
+# nowhere, and only the last of the 4 pairs the unpruned flows visit is left.
 TRACE_3_1_UNREDUCED_LIMIT_2 = """\
 spanning-tree complex (unreduced):
   generator (0, -1) at (u,v)=(3,2)
@@ -380,10 +384,7 @@ homology by (u,v):
   (0,2): Z^1
   (1,2): Z^1
   (2,2): Z^1
-collapse log: 14 elementary collapses, 4 visited by the gradient flows
-  collapsed x=(('A', 'B', 'B', 'B'), (1, -1)) y=(('B', 'B', 'B', 'B'), (1, -1, 1)) incidence 1
-  collapsed x=(('B', 'A', 'B', 'B'), (1, -1)) y=(('B', 'B', 'B', 'B'), (1, 1, -1)) incidence -1
-  collapsed x=(('A', 'B', 'A', 'B'), (1,)) y=(('B', 'B', 'A', 'B'), (1, 1)) incidence 1
+collapse log: 14 elementary collapses, 1 visited by the gradient flows
   collapsed x=(('A', 'B', 'B', 'A'), (1,)) y=(('B', 'B', 'B', 'A'), (1, 1)) incidence 1
 """
 
@@ -398,15 +399,18 @@ def test_spantree_complex_trace_is_pinned(capsys, argv, expected):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("argv, collapses, visited", [
-    (["spantree-complex", "3_1", "--unreduced"], 12, 3),
-    (["spantree-complex", "4_1", "--trace"], 14, 4),
+@pytest.mark.parametrize("argv, collapses, visited, unpruned", [
+    (["spantree-complex", "3_1", "--unreduced"], 12, 3, 3),
+    (["spantree-complex", "4_1", "--trace"], 14, 1, 4),
 ], ids=["3_1-unreduced", "4_1-trace"])
 def test_spantree_complex_json_counts_collapses_and_visited_pairs(capsys, argv, collapses,
-                                                                 visited):
+                                                                 visited, unpruned):
     assert run(["--json"] + argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["collapses"], payload["pairs_visited"]) == (collapses, visited)
+    # the flows unpruned visit every pair a survivor's row or cycle reaches
+    _, record = unpruned_retraction(Pipeline(corpus.diagram(argv[1])), "--unreduced" not in argv)
+    assert len(record.pairs_visited) == unpruned
 
 
 def test_python_m_spantreekh_runs_the_cli():

@@ -15,6 +15,7 @@ from khovanov_oracle import cancelled_homology, homology_snapshot
 from test_diagram import LINK_FAMILY, TWELVE_CROSSINGS
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
+from spantreekh.alternating import is_alternating
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import (
     MutableComplex,
@@ -529,31 +530,40 @@ def test_one_pipeline_makes_each_kink_record_and_d_squared_check_once_for_both_m
 
     monkeypatch.setattr(collapse, "_kink_transfer", counting_transfer)
     monkeypatch.setattr(khovanov, "_check_square", counting_square)
-    shared = 0
     unreduced_states = {"trefoil4": 66, "6_2": 426, "7_4": 1182, "8_19": 3378}
-    for name, states in unreduced_states.items():
-        per_mode = []
-        for reduced in (True, False):
+
+    def shared_calls(retraction):
+        """The calls a pipeline retracting in both modes by ``retraction``
+        saves over one pipeline per mode."""
+        shared = 0
+        for name, states in unreduced_states.items():
+            per_mode = []
+            for reduced in (True, False):
+                transfers.clear()
+                squares.clear()
+                retraction(Pipeline(corpus.diagram(name)), reduced)
+                per_mode.append((len(transfers), len(squares)))
             transfers.clear()
             squares.clear()
-            Pipeline(corpus.diagram(name)).retraction(reduced)
-            per_mode.append((len(transfers), len(squares)))
-        transfers.clear()
-        squares.clear()
-        pipeline = Pipeline(corpus.diagram(name))
-        for reduced in (True, False):
-            pipeline.retraction(reduced)
-        assert len(transfers) == len(set(transfers)), name
-        assert len(squares) == len({id(row) for row in squares}), name
-        (kinks_r, squares_r), (kinks_u, squares_u) = per_mode
-        assert max(kinks_r, kinks_u) <= len(transfers) <= kinks_r + kinks_u, name
-        assert max(squares_r, squares_u) <= len(squares) <= squares_r + squares_u, name
-        shared += kinks_r + kinks_u - len(transfers) + squares_r + squares_u - len(squares)
-        for reduced in (True, False):
-            pipeline.full_complex(reduced)
-        assert len(squares) == len({id(row) for row in squares}), name
-        assert len(squares) == len(pipeline.full_complex(False).states) == states, name
-    assert shared > 400
+            pipeline = Pipeline(corpus.diagram(name))
+            for reduced in (True, False):
+                retraction(pipeline, reduced)
+            assert len(transfers) == len(set(transfers)), name
+            assert len(squares) == len({id(row) for row in squares}), name
+            (kinks_r, squares_r), (kinks_u, squares_u) = per_mode
+            assert max(kinks_r, kinks_u) <= len(transfers) <= kinks_r + kinks_u, name
+            assert max(squares_r, squares_u) <= len(squares) <= squares_r + squares_u, name
+            shared += kinks_r + kinks_u - len(transfers) + squares_r + squares_u - len(squares)
+            for reduced in (True, False):
+                pipeline.full_complex(reduced)
+            assert len(squares) == len({id(row) for row in squares}), name
+            assert len(squares) == len(pipeline.full_complex(False).states) == states, name
+        return shared
+
+    # the pruned flows read fewer rows, so fewer d^2 checks are left to
+    # share; the unpruned projection shows the modes sharing as before
+    assert shared_calls(Pipeline.retraction) == 343
+    assert shared_calls(matching_oracle.unpruned_retraction) > 400
 
 
 def test_include_unknot_states_partition_and_shifts():
@@ -655,6 +665,30 @@ def test_pipeline_alternating_has_zero_differential():
             continue
         tc, _ = retract_to_tree_complex(d, reduced=True)
         assert tc.differential == {}, name
+
+
+def test_alternating_survivors_rows_flow_nowhere():
+    # the paper's theorem as a cost: on an alternating diagram every reduced
+    # generator sits on one delta-diagonal, so the flows keep no entry of a
+    # survivor's row, projecting those rows visits no pair, and the tree
+    # differential is zero
+    diagrams = [(name, corpus.diagram(name)) for name in corpus.names()]
+    diagrams.append(("tri-9-pos", triangle_bundle([1] * 3, [1] * 3, [1] * 3)[0]))
+    checked, entries = 0, 0
+    for name, d in diagrams:
+        pipeline = Pipeline(d)
+        if not is_alternating(pipeline):
+            continue
+        matching = pipeline.matching(True)
+        rows = [matching.row(matching.survivor(t, 1)) for t in pipeline.trees]
+        assert not any(matching.kept(row) for row in rows), name
+        assert matching.project(rows) == [{}] * len(rows), name
+        assert matching.pairs == {}, name
+        assert pipeline.retraction(True)[0].differential == {}, name
+        checked += 1
+        entries += sum(map(len, rows))
+    assert checked == 12  # 11 corpus entries and tri-9-pos
+    assert entries == 74  # the entries the unpruned flows would carry
 
 
 def test_pipeline_matches_brute_force_reduced_and_unreduced():

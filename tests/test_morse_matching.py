@@ -14,7 +14,13 @@ import random
 import pytest
 
 from khovanov_oracle import smoothing_grading
-from matching_oracle import MorseMatching, is_ordered_subsequence, retract_by_matching
+from matching_oracle import (
+    MorseMatching,
+    is_ordered_subsequence,
+    retract_by_matching,
+    unpruned_project,
+    unpruned_retraction,
+)
 from collapse_oracle import (
     SequentialComplex,
     has_based_negative_loop,
@@ -22,7 +28,7 @@ from collapse_oracle import (
     labelled,
     retract_by_collapses,
 )
-from test_collapse import _random_complex, cycle_diagrams, kink_rule_diagrams
+from test_collapse import _mixed_wheel, _random_complex, cycle_diagrams, kink_rule_diagrams
 from test_khovanov import extra_edge
 from test_spantree import _crossings_permuted
 from spantreekh import collapse, corpus, khovanov
@@ -33,6 +39,7 @@ from spantreekh.collapse import (
 )
 from spantreekh.diagram import DiagramError
 from spantreekh.khovanov import StateLabels, enumerate_states
+from spantreekh.planegraph import theta_graph, triangle_bundle
 from spantreekh.spantree import resolution_tree
 
 
@@ -212,6 +219,37 @@ def test_route_equals_the_full_cube_oracle_on_plane_graph_diagrams(name, reduced
     d = dict(cycle_diagrams())[name]
     _, record = _assert_route_equals_full_cube_oracle(d, reduced)
     assert len(record.complex) == record.log_size > 2000
+
+
+def _pruning_diagrams():
+    """Every corpus entry, the tree-complex benchmark's 9- and 10-crossing
+    diagrams, K4 and the mixed wheels with 4 and 5 spokes."""
+    out = [(name, corpus.diagram(name)) for name in corpus.names()]
+    out += [("tri-9-pos", triangle_bundle([1] * 3, [1] * 3, [1] * 3)[0]),
+            ("theta-10-mixed", theta_graph([[1, 1, -1], [1, -1, 1], [1, 1, 1, -1]])[0]),
+            ("tri-10-mixed", triangle_bundle([1, 1, -1], [1, 1, 1], [1, -1, 1, 1])[0])]
+    return out + [(name, _mixed_wheel(n)) for name, n in (("K4", 3), ("wheel4", 4), ("wheel5", 5))]
+
+
+PRUNING_DIAGRAMS = _pruning_diagrams()
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+@pytest.mark.parametrize("name, d", PRUNING_DIAGRAMS, ids=[name for name, _ in PRUNING_DIAGRAMS])
+def test_pruned_projection_equals_the_unpruned_oracle(name, d, reduced):
+    """The pruned flows give the unpruned projection's images, tree
+    complex, transport matrix, survivors and cycles, dict order included,
+    and visit an ordered subsequence of its pairs."""
+    tc, record = Pipeline(d).retraction(reduced)
+    oracle_tc, oracle_record = unpruned_retraction(Pipeline(d), reduced)
+    assert _outcome(tc, record) == _outcome(oracle_tc, oracle_record)
+    assert is_ordered_subsequence(record.pairs_visited, oracle_record.pairs_visited)
+    matching = record.matching
+    chains = [cyc.chain for cyc in record.cycles]
+    chains += [matching.row(g) for g in record.survivor_of.values()]
+    images = [list(image.items()) for image in matching.project(chains)]
+    oracle_images = unpruned_project(oracle_record.matching, chains)
+    assert images == [list(image.items()) for image in oracle_images]
 
 
 def test_ordered_subsequence_helper():

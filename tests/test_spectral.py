@@ -9,7 +9,7 @@ from test_khovanov import extra_edge
 from test_spantree import _crossings_permuted
 from test_spectral_golden import relabelled
 
-from spantreekh import corpus, khovanov, spectral
+from spantreekh import cli, corpus, khovanov, spectral
 from spantreekh.collapse import Pipeline, retract_to_tree_complex, state_tree_assignment
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.khovanov import StateLabels, differential, enumerate_states
@@ -244,6 +244,27 @@ def test_pairs_run_on_the_tree_generators_only(monkeypatch):
     differential_ranks(f, "F2", 1)
     assert seen == [len(f.tree_complex.generators)] * 2
     assert len(f.tree_complex.generators) < len(f.pipeline.full_complex(False).states)
+
+
+def test_one_verify_pairs_the_tree_complex_once_per_page_set(monkeypatch):
+    # the pages and the E_infinity check read one pairing per filtration and
+    # field: verify pairs 7_4's reduced tree complex over Q and over F2 once
+    paired, page_sets = [], []
+    pairs, pages = spectral._pairs, cli.compute_pages
+
+    def recording_pairs(levels, degrees, rows, prime):
+        paired.append(prime)
+        return pairs(levels, degrees, rows, prime)
+
+    def recording_pages(filtration, field):
+        page_sets.append(field)
+        return pages(filtration, field)
+
+    monkeypatch.setattr(spectral, "_pairs", recording_pairs)
+    monkeypatch.setattr(cli, "compute_pages", recording_pages)
+    assert cli.run(["verify", "--knot", "7_4"]) == 0
+    assert page_sets == ["Q", "F2"]
+    assert paired == [None, 2]
 
 
 def test_d0_is_not_read_off_the_tree_complex():
