@@ -14,6 +14,16 @@ single-step relation is one test on them (:func:`_step`); row i of the
 poset, ``below[i]``, has bit j set when tree j lies below tree i, and the
 closure, the extremes, the depths, the levels and the covers are all read
 off ORs of rows.
+
+The partial skein resolution tree is the trie of the trees' marker words,
+branched off each tree's dead and B masks.  One
+:func:`~spantreekh.diagram.join` union-find over arc positions is carried
+down it, each branch joining its marker's two arc pairs, so every leaf
+reads its partial smoothing's classes without smoothing the diagram.  Its
+twisted unknot is undone by one core, :func:`_undo_kinks`, which records
+each class's ends at live slots and relabels only the ends of the classes
+an undone kink merges; :func:`kink_undo_sequence` feeds it from one
+smoothing of the dead markers.
 """
 
 from __future__ import annotations
@@ -49,40 +59,38 @@ def render_letter(letter, positive):
 
 
 class ActivityWord:
-    """Activity letters of a spanning tree, one per edge in edge order."""
+    """Activity letters of a spanning tree, one per edge in edge order.
 
-    __slots__ = ("letters", "signs")
+    The marker tuple and the monomial's (coefficient, exponent) are made
+    once, in one pass over the letters."""
+
+    __slots__ = ("letters", "signs", "_markers", "_monomial")
 
     def __init__(self, letters, signs):
         self.letters = tuple(letters)
         self.signs = tuple(signs)
         if len(self.letters) != len(self.signs):
             raise ValueError("letters and signs must align")
+        markers, coeff, exponent = [], 1, 0
+        for key in zip(self.letters, (s > 0 for s in self.signs)):
+            c, e = _MONOMIALS[key]
+            coeff *= c
+            exponent += e
+            markers.append(_DEAD_MARKER.get(key, "*"))
+        self._markers = tuple(markers)
+        self._monomial = (coeff, exponent)
 
     def __str__(self):
         return "".join(
             render_letter(l, s > 0) for l, s in zip(self.letters, self.signs)
         )
 
-    def count(self, letter, positive):
-        return sum(
-            1
-            for l, s in zip(self.letters, self.signs)
-            if l == letter and (s > 0) == positive
-        )
-
     def counts(self):
         """(p, q, r, s, x, y, z, w) = counts of L D l d Lbar Dbar lbar dbar."""
-        return (
-            self.count("L", True),
-            self.count("D", True),
-            self.count("l", True),
-            self.count("d", True),
-            self.count("L", False),
-            self.count("D", False),
-            self.count("l", False),
-            self.count("d", False),
-        )
+        found = dict.fromkeys(_MONOMIALS, 0)  # keyed in that order
+        for key in zip(self.letters, (s > 0 for s in self.signs)):
+            found[key] += 1
+        return tuple(found.values())
 
     def gradings(self):
         p, q, r, s, x, y, z, w = self.counts()
@@ -90,20 +98,11 @@ class ActivityWord:
 
     def monomial(self):
         """The product of the per-letter bracket monomials."""
-        coeff, exponent = 1, 0
-        for l, s in zip(self.letters, self.signs):
-            c, e = _MONOMIALS[(l, s > 0)]
-            coeff *= c
-            exponent += e
-        return LaurentPolynomial.monomial(coeff, exponent, "A")
+        return LaurentPolynomial.monomial(*self._monomial, "A")
 
     def markers(self):
         """Per-crossing partial smoothing: live edges stay ``*``."""
-        out = []
-        for l, s in zip(self.letters, self.signs):
-            key = (l, s > 0)
-            out.append(_DEAD_MARKER.get(key, "*"))
-        return tuple(out)
+        return self._markers
 
     def smoothing_string(self):
         return "".join(self.markers())
@@ -321,33 +320,69 @@ def kink_undo_sequence(diagram, dead_markers):
     unknot remains.  Raises DiagramError if the partial smoothing is not a
     twisted unknot.
 
-    The partial smoothing is built once.  Undoing a kink joins the classes
-    at its four slots in a :func:`~spantreekh.diagram.join` union-find over
-    the smoothing's classes; a class that no live crossing touches any more
-    is a closed circle."""
-    partial = diagram.smooth({c: m for c, m in dead_markers.items() if m in "AB"})
-    slots = partial.crossing_slots  # live crossing -> the classes at its four slots
-    parent = {r: r for roots in slots.values() for r in roots}
-    order = sorted(parent)
-    closed = len(partial.circles)
-    live = list(slots)
+    The dead markers' arc classes come from one
+    :meth:`~spantreekh.diagram.LinkDiagram._arc_roots` call; each live
+    crossing's four slots carry their classes' smallest arc positions, and
+    :func:`_undo_kinks` undoes the kinks."""
+    dead = {c: m for c, m in dead_markers.items() if m in "AB"}
+    roots = diagram._arc_roots(dead, False)
+    slots = {c: [roots[p] for p in arcs]
+             for c, arcs in enumerate(diagram._slot_arcs) if c not in dead}
+    classes = sum(1 for p, r in enumerate(roots) if p == r)
+    return _undo_kinks(slots, classes)
+
+
+def _undo_kinks(slots, classes):
+    """The kink-undo core: ``slots`` maps each live crossing to the labels
+    of the classes at its four slots, and ``classes`` counts all classes,
+    those at no live slot being closed circles.
+
+    Each class records its ends, the (crossing, slot) places it occupies,
+    and a bit mask holds the removable crossings, those with two adjacent
+    slots in one class.  Undoing crossing c merges its slot classes into the
+    one with the most ends and relabels only the other classes' ends at live
+    crossings; a relabelled crossing turns removable when its new label
+    equals a neighbouring slot's.  Classes only merge, so a removable
+    crossing stays removable, and the smallest goes first.  ``slots`` is
+    consumed."""
+    ends = {}
+    removable = 0
+    for c, row in slots.items():
+        for s, r in enumerate(row):
+            ends.setdefault(r, []).append((c, s))
+        if kink_slot_pair(row) is not None:
+            removable |= 1 << c
+    live_ends = {r: len(found) for r, found in ends.items()}  # ends at live crossings
+    closed = classes - len(ends)
     stages = []
-    while live:
+    while slots:
         if closed:
             raise DiagramError("partial smoothing is split: not a twisted unknot")
-        for c in live:
-            pair = kink_slot_pair([parent[r] for r in slots[c]])
-            if pair is not None:
-                break
-        else:
+        if not removable:
             raise DiagramError("no removable kink: not a twisted unknot")
-        stages.append(KinkStage(c, pair))
-        live.remove(c)
-        join(parent, zip(slots[c], slots[c][1:]))
-        for r in order:  # every parent lies at or below its child
-            parent[r] = parent[parent[r]]
-        spliced = parent[slots[c][0]]
-        closed += all(parent[r] != spliced for d in live for r in slots[d])
+        c = (removable & -removable).bit_length() - 1
+        removable ^= 1 << c
+        row = slots.pop(c)
+        stages.append(KinkStage(c, kink_slot_pair(row)))
+        keep, size = None, -1
+        for r in row:
+            live_ends[r] -= 1
+            if len(ends[r]) > size:
+                keep, size = r, len(ends[r])
+        into = ends[keep]
+        for r in set(row):
+            if r == keep:
+                continue
+            live_ends[keep] += live_ends.pop(r)
+            for d, s in ends.pop(r):
+                other = slots.get(d)
+                if other is None:  # an end at an undone crossing
+                    continue
+                into.append((d, s))
+                other[s] = keep
+                if other[s - 1] == keep or other[(s + 1) % 4] == keep:
+                    removable |= 1 << d
+        closed += not live_ends[keep]
     if closed != 1:
         raise DiagramError("kink removal did not end at the round unknot")
     return stages
@@ -570,29 +605,50 @@ def resolution_tree(diagram, graph=None, trees=None):
     in reverse order, at which they are dead, the A side taking the trees
     marked A there.  The trees of a node must agree on whether a crossing
     is live, each side of a branch must hold a tree and each leaf exactly
-    one.  At a leaf the tree's twisted unknot is undone, the edges read off
-    its markers and kink writhes must be the tree's, and its monomial must
-    be A^sigma (-A)^{3w(U)}."""
+    one.  The branching reads each tree's dead and B bit masks: the next
+    crossing is the highest bit below the node's crossing in the OR of its
+    trees' dead masks, and they agree when that bit is in the AND too.
+
+    One :func:`~spantreekh.diagram.join` union-find over arc positions is
+    carried down the trie: each branch copies its parent's and joins the
+    two arc pairs of its marker, and counts the classes by the joins that
+    merged.  A leaf reads the classes at the four slots of each live
+    crossing off it, so no leaf smooths the diagram again, and
+    :func:`_undo_kinks` undoes its twisted unknot.  The edges read off the
+    leaf's markers and kink writhes must be the tree's, and its monomial
+    must be A^sigma (-A)^{3w(U)}."""
     graph = graph or tait_graph(diagram)
     trees = trees if trees is not None else enumerate_trees(graph)
     sign_of = {c: s for _, _, s, c in graph.edges}
+    slot_arcs, joins = diagram._slot_arcs, diagram._joins
 
-    def descend(markers, group, c):
-        while c:
-            c -= 1
-            dead = {word[c] != "*" for _, word in group}
-            if dead == {True}:
-                sides = [[(t, word) for t, word in group if word[c] == m] for m in "AB"]
-                if not all(sides):
-                    raise DiagramError(f"one side of the branch at crossing {c} has no tree")
-                return ResolutionNode(dict(markers), c, descend({**markers, c: "A"}, sides[0], c),
-                                      descend({**markers, c: "B"}, sides[1], c))
-            if len(dead) > 1:
+    def descend(markers, group, c, parent, classes):
+        dead, agree = 0, -1
+        for _, dead_mask, _ in group:
+            dead |= dead_mask
+            agree &= dead_mask
+        dead &= (1 << c) - 1
+        if dead:
+            c = dead.bit_length() - 1
+            if not agree >> c & 1:
                 raise DiagramError(f"the trees disagree on whether crossing {c} is live")
+            sides = [[g for g in group if not g[2] >> c & 1], [g for g in group if g[2] >> c & 1]]
+            if not all(sides):
+                raise DiagramError(f"one side of the branch at crossing {c} has no tree")
+            children = []
+            for m, side in zip("AB", sides):
+                branch = parent.copy()
+                merged = join(branch, joins[c][m])
+                children.append(descend({**markers, c: m}, side, c, branch, classes - merged))
+            return ResolutionNode(dict(markers), c, *children)
         if len(group) != 1:
             raise DiagramError(f"{len(group)} spanning trees reach one resolution leaf")
-        (tree, word), = group
-        stages = kink_undo_sequence(diagram, markers)
+        (tree, _, _), = group
+        word = tree.markers()
+        for p in range(len(parent)):  # every parent lies at or below its child
+            parent[p] = parent[parent[p]]
+        slots = {c: [parent[p] for p in slot_arcs[c]] for c, m in enumerate(word) if m == "*"}
+        stages = _undo_kinks(slots, classes)
         kinks = {st.crossing: st.sign for st in stages}
         edges = {c for c, m in enumerate(word)
                  if (sign_of[c] > 0) == (m == "A" if c in markers else kinks[c] < 0)}
@@ -600,7 +656,12 @@ def resolution_tree(diagram, graph=None, trees=None):
             raise DiagramError("resolution leaf does not match its spanning tree")
         return ResolutionNode(dict(enumerate(word)), tree=tree, stages=stages)
 
-    root = descend({}, [(t, t.markers()) for t in trees], diagram.n)
+    group = []  # (tree, dead mask, B mask)
+    for t in trees:
+        a, b = _masks(t.markers())
+        group.append((t, a | b, b))
+    arcs = len(diagram.arcs)
+    root = descend({}, group, diagram.n, list(range(arcs)), arcs)
     leaves = root.leaves()
     if len(leaves) != len(trees):
         raise DiagramError(

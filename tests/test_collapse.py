@@ -13,7 +13,7 @@ from collapse_oracle import (
 )
 from khovanov_oracle import cancelled_homology, homology_snapshot
 from test_diagram import LINK_FAMILY, TWELVE_CROSSINGS
-from test_spantree import _crossings_permuted
+from test_spantree import _crossings_permuted, _mixed_wheel
 from spantreekh import collapse, corpus, khovanov
 from spantreekh.alternating import is_alternating
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
@@ -23,13 +23,7 @@ from spantreekh.khovanov import (
     differential,
     khovanov_homology,
 )
-from spantreekh.planegraph import (
-    PlaneGraph,
-    cycle_graph,
-    medial_diagram,
-    theta_graph,
-    triangle_bundle,
-)
+from spantreekh.planegraph import cycle_graph, theta_graph, triangle_bundle
 from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 from spantreekh.collapse import (
     Pipeline,
@@ -719,17 +713,6 @@ def test_links_retract_onto_their_homology(name, d):
     for reduced in (True, False):
         tc, _ = retract_to_tree_complex(d, reduced=reduced)
         assert tc.homology_in_ij() == khovanov_homology(d, reduced=reduced), (name, reduced)
-
-
-def _mixed_wheel(n):
-    """The medial diagram of the wheel with n spokes (K4 when n = 3): spokes
-    h - r_i, then rim edges r_i - r_(i+1), every edge positive except rim
-    edge 0 and spoke n // 2."""
-    spokes = [("h", f"r{i}", -1 if i == n // 2 else 1) for i in range(n)]
-    rim = [(f"r{i}", f"r{(i + 1) % n}", -1 if i == 0 else 1) for i in range(n)]
-    rotations = {"h": [(i, 0) for i in range(n)]}
-    rotations.update({f"r{i}": [(n + (i - 1) % n, 1), (n + i, 0), (i, 1)] for i in range(n)})
-    return medial_diagram(PlaneGraph(spokes + rim, rotations))
 
 
 @pytest.mark.parametrize("n, trees", [(3, 16), (4, 45), (5, 121)], ids=["K4", "wheel4", "wheel5"])

@@ -6,7 +6,7 @@ import ast
 import pathlib
 from collections import Counter
 
-from spantreekh import diagram
+from spantreekh import diagram, spantree
 from spantreekh.planegraph import triangle_bundle
 from spantreekh.spantree import enumerate_trees, resolution_tree
 
@@ -790,8 +790,9 @@ def test_only_alternating_asks_whether_a_crossing_is_nugatory():
 
 
 def test_front_half_work_counts_on_tri_12_mixed(monkeypatch):
-    # the resolution tree smooths once per tree and never counts components,
-    # and the state-sum tally joins far fewer times than the cube has states
+    # the resolution tree never smooths and never counts components: its
+    # union-find joins twice per branch node, once for each child, and the
+    # state-sum tally joins far fewer times than the cube has states
     d = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0]
     counts = Counter()
 
@@ -805,12 +806,15 @@ def test_front_half_work_counts_on_tri_12_mixed(monkeypatch):
         monkeypatch.setattr(diagram.LinkDiagram, name,
                             counted(name, getattr(diagram.LinkDiagram, name)))
     monkeypatch.setattr(diagram, "join", counted("join", diagram.join))
+    # spantree binds join at import
+    monkeypatch.setattr(spantree, "join", counted("trie_join", spantree.join))
     g = diagram.tait_graph(d)
     trees = enumerate_trees(g)
     counts.clear()
     resolution_tree(d, g, trees)
     assert counts["component_count"] == 0
-    assert counts["smooth"] == len(trees) == 48
+    assert counts["smooth"] == 0
+    assert counts["trie_join"] == 2 * (len(trees) - 1) == 94
     counts.clear()
     d.smoothing_tally()
     assert 0 < counts["join"] < 2 ** d.n

@@ -28,9 +28,9 @@ from collapse_oracle import (
     labelled,
     retract_by_collapses,
 )
-from test_collapse import _mixed_wheel, _random_complex, cycle_diagrams, kink_rule_diagrams
+from test_collapse import _random_complex, cycle_diagrams, kink_rule_diagrams
 from test_khovanov import extra_edge
-from test_spantree import _crossings_permuted
+from test_spantree import _crossings_permuted, _mixed_wheel
 from spantreekh import collapse, corpus, khovanov
 from spantreekh.collapse import (
     Pipeline,

@@ -1,6 +1,7 @@
 """Spanning trees, activities, the partial order and the resolution tree."""
 
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from test_spectral_golden import relabelled
 from spantreekh import corpus
 from spantreekh.algebra import LaurentPolynomial
 from spantreekh.diagram import DiagramError, parse_pd, tait_graph
-from spantreekh.planegraph import theta_graph, triangle_bundle
+from spantreekh.planegraph import PlaneGraph, medial_diagram, theta_graph, triangle_bundle
 from spantreekh.spantree import (
     _MONOMIALS,
     ActivityWord,
@@ -267,10 +268,21 @@ def _crossings_permuted(diagram, rng):
     return parse_pd(f"PD[{body}] base={diagram.basepoint}")
 
 
+def _mixed_wheel(n):
+    """The medial diagram of the wheel with n spokes (K4 when n = 3): spokes
+    h - r_i, then rim edges r_i - r_(i+1), every edge positive except rim
+    edge 0 and spoke n // 2."""
+    spokes = [("h", f"r{i}", -1 if i == n // 2 else 1) for i in range(n)]
+    rim = [(f"r{i}", f"r{(i + 1) % n}", -1 if i == 0 else 1) for i in range(n)]
+    rotations = {"h": [(i, 0) for i in range(n)]}
+    rotations.update({f"r{i}": [(n + (i - 1) % n, 1), (n + i, 0), (i, 1)] for i in range(n)})
+    return medial_diagram(PlaneGraph(spokes + rim, rotations))
+
+
 def _front_family():
-    """(name, diagram) for the corpus and seeded triangle bundles and theta
-    graphs of up to 12 crossings, their mirrors, and a crossing-permuted copy
-    of each of those."""
+    """(name, diagram) for the corpus, seeded triangle bundles and theta
+    graphs of up to 12 crossings, K4 and the mixed wheels with 4, 5 and 6
+    spokes, their mirrors, and a crossing-permuted copy of each of those."""
     out = [(entry.name, entry.diagram()) for entry in corpus.entries()]
     rng = random.Random("front-family")
     for k in range(12):
@@ -279,6 +291,7 @@ def _front_family():
         paths = [[rng.choice((1, -1)) for _ in range(rng.randint(1, 3))]
                  for _ in range(rng.randint(2, 4))]
         out.append((f"theta-{k}", theta_graph(paths)[0]))
+    out += [("K4" if n == 3 else f"wheel{n}", _mixed_wheel(n)) for n in (3, 4, 5, 6)]
     out += [(name + "/mirror", d.mirror()) for name, d in out]
     return out + [(name + "/permuted", _crossings_permuted(d, rng)) for name, d in out]
 
@@ -352,6 +365,36 @@ def test_resolution_tree_rejects_trees_that_do_not_form_a_trie():
     twin = SpanningTree(trees[0].edges, trees[0].word, index=len(trees))
     with pytest.raises(DiagramError, match="2 spanning trees reach one resolution leaf"):
         resolution_tree(d, g, trees + [twin])
+
+
+@pytest.mark.parametrize("name", ["trefoil4", "5_2", "8_19"])
+def test_resolution_tree_rejects_a_tree_carrying_another_trees_edges(name):
+    # tree k keeps its own word, so the trie still forms and only the leaf's
+    # edge check sees that its markers and kinks give tree j's edges
+    d = corpus.diagram(name)
+    g = tait_graph(d)
+    trees = enumerate_trees(g)
+    for k in range(len(trees)):
+        j = (k + 1) % len(trees)
+        forged = list(trees)
+        forged[k] = SpanningTree(trees[j].edges, trees[k].word, index=k)
+        with pytest.raises(DiagramError, match="resolution leaf does not match its spanning tree"):
+            resolution_tree(d, g, forged)
+
+
+@pytest.mark.parametrize("name", ["trefoil4", "5_2", "8_19"])
+def test_resolution_tree_rejects_a_leaf_monomial_off_by_one_power(name, monkeypatch):
+    from spantreekh import spantree
+
+    d = corpus.diagram(name)
+    g = tait_graph(d)
+    trees = enumerate_trees(g)
+    resolution_tree(d, g, trees)
+    leaf_monomial = spantree.leaf_monomial
+    monkeypatch.setattr(spantree, "leaf_monomial",
+                        lambda sigma, w_u: leaf_monomial(sigma + 1, w_u))
+    with pytest.raises(DiagramError, match=re.escape("mu(T) != A^sigma(U) (-A)^{3w(U)} at a leaf")):
+        resolution_tree(d, g, trees)
 
 
 @pytest.mark.parametrize("name", corpus.names())
