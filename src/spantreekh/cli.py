@@ -39,6 +39,10 @@ from .alternating import (
 )
 
 
+# ``trees`` lists at most this many maximal chains; wheel7-mixed has 3,116,953
+CHAIN_BUDGET = 10 ** 5
+
+
 class UsageError(Exception):
     """A bad command-line argument; the CLI exits 2."""
 
@@ -137,6 +141,9 @@ def cmd_jones(args):
 def cmd_trees(args):
     p = Pipeline(_load_diagram(args.knot))
     trees, poset = p.trees, p.poset
+    count = poset.chain_count()
+    if count > CHAIN_BUDGET:
+        raise UsageError(f"{count} maximal chains exceed the trees budget of {CHAIN_BUDGET}")
     rows = []
     for t in trees:
         rows.append({

@@ -24,26 +24,35 @@ def bracket_statesum(diagram):
 
     A smoothing with sigma = #A - #B and k circles contributes
     A^sigma LOOP^(k-1).  ``LinkDiagram.smoothing_tally`` counts the
-    smoothings by (sigma, k) without building any of them, and each
-    distinct pair is multiplied out once, times its count."""
-    tally = diagram.smoothing_tally()
-    total = LaurentPolynomial.zero("A")
-    for (sigma, k), count in tally.items():
-        term = LaurentPolynomial.monomial(count, sigma, "A")
-        for _ in range(k - 1):
-            term = term * LOOP
-        total = total + term
-    return total
+    smoothings by (sigma, k) without building any of them.  Each power of
+    LOOP is made once, as an exponent -> coefficient dict, and each
+    distinct pair adds its count times that power, shifted by sigma, into
+    one dict, which becomes the one polynomial made, at the end."""
+    powers = [{0: 1}]  # LOOP^m at index m
+    total = {}
+    for (sigma, k), count in diagram.smoothing_tally().items():
+        while len(powers) < k:
+            power = {}
+            for e, c in powers[-1].items():
+                for f, d in LOOP.coeffs.items():
+                    power[e + f] = power.get(e + f, 0) + c * d
+            powers.append(power)
+        for e, c in powers[k - 1].items():
+            total[sigma + e] = total.get(sigma + e, 0) + count * c
+    return LaurentPolynomial(total, "A")
 
 
 def bracket_spantree(diagram, graph=None, trees=None):
-    """Kauffman bracket as the sum of tree monomials mu(T)."""
+    """Kauffman bracket as the sum of tree monomials mu(T), each read off
+    its activity word's (coefficient, exponent) pair into one exponent ->
+    coefficient dict."""
     graph = graph or tait_graph(diagram)
     trees = trees if trees is not None else enumerate_trees(graph)
-    total = LaurentPolynomial.zero("A")
+    total = {}
     for t in trees:
-        total = total + t.word.monomial()
-    return total
+        c, e = t.word.term
+        total[e] = total.get(e, 0) + c
+    return LaurentPolynomial(total, "A")
 
 
 def jones(diagram, bracket=None):
@@ -84,23 +93,26 @@ def jones_in_t(v):
     return "".join(terms).lstrip("+")
 
 
+def _tree_sum(trees, shifts):
+    """sum over trees of (-1)^u sum over s in shifts of t^{u-v-s}, in
+    q = t^{1/4}, added into one exponent -> coefficient dict."""
+    chi = {}
+    for t in trees:
+        sign = -1 if t.u % 2 else 1
+        for s in shifts:
+            e = 4 * (t.u - t.v - s)
+            chi[e] = chi.get(e, 0) + sign
+    return LaurentPolynomial(chi, "q")
+
+
 def euler_characteristic_reduced(trees):
     """chi(C(D)) = sum over trees of (-1)^u t^{u-v}, in q = t^{1/4}."""
-    chi = LaurentPolynomial.zero("q")
-    for t in trees:
-        chi = chi + LaurentPolynomial.monomial((-1) ** (t.u % 2), 4 * (t.u - t.v), "q")
-    return chi
+    return _tree_sum(trees, (0,))
 
 
 def euler_characteristic_unreduced(trees):
     """chi(UC(D)): each tree contributes (-1)^u (t^{u-v} + t^{u-v-1})."""
-    chi = LaurentPolynomial.zero("q")
-    for t in trees:
-        sign = (-1) ** (t.u % 2)
-        chi = chi + LaurentPolynomial(
-            {4 * (t.u - t.v): sign, 4 * (t.u - t.v - 1): sign}, "q"
-        )
-    return chi
+    return _tree_sum(trees, (0, 1))
 
 
 def euler_check(diagram, graph=None, trees=None, bracket=None):

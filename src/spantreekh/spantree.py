@@ -10,10 +10,11 @@ passes through e (cut/cycle duality), so no cut is ever built.
 
 The tree poset works on integer bit rows.  A tree's partial smoothing is two
 masks A and B (bit c set when crossing c carries that marker), and the
-single-step relation is one test on them (:func:`_step`); row i of the
-poset, ``below[i]``, has bit j set when tree j lies below tree i, and the
-closure, the extremes, the depths, the levels and the covers are all read
-off ORs of rows.
+single-step relation is one test on them (:func:`_step`), made only on
+trees one edge exchange apart; row i of the poset, ``below[i]``, has bit j
+set when tree j lies below tree i, and the closure, its check against every
+single step, the extremes, the depths, the levels and the covers are all
+read off ORs of rows.
 
 The partial skein resolution tree is the trie of the trees' marker words,
 branched off each tree's dead and B masks.  One
@@ -61,10 +62,10 @@ def render_letter(letter, positive):
 class ActivityWord:
     """Activity letters of a spanning tree, one per edge in edge order.
 
-    The marker tuple and the monomial's (coefficient, exponent) are made
-    once, in one pass over the letters."""
+    The marker tuple and ``term``, the monomial's (coefficient, exponent)
+    pair, are made once, in one pass over the letters."""
 
-    __slots__ = ("letters", "signs", "_markers", "_monomial")
+    __slots__ = ("letters", "signs", "_markers", "term")
 
     def __init__(self, letters, signs):
         self.letters = tuple(letters)
@@ -78,7 +79,7 @@ class ActivityWord:
             exponent += e
             markers.append(_DEAD_MARKER.get(key, "*"))
         self._markers = tuple(markers)
-        self._monomial = (coeff, exponent)
+        self.term = (coeff, exponent)
 
     def __str__(self):
         return "".join(
@@ -98,7 +99,7 @@ class ActivityWord:
 
     def monomial(self):
         """The product of the per-letter bracket monomials."""
-        return LaurentPolynomial.monomial(*self._monomial, "A")
+        return LaurentPolynomial.monomial(*self.term, "A")
 
     def markers(self):
         """Per-crossing partial smoothing: live edges stay ``*``."""
@@ -469,12 +470,21 @@ class TreePoset:
     """Poset of spanning trees: transitive closure of the single-step
     relation, with its maximal descending chains.
 
-    ``below[i]`` is an int whose bit j is set when tree i > tree j.  One
-    :func:`_step` per unordered pair sets the single steps, Warshall's
-    closure ORs row k into every row holding bit k, and everything else is
-    read off the closed rows: a cycle is bit i of ``below[i]``, the maximum
-    is the one tree in no row and the minimum the one empty row, and
-    ``covers(i)`` is ``below[i]`` less the rows of the trees below i.
+    ``below[i]`` is an int whose bit j is set when tree i > tree j.
+    :func:`_step` runs only on exchange pairs, two trees one edge exchange
+    apart, found by grouping the trees by their edge mask less one edge.
+    Kahn's pass closes those steps in one sweep from the minima up, and a
+    tree's ``below`` row is the OR of its exchange successors and their
+    rows; a cycle leaves trees unswept.  The closure is then checked
+    against every single step: per crossing, one int holds the trees
+    marked A there and one the trees marked B, so a tree's whole
+    single-step set, A somewhere against B and never B against A, is a few
+    ORs of those ints, and it must lie inside the tree's row.  Every single
+    step then lies in the closure of the exchange steps, so the two
+    closures are one.  The maximum is the one tree in no row and the
+    minimum the one empty row, and ``covers(i)`` is tree i's exchange
+    successors less the rows below them: the covers of a transitive closure
+    are pairs of the relation it closes.
 
     ``depth[i]`` is the length of the longest descending chain from tree i
     to the minimum; ``level[i]`` is 1 + the length of the longest cover path
@@ -487,23 +497,66 @@ class TreePoset:
     def __init__(self, trees):
         self.trees = list(trees)
         n = len(self.trees)
-        masks = [_masks(t.markers()) for t in self.trees]  # once per tree
+        words = [t.markers() for t in self.trees]
+        masks = [_masks(word) for word in words]  # once per tree
+        exchanges = {}  # edge mask less one edge -> trees holding it
+        for i, t in enumerate(self.trees):
+            edges = sum(1 << e for e in t.edges)
+            for e in t.edges:
+                exchanges.setdefault(edges ^ 1 << e, []).append(i)
+        succ = [[] for _ in range(n)]  # the trees one exchange step below tree i
+        pred = [[] for _ in range(n)]
+        for group in exchanges.values():
+            for k, i in enumerate(group):
+                for j in group[k + 1:]:
+                    step = _step(masks[i], masks[j])
+                    if step > 0:
+                        succ[i].append(j)
+                        pred[j].append(i)
+                    elif step < 0:
+                        succ[j].append(i)
+                        pred[i].append(j)
+        # Kahn's pass from the minima up: a tree's row is made once every
+        # exchange successor's is, and so are its covers
         below = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                step = _step(masks[i], masks[j])
-                if step > 0:
-                    below[i] |= 1 << j
-                elif step < 0:
-                    below[j] |= 1 << i
-        # transitive closure
-        for k in range(n):
-            bit, row_k = 1 << k, below[k]
-            for i in range(n):
-                if below[i] & bit:
-                    below[i] |= row_k
-        if any(below[i] >> i & 1 for i in range(n)):
+        self._covers = [None] * n
+        waiting = [len(row) for row in succ]
+        stack = [i for i in range(n) if not succ[i]]
+        order = []  # minima first
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            steps = lower = 0
+            for j in succ[i]:
+                steps |= 1 << j
+                lower |= below[j]
+            below[i] = steps | lower
+            self._covers[i] = list(_bits(steps & ~lower))
+            for k in pred[i]:
+                waiting[k] -= 1
+                if not waiting[k]:
+                    stack.append(k)
+        if len(order) != n:
             raise DiagramError("partial order on trees has a cycle")
+        # per crossing, the trees marked A (B) there
+        width = max(map(len, words), default=0)
+        marked_a, marked_b = [0] * width, [0] * width
+        for i, word in enumerate(words):
+            for c, m in enumerate(word):
+                if m == "A":
+                    marked_a[c] |= 1 << i
+                elif m == "B":
+                    marked_b[c] |= 1 << i
+        for i, word in enumerate(words):
+            up = down = 0
+            for c, m in enumerate(word):
+                if m == "A":
+                    up |= marked_b[c]
+                elif m == "B":
+                    down |= marked_a[c]
+            if up & ~down & ~below[i]:
+                raise DiagramError(
+                    f"a single step below tree {i} is missing from the exchange closure")
         self.below = below
         above_some = 0
         for row in below:
@@ -514,17 +567,8 @@ class TreePoset:
             raise DiagramError("tree poset must have unique maximal and minimal elements")
         self.max_index = maxima[0]
         self.min_index = minima[0]
-        self._covers = []
-        for row in below:
-            lower = 0
-            for j in _bits(row):
-                lower |= below[j]
-            self._covers.append(list(_bits(row & ~lower)))
-        # A longest path in the closure only uses covers, and sorting the
-        # trees by how many trees lie below each one is a topological order
-        # (i > j puts every tree below j below i as well), so one pass each
-        # way over the covers gives both longest-path lengths.
-        order = sorted(range(n), key=lambda i: below[i].bit_count())
+        # a longest path in the closure only uses covers, so one pass each
+        # way over the covers in Kahn's order gives both longest-path lengths
         self.depth = [0] * n
         for i in order:
             self.depth[i] = 1 + max((self.depth[j] for j in self._covers[i]), default=-1)
@@ -559,6 +603,16 @@ class TreePoset:
         descend(self.max_index, (self.max_index,))
         return chains
 
+    def chain_count(self):
+        """The number of maximal chains, without listing them: one pass over
+        the covers from the minimum up, each tree counting the chains from
+        it down."""
+        count = [1] * len(self.trees)
+        for i in sorted(range(len(self.trees)), key=self.depth.__getitem__):
+            if self._covers[i]:
+                count[i] = sum(count[j] for j in self._covers[i])
+        return count[self.max_index]
+
     def linear_extension(self):
         """Tree indices, minimal first, compatible with the partial order:
         by depth, then by sorted edge set."""
@@ -569,6 +623,9 @@ class TreePoset:
 
 
 def build_poset(trees):
+    """The tree poset: single steps on the exchange pairs only, their
+    closure checked against every single step crossing by crossing, and
+    the covers read off the exchange successors (see :class:`TreePoset`)."""
     return TreePoset(trees)
 
 
@@ -615,8 +672,8 @@ def resolution_tree(diagram, graph=None, trees=None):
     merged.  A leaf reads the classes at the four slots of each live
     crossing off it, so no leaf smooths the diagram again, and
     :func:`_undo_kinks` undoes its twisted unknot.  The edges read off the
-    leaf's markers and kink writhes must be the tree's, and its monomial
-    must be A^sigma (-A)^{3w(U)}."""
+    leaf's markers and kink writhes must be the tree's, and its monomial's
+    (coefficient, exponent) pair must be A^sigma (-A)^{3w(U)}'s."""
     graph = graph or tait_graph(diagram)
     trees = trees if trees is not None else enumerate_trees(graph)
     sign_of = {c: s for _, _, s, c in graph.edges}
@@ -668,16 +725,15 @@ def resolution_tree(diagram, graph=None, trees=None):
             f"{len(leaves)} leaves for {len(trees)} spanning trees"
         )
     for leaf in leaves:
-        mu = leaf.tree.word.monomial()
         sigma = sigma_of_partial(
             [leaf.markers[c] for c in range(diagram.n)]
         )
-        if mu != leaf_monomial(sigma, unknot_writhe(leaf.stages)):
+        if leaf.tree.word.term != leaf_monomial(sigma, unknot_writhe(leaf.stages)):
             raise DiagramError("mu(T) != A^sigma(U) (-A)^{3w(U)} at a leaf")
     return root
 
 
 def leaf_monomial(sigma, w_u):
-    """A^{sigma(U)} (-A)^{3 w(U)}."""
+    """A^{sigma(U)} (-A)^{3 w(U)} as a (coefficient, exponent) pair."""
     k = 3 * w_u
-    return LaurentPolynomial.monomial((-1) ** (k % 2), sigma + k, "A")
+    return (-1) ** (k % 2), sigma + k

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from matching_oracle import unpruned_retraction
+from test_spantree import _mixed_wheel
 from spantreekh import cli, corpus
 from spantreekh.cli import build_parser, run
 from spantreekh.collapse import Pipeline
@@ -41,6 +43,20 @@ def test_trees_table(capsys):
     out = capsys.readouterr().out
     assert "**AA" in out and "*ABA" in out
     assert "maximal chains" in out
+
+
+def test_trees_refuses_more_chains_than_its_budget(capsys):
+    # wheel7-mixed has 841 trees and 3,116,953 maximal chains: counted, not listed
+    d = _mixed_wheel(7)
+    pd = "PD[{}] base={}".format(", ".join("X({},{},{},{})".format(*x) for x in d.crossings),
+                                 d.basepoint)
+    start = time.perf_counter()
+    assert run(["trees", pd]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: 3116953 maximal chains exceed the trees budget of "
+                        f"{cli.CHAIN_BUDGET}\n")
 
 
 def test_trees_golden_json_is_stable(capsys):

@@ -6,9 +6,10 @@ import ast
 import pathlib
 from collections import Counter
 
-from spantreekh import diagram, spantree
+from spantreekh import algebra, diagram, spantree
+from spantreekh.jones import bracket_spantree, bracket_statesum, euler_check
 from spantreekh.planegraph import triangle_bundle
-from spantreekh.spantree import enumerate_trees, resolution_tree
+from spantreekh.spantree import build_poset, enumerate_trees, resolution_tree
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = (
@@ -724,13 +725,15 @@ def test_work_list_pops_are_located():
 
 def test_only_three_walks_pop_a_work_list():
     # connectivity in the diagram layer goes through the union-find
-    # diagram.join; the walks left are the tree paths of a spanning tree and
-    # the matching's pair reachability and Kahn's pass
+    # diagram.join; the walks left are the tree paths of a spanning tree,
+    # the matching's pair reachability and Kahn's pass, and the tree
+    # poset's Kahn's pass over the exchange steps
     found = sorted(f"{path.name}: {where}" for path in SRC
                    for where in work_list_pops(path.read_text(encoding="utf-8")))
     assert found == [
         "collapse.py: MorseMatching._fill",
         "collapse.py: MorseMatching.check_acyclic",
+        "spantree.py: TreePoset.__init__",
         "spantree.py: _cycle_finder",
     ]
 
@@ -818,3 +821,18 @@ def test_front_half_work_counts_on_tri_12_mixed(monkeypatch):
     counts.clear()
     d.smoothing_tally()
     assert 0 < counts["join"] < 2 ** d.n
+    # the poset steps only the pairs one edge exchange apart, and each
+    # bracket and Euler sum adds into one dict and makes one polynomial
+    monkeypatch.setattr(spantree, "_step", counted("step", spantree._step))
+    monkeypatch.setattr(algebra.LaurentPolynomial, "__init__",
+                        counted("polynomial", algebra.LaurentPolynomial.__init__))
+    counts.clear()
+    build_poset(trees)
+    assert counts["step"] == 336 < len(trees) * (len(trees) - 1) // 2
+    for bracket in (lambda: bracket_statesum(d), lambda: bracket_spantree(d, g, trees)):
+        counts.clear()
+        bracket()
+        assert counts["polynomial"] == 1
+    counts.clear()
+    euler_check(d, g, trees)
+    assert counts["polynomial"] <= 10

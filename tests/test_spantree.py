@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from spantree_oracle import resmoothed_kink_undo_sequence, skein_resolution_tree
+from spantree_oracle import AllPairsPoset, resmoothed_kink_undo_sequence, skein_resolution_tree
 from test_spectral_golden import relabelled
 
 from spantreekh import corpus
@@ -14,6 +14,7 @@ from spantreekh.diagram import DiagramError, parse_pd, tait_graph
 from spantreekh.planegraph import PlaneGraph, medial_diagram, theta_graph, triangle_bundle
 from spantreekh.spantree import (
     _MONOMIALS,
+    _masks,
     ActivityWord,
     SpanningTree,
     build_poset,
@@ -452,7 +453,7 @@ def test_resolution_leaf_monomial_identity():
     for leaf in root.leaves():
         sigma = sigma_of_partial([leaf.markers[c] for c in range(d.n)])
         w_u = unknot_writhe(leaf.stages)
-        assert leaf.tree.word.monomial() == leaf_monomial(sigma, w_u)
+        assert leaf.tree.word.monomial() == LaurentPolynomial.monomial(*leaf_monomial(sigma, w_u))
 
 
 # -- oracles for the bit-row poset and the cycle-only activity words -------------
@@ -602,15 +603,56 @@ def test_maximal_chains_walk_stored_covers(monkeypatch):
     assert calls == []
 
 
-class _Marked:
-    """A stand-in tree carrying only a partial smoothing."""
+def test_exchange_poset_matches_the_all_pairs_oracle():
+    # the front family (corpus, mirrors and crossing-permuted copies
+    # included) and the 841- and 2,205-tree mixed wheels
+    family = FRONT_FAMILY + [("wheel7", _mixed_wheel(7)), ("wheel8", _mixed_wheel(8))]
+    for name, d in family:
+        trees = enumerate_trees(tait_graph(d))
+        poset, oracle = build_poset(trees), AllPairsPoset(trees)
+        assert poset.below == oracle.below, name
+        assert [poset.covers(i) for i in range(len(trees))] == [
+            oracle.covers(i) for i in range(len(trees))], name
+        assert (poset.depth, poset.level) == (oracle.depth, oracle.level), name
+        assert poset.linear_extension() == oracle.linear_extension(), name
+        if len(trees) < 400:
+            assert poset.chain_count() == len(oracle.maximal_chains()), name
+    assert (name, len(trees), poset.chain_count()) == ("wheel8", 2205, 131980113)
 
-    def __init__(self, smoothing):
-        self.edges = frozenset()
+
+def test_a_step_missing_from_the_exchange_pairs_is_caught(monkeypatch):
+    # the exchange closure cannot reach a cover whose one step is lost, and
+    # the per-crossing check of every single step sees it
+    from spantreekh import spantree
+
+    d = triangle_bundle([1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1])[0]
+    trees = enumerate_trees(tait_graph(d))
+    poset = build_poset(trees)
+    i = poset.max_index
+    j = poset.covers(i)[0]
+    lost = {_masks(trees[i].markers()), _masks(trees[j].markers())}
+    step = spantree._step
+    monkeypatch.setattr(spantree, "_step", lambda x, y: 0 if {x, y} == lost else step(x, y))
+    with pytest.raises(DiagramError,
+                       match=f"a single step below tree {i} is missing from the exchange closure"):
+        build_poset(trees)
+
+
+class _Marked:
+    """A stand-in tree carrying a partial smoothing and the one edge
+    ``edge``: stand-ins with distinct edges are one exchange apart, so the
+    poset tests every pair of them."""
+
+    def __init__(self, smoothing, edge):
+        self.edges = frozenset({edge})
         self._markers = tuple(smoothing)
 
     def markers(self):
         return self._markers
+
+
+def _stand_ins(smoothings):
+    return [_Marked(s, k) for k, s in enumerate(smoothings)]
 
 
 def test_poset_rejects_a_cycle_of_single_steps():
@@ -619,12 +661,12 @@ def test_poset_rejects_a_cycle_of_single_steps():
     for a, b in zip(trio, trio[1:] + trio[:1]):
         assert compare_trees(a, b) == "greater"
     with pytest.raises(DiagramError, match="has a cycle"):
-        build_poset([_Marked(s) for s in trio])
+        build_poset(_stand_ins(trio))
 
 
 def test_poset_rejects_two_maxima_or_two_minima():
     with pytest.raises(DiagramError, match="unique maximal and minimal"):
-        build_poset([_Marked("AB"), _Marked("BA")])
+        build_poset(_stand_ins(["AB", "BA"]))
     # one maximum, two minima
     with pytest.raises(DiagramError, match="unique maximal and minimal"):
-        build_poset([_Marked("AA"), _Marked("BA"), _Marked("AB")])
+        build_poset(_stand_ins(["AA", "BA", "AB"]))
